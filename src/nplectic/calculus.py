@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, ascending_words, sort_word, wedge_list
-from .scalars import DEFAULT_SHUFFLE_CAP, Poly, enumerate_shuffles, koszul_sign
+from .scalars import DEFAULT_SHUFFLE_CAP, Poly, enumerate_shuffles, koszul_sign, sparse_sum
 
 
 def pairing(f: Cotensor, x: Tensor) -> Poly:
@@ -49,7 +49,7 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
     """
     if x.pair != f.pair:
         raise ValueError("contraction across different pairs")
-    acc: dict[tuple[int, ...], Poly] = {}
+    products = []
     for wx, a in x.terms.items():
         for wf, b in f.terms.items():
             letters = list(wf)
@@ -62,18 +62,10 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
                 if at % 2:
                     sign = -sign
                 del letters[at]
-            if sign == 0:
-                continue
-            coeff = a * b * sign
-            key = tuple(letters)
-            prev = acc.get(key)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = coeff
+            if sign:
+                products.append((tuple(letters), a * b * sign))
     out = Cotensor.zero(f.pair)
-    out.terms = acc
+    out.terms = sparse_sum(products)
     return out
 
 
@@ -90,18 +82,7 @@ def ce_differential(f: Cotensor) -> Cotensor:
     evaluated on basis tuples.
     """
     pair = f.pair
-    acc: dict[tuple[int, ...], Poly] = {}
-
-    def put(word, coeff):
-        if coeff.is_zero():
-            return
-        prev = acc.get(word)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff.is_zero():
-            acc.pop(word, None)
-        else:
-            acc[word] = coeff
-
+    values = []
     by_length: dict[int, dict] = {}
     for w, c in f.terms.items():
         by_length.setdefault(len(w), {})[w] = c
@@ -131,9 +112,9 @@ def ce_differential(f: Cotensor) -> Cotensor:
                         inner = terms.get(norm)
                         if inner is not None:
                             val = val + (outer * sign) * c * inner
-            put(target, val)
+            values.append((target, val))
     out = Cotensor.zero(pair)
-    out.terms = acc
+    out.terms = sparse_sum(values)
     return out
 
 
@@ -280,31 +261,3 @@ def natural_inclusion(k: int, xs) -> Tensor:
     if (k - 1) % 2:
         coeff = -coeff
     return coeff * wedge_list(pair, Tensor, list(reversed(xs)))
-
-
-def tensor_jacobi_residual(xs, cap: int = DEFAULT_SHUFFLE_CAP) -> Tensor:
-    """Weak Jacobi residual for the higher brackets at arity n = len(xs).
-
-    sum_{i+j=n+1} sum_{s in Sh(j, n-j)} sign(s; x)
-        [ [x_{s(1)}..x_{s(j)}]_j, x_{s(j+1)}..x_{s(n)} ]_i
-
-    Exactly zero when the brackets form a homotopy Lie structure.
-    """
-    xs = list(xs)
-    n = len(xs)
-    pair = xs[0].pair
-    if any(x.is_zero() for x in xs):
-        return Tensor.zero(pair)
-    total = Tensor.zero(pair)
-    for degs, parts in _hom_tuples(xs):
-        for j in range(1, n + 1):
-            i = n + 1 - j
-            for s in enumerate_shuffles((j, n - j), cap=cap):
-                sign = koszul_sign(s, degs)
-                inner = higher_bracket(j, [parts[s(t) - 1] for t in range(1, j + 1)], cap=cap)
-                if inner.is_zero():
-                    continue
-                outer = higher_bracket(
-                    i, [inner] + [parts[s(t) - 1] for t in range(j + 1, n + 1)], cap=cap)
-                total = total + sign * outer
-    return total

@@ -40,7 +40,7 @@ from .engine import (
     vector_element,
 )
 from .linalg import Echelon, rank_fraction_free
-from .scalars import CapExceeded, enumerate_shuffles, koszul_sign
+from .scalars import CapExceeded
 
 
 def _shift_weight(pair, r: int, by: int = 1) -> int:
@@ -271,27 +271,3 @@ def poisson_bracket(k: int, classes, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> 
     if e.is_zero():
         return CohomClass.zero(s, out_degree)
     return class_of(e, degree=out_degree)
-
-
-def poisson_jacobi_residual(classes, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> CohomClass:
-    """Weak Jacobi residual of the class brackets; zero class when they cohere.
-
-    Splits involving the unary operation drop out because it vanishes on
-    classes, so only inner/outer arities of two and more contribute.
-    """
-    classes = list(classes)
-    n = len(classes)
-    s = classes[0].structure
-    degs = [c.degree for c in classes]
-    total = CohomClass.zero(s, sum(degs) - 2)
-    for j in range(2, n):
-        i = n + 1 - j
-        for sh in enumerate_shuffles((j, n - j), cap=max(cap, n)):
-            sign = koszul_sign(sh, degs)
-            inner = poisson_bracket(j, [classes[sh(t) - 1] for t in range(1, j + 1)], cap)
-            if inner.is_zero():
-                continue
-            outer = poisson_bracket(i, [inner] + [classes[sh(t) - 1]
-                                                  for t in range(j + 1, n + 1)], cap)
-            total = total + (outer if sign == 1 else -outer)
-    return total

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import Poly, as_rational, format_poly, parse_poly
+from .scalars import Poly, format_poly, sparse_sum
 
 if TYPE_CHECKING:  # descriptors live in pairs.py; no runtime cycle
     from .pairs import PairDescriptor
@@ -61,26 +61,21 @@ class _Element:
 
     def __init__(self, pair, terms=None):
         self.pair = pair
-        clean: dict[Word, Poly] = {}
+        self.terms: dict[Word, Poly] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                sign, norm = sort_word(word)
-                if sign == 0:
-                    continue
-                for g in norm:
-                    if not 1 <= g <= pair.ngens:
-                        raise ValueError(f"generator index {g} out of range for {pair}")
-                coeff = pair.coeff(coeff) * sign
-                if coeff.is_zero():
-                    continue
-                acc = clean.get(norm, None)
-                acc = coeff if acc is None else acc + coeff
-                if acc.is_zero():
-                    clean.pop(norm, None)
-                else:
-                    clean[norm] = acc
-        self.terms = clean
+            self.terms = sparse_sum(self._normalized(items))
+
+    def _normalized(self, items):
+        """(ascending word, signed ring coefficient) per input term."""
+        for word, coeff in items:
+            sign, norm = sort_word(word)
+            if sign == 0:
+                continue
+            for g in norm:
+                if not 1 <= g <= self.pair.ngens:
+                    raise ValueError(f"generator index {g} out of range for {self.pair}")
+            yield norm, self.pair.coeff(coeff) * sign
 
     # -- constructors --------------------------------------------------------
 
@@ -153,15 +148,7 @@ class _Element:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-        return self._make(terms)
+        return self._make(sparse_sum(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return self._make({w: -c for w, c in self.terms.items()})
@@ -197,20 +184,13 @@ class _Element:
 
     def wedge(self, other):
         self._check(other)
-        terms: dict[Word, Poly] = {}
+        products = []
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 sign, norm = sort_word(w1 + w2)
-                if sign == 0:
-                    continue
-                acc = c1 * c2 * sign
-                prev = terms.get(norm)
-                acc = acc if prev is None else prev + acc
-                if acc.is_zero():
-                    terms.pop(norm, None)
-                else:
-                    terms[norm] = acc
-        return self._make(terms)
+                if sign:
+                    products.append((norm, c1 * c2 * sign))
+        return self._make(sparse_sum(products))
 
     # -- serialization -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .calculus import ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, bell, enumerate_shuffles, koszul_sign
+from .scalars import CapExceeded, Poly, bell
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -399,40 +399,6 @@ def extension_bracket(k: int, es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> Ext
     f_part = Fraction(bell(k - 1)) * contract(reversed_wedge, s.omega)
     x_part = higher_bracket(k, xs)
     return ExtensionElement(s, f_part, x_part)
-
-
-def extension_jacobi_residual(es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> ExtensionElement:
-    """Weak Jacobi residual of (d_omega, brackets) at arity len(es).
-
-    This is the engine-side evaluation; `linf.check_linf` recomputes the
-    same sum through the generic oracle machinery as an independent path.
-    """
-    es = list(es)
-    n = len(es)
-    s = es[0].structure
-    if any(e.is_zero() for e in es):
-        return ExtensionElement.zero(s)
-    degs = []
-    for e in es:
-        d = e.degree()
-        if d is None:
-            raise ValueError("Jacobi residual needs homogeneous elements")
-        degs.append(d)
-    total = ExtensionElement.zero(s)
-    for j in range(1, n + 1):
-        i = n + 1 - j
-        for sh in enumerate_shuffles((j, n - j), cap=max(cap, n)):
-            sign = koszul_sign(sh, degs)
-            inner_args = [es[sh(t) - 1] for t in range(1, j + 1)]
-            inner = d_omega(inner_args[0]) if j == 1 else extension_bracket(j, inner_args, cap)
-            if inner.is_zero():
-                continue
-            outer_args = [inner] + [es[sh(t) - 1] for t in range(j + 1, n + 1)]
-            outer = d_omega(outer_args[0]) if i == 1 else extension_bracket(i, outer_args, cap)
-            if outer.is_zero():
-                continue
-            total = total + (outer if sign == 1 else -outer)
-    return total
 
 
 def fundamental_pairing_check(k: int, xs, s: NPlecticStructure):

@@ -5,8 +5,9 @@ element, linear operations, a degree, and one k-ary bracket per arity
 (arity one being the differential).  The checkers in this module only
 speak that surface, so the weak Jacobi identity and the morphism
 equations are evaluated by code that knows nothing about the particular
-algebra.  For the extension complex this gives a second, independent
-evaluation of the Jacobi residual next to the loop in `engine`.
+algebra.  `jacobi_residual` is the package's only weak-Jacobi shuffle
+sum: tensors, the extension complex and cohomology classes all reach it
+through the adapters below.
 
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
 basis with bracket values listed per sorted index tuple.  Construction
@@ -37,6 +38,7 @@ from .scalars import (
     as_rational,
     enumerate_shuffles,
     koszul_sign,
+    sparse_sum,
 )
 
 
@@ -128,14 +130,7 @@ class FiniteLInfinity(Operations):
         return {}
 
     def add(self, a, b):
-        out = dict(a)
-        for i, c in b.items():
-            acc = out.get(i, Fraction(0)) + c
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
-        return out
+        return sparse_sum(itertools.chain(a.items(), b.items()))
 
     def scale(self, c, v):
         c = as_rational(c)
@@ -152,9 +147,9 @@ class FiniteLInfinity(Operations):
         if len(vs) != k:
             raise ValueError(f"expected {k} arguments, got {len(vs)}")
         slot = self.brackets.get(k, {})
-        out: dict[int, Fraction] = {}
         if not slot:
-            return out
+            return {}
+        terms = []
         for combo in itertools.product(*(v.items() for v in vs)):
             indices = [i for i, _ in combo]
             coeff = Fraction(1)
@@ -164,13 +159,9 @@ class FiniteLInfinity(Operations):
             if any(a == b and self.degrees[a - 1] % 2
                    for a, b in zip(key, key[1:])):
                 continue
-            for target, c in slot.get(key, {}).items():
-                acc = out.get(target, Fraction(0)) + sign * coeff * c
-                if acc:
-                    out[target] = acc
-                else:
-                    out.pop(target, None)
-        return out
+            terms.extend((target, sign * coeff * c)
+                         for target, c in slot.get(key, {}).items())
+        return sparse_sum(terms)
 
     def to_json(self) -> dict:
         return {
@@ -268,7 +259,11 @@ class ExtensionLinf(Operations):
 
 
 class ClassLinf(Operations):
-    """Cohomology classes: zero differential, bracket values cocycles on the nose."""
+    """Cohomology classes: zero differential, bracket values cocycles on the nose.
+
+    `zero()` sits in degree 0, so a vanishing residual may come back in
+    degree 0 or in its true degree; test residuals with `is_zero()`, not `==`.
+    """
 
     def __init__(self, structure: NPlecticStructure,
                  cap: int = DEFAULT_EXTENSION_ARITY_CAP):

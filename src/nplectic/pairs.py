@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import Tensor
+from .calculus import pairing
+from .elements import Cotensor, Tensor
 from .report import Report
 from .sampling import random_coeff, random_gvector
-from .scalars import Poly, _default_names, as_rational, format_poly, parse_poly
+from .scalars import Poly, _default_names, as_rational, format_poly, parse_poly, sparse_sum
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def pair_from_json(data: dict) -> PairDescriptor:
         table = {}
         for key, entry in data.get("brackets", {}).items():
             i, j = (int(v) for v in key.split(","))
-            table[(i, j)] = {int(k): Fraction(c) for k, c in entry.items()}
+            table[(i, j)] = {int(k): as_rational(c) for k, c in entry.items()}
         return ConstantPair.from_brackets(int(data["dim"]), table)
     if family == "poly":
         return PolyVectorFieldPair(int(data["vars"]))
@@ -206,27 +207,15 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     _require_vector(x)
     _require_vector(y)
     pair = x.pair
-    acc: dict[tuple[int, ...], Poly] = {}
-
-    def put(word, coeff):
-        if coeff.is_zero():
-            return
-        prev = acc.get(word)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff.is_zero():
-            acc.pop(word, None)
-        else:
-            acc[word] = coeff
-
+    terms = []
     for (i,), a in x.terms.items():
         for (j,), b in y.terms.items():
-            put((j,), a * pair.action_basis(i, b))
-            put((i,), -(b * pair.action_basis(j, a)))
+            terms.append(((j,), a * pair.action_basis(i, b)))
+            terms.append(((i,), -(b * pair.action_basis(j, a))))
             ab = a * b
-            for k, c in pair.bracket_basis(i, j):
-                put((k,), ab * c)
+            terms.extend(((k,), ab * c) for k, c in pair.bracket_basis(i, j))
     out = Tensor.zero(pair)
-    out.terms = acc
+    out.terms = sparse_sum(terms)
     return out
 
 
@@ -341,18 +330,15 @@ def validate_pair(pair: PairDescriptor, samples: int = 25, seed: int = 0,
             break
     report.add("action_lie_morphism", bad is None, **(bad or {}))
 
-    # torsionless spot-check: basis pairing against the dual basis
+    # torsionless spot-check: <e^j, e_i> is the Kronecker delta
+    gens = range(1, pair.ngens + 1)
     ident = all(
-        (Fraction(1) if i == j else Fraction(0)) == _basis_pairing(pair, i, j)
-        for i in range(1, pair.ngens + 1) for j in range(1, pair.ngens + 1)
+        pairing(Cotensor.basis(pair, (j,)), Tensor.basis(pair, (i,)))
+        == Poly.const(pair.poly_nvars, int(i == j))
+        for i in gens for j in gens
     )
     report.add("pairing_nondegenerate", ident)
     return report
-
-
-def _basis_pairing(pair, i: int, j: int) -> Fraction:
-    # <f^j, e_i> for the canonical dual basis
-    return Fraction(1) if i == j else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,6 @@ def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
     return Fraction(num, den)
 
 
-def random_nonzero_fraction(rng: random.Random, span: int = 3) -> Fraction:
-    while True:
-        q = random_fraction(rng, span)
-        if q:
-            return q
-
-
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
                 terms: int = 3) -> Poly:
     """Random sparse polynomial of total degree <= max_degree."""
@@ -69,12 +62,3 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
 
 def random_gvector(rng: random.Random, pair, max_degree: int = 3) -> Tensor:
     return random_tensor(rng, pair, 1, max_degree, terms=max(2, pair.ngens))
-
-
-def random_mixed_tensor(rng: random.Random, pair, max_grade: int,
-                        max_degree: int = 3) -> Tensor:
-    out = Tensor.zero(pair)
-    for g in range(0, max_grade + 1):
-        if rng.random() < 0.6:
-            out = out + random_tensor(rng, pair, g, max_degree)
-    return out

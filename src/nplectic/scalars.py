@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class CapExceeded(Exception):
     """Raised when a combinatorial enumeration would blow past its cap."""
@@ -26,18 +24,33 @@ DEFAULT_SHUFFLE_CAP = 12
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and strings like '-3/2' to an exact rational."""
+    """Coerce ints, Fractions and strings like '-3/2' to an exact rational.
+
+    Malformed text, a zero denominator included, raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q)
+def sparse_sum(pairs) -> dict:
+    """Sum the values of (key, value) pairs per key, dropping zero sums.
+
+    Values only need `+` and truthiness, so Fractions and Polys both
+    work.  Zeros are dropped once, after the whole sum.
+    """
+    out = {}
+    for key, value in pairs:
+        prev = out.get(key)
+        out[key] = value if prev is None else prev + value
+    return {key: value for key, value in out.items() if value}
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +75,17 @@ class Poly:
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != nvars or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
-                coeff = as_rational(coeff)
-                if coeff:
-                    acc = clean.get(expo, Fraction(0)) + coeff
-                    if acc:
-                        clean[expo] = acc
-                    else:
-                        clean.pop(expo, None)
-        self.terms = clean
+            items = terms.items() if isinstance(terms, dict) else terms
+            self.terms = sparse_sum((self._exponent(expo), as_rational(coeff))
+                                    for expo, coeff in items)
+
+    def _exponent(self, expo) -> tuple[int, ...]:
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != self.nvars or any(e < 0 for e in expo):
+            raise ValueError(f"bad exponent tuple {expo} for {self.nvars} variables")
+        return expo
 
     # -- constructors -------------------------------------------------------
 
@@ -99,6 +109,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -134,15 +147,8 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            acc = terms.get(expo, Fraction(0)) + c
-            if acc:
-                terms[expo] = acc
-            else:
-                terms.pop(expo, None)
         out = Poly(self.nvars)
-        out.terms = terms
+        out.terms = sparse_sum(itertools.chain(self.terms.items(), other.terms.items()))
         return out
 
     __radd__ = __add__
@@ -173,17 +179,10 @@ class Poly:
             out.terms = {e: c * q for e, c in self.terms.items()}
             return out
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
         out = Poly(self.nvars)
-        out.terms = terms
+        out.terms = sparse_sum((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                               for e1, c1 in self.terms.items()
+                               for e2, c2 in other.terms.items())
         return out
 
     __rmul__ = __mul__
@@ -306,7 +305,7 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> P
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                coeff *= as_rational(factor)
                 continue
             if "^" in factor:
                 name, _, power = factor.partition("^")

@@ -1,4 +1,9 @@
-"""Shared fixtures: a verdict log that survives output capture."""
+"""Shared fixtures: a verdict log that survives output capture, and the
+S_n oracle for the weak Jacobi residual."""
+
+import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +27,43 @@ _LOG = VerdictLog()
 @pytest.fixture(scope="session")
 def verdicts():
     return _LOG
+
+
+def symmetrized_jacobi_sum(op, vs):
+    """Oracle for `linf.jacobi_residual`: the weak Jacobi sum over all of S_n.
+
+    Each split into an inner j-bracket and an outer (n + 1 - j)-bracket is
+    summed over every permutation of the arguments and weighted by
+    1/(j! (n - j)!); for graded symmetric brackets each unshuffle then
+    counts once.  The Koszul sign is a direct count over inversions, so
+    neither the shuffle enumeration nor the package's sign rule is used.
+    """
+    vs = list(vs)
+    n = len(vs)
+    if any(op.is_zero(v) for v in vs):
+        return op.zero()
+    degs = [op.degree(v) for v in vs]
+    total = None
+    for perm in itertools.permutations(range(n)):
+        parity = sum(degs[perm[a]] * degs[perm[b]]
+                     for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        for j in range(1, n + 1):
+            inner = op.bracket(j, [vs[t] for t in perm[:j]])
+            if op.is_zero(inner):
+                continue
+            outer = op.bracket(n + 1 - j, [inner] + [vs[t] for t in perm[j:]])
+            if op.is_zero(outer):
+                continue
+            weight = Fraction(-1 if parity % 2 else 1,
+                              math.factorial(j) * math.factorial(n - j))
+            term = op.scale(weight, outer)
+            total = term if total is None else op.add(total, term)
+    return op.zero() if total is None else total
+
+
+@pytest.fixture(scope="session")
+def jacobi_oracle():
+    return symmetrized_jacobi_sum
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,9 +12,9 @@ from nplectic.calculus import (
     natural_inclusion,
     pairing,
     schouten,
-    tensor_jacobi_residual,
 )
 from nplectic.elements import Cotensor, Tensor, ascending_words, wedge, wedge_list
+from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
 from nplectic.scalars import Permutation, Poly, koszul_sign, parse_poly
@@ -391,7 +391,7 @@ def test_weak_jacobi_for_higher_brackets():
             for _ in range(6):
                 xs = [random_tensor(rng, pair, rng.randint(0, 3), 1, terms=1)
                       for _ in range(arity)]
-                assert tensor_jacobi_residual(xs).is_zero()
+                assert jacobi_residual(TensorLinf(pair), xs).is_zero()
 
 
 # ---------------------------------------------------------------------------

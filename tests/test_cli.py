@@ -113,6 +113,20 @@ def test_nplectic_check_accepts_shipped_structures(run):
         assert code == 0 and payload["ok"]
 
 
+def test_zero_denominator_coefficient_is_bad_input(run, tmp_path):
+    structure = write(tmp_path, "bad.json", {
+        "pair": {"family": "poly", "vars": 2}, "n": 1,
+        "omega": [[[1, 2], "1/0"]],
+    })
+    pair = write(tmp_path, "pair.json", {
+        "family": "constant", "dim": 2, "brackets": {"1,2": {"1": "1/0"}},
+    })
+    for argv in (["nplectic-check", structure], ["validate-pair", pair]):
+        code, payload, err = run(*argv)
+        assert code == 2 and payload is None
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_nplectic_check_reports_a_closedness_witness(run, tmp_path):
     path = write(tmp_path, "bad.json", {
         "pair": {"family": "poly", "vars": 3}, "n": 1,
@@ -142,7 +156,8 @@ def test_jacobi_runs_both_paths(run):
     names = [c["name"] for c in payload["checks"]]
     assert names == ["tensor_jacobi_arity_2", "extension_jacobi_arity_2",
                      "tensor_jacobi_arity_3", "extension_jacobi_arity_3"]
-    assert all(c["details"]["disagreements"] == 0 for c in payload["checks"])
+    assert all(c["details"]["nonzero"] == 0 and c["details"]["instances"] == 3
+               for c in payload["checks"])
 
 
 def test_jacobi_arity_above_cap_exits_three(run):
@@ -279,6 +294,24 @@ def test_unknown_command_exits_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", PLANE, "--max-arity", "0"],
+    ["jacobi", PLANE, "--max-arity", "1"],
+    ["jacobi", PLANE, "--count", "0"],
+    ["jacobi", PLANE, "--count", "-1"],
+    ["validate-pair", HEISENBERG, "--samples", "-3"],
+    ["identities", PLANE, "--count", "0"],
+    ["identities", PLANE, "--pairing-count", "0"],
+    ["momentum-check", PLANE, ROTATION, "--max-arity", "0"],
+], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
+def test_counts_that_would_test_nothing_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "must be at least" in err and "Traceback" not in err
 
 
 def test_seeded_reports_are_byte_identical():

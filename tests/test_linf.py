@@ -6,14 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nplectic.calculus import natural_inclusion, tensor_jacobi_residual
 from nplectic.elements import Cotensor, Tensor
-from nplectic.engine import (
-    ExtensionElement,
-    extension_jacobi_residual,
-    make_structure,
-    symplectic_basis,
-)
+from nplectic.engine import ExtensionElement, make_structure, symplectic_basis
 from nplectic.linf import (
     ClassLinf,
     ExtensionLinf,
@@ -115,17 +109,26 @@ def test_table_json_roundtrip():
     assert again.brackets == fin.brackets
 
 
-# -- generic residual vs the dedicated loops -------------------------------------
+# -- the shuffle sum against the S_n oracle ----------------------------------------
 
 
-def test_tensor_jacobi_paths_agree():
+def test_oracle_agrees_on_a_nonzero_residual(jacobi_oracle):
+    # [e1, e3] = e1 breaks Jacobi at (1, 2, 3)
+    fin = FiniteLInfinity([1, 1, 1], {2: {(1, 2): {3: 1}, (2, 3): {1: 1},
+                                          (1, 3): {1: 1}}})
+    vs = [fin.basis(i) for i in (1, 2, 3)]
+    assert jacobi_residual(fin, vs) == {3: Fraction(-1)}
+    assert jacobi_oracle(fin, vs) == {3: Fraction(-1)}
+
+
+def test_tensor_jacobi_matches_oracle(jacobi_oracle):
     rng = random.Random(7)
     op = TensorLinf(PLANE)
     for arity in (2, 3):
         for _ in range(5):
             xs = [random_tensor(rng, PLANE, rng.choice((0, 1, 2)), max_degree=2)
                   for _ in range(arity)]
-            assert jacobi_residual(op, xs) == tensor_jacobi_residual(xs)
+            assert jacobi_residual(op, xs) == jacobi_oracle(op, xs)
             assert jacobi_residual(op, xs).is_zero()
 
 
@@ -140,7 +143,7 @@ def random_extension_element(rng, s, degree, cache):
     return ExtensionElement(s, f, x)
 
 
-def test_extension_jacobi_paths_agree():
+def test_extension_jacobi_matches_oracle(jacobi_oracle):
     rng = random.Random(13)
     for s in (plane_structure(), su2_cartan()):
         op = ExtensionLinf(s)
@@ -149,10 +152,9 @@ def test_extension_jacobi_paths_agree():
             for _ in range(3):
                 es = [random_extension_element(rng, s, rng.choice((0, 1)), cache)
                       for _ in range(arity)]
-                generic = jacobi_residual(op, es)
-                direct = extension_jacobi_residual(es)
-                assert generic == direct
-                assert generic.is_zero()
+                residual = jacobi_residual(op, es)
+                assert residual == jacobi_oracle(op, es)
+                assert residual.is_zero()
 
 
 # -- the natural inclusion --------------------------------------------------------

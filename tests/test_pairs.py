@@ -71,6 +71,21 @@ def test_perturbed_su2_fails_jacobi_with_witness():
     assert "x" in jacobi.details and "residual" in jacobi.details
 
 
+def test_broken_pairing_fails_the_nondegeneracy_check(monkeypatch):
+    import nplectic.pairs
+
+    # a pairing that swaps the first two dual generators
+    def swapped(f, x):
+        (word,) = f.terms
+        swap = {(1,): (2,), (2,): (1,)}.get(word, word)
+        return x.terms.get(swap, Poly.zero(x.pair.poly_nvars))
+
+    monkeypatch.setattr(nplectic.pairs, "pairing", swapped)
+    for pair in (su2(), PolyVectorFieldPair(2)):
+        report = validate_pair(pair, samples=2, seed=3)
+        assert [c.name for c in report.failures()] == ["pairing_nondegenerate"]
+
+
 def test_structure_constant_normalization():
     p = su2()
     # rows were given as (3,1): {2: 1}; stored canonically as (1,3,2,-1)

@@ -9,6 +9,7 @@ from nplectic.scalars import (
     CapExceeded,
     Permutation,
     Poly,
+    as_rational,
     bell,
     bell_identity_check,
     enumerate_shuffles,
@@ -16,6 +17,7 @@ from nplectic.scalars import (
     koszul_sign,
     parse_poly,
     shuffles,
+    sparse_sum,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -242,6 +244,18 @@ def test_poly_parse_examples():
     assert parse_poly("0", 3) == Poly.zero(3)
     with pytest.raises(ValueError):
         parse_poly("q + 1", 2)
+    with pytest.raises(ValueError):
+        parse_poly("1/0*x", 2)
+    with pytest.raises(ValueError):
+        as_rational(" 3/0")
+
+
+def test_sparse_sum_drops_zero_sums_after_summing():
+    x = Poly.variable(2, 0)
+    pairs = [("a", Fraction(1)), ("b", Fraction(2)), ("a", Fraction(-1)), ("a", Fraction(3))]
+    assert sparse_sum(pairs) == {"a": 3, "b": 2}
+    assert sparse_sum([("p", x), ("q", x), ("p", -x)]) == {"q": x}
+    assert not Poly.zero(2) and x
 
 
 def test_poly_homogeneous_components():
