@@ -22,7 +22,7 @@ from pathlib import Path
 from .calculus import ce_differential, contract, higher_bracket, lie_derivative, schouten
 from .cohomology import (
     NotACocycle,
-    ce_cohomology_table,
+    ce_cohomology_rank,
     class_of,
     extension_cohomology_table,
     poisson_bracket,
@@ -72,6 +72,8 @@ def _load_pair(data):
 
 
 def _load_structure(data):
+    if not isinstance(data, dict):
+        raise InputError(f"bad structure: expected a JSON object, got {type(data).__name__}")
     try:
         return structure_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -105,15 +107,15 @@ def _arity_cap(args) -> int:
 
 
 def _parse_span(text: str, what: str) -> range:
-    """An inclusive MIN:MAX span, e.g. '-1:4'."""
+    """A nonempty inclusive MIN:MAX span, e.g. '-1:4'."""
     lo, sep, hi = text.partition(":")
     try:
-        if not sep:
-            v = int(text)
-            return range(v, v + 1)
-        return range(int(lo), int(hi) + 1)
+        span = range(int(lo), int(hi) + 1) if sep else range(int(text), int(text) + 1)
     except ValueError:
         raise InputError(f"bad {what} span {text!r}; expected MIN:MAX") from None
+    if not span:
+        raise InputError(f"empty {what} span {text!r}; MIN must not exceed MAX")
+    return span
 
 
 def _result_extra(result) -> dict:
@@ -222,7 +224,6 @@ def cmd_jacobi(args):
     })
     tensor_op = TensorLinf(pair)
     extension_op = ExtensionLinf(s, cap)
-    cache: dict = {}
     grades = [g for g in range(0, s.n + 1)
               if symplectic_basis(s, g, max_poly_degree=2)] or [0]
     max_grade = min(pair.ngens, 3)
@@ -245,7 +246,7 @@ def cmd_jacobi(args):
     def extension_element():
         g = rng.choice(grades)
         return ExtensionElement(s, random_cotensor(rng, pair, s.n - g, max_degree=2),
-                                random_symplectic(rng, s, g, cache))
+                                random_symplectic(rng, s, g))
 
     for k in range(2, args.max_arity + 1):
         check(f"tensor_jacobi_arity_{k}", tensor_op,
@@ -259,31 +260,27 @@ def cmd_jacobi(args):
 def cmd_cohomology(args):
     data = _read_json(args.input)
     has_structure = isinstance(data, dict) and "omega" in data
-    if args.plain:
-        pair = _load_structure(data).pair if has_structure else _load_pair(data)
-        if args.weights is not None:
-            weights = list(_parse_span(args.weights, "weights"))
-        else:
-            weights = [0] if pair.poly_nvars == 0 else [0, 1, 2]
-        if args.degrees is not None:
-            span = _parse_span(args.degrees, "degrees")
-            max_word_len = max(span.stop - 1, 0)
-        else:
-            max_word_len = pair.ngens
-        table = ce_cohomology_table(pair, max_word_len, weights=weights)
-        report = Report("cohomology", {"family": pair.family, "mode": "pair",
-                                       "weights": weights})
-        return report, {"table": table}
-    if not has_structure:
+    if not (args.plain or has_structure):
         raise InputError(
             "extension cohomology needs a structure with omega; pass --plain for pair tables")
-    s = _load_structure(data)
-    degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
-               else range(-1, s.n + 3))
+    s = _load_structure(data) if has_structure else None
+    pair = s.pair if has_structure else _load_pair(data)
     if args.weights is not None:
         weights = list(_parse_span(args.weights, "weights"))
     else:
-        weights = [0] if s.pair.poly_nvars == 0 else [0, 1, 2]
+        weights = [0] if pair.poly_nvars == 0 else [0, 1, 2]
+    if args.plain:
+        degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
+                   else range(pair.ngens + 1))
+        table = [ce_cohomology_rank(pair, wl, w) for w in weights for wl in degrees]
+        report = Report("cohomology", {"family": pair.family, "mode": "pair",
+                                       "weights": weights})
+        return report, {"table": table}
+    if s.omega.max_poly_degree() > 0:
+        raise InputError("omega is not weight-homogeneous: the weight grading of "
+                         "extension cohomology needs constant coefficients")
+    degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
+               else range(-1, s.n + 3))
     table = extension_cohomology_table(s, degrees, weights)
     report = Report("cohomology", {
         "family": s.pair.family, "n": s.n, "mode": "extension",
@@ -344,8 +341,6 @@ def cmd_momentum_check(args):
     try:
         ok, details = check_momentum_map(s, algebra, fields, potentials,
                                          max_arity=args.max_arity, cap=cap)
-    except CapExceeded:
-        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = Report("momentum-check", {

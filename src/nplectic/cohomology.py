@@ -29,6 +29,7 @@ from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     NPlecticStructure,
+    Quotient,
     basis_elements,
     d_omega,
     element_vector,
@@ -37,9 +38,8 @@ from .engine import (
     slice_basis,
     kernel_slice,
     symplectic_slice,
-    vector_element,
 )
-from .linalg import Echelon, rank_fraction_free
+from .linalg import rank_fraction_free
 from .scalars import CapExceeded
 
 
@@ -54,10 +54,7 @@ def _shift_weight(pair, r: int, by: int = 1) -> int:
 
 def ce_matrix(pair, word_len: int, weight: int = 0):
     """Matrix of d on one cotensor slice, plus the slice labels."""
-    labels = slice_basis(pair, "cotensor", word_len,
-                         monomials_exact(pair.poly_nvars, weight))
-    if not labels:
-        return [], []
+    labels = slice_basis(pair, word_len, monomials_exact(pair.poly_nvars, weight))
     matrix, _ = matrix_of(ce_differential, pair, Cotensor, labels)
     return matrix, labels
 
@@ -91,20 +88,16 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
     """
     pair = s.pair
     sym_monos = monomials_exact(pair.poly_nvars, r)
-    t_labels = slice_basis(pair, "tensor", k, sym_monos)
+    t_labels = slice_basis(pair, k, sym_monos)
+    kernel = Quotient(pair, Tensor, t_labels, kernel_slice(s, k, sym_monos))
+    chosen = Quotient(pair, Tensor, t_labels, [])
     sym_reps = []
-    if t_labels:
-        index = {lab: i for i, lab in enumerate(t_labels)}
-        ker_ech = Echelon(len(t_labels))
-        for z in kernel_slice(s, k, sym_monos):
-            ker_ech.add(element_vector(z, index, len(t_labels)))
-        chosen = Echelon(len(t_labels))
-        for b in symplectic_slice(s, k, sym_monos):
-            vec = ker_ech.reduce(element_vector(b, index, len(t_labels)))
-            if chosen.add(list(vec)):
-                sym_reps.append(vector_element(pair, Tensor, t_labels, vec))
+    for b in symplectic_slice(s, k, sym_monos):
+        rep = kernel.reduce(b)
+        if chosen.add(rep):
+            sym_reps.append(rep)
     f_wl = s.n - k
-    f_labels = slice_basis(pair, "cotensor", f_wl,
+    f_labels = slice_basis(pair, f_wl,
                            monomials_exact(pair.poly_nvars, _shift_weight(pair, r)))
     return sym_reps, f_labels, f_wl
 
@@ -118,7 +111,7 @@ def _dw_matrix(s: NPlecticStructure, k: int, r: int):
     pair = s.pair
     sym_reps, f_labels, f_wl = extension_slice(s, k, r)
     ncols = len(sym_reps) + len(f_labels)
-    tgt_labels = slice_basis(pair, "cotensor", f_wl + 1,
+    tgt_labels = slice_basis(pair, f_wl + 1,
                              monomials_exact(pair.poly_nvars, r))
     index = {lab: i for i, lab in enumerate(tgt_labels)}
     columns = []
@@ -132,16 +125,27 @@ def _dw_matrix(s: NPlecticStructure, k: int, r: int):
 
 def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
     """Exact ranks of the extension complex at one (degree, weight) slice."""
-    matrix, dim = _dw_matrix(s, k, r)
-    ker = dim - rank_fraction_free(matrix) if dim else 0
-    above, dim_above = _dw_matrix(s, k + 1, _shift_weight(s.pair, r))
-    im = rank_fraction_free(above) if dim_above else 0
-    return {"degree": k, "weight": r, "dim": dim,
-            "kernel": ker, "image": im, "rank": ker - im}
+    return extension_cohomology_table(s, [k], [r])[0]
 
 
 def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[dict]:
-    return [extension_cohomology_rank(s, k, r) for r in weights for k in degrees]
+    """One rank row per (degree, weight); each slice's differential is ranked once."""
+    ranks: dict = {}
+
+    def rank_and_dim(k, r):
+        if (k, r) not in ranks:
+            matrix, dim = _dw_matrix(s, k, r)
+            ranks[k, r] = (rank_fraction_free(matrix) if dim else 0, dim)
+        return ranks[k, r]
+
+    rows = []
+    for r in weights:
+        for k in degrees:
+            rank, dim = rank_and_dim(k, r)
+            im, _ = rank_and_dim(k + 1, _shift_weight(s.pair, r))
+            rows.append({"degree": k, "weight": r, "dim": dim,
+                         "kernel": dim - rank, "image": im, "rank": dim - rank - im})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +160,22 @@ class NotACocycle(ValueError):
         self.residual = residual
 
 
-_COBOUNDARY_CACHE: dict = {}
-
-
-def _coboundary_slice(s: NPlecticStructure, k: int, word_len: int, pd: int):
-    """Echelon of the coboundary span inside one cotensor slice.
+def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -> Quotient:
+    """One cotensor slice modulo the coboundary span, built once per structure.
 
     Coboundaries reaching the function slot of degree-k elements are the
     exact pieces d h and the contractions i_y omega with y symplectic of
     wedge degree k + 1.
     """
-    key = (s, k, word_len, pd)
-    hit = _COBOUNDARY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pair = s.pair
-    labels = slice_basis(pair, "cotensor", word_len,
-                         monomials_exact(pair.poly_nvars, pd))
-    index = {lab: i for i, lab in enumerate(labels)}
-    ech = Echelon(len(labels))
-    h_labels = slice_basis(pair, "cotensor", word_len - 1,
-                           monomials_exact(pair.poly_nvars, _shift_weight(pair, pd)))
-    for h in basis_elements(pair, Cotensor, h_labels):
-        ech.add(element_vector(ce_differential(h), index, len(labels)))
-    for y in symplectic_slice(s, k + 1, monomials_exact(pair.poly_nvars, pd)):
-        ech.add(element_vector(contract(y, s.omega), index, len(labels)))
-    _COBOUNDARY_CACHE[key] = (labels, index, ech)
-    return labels, index, ech
+    def build():
+        pair = s.pair
+        monos = monomials_exact(pair.poly_nvars, pd)
+        h_labels = slice_basis(pair, word_len - 1,
+                               monomials_exact(pair.poly_nvars, _shift_weight(pair, pd)))
+        exact = [ce_differential(h) for h in basis_elements(pair, Cotensor, h_labels)]
+        contractions = [contract(y, s.omega) for y in symplectic_slice(s, k + 1, monos)]
+        return Quotient(pair, Cotensor, slice_basis(pair, word_len, monos), exact + contractions)
+    return s.derived(("coboundary", k, word_len, pd), build)
 
 
 class CohomClass:
@@ -244,9 +237,7 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     s = e.structure
     f_new = Cotensor.zero(s.pair)
     for (d, pd), part in e.f.bigraded_parts().items():
-        labels, index, ech = _coboundary_slice(s, k, -d, pd)
-        vec = ech.reduce(element_vector(part, index, len(labels)))
-        f_new = f_new + vector_element(s.pair, Cotensor, labels, vec)
+        f_new = f_new + _coboundary_quotient(s, k, -d, pd).reduce(part)
     return CohomClass(s, k, ExtensionElement(s, f_new, e.sym))
 
 

@@ -130,9 +130,6 @@ class _Element:
     def max_poly_degree(self) -> int:
         return max((c.max_degree() for c in self.terms.values()), default=-1)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def _make(self, terms):
         out = type(self)(self.pair)
         out.terms = dict(terms)

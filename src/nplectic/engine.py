@@ -60,6 +60,13 @@ class NPlecticStructure:
         self.pair = pair
         self.n = n
         self.omega = omega
+        self._derived: dict = {}  # not part of __eq__, __hash__ or to_json
+
+    def derived(self, key, build):
+        """Slice data of this structure under key, from build() on first use."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def __eq__(self, other):
         return (isinstance(other, NPlecticStructure)
@@ -77,11 +84,6 @@ class NPlecticStructure:
                 "omega": self.omega.to_json()}
 
 
-def make_structure(pair: PairDescriptor, n: int, omega: Cotensor) -> NPlecticStructure:
-    """Factory kept for symmetry with the JSON loader; validates on build."""
-    return NPlecticStructure(pair, n, omega)
-
-
 def structure_from_json(data: dict) -> NPlecticStructure:
     pair = pair_from_json(data["pair"])
     omega = Cotensor.from_json(pair, data["omega"])
@@ -94,20 +96,16 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 
 def monomials_upto(nvars: int, max_degree: int):
     """All exponent tuples of total degree <= max_degree, sorted."""
-    if max_degree < 0:
-        return []
     return sorted(e for e in itertools.product(range(max_degree + 1), repeat=nvars)
                   if sum(e) <= max_degree)
 
 
 def monomials_exact(nvars: int, degree: int):
-    if degree < 0:
-        return []
     return sorted(e for e in itertools.product(range(degree + 1), repeat=nvars)
                   if sum(e) == degree)
 
 
-def slice_basis(pair, kind: str, word_len: int, monos) -> list[tuple]:
+def slice_basis(pair, word_len: int, monos) -> list[tuple]:
     """Basis labels (word, exponent) of one finite (co)tensor slice."""
     words = list(ascending_words(pair.ngens, word_len))
     return [(w, e) for w in words for e in monos]
@@ -135,6 +133,27 @@ def vector_element(pair, cls, labels, vec):
         if c:
             terms.setdefault(w, {})[e] = c
     return cls(pair, [(w, Poly(pair.poly_nvars, t)) for w, t in terms.items()])
+
+
+class Quotient:
+    """A finite slice modulo the span of some of its elements; `reduce`
+    gives the canonical representative, the residue against the span's
+    reduced echelon basis."""
+
+    def __init__(self, pair, cls, labels, spanning):
+        self.pair, self.cls, self.labels = pair, cls, labels
+        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.echelon = Echelon(len(labels))
+        for elem in spanning:
+            self.add(elem)
+
+    def add(self, elem) -> bool:
+        """Enlarge the span by elem; True if elem was not in it yet."""
+        return self.echelon.add(element_vector(elem, self.index, len(self.labels)))
+
+    def reduce(self, elem):
+        vec = self.echelon.reduce(element_vector(elem, self.index, len(self.labels)))
+        return vector_element(self.pair, self.cls, self.labels, vec)
 
 
 def matrix_of(fn, pair, src_cls, src_labels, tgt_cls=None):
@@ -169,9 +188,7 @@ def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
 
 
 def _null_slice(s, degree, monos, fn):
-    labels = slice_basis(s.pair, "tensor", degree, list(monos))
-    if not labels:
-        return []
+    labels = slice_basis(s.pair, degree, list(monos))
     matrix, _ = matrix_of(fn, s.pair, Tensor, labels)
     kernel = null_space(matrix, cols=len(labels))
     return [vector_element(s.pair, Tensor, labels, vec) for vec in kernel]
@@ -189,7 +206,8 @@ def kernel_slice(s: NPlecticStructure, degree: int, monos):
 
 def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of symplectic tensors of one wedge degree within a poly window."""
-    return symplectic_slice(s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
+    return list(s.derived(("symplectic", degree, max_poly_degree), lambda: symplectic_slice(
+        s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))))
 
 
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
@@ -206,14 +224,10 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     out = Tensor.zero(s.pair)
     pd = max(x.max_poly_degree(), 0)
     for degree, part in x.homogeneous_parts().items():
-        labels = slice_basis(s.pair, "tensor", degree,
-                             monomials_upto(s.pair.poly_nvars, pd))
-        index = {lab: i for i, lab in enumerate(labels)}
-        ech = Echelon(len(labels))
-        for k in kernel_basis(s, degree, pd):
-            ech.add(element_vector(k, index, len(labels)))
-        vec = ech.reduce(element_vector(part, index, len(labels)))
-        out = out + vector_element(s.pair, Tensor, labels, vec)
+        kernel = s.derived(("kernel", degree, pd), lambda: Quotient(
+            s.pair, Tensor, slice_basis(s.pair, degree, monomials_upto(s.pair.poly_nvars, pd)),
+            kernel_basis(s, degree, pd)))
+        out = out + kernel.reduce(part)
     return out
 
 
@@ -283,7 +297,7 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure,
             return None  # d never reaches word length zero
         # d drops the polynomial degree by one on the polynomial family
         src_pd = pd + 1 if s.pair.poly_nvars else 0
-        labels = slice_basis(s.pair, "cotensor", wl - 1,
+        labels = slice_basis(s.pair, wl - 1,
                              monomials_exact(s.pair.poly_nvars, src_pd)
                              if s.pair.poly_nvars else [()])
         if max_poly_degree is not None and src_pd > max_poly_degree:

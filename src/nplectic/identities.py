@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .calculus import ce_differential, contract, lie_derivative, schouten
-from .elements import Cotensor, Tensor
+from .elements import Tensor
 from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_basis
 from .report import Report
 from .sampling import random_cotensor, random_fraction, random_tensor
@@ -123,13 +123,11 @@ def cartan_suite(pair, count: int = 200, seed: int = 0,
     return report
 
 
-def random_symplectic(rng, s: NPlecticStructure, grade: int, cache: dict,
+def random_symplectic(rng, s: NPlecticStructure, grade: int,
                       poly_degree: int = 2) -> Tensor:
     """A random symplectic tensor from one wedge-degree slice."""
-    if grade not in cache:
-        cache[grade] = symplectic_basis(s, grade, max_poly_degree=poly_degree)
     x = Tensor.zero(s.pair)
-    for b in cache[grade]:
+    for b in symplectic_basis(s, grade, max_poly_degree=poly_degree):
         if rng.random() < 0.6:
             x = x + random_fraction(rng) * b
     return x
@@ -147,14 +145,13 @@ def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0,
     report = Report("pairing-suite", {
         "family": s.pair.family, "n": s.n, "seed": seed, "count": count,
     })
-    cache: dict = {}
     grades = [g for g in range(0, s.pair.ngens + 1)
               if symplectic_basis(s, g, max_poly_degree=2)]
     for k in arities:
         failures = 0
         witness = None
         for _ in range(count):
-            xs = [random_symplectic(rng, s, rng.choice(grades), cache)
+            xs = [random_symplectic(rng, s, rng.choice(grades))
                   for _ in range(k)]
             ok, lhs, rhs = fundamental_pairing_check(k, xs, s)
             if not ok:

@@ -8,7 +8,7 @@ the files can be trusted as CLI examples.
 from __future__ import annotations
 
 from .elements import Cotensor, Tensor
-from .engine import NPlecticStructure, make_structure
+from .engine import NPlecticStructure
 from .pairs import ConstantPair, PolyVectorFieldPair, pair_from_json, pair_to_json
 
 
@@ -25,19 +25,19 @@ def heisenberg_pair() -> ConstantPair:
 def symplectic_plane() -> NPlecticStructure:
     """Two polynomial variables with the area form; 1-plectic and nondegenerate."""
     pair = PolyVectorFieldPair(2)
-    return make_structure(pair, 1, Cotensor(pair, {(1, 2): 1}))
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1}))
 
 
 def su2_cartan() -> NPlecticStructure:
     """The volume word on the rotation algebra; 2-plectic, trivially closed."""
     pair = su2_pair()
-    return make_structure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
 
 
 def degenerate_plane() -> NPlecticStructure:
     """The area form in three variables; the third direction spans the kernel."""
     pair = PolyVectorFieldPair(3)
-    return make_structure(pair, 1, Cotensor(pair, {(1, 2): 1}))
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1}))
 
 
 def rotation_momentum():

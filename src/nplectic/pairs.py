@@ -168,6 +168,8 @@ def pair_to_json(pair: PairDescriptor) -> dict:
 
 
 def pair_from_json(data: dict) -> PairDescriptor:
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
     family = data.get("family")
     if family == "constant":
         table = {}

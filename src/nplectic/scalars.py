@@ -436,8 +436,6 @@ def shuffles(p: int, q: int, cap: int = DEFAULT_SHUFFLE_CAP) -> ShuffleSet:
 # Bell numbers
 # ---------------------------------------------------------------------------
 
-_BELL_CACHE = [1]
-
 DEFAULT_BELL_CAP = 64
 
 
@@ -447,10 +445,10 @@ def bell(k: int, cap: int = DEFAULT_BELL_CAP) -> int:
         raise ValueError("Bell numbers start at k = 0")
     if k > cap:
         raise CapExceeded(f"Bell index {k} exceeds cap {cap}")
-    while len(_BELL_CACHE) <= k:
-        m = len(_BELL_CACHE) - 1
-        _BELL_CACHE.append(sum(math.comb(m, p) * _BELL_CACHE[p] for p in range(m + 1)))
-    return _BELL_CACHE[k]
+    bells = [1]
+    for m in range(k):
+        bells.append(sum(math.comb(m, p) * bells[p] for p in range(m + 1)))
+    return bells[k]
 
 
 def bell_identity_check(k: int) -> bool:

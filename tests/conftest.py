@@ -1,11 +1,15 @@
-"""Shared fixtures: a verdict log that survives output capture, and the
-S_n oracle for the weak Jacobi residual."""
+"""Shared fixtures: a verdict log that survives output capture, the S_n
+oracle for the weak Jacobi residual, and a sampler of extension elements."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+
+from nplectic.engine import ExtensionElement
+from nplectic.identities import random_symplectic
+from nplectic.sampling import random_cotensor
 
 
 class VerdictLog:
@@ -64,6 +68,21 @@ def symmetrized_jacobi_sum(op, vs):
 @pytest.fixture(scope="session")
 def jacobi_oracle():
     return symmetrized_jacobi_sum
+
+
+def random_extension_element(rng, s, degree):
+    """A degree-k element: a random symplectic tensor, then a random cotensor.
+
+    The cotensor slot is zero when the degree exceeds n.
+    """
+    x = random_symplectic(rng, s, degree)
+    f = random_cotensor(rng, s.pair, s.n - degree, max_degree=2)
+    return ExtensionElement(s, f, x)
+
+
+@pytest.fixture(scope="session")
+def random_extension():
+    return random_extension_element
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -24,7 +24,7 @@ from nplectic.cohomology import (
 )
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import ExtensionElement, hamiltonian_potential, symplectic_basis
-from nplectic.identities import cartan_suite, pairing_suite, random_symplectic
+from nplectic.identities import cartan_suite, pairing_suite
 from nplectic.linalg import rank_dense
 from nplectic.linf import (
     ClassLinf,
@@ -38,7 +38,7 @@ from nplectic.linf import (
 )
 from nplectic.models import rotation_momentum, su2_cartan, su2_pair, symplectic_plane
 from nplectic.pairs import PolyVectorFieldPair
-from nplectic.sampling import random_cotensor, random_fraction, random_tensor
+from nplectic.sampling import random_fraction, random_tensor
 from nplectic.scalars import bell_identity_check
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -93,24 +93,14 @@ def test_criterion_03_bracket_contraction_pairing(structures, verdicts):
                       "on both models, 50 draws each", ok)
 
 
-def random_extension_element(rng, s, grades, cache):
-    g = rng.choice(grades)
-    x = random_symplectic(rng, s, g, cache)
-    if s.n - g >= 0:
-        f = random_cotensor(rng, s.pair, s.n - g, max_degree=2)
-    else:
-        f = Cotensor.zero(s.pair)
-    return ExtensionElement(s, f, x)
-
-
-def test_criterion_04_weak_jacobi_two_paths(structures, verdicts, jacobi_oracle):
+def test_criterion_04_weak_jacobi_two_paths(structures, verdicts, jacobi_oracle,
+                                            random_extension):
     rng = random.Random(23)
     ok = True
     for s in structures.values():
         pair = s.pair
         tensor_op = TensorLinf(pair)
         extension_op = ExtensionLinf(s, cap=6)
-        cache: dict = {}
         grades = [g for g in range(0, pair.ngens + 1)
                   if symplectic_basis(s, g, max_poly_degree=2)]
         for arity in (2, 3, 4, 5):
@@ -122,7 +112,7 @@ def test_criterion_04_weak_jacobi_two_paths(structures, verdicts, jacobi_oracle)
                 if arity <= 4:
                     ok = ok and residual == jacobi_oracle(tensor_op, xs)
             for _ in range(4):
-                es = [random_extension_element(rng, s, grades, cache)
+                es = [random_extension(rng, s, rng.choice(grades))
                       for _ in range(arity)]
                 residual = jacobi_residual(extension_op, es)
                 ok = ok and residual.is_zero()

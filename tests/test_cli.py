@@ -199,6 +199,37 @@ def test_cohomology_degree_window(run):
     assert [row["degree"] for row in payload["table"]] == [1, 2]
 
 
+def test_cohomology_plain_honours_the_degree_span(run):
+    code, payload, _ = run("cohomology", SU2_CARTAN, "--plain", "--degrees", "2:3")
+    assert code == 0
+    assert [row["degree"] for row in payload["table"]] == [2, 3]
+    assert [row["rank"] for row in payload["table"]] == [0, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--degrees", "3:1"],
+    ["--weights", "3:1"],
+    ["--plain", "--degrees", "3:1"],
+], ids=" ".join)
+def test_cohomology_rejects_an_empty_span(run, argv):
+    code, payload, err = run("cohomology", PLANE, *argv)
+    assert code == 2 and payload is None
+    assert "empty" in err and "Traceback" not in err
+
+
+def test_cohomology_rejects_omega_without_constant_coefficients(run, tmp_path):
+    # closed and valid, but the weight grading cannot slice it
+    path = write(tmp_path, "s.json", {
+        "pair": {"family": "poly", "vars": 3}, "n": 1,
+        "omega": [[[1, 3], "1"], [[1, 2], "x"]],
+    })
+    code, payload, _ = run("nplectic-check", path)
+    assert code == 0 and payload["ok"]
+    code, payload, err = run("cohomology", path)
+    assert code == 2 and payload is None
+    assert "weight-homogeneous" in err
+
+
 def test_cohomology_without_structure_needs_plain(run):
     code, payload, err = run("cohomology", HEISENBERG)
     assert code == 2 and "--plain" in err
@@ -280,6 +311,25 @@ def test_output_flag_writes_the_report_file(run, tmp_path):
     code, payload, _ = run("nplectic-check", PLANE, "--output", str(out))
     assert code == 0 and payload is None
     assert json.loads(out.read_text())["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-pair", "{}"],
+    ["identities", "{}"],
+    ["jacobi", "{}"],
+    ["cohomology", "{}"],
+    ["cohomology", "{}", "--plain"],
+    ["nplectic-check", "{}"],
+    ["poisson", "{}", "{}"],
+    ["momentum-check", "{}", ROTATION],
+    ["identities", "{nested}"],
+], ids=" ".join)
+def test_a_json_array_is_bad_input(run, tmp_path, argv):
+    array = write(tmp_path, "array.json", [1, 2])
+    nested = write(tmp_path, "nested.json", {"pair": [1, 2], "n": 1, "omega": []})
+    code, payload, err = run(*(a.format(array, nested=nested) for a in argv))
+    assert code == 2 and payload is None
+    assert err.startswith("error:")
 
 
 def test_malformed_json_reports_line_and_column(run, tmp_path):

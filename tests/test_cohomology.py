@@ -20,8 +20,8 @@ from nplectic.cohomology import (
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
     ExtensionElement,
+    NPlecticStructure,
     hamiltonian_potential,
-    make_structure,
     symplectic_basis,
 )
 from nplectic.linalg import rank_dense, rank_fraction_free
@@ -39,16 +39,16 @@ def su2():
 
 
 def plane_structure():
-    return make_structure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
+    return NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
 
 
 def su2_cartan():
     pair = su2()
-    return make_structure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
 
 
 def degenerate_structure():
-    return make_structure(SPACE, 1, Cotensor(SPACE, {(1, 2): 1}))
+    return NPlecticStructure(SPACE, 1, Cotensor(SPACE, {(1, 2): 1}))
 
 
 # -- plain complex ranks --------------------------------------------------------
@@ -74,7 +74,7 @@ def test_contraction_matrix_on_the_plane_is_a_signed_permutation():
     from nplectic.engine import matrix_of, monomials_exact, slice_basis
 
     s = plane_structure()
-    labels = slice_basis(PLANE, "tensor", 1, monomials_exact(2, 0))
+    labels = slice_basis(PLANE, 1, monomials_exact(2, 0))
     matrix, tgt = matrix_of(lambda x: contract(x, s.omega), PLANE, Tensor, labels)
     assert tgt == [((1,), (0, 0)), ((2,), (0, 0))]
     assert matrix == [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
@@ -119,6 +119,27 @@ def test_plane_extension_ranks_hand_values():
     assert extension_cohomology_rank(s, 1, -1)["rank"] == 0
     assert extension_cohomology_rank(s, 0, 0)["rank"] == 1
     assert extension_cohomology_rank(s, 2, 0)["rank"] == 0
+
+
+def test_extension_table_builds_each_differential_once(monkeypatch):
+    from collections import Counter
+
+    from nplectic import cohomology
+
+    built = Counter()
+    original = cohomology._dw_matrix
+
+    def counting(s, k, r):
+        built[k, r] += 1
+        return original(s, k, r)
+
+    monkeypatch.setattr(cohomology, "_dw_matrix", counting)
+    s = plane_structure()
+    slices = [(k, r) for r in range(3) for k in range(-1, 3)]
+    rows = extension_cohomology_table(s, range(-1, 3), range(3))
+    assert set(built.values()) == {1}
+    assert set(built) == set(slices) | {(k + 1, r + 1) for k, r in slices}
+    assert rows == [extension_cohomology_rank(s, k, r) for k, r in slices]
 
 
 def test_extension_vanishes_outside_the_degree_strip():

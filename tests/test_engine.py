@@ -19,7 +19,6 @@ from nplectic.engine import (
     hamiltonian_potential,
     is_symplectic,
     kernel_basis,
-    make_structure,
     reduce_mod_kernel,
     structure_from_json,
     symplectic_basis,
@@ -38,17 +37,17 @@ def su2():
 
 
 def plane_structure():
-    return make_structure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
+    return NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
 
 
 def su2_cartan():
     pair = su2()
-    return make_structure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
 
 
 def degenerate_structure():
     """dx ^ dy as a 1-plectic form on three variables; @z sits in the kernel."""
-    return make_structure(SPACE, 1, Cotensor(SPACE, {(1, 2): 1}))
+    return NPlecticStructure(SPACE, 1, Cotensor(SPACE, {(1, 2): 1}))
 
 
 def tensor(pair, *terms):
@@ -70,23 +69,23 @@ def test_structure_accepts_the_plane():
 
 def test_structure_rejects_wrong_degree():
     with pytest.raises(DegreeError):
-        make_structure(PLANE, 2, Cotensor(PLANE, {(1, 2): 1}))
+        NPlecticStructure(PLANE, 2, Cotensor(PLANE, {(1, 2): 1}))
 
 
 def test_structure_rejects_degree_below_one():
     with pytest.raises(DegreeError):
-        make_structure(PLANE, 0, Cotensor(PLANE, {(1,): 1}))
+        NPlecticStructure(PLANE, 0, Cotensor(PLANE, {(1,): 1}))
 
 
 def test_structure_rejects_mixed_degree():
     with pytest.raises(DegreeError):
-        make_structure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1, (1,): 1}))
+        NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1, (1,): 1}))
 
 
 def test_structure_rejects_non_closed_with_residual():
     omega = Cotensor(SPACE, {(1, 2): "z"})
     with pytest.raises(NotClosedError) as exc:
-        make_structure(SPACE, 1, omega)
+        NPlecticStructure(SPACE, 1, omega)
     assert exc.value.residual == Cotensor(SPACE, {(1, 2, 3): 1})
 
 
@@ -138,6 +137,41 @@ def test_reduce_mod_kernel_drops_kernel_directions():
     a = SymplecticTensor(s, tensor(SPACE, ((1,), 1), ((3,), "x*z")))
     b = SymplecticTensor(s, Tensor.basis(SPACE, (1,)))
     assert a == b
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """(structure, degree, window) of every kernel_basis call."""
+    from nplectic import engine
+
+    built = []
+    original = engine.kernel_basis
+
+    def counting(s, degree, max_poly_degree=3):
+        built.append((s, degree, max_poly_degree))
+        return original(s, degree, max_poly_degree)
+
+    monkeypatch.setattr(engine, "kernel_basis", counting)
+    return built
+
+
+def test_reduce_mod_kernel_builds_each_kernel_quotient_once(kernel_builds):
+    s = degenerate_structure()
+    x = tensor(SPACE, ((1,), "x"), ((3,), "y"))
+    for _ in range(3):
+        assert reduce_mod_kernel(s, x) == tensor(SPACE, ((1,), "x"))
+    reduce_mod_kernel(s, tensor(SPACE, ((1, 2), "z")))
+    assert [(degree, pd) for _, degree, pd in kernel_builds] == [(1, 1), (2, 1)]
+
+
+def test_equal_structures_do_not_share_derived_state(kernel_builds):
+    a, b = degenerate_structure(), degenerate_structure()
+    x = tensor(SPACE, ((3,), "z"))
+    for s in (a, a, b):
+        assert reduce_mod_kernel(s, x).is_zero()
+    assert [s for s, _, _ in kernel_builds] == [a, b]
+    assert kernel_builds[0][0] is a and kernel_builds[1][0] is b
+    assert a == b and hash(a) == hash(b) and a.to_json() == b.to_json()
 
 
 def test_symplectic_tensor_rejects_non_symplectic():
@@ -262,26 +296,13 @@ def test_extension_bracket_output_is_cocycle():
     assert d_omega(out).is_zero()
 
 
-def random_extension_element(rng, s, degree, basis_cache):
-    """A homogeneous degree-k element with a random symplectic tensor part."""
-    if degree not in basis_cache:
-        basis_cache[degree] = symplectic_basis(s, degree, max_poly_degree=2)
-    x = Tensor.zero(s.pair)
-    for b in basis_cache[degree]:
-        if rng.random() < 0.6:
-            x = x + random_fraction(rng) * b
-    f = random_cotensor(rng, s.pair, s.n - degree, max_degree=2)
-    return ExtensionElement(s, f, x)
-
-
-def test_extension_jacobi_vanishes():
+def test_extension_jacobi_vanishes(random_extension):
     rng = random.Random(23)
     for s in structures():
         op = ExtensionLinf(s)
-        cache = {}
         for arity in (2, 3, 4):
             for _ in range(4):
-                es = [random_extension_element(rng, s, rng.choice((0, 1)), cache)
+                es = [random_extension(rng, s, rng.choice((0, 1)))
                       for _ in range(arity)]
                 assert jacobi_residual(op, es).is_zero()
 

@@ -1,7 +1,7 @@
 """The randomized rule suites and their reports."""
 
 from nplectic.elements import Cotensor
-from nplectic.engine import make_structure
+from nplectic.engine import NPlecticStructure
 from nplectic.identities import cartan_suite, pairing_suite
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.report import canonical_json
@@ -50,9 +50,9 @@ def test_suite_is_reproducible():
 
 def test_pairing_suite_passes_on_both_models():
     plane = PolyVectorFieldPair(2)
-    s = make_structure(plane, 1, Cotensor(plane, {(1, 2): 1}))
+    s = NPlecticStructure(plane, 1, Cotensor(plane, {(1, 2): 1}))
     pair = su2()
-    sc = make_structure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+    sc = NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
     for structure in (s, sc):
         report = pairing_suite(structure, count=12, seed=9)
         assert report.ok, report.failures()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nplectic.elements import Cotensor, Tensor
-from nplectic.engine import ExtensionElement, make_structure, symplectic_basis
+from nplectic.engine import ExtensionElement, NPlecticStructure
 from nplectic.linf import (
     ClassLinf,
     ExtensionLinf,
@@ -22,7 +22,7 @@ from nplectic.linf import (
     morphism_residual,
 )
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_cotensor, random_fraction, random_tensor
+from nplectic.sampling import random_fraction, random_tensor
 
 PLANE = PolyVectorFieldPair(2)
 
@@ -37,12 +37,12 @@ def heisenberg():
 
 
 def plane_structure():
-    return make_structure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
+    return NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): 1}))
 
 
 def su2_cartan():
     pair = su2()
-    return make_structure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
 
 
 # -- finite tables ---------------------------------------------------------------
@@ -132,25 +132,13 @@ def test_tensor_jacobi_matches_oracle(jacobi_oracle):
             assert jacobi_residual(op, xs).is_zero()
 
 
-def random_extension_element(rng, s, degree, cache):
-    if degree not in cache:
-        cache[degree] = symplectic_basis(s, degree, max_poly_degree=2)
-    x = Tensor.zero(s.pair)
-    for b in cache[degree]:
-        if rng.random() < 0.6:
-            x = x + random_fraction(rng) * b
-    f = random_cotensor(rng, s.pair, s.n - degree, max_degree=2)
-    return ExtensionElement(s, f, x)
-
-
-def test_extension_jacobi_matches_oracle(jacobi_oracle):
+def test_extension_jacobi_matches_oracle(jacobi_oracle, random_extension):
     rng = random.Random(13)
     for s in (plane_structure(), su2_cartan()):
         op = ExtensionLinf(s)
-        cache = {}
         for arity in (2, 3, 4):
             for _ in range(3):
-                es = [random_extension_element(rng, s, rng.choice((0, 1)), cache)
+                es = [random_extension(rng, s, rng.choice((0, 1)))
                       for _ in range(arity)]
                 residual = jacobi_residual(op, es)
                 assert residual == jacobi_oracle(op, es)
