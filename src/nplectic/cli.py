@@ -22,7 +22,7 @@ from pathlib import Path
 from .calculus import ce_differential, contract, higher_bracket, lie_derivative, schouten
 from .cohomology import (
     NotACocycle,
-    ce_cohomology_rank,
+    ce_cohomology_table,
     class_of,
     extension_cohomology_table,
     poisson_bracket,
@@ -272,7 +272,7 @@ def cmd_cohomology(args):
     if args.plain:
         degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
                    else range(pair.ngens + 1))
-        table = [ce_cohomology_rank(pair, wl, w) for w in weights for wl in degrees]
+        table = ce_cohomology_table(pair, degrees, weights)
         report = Report("cohomology", {"family": pair.family, "mode": "pair",
                                        "weights": weights})
         return report, {"table": table}

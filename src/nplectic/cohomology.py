@@ -61,18 +61,40 @@ def ce_matrix(pair, word_len: int, weight: int = 0):
 
 def ce_cohomology_rank(pair, word_len: int, weight: int = 0) -> dict:
     """Exact ranks of the cotensor complex at one (word length, weight) slice."""
-    matrix, labels = ce_matrix(pair, word_len, weight)
-    dim = len(labels)
-    ker = dim - rank_fraction_free(matrix) if dim else 0
-    prev, _ = ce_matrix(pair, word_len - 1, _shift_weight(pair, weight))
-    im = rank_fraction_free(prev)
-    return {"degree": word_len, "weight": weight, "dim": dim,
-            "kernel": ker, "image": im, "rank": ker - im}
+    return ce_cohomology_table(pair, [word_len], [weight])[0]
 
 
-def ce_cohomology_table(pair, max_word_len: int, weights=(0,)) -> list[dict]:
-    return [ce_cohomology_rank(pair, wl, w)
-            for w in weights for wl in range(max_word_len + 1)]
+def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:
+    """One rank row per (word length, weight); each slice's d is ranked once."""
+    def differential(wl, w):
+        matrix, labels = ce_matrix(pair, wl, w)
+        return (rank_fraction_free(matrix) if labels else 0), len(labels)
+    return _rank_table(degrees, weights, differential,
+                       lambda wl, w: (wl - 1, _shift_weight(pair, w)))
+
+
+def _rank_table(degrees, weights, differential, source) -> list[dict]:
+    """Rank rows of a complex sliced by (degree, weight).
+
+    differential(deg, w) gives (rank of d on that slice, slice dimension)
+    and runs once per slice, through a dict local to the call; source(deg, w)
+    names the slice whose d lands in (deg, w).
+    """
+    ranks: dict = {}
+
+    def rank_and_dim(key):
+        if key not in ranks:
+            ranks[key] = differential(*key)
+        return ranks[key]
+
+    rows = []
+    for w in weights:
+        for deg in degrees:
+            rank, dim = rank_and_dim((deg, w))
+            im, _ = rank_and_dim(source(deg, w))
+            rows.append({"degree": deg, "weight": w, "dim": dim,
+                         "kernel": dim - rank, "image": im, "rank": dim - rank - im})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +152,11 @@ def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
 
 def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[dict]:
     """One rank row per (degree, weight); each slice's differential is ranked once."""
-    ranks: dict = {}
-
-    def rank_and_dim(k, r):
-        if (k, r) not in ranks:
-            matrix, dim = _dw_matrix(s, k, r)
-            ranks[k, r] = (rank_fraction_free(matrix) if dim else 0, dim)
-        return ranks[k, r]
-
-    rows = []
-    for r in weights:
-        for k in degrees:
-            rank, dim = rank_and_dim(k, r)
-            im, _ = rank_and_dim(k + 1, _shift_weight(s.pair, r))
-            rows.append({"degree": k, "weight": r, "dim": dim,
-                         "kernel": dim - rank, "image": im, "rank": dim - rank - im})
-    return rows
+    def differential(k, r):
+        matrix, dim = _dw_matrix(s, k, r)
+        return (rank_fraction_free(matrix) if dim else 0), dim
+    return _rank_table(degrees, weights, differential,
+                       lambda k, r: (k + 1, _shift_weight(s.pair, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -115,24 +115,37 @@ def basis_elements(pair, cls, labels):
     return [cls(pair, {w: Poly(pair.poly_nvars, {e: Fraction(1)})}) for w, e in labels]
 
 
-def element_vector(elem, index: dict, size: int):
-    """Coordinates of an element in a slice; raises if it leaves the window."""
-    vec = [Fraction(0)] * size
+def element_coords(elem, index: dict) -> dict[int, Fraction]:
+    """Sparse coordinates of an element in a slice; raises if it leaves the window."""
+    coords = {}
     for w, poly in elem.terms.items():
         for e, c in poly.terms.items():
             key = (w, e)
             if key not in index:
                 raise ValueError(f"element leaves the slice window at {key}")
-            vec[index[key]] = c
+            coords[index[key]] = c
+    return coords
+
+
+def element_vector(elem, index: dict, size: int):
+    """Dense coordinates of an element in a slice."""
+    vec = [Fraction(0)] * size
+    for i, c in element_coords(elem, index).items():
+        vec[i] = c
     return vec
 
 
-def vector_element(pair, cls, labels, vec):
+def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
+    """The element with the given sparse coordinates in a slice."""
     terms = {}
-    for (w, e), c in zip(labels, vec):
-        if c:
-            terms.setdefault(w, {})[e] = c
+    for i in sorted(coords):
+        w, e = labels[i]
+        terms.setdefault(w, {})[e] = coords[i]
     return cls(pair, [(w, Poly(pair.poly_nvars, t)) for w, t in terms.items()])
+
+
+def vector_element(pair, cls, labels, vec):
+    return coords_element(pair, cls, labels, {i: c for i, c in enumerate(vec) if c})
 
 
 class Quotient:
@@ -149,11 +162,11 @@ class Quotient:
 
     def add(self, elem) -> bool:
         """Enlarge the span by elem; True if elem was not in it yet."""
-        return self.echelon.add(element_vector(elem, self.index, len(self.labels)))
+        return self.echelon.add(element_coords(elem, self.index))
 
     def reduce(self, elem):
-        vec = self.echelon.reduce(element_vector(elem, self.index, len(self.labels)))
-        return vector_element(self.pair, self.cls, self.labels, vec)
+        coords = self.echelon.reduce(element_coords(elem, self.index))
+        return coords_element(self.pair, self.cls, self.labels, coords)
 
 
 def matrix_of(fn, pair, src_cls, src_labels, tgt_cls=None):

@@ -1,82 +1,135 @@
 """Exact linear algebra over Q.
 
-Matrices are plain lists of Fraction rows.  The production rank path uses
-fraction-free Bareiss elimination on integer-cleared rows to keep entries
-small; reduced echelon (Gauss-Jordan over Fraction) backs solving, null
-spaces and canonical representatives.  Deterministic pivoting throughout:
-first usable column, topmost row.
+One elimination kernel does all the work: `Echelon`, the reduced row
+echelon basis of a span, held sparsely.  Each row is a dict
+{column: Fraction} whose pivot is its lowest column, with coefficient 1
+and zero in every other row.  The reduced echelon form of a span is
+unique, so ranks, null-space bases, `solve` answers and residues depend
+only on the span, never on the order the vectors came in.
+
+`rank_fraction_free`, `rref`, `null_space` and `solve` take dense matrices
+(lists of Fraction rows) and are thin wrappers over the kernel.
+`rank_dense` is a plain dense Gauss-Jordan loop that shares no code with
+it; it is the independent oracle the tests check the kernel against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 Matrix = list[list[Fraction]]
+Vector = dict[int, Fraction]  # sparse: column -> nonzero entry
 
 
-def _copy(mat: Matrix) -> Matrix:
-    return [list(row) for row in mat]
+def _axpy(v: Vector, f: Fraction, row: Vector) -> None:
+    """v += f * row in place, dropping entries that cancel."""
+    for c, a in row.items():
+        x = v.get(c, 0) + f * a
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+
+
+def _residue(rows: dict[int, Vector], v: Vector) -> Vector:
+    """v minus its span part, in place; rows maps pivot -> row without its pivot."""
+    # rows are zero on every other pivot, so only v's own pivots need clearing
+    for p in [c for c in v if c in rows]:
+        _axpy(v, -v.pop(p), rows[p])
+    return v
+
+
+def _insert(rows: dict[int, Vector], v: Vector) -> bool:
+    """Add a residue (zero on every pivot) as a new row; False if it is zero."""
+    if not v:
+        return False
+    p = min(v)
+    inv = 1 / v.pop(p)
+    new = {c: a * inv for c, a in v.items()}
+    for row in rows.values():
+        if p in row:
+            _axpy(row, -row.pop(p), new)
+    rows[p] = new
+    return True
+
+
+class Echelon:
+    """Growing reduced echelon basis of a subspace of Q^dim.
+
+    Vectors are sparse dicts {column: Fraction}.  `reduce` gives the
+    residue modulo the span, a canonical representative of the coset;
+    `add` enlarges the span.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: dict[int, Vector] = {}  # pivot column -> row without its pivot
+
+    @classmethod
+    def of_rows(cls, mat: Matrix) -> "Echelon":
+        """The row space of a dense matrix."""
+        ech = cls(len(mat[0]) if mat else 0)
+        for row in mat:
+            _insert(ech.rows, _residue(ech.rows, {c: a for c, a in enumerate(row) if a}))
+        return ech
+
+    def reduce(self, vec: Vector) -> Vector:
+        return _residue(self.rows, {c: a for c, a in vec.items() if a})
+
+    def add(self, vec: Vector) -> bool:
+        """Insert vec's residue; returns True if it enlarged the span."""
+        return _insert(self.rows, self.reduce(vec))
+
+    def contains(self, vec: Vector) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = _copy(mat)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
+    """Reduced row echelon form (zero rows last) and pivot column indices."""
+    ech = Echelon.of_rows(mat)
+    pivots = ech.pivots
+    red = []
+    for p in pivots:
+        dense = [Fraction(0)] * ech.dim
+        dense[p] = Fraction(1)
+        for c, a in ech.rows[p].items():
+            dense[c] = a
+        red.append(dense)
+    red += [[Fraction(0)] * ech.dim for _ in range(len(mat) - len(pivots))]
+    return red, pivots
+
+
+def rank_fraction_free(mat: Matrix) -> int:
+    """Rank of a dense matrix, by the sparse kernel."""
+    return Echelon.of_rows(mat).rank
+
+
+def rank_dense(mat: Matrix) -> int:
+    """Rank by plain dense Gauss-Jordan over Fraction: the test oracle."""
+    m = [list(row) for row in mat]
+    cols = len(m[0]) if m else 0
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = Fraction(1) / m[r][c]
         m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
+        for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank_dense(mat: Matrix) -> int:
-    """Rank by plain Gauss-Jordan over Fraction (the slow reference path)."""
-    return len(rref(mat)[1])
-
-
-def rank_fraction_free(mat: Matrix) -> int:
-    """Rank by integer Bareiss elimination after clearing denominators."""
-    work: list[list[int]] = []
-    for row in mat:
-        den = lcm(*(v.denominator for v in row)) if row else 1
-        work.append([int(v * den) for v in row])
-    if not work or not work[0]:
-        return 0
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                work[i][j] = (work[r][c] * work[i][j] - work[i][c] * work[r][j]) // prev
-            work[i][c] = 0
-        prev = work[r][c]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+    return r
 
 
 def solve(mat: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
@@ -98,8 +151,8 @@ def null_space(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the kernel, one vector per free column, deterministic order."""
     if not mat:
         assert cols is not None, "need the column count for an empty matrix"
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(cols)]
-                for i in range(cols)]
+        zero, one = Fraction(0), Fraction(1)
+        return [[one if j == i else zero for j in range(cols)] for i in range(cols)]
     cols = len(mat[0])
     red, pivots = rref(mat)
     free = [c for c in range(cols) if c not in pivots]
@@ -111,48 +164,3 @@ def null_space(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
-
-
-class Echelon:
-    """Growing reduced echelon basis of a subspace of Q^n.
-
-    Supports span membership tests and canonical reduction of vectors
-    modulo the subspace (used for quotients and canonical representatives).
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: list[Fraction]) -> bool:
-        """Insert vec's residue; returns True if it enlarged the span."""
-        v = self.reduce(vec)
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is None:
-            return False
-        inv = Fraction(1) / v[p]
-        v = [a * inv for a in v]
-        for i, (row, q) in enumerate(zip(self.rows, self.pivots)):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        return True
-
-    def contains(self, vec: list[Fraction]) -> bool:
-        return not any(self.reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

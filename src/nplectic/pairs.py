@@ -167,15 +167,20 @@ def pair_to_json(pair: PairDescriptor) -> dict:
     return {"family": "poly", "vars": pair.nvars}
 
 
-def pair_from_json(data: dict) -> PairDescriptor:
+def _json_object(data, what: str) -> dict:
     if not isinstance(data, dict):
-        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-    family = data.get("family")
+        raise TypeError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def pair_from_json(data: dict) -> PairDescriptor:
+    family = _json_object(data, "pair").get("family")
     if family == "constant":
         table = {}
-        for key, entry in data.get("brackets", {}).items():
+        for key, entry in _json_object(data.get("brackets", {}), "brackets").items():
             i, j = (int(v) for v in key.split(","))
-            table[(i, j)] = {int(k): as_rational(c) for k, c in entry.items()}
+            table[(i, j)] = {int(k): as_rational(c)
+                             for k, c in _json_object(entry, f"bracket {key}").items()}
         return ConstantPair.from_brackets(int(data["dim"]), table)
     if family == "poly":
         return PolyVectorFieldPair(int(data["vars"]))

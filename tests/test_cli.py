@@ -332,6 +332,17 @@ def test_a_json_array_is_bad_input(run, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("brackets", [[1], {"1,2": [1]}], ids=json.dumps)
+@pytest.mark.parametrize("command", ["validate-pair", "nplectic-check", "jacobi"])
+def test_a_bracket_table_that_is_not_an_object_is_a_bad_pair(run, tmp_path, brackets, command):
+    pair = {"family": "constant", "dim": 3, "brackets": brackets}
+    data = pair if command == "validate-pair" else {"pair": pair, "n": 1, "omega": []}
+    code, payload, err = run(command, write(tmp_path, "pair.json", data))
+    assert code == 2 and payload is None
+    assert err.startswith(("error: bad pair:", "error: bad structure:"))
+    assert "expected a JSON object, got list" in err
+
+
 def test_malformed_json_reports_line_and_column(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"pair": ')

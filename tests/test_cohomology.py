@@ -98,9 +98,29 @@ def test_plane_ce_is_exact_away_from_the_constants():
 
 
 def test_ce_table_shape():
-    rows = ce_cohomology_table(su2(), 3)
+    rows = ce_cohomology_table(su2(), range(4))
     assert [r["degree"] for r in rows] == [0, 1, 2, 3]
     assert [r["dim"] for r in rows] == [1, 3, 3, 1]
+
+
+def test_ce_table_builds_each_slice_matrix_once(monkeypatch):
+    from collections import Counter
+
+    from nplectic import cohomology
+
+    built = Counter()
+    original = cohomology.ce_matrix
+
+    def counting(pair, word_len, weight=0):
+        built[word_len, weight] += 1
+        return original(pair, word_len, weight)
+
+    monkeypatch.setattr(cohomology, "ce_matrix", counting)
+    slices = [(wl, w) for w in range(3) for wl in range(3)]
+    rows = ce_cohomology_table(PLANE, range(3), range(3))
+    assert set(built.values()) == {1}
+    assert set(built) == set(slices) | {(wl - 1, w + 1) for wl, w in slices}
+    assert rows == [ce_cohomology_rank(PLANE, wl, w) for wl, w in slices]
 
 
 # -- extension tables -----------------------------------------------------------
