@@ -136,71 +136,54 @@ def lie_derivative(x: Tensor, f: Cotensor) -> Cotensor:
 # ---------------------------------------------------------------------------
 
 def schouten(u: Tensor, v: Tensor) -> Tensor:
-    """Odd bracket on the exterior tensor algebra.
+    """Odd bracket on the exterior tensor algebra, degree |u| + |v| - 1.
 
-    Generated by the pair bracket on vectors, the action on
-    (vector, ring) pairs and zero on ring pairs, extended as a
-    biderivation: [u, v^w] = [u,v]^w + (-1)^((|u|-1)|v|) v^[u,w] and the
-    matching left rule, with graded antisymmetry
-    [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u].  Degree |u| + |v| - 1.
+    The biderivation generated by the pair bracket on vectors, the action
+    on (vector, ring) pairs and zero on ring pairs:
+    [u, v^w] = [u,v]^w + (-1)^((|u|-1)|v|) v^[u,w], the matching left rule,
+    and [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u].  On terms a e_I and b e_J,
+    I = i_1..i_p and J = j_1..j_q, it is the closed form (Marle, J. Geom.
+    Phys. 23, 1997)
+
+        [a e_I, b e_J] =
+              sum_{r,t} (-1)^(t-1) a b sum_k c^k_{i_r j_t} e_{I, i_r -> k} ^ e_{J - j_t}
+            - sum_t     (-1)^(t-1) D_{j_t}(a) b e_I ^ e_{J - j_t}
+            + sum_r     (-1)^(p-r) a D_{i_r}(b) e_{I - i_r} ^ e_J
+
+    where c^k_{ij} are the rows of `bracket_basis` and D_i is `action_basis`.
     """
     if u.pair != v.pair:
         raise ValueError("bracket across different pairs")
     pair = u.pair
-    one = Poly.const(pair.poly_nvars, 1)
-    total = Tensor.zero(pair)
-    for wu, cu in u.terms.items():
-        ugens = ([cu] if cu != one else []) + list(wu)
-        for wv, cv in v.terms.items():
-            vgens = ([cv] if cv != one else []) + list(wv)
-            total = total + _bracket_gens(pair, ugens, vgens)
-    return total
+    products = []
 
+    def emit(word, sign, coeff):
+        s, norm = sort_word(word)
+        if s:
+            products.append((norm, coeff if s == sign else -coeff))
 
-def _gen_degree(gen) -> int:
-    return 1 if isinstance(gen, int) else 0
-
-
-def _gens_degree(gens) -> int:
-    return sum(_gen_degree(g) for g in gens)
-
-
-def _gens_tensor(pair, gens) -> Tensor:
-    out = Tensor.scalar(pair, 1)
-    for g in gens:
-        if isinstance(g, int):
-            out = out.wedge(Tensor.basis(pair, (g,)))
-        else:
-            out = g * out
+    for wu, a in u.terms.items():
+        p = len(wu)
+        for wv, b in v.terms.items():
+            ab = None
+            for t, j in enumerate(wv):
+                sign = -1 if t % 2 else 1
+                rest = wv[:t] + wv[t + 1:]
+                for r, i in enumerate(wu):
+                    for k, c in pair.bracket_basis(i, j):
+                        if ab is None:
+                            ab = a * b
+                        emit(wu[:r] + (k,) + wu[r + 1:] + rest, sign, ab * c)
+                da = pair.action_basis(j, a)
+                if da:
+                    emit(wu + rest, -sign, da * b)
+            for r, i in enumerate(wu):
+                db = pair.action_basis(i, b)
+                if db:
+                    emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1, a * db)
+    out = Tensor.zero(pair)
+    out.terms = sparse_sum(products)
     return out
-
-
-def _bracket_gens(pair, ugens, vgens) -> Tensor:
-    """Bracket of wedge words of generators (ring elements and basis vectors)."""
-    if not ugens or not vgens:
-        return Tensor.zero(pair)  # the empty word is the unit, killed by both slots
-    if len(ugens) == 1 and len(vgens) == 1:
-        a, b = ugens[0], vgens[0]
-        if isinstance(a, int) and isinstance(b, int):
-            return Tensor(pair, [((k,), c) for k, c in pair.bracket_basis(a, b)])
-        if isinstance(a, int):
-            return Tensor.scalar(pair, pair.action_basis(a, b))
-        if isinstance(b, int):
-            return Tensor.scalar(pair, -pair.action_basis(b, a))
-        return Tensor.zero(pair)
-    if len(ugens) > 1:
-        # [u0 ^ U, W] = u0 ^ [U, W] + (-1)^((|W|-1)|U|) [u0, W] ^ U
-        u0, urest = ugens[0], ugens[1:]
-        first = _gens_tensor(pair, [u0]).wedge(_bracket_gens(pair, urest, vgens))
-        second = _bracket_gens(pair, [u0], vgens).wedge(_gens_tensor(pair, urest))
-        sign = -1 if ((_gens_degree(vgens) - 1) * _gens_degree(urest)) % 2 else 1
-        return first + (second if sign == 1 else -second)
-    # [u, w0 ^ W] = [u, w0] ^ W + (-1)^((|u|-1)|w0|) w0 ^ [u, W]
-    w0, wrest = vgens[0], vgens[1:]
-    first = _bracket_gens(pair, ugens, [w0]).wedge(_gens_tensor(pair, wrest))
-    second = _gens_tensor(pair, [w0]).wedge(_bracket_gens(pair, ugens, wrest))
-    sign = -1 if ((_gens_degree(ugens) - 1) * _gen_degree(w0)) % 2 else 1
-    return first + (second if sign == 1 else -second)
 
 
 # ---------------------------------------------------------------------------

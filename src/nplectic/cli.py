@@ -309,6 +309,8 @@ def cmd_poisson(args):
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad element {i}: {exc}") from exc
         degree = item.get("degree")
+        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
+            raise InputError(f"element {i}: 'degree' must be an integer, got {degree!r}")
         try:
             cls = class_of(e, degree=degree)
         except NotACocycle as exc:

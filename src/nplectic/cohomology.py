@@ -24,13 +24,14 @@ bracket value a cocycle on the nose.
 from __future__ import annotations
 
 from .calculus import ce_differential, contract, higher_bracket
-from .elements import Cotensor, Tensor, wedge_list
+from .elements import Cotensor, Tensor
 from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     NPlecticStructure,
     Quotient,
     basis_elements,
+    contract_reversed_wedge,
     d_omega,
     element_vector,
     matrix_of,
@@ -268,8 +269,7 @@ def poisson_bracket(k: int, classes, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> 
     if k == 1:
         return CohomClass.zero(s, out_degree)
     xs = [c.rep.sym.rep for c in classes]
-    f_part = contract(wedge_list(s.pair, Tensor, list(reversed(xs))), s.omega)
-    e = ExtensionElement(s, f_part, higher_bracket(k, xs))
+    e = ExtensionElement(s, contract_reversed_wedge(s, xs), higher_bracket(k, xs))
     if e.is_zero():
         return CohomClass.zero(s, out_degree)
     return class_of(e, degree=out_degree)

@@ -422,10 +422,14 @@ def extension_bracket(k: int, es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> Ext
         raise CapExceeded(f"extension bracket arity {k} exceeds cap {cap}")
     s = es[0].structure
     xs = [e.sym.rep for e in es]
-    reversed_wedge = wedge_list(s.pair, Tensor, list(reversed(xs)))
-    f_part = Fraction(bell(k - 1)) * contract(reversed_wedge, s.omega)
+    f_part = Fraction(bell(k - 1)) * contract_reversed_wedge(s, xs)
     x_part = higher_bracket(k, xs)
     return ExtensionElement(s, f_part, x_part)
+
+
+def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
+    """i_{x_k ^..^ x_1} omega, omega contracted with the reversed wedge of xs."""
+    return contract(wedge_list(s.pair, Tensor, list(reversed(xs))), s.omega)
 
 
 def fundamental_pairing_check(k: int, xs, s: NPlecticStructure):
@@ -435,5 +439,5 @@ def fundamental_pairing_check(k: int, xs, s: NPlecticStructure):
     """
     xs = list(xs)
     lhs = contract(higher_bracket(k, xs), s.omega)
-    rhs = ce_differential(contract(wedge_list(s.pair, Tensor, list(reversed(xs))), s.omega))
+    rhs = ce_differential(contract_reversed_wedge(s, xs))
     return lhs == rhs, lhs, rhs

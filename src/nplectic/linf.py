@@ -5,8 +5,9 @@ element, linear operations, a degree, and one k-ary bracket per arity
 (arity one being the differential).  The checkers in this module only
 speak that surface, so the weak Jacobi identity and the morphism
 equations are evaluated by code that knows nothing about the particular
-algebra.  `jacobi_residual` is the package's only weak-Jacobi shuffle
-sum: tensors, the extension complex and cohomology classes all reach it
+algebra.  `_shuffle_composites` is the package's only weak-Jacobi shuffle
+sum: `jacobi_residual` and the left side of `morphism_residual` walk it,
+and tensors, the extension complex and cohomology classes reach both
 through the adapters below.
 
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
@@ -287,6 +288,32 @@ class ClassLinf(Operations):
 # the generic checkers
 # ---------------------------------------------------------------------------
 
+def _degrees(op: Operations, vs, what: str):
+    """Argument degrees, or None when an argument is zero and the sum vanishes."""
+    if any(op.is_zero(v) for v in vs):
+        return None
+    degs = [op.degree(v) for v in vs]
+    if None in degs:
+        raise ValueError(f"{what} needs homogeneous arguments")
+    return degs
+
+
+def _shuffle_composites(op: Operations, outer, vs, degs, cap: int):
+    """(sign, outer(n + 1 - j, [op.bracket(j, head)] + tail)) per nonzero inner bracket.
+
+    The one weak-Jacobi shuffle sum: every split j = 1..n and every
+    (j, n - j) shuffle, with its Koszul sign in the argument degrees.
+    """
+    n = len(vs)
+    for j in range(1, n + 1):
+        for sh in enumerate_shuffles((j, n - j), cap=max(cap, n)):
+            sign = koszul_sign(sh, degs)
+            inner = op.bracket(j, [vs[sh(t) - 1] for t in range(1, j + 1)])
+            if op.is_zero(inner):
+                continue
+            yield sign, outer(n + 1 - j, [inner] + [vs[sh(t) - 1] for t in range(j + 1, n + 1)])
+
+
 def jacobi_residual(op: Operations, vs, cap: int = DEFAULT_SHUFFLE_CAP):
     """Weak Jacobi residual of op at the given arguments.
 
@@ -296,28 +323,15 @@ def jacobi_residual(op: Operations, vs, cap: int = DEFAULT_SHUFFLE_CAP):
     arity on these arguments.
     """
     vs = list(vs)
-    n = len(vs)
-    if any(op.is_zero(v) for v in vs):
+    degs = _degrees(op, vs, "Jacobi residual")
+    if degs is None:
         return op.zero()
-    degs = []
-    for v in vs:
-        d = op.degree(v)
-        if d is None:
-            raise ValueError("Jacobi residual needs homogeneous arguments")
-        degs.append(d)
     total = None
-    for j in range(1, n + 1):
-        i = n + 1 - j
-        for sh in enumerate_shuffles((j, n - j), cap=max(cap, n)):
-            sign = koszul_sign(sh, degs)
-            inner = op.bracket(j, [vs[sh(t) - 1] for t in range(1, j + 1)])
-            if op.is_zero(inner):
-                continue
-            outer = op.bracket(i, [inner] + [vs[sh(t) - 1] for t in range(j + 1, n + 1)])
-            if op.is_zero(outer):
-                continue
-            term = op.scale(sign, outer)
-            total = term if total is None else op.add(total, term)
+    for sign, outer in _shuffle_composites(op, op.bracket, vs, degs, cap):
+        if op.is_zero(outer):
+            continue
+        term = op.scale(sign, outer)
+        total = term if total is None else op.add(total, term)
     return op.zero() if total is None else total
 
 
@@ -358,14 +372,9 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs,
     """
     vs = list(vs)
     n = len(vs)
-    if any(dom.is_zero(v) for v in vs):
+    degs = _degrees(dom, vs, "morphism check")
+    if degs is None:
         return cod.zero()
-    degs = []
-    for v in vs:
-        d = dom.degree(v)
-        if d is None:
-            raise ValueError("morphism check needs homogeneous arguments")
-        degs.append(d)
     total = None
 
     def accumulate(total, term, scalar):
@@ -374,15 +383,8 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs,
         term = cod.scale(scalar, term)
         return term if total is None else cod.add(total, term)
 
-    for q in range(1, n + 1):
-        p = n + 1 - q
-        for sh in enumerate_shuffles((q, n - q), cap=max(cap, n)):
-            sign = koszul_sign(sh, degs)
-            inner = dom.bracket(q, [vs[sh(t) - 1] for t in range(1, q + 1)])
-            if dom.is_zero(inner):
-                continue
-            term = f(p, [inner] + [vs[sh(t) - 1] for t in range(q + 1, n + 1)])
-            total = accumulate(total, term, sign)
+    for sign, term in _shuffle_composites(dom, f, vs, degs, cap):
+        total = accumulate(total, term, sign)
     for p in range(1, n + 1):
         weight = Fraction(-1, factorial(p))
         for comp in _compositions(n, p):

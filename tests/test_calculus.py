@@ -297,6 +297,35 @@ def test_schouten_right_leibniz_property():
             assert lhs == rhs
 
 
+def test_schouten_left_leibniz_property():
+    rng = random.Random(57)
+    for pair in FAMILIES:
+        for _ in range(30):
+            du, dv, dw = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+            u = random_tensor(rng, pair, du, 2)
+            v = random_tensor(rng, pair, dv, 2)
+            w = random_tensor(rng, pair, dw, 2)
+            lhs = schouten(u.wedge(v), w)
+            sign = -1 if ((dw - 1) * dv) % 2 else 1
+            rhs = u.wedge(schouten(v, w)) + sign * schouten(u, w).wedge(v)
+            assert lhs == rhs
+
+
+def test_schouten_hand_case_bracket_sum():
+    p = su2()
+    assert schouten(basis_t(p, 1, 2), basis_t(p, 1)) == -basis_t(p, 1, 3)
+
+
+def test_schouten_hand_case_left_action_sum():
+    x, y = parse_poly("x", 2), parse_poly("y", 2)
+    assert schouten(x * basis_t(PLANE, 1, 2), y * basis_t(PLANE, 1)) == -y * basis_t(PLANE, 1, 2)
+
+
+def test_schouten_hand_case_right_action_sum():
+    x, y = parse_poly("x", 3), parse_poly("y", 3)
+    assert schouten(x * basis_t(SPACE, 1, 2), y * basis_t(SPACE, 3)) == x * basis_t(SPACE, 1, 3)
+
+
 def test_schouten_degree():
     rng = random.Random(59)
     for pair in FAMILIES:

@@ -271,6 +271,19 @@ def test_poisson_rejects_a_non_symplectic_field(run, tmp_path):
     assert code == 2 and "element 1" in err
 
 
+ROTATION_COCYCLE = {"f": [[[], "-1/2*x^2 - 1/2*y^2"]], "x": [[[2], "x"], [[1], "-y"]]}
+
+
+@pytest.mark.parametrize("degree", ["a", "1", 1.5, [1], True])
+def test_poisson_rejects_a_degree_that_is_not_an_integer(run, tmp_path, degree):
+    path = write(tmp_path, "els.json", {
+        "elements": [dict(ROTATION_COCYCLE, degree=degree), ROTATION_COCYCLE],
+    })
+    code, payload, err = run("poisson", PLANE, path)
+    assert code == 2 and payload is None
+    assert err.startswith("error: element 1: ")
+
+
 def test_momentum_check_certifies_the_rotation_candidate(run):
     code, payload, _ = run("momentum-check", PLANE, ROTATION)
     assert code == 0 and payload["ok"]
