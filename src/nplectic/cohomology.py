@@ -33,7 +33,7 @@ from .engine import (
     basis_elements,
     contract_reversed_wedge,
     d_omega,
-    element_vector,
+    element_coords,
     matrix_of,
     monomials_exact,
     slice_basis,
@@ -54,10 +54,10 @@ def _shift_weight(pair, r: int, by: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 def ce_matrix(pair, word_len: int, weight: int = 0):
-    """Matrix of d on one cotensor slice, plus the slice labels."""
+    """Sparse rows of the matrix of d on one cotensor slice, plus the slice labels."""
     labels = slice_basis(pair, word_len, monomials_exact(pair.poly_nvars, weight))
-    matrix, _ = matrix_of(ce_differential, pair, Cotensor, labels)
-    return matrix, labels
+    rows, _ = matrix_of(ce_differential, pair, Cotensor, labels)
+    return rows, labels
 
 
 def ce_cohomology_rank(pair, word_len: int, weight: int = 0) -> dict:
@@ -68,8 +68,8 @@ def ce_cohomology_rank(pair, word_len: int, weight: int = 0) -> dict:
 def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:
     """One rank row per (word length, weight); each slice's d is ranked once."""
     def differential(wl, w):
-        matrix, labels = ce_matrix(pair, wl, w)
-        return (rank_fraction_free(matrix) if labels else 0), len(labels)
+        rows, labels = ce_matrix(pair, wl, w)
+        return rank_fraction_free(rows), len(labels)
     return _rank_table(degrees, weights, differential,
                        lambda wl, w: (wl - 1, _shift_weight(pair, w)))
 
@@ -126,24 +126,19 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
 
 
 def _dw_matrix(s: NPlecticStructure, k: int, r: int):
-    """Matrix of the extension differential on one slice.
+    """Columns of the matrix of the extension differential on one slice.
 
-    Columns run over the slice basis (tensor part first); rows over the
-    full target cotensor slice one degree and one weight down.
+    One sparse column per slice basis element (tensor part first), with
+    rows over the full target cotensor slice one degree and one weight
+    down.  Returns (columns, slice dimension).
     """
     pair = s.pair
     sym_reps, f_labels, f_wl = extension_slice(s, k, r)
-    ncols = len(sym_reps) + len(f_labels)
-    tgt_labels = slice_basis(pair, f_wl + 1,
-                             monomials_exact(pair.poly_nvars, r))
+    tgt_labels = slice_basis(pair, f_wl + 1, monomials_exact(pair.poly_nvars, r))
     index = {lab: i for i, lab in enumerate(tgt_labels)}
-    columns = []
-    for b in sym_reps:
-        columns.append(element_vector(contract(b, s.omega), index, len(tgt_labels)))
-    for h in basis_elements(pair, Cotensor, f_labels):
-        columns.append(element_vector(-ce_differential(h), index, len(tgt_labels)))
-    matrix = [[col[row] for col in columns] for row in range(len(tgt_labels))]
-    return matrix, ncols
+    images = [contract(b, s.omega) for b in sym_reps]
+    images += [-ce_differential(h) for h in basis_elements(pair, Cotensor, f_labels)]
+    return [element_coords(img, index) for img in images], len(images)
 
 
 def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
@@ -154,8 +149,8 @@ def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
 def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[dict]:
     """One rank row per (degree, weight); each slice's differential is ranked once."""
     def differential(k, r):
-        matrix, dim = _dw_matrix(s, k, r)
-        return (rank_fraction_free(matrix) if dim else 0), dim
+        columns, dim = _dw_matrix(s, k, r)
+        return rank_fraction_free(columns), dim
     return _rank_table(degrees, weights, differential,
                        lambda k, r: (k + 1, _shift_weight(s.pair, r)))
 
@@ -239,11 +234,17 @@ class CohomClass:
 
 
 def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
-    """Canonical class of a cocycle; raises NotACocycle otherwise."""
+    """Canonical class of a cocycle; raises NotACocycle otherwise.
+
+    An explicit degree must agree with the element's own degree, if it has one.
+    """
     residual = d_omega(e)
     if not residual.is_zero():
         raise NotACocycle(residual)
-    k = degree if degree is not None else e.degree()
+    own = e.degree()
+    if own is not None and degree is not None and degree != own:
+        raise ValueError(f"element has degree {own}, not {degree}")
+    k = degree if degree is not None else own
     if k is None:
         raise ValueError("class of a non-homogeneous element needs an explicit degree")
     s = e.structure

@@ -20,6 +20,7 @@ slice finite.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .calculus import ce_differential, contract, higher_bracket
@@ -94,19 +95,34 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 # finite slices and exact solving
 # ---------------------------------------------------------------------------
 
-def monomials_upto(nvars: int, max_degree: int):
-    """All exponent tuples of total degree <= max_degree, sorted."""
-    return sorted(e for e in itertools.product(range(max_degree + 1), repeat=nvars)
-                  if sum(e) <= max_degree)
+# The most basis elements slice_basis builds, 30x the largest slice of the
+# shipped models and benchmark inputs (336).  On a 2-vCPU machine, d on a
+# 9,900-element slice over 10 variables is built and ranked in 7 s.  This
+# bounds the elements, not the time: d costs more per element as the number
+# of generators grows, 39 s for 5,940 elements over 12 variables.
+MAX_SLICE_DIM = 10_000
 
 
 def monomials_exact(nvars: int, degree: int):
-    return sorted(e for e in itertools.product(range(degree + 1), repeat=nvars)
-                  if sum(e) == degree)
+    """All exponent tuples of total degree `degree`, sorted."""
+    if degree < 0:
+        return []
+    return sorted(tuple(combo.count(v) for v in range(nvars))
+                  for combo in itertools.combinations_with_replacement(range(nvars), degree))
+
+
+def monomials_upto(nvars: int, max_degree: int):
+    """All exponent tuples of total degree <= max_degree, sorted."""
+    return sorted(e for d in range(max_degree + 1) for e in monomials_exact(nvars, d))
 
 
 def slice_basis(pair, word_len: int, monos) -> list[tuple]:
-    """Basis labels (word, exponent) of one finite (co)tensor slice."""
+    """Basis labels (word, exponent) of one finite (co)tensor slice; raises
+    CapExceeded past MAX_SLICE_DIM of them."""
+    size = math.comb(pair.ngens, word_len) * len(monos) if word_len >= 0 else 0
+    if size > MAX_SLICE_DIM:
+        raise CapExceeded(f"slice of word length {word_len} has {size} basis elements, "
+                          f"more than {MAX_SLICE_DIM}")
     words = list(ascending_words(pair.ngens, word_len))
     return [(w, e) for w in words for e in monos]
 
@@ -127,14 +143,6 @@ def element_coords(elem, index: dict) -> dict[int, Fraction]:
     return coords
 
 
-def element_vector(elem, index: dict, size: int):
-    """Dense coordinates of an element in a slice."""
-    vec = [Fraction(0)] * size
-    for i, c in element_coords(elem, index).items():
-        vec[i] = c
-    return vec
-
-
 def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
     """The element with the given sparse coordinates in a slice."""
     terms = {}
@@ -144,19 +152,18 @@ def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
     return cls(pair, [(w, Poly(pair.poly_nvars, t)) for w, t in terms.items()])
 
 
-def vector_element(pair, cls, labels, vec):
-    return coords_element(pair, cls, labels, {i: c for i, c in enumerate(vec) if c})
-
-
 class Quotient:
     """A finite slice modulo the span of some of its elements; `reduce`
     gives the canonical representative, the residue against the span's
     reduced echelon basis."""
 
     def __init__(self, pair, cls, labels, spanning):
-        self.pair, self.cls, self.labels = pair, cls, labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
-        self.echelon = Echelon(len(labels))
+        # highest total degree first, so that pivots sit on the leading terms:
+        # a normal form, whatever window the labels come from
+        self.labels = sorted(labels, key=lambda lab: (-sum(lab[1]), lab))
+        self.pair, self.cls = pair, cls
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.echelon = Echelon()
         for elem in spanning:
             self.add(elem)
 
@@ -169,26 +176,19 @@ class Quotient:
         return coords_element(self.pair, self.cls, self.labels, coords)
 
 
-def matrix_of(fn, pair, src_cls, src_labels, tgt_cls=None):
+def matrix_of(fn, pair, src_cls, src_labels):
     """Matrix of a linear map on a slice; the target window is inferred.
 
-    Returns (matrix, tgt_labels): one column per source basis label, rows
-    indexed by every (word, exponent) appearing in any image.
+    Returns (rows, tgt_labels): one sparse row {source column: entry} per
+    (word, exponent) appearing in any image, in sorted label order.
     """
-    images = [fn(elem) for elem in basis_elements(pair, src_cls, src_labels)]
-    seen = set()
-    for img in images:
-        for w, poly in img.terms.items():
-            for e in poly.terms:
-                seen.add((w, e))
-    tgt_labels = sorted(seen)
-    index = {lab: i for i, lab in enumerate(tgt_labels)}
-    matrix = [[Fraction(0)] * len(src_labels) for _ in tgt_labels]
-    for col, img in enumerate(images):
-        for w, poly in img.terms.items():
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for col, elem in enumerate(basis_elements(pair, src_cls, src_labels)):
+        for w, poly in fn(elem).terms.items():
             for e, c in poly.terms.items():
-                matrix[index[(w, e)]][col] = c
-    return matrix, tgt_labels
+                rows.setdefault((w, e), {})[col] = c
+    tgt_labels = sorted(rows)
+    return [rows[lab] for lab in tgt_labels], tgt_labels
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +202,8 @@ def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
 
 def _null_slice(s, degree, monos, fn):
     labels = slice_basis(s.pair, degree, list(monos))
-    matrix, _ = matrix_of(fn, s.pair, Tensor, labels)
-    kernel = null_space(matrix, cols=len(labels))
-    return [vector_element(s.pair, Tensor, labels, vec) for vec in kernel]
+    rows, _ = matrix_of(fn, s.pair, Tensor, labels)
+    return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
 
 
 def symplectic_slice(s: NPlecticStructure, degree: int, monos):
@@ -230,9 +229,9 @@ def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     """Canonical representative of x modulo the contraction kernel.
 
-    Works slice by slice; sound as long as the kernel is spanned inside
-    the window of x, which holds whenever omega has homogeneous
-    polynomial coefficients (true for every shipped model).
+    Works slice by slice, in the window of x's polynomial degree.  The
+    quotient pivots on the highest degree, so the representative does not
+    depend on the window or on the representative x started from.
     """
     out = Tensor.zero(s.pair)
     pd = max(x.max_poly_degree(), 0)
@@ -317,16 +316,15 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure,
             return None
         if not labels:
             return None
-        matrix, tgt_labels = matrix_of(ce_differential, s.pair, Cotensor, labels)
-        index = {lab: i for i, lab in enumerate(tgt_labels)}
+        rows, tgt_labels = matrix_of(ce_differential, s.pair, Cotensor, labels)
         try:
-            rhs = element_vector(part, index, len(tgt_labels))
+            rhs = element_coords(part, {lab: i for i, lab in enumerate(tgt_labels)})
         except ValueError:
             return None  # the slice image cannot reach this component
-        sol = solve(matrix, rhs)
+        sol = solve(rows, rhs, len(labels))
         if sol is None:
             return None
-        out = out + vector_element(s.pair, Cotensor, labels, sol)
+        out = out + coords_element(s.pair, Cotensor, labels, sol)
     return out
 
 

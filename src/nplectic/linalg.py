@@ -7,17 +7,20 @@ and zero in every other row.  The reduced echelon form of a span is
 unique, so ranks, null-space bases, `solve` answers and residues depend
 only on the span, never on the order the vectors came in.
 
-`rank_fraction_free`, `rref`, `null_space` and `solve` take dense matrices
-(lists of Fraction rows) and are thin wrappers over the kernel.
-`rank_dense` is a plain dense Gauss-Jordan loop that shares no code with
-it; it is the independent oracle the tests check the kernel against.
+Every vector and matrix row has this one sparse form, from the slice
+matrices to the answers: `rref` builds the basis of a list of rows, and
+`rank_fraction_free`, `null_space` and `solve` read their answers straight
+off it.  (`rank_fraction_free` keeps its old name, under which the
+benchmark tracer finds it; nothing in it is fraction-free.)  `rank_dense`
+is a plain dense Gauss-Jordan loop over lists of Fraction rows that shares
+no code with the kernel; it is the independent oracle the tests check the
+kernel against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
 Vector = dict[int, Fraction]  # sparse: column -> nonzero entry
 
 
@@ -54,24 +57,14 @@ def _insert(rows: dict[int, Vector], v: Vector) -> bool:
 
 
 class Echelon:
-    """Growing reduced echelon basis of a subspace of Q^dim.
+    """Growing reduced echelon basis of a subspace.
 
-    Vectors are sparse dicts {column: Fraction}.  `reduce` gives the
-    residue modulo the span, a canonical representative of the coset;
-    `add` enlarges the span.
+    `reduce` gives the residue of a vector modulo the span, a canonical
+    representative of its coset; `add` enlarges the span.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.rows: dict[int, Vector] = {}  # pivot column -> row without its pivot
-
-    @classmethod
-    def of_rows(cls, mat: Matrix) -> "Echelon":
-        """The row space of a dense matrix."""
-        ech = cls(len(mat[0]) if mat else 0)
-        for row in mat:
-            _insert(ech.rows, _residue(ech.rows, {c: a for c, a in enumerate(row) if a}))
-        return ech
 
     def reduce(self, vec: Vector) -> Vector:
         return _residue(self.rows, {c: a for c, a in vec.items() if a})
@@ -84,35 +77,24 @@ class Echelon:
         return not self.reduce(vec)
 
     @property
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
-    @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (zero rows last) and pivot column indices."""
-    ech = Echelon.of_rows(mat)
-    pivots = ech.pivots
-    red = []
-    for p in pivots:
-        dense = [Fraction(0)] * ech.dim
-        dense[p] = Fraction(1)
-        for c, a in ech.rows[p].items():
-            dense[c] = a
-        red.append(dense)
-    red += [[Fraction(0)] * ech.dim for _ in range(len(mat) - len(pivots))]
-    return red, pivots
+def rref(rows: list[Vector]) -> Echelon:
+    """The reduced echelon basis of the span of sparse rows."""
+    ech = Echelon()
+    for row in rows:
+        _insert(ech.rows, _residue(ech.rows, {c: a for c, a in row.items() if a}))
+    return ech
 
 
-def rank_fraction_free(mat: Matrix) -> int:
-    """Rank of a dense matrix, by the sparse kernel."""
-    return Echelon.of_rows(mat).rank
+def rank_fraction_free(rows: list[Vector]) -> int:
+    """Rank of the span of sparse rows."""
+    return rref(rows).rank
 
 
-def rank_dense(mat: Matrix) -> int:
+def rank_dense(mat: list[list[Fraction]]) -> int:
     """Rank by plain dense Gauss-Jordan over Fraction: the test oracle."""
     m = [list(row) for row in mat]
     cols = len(m[0]) if m else 0
@@ -132,35 +114,23 @@ def rank_dense(mat: Matrix) -> int:
     return r
 
 
-def solve(mat: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of mat * x = rhs (free variables 0), or None."""
-    if not mat:
-        return [] if not any(rhs) else None
-    cols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+def solve(rows: list[Vector], rhs: Vector, cols: int) -> Vector | None:
+    """One exact solution x of rows * x = rhs (free variables 0), or None.
+
+    rows have their entries in columns 0..cols-1; rhs is keyed by row index.
+    """
+    ech = rref([{**row, cols: rhs.get(i, 0)} for i, row in enumerate(rows)])
+    if cols in ech.rows:
         return None  # a pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
+    return {p: row[cols] for p, row in ech.rows.items() if cols in row}
 
 
-def null_space(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the kernel, one vector per free column, deterministic order."""
-    if not mat:
-        assert cols is not None, "need the column count for an empty matrix"
-        zero, one = Fraction(0), Fraction(1)
-        return [[one if j == i else zero for j in range(cols)] for i in range(cols)]
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+def null_space(rows: list[Vector], cols: int) -> list[Vector]:
+    """Basis of the kernel: for each free column fc in ascending order, the
+    vector with 1 at fc, 0 at every other free column."""
+    ech = rref(rows)
+    basis = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in ech.rows}
+    for p, row in ech.rows.items():
+        for fc, a in row.items():  # rows are zero on every other pivot
+            basis[fc][p] = -a
+    return list(basis.values())

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,16 @@ def test_jacobi_arity_above_cap_exits_three(run):
     assert "exceeds cap" in err
 
 
+def test_cohomology_on_forty_variables_exits_three_quickly(run, tmp_path):
+    path = write(tmp_path, "poly40.json", {
+        "n": 1, "omega": [[[1, 2], "1"]], "pair": {"family": "poly", "vars": 40}})
+    start = time.monotonic()
+    code, payload, err = run("cohomology", path, "--weights=0:2")
+    assert time.monotonic() - start < 5
+    assert code == 3 and payload is None
+    assert err.startswith("error: slice of word length")
+
+
 def test_cap_env_var_and_override(run, monkeypatch):
     monkeypatch.setenv("NPLECTIC_ARITY_CAP", "3")
     code, _, _ = run("jacobi", PLANE, "--max-arity", "4", "--count", "1")
@@ -282,6 +293,16 @@ def test_poisson_rejects_a_degree_that_is_not_an_integer(run, tmp_path, degree):
     code, payload, err = run("poisson", PLANE, path)
     assert code == 2 and payload is None
     assert err.startswith("error: element 1: ")
+
+
+@pytest.mark.parametrize("degree", [5, -2])
+def test_poisson_rejects_a_degree_the_element_does_not_have(run, tmp_path, degree):
+    path = write(tmp_path, "els.json", {
+        "elements": [dict(ROTATION_COCYCLE, degree=degree), ROTATION_COCYCLE],
+    })
+    code, payload, err = run("poisson", PLANE, path)
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: element 1: element has degree 1, not {degree}")
 
 
 def test_momentum_check_certifies_the_rotation_candidate(run):

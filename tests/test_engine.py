@@ -1,15 +1,18 @@
 """n-plectic structures, Hamiltonian potentials and the extension complex."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nplectic.calculus import ce_differential, contract, higher_bracket, lie_derivative
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
     DegreeError,
     ExtensionElement,
+    MAX_SLICE_DIM,
     NotClosedError,
     NPlecticStructure,
     SymplecticTensor,
@@ -19,13 +22,17 @@ from nplectic.engine import (
     hamiltonian_potential,
     is_symplectic,
     kernel_basis,
+    monomials_exact,
+    monomials_upto,
     reduce_mod_kernel,
+    slice_basis,
     structure_from_json,
     symplectic_basis,
 )
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
+from nplectic.scalars import CapExceeded
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -98,6 +105,23 @@ def test_structure_json_roundtrip():
 # -- symplectic tensors ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomials_match_a_brute_force_enumeration(nvars):
+    for degree in range(-2, 5):
+        box = list(itertools.product(range(max(degree, 0) + 1), repeat=nvars))
+        assert monomials_exact(nvars, degree) == sorted(e for e in box if sum(e) == degree)
+        assert monomials_upto(nvars, degree) == sorted(e for e in box if sum(e) <= degree)
+
+
+def test_slice_basis_refuses_a_slice_past_the_cap():
+    at_cap = monomials_exact(2, MAX_SLICE_DIM // 2 - 1)  # MAX_SLICE_DIM / 2 monomials
+    assert len(slice_basis(PLANE, 1, at_cap)) == MAX_SLICE_DIM
+    with pytest.raises(CapExceeded):
+        slice_basis(PLANE, 1, monomials_exact(2, MAX_SLICE_DIM // 2))
+    with pytest.raises(CapExceeded):
+        slice_basis(PolyVectorFieldPair(40), 2, monomials_exact(40, 2))  # 780 x 820
+
+
 def test_plane_symplectic_iff_divergence_free():
     s = plane_structure()
     assert is_symplectic(tensor(PLANE, ((2,), "x")), s)
@@ -137,6 +161,39 @@ def test_reduce_mod_kernel_drops_kernel_directions():
     a = SymplecticTensor(s, tensor(SPACE, ((1,), 1), ((3,), "x*z")))
     b = SymplecticTensor(s, Tensor.basis(SPACE, (1,)))
     assert a == b
+
+
+def test_representatives_do_not_depend_on_the_window():
+    # the kernel direction @y - x@z leaves the window of @y
+    s = NPlecticStructure(SPACE, 1, Cotensor(SPACE, [((1, 3), 1), ((1, 2), "x")]))
+    a = SymplecticTensor(s, tensor(SPACE, ((2,), 1)))
+    b = SymplecticTensor(s, tensor(SPACE, ((3,), "x")))
+    assert (a - b).is_zero()
+    assert a == b
+
+
+COEFFS = ["0", "1", "x", "y", "z", "x*y", "y^2", "x*z", "z^2", "x^2*y", "y*z^2"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.lists(st.sampled_from(COEFFS), min_size=3, max_size=3),
+       data=st.data())
+def test_representatives_absorb_kernel_elements_from_larger_windows(alpha, data):
+    # omega = dx^dz + d alpha is closed, and its coefficients mix degrees
+    alpha = Cotensor(SPACE, [((i,), c) for i, c in enumerate(alpha, start=1)])
+    omega = Cotensor(SPACE, {(1, 3): 1}) + ce_differential(alpha)
+    s = NPlecticStructure(SPACE, 1, omega)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    degree = data.draw(st.integers(1, 2))
+    x_window = data.draw(st.integers(0, 1))
+    k_window = data.draw(st.integers(x_window + 1, 3))
+    x = Tensor.zero(SPACE)
+    for b in symplectic_basis(s, degree, x_window):
+        x = x + random_fraction(rng) * b
+    k = Tensor.zero(SPACE)
+    for b in kernel_basis(s, degree, k_window):
+        k = k + random_fraction(rng) * b
+    assert reduce_mod_kernel(s, x) == reduce_mod_kernel(s, x + k)
 
 
 @pytest.fixture

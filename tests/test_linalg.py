@@ -42,12 +42,26 @@ def sparse(vec):
     return {j: a for j, a in enumerate(vec) if a}
 
 
+def sparse_rows(mat):
+    return [sparse(row) for row in mat]
+
+
+def dense(rows, cols):
+    return [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows]
+
+
+def apply(mat, vec):
+    """mat (dense) times vec (sparse)."""
+    return [sum((row[j] * a for j, a in vec.items()), Fraction(0)) for row in mat]
+
+
 def test_rref_small():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    red, pivots = rref(m)
+    ech = rref(sparse_rows(m))
+    pivots = sorted(ech.rows)
     assert pivots == [0]
-    assert red[0] == [Fraction(1), Fraction(2)]
-    assert red[1] == [Fraction(0), Fraction(0)]
+    assert ech.rows[0] == {1: Fraction(2)}  # the row [1, 2] without its pivot
+    assert ech.rank == 1  # the second row reduced to zero
 
 
 def test_rank_paths_agree():
@@ -55,7 +69,7 @@ def test_rank_paths_agree():
     for _ in range(120):
         rows, cols = rng.randint(0, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
-        assert rank_dense(m) == rank_fraction_free(m)
+        assert rank_dense(m) == rank_fraction_free(sparse_rows(m))
 
 
 def test_rank_with_forced_rank():
@@ -64,8 +78,8 @@ def test_rank_with_forced_rank():
         rows, cols = rng.randint(2, 5), rng.randint(2, 5)
         r = rng.randint(0, min(rows, cols))
         m = rand_matrix(rng, rows, cols, rank=r)
-        assert rank_fraction_free(m) <= r
-        assert rank_dense(m) == rank_fraction_free(m)
+        assert rank_fraction_free(sparse_rows(m)) <= r
+        assert rank_dense(m) == rank_fraction_free(sparse_rows(m))
 
 
 def test_solve_and_nullspace():
@@ -75,29 +89,30 @@ def test_solve_and_nullspace():
         m = rand_matrix(rng, rows, cols)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(row[j] * x0[j] for j in range(cols)) for row in m]
-        x = solve(m, rhs)
+        x = solve(sparse_rows(m), sparse(rhs), cols)
         assert x is not None
-        assert [sum(row[j] * x[j] for j in range(cols)) for row in m] == rhs
-        for vec in null_space(m):
-            assert all(sum(row[j] * vec[j] for j in range(cols)) == 0 for row in m)
-        assert len(null_space(m)) == cols - rank_dense(m)
+        assert apply(m, x) == rhs
+        for vec in null_space(sparse_rows(m), cols):
+            assert all(v == 0 for v in apply(m, vec))
+        assert len(null_space(sparse_rows(m), cols)) == cols - rank_dense(m)
 
 
 def test_solve_detects_inconsistency():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert solve(m, [Fraction(0), Fraction(1)]) is None
+    assert solve(sparse_rows(m), sparse([Fraction(0), Fraction(1)]), 2) is None
 
 
 def test_nullspace_of_empty_matrix():
     basis = null_space([], cols=3)
     assert len(basis) == 3
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_echelon_reduction_is_canonical():
     rng = random.Random(8)
     for _ in range(40):
         dim = rng.randint(1, 6)
-        ech = Echelon(dim)
+        ech = Echelon()
         vecs = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
         for v in vecs:
             ech.add(sparse(v))
@@ -121,11 +136,14 @@ def test_sparse_ranks_match_the_dense_oracle():
         rows, cols = rng.randint(0, 12), rng.randint(1, 12)
         rank = rng.choice((None, rng.randint(0, min(rows, cols))))
         m = sparse_matrix(rng, rows, cols, rank)
-        assert rank_fraction_free(m) == rank_dense(m)
+        assert rank_fraction_free(sparse_rows(m)) == rank_dense(m)
         if rank is not None:
             assert rank_dense(m) <= rank
     assert rank_fraction_free([]) == rank_dense([]) == 0
-    assert rank_fraction_free([[Fraction(0)] * 4] * 3) == rank_dense([[Fraction(0)] * 4] * 3) == 0
+    zero = [[Fraction(0)] * 4] * 3
+    assert rank_fraction_free(sparse_rows(zero)) == rank_dense(zero) == 0
+    # explicit zero entries are dropped on the way in
+    assert rank_fraction_free([{0: Fraction(0), 3: Fraction(0)}] * 3) == 0
 
 
 def test_sparse_null_spaces_are_annihilated_and_complete():
@@ -133,12 +151,18 @@ def test_sparse_null_spaces_are_annihilated_and_complete():
     for _ in range(100):
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         m = sparse_matrix(rng, rows, cols, rng.choice((None, rng.randint(0, min(rows, cols)))))
-        basis = null_space(m)
+        basis = null_space(sparse_rows(m), cols)
         assert len(basis) == cols - rank_dense(m)
         for vec in basis:
-            assert all(sum(row[j] * vec[j] for j in range(cols)) == 0 for row in m)
+            assert all(v == 0 for v in apply(m, vec))
         # independent: the basis has full rank
-        assert rank_dense(basis) == len(basis) if basis else True
+        assert rank_dense(dense(basis, cols)) == len(basis) if basis else True
+        # the basis the reports depend on: one vector per free column, in
+        # ascending order, with 1 there and 0 at every other free column
+        free = [c for c in range(cols) if c not in rref(sparse_rows(m)).rows]
+        assert len(free) == len(basis)
+        for fc, vec in zip(free, basis):
+            assert [vec.get(c, 0) for c in free] == [int(c == fc) for c in free]
 
 
 def test_echelon_residues_depend_only_on_the_span():
@@ -151,11 +175,10 @@ def test_echelon_residues_depend_only_on_the_span():
         for _ in range(3):
             order = vecs[:]
             rng.shuffle(order)
-            ech = Echelon(dim)
+            ech = Echelon()
             for v in order:
                 ech.add(v)
-            assert ech.rank == rank_dense([[v.get(j, Fraction(0)) for j in range(dim)]
-                                           for v in vecs])
+            assert ech.rank == rank_dense(dense(vecs, dim))
             residues.append([ech.reduce(p) for p in probes])
         assert residues[0] == residues[1] == residues[2]
 
@@ -169,4 +192,11 @@ def test_the_dense_oracle_does_not_use_the_kernel(monkeypatch):
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(3)]]
     assert rank_dense(m) == 2
     with pytest.raises(AssertionError, match="sparse kernel"):
-        rank_fraction_free(m)
+        rank_fraction_free(sparse_rows(m))
+
+
+def test_the_kernel_never_densifies():
+    F = Fraction
+    # a dense row of 10**9 + 2 cells would not fit in memory
+    assert rank_fraction_free([{10**9: F(1)}, {0: F(2), 10**9: F(1)}]) == 2
+    assert solve([{0: F(1), 10**9: F(1)}], {0: F(3)}, 10**9 + 1) == {0: F(3)}
