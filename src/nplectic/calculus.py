@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .elements import Cotensor, Tensor, ascending_words, sort_word, wedge_list
+from .elements import Cotensor, Tensor, sort_word, wedge_list
 from .scalars import DEFAULT_SHUFFLE_CAP, Poly, enumerate_shuffles, koszul_sign, sparse_sum
 
 
@@ -72,49 +72,42 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
 def ce_differential(f: Cotensor) -> Cotensor:
     """The degree -1 differential of the pair.
 
-    On a word-length-l piece the coefficient of a target word W of length
-    l+1 is the alternating sum of derivations of the deleted-letter
-    coefficients plus the alternating bracket-insertion sum:
+    On a word-length-l piece the value on a basis tuple is the alternating
+    sum of derivations of the deleted-letter coefficients plus the
+    alternating bracket-insertion sum:
 
         df(x_0..x_l) = sum_j (-1)^j D_{x_j} f(.. ^x_j ..)
                      + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. ^x_i .. ^x_j ..)
 
-    evaluated on basis tuples.
+    It is summed over the terms c e^w of f, so the work follows the support
+    of f, not the number of target words.  A term reaches w with one
+    letter g added at position j, with (-1)^j D_g(c), and w with its t-th
+    letter k traded for a < b, with (-1)^(i+j+t) c^k_{ab} c, where i and
+    j are the positions of a and b in the target.
     """
     pair = f.pair
-    values = []
-    by_length: dict[int, dict] = {}
+    products = []
     for w, c in f.terms.items():
-        by_length.setdefault(len(w), {})[w] = c
-
-    for length, terms in by_length.items():
-        for target in ascending_words(pair.ngens, length + 1):
-            val = Poly.zero(pair.poly_nvars)
-            # derivation part
-            for j, g in enumerate(target):
-                rest = target[:j] + target[j + 1:]
-                inner = terms.get(rest)
-                if inner is not None:
-                    contrib = pair.action_basis(g, inner)
-                    val = val + (contrib if j % 2 == 0 else -contrib)
-            # bracket-insertion part
-            for i in range(length + 1):
-                for j in range(i + 1, length + 1):
-                    rows = pair.bracket_basis(target[i], target[j])
-                    if not rows:
-                        continue
-                    rest = tuple(g for t, g in enumerate(target) if t not in (i, j))
-                    outer = -1 if (i + j) % 2 else 1
-                    for k, c in rows:
-                        sign, norm = sort_word((k,) + rest)
-                        if sign == 0:
-                            continue
-                        inner = terms.get(norm)
-                        if inner is not None:
-                            val = val + (outer * sign) * c * inner
-            values.append((target, val))
+        j = 0
+        for g in range(1, pair.ngens + 1):
+            if j < len(w) and w[j] == g:
+                j += 1
+                continue
+            dc = pair.action_basis(g, c)
+            if dc:
+                products.append((w[:j] + (g,) + w[j:], -dc if j % 2 else dc))
+        for a, b, k, coef in pair.brackets:
+            if k not in w:
+                continue
+            t = w.index(k)
+            rest = w[:t] + w[t + 1:]
+            if a in rest or b in rest:
+                continue
+            target = tuple(sorted(rest + (a, b)))
+            odd = (target.index(a) + target.index(b) + t) % 2
+            products.append((target, c * (-coef if odd else coef)))
     out = Cotensor.zero(pair)
-    out.terms = sparse_sum(values)
+    out.terms = sparse_sum(products)
     return out
 
 

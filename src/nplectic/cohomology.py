@@ -36,6 +36,7 @@ from .engine import (
     element_coords,
     matrix_of,
     monomials_exact,
+    reduce_mod_kernel,
     slice_basis,
     kernel_slice,
     symplectic_slice,
@@ -251,7 +252,7 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     f_new = Cotensor.zero(s.pair)
     for (d, pd), part in e.f.bigraded_parts().items():
         f_new = f_new + _coboundary_quotient(s, k, -d, pd).reduce(part)
-    return CohomClass(s, k, ExtensionElement(s, f_new, e.sym))
+    return CohomClass(s, k, ExtensionElement.canonical(s, f_new, e.x))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +270,10 @@ def poisson_bracket(k: int, classes, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> 
     out_degree = sum(c.degree for c in classes) - 1
     if k == 1:
         return CohomClass.zero(s, out_degree)
-    xs = [c.rep.sym.rep for c in classes]
-    e = ExtensionElement(s, contract_reversed_wedge(s, xs), higher_bracket(k, xs))
+    xs = [c.rep.x for c in classes]
+    # symplectic by the fundamental pairing, so only reduced
+    e = ExtensionElement.canonical(s, contract_reversed_wedge(s, xs),
+                                   reduce_mod_kernel(s, higher_bracket(k, xs)))
     if e.is_zero():
         return CohomClass.zero(s, out_degree)
     return class_of(e, degree=out_degree)

@@ -15,6 +15,11 @@ An n-plectic structure on a pair is a closed cotensor of tensor degree
 Everything is sliced by (wedge degree, polynomial degree) and solved with
 exact linear algebra; the two shipped coefficient families keep every
 slice finite.
+
+The tensor slot of an extension element is always the canonical residue
+of a symplectic tensor modulo the kernel.  It is checked once, when the
+element is built from an arbitrary tensor; residues form a linear section,
+so arithmetic and the brackets keep the invariant without checking again.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .calculus import ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, bell
+from .scalars import CapExceeded, Poly, as_rational, bell
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -96,10 +101,11 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 # ---------------------------------------------------------------------------
 
 # The most basis elements slice_basis builds, 30x the largest slice of the
-# shipped models and benchmark inputs (336).  On a 2-vCPU machine, d on a
-# 9,900-element slice over 10 variables is built and ranked in 7 s.  This
-# bounds the elements, not the time: d costs more per element as the number
-# of generators grows, 39 s for 5,940 elements over 12 variables.
+# shipped models and benchmark inputs (336).  On a 2-vCPU Xeon, d on a
+# 9,900-element slice over 10 variables is built and ranked in 1.8 s, and
+# on a 5,940-element slice over 12 variables in 0.4 s.  d works per term of
+# its input, at most one target word per generator and bracket row, so the
+# cap bounds the time of d as well as the number of elements.
 MAX_SLICE_DIM = 10_000
 
 
@@ -243,52 +249,6 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     return out
 
 
-class SymplecticTensor:
-    """A symplectic tensor held by its canonical representative mod kernel."""
-
-    __slots__ = ("structure", "rep")
-
-    def __init__(self, structure: NPlecticStructure, x: Tensor):
-        if x.pair != structure.pair:
-            raise ValueError("tensor lives over a different pair")
-        if not is_symplectic(x, structure):
-            raise ValueError(f"not a symplectic tensor: {x!r}")
-        self.structure = structure
-        self.rep = reduce_mod_kernel(structure, x)
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    @property
-    def grade(self):
-        return self.rep.grade
-
-    def __eq__(self, other):
-        return (isinstance(other, SymplecticTensor)
-                and self.structure == other.structure and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __add__(self, other):
-        assert self.structure == other.structure
-        return SymplecticTensor(self.structure, self.rep + other.rep)
-
-    def __neg__(self):
-        return SymplecticTensor(self.structure, -self.rep)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        return SymplecticTensor(self.structure, scalar * self.rep)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"[{self.rep!r}]"
-
-
 def hamiltonian_potential(x: Tensor, s: NPlecticStructure,
                           max_poly_degree: int | None = None) -> Cotensor | None:
     """One exact solution f of d f = i_x omega, or None if there is none.
@@ -335,32 +295,47 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure,
 class ExtensionElement:
     """Pair (f, x): a cotensor alongside a symplectic tensor.
 
+    x is the canonical residue of the tensor modulo the contraction kernel.
+    The constructor is the one checked entry: it rejects a tensor that is
+    not symplectic and reduces the rest.  Residues are a normal form, so
+    sums, negatives and rational multiples of residues are residues again;
+    arithmetic and `canonical` build elements without re-checking.
+
     Homogeneous of degree k when the tensor has wedge degree k and the
     cotensor has word length n - k (the n-shift of its tensor degree).
     """
 
-    __slots__ = ("structure", "f", "sym")
+    __slots__ = ("structure", "f", "x")
 
-    def __init__(self, structure: NPlecticStructure, f: Cotensor, sym):
-        if not isinstance(sym, SymplecticTensor):
-            sym = SymplecticTensor(structure, sym)
+    def __init__(self, structure: NPlecticStructure, f: Cotensor, x: Tensor):
         if f.pair != structure.pair:
             raise ValueError("cotensor lives over a different pair")
+        if x.pair != structure.pair:
+            raise ValueError("tensor lives over a different pair")
+        if not is_symplectic(x, structure):
+            raise ValueError(f"not a symplectic tensor: {x!r}")
         self.structure = structure
         self.f = f
-        self.sym = sym
+        self.x = reduce_mod_kernel(structure, x)
+
+    @classmethod
+    def canonical(cls, structure: NPlecticStructure, f: Cotensor, x: Tensor):
+        """The element (f, x) for an x that already is a canonical residue."""
+        e = object.__new__(cls)
+        e.structure, e.f, e.x = structure, f, x
+        return e
 
     @classmethod
     def zero(cls, structure):
-        return cls(structure, Cotensor.zero(structure.pair), Tensor.zero(structure.pair))
+        return cls.canonical(structure, Cotensor.zero(structure.pair), Tensor.zero(structure.pair))
 
     def is_zero(self) -> bool:
-        return self.f.is_zero() and self.sym.is_zero()
+        return self.f.is_zero() and self.x.is_zero()
 
     def degree(self) -> int | None:
         """Degree as an element of the shifted extension complex."""
         n = self.structure.n
-        degs = {d for d in self.sym.rep.degrees()}
+        degs = set(self.x.degrees())
         degs |= {n + d for d in self.f.degrees()}
         if len(degs) == 1:
             return degs.pop()
@@ -368,32 +343,34 @@ class ExtensionElement:
 
     def __add__(self, other):
         assert self.structure == other.structure
-        return ExtensionElement(self.structure, self.f + other.f, self.sym + other.sym)
+        return ExtensionElement.canonical(self.structure, self.f + other.f, self.x + other.x)
 
     def __neg__(self):
-        return ExtensionElement(self.structure, -self.f, -self.sym)
+        return ExtensionElement.canonical(self.structure, -self.f, -self.x)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return ExtensionElement(self.structure, scalar * self.f, scalar * self.sym)
+        """Rational multiples only: a ring multiple need not stay symplectic."""
+        c = as_rational(scalar)
+        return ExtensionElement.canonical(self.structure, c * self.f, c * self.x)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionElement)
                 and self.structure == other.structure
-                and self.f == other.f and self.sym == other.sym)
+                and self.f == other.f and self.x == other.x)
 
     def __hash__(self):
-        return hash((self.f, self.sym))
+        return hash((self.f, self.x))
 
     def __repr__(self):
-        return f"({self.f!r}, {self.sym!r})"
+        return f"({self.f!r}, [{self.x!r}])"
 
     def to_json(self):
-        return {"f": self.f.to_json(), "x": self.sym.rep.to_json()}
+        return {"f": self.f.to_json(), "x": self.x.to_json()}
 
     @classmethod
     def from_json(cls, structure, data):
@@ -405,12 +382,16 @@ class ExtensionElement:
 def d_omega(e: ExtensionElement) -> ExtensionElement:
     """Extension differential (f, x) -> (i_x omega - d f, 0); squares to zero."""
     s = e.structure
-    new_f = contract(e.sym.rep, s.omega) - ce_differential(e.f)
-    return ExtensionElement(s, new_f, Tensor.zero(s.pair))
+    new_f = contract(e.x, s.omega) - ce_differential(e.f)
+    return ExtensionElement.canonical(s, new_f, Tensor.zero(s.pair))
 
 
 def extension_bracket(k: int, es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> ExtensionElement:
-    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k])."""
+    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]).
+
+    The fundamental pairing makes [x_1..x_k] symplectic, so it is only
+    reduced, not re-checked.
+    """
     es = list(es)
     if len(es) != k:
         raise ValueError(f"expected {k} arguments, got {len(es)}")
@@ -419,10 +400,9 @@ def extension_bracket(k: int, es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> Ext
     if k > cap:
         raise CapExceeded(f"extension bracket arity {k} exceeds cap {cap}")
     s = es[0].structure
-    xs = [e.sym.rep for e in es]
+    xs = [e.x for e in es]
     f_part = Fraction(bell(k - 1)) * contract_reversed_wedge(s, xs)
-    x_part = higher_bracket(k, xs)
-    return ExtensionElement(s, f_part, x_part)
+    return ExtensionElement.canonical(s, f_part, reduce_mod_kernel(s, higher_bracket(k, xs)))
 
 
 def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:

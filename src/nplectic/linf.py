@@ -274,9 +274,6 @@ class ClassLinf(Operations):
     def zero(self):
         return CohomClass.zero(self.structure, 0)
 
-    def is_zero(self, v) -> bool:
-        return v.is_zero()
-
     def degree(self, v):
         return v.degree
 

@@ -106,6 +106,7 @@ class PolyVectorFieldPair:
     """Polynomial coefficients: A = Q[x_1..x_m], g free on the d/dx_i."""
 
     nvars: int
+    brackets = ()
 
     def __post_init__(self):
         if self.nvars < 1:

@@ -218,11 +218,11 @@ class Poly:
     def substitute(self, images: tuple["Poly", ...]) -> "Poly":
         """Ring morphism: plug `images[i]` in for variable i."""
         assert len(images) == self.nvars
-        nv = images[0].nvars if images else 0
-        out = Poly.zero(nv) if images else None
         if not images:
             # zero variables: constants map to constants of the target ring
             raise ValueError("substitute needs a target arity; use const()")
+        nv = images[0].nvars
+        out = Poly.zero(nv)
         for expo, c in self.terms.items():
             term = Poly.const(nv, c)
             for img, e in zip(images, expo):

@@ -1,5 +1,6 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
-oracle for the weak Jacobi residual, and a sampler of extension elements."""
+oracle for the weak Jacobi residual, the target-word oracle for d, and a
+sampler of extension elements."""
 
 import itertools
 import math
@@ -7,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from nplectic.elements import Cotensor, ascending_words, sort_word
 from nplectic.engine import ExtensionElement
 from nplectic.identities import random_symplectic
 from nplectic.sampling import random_cotensor
+from nplectic.scalars import Poly, sparse_sum
 
 
 class VerdictLog:
@@ -68,6 +71,50 @@ def symmetrized_jacobi_sum(op, vs):
 @pytest.fixture(scope="session")
 def jacobi_oracle():
     return symmetrized_jacobi_sum
+
+
+def ce_differential_by_targets(f):
+    """Oracle for `calculus.ce_differential`: d f evaluated word by word.
+
+    For each word length l in f it walks every ascending target word of
+    length l + 1, whatever the support of f, and evaluates
+
+        df(x_0..x_l) = sum_j (-1)^j D_{x_j} f(.. ^x_j ..)
+                     + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. ^x_i .. ^x_j ..)
+
+    on it through the pair's `action_basis` and `bracket_basis`.
+    """
+    pair = f.pair
+    values = []
+    by_length: dict[int, dict] = {}
+    for w, c in f.terms.items():
+        by_length.setdefault(len(w), {})[w] = c
+    for length, terms in by_length.items():
+        for target in ascending_words(pair.ngens, length + 1):
+            val = Poly.zero(pair.poly_nvars)
+            for j, g in enumerate(target):
+                inner = terms.get(target[:j] + target[j + 1:])
+                if inner is not None:
+                    contrib = pair.action_basis(g, inner)
+                    val = val + (contrib if j % 2 == 0 else -contrib)
+            for i in range(length + 1):
+                for j in range(i + 1, length + 1):
+                    rest = tuple(g for t, g in enumerate(target) if t not in (i, j))
+                    outer = -1 if (i + j) % 2 else 1
+                    for k, c in pair.bracket_basis(target[i], target[j]):
+                        sign, norm = sort_word((k,) + rest)
+                        inner = terms.get(norm)
+                        if sign and inner is not None:
+                            val = val + (outer * sign) * c * inner
+            values.append((target, val))
+    out = Cotensor.zero(pair)
+    out.terms = sparse_sum(values)
+    return out
+
+
+@pytest.fixture(scope="session")
+def differential_oracle():
+    return ce_differential_by_targets
 
 
 def random_extension_element(rng, s, degree):

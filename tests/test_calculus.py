@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nplectic.calculus import (
     ce_differential,
@@ -206,6 +207,29 @@ def test_differential_squares_to_zero():
         for _ in range(60):
             f = random_cotensor(rng, pair, rng.randint(0, 3), 3)
             assert ce_differential(ce_differential(f)).is_zero()
+
+
+ORACLE_PAIRS = {
+    "su2": su2(),
+    "heisenberg": ConstantPair.from_brackets(3, {(1, 2): {3: 1}}),
+    "four": ConstantPair.from_brackets(4, {
+        (1, 2): {3: 1, 4: -2}, (1, 3): {1: Fraction(1, 2)},
+        (2, 4): {2: 3, 3: 1}, (3, 4): {1: -1, 4: 5}}),
+    "space": SPACE,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_PAIRS)),
+       lengths=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_differential_matches_the_target_word_oracle(differential_oracle, name, lengths, seed):
+    pair = ORACLE_PAIRS[name]
+    rng = random.Random(seed)
+    f = Cotensor.zero(pair)
+    for length in lengths:
+        f = f + random_cotensor(rng, pair, length, max_degree=2, terms=3)
+    assert ce_differential(f) == differential_oracle(f)
 
 
 def test_differential_is_not_module_linear():

@@ -178,6 +178,26 @@ def test_cohomology_on_forty_variables_exits_three_quickly(run, tmp_path):
     assert err.startswith("error: slice of word length")
 
 
+def test_jacobi_on_forty_variables_exits_three_quickly(run, tmp_path):
+    path = write(tmp_path, "poly40.json", {
+        "n": 1, "omega": [[[1, 2], "1"]], "pair": {"family": "poly", "vars": 40}})
+    start = time.monotonic()
+    code, payload, err = run("jacobi", path, "--max-arity", "3", "--count", "1")
+    assert time.monotonic() - start < 5
+    assert code == 3 and payload is None
+    assert err.startswith("error: slice of word length")
+
+
+def test_nplectic_check_on_sixty_generators_is_quick(run, tmp_path):
+    path = write(tmp_path, "const60.json", {
+        "n": 2, "omega": [[[4, 5, 6], "1"]],
+        "pair": {"family": "constant", "dim": 60, "brackets": {"1,2": {"3": "1"}}}})
+    start = time.monotonic()
+    code, payload, _ = run("nplectic-check", path)
+    assert time.monotonic() - start < 2
+    assert code == 0 and payload["ok"]
+
+
 def test_cap_env_var_and_override(run, monkeypatch):
     monkeypatch.setenv("NPLECTIC_ARITY_CAP", "3")
     code, _, _ = run("jacobi", PLANE, "--max-arity", "4", "--count", "1")

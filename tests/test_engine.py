@@ -15,7 +15,6 @@ from nplectic.engine import (
     MAX_SLICE_DIM,
     NotClosedError,
     NPlecticStructure,
-    SymplecticTensor,
     d_omega,
     extension_bracket,
     fundamental_pairing_check,
@@ -29,6 +28,7 @@ from nplectic.engine import (
     structure_from_json,
     symplectic_basis,
 )
+from nplectic.identities import random_symplectic
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
@@ -59,6 +59,11 @@ def degenerate_structure():
 
 def tensor(pair, *terms):
     return Tensor(pair, list(terms))
+
+
+def tensor_element(s, x):
+    """(0, x) through the checked constructor."""
+    return ExtensionElement(s, Cotensor.zero(s.pair), x)
 
 
 def structures():
@@ -158,31 +163,35 @@ def test_reduce_mod_kernel_drops_kernel_directions():
     s = degenerate_structure()
     x = tensor(SPACE, ((1,), 1), ((3,), "z"))
     assert reduce_mod_kernel(s, x) == Tensor.basis(SPACE, (1,))
-    a = SymplecticTensor(s, tensor(SPACE, ((1,), 1), ((3,), "x*z")))
-    b = SymplecticTensor(s, Tensor.basis(SPACE, (1,)))
+    a = tensor_element(s, tensor(SPACE, ((1,), 1), ((3,), "x*z")))
+    b = tensor_element(s, Tensor.basis(SPACE, (1,)))
     assert a == b
 
 
 def test_representatives_do_not_depend_on_the_window():
     # the kernel direction @y - x@z leaves the window of @y
     s = NPlecticStructure(SPACE, 1, Cotensor(SPACE, [((1, 3), 1), ((1, 2), "x")]))
-    a = SymplecticTensor(s, tensor(SPACE, ((2,), 1)))
-    b = SymplecticTensor(s, tensor(SPACE, ((3,), "x")))
+    a = tensor_element(s, tensor(SPACE, ((2,), 1)))
+    b = tensor_element(s, tensor(SPACE, ((3,), "x")))
     assert (a - b).is_zero()
     assert a == b
 
 
 COEFFS = ["0", "1", "x", "y", "z", "x*y", "y^2", "x*z", "z^2", "x^2*y", "y*z^2"]
+ALPHAS = st.lists(st.sampled_from(COEFFS), min_size=3, max_size=3)
+
+
+def mixed_structure(alpha):
+    """omega = dx^dz + d alpha: closed, with coefficients of mixed degrees."""
+    alpha = Cotensor(SPACE, [((i,), c) for i, c in enumerate(alpha, start=1)])
+    omega = Cotensor(SPACE, {(1, 3): 1}) + ce_differential(alpha)
+    return NPlecticStructure(SPACE, 1, omega)
 
 
 @settings(max_examples=15, deadline=None)
-@given(alpha=st.lists(st.sampled_from(COEFFS), min_size=3, max_size=3),
-       data=st.data())
+@given(alpha=ALPHAS, data=st.data())
 def test_representatives_absorb_kernel_elements_from_larger_windows(alpha, data):
-    # omega = dx^dz + d alpha is closed, and its coefficients mix degrees
-    alpha = Cotensor(SPACE, [((i,), c) for i, c in enumerate(alpha, start=1)])
-    omega = Cotensor(SPACE, {(1, 3): 1}) + ce_differential(alpha)
-    s = NPlecticStructure(SPACE, 1, omega)
+    s = mixed_structure(alpha)
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     degree = data.draw(st.integers(1, 2))
     x_window = data.draw(st.integers(0, 1))
@@ -194,6 +203,38 @@ def test_representatives_absorb_kernel_elements_from_larger_windows(alpha, data)
     for b in kernel_basis(s, degree, k_window):
         k = k + random_fraction(rng) * b
     assert reduce_mod_kernel(s, x) == reduce_mod_kernel(s, x + k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=ALPHAS, data=st.data())
+def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
+    s = mixed_structure(alpha)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    a_window = data.draw(st.integers(0, 1))
+    b_window = data.draw(st.integers(a_window + 1, 2))
+    xa = random_symplectic(rng, s, data.draw(st.integers(1, 2)), a_window)
+    xb = random_symplectic(rng, s, data.draw(st.integers(1, 2)), b_window)
+    fa, fb = (random_cotensor(rng, s.pair, s.n - 1, max_degree=2) for _ in "ab")
+    c = random_fraction(rng)
+    ea, eb = ExtensionElement(s, fa, xa), ExtensionElement(s, fb, xb)
+    a, b = ea.x, eb.x
+    assert reduce_mod_kernel(s, a + c * b) == a + c * b
+    # the unchecked arithmetic agrees with the checked constructor
+    assert ea + c * eb == ExtensionElement(s, fa + c * fb, xa + c * xb)
+    assert ea - eb == ExtensionElement(s, fa - fb, xa - xb)
+    assert -ea == ExtensionElement(s, -fa, -xa)
+    assert eb * c == ExtensionElement(s, c * fb, c * xb)
+
+
+def test_extension_elements_scale_by_rationals_only():
+    s = plane_structure()
+    e = hamiltonian_element(s, {(): "x"}, {(2,): -1})
+    assert e * "1/2" == Fraction(1, 2) * e == hamiltonian_element(s, {(): "1/2*x"}, {(2,): "-1/2"})
+    y = PLANE.coeff("y")  # -y @y is not symplectic: its divergence is -1
+    with pytest.raises(TypeError):
+        e * y
+    with pytest.raises(TypeError):
+        y * e
 
 
 @pytest.fixture
@@ -233,7 +274,7 @@ def test_equal_structures_do_not_share_derived_state(kernel_builds):
 
 def test_symplectic_tensor_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        SymplecticTensor(plane_structure(), tensor(PLANE, ((1,), "x")))
+        tensor_element(plane_structure(), tensor(PLANE, ((1,), "x")))
 
 
 # -- Hamiltonian potentials -----------------------------------------------------
@@ -334,7 +375,7 @@ def test_plane_binary_bracket_of_coordinates():
     ex = hamiltonian_element(s, {(): "x"}, {(2,): -1})
     ey = hamiltonian_element(s, {(): "y"}, {(1,): 1})
     out = extension_bracket(2, [ex, ey])
-    assert out.sym.is_zero()
+    assert out.x.is_zero()
     assert out.f == Cotensor(PLANE, {(): -1})
 
 
