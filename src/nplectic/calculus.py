@@ -83,15 +83,17 @@ def ce_differential(f: Cotensor) -> Cotensor:
     of f, not the number of target words.  A term reaches w with one
     letter g added at position j, with (-1)^j D_g(c), and w with its t-th
     letter k traded for a < b, with (-1)^(i+j+t) c^k_{ab} c, where i and
-    j are the positions of a and b in the target.
+    j are the positions of a and b in the target.  Only the generators in
+    `pair.derivations` act, none of them on a ring without variables.
     """
     pair = f.pair
     products = []
     for w, c in f.terms.items():
         j = 0
-        for g in range(1, pair.ngens + 1):
-            if j < len(w) and w[j] == g:
+        for g in pair.derivations:
+            while j < len(w) and w[j] < g:
                 j += 1
+            if j < len(w) and w[j] == g:
                 continue
             dc = pair.action_basis(g, c)
             if dc:
@@ -143,11 +145,13 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
             - sum_t     (-1)^(t-1) D_{j_t}(a) b e_I ^ e_{J - j_t}
             + sum_r     (-1)^(p-r) a D_{i_r}(b) e_{I - i_r} ^ e_J
 
-    where c^k_{ij} are the rows of `bracket_basis` and D_i is `action_basis`.
+    where c^k_{ij} are the rows of `bracket_basis` and D_i is `action_basis`,
+    zero unless i is in `pair.derivations`.
     """
     if u.pair != v.pair:
         raise ValueError("bracket across different pairs")
     pair = u.pair
+    acting = pair.derivations
     products = []
 
     def emit(word, sign, coeff):
@@ -167,11 +171,11 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
                         if ab is None:
                             ab = a * b
                         emit(wu[:r] + (k,) + wu[r + 1:] + rest, sign, ab * c)
-                da = pair.action_basis(j, a)
+                da = pair.action_basis(j, a) if j in acting else None
                 if da:
                     emit(wu + rest, -sign, da * b)
             for r, i in enumerate(wu):
-                db = pair.action_basis(i, b)
+                db = pair.action_basis(i, b) if i in acting else None
                 if db:
                     emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1, a * db)
     out = Tensor.zero(pair)

@@ -75,7 +75,8 @@ class _Element:
             for g in norm:
                 if not 1 <= g <= self.pair.ngens:
                     raise ValueError(f"generator index {g} out of range for {self.pair}")
-            yield norm, self.pair.coeff(coeff) * sign
+            coeff = self.pair.coeff(coeff)
+            yield norm, coeff if sign == 1 else -coeff
 
     # -- constructors --------------------------------------------------------
 
@@ -154,7 +155,12 @@ class _Element:
         return self + (-other)
 
     def __mul__(self, other):
-        """Module scaling by a ring element (Poly, Fraction, int or string)."""
+        """Module scaling by a ring element (Poly, Fraction, int or string);
+        a rational scales each coefficient without building a constant Poly."""
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self._make({})
+            return self._make({w: c.scale(other) for w, c in self.terms.items()})
         coeff = self.pair.coeff(other)
         if coeff.is_zero():
             return self._make({})
@@ -186,7 +192,8 @@ class _Element:
             for w2, c2 in other.terms.items():
                 sign, norm = sort_word(w1 + w2)
                 if sign:
-                    products.append((norm, c1 * c2 * sign))
+                    c = c1 * c2
+                    products.append((norm, c if sign == 1 else -c))
         return self._make(sparse_sum(products))
 
     # -- serialization -----------------------------------------------------------

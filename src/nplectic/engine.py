@@ -141,7 +141,7 @@ def element_coords(elem, index: dict) -> dict[int, Fraction]:
     """Sparse coordinates of an element in a slice; raises if it leaves the window."""
     coords = {}
     for w, poly in elem.terms.items():
-        for e, c in poly.terms.items():
+        for e, c in poly.coefficients():
             key = (w, e)
             if key not in index:
                 raise ValueError(f"element leaves the slice window at {key}")
@@ -191,7 +191,7 @@ def matrix_of(fn, pair, src_cls, src_labels):
     rows: dict[tuple, dict[int, Fraction]] = {}
     for col, elem in enumerate(basis_elements(pair, src_cls, src_labels)):
         for w, poly in fn(elem).terms.items():
-            for e, c in poly.terms.items():
+            for e, c in poly.coefficients():
                 rows.setdefault((w, e), {})[col] = c
     tgt_labels = sorted(rows)
     return [rows[lab] for lab in tgt_labels], tgt_labels

@@ -78,6 +78,7 @@ class ConstantPair:
 
     poly_nvars = 0
     var_names: tuple[str, ...] = ()
+    derivations = ()  # no generator acts on Q
 
     def gen_name(self, g: int) -> str:
         return f"e{g}"
@@ -121,6 +122,11 @@ class PolyVectorFieldPair:
     @property
     def poly_nvars(self) -> int:
         return self.nvars
+
+    @property
+    def derivations(self) -> range:
+        """The generators that act on the ring: all of them."""
+        return range(1, self.nvars + 1)
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -216,10 +222,13 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     _require_vector(y)
     pair = x.pair
     terms = []
+    acting = pair.derivations
     for (i,), a in x.terms.items():
         for (j,), b in y.terms.items():
-            terms.append(((j,), a * pair.action_basis(i, b)))
-            terms.append(((i,), -(b * pair.action_basis(j, a))))
+            if i in acting:
+                terms.append(((j,), a * pair.action_basis(i, b)))
+            if j in acting:
+                terms.append(((i,), -(b * pair.action_basis(j, a))))
             ab = a * b
             terms.extend(((k,), ab * c) for k, c in pair.bracket_basis(i, j))
     out = Tensor.zero(pair)
@@ -233,7 +242,8 @@ def action(x: Tensor, a) -> Poly:
     a = x.pair.coeff(a)
     out = Poly.zero(x.pair.poly_nvars)
     for (i,), coeff in x.terms.items():
-        out = out + coeff * x.pair.action_basis(i, a)
+        if i in x.pair.derivations:
+            out = out + coeff * x.pair.action_basis(i, a)
     return out
 
 
@@ -281,17 +291,12 @@ def validate_pair(pair: PairDescriptor, samples: int = 25, seed: int = 0,
             break
     report.add("bracket_antisymmetry", bad is None, **(bad or {}))
 
-    # Jacobi, exhaustively on basis triples for the constant family
+    # Jacobi, exhaustively on the basis triples a bracket row reaches: the
+    # Jacobiator of e_i, e_j, e_k vanishes unless two of them have a row
     bad = None
-    if pair.family == "constant":
-        basis = [gvector(pair, [1 if t == i else 0 for t in range(pair.dim)])
-                 for i in range(pair.dim)]
-        triples = [(basis[i], basis[j], basis[k])
-                   for i in range(pair.dim)
-                   for j in range(i + 1, pair.dim)
-                   for k in range(j + 1, pair.dim)]
-    else:
-        triples = []
+    reached = sorted({tuple(sorted((a, b, c))) for a, b, _, _ in pair.brackets
+                      for c in range(1, pair.ngens + 1) if c not in (a, b)})
+    triples = [tuple(Tensor.basis(pair, (g,)) for g in abc) for abc in reached]
     triples += [(random_gvector(rng, pair, max_degree),
                  random_gvector(rng, pair, max_degree),
                  random_gvector(rng, pair, max_degree)) for _ in range(samples)]

@@ -1,10 +1,12 @@
 """Exact scalars and sign combinatorics.
 
 Everything downstream runs over the rationals: coefficients are
-`fractions.Fraction` or sparse multivariate polynomials with Fraction
-coefficients.  Permutations, shuffles, Koszul signs and Bell numbers live
-here too, since every bracket formula downstream is a signed sum over
-shuffles.  No floats anywhere.
+`fractions.Fraction` or sparse multivariate polynomials over Q.  A `Poly`
+stores integer numerators over one common denominator, so its ring
+arithmetic runs on Python ints; only this module reads that storage, and
+everything else sees (exponent, Fraction) pairs.  Permutations, shuffles,
+Koszul signs and Bell numbers live here too, since every bracket formula
+downstream is a signed sum over shuffles.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 class CapExceeded(Exception):
@@ -64,126 +67,176 @@ def _default_names(nvars: int) -> tuple[str, ...]:
 
 
 class Poly:
-    """Sparse polynomial in `nvars` variables with Fraction coefficients.
+    """Sparse polynomial in `nvars` variables with rational coefficients.
 
-    Terms are stored as {exponent tuple: coefficient} with no zero
-    coefficients.  A polynomial in zero variables is just a rational
+    Stored as integer numerators over one common denominator:
+    `nums` maps exponent tuples to nonzero ints and `den > 0` with
+    gcd(den, *nums) == 1, so the zero polynomial has `den == 1` and equal
+    polynomials have equal storage.  Ring arithmetic then runs on ints,
+    with one gcd per result instead of one per coefficient.  Outside this
+    module coefficients are read as (exponent, Fraction) pairs through
+    `coefficients`.  A polynomial in zero variables is just a rational
     number wearing a hat; the constant Lie-Rinehart family uses that.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        """The checked entry: validates exponents and coerces coefficients."""
+        acc: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            self.terms = sparse_sum((self._exponent(expo), as_rational(coeff))
-                                    for expo, coeff in items)
+            for expo, coeff in terms.items() if isinstance(terms, dict) else terms:
+                expo = tuple(map(int, expo))
+                if len(expo) != nvars or (expo and min(expo) < 0):
+                    raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
+                prev = acc.get(expo)
+                coeff = as_rational(coeff)
+                acc[expo] = coeff if prev is None else prev + coeff
+        # over the lcm of reduced denominators the numerators have no
+        # common factor with den, so there is nothing to divide out
+        den = math.lcm(*(q.denominator for q in acc.values()))
+        self.nvars, self.den = nvars, den
+        self.nums = {e: q.numerator * (den // q.denominator) for e, q in acc.items() if q}
 
-    def _exponent(self, expo) -> tuple[int, ...]:
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != self.nvars or any(e < 0 for e in expo):
-            raise ValueError(f"bad exponent tuple {expo} for {self.nvars} variables")
-        return expo
+    @classmethod
+    def _from_nums(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
+        """Trusted constructor: valid exponents, nonzero int numerators and
+        den > 0; only divides out the common factor."""
+        if den != 1:
+            g = math.gcd(den, *nums.values()) if nums else den
+            if g != 1:
+                nums = {e: c // g for e, c in nums.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out.nvars, out.nums, out.den = nvars, nums, den
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls._from_nums(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
         value = as_rational(value)
-        return cls(nvars, {(0,) * nvars: value} if value else None)
+        nums = {(0,) * nvars: value.numerator} if value else {}
+        return cls._from_nums(nvars, nums, value.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         # index is 0-based
         assert 0 <= index < nvars
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {expo: Fraction(1)})
+        return cls._from_nums(nvars, {expo: 1})
 
     # -- structure ----------------------------------------------------------
 
+    def coefficients(self):
+        """The (exponent tuple, Fraction coefficient) pairs of the nonzero terms."""
+        den = self.den
+        return ((e, Fraction(c, den)) for e, c in self.nums.items())
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def max_degree(self) -> int:
         """Total degree; zero polynomial reports -1 so windows stay honest."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
         out: dict[int, dict] = {}
-        for expo, c in self.terms.items():
+        for expo, c in self.nums.items():
             out.setdefault(sum(expo), {})[expo] = c
-        return {d: Poly(self.nvars, t) for d, t in sorted(out.items())}
+        return {d: Poly._from_nums(self.nvars, t, self.den) for d, t in sorted(out.items())}
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a Poly in the same variables, or None if it is no scalar."""
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction, str)):
-                return NotImplemented
-            other = Poly.const(self.nvars, other)
-        self._check(other)
-        out = Poly(self.nvars)
-        out.terms = sparse_sum(itertools.chain(self.terms.items(), other.terms.items()))
-        return out
+                return None
+            return Poly.const(self.nvars, other)
+        if self.nvars != other.nvars:
+            raise ValueError("mixed variable counts")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        nums = {e: c * s1 for e, c in self.nums.items()} if s1 != 1 else dict(self.nums)
+        for e, c in other.nums.items():
+            c = nums.get(e, 0) + c * s2
+            if c:
+                nums[e] = c
+            else:
+                del nums[e]
+        return Poly._from_nums(self.nvars, nums, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._from_nums(self.nvars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction, str)):
-                return NotImplemented
-            other = Poly.const(self.nvars, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def scale(self, q) -> "Poly":
+        """The multiple q * self for a rational (int or Fraction) q."""
+        if q == 1:
+            return self
+        if not q:
+            return Poly.zero(self.nvars)
+        p, r = q.numerator, q.denominator
+        return Poly._from_nums(self.nvars, {e: c * p for e, c in self.nums.items()}, self.den * r)
+
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction, str)):
-                return NotImplemented
-            q = as_rational(other)
-            if not q:
-                return Poly(self.nvars)
-            out = Poly(self.nvars)
-            out.terms = {e: c * q for e, c in self.terms.items()}
-            return out
-        self._check(other)
-        out = Poly(self.nvars)
-        out.terms = sparse_sum((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                               for e1, c1 in self.terms.items()
-                               for e2, c2 in other.terms.items())
-        return out
+        if isinstance(other, (int, Fraction, str)):
+            return self.scale(as_rational(other))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a single term: no two products share a monomial
+            ((e2, c2),) = b.items()
+            nums = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+        else:
+            nums = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    nums[e] = nums.get(e, 0) + c1 * c2
+            nums = {e: c for e, c in nums.items() if c}
+        return Poly._from_nums(self.nvars, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -197,23 +250,23 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to the 0-based variable `index`."""
         assert 0 <= index < self.nvars
-        terms = {}
-        for expo, c in self.terms.items():
+        nums = {}
+        for expo, c in self.nums.items():
             k = expo[index]
             if k:
-                dexpo = expo[:index] + (k - 1,) + expo[index + 1:]
-                terms[dexpo] = terms.get(dexpo, Fraction(0)) + c * k
-        return Poly(self.nvars, terms)
+                nums[expo[:index] + (k - 1,) + expo[index + 1:]] = c * k
+        return Poly._from_nums(self.nvars, nums, self.den)
 
     def substitute(self, images: tuple["Poly", ...]) -> "Poly":
         """Ring morphism: plug `images[i]` in for variable i."""
@@ -223,7 +276,7 @@ class Poly:
             raise ValueError("substitute needs a target arity; use const()")
         nv = images[0].nvars
         out = Poly.zero(nv)
-        for expo, c in self.terms.items():
+        for expo, c in self.coefficients():
             term = Poly.const(nv, c)
             for img, e in zip(images, expo):
                 if e:
@@ -241,10 +294,10 @@ class Poly:
 
 def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:
     """Canonical string form, graded-lexicographic from the top."""
-    if not p.terms:
+    if p.is_zero():
         return "0"
     names = names or _default_names(p.nvars)
-    keyed = sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    keyed = sorted(p.coefficients(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
     chunks = []
     for expo, coeff in keyed:
         factors = []

@@ -1,5 +1,6 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
-oracle for the weak Jacobi residual, the target-word oracle for d, and a
+oracle for the weak Jacobi residual, the target-word oracle for d, a plain
+{exponent: Fraction} polynomial arithmetic as the oracle for `Poly`, and a
 sampler of extension elements."""
 
 import itertools
@@ -115,6 +116,86 @@ def ce_differential_by_targets(f):
 @pytest.fixture(scope="session")
 def differential_oracle():
     return ce_differential_by_targets
+
+
+class DictPoly:
+    """Oracle for `Poly`: polynomials as plain {exponent tuple: Fraction}
+    dicts with no zero values, one Fraction operation per coefficient."""
+
+    @staticmethod
+    def add(a, b):
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def scale(q, a):
+        return {e: q * c for e, c in a.items()} if q else {}
+
+    @staticmethod
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def power(a, k, nvars):
+        out = {(0,) * nvars: Fraction(1)}
+        for _ in range(k):
+            out = DictPoly.mul(out, a)
+        return out
+
+    @staticmethod
+    def diff(a, i):
+        out = {}
+        for e, c in a.items():
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return out
+
+    @staticmethod
+    def substitute(a, images, nvars):
+        out = {}
+        for e, c in a.items():
+            term = {(0,) * nvars: c}
+            for img, k in zip(images, e):
+                term = DictPoly.mul(term, DictPoly.power(img, k, nvars))
+            out = DictPoly.add(out, term)
+        return out
+
+    @staticmethod
+    def components(a):
+        out = {}
+        for e, c in a.items():
+            out.setdefault(sum(e), {})[e] = c
+        return out
+
+    @staticmethod
+    def format(a, names):
+        """Highest total degree first, then exponents descending; unit
+        coefficients of non-constant monomials are left out."""
+        if not a:
+            return "0"
+        text = ""
+        for e in sorted(a, key=lambda e: (sum(e), e), reverse=True):
+            c = a[e]
+            mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+            body = "*".join(([] if mono and abs(c) == 1 else [str(abs(c))])
+                            + ([mono] if mono else []))
+            if not text:
+                text = ("-" if c < 0 else "") + body
+            else:
+                text += (" - " if c < 0 else " + ") + body
+        return text
+
+
+@pytest.fixture(scope="session")
+def poly_oracle():
+    return DictPoly
 
 
 def random_extension_element(rng, s, degree):

@@ -1,12 +1,15 @@
 """The package's public surface: every exported name exists and is public,
-and every name the benchmark tracer wraps can still be found."""
+every name the benchmark tracer wraps can still be found, and only
+`scalars` reads the storage of a `Poly`."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import nplectic
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves_and_is_public():
@@ -15,6 +18,12 @@ def test_every_exported_name_resolves_and_is_public():
         assert not name.startswith("_"), name
         assert hasattr(nplectic, name), name
 
+
+def test_only_scalars_reads_the_poly_storage():
+    storage = re.compile(r"\.(nums|den)\b")
+    for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
+        if path.name != "scalars.py":
+            assert not storage.search(path.read_text()), path.name
 
 
 def test_every_traced_name_resolves():

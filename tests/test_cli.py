@@ -198,6 +198,18 @@ def test_nplectic_check_on_sixty_generators_is_quick(run, tmp_path):
     assert code == 0 and payload["ok"]
 
 
+def test_validate_pair_on_a_hundred_generators_is_quick(run, tmp_path):
+    # su(2) on e1..e3 and 97 central generators: only the basis triples a
+    # bracket row reaches need a Jacobi check
+    path = write(tmp_path, "const100.json", {
+        "family": "constant", "dim": 100,
+        "brackets": {"1,2": {"3": "1"}, "2,3": {"1": "1"}, "1,3": {"2": "-1"}}})
+    start = time.monotonic()
+    code, payload, _ = run("validate-pair", path, "--samples", "2")
+    assert time.monotonic() - start < 5
+    assert code == 0 and payload["ok"]
+
+
 def test_cap_env_var_and_override(run, monkeypatch):
     monkeypatch.setenv("NPLECTIC_ARITY_CAP", "3")
     code, _, _ = run("jacobi", PLANE, "--max-arity", "4", "--count", "1")

@@ -71,6 +71,16 @@ def test_perturbed_su2_fails_jacobi_with_witness():
     assert "x" in jacobi.details and "residual" in jacobi.details
 
 
+def test_jacobi_witness_is_the_first_failing_basis_triple():
+    # [e1,e2] = e1 and [e3,e4] = e2: e1, e3, e4 is the first triple whose
+    # Jacobiator is nonzero, and only the row (3, 4) reaches it
+    pair = ConstantPair.from_brackets(4, {(1, 2): {1: 1}, (3, 4): {2: 1}})
+    jacobi = next(c for c in validate_pair(pair, samples=1).checks if c.name == "jacobi")
+    assert not jacobi.ok
+    assert [jacobi.details[k] for k in "xyz"] == [repr(Tensor.basis(pair, (g,)))
+                                                  for g in (1, 3, 4)]
+
+
 def test_broken_pairing_fails_the_nondegeneracy_check(monkeypatch):
     import nplectic.pairs
 

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nplectic.scalars import (
     CapExceeded,
@@ -214,6 +215,18 @@ def test_zero_variable_polys_are_rationals(p, q, r):
     assert (a * b + c).constant_value() == p * q + r
 
 
+def test_poly_constructor_checks_exponents_and_coefficients():
+    for bad in ({(1,): 1}, {(1, 2, 3): 1}, {(1, -1): 1}):
+        with pytest.raises(ValueError):
+            Poly(2, bad)
+    with pytest.raises(ValueError):
+        Poly(2, {(1, 0): "1/0"})
+    p = Poly(2, [((1, 0), 3), ((0, 1), Fraction(1, 2)), ((0, 0), "-2/3"), ((1, 0), "1/3")])
+    assert p == parse_poly("10/3*x + 1/2*y - 2/3", 2)
+    assert (p.den, p.nums) == (6, {(1, 0): 20, (0, 1): 3, (0, 0): -4})
+    assert Poly(2, {(1, 0): 1, (0, 1): 0}) == Poly.variable(2, 0)
+
+
 def test_poly_diff_product_rule():
     rng = random.Random(9)
     for _ in range(100):
@@ -267,3 +280,81 @@ def test_poly_homogeneous_components():
     for q in comps.values():
         total = total + q
     assert total == p
+
+
+# Coefficients with large, coprime denominators (products of the primes the
+# benchmark rescales by) and numerators far outside -6..6, plus small ones
+# so that sums and products also cancel.
+PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
+coefficients = st.one_of(
+    st.builds(lambda n, ps, k: Fraction(n, math.prod(ps) * k),
+              st.integers(-10**12, 10**12), st.lists(st.sampled_from(PRIMES), max_size=3),
+              st.integers(1, 8)),
+    st.integers(-3, 3).map(Fraction))
+
+
+def poly_dicts(nvars, max_terms=4, max_exponent=2):
+    expos = st.tuples(*[st.integers(0, max_exponent)] * nvars)
+    return st.dictionaries(expos, coefficients, max_size=max_terms).map(
+        lambda d: {e: c for e, c in d.items() if c})
+
+
+@st.composite
+def poly_cases(draw):
+    nvars = draw(st.integers(0, 4))
+    a, b = draw(poly_dicts(nvars)), draw(poly_dicts(nvars))
+    target = draw(st.integers(0, 3))
+    images = [draw(poly_dicts(target, max_terms=2, max_exponent=1)) for _ in range(nvars)]
+    return nvars, a, b, draw(coefficients), draw(st.integers(0, 3)), target, images
+
+
+def canonical(p: Poly, nvars: int) -> Poly:
+    """The storage invariant: nonzero int numerators over one den > 0, gcd 1."""
+    assert p.nvars == nvars and p.den > 0 and all(p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert all(len(e) == nvars and all(k >= 0 for k in e) for e in p.nums)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_cases())
+def test_poly_matches_the_dict_oracle(poly_oracle, case):
+    nvars, a, b, q, k, target, images = case
+    O = poly_oracle
+
+    def check(p, expected, nv=nvars):
+        assert dict(canonical(p, nv).coefficients()) == expected
+
+    A, B = Poly(nvars, a), Poly(nvars, b)
+    check(A, a)
+    check(A + B, O.add(a, b))
+    check(A - B, O.add(a, O.scale(-1, b)))
+    check(-A, O.scale(-1, a))
+    check(A * B, O.mul(a, b))
+    # the cross terms of (A + B)(A - B) cancel inside the product
+    check((A + B) * (A - B), O.mul(O.add(a, b), O.add(a, O.scale(-1, b))))
+    check(A * q, O.scale(q, a))
+    check(q * A, O.scale(q, a))
+    check(A.scale(q), O.scale(q, a))
+    check(A ** k, O.power(a, k, nvars))
+    for i in range(nvars):
+        check(A.diff(i), O.diff(a, i))
+    if nvars:
+        check(A.substitute(tuple(Poly(target, img) for img in images)),
+              O.substitute(a, images, target), target)
+    comps = A.homogeneous_components()
+    assert sorted(comps) == sorted(O.components(a))
+    for d, comp in comps.items():
+        check(comp, O.components(a)[d])
+    names = tuple(f"v{i}" for i in range(nvars))
+    assert format_poly(A, names) == O.format(a, names)
+    assert (A == B) == (a == b) and (A == q) == (a == ({(0,) * nvars: q} if q else {}))
+    same = Poly(nvars, list(reversed(list(a.items()))))
+    for other in (same, (A + B) - B, A * Poly.const(nvars, 1)):
+        assert other == A and hash(other) == hash(A)
+
+
+@given(coefficients, coefficients)
+def test_constants_multiply_as_rationals(q, r):
+    product = Poly.const(0, q) * Poly.const(0, r)
+    assert canonical(product, 0) == Poly.const(0, q * r)
