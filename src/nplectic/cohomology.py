@@ -8,6 +8,13 @@ coefficients of degree r + 1.  The differential drops both by one, so each
 falls outside a reporting window, so the tables never show truncation
 artifacts.
 
+The tensor half of a slice enters only through its images i_x omega.  The
+differential sees a tensor only through its image, and contraction is
+injective on symplectic tensors modulo its kernel, so the linearly
+independent images in the target cotensor slice stand for a basis of that
+quotient.  No kernel quotient of the tensors is built, and each slice
+basis tensor is contracted into omega once.
+
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
 modulo the coboundary span, which is generated by exact cotensors d h
@@ -23,8 +30,8 @@ bracket value a cocycle on the nose.
 
 from __future__ import annotations
 
-from .calculus import ce_differential, contract, higher_bracket
-from .elements import Cotensor, Tensor
+from .calculus import ce_differential, higher_bracket
+from .elements import Cotensor
 from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
@@ -38,10 +45,9 @@ from .engine import (
     monomials_exact,
     reduce_mod_kernel,
     slice_basis,
-    kernel_slice,
     symplectic_slice,
 )
-from .linalg import rank_fraction_free
+from .linalg import Echelon, rank_fraction_free
 from .scalars import CapExceeded
 
 
@@ -106,39 +112,33 @@ def _rank_table(degrees, weights, differential, source) -> list[dict]:
 def extension_slice(s: NPlecticStructure, k: int, r: int):
     """Basis of the (degree k, weight r) slice of the extension complex.
 
-    Returns (sym_reps, f_labels, f_word_len): canonical tensor
-    representatives spanning symplectic-mod-kernel, and cotensor slice
-    labels for the function slot.
+    Returns (images, f_labels, index): the images i_x omega of the
+    symplectic slice that are linearly independent in the target cotensor
+    slice, standing for the tensor half (see the module docstring); the
+    labels of the function slot; and the column index of the target slice.
     """
     pair = s.pair
-    sym_monos = monomials_exact(pair.poly_nvars, r)
-    t_labels = slice_basis(pair, k, sym_monos)
-    kernel = Quotient(pair, Tensor, t_labels, kernel_slice(s, k, sym_monos))
-    chosen = Quotient(pair, Tensor, t_labels, [])
-    sym_reps = []
-    for b in symplectic_slice(s, k, sym_monos):
-        rep = kernel.reduce(b)
-        if chosen.add(rep):
-            sym_reps.append(rep)
-    f_wl = s.n - k
-    f_labels = slice_basis(pair, f_wl,
+    monos = monomials_exact(pair.poly_nvars, r)
+    index = {lab: i for i, lab in enumerate(slice_basis(pair, s.n + 1 - k, monos))}
+    chosen = Echelon()
+    images = [img for img in symplectic_slice(s, k, monos)[1]
+              if chosen.add(element_coords(img, index))]
+    f_labels = slice_basis(pair, s.n - k,
                            monomials_exact(pair.poly_nvars, _shift_weight(pair, r)))
-    return sym_reps, f_labels, f_wl
+    return images, f_labels, index
 
 
 def _dw_matrix(s: NPlecticStructure, k: int, r: int):
     """Columns of the matrix of the extension differential on one slice.
 
-    One sparse column per slice basis element (tensor part first), with
-    rows over the full target cotensor slice one degree and one weight
-    down.  Returns (columns, slice dimension).
+    One sparse column per slice basis element, with rows over the full
+    target cotensor slice one degree and one weight down.  The tensor half
+    comes first: d_omega(0, x) = (i_x omega, 0), so its columns are the
+    images from `extension_slice`, with no contraction of its own; the
+    function half gives -d h.  Returns (columns, slice dimension).
     """
-    pair = s.pair
-    sym_reps, f_labels, f_wl = extension_slice(s, k, r)
-    tgt_labels = slice_basis(pair, f_wl + 1, monomials_exact(pair.poly_nvars, r))
-    index = {lab: i for i, lab in enumerate(tgt_labels)}
-    images = [contract(b, s.omega) for b in sym_reps]
-    images += [-ce_differential(h) for h in basis_elements(pair, Cotensor, f_labels)]
+    images, f_labels, index = extension_slice(s, k, r)
+    images += [-ce_differential(h) for h in basis_elements(s.pair, Cotensor, f_labels)]
     return [element_coords(img, index) for img in images], len(images)
 
 
@@ -173,7 +173,7 @@ def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -
 
     Coboundaries reaching the function slot of degree-k elements are the
     exact pieces d h and the contractions i_y omega with y symplectic of
-    wedge degree k + 1.
+    wedge degree k + 1, the images `symplectic_slice` returns.
     """
     def build():
         pair = s.pair
@@ -181,7 +181,7 @@ def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -
         h_labels = slice_basis(pair, word_len - 1,
                                monomials_exact(pair.poly_nvars, _shift_weight(pair, pd)))
         exact = [ce_differential(h) for h in basis_elements(pair, Cotensor, h_labels)]
-        contractions = [contract(y, s.omega) for y in symplectic_slice(s, k + 1, monos)]
+        contractions = symplectic_slice(s, k + 1, monos)[1]
         return Quotient(pair, Cotensor, slice_basis(pair, word_len, monos), exact + contractions)
     return s.derived(("coboundary", k, word_len, pd), build)
 

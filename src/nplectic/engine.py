@@ -134,7 +134,9 @@ def slice_basis(pair, word_len: int, monos) -> list[tuple]:
 
 
 def basis_elements(pair, cls, labels):
-    return [cls(pair, {w: Poly(pair.poly_nvars, {e: Fraction(1)})}) for w, e in labels]
+    """Unit-monomial elements of a slice; labels from slice_basis need no checks."""
+    zero = cls(pair)
+    return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
 
 
 def element_coords(elem, index: dict) -> dict[int, Fraction]:
@@ -150,12 +152,12 @@ def element_coords(elem, index: dict) -> dict[int, Fraction]:
 
 
 def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
-    """The element with the given sparse coordinates in a slice."""
+    """The element with the given nonzero sparse coordinates in a slice."""
     terms = {}
     for i in sorted(coords):
         w, e = labels[i]
         terms.setdefault(w, {})[e] = coords[i]
-    return cls(pair, [(w, Poly(pair.poly_nvars, t)) for w, t in terms.items()])
+    return cls(pair)._make({w: Poly(pair.poly_nvars, t) for w, t in terms.items()})
 
 
 class Quotient:
@@ -185,8 +187,9 @@ class Quotient:
 def matrix_of(fn, pair, src_cls, src_labels):
     """Matrix of a linear map on a slice; the target window is inferred.
 
-    Returns (rows, tgt_labels): one sparse row {source column: entry} per
-    (word, exponent) appearing in any image, in sorted label order.
+    fn runs once on each basis element, in label order.  Returns (rows,
+    tgt_labels): one sparse row {source column: entry} per (word,
+    exponent) appearing in any image, in sorted label order.
     """
     rows: dict[tuple, dict[int, Fraction]] = {}
     for col, elem in enumerate(basis_elements(pair, src_cls, src_labels)):
@@ -206,30 +209,39 @@ def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
     return ce_differential(contract(x, s.omega)).is_zero()
 
 
-def _null_slice(s, degree, monos, fn):
-    labels = slice_basis(s.pair, degree, list(monos))
-    rows, _ = matrix_of(fn, s.pair, Tensor, labels)
-    return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
-
-
 def symplectic_slice(s: NPlecticStructure, degree: int, monos):
-    """Basis of symplectic tensors with wedge degree and monomial support fixed."""
-    return _null_slice(s, degree, monos, lambda x: ce_differential(contract(x, s.omega)))
+    """Basis of symplectic tensors with wedge degree and monomial support
+    fixed, and the image i_x omega of each basis element.
 
+    Each slice basis tensor is contracted into omega once; the symplectic
+    basis is the null space of d on those contractions, and its images are
+    the same null-space combinations of them.
+    """
+    labels = slice_basis(s.pair, degree, list(monos))
+    contractions = []
 
-def kernel_slice(s: NPlecticStructure, degree: int, monos):
-    """Basis of the contraction kernel {x : i_x omega = 0} in one slice."""
-    return _null_slice(s, degree, monos, lambda x: contract(x, s.omega))
+    def d_contract(x):
+        contractions.append(contract(x, s.omega))
+        return ce_differential(contractions[-1])
+    rows, _ = matrix_of(d_contract, s.pair, Tensor, labels)
+    null = null_space(rows, len(labels))
+    return ([coords_element(s.pair, Tensor, labels, vec) for vec in null],
+            [sum((a * contractions[i] for i, a in vec.items()), Cotensor.zero(s.pair))
+             for vec in null])
 
 
 def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of symplectic tensors of one wedge degree within a poly window."""
     return list(s.derived(("symplectic", degree, max_poly_degree), lambda: symplectic_slice(
-        s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))))
+        s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))[0]))
 
 
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
-    return kernel_slice(s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
+    """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
+    within a poly window."""
+    labels = slice_basis(s.pair, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
+    rows, _ = matrix_of(lambda x: contract(x, s.omega), s.pair, Tensor, labels)
+    return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
 
 
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
@@ -249,33 +261,21 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     return out
 
 
-def hamiltonian_potential(x: Tensor, s: NPlecticStructure,
-                          max_poly_degree: int | None = None) -> Cotensor | None:
+def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     """One exact solution f of d f = i_x omega, or None if there is none.
 
     The input must be symplectic (i_x omega closed), otherwise ValueError.
     Solving happens per (word length, polynomial degree) slice; free
-    variables are pinned to zero, so the answer is canonical.
+    variables are pinned to zero, so the answer is canonical.  A component
+    that d cannot reach (word length zero, empty source) has no solution.
     """
     if not is_symplectic(x, s):
         raise ValueError("potential only makes sense for symplectic tensors")
-    target = contract(x, s.omega)
-    if target.is_zero():
-        return Cotensor.zero(s.pair)
     out = Cotensor.zero(s.pair)
-    for (deg, pd), part in target.bigraded_parts().items():
-        wl = -deg
-        if wl == 0:
-            return None  # d never reaches word length zero
+    for (deg, pd), part in contract(x, s.omega).bigraded_parts().items():
         # d drops the polynomial degree by one on the polynomial family
         src_pd = pd + 1 if s.pair.poly_nvars else 0
-        labels = slice_basis(s.pair, wl - 1,
-                             monomials_exact(s.pair.poly_nvars, src_pd)
-                             if s.pair.poly_nvars else [()])
-        if max_poly_degree is not None and src_pd > max_poly_degree:
-            return None
-        if not labels:
-            return None
+        labels = slice_basis(s.pair, -deg - 1, monomials_exact(s.pair.poly_nvars, src_pd))
         rows, tgt_labels = matrix_of(ce_differential, s.pair, Cotensor, labels)
         try:
             rhs = element_coords(part, {lab: i for i, lab in enumerate(tgt_labels)})

@@ -216,21 +216,25 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
 
     On decomposables: [a e_i, b e_j] = a D_i(b) e_j - b D_j(a) e_i
     + a b [e_i, e_j], the unique extension of the basis bracket that is
-    compatible with the action (Leibniz on both slots).
+    compatible with the action (Leibniz on both slots).  The bracket part
+    is summed over the structure-constant rows, a row (i, j, k, c) giving
+    (a_i b_j - a_j b_i) c e_k, and the action part runs only on a pair
+    whose generators act.
     """
     _require_vector(x)
     _require_vector(y)
     pair = x.pair
     terms = []
-    acting = pair.derivations
-    for (i,), a in x.terms.items():
-        for (j,), b in y.terms.items():
-            if i in acting:
+    for i, j, k, c in pair.brackets:
+        for a, b, sign in ((x.terms.get((i,)), y.terms.get((j,)), c),
+                           (x.terms.get((j,)), y.terms.get((i,)), -c)):
+            if a is not None and b is not None:
+                terms.append(((k,), (a * b).scale(sign)))
+    if pair.derivations:
+        for (i,), a in x.terms.items():
+            for (j,), b in y.terms.items():
                 terms.append(((j,), a * pair.action_basis(i, b)))
-            if j in acting:
                 terms.append(((i,), -(b * pair.action_basis(j, a))))
-            ab = a * b
-            terms.extend(((k,), ab * c) for k, c in pair.bracket_basis(i, j))
     out = Tensor.zero(pair)
     out.terms = sparse_sum(terms)
     return out
@@ -345,11 +349,11 @@ def validate_pair(pair: PairDescriptor, samples: int = 25, seed: int = 0,
 
     # torsionless spot-check: <e^j, e_i> is the Kronecker delta
     gens = range(1, pair.ngens + 1)
-    ident = all(
-        pairing(Cotensor.basis(pair, (j,)), Tensor.basis(pair, (i,)))
-        == Poly.const(pair.poly_nvars, int(i == j))
-        for i in gens for j in gens
-    )
+    duals = [Cotensor.basis(pair, (j,)) for j in gens]
+    vectors = [Tensor.basis(pair, (i,)) for i in gens]
+    delta = [Poly.zero(pair.poly_nvars), Poly.const(pair.poly_nvars, 1)]
+    ident = all(pairing(f, x) == delta[i == j]
+                for i, x in enumerate(vectors) for j, f in enumerate(duals))
     report.add("pairing_nondegenerate", ident)
     return report
 

@@ -199,15 +199,17 @@ def test_nplectic_check_on_sixty_generators_is_quick(run, tmp_path):
 
 
 def test_validate_pair_on_a_hundred_generators_is_quick(run, tmp_path):
-    # su(2) on e1..e3 and 97 central generators: only the basis triples a
-    # bracket row reaches need a Jacobi check
-    path = write(tmp_path, "const100.json", {
-        "family": "constant", "dim": 100,
-        "brackets": {"1,2": {"3": "1"}, "2,3": {"1": "1"}, "1,3": {"2": "-1"}}})
-    start = time.monotonic()
-    code, payload, _ = run("validate-pair", path, "--samples", "2")
-    assert time.monotonic() - start < 5
-    assert code == 0 and payload["ok"]
+    # su(2) on e1..e3 and 97 or 397 central generators: only the basis
+    # triples a bracket row reaches need a Jacobi check, and a bracket of
+    # two random vectors is summed over the rows
+    for dim, samples in ((100, ["--samples", "2"]), (400, [])):
+        path = write(tmp_path, f"const{dim}.json", {
+            "family": "constant", "dim": dim,
+            "brackets": {"1,2": {"3": "1"}, "2,3": {"1": "1"}, "1,3": {"2": "-1"}}})
+        start = time.monotonic()
+        code, payload, _ = run("validate-pair", path, *samples)
+        assert time.monotonic() - start < 5
+        assert code == 0 and payload["ok"]
 
 
 def test_cap_env_var_and_override(run, monkeypatch):
@@ -220,6 +222,17 @@ def test_cap_env_var_and_override(run, monkeypatch):
     monkeypatch.setenv("NPLECTIC_ARITY_CAP", "zap")
     code, _, err = run("jacobi", PLANE, "--max-arity", "4", "--count", "1")
     assert code == 2 and "NPLECTIC_ARITY_CAP" in err
+
+
+def test_benchmark_cohomology_table_is_the_expected_one(run):
+    # the cohomology-4var workload checks its table against expected.json;
+    # a regression there fails here too, without a benchmark run
+    perfbench = MODELS.parent / "perfbench"
+    expected = json.loads((perfbench / "expected.json").read_text())
+    code, payload, _ = run("cohomology", str(perfbench / "inputs" / "poly4.json"),
+                           "--weights=0:3")
+    assert code == 0 and payload["ok"]
+    assert payload["table"] == expected["cohomology-4var"]["table"]
 
 
 def test_cohomology_table_of_the_extension_complex(run):

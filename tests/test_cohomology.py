@@ -1,10 +1,12 @@
 """Rank tables, canonical classes and the Poisson algebra on them."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from nplectic.calculus import ce_differential, contract
 from nplectic.cohomology import (
     CohomClass,
     NotACocycle,
@@ -28,6 +30,7 @@ from nplectic.linalg import rank_dense, rank_fraction_free
 from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_fraction
+from nplectic.scalars import Poly
 from test_linalg import dense, sparse_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -174,9 +177,59 @@ def test_extension_vanishes_outside_the_degree_strip():
 
 def test_extension_slice_quotients_kernel_directions():
     s = degenerate_structure()
-    sym_reps, _, _ = extension_slice(s, 1, 0)
-    # @x, @y and @z are all symplectic, but @z dies in the quotient
-    assert sym_reps == [Tensor.basis(SPACE, (1,)), Tensor.basis(SPACE, (2,))]
+    images, _, _ = extension_slice(s, 1, 0)
+    # @x, @y and @z are all symplectic, but @z contracts to zero
+    assert images == [Cotensor.basis(SPACE, (2,)), -Cotensor.basis(SPACE, (1,))]
+
+
+def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
+    from nplectic import cohomology, engine
+
+    contracted, built, slices = [], [], []
+    contract, symplectic_slice = engine.contract, cohomology.symplectic_slice
+
+    def counting_contract(x, f):
+        contracted.append(x)
+        return contract(x, f)
+
+    def recording_slice(s, degree, monos):
+        slices.append((degree, tuple(monos)))
+        labels = engine.slice_basis(s.pair, degree, list(monos))
+        built.extend(engine.basis_elements(s.pair, Tensor, labels))
+        return symplectic_slice(s, degree, monos)
+
+    monkeypatch.setattr(engine, "contract", counting_contract)
+    monkeypatch.setattr(cohomology, "contract", counting_contract, raising=False)
+    monkeypatch.setattr(cohomology, "symplectic_slice", recording_slice)
+    extension_cohomology_table(degenerate_structure(), range(-1, 3), range(3))
+    assert len(set(slices)) == len(slices)
+    assert built and contracted == built
+
+
+def dense_columns(images):
+    """Dense matrix with one column per image, over the labels any image reaches."""
+    cols = [{(w, e): c for w, poly in img.terms.items() for e, c in poly.coefficients()}
+            for img in images]
+    labels = sorted({lab for col in cols for lab in col})
+    return [[col.get(lab, Fraction(0)) for col in cols] for lab in labels]
+
+
+@pytest.mark.parametrize("make", [plane_structure, degenerate_structure, su2_cartan])
+def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
+    # symplectic mod kernel has dimension rank(C) - rank(D), with C the
+    # contraction matrix of the tensor slice and D that of d after it
+    s = make()
+    nvars = s.pair.poly_nvars
+    for r in range(3) if nvars else [0]:
+        monos = [e for e in itertools.product(range(r + 1), repeat=nvars) if sum(e) == r]
+        for k in range(-1, s.n + 3):
+            words = itertools.combinations(range(1, s.pair.ngens + 1), k) if k >= 0 else []
+            contractions = [contract(Tensor(s.pair, {w: Poly(nvars, {e: 1})}), s.omega)
+                            for w in words for e in monos]
+            c = dense_columns(contractions)
+            d = dense_columns([ce_differential(img) for img in contractions])
+            images, _, _ = extension_slice(s, k, r)
+            assert len(images) == rank_dense(c) - rank_dense(d)
 
 
 # -- classes ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from nplectic.engine import (
     slice_basis,
     structure_from_json,
     symplectic_basis,
+    symplectic_slice,
 )
 from nplectic.identities import random_symplectic
 from nplectic.linf import ExtensionLinf, jacobi_residual
@@ -224,6 +225,17 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
     assert ea - eb == ExtensionElement(s, fa - fb, xa - xb)
     assert -ea == ExtensionElement(s, -fa, -xa)
     assert eb * c == ExtensionElement(s, c * fb, c * xb)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=ALPHAS, degree=st.integers(0, 3), window=st.integers(0, 2))
+def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
+    s = mixed_structure(alpha)
+    basis, images = symplectic_slice(s, degree, monomials_upto(3, window))
+    assert len(images) == len(basis)
+    for x, image in zip(basis, images):
+        assert is_symplectic(x, s)
+        assert image == contract(x, s.omega)
 
 
 def test_extension_elements_scale_by_rationals_only():
