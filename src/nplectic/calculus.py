@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, sort_word, wedge_list
-from .scalars import DEFAULT_SHUFFLE_CAP, Poly, enumerate_shuffles, koszul_sign, sparse_sum
+from .scalars import Poly, enumerate_shuffles, koszul_sign, sparse_sum
 
 
 def pairing(f: Cotensor, x: Tensor) -> Poly:
@@ -201,7 +201,7 @@ def _hom_tuples(xs):
         yield degs, parts
 
 
-def higher_bracket(k: int, xs, cap: int = DEFAULT_SHUFFLE_CAP) -> Tensor:
+def higher_bracket(k: int, xs) -> Tensor:
     """k-ary graded symmetric bracket on the exterior tensor algebra.
 
     [x_1..x_k] = sum over (2, k-2)-shuffles s of
@@ -215,7 +215,7 @@ def higher_bracket(k: int, xs, cap: int = DEFAULT_SHUFFLE_CAP) -> Tensor:
     pair = xs[0].pair
     if k == 1:
         return Tensor.zero(pair)
-    shuffle_set = enumerate_shuffles((2, k - 2), cap=cap)
+    shuffle_set = enumerate_shuffles((2, k - 2))
     total = Tensor.zero(pair)
     for degs, parts in _hom_tuples(xs):
         for s in shuffle_set:

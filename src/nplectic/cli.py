@@ -5,18 +5,17 @@ indent, trailing newline) to stdout or to ``--output``.  Wall-clock
 timings go to stderr so that reports for a fixed seed are byte-identical
 across runs.  Exit codes: 0 when every gating check passes, 1 when a
 check fails, 2 on malformed or invalid input, 3 when a bracket arity
-exceeds the configured cap (``--arity-cap`` or the ``NPLECTIC_ARITY_CAP``
-environment variable).
+exceeds the configured cap (``--arity-cap``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .calculus import ce_differential, contract, higher_bracket, lie_derivative, schouten
@@ -38,7 +37,7 @@ from .identities import cartan_suite, pairing_suite, random_symplectic
 from .linf import ClassLinf, ExtensionLinf, TensorLinf, check_momentum_map, jacobi_residual
 from .models import momentum_from_json
 from .pairs import PairMorphismCandidate, pair_from_json, validate_morphism, validate_pair
-from .report import Report, canonical_json
+from .report import Report, canonical_json, witness_unless
 from .sampling import random_cotensor, random_tensor
 from .scalars import CapExceeded
 
@@ -92,18 +91,6 @@ def _field(data, key: str):
         return data[key]
     except (KeyError, TypeError) as exc:
         raise InputError(f"missing field {key!r}") from exc
-
-
-def _arity_cap(args) -> int:
-    if getattr(args, "arity_cap", None) is not None:
-        return args.arity_cap
-    env = os.environ.get("NPLECTIC_ARITY_CAP")
-    if env is None:
-        return DEFAULT_EXTENSION_ARITY_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"NPLECTIC_ARITY_CAP must be an integer, got {env!r}") from None
 
 
 def _parse_span(text: str, what: str) -> range:
@@ -215,46 +202,38 @@ def cmd_nplectic_check(args):
 
 def cmd_jacobi(args):
     s = _load_structure(_read_json(args.input))
-    cap = _arity_cap(args)
+    cap = args.arity_cap
     rng = random.Random(args.seed)
     pair = s.pair
     report = Report("jacobi", {
         "family": pair.family, "n": s.n, "seed": args.seed, "count": args.count,
         "max_arity": args.max_arity, "arity_cap": cap,
     })
-    tensor_op = TensorLinf(pair)
-    extension_op = ExtensionLinf(s, cap)
     grades = [g for g in range(0, s.n + 1)
               if symplectic_basis(s, g, max_poly_degree=2)] or [0]
     max_grade = min(pair.ngens, 3)
 
-    def check(name, op, draw):
-        nonzero = 0
-        witness = None
-        for _ in range(args.count):
-            vs = draw()
-            residual = jacobi_residual(op, vs)
-            if not op.is_zero(residual):
-                nonzero += 1
-                if witness is None:
-                    witness = {"args": [repr(v) for v in vs], "residual": repr(residual)}
-        details = {"instances": args.count, "nonzero": nonzero}
-        if witness is not None:
-            details["witness"] = witness
-        report.add(name, nonzero == 0, **details)
+    def tensor():
+        return random_tensor(rng, pair, rng.randrange(max_grade + 1), max_degree=2)
 
     def extension_element():
         g = rng.choice(grades)
         return ExtensionElement(s, random_cotensor(rng, pair, s.n - g, max_degree=2),
                                 random_symplectic(rng, s, g))
 
+    families = (("tensor", TensorLinf(pair), tensor),
+                ("extension", ExtensionLinf(s, cap), extension_element))
     for k in range(2, args.max_arity + 1):
-        check(f"tensor_jacobi_arity_{k}", tensor_op,
-              lambda: [random_tensor(rng, pair, rng.randrange(max_grade + 1), max_degree=2)
-                       for _ in range(k)])
-        check(f"extension_jacobi_arity_{k}", extension_op,
-              lambda: [extension_element() for _ in range(k)])
+        for family, op, draw in families:
+            report.tally(f"{family}_jacobi_arity_{k}",
+                         ([draw() for _ in range(k)] for _ in range(args.count)),
+                         partial(_jacobi_witness, op), count_key="nonzero")
     return report, {}
+
+
+def _jacobi_witness(op, *vs):
+    residual = jacobi_residual(op, vs)
+    return witness_unless(op.is_zero(residual), args=list(vs), residual=residual)
 
 
 def cmd_cohomology(args):
@@ -291,7 +270,7 @@ def cmd_cohomology(args):
 
 def cmd_poisson(args):
     s = _load_structure(_read_json(args.input))
-    cap = _arity_cap(args)
+    cap = args.arity_cap
     data = _read_json(args.elements)
     raw = _field(data, "elements")
     if not isinstance(raw, list) or not raw:
@@ -334,7 +313,7 @@ def cmd_poisson(args):
 
 def cmd_momentum_check(args):
     s = _load_structure(_read_json(args.input))
-    cap = _arity_cap(args)
+    cap = args.arity_cap
     data = _read_json(args.candidate)
     try:
         algebra, fields, potentials = momentum_from_json(s, data)
@@ -402,14 +381,13 @@ def _int_at_least(least: int):
 def _add_sampling(p, samples: int):
     p.add_argument("--samples", type=_int_at_least(1), default=samples, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--max-degree", type=int, default=3, metavar="D",
+    p.add_argument("--max-degree", type=_int_at_least(0), default=3, metavar="D",
                    help="largest polynomial degree drawn for random elements")
 
 
 def _add_cap(p):
-    p.add_argument("--arity-cap", type=int, default=None, metavar="K",
-                   help="largest bracket arity to evaluate "
-                        "(default: NPLECTIC_ARITY_CAP or 6)")
+    p.add_argument("--arity-cap", type=int, default=DEFAULT_EXTENSION_ARITY_CAP,
+                   metavar="K", help="largest bracket arity to evaluate (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,30 +30,26 @@ bracket value a cocycle on the nose.
 
 from __future__ import annotations
 
-from .calculus import ce_differential, higher_bracket
+from .calculus import higher_bracket
 from .elements import Cotensor
 from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     NPlecticStructure,
     Quotient,
-    basis_elements,
     contract_reversed_wedge,
     d_omega,
+    differential_slice,
     element_coords,
     matrix_of,
     monomials_exact,
     reduce_mod_kernel,
+    shift_weight,
     slice_basis,
     symplectic_slice,
 )
 from .linalg import Echelon, rank_fraction_free
 from .scalars import CapExceeded
-
-
-def _shift_weight(pair, r: int, by: int = 1) -> int:
-    """Weights move with the differential only on the polynomial family."""
-    return r + by if pair.poly_nvars else r
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +58,8 @@ def _shift_weight(pair, r: int, by: int = 1) -> int:
 
 def ce_matrix(pair, word_len: int, weight: int = 0):
     """Sparse rows of the matrix of d on one cotensor slice, plus the slice labels."""
-    labels = slice_basis(pair, word_len, monomials_exact(pair.poly_nvars, weight))
-    rows, _ = matrix_of(ce_differential, pair, Cotensor, labels)
-    return rows, labels
+    labels, exact = differential_slice(pair, word_len, weight)
+    return matrix_of(exact)[0], labels
 
 
 def ce_cohomology_rank(pair, word_len: int, weight: int = 0) -> dict:
@@ -78,7 +73,7 @@ def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:
         rows, labels = ce_matrix(pair, wl, w)
         return rank_fraction_free(rows), len(labels)
     return _rank_table(degrees, weights, differential,
-                       lambda wl, w: (wl - 1, _shift_weight(pair, w)))
+                       lambda wl, w: (wl - 1, shift_weight(pair, w)))
 
 
 def _rank_table(degrees, weights, differential, source) -> list[dict]:
@@ -110,22 +105,20 @@ def _rank_table(degrees, weights, differential, source) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def extension_slice(s: NPlecticStructure, k: int, r: int):
-    """Basis of the (degree k, weight r) slice of the extension complex.
+    """The tensor half of the (degree k, weight r) extension slice.
 
-    Returns (images, f_labels, index): the images i_x omega of the
-    symplectic slice that are linearly independent in the target cotensor
-    slice, standing for the tensor half (see the module docstring); the
-    labels of the function slot; and the column index of the target slice.
+    Returns (images, index): the images i_x omega of the symplectic slice
+    that are linearly independent in the target cotensor slice, standing
+    for the tensor half (see the module docstring), and the column index
+    of the target slice.
     """
     pair = s.pair
     monos = monomials_exact(pair.poly_nvars, r)
     index = {lab: i for i, lab in enumerate(slice_basis(pair, s.n + 1 - k, monos))}
     chosen = Echelon()
-    images = [img for img in symplectic_slice(s, k, monos)[1]
+    images = [img for img in symplectic_slice(s, k, monos)[2]
               if chosen.add(element_coords(img, index))]
-    f_labels = slice_basis(pair, s.n - k,
-                           monomials_exact(pair.poly_nvars, _shift_weight(pair, r)))
-    return images, f_labels, index
+    return images, index
 
 
 def _dw_matrix(s: NPlecticStructure, k: int, r: int):
@@ -137,8 +130,8 @@ def _dw_matrix(s: NPlecticStructure, k: int, r: int):
     images from `extension_slice`, with no contraction of its own; the
     function half gives -d h.  Returns (columns, slice dimension).
     """
-    images, f_labels, index = extension_slice(s, k, r)
-    images += [-ce_differential(h) for h in basis_elements(s.pair, Cotensor, f_labels)]
+    images, index = extension_slice(s, k, r)
+    images += [-dh for dh in differential_slice(s.pair, s.n - k, shift_weight(s.pair, r))[1]]
     return [element_coords(img, index) for img in images], len(images)
 
 
@@ -153,7 +146,7 @@ def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[d
         columns, dim = _dw_matrix(s, k, r)
         return rank_fraction_free(columns), dim
     return _rank_table(degrees, weights, differential,
-                       lambda k, r: (k + 1, _shift_weight(s.pair, r)))
+                       lambda k, r: (k + 1, shift_weight(s.pair, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +171,8 @@ def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -
     def build():
         pair = s.pair
         monos = monomials_exact(pair.poly_nvars, pd)
-        h_labels = slice_basis(pair, word_len - 1,
-                               monomials_exact(pair.poly_nvars, _shift_weight(pair, pd)))
-        exact = [ce_differential(h) for h in basis_elements(pair, Cotensor, h_labels)]
-        contractions = symplectic_slice(s, k + 1, monos)[1]
+        _, exact = differential_slice(pair, word_len - 1, shift_weight(pair, pd))
+        contractions = symplectic_slice(s, k + 1, monos)[2]
         return Quotient(pair, Cotensor, slice_basis(pair, word_len, monos), exact + contractions)
     return s.derived(("coboundary", k, word_len, pd), build)
 

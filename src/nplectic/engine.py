@@ -184,20 +184,32 @@ class Quotient:
         return coords_element(self.pair, self.cls, self.labels, coords)
 
 
-def matrix_of(fn, pair, src_cls, src_labels):
-    """Matrix of a linear map on a slice; the target window is inferred.
+def matrix_of(images):
+    """Matrix with one column per image; the target window is inferred.
 
-    fn runs once on each basis element, in label order.  Returns (rows,
-    tgt_labels): one sparse row {source column: entry} per (word,
+    Returns (rows, tgt_labels): one sparse row {column: entry} per (word,
     exponent) appearing in any image, in sorted label order.
     """
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, elem in enumerate(basis_elements(pair, src_cls, src_labels)):
-        for w, poly in fn(elem).terms.items():
+    for col, image in enumerate(images):
+        for w, poly in image.terms.items():
             for e, c in poly.coefficients():
                 rows.setdefault((w, e), {})[col] = c
     tgt_labels = sorted(rows)
     return [rows[lab] for lab in tgt_labels], tgt_labels
+
+
+def shift_weight(pair, r: int) -> int:
+    """The weight of a cotensor h whose d h has weight r: d drops the
+    polynomial degree by one on the polynomial family only."""
+    return r + 1 if pair.poly_nvars else r
+
+
+def differential_slice(pair, word_len: int, weight: int):
+    """Labels of the cotensor slice of one word length and polynomial
+    degree, and the differential d h of each of its basis elements."""
+    labels = slice_basis(pair, word_len, monomials_exact(pair.poly_nvars, weight))
+    return labels, [ce_differential(h) for h in basis_elements(pair, Cotensor, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +222,36 @@ def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
 
 
 def symplectic_slice(s: NPlecticStructure, degree: int, monos):
-    """Basis of symplectic tensors with wedge degree and monomial support
-    fixed, and the image i_x omega of each basis element.
+    """Symplectic tensors with wedge degree and monomial support fixed.
 
-    Each slice basis tensor is contracted into omega once; the symplectic
-    basis is the null space of d on those contractions, and its images are
-    the same null-space combinations of them.
+    Returns (labels, null, images): the labels of the tensor slice, the
+    sparse coordinates of a basis of its symplectic tensors, and the image
+    i_x omega of each basis element.  Each slice basis tensor is contracted
+    into omega once; the symplectic basis is the null space of d on those
+    contractions, and its images are the same null-space combinations.
     """
     labels = slice_basis(s.pair, degree, list(monos))
-    contractions = []
-
-    def d_contract(x):
-        contractions.append(contract(x, s.omega))
-        return ce_differential(contractions[-1])
-    rows, _ = matrix_of(d_contract, s.pair, Tensor, labels)
+    contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
+    rows, _ = matrix_of([ce_differential(c) for c in contractions])
     null = null_space(rows, len(labels))
-    return ([coords_element(s.pair, Tensor, labels, vec) for vec in null],
-            [sum((a * contractions[i] for i, a in vec.items()), Cotensor.zero(s.pair))
-             for vec in null])
+    return labels, null, [sum((a * contractions[i] for i, a in vec.items()),
+                              Cotensor.zero(s.pair)) for vec in null]
 
 
 def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of symplectic tensors of one wedge degree within a poly window."""
-    return list(s.derived(("symplectic", degree, max_poly_degree), lambda: symplectic_slice(
-        s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))[0]))
+    def build():
+        labels, null, _ = symplectic_slice(
+            s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
+        return [coords_element(s.pair, Tensor, labels, vec) for vec in null]
+    return list(s.derived(("symplectic", degree, max_poly_degree), build))
 
 
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
     within a poly window."""
     labels = slice_basis(s.pair, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
-    rows, _ = matrix_of(lambda x: contract(x, s.omega), s.pair, Tensor, labels)
+    rows, _ = matrix_of([contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)])
     return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
 
 
@@ -269,14 +280,13 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     variables are pinned to zero, so the answer is canonical.  A component
     that d cannot reach (word length zero, empty source) has no solution.
     """
-    if not is_symplectic(x, s):
+    image = contract(x, s.omega)
+    if not ce_differential(image).is_zero():
         raise ValueError("potential only makes sense for symplectic tensors")
     out = Cotensor.zero(s.pair)
-    for (deg, pd), part in contract(x, s.omega).bigraded_parts().items():
-        # d drops the polynomial degree by one on the polynomial family
-        src_pd = pd + 1 if s.pair.poly_nvars else 0
-        labels = slice_basis(s.pair, -deg - 1, monomials_exact(s.pair.poly_nvars, src_pd))
-        rows, tgt_labels = matrix_of(ce_differential, s.pair, Cotensor, labels)
+    for (deg, pd), part in image.bigraded_parts().items():
+        labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
+        rows, tgt_labels = matrix_of(exact)
         try:
             rhs = element_coords(part, {lab: i for i, lab in enumerate(tgt_labels)})
         except ValueError:

@@ -11,11 +11,12 @@ as a sentinel that the suite can tell right from wrong.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .calculus import ce_differential, contract, lie_derivative, schouten
 from .elements import Tensor
 from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_basis
-from .report import Report
+from .report import Report, witness_unless
 from .sampling import random_cotensor, random_fraction, random_tensor
 
 
@@ -76,6 +77,16 @@ def _draw_tensor(rng, pair, max_wedge, poly_degree):
     return Tensor.scalar(pair, 1)
 
 
+def _rule_witness(rule, x, y, f):
+    lhs, rhs = rule(x, y, f)
+    return witness_unless(lhs == rhs, x=x, y=y, f=f, lhs=lhs, rhs=rhs)
+
+
+def _dd_witness(x, y, f):
+    dd = ce_differential(ce_differential(f))
+    return witness_unless(dd.is_zero(), f=f, ddf=dd)
+
+
 def cartan_suite(pair, count: int = 200, seed: int = 0,
                  max_wedge: int = 3, poly_degree: int = 2) -> Report:
     """Run the flow/contraction rules and d*d = 0 on seeded random draws."""
@@ -85,41 +96,14 @@ def cartan_suite(pair, count: int = 200, seed: int = 0,
         "family": pair.family, "seed": seed, "count": count,
         "max_wedge_degree": max_wedge, "max_poly_degree": poly_degree,
     })
-    stats = {name: {"instances": 0, "failures": 0, "witness": None}
-             for name, _, _ in CARTAN_RULES}
-    stats["d_squares_to_zero"] = {"instances": 0, "failures": 0, "witness": None}
-    for _ in range(count):
-        x = _draw_tensor(rng, pair, max_wedge, poly_degree)
-        y = _draw_tensor(rng, pair, max_wedge, poly_degree)
-        f = random_cotensor(rng, pair, rng.randint(0, min(3, pair.ngens)),
-                            max_degree=poly_degree)
-        for name, rule, _ in CARTAN_RULES:
-            slot = stats[name]
-            slot["instances"] += 1
-            lhs, rhs = rule(x, y, f)
-            if lhs != rhs:
-                slot["failures"] += 1
-                if slot["witness"] is None:
-                    slot["witness"] = {"x": repr(x), "y": repr(y), "f": repr(f),
-                                       "lhs": repr(lhs), "rhs": repr(rhs)}
-        slot = stats["d_squares_to_zero"]
-        slot["instances"] += 1
-        dd = ce_differential(ce_differential(f))
-        if not dd.is_zero():
-            slot["failures"] += 1
-            if slot["witness"] is None:
-                slot["witness"] = {"f": repr(f), "ddf": repr(dd)}
-    for name, _, gating in CARTAN_RULES:
-        slot = stats[name]
-        details = {"instances": slot["instances"], "failures": slot["failures"]}
-        if slot["witness"] is not None:
-            details["witness"] = slot["witness"]
-        report.add(name, slot["failures"] == 0, gating=gating, **details)
-    slot = stats["d_squares_to_zero"]
-    details = {"instances": slot["instances"], "failures": slot["failures"]}
-    if slot["witness"] is not None:
-        details["witness"] = slot["witness"]
-    report.add("d_squares_to_zero", slot["failures"] == 0, **details)
+    cases = [(_draw_tensor(rng, pair, max_wedge, poly_degree),
+              _draw_tensor(rng, pair, max_wedge, poly_degree),
+              random_cotensor(rng, pair, rng.randint(0, min(3, pair.ngens)),
+                              max_degree=poly_degree))
+             for _ in range(count)]
+    for name, rule, gating in CARTAN_RULES:
+        report.tally(name, cases, partial(_rule_witness, rule), gating=gating)
+    report.tally("d_squares_to_zero", cases, _dd_witness)
     return report
 
 
@@ -147,20 +131,13 @@ def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0,
     })
     grades = [g for g in range(0, s.pair.ngens + 1)
               if symplectic_basis(s, g, max_poly_degree=2)]
+
+    def pairing_witness(*xs):
+        ok, lhs, rhs = fundamental_pairing_check(len(xs), xs, s)
+        return witness_unless(ok, args=list(xs), lhs=lhs, rhs=rhs)
+
     for k in arities:
-        failures = 0
-        witness = None
-        for _ in range(count):
-            xs = [random_symplectic(rng, s, rng.choice(grades))
-                  for _ in range(k)]
-            ok, lhs, rhs = fundamental_pairing_check(k, xs, s)
-            if not ok:
-                failures += 1
-                if witness is None:
-                    witness = {"args": [repr(x) for x in xs],
-                               "lhs": repr(lhs), "rhs": repr(rhs)}
-        details = {"instances": count, "failures": failures}
-        if witness is not None:
-            details["witness"] = witness
-        report.add(f"bracket_pairing_arity_{k}", failures == 0, **details)
+        cases = (tuple(random_symplectic(rng, s, rng.choice(grades)) for _ in range(k))
+                 for _ in range(count))
+        report.tally(f"bracket_pairing_arity_{k}", cases, pairing_witness)
     return report

@@ -34,7 +34,6 @@ from .engine import (
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .scalars import (
-    DEFAULT_SHUFFLE_CAP,
     Poly,
     as_rational,
     enumerate_shuffles,
@@ -223,9 +222,8 @@ class PairLinf(Operations):
 class TensorLinf(Operations):
     """The exterior tensor algebra with its higher brackets and no differential."""
 
-    def __init__(self, pair, cap: int = DEFAULT_SHUFFLE_CAP):
+    def __init__(self, pair):
         self.pair = pair
-        self.cap = cap
 
     def zero(self):
         return Tensor.zero(self.pair)
@@ -236,7 +234,7 @@ class TensorLinf(Operations):
     def bracket(self, k, vs):
         if k == 1:
             return self.zero()
-        return higher_bracket(k, vs, cap=self.cap)
+        return higher_bracket(k, vs)
 
 
 class ExtensionLinf(Operations):
@@ -295,15 +293,16 @@ def _degrees(op: Operations, vs, what: str):
     return degs
 
 
-def _shuffle_composites(op: Operations, outer, vs, degs, cap: int):
+def _shuffle_composites(op: Operations, outer, vs, degs):
     """(sign, outer(n + 1 - j, [op.bracket(j, head)] + tail)) per nonzero inner bracket.
 
     The one weak-Jacobi shuffle sum: every split j = 1..n and every
-    (j, n - j) shuffle, with its Koszul sign in the argument degrees.
+    (j, n - j) shuffle, with its Koszul sign in the argument degrees.  The
+    arity is the caller's, so the enumeration is not capped.
     """
     n = len(vs)
     for j in range(1, n + 1):
-        for sh in enumerate_shuffles((j, n - j), cap=max(cap, n)):
+        for sh in enumerate_shuffles((j, n - j), cap=n):
             sign = koszul_sign(sh, degs)
             inner = op.bracket(j, [vs[sh(t) - 1] for t in range(1, j + 1)])
             if op.is_zero(inner):
@@ -311,7 +310,7 @@ def _shuffle_composites(op: Operations, outer, vs, degs, cap: int):
             yield sign, outer(n + 1 - j, [inner] + [vs[sh(t) - 1] for t in range(j + 1, n + 1)])
 
 
-def jacobi_residual(op: Operations, vs, cap: int = DEFAULT_SHUFFLE_CAP):
+def jacobi_residual(op: Operations, vs):
     """Weak Jacobi residual of op at the given arguments.
 
     Sums op.bracket(i, [op.bracket(j, head), tail]) over all splits
@@ -324,7 +323,7 @@ def jacobi_residual(op: Operations, vs, cap: int = DEFAULT_SHUFFLE_CAP):
     if degs is None:
         return op.zero()
     total = None
-    for sign, outer in _shuffle_composites(op, op.bracket, vs, degs, cap):
+    for sign, outer in _shuffle_composites(op, op.bracket, vs, degs):
         if op.is_zero(outer):
             continue
         term = op.scale(sign, outer)
@@ -332,8 +331,7 @@ def jacobi_residual(op: Operations, vs, cap: int = DEFAULT_SHUFFLE_CAP):
     return op.zero() if total is None else total
 
 
-def check_linf(op: Operations, generators, max_arity: int,
-               cap: int = DEFAULT_SHUFFLE_CAP):
+def check_linf(op: Operations, generators, max_arity: int):
     """Check weak Jacobi on all sorted generator tuples up to an arity.
 
     Returns (True, None) or (False, witness) with the offending arguments
@@ -344,7 +342,7 @@ def check_linf(op: Operations, generators, max_arity: int,
     for arity in range(1, max_arity + 1):
         for combo in itertools.combinations_with_replacement(range(len(generators)), arity):
             vs = [generators[i] for i in combo]
-            residual = jacobi_residual(op, vs, cap)
+            residual = jacobi_residual(op, vs)
             if not op.is_zero(residual):
                 return False, {"arity": arity, "args": combo, "residual": residual}
     return True, None
@@ -357,8 +355,7 @@ def _compositions(n: int, p: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def morphism_residual(f, dom: Operations, cod: Operations, vs,
-                      cap: int = DEFAULT_SHUFFLE_CAP):
+def morphism_residual(f, dom: Operations, cod: Operations, vs):
     """Defect of the morphism equations at one argument tuple.
 
     `f(k, vs)` evaluates the arity-k component (None meaning zero).  The
@@ -380,12 +377,12 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs,
         term = cod.scale(scalar, term)
         return term if total is None else cod.add(total, term)
 
-    for sign, term in _shuffle_composites(dom, f, vs, degs, cap):
+    for sign, term in _shuffle_composites(dom, f, vs, degs):
         total = accumulate(total, term, sign)
     for p in range(1, n + 1):
         weight = Fraction(-1, factorial(p))
         for comp in _compositions(n, p):
-            for sh in enumerate_shuffles(comp, cap=max(cap, n)):
+            for sh in enumerate_shuffles(comp, cap=n):
                 sign = koszul_sign(sh, degs)
                 pos = 1
                 blocks = []
@@ -399,11 +396,10 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs,
     return cod.zero() if total is None else total
 
 
-def check_morphism(f, dom: Operations, cod: Operations, argument_lists,
-                   cap: int = DEFAULT_SHUFFLE_CAP):
+def check_morphism(f, dom: Operations, cod: Operations, argument_lists):
     """Run `morphism_residual` over many tuples; (ok, witness | None)."""
     for vs in argument_lists:
-        residual = morphism_residual(f, dom, cod, vs, cap)
+        residual = morphism_residual(f, dom, cod, vs)
         if not cod.is_zero(residual):
             return False, {"args": list(vs), "residual": residual}
     return True, None
@@ -468,7 +464,7 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     for arity in range(1, max_arity + 1):
         for combo in itertools.combinations_with_replacement(range(1, algebra.dim + 1), arity):
             vs = [dom.basis(i) for i in combo]
-            residual = morphism_residual(component, dom, cod, vs, cap)
+            residual = morphism_residual(component, dom, cod, vs)
             if not residual.is_zero():
                 issues.append({"gate": "morphism", "generators": list(combo),
                                "reason": f"residual {residual!r}"})

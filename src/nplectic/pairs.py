@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .calculus import pairing
 from .elements import Cotensor, Tensor
-from .report import Report
-from .sampling import random_coeff, random_gvector
+from .report import Report, witness_unless
+from .sampling import random_coeff, random_gvector, random_tuples
 from .scalars import Poly, _default_names, as_rational, format_poly, parse_poly, sparse_sum
 
 
@@ -282,70 +282,44 @@ def validate_pair(pair: PairDescriptor, samples: int = 25, seed: int = 0,
         "family": pair.family, "seed": seed, "samples": samples,
         "max_degree": max_degree,
     })
+    vec, coeff = random_gvector, random_coeff
 
-    def witness(**elems):
-        return {k: repr(v) for k, v in elems.items()}
+    def draw(*samplers):
+        return random_tuples(rng, pair, samplers, samples, max_degree)
 
-    # bracket antisymmetry
-    bad = None
-    for _ in range(samples):
-        x, y = random_gvector(rng, pair, max_degree), random_gvector(rng, pair, max_degree)
-        if not (lie_bracket(x, y) + lie_bracket(y, x)).is_zero():
-            bad = witness(x=x, y=y)
-            break
-    report.add("bracket_antisymmetry", bad is None, **(bad or {}))
+    report.first_failure("bracket_antisymmetry", draw(vec, vec), lambda x, y: witness_unless(
+        (lie_bracket(x, y) + lie_bracket(y, x)).is_zero(), x=x, y=y))
 
     # Jacobi, exhaustively on the basis triples a bracket row reaches: the
-    # Jacobiator of e_i, e_j, e_k vanishes unless two of them have a row
-    bad = None
-    reached = sorted({tuple(sorted((a, b, c))) for a, b, _, _ in pair.brackets
-                      for c in range(1, pair.ngens + 1) if c not in (a, b)})
-    triples = [tuple(Tensor.basis(pair, (g,)) for g in abc) for abc in reached]
-    triples += [(random_gvector(rng, pair, max_degree),
-                 random_gvector(rng, pair, max_degree),
-                 random_gvector(rng, pair, max_degree)) for _ in range(samples)]
-    for x, y, z in triples:
+    # Jacobiator of e_i, e_j, e_k vanishes unless two of them have a row.
+    # The random triples are drawn up front, so the later checks draw the
+    # same cases whether or not a basis triple fails.
+    def jacobiator(x, y, z):
         total = (lie_bracket(x, lie_bracket(y, z))
                  + lie_bracket(y, lie_bracket(z, x))
                  + lie_bracket(z, lie_bracket(x, y)))
-        if not total.is_zero():
-            bad = witness(x=x, y=y, z=z, residual=total)
-            break
-    report.add("jacobi", bad is None, **(bad or {}))
+        return witness_unless(total.is_zero(), x=x, y=y, z=z, residual=total)
+
+    reached = sorted({tuple(sorted((a, b, c))) for a, b, _, _ in pair.brackets
+                      for c in range(1, pair.ngens + 1) if c not in (a, b)})
+    triples = [tuple(Tensor.basis(pair, (g,)) for g in abc) for abc in reached]
+    report.first_failure("jacobi", triples + list(draw(vec, vec, vec)), jacobiator)
 
     # the action is by derivations
-    bad = None
-    for _ in range(samples):
-        x = random_gvector(rng, pair, max_degree)
-        a, b = random_coeff(rng, pair, max_degree), random_coeff(rng, pair, max_degree)
-        if action(x, a * b) != action(x, a) * b + a * action(x, b):
-            bad = witness(x=x, a=a, b=b)
-            break
-    report.add("action_derivation", bad is None, **(bad or {}))
+    report.first_failure("action_derivation", draw(vec, coeff, coeff), lambda x, a, b: (
+        witness_unless(action(x, a * b) == action(x, a) * b + a * action(x, b), x=x, a=a, b=b)))
 
     # Leibniz coupling of bracket and action
-    bad = None
-    for _ in range(samples):
-        x, y = random_gvector(rng, pair, max_degree), random_gvector(rng, pair, max_degree)
-        a = random_coeff(rng, pair, max_degree)
+    def leibniz(x, y, a):
         lhs = lie_bracket(x, a * y)
         rhs = action(x, a) * y + a * lie_bracket(x, y)
-        if lhs != rhs:
-            bad = witness(x=x, a=a, y=y, lhs=lhs, rhs=rhs)
-            break
-    report.add("leibniz", bad is None, **(bad or {}))
+        return witness_unless(lhs == rhs, x=x, a=a, y=y, lhs=lhs, rhs=rhs)
+    report.first_failure("leibniz", draw(vec, vec, coeff), leibniz)
 
     # the action is a Lie morphism
-    bad = None
-    for _ in range(samples):
-        x, y = random_gvector(rng, pair, max_degree), random_gvector(rng, pair, max_degree)
-        a = random_coeff(rng, pair, max_degree)
-        lhs = action(lie_bracket(x, y), a)
-        rhs = action(x, action(y, a)) - action(y, action(x, a))
-        if lhs != rhs:
-            bad = witness(x=x, y=y, a=a)
-            break
-    report.add("action_lie_morphism", bad is None, **(bad or {}))
+    report.first_failure("action_lie_morphism", draw(vec, vec, coeff), lambda x, y, a: (
+        witness_unless(action(lie_bracket(x, y), a)
+                       == action(x, action(y, a)) - action(y, action(x, a)), x=x, y=y, a=a)))
 
     # torsionless spot-check: <e^j, e_i> is the Kronecker delta
     gens = range(1, pair.ngens + 1)
@@ -433,51 +407,34 @@ def validate_morphism(cand: PairMorphismCandidate, samples: int = 25, seed: int 
     # is multiplicative by construction; this documents the contract)
     one_dom = Poly.const(dom.poly_nvars, 1)
     report.add("f_unital", cand.apply_f(one_dom) == Poly.const(cod.poly_nvars, 1))
-    bad = None
-    for _ in range(samples):
-        a = random_coeff(rng, dom, max_degree)
-        b = random_coeff(rng, dom, max_degree)
-        if cand.apply_f(a * b) != cand.apply_f(a) * cand.apply_f(b):
-            bad = {"a": repr(a), "b": repr(b)}
-            break
-    report.add("f_multiplicative", bad is None, **(bad or {}))
+    vec, coeff = random_gvector, random_coeff
 
-    # g respects brackets: exhaustive on the basis, then random elements
-    bad = None
+    def draw(*samplers):
+        return random_tuples(rng, dom, samplers, samples, max_degree)
+
+    f, g = cand.apply_f, cand.apply_g
+    report.first_failure("f_multiplicative", draw(coeff, coeff), lambda a, b: (
+        witness_unless(f(a * b) == f(a) * f(b), a=a, b=b)))
+
+    # g respects brackets: exhaustive on the basis, then random elements,
+    # drawn up front like the Jacobi triples of validate_pair
+    def bracket_images(x, y):
+        lhs, rhs = g(lie_bracket(x, y)), lie_bracket(g(x), g(y))
+        return witness_unless(lhs == rhs, x=x, y=y, g_of_bracket=lhs, bracket_of_images=rhs)
+
     basis = [gvector(dom, [1 if t == i else 0 for t in range(dom.ngens)])
              for i in range(dom.ngens)]
-    pairs_to_try = [(basis[i], basis[j]) for i in range(dom.ngens)
-                    for j in range(i + 1, dom.ngens)]
-    pairs_to_try += [(random_gvector(rng, dom, max_degree),
-                      random_gvector(rng, dom, max_degree)) for _ in range(samples)]
-    for x, y in pairs_to_try:
-        lhs = cand.apply_g(lie_bracket(x, y))
-        rhs = lie_bracket(cand.apply_g(x), cand.apply_g(y))
-        if lhs != rhs:
-            bad = {"x": repr(x), "y": repr(y), "g_of_bracket": repr(lhs),
-                   "bracket_of_images": repr(rhs)}
-            break
-    report.add("g_lie_morphism", bad is None, **(bad or {}))
+    basis_pairs = [(basis[i], basis[j]) for i in range(dom.ngens)
+                   for j in range(i + 1, dom.ngens)]
+    report.first_failure("g_lie_morphism", basis_pairs + list(draw(vec, vec)), bracket_images)
 
     # module compatibility g(a x) = f(a) g(x)
-    bad = None
-    for _ in range(samples):
-        a = random_coeff(rng, dom, max_degree)
-        x = random_gvector(rng, dom, max_degree)
-        if cand.apply_g(a * x) != cand.apply_f(a) * cand.apply_g(x):
-            bad = {"a": repr(a), "x": repr(x)}
-            break
-    report.add("module_compat", bad is None, **(bad or {}))
+    report.first_failure("module_compat", draw(coeff, vec), lambda a, x: (
+        witness_unless(g(a * x) == f(a) * g(x), a=a, x=x)))
 
     # action compatibility f(D_x a) = D_{g(x)} f(a)
-    bad = None
-    for _ in range(samples):
-        a = random_coeff(rng, dom, max_degree)
-        x = random_gvector(rng, dom, max_degree)
-        lhs = cand.apply_f(action(x, a))
-        rhs = action(cand.apply_g(x), cand.apply_f(a))
-        if lhs != rhs:
-            bad = {"a": repr(a), "x": repr(x), "lhs": repr(lhs), "rhs": repr(rhs)}
-            break
-    report.add("action_compat", bad is None, **(bad or {}))
+    def action_images(a, x):
+        lhs, rhs = f(action(x, a)), action(g(x), f(a))
+        return witness_unless(lhs == rhs, a=a, x=x, lhs=lhs, rhs=rhs)
+    report.first_failure("action_compat", draw(coeff, vec), action_images)
     return report

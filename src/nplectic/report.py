@@ -2,6 +2,14 @@
 
 Reports hold only JSON-ready values (strings, ints, bools, lists, dicts)
 so that serialization is canonical and byte-stable for fixed inputs.
+
+Every seeded check runs through one of two loops.  `Report.first_failure`
+stops at the first case with a witness and keeps that witness as the
+check's details; it draws its cases lazily, so nothing is drawn after a
+failure.  `Report.tally` runs every case and records the number of
+instances, the failure count and the first witness.  Both fail a check
+that ran zero cases, so no check passes vacuously.  `witness_unless`
+builds the witness of one case.
 """
 
 from __future__ import annotations
@@ -38,6 +46,37 @@ class Report:
         self.checks.append(result)
         return result
 
+    def first_failure(self, name: str, cases, witness_of) -> CheckResult:
+        """Check that witness_of(*case) is None on every case, stopping at
+        the first case where it is not; its witness becomes the details."""
+        instances = 0
+        for case in cases:
+            instances += 1
+            witness = witness_of(*case)
+            if witness is not None:
+                return self.add(name, False, **witness)
+        if not instances:
+            return self.add(name, False, instances=0)
+        return self.add(name, True)
+
+    def tally(self, name: str, cases, witness_of, gating: bool = True,
+              count_key: str = "failures") -> CheckResult:
+        """Run witness_of(*case) on every case; record the instances, the
+        number of witnesses under count_key and the first witness."""
+        instances = failures = 0
+        first = None
+        for case in cases:
+            instances += 1
+            witness = witness_of(*case)
+            if witness is not None:
+                failures += 1
+                if first is None:
+                    first = witness
+        details = {"instances": instances, count_key: failures}
+        if first is not None:
+            details["witness"] = first
+        return self.add(name, instances > 0 and not failures, gating=gating, **details)
+
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks if c.gating)
@@ -55,6 +94,15 @@ class Report:
 
     def dumps(self) -> str:
         return canonical_json(self.to_json())
+
+
+def witness_unless(holds: bool, **elems) -> dict | None:
+    """None when a law holds on a case, else its witness: the repr of each
+    named element, element by element for a list."""
+    if holds:
+        return None
+    return {k: [repr(x) for x in v] if isinstance(v, list) else repr(v)
+            for k, v in elems.items()}
 
 
 def canonical_json(obj) -> str:

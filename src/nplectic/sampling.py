@@ -62,3 +62,10 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
 
 def random_gvector(rng: random.Random, pair, max_degree: int = 3) -> Tensor:
     return random_tensor(rng, pair, 1, max_degree, terms=max(2, pair.ngens))
+
+
+def random_tuples(rng: random.Random, pair, samplers, count: int, max_degree: int = 3):
+    """`count` tuples holding one sampler(rng, pair, max_degree) per slot,
+    drawn lazily, one tuple at a time and slot by slot."""
+    for _ in range(count):
+        yield tuple(sample(rng, pair, max_degree) for sample in samplers)

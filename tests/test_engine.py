@@ -15,6 +15,7 @@ from nplectic.engine import (
     MAX_SLICE_DIM,
     NotClosedError,
     NPlecticStructure,
+    coords_element,
     d_omega,
     extension_bracket,
     fundamental_pairing_check,
@@ -231,9 +232,10 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
 @given(alpha=ALPHAS, degree=st.integers(0, 3), window=st.integers(0, 2))
 def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     s = mixed_structure(alpha)
-    basis, images = symplectic_slice(s, degree, monomials_upto(3, window))
-    assert len(images) == len(basis)
-    for x, image in zip(basis, images):
+    labels, null, images = symplectic_slice(s, degree, monomials_upto(3, window))
+    assert len(images) == len(null)
+    for vec, image in zip(null, images):
+        x = coords_element(s.pair, Tensor, labels, vec)
         assert is_symplectic(x, s)
         assert image == contract(x, s.omega)
 
