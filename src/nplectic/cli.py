@@ -386,8 +386,9 @@ def _add_sampling(p, samples: int):
 
 
 def _add_cap(p):
-    p.add_argument("--arity-cap", type=int, default=DEFAULT_EXTENSION_ARITY_CAP,
-                   metavar="K", help="largest bracket arity to evaluate (default: %(default)s)")
+    p.add_argument("--arity-cap", type=_int_at_least(1),
+                   default=DEFAULT_EXTENSION_ARITY_CAP, metavar="K",
+                   help="largest bracket arity to evaluate (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,9 @@ equations are evaluated by code that knows nothing about the particular
 algebra.  `_shuffle_composites` is the package's only weak-Jacobi shuffle
 sum: `jacobi_residual` and the left side of `morphism_residual` walk it,
 and tensors, the extension complex and cohomology classes reach both
-through the adapters below.
+through the adapters below.  The right side of `morphism_residual` walks
+unordered set partitions of the arguments, which assumes every bracket
+here is graded symmetric.
 
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
 basis with bracket values listed per sorted index tuple.  Construction
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
 from .calculus import higher_bracket, natural_inclusion
 from .cohomology import CohomClass, NotACocycle, class_of, poisson_bracket
@@ -34,6 +35,7 @@ from .engine import (
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .scalars import (
+    Permutation,
     Poly,
     as_rational,
     enumerate_shuffles,
@@ -348,11 +350,15 @@ def check_linf(op: Operations, generators, max_arity: int):
     return True, None
 
 
-def _compositions(n: int, p: int):
-    """Ordered tuples of p positive integers summing to n."""
-    for cuts in itertools.combinations(range(1, n), p - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+def _set_partitions(n: int):
+    """Set partitions of 1..n: ascending blocks, ordered by least element."""
+    if n == 0:
+        yield []
+        return
+    for blocks in _set_partitions(n - 1):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] + [n]] + blocks[i + 1:]
+        yield blocks + [[n]]
 
 
 def morphism_residual(f, dom: Operations, cod: Operations, vs):
@@ -360,12 +366,15 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
 
     `f(k, vs)` evaluates the arity-k component (None meaning zero).  The
     left side feeds each domain bracket through a component; the right
-    side sums codomain brackets of component blocks over ordered
-    compositions, weighted by 1/p! so every unordered block partition
-    counts once.  Signs are Koszul in the domain degrees.
+    side subtracts one codomain bracket of component blocks per set
+    partition of the arguments, blocks ascending and ordered by least
+    element, with the Koszul sign of the concatenated blocks in the
+    domain degrees.  Taking each unordered partition once is right only
+    when the codomain bracket is graded symmetric and every component
+    respects degree parity (its value has the parity of its arguments'
+    total degree); then all p! orderings of the blocks give the same term.
     """
     vs = list(vs)
-    n = len(vs)
     degs = _degrees(dom, vs, "morphism check")
     if degs is None:
         return cod.zero()
@@ -379,20 +388,17 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
 
     for sign, term in _shuffle_composites(dom, f, vs, degs):
         total = accumulate(total, term, sign)
-    for p in range(1, n + 1):
-        weight = Fraction(-1, factorial(p))
-        for comp in _compositions(n, p):
-            for sh in enumerate_shuffles(comp, cap=n):
-                sign = koszul_sign(sh, degs)
-                pos = 1
-                blocks = []
-                for size in comp:
-                    blocks.append([vs[sh(t) - 1] for t in range(pos, pos + size)])
-                    pos += size
-                ys = [f(size, block) for size, block in zip(comp, blocks)]
-                if any(y is None for y in ys):
-                    continue
-                total = accumulate(total, cod.bracket(p, ys), weight * sign)
+    for blocks in _set_partitions(len(vs)):
+        ys = []
+        for block in blocks:
+            y = f(len(block), [vs[i - 1] for i in block])
+            if y is None:
+                break
+            ys.append(y)
+        else:
+            order = Permutation(tuple(itertools.chain.from_iterable(blocks)))
+            total = accumulate(total, cod.bracket(len(blocks), ys),
+                               -koszul_sign(order, degs))
     return cod.zero() if total is None else total
 
 

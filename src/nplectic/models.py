@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .elements import Cotensor, Tensor
 from .engine import NPlecticStructure
-from .pairs import ConstantPair, PolyVectorFieldPair, pair_from_json, pair_to_json
+from .pairs import ConstantPair, PolyVectorFieldPair, pair_from_json
 
 
 def su2_pair() -> ConstantPair:
@@ -55,15 +55,6 @@ BUILTIN_STRUCTURES = {
     "su2-cartan": su2_cartan,
     "degenerate-plane": degenerate_plane,
 }
-
-
-def momentum_to_json(structure: NPlecticStructure, algebra: ConstantPair,
-                     fields, potentials) -> dict:
-    return {
-        "algebra": pair_to_json(algebra),
-        "fields": [x.to_json() for x in fields],
-        "potentials": [f.to_json() for f in potentials],
-    }
 
 
 def momentum_from_json(structure: NPlecticStructure, data: dict):

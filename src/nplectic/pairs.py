@@ -203,14 +203,6 @@ def gvector(pair: PairDescriptor, coeffs) -> Tensor:
     return Tensor(pair, [((i,), c) for i, c in enumerate(coeffs, start=1)])
 
 
-def gvector_coeffs(x: Tensor) -> list[Poly]:
-    """Inverse of `gvector` for homogeneous degree-one tensors."""
-    if not all(len(w) == 1 for w in x.terms):
-        raise ValueError("not a degree-one tensor")
-    zero = Poly.zero(x.pair.poly_nvars)
-    return [x.terms.get((i,), zero) for i in range(1, x.pair.ngens + 1)]
-
-
 def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     """Bracket of two module elements (degree-one tensors).
 
@@ -254,20 +246,6 @@ def action(x: Tensor, a) -> Poly:
 def _require_vector(x: Tensor):
     if any(len(w) != 1 for w in x.terms):
         raise ValueError("expected a degree-one tensor (module element)")
-
-
-def associated_graded_bracket(pair: PairDescriptor, u, v):
-    """Bracket on A (+) g pairs: ((a,x),(b,y)) -> (D_x a + D_y b, [x,y]).
-
-    This is the raw two-slot formula: each derivation eats the scalar
-    riding with it, so the scalar slot is symmetric under swapping the
-    arguments while the vector slot is antisymmetric.  The cross-applied
-    bilinear bracket that underlies the graded embedding is
-    `linf.PairLinf.bracket`.
-    """
-    a, x = u
-    b, y = v
-    return (action(x, a) + action(y, b), lie_bracket(x, y))
 
 
 # ---------------------------------------------------------------------------

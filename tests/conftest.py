@@ -1,5 +1,6 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
-oracle for the weak Jacobi residual, the target-word oracle for d, a plain
+oracle for the weak Jacobi residual, the ordered-block oracle for the
+morphism residual, the target-word oracle for d, a plain
 {exponent: Fraction} polynomial arithmetic as the oracle for `Poly`, and a
 sampler of extension elements."""
 
@@ -12,8 +13,9 @@ import pytest
 from nplectic.elements import Cotensor, ascending_words, sort_word
 from nplectic.engine import ExtensionElement
 from nplectic.identities import random_symplectic
+from nplectic.linf import _shuffle_composites
 from nplectic.sampling import random_cotensor
-from nplectic.scalars import Poly, sparse_sum
+from nplectic.scalars import Poly, enumerate_shuffles, koszul_sign, sparse_sum
 
 
 class VerdictLog:
@@ -72,6 +74,56 @@ def symmetrized_jacobi_sum(op, vs):
 @pytest.fixture(scope="session")
 def jacobi_oracle():
     return symmetrized_jacobi_sum
+
+
+def ordered_morphism_rhs(f, cod, vs, degs):
+    """Oracle for the right side of `linf.morphism_residual`, as (weight, term) pairs.
+
+    Every ordered composition of n into p blocks and every shuffle of the
+    arguments into those blocks gives cod.bracket(p, component blocks)
+    with weight -1/p! times the Koszul sign of the shuffle.  Each unordered
+    block partition is visited once per ordering of its blocks, so the sum
+    does not assume the codomain bracket or the components are graded
+    symmetric.
+    """
+    n = len(vs)
+    terms = []
+    for p in range(1, n + 1):
+        for cuts in itertools.combinations(range(1, n), p - 1):
+            bounds = list(zip((0,) + cuts, cuts + (n,)))
+            for sh in enumerate_shuffles([b - a for a, b in bounds], cap=n):
+                ys = [f(b - a, [vs[sh(t) - 1] for t in range(a + 1, b + 1)])
+                      for a, b in bounds]
+                if any(y is None for y in ys):
+                    continue
+                weight = Fraction(-koszul_sign(sh, degs), math.factorial(p))
+                terms.append((weight, cod.bracket(p, ys)))
+    return terms
+
+
+def ordered_morphism_residual(f, dom, cod, vs):
+    """The morphism residual with its right side from `ordered_morphism_rhs`.
+
+    The left side is the package's weak-Jacobi shuffle sum, which the S_n
+    oracle above checks on its own.
+    """
+    vs = list(vs)
+    if any(dom.is_zero(v) for v in vs):
+        return cod.zero()
+    degs = [dom.degree(v) for v in vs]
+    total = None
+    for weight, term in itertools.chain(_shuffle_composites(dom, f, vs, degs),
+                                        ordered_morphism_rhs(f, cod, vs, degs)):
+        if term is None or cod.is_zero(term):
+            continue
+        term = cod.scale(weight, term)
+        total = term if total is None else cod.add(total, term)
+    return cod.zero() if total is None else total
+
+
+@pytest.fixture(scope="session")
+def morphism_oracle():
+    return ordered_morphism_residual
 
 
 def ce_differential_by_targets(f):

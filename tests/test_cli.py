@@ -450,6 +450,19 @@ def test_counts_that_would_test_nothing_are_rejected(argv, capsys):
     assert "must be at least" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["momentum-check", PLANE, ROTATION, "--arity-cap", "0"],
+    ["jacobi", PLANE, "--arity-cap", "-1"],
+    ["poisson", PLANE, ROTATION, "--arity-cap", "0"],
+], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
+def test_arity_cap_below_one_is_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --arity-cap: must be at least 1" in err
+
+
 def test_seeded_reports_are_byte_identical():
     argv = [sys.executable, "-m", "nplectic.cli", "identities", PLANE,
             "--count", "8", "--pairing-count", "4", "--seed", "11"]

@@ -4,8 +4,9 @@ Each case in ``golden/cases.json`` runs ``python -m nplectic.cli ARGV``
 from the repository root, under several hash seeds, and its stdout and
 exit code must equal the recorded ones.  The cases cover passing and
 failing validators with witnesses, the identity suites with their
-informational witness, and the Jacobi checks.  To re-record after an
-intended report change:
+informational witness, the Jacobi checks, and the sp(2) momentum map with
+a corrupted bracket table that fails the morphism gate.  To re-record
+after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -12,13 +12,12 @@ from nplectic.models import (
     degenerate_plane,
     heisenberg_pair,
     momentum_from_json,
-    momentum_to_json,
     rotation_momentum,
     su2_cartan,
     su2_pair,
     symplectic_plane,
 )
-from nplectic.pairs import pair_from_json, validate_pair
+from nplectic.pairs import pair_from_json, pair_to_json, validate_pair
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -63,7 +62,9 @@ def test_rotation_momentum_is_certified():
 def test_rotation_momentum_file_roundtrip():
     s = symplectic_plane()
     algebra, fields, potentials = rotation_momentum()
-    data = momentum_to_json(s, algebra, fields, potentials)
+    data = {"algebra": pair_to_json(algebra),
+            "fields": [x.to_json() for x in fields],
+            "potentials": [f.to_json() for f in potentials]}
     assert data == load("rotation_momentum.json")
     back = momentum_from_json(s, data)
     assert back[0] == algebra

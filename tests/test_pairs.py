@@ -10,9 +10,6 @@ from nplectic.pairs import (
     PairMorphismCandidate,
     PolyVectorFieldPair,
     action,
-    associated_graded_bracket,
-    gvector,
-    gvector_coeffs,
     lie_bracket,
     pair_from_json,
     pair_to_json,
@@ -148,12 +145,6 @@ def test_leibniz_rule_directly():
         assert lie_bracket(x, a * y) == action(x, a) * y + a * lie_bracket(x, y)
 
 
-def test_gvector_roundtrip():
-    p = PolyVectorFieldPair(2)
-    coeffs = [parse_poly("x + 1", 2), parse_poly("-y^2", 2)]
-    assert gvector_coeffs(gvector(p, coeffs)) == coeffs
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -174,27 +165,6 @@ def test_element_json_roundtrip():
     assert Tensor.from_json(p, data) == t
     # canonical: words ascending, so the (2,1) input shows up as (1,2) negated
     assert data == [[[1], "y^2"], [[1, 2], "-x + 1/2"]]
-
-
-# ---------------------------------------------------------------------------
-# the graded two-slot bracket, exactly as defined
-# ---------------------------------------------------------------------------
-
-def test_associated_graded_bracket_verbatim():
-    p = PolyVectorFieldPair(2)
-    x_c, y_c = Poly.variable(2, 0), Poly.variable(2, 1)
-    u = (x_c, e(p, 1))   # (x, d/dx)
-    v = (y_c, e(p, 2))   # (y, d/dy)
-    scal, vec = associated_graded_bracket(p, u, v)
-    assert scal == Poly.const(2, 2)  # D_x(x) + D_y(y) = 1 + 1
-    assert vec.is_zero()
-    # each slot differentiates its own scalar: the zero-vector slot kills both
-    scal2, _ = associated_graded_bracket(p, (x_c, Tensor.zero(p)), (y_c, Tensor.zero(p)))
-    assert scal2.is_zero()
-    # scalars paired against the other field would not vanish here, so this
-    # pins the self-application reading
-    scal3, vec3 = associated_graded_bracket(p, (y_c, e(p, 1)), (x_c, e(p, 2)))
-    assert scal3.is_zero() and vec3.is_zero()
 
 
 # ---------------------------------------------------------------------------
