@@ -220,12 +220,12 @@ def higher_bracket(k: int, xs) -> Tensor:
     for degs, parts in _hom_tuples(xs):
         for s in shuffle_set:
             sign = koszul_sign(s, degs)
-            if degs[s(1) - 1] % 2:
+            if degs[s[0] - 1] % 2:
                 sign = -sign
-            inner = schouten(parts[s(2) - 1], parts[s(1) - 1])
+            inner = schouten(parts[s[1] - 1], parts[s[0] - 1])
             if inner.is_zero():
                 continue
-            tail = [parts[s(t) - 1] for t in range(k, 2, -1)]
+            tail = [parts[i - 1] for i in reversed(s[2:])]
             term = wedge_list(pair, Tensor, tail).wedge(inner)
             total = total + sign * term
     return total

@@ -25,6 +25,7 @@ from .cohomology import (
     class_of,
     extension_cohomology_table,
     poisson_bracket,
+    require_constant_omega,
 )
 from .elements import Cotensor, Tensor
 from .engine import (
@@ -203,6 +204,8 @@ def cmd_nplectic_check(args):
 def cmd_jacobi(args):
     s = _load_structure(_read_json(args.input))
     cap = args.arity_cap
+    if args.max_arity > cap:
+        raise CapExceeded(f"extension bracket arity {args.max_arity} exceeds cap {cap}")
     rng = random.Random(args.seed)
     pair = s.pair
     report = Report("jacobi", {
@@ -255,9 +258,7 @@ def cmd_cohomology(args):
         report = Report("cohomology", {"family": pair.family, "mode": "pair",
                                        "weights": weights})
         return report, {"table": table}
-    if s.omega.max_poly_degree() > 0:
-        raise InputError("omega is not weight-homogeneous: the weight grading of "
-                         "extension cohomology needs constant coefficients")
+    _require_constant_omega(s)
     degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
                else range(-1, s.n + 3))
     table = extension_cohomology_table(s, degrees, weights)
@@ -268,8 +269,16 @@ def cmd_cohomology(args):
     return report, {"table": table}
 
 
+def _require_constant_omega(s):
+    try:
+        require_constant_omega(s)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_poisson(args):
     s = _load_structure(_read_json(args.input))
+    _require_constant_omega(s)
     cap = args.arity_cap
     data = _read_json(args.elements)
     raw = _field(data, "elements")

@@ -135,6 +135,17 @@ def _dw_matrix(s: NPlecticStructure, k: int, r: int):
     return [element_coords(img, index) for img in images], len(images)
 
 
+def require_constant_omega(s: NPlecticStructure) -> None:
+    """Raise ValueError unless omega has constant coefficients.
+
+    Slices and classes use the weight grading, which needs contraction
+    into omega to keep the weight; a polynomial coefficient raises it.
+    """
+    if s.omega.max_poly_degree() > 0:
+        raise ValueError("omega is not weight-homogeneous: the weight grading of "
+                         "extension cohomology needs constant coefficients")
+
+
 def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
     """Exact ranks of the extension complex at one (degree, weight) slice."""
     return extension_cohomology_table(s, [k], [r])[0]
@@ -142,6 +153,8 @@ def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
 
 def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[dict]:
     """One rank row per (degree, weight); each slice's differential is ranked once."""
+    require_constant_omega(s)
+
     def differential(k, r):
         columns, dim = _dw_matrix(s, k, r)
         return rank_fraction_free(columns), dim
@@ -228,8 +241,10 @@ class CohomClass:
 def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     """Canonical class of a cocycle; raises NotACocycle otherwise.
 
-    An explicit degree must agree with the element's own degree, if it has one.
+    An explicit degree must agree with the element's own degree, if it has
+    one.  Raises ValueError unless omega has constant coefficients.
     """
+    require_constant_omega(e.structure)
     residual = d_omega(e)
     if not residual.is_zero():
         raise NotACocycle(residual)

@@ -24,7 +24,13 @@ import itertools
 from fractions import Fraction
 
 from .calculus import higher_bracket, natural_inclusion
-from .cohomology import CohomClass, NotACocycle, class_of, poisson_bracket
+from .cohomology import (
+    CohomClass,
+    NotACocycle,
+    class_of,
+    poisson_bracket,
+    require_constant_omega,
+)
 from .elements import Tensor
 from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
@@ -35,7 +41,7 @@ from .engine import (
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .scalars import (
-    Permutation,
+    CapExceeded,
     Poly,
     as_rational,
     enumerate_shuffles,
@@ -69,20 +75,6 @@ class Operations:
 # ---------------------------------------------------------------------------
 # explicit finite tables
 # ---------------------------------------------------------------------------
-
-def _sorted_with_sign(indices, degrees):
-    """Stable-sort basis indices, tracking the degree-weighted swap sign."""
-    order = list(indices)
-    sign = 1
-    for i in range(1, len(order)):
-        j = i
-        while j > 0 and order[j - 1] > order[j]:
-            if degrees[order[j - 1] - 1] % 2 and degrees[order[j] - 1] % 2:
-                sign = -sign
-            order[j - 1], order[j] = order[j], order[j - 1]
-            j -= 1
-    return sign, tuple(order)
-
 
 class FiniteLInfinity(Operations):
     """A graded bracket system on a finite basis, given by explicit tables.
@@ -157,33 +149,15 @@ class FiniteLInfinity(Operations):
             coeff = Fraction(1)
             for _, c in combo:
                 coeff *= c
-            sign, key = _sorted_with_sign(indices, self.degrees)
+            order = sorted(range(1, k + 1), key=lambda a: indices[a - 1])
+            key = tuple(indices[a - 1] for a in order)
+            sign = koszul_sign(order, [self.degrees[i - 1] for i in indices])
             if any(a == b and self.degrees[a - 1] % 2
                    for a, b in zip(key, key[1:])):
                 continue
             terms.extend((target, sign * coeff * c)
                          for target, c in slot.get(key, {}).items())
         return sparse_sum(terms)
-
-    def to_json(self) -> dict:
-        return {
-            "degrees": list(self.degrees),
-            "brackets": {
-                str(k): {",".join(map(str, key)): {str(t): str(c) for t, c in val.items()}
-                         for key, val in sorted(entries.items())}
-                for k, entries in sorted(self.brackets.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteLInfinity":
-        brackets = {}
-        for k, entries in data.get("brackets", {}).items():
-            brackets[int(k)] = {
-                tuple(int(p) for p in key.split(",")): dict(val)
-                for key, val in entries.items()
-            }
-        return cls(data["degrees"], brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +280,10 @@ def _shuffle_composites(op: Operations, outer, vs, degs):
     for j in range(1, n + 1):
         for sh in enumerate_shuffles((j, n - j), cap=n):
             sign = koszul_sign(sh, degs)
-            inner = op.bracket(j, [vs[sh(t) - 1] for t in range(1, j + 1)])
+            inner = op.bracket(j, [vs[i - 1] for i in sh[:j]])
             if op.is_zero(inner):
                 continue
-            yield sign, outer(n + 1 - j, [inner] + [vs[sh(t) - 1] for t in range(j + 1, n + 1)])
+            yield sign, outer(n + 1 - j, [inner] + [vs[i - 1] for i in sh[j:]])
 
 
 def jacobi_residual(op: Operations, vs):
@@ -338,9 +312,12 @@ def check_linf(op: Operations, generators, max_arity: int):
 
     Returns (True, None) or (False, witness) with the offending arguments
     and residual.  Sorted tuples suffice because the brackets are graded
-    symmetric.
+    symmetric.  With no generators or no arity there is no tuple to check,
+    and the witness is {"instances": 0}.
     """
     generators = list(generators)
+    if not generators or max_arity < 1:
+        return False, {"instances": 0}
     for arity in range(1, max_arity + 1):
         for combo in itertools.combinations_with_replacement(range(len(generators)), arity):
             vs = [generators[i] for i in combo]
@@ -396,14 +373,20 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
                 break
             ys.append(y)
         else:
-            order = Permutation(tuple(itertools.chain.from_iterable(blocks)))
+            order = tuple(itertools.chain.from_iterable(blocks))
             total = accumulate(total, cod.bracket(len(blocks), ys),
                                -koszul_sign(order, degs))
     return cod.zero() if total is None else total
 
 
 def check_morphism(f, dom: Operations, cod: Operations, argument_lists):
-    """Run `morphism_residual` over many tuples; (ok, witness | None)."""
+    """Run `morphism_residual` over many tuples; (ok, witness | None).
+
+    No tuples at all fail with the witness {"instances": 0}.
+    """
+    argument_lists = list(argument_lists)
+    if not argument_lists:
+        return False, {"instances": 0}
     for vs in argument_lists:
         residual = morphism_residual(f, dom, cod, vs)
         if not cod.is_zero(residual):
@@ -432,12 +415,20 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     the morphism equations against the algebra's bracket table up to the
     requested arity, with all higher components zero.
 
+    Before either gate, an omega without constant coefficients raises
+    ValueError and an arity above the cap raises CapExceeded: the equations
+    at arity k need the k-ary bracket of classes.  An arity below one
+    leaves nothing to check and fails gate two.
+
     Returns (ok, details); details lists the classes and any failures.
     """
     fields = list(fields)
     potentials = list(potentials)
     if not len(fields) == len(potentials) == algebra.dim:
         raise ValueError("need one field and one potential per generator")
+    require_constant_omega(s)
+    if max_arity > cap:
+        raise CapExceeded(f"bracket arity {max_arity} exceeds cap {cap}")
     issues = []
     classes: list[CohomClass | None] = []
     for g, (pot, x) in enumerate(zip(potentials, fields), start=1):
@@ -467,6 +458,9 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
             out = term if out is None else out + term
         return out
 
+    if max_arity < 1:
+        issues.append({"gate": "morphism", "instances": 0,
+                       "reason": "no generator tuple to check"})
     for arity in range(1, max_arity + 1):
         for combo in itertools.combinations_with_replacement(range(1, algebra.dim + 1), arity):
             vs = [dom.basis(i) for i in combo]

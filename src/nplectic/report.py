@@ -92,9 +92,6 @@ class Report:
             "checks": [c.to_json() for c in self.checks],
         }
 
-    def dumps(self) -> str:
-        return canonical_json(self.to_json())
-
 
 def witness_unless(holds: bool, **elems) -> dict | None:
     """None when a law holds on a case, else its witness: the repr of each

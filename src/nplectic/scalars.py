@@ -4,17 +4,17 @@ Everything downstream runs over the rationals: coefficients are
 `fractions.Fraction` or sparse multivariate polynomials over Q.  A `Poly`
 stores integer numerators over one common denominator, so its ring
 arithmetic runs on Python ints; only this module reads that storage, and
-everything else sees (exponent, Fraction) pairs.  Permutations, shuffles,
-Koszul signs and Bell numbers live here too, since every bracket formula
-downstream is a signed sum over shuffles.  No floats anywhere.
+everything else sees (exponent, Fraction) pairs.  Shuffles, Koszul signs
+and Bell numbers live here too, since every bracket formula downstream is
+a signed sum over shuffles.  A permutation s of 1..k is never an object:
+it is the plain image tuple (s(1), ..., s(k)) that callers index.  No
+floats anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -321,9 +321,6 @@ def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:
     return text
 
 
-_TERM_RE = re.compile(r"^[+-]?\s*[^+-]*(?:[+-]\d+)?")
-
-
 def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> Poly:
     """Parse the format emitted by `format_poly` (and reasonable variants)."""
     names = names or _default_names(nvars)
@@ -374,91 +371,35 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> P
 
 
 # ---------------------------------------------------------------------------
-# permutations, shuffles and the Koszul sign
+# shuffles and the Koszul sign, on image tuples (s(1), ..., s(k))
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..k} stored as its tuple of images s(1..k)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    def __len__(self):
-        return len(self.images)
-
-    def __call__(self, a: int) -> int:
-        return self.images[a - 1]
-
-    @staticmethod
-    def identity(k: int) -> "Permutation":
-        return Permutation(tuple(range(1, k + 1)))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self.compose(other))(a) = self(other(a)), i.e. apply `other` first."""
-        assert len(self) == len(other)
-        return Permutation(tuple(self(other(a)) for a in range(1, len(self) + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for a, b in enumerate(self.images, start=1):
-            inv[b - 1] = a
-        return Permutation(tuple(inv))
-
-    def sign(self) -> int:
-        inv = 0
-        im = self.images
-        for a in range(len(im)):
-            for b in range(a + 1, len(im)):
-                if im[a] > im[b]:
-                    inv += 1
-        return -1 if inv % 2 else 1
-
-    def permute(self, seq):
-        """Reordered tuple whose a-th entry is seq[s(a)-1]."""
-        return tuple(seq[self(a) - 1] for a in range(1, len(self) + 1))
-
-
-def koszul_sign(perm: Permutation, degrees) -> int:
+def koszul_sign(images, degrees) -> int:
     """Sign picked up by permuting graded objects of the given degrees.
 
+    The permutation s of 1..k is given as its image tuple (s(1), ..., s(k)).
     Convention: v_1 x ... x v_k = sign * v_{s(1)} x ... x v_{s(k)}, and each
     transposition of adjacent factors of degrees p, q contributes (-1)^(p*q).
     Computed as a product over inversions of s.
     """
     degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != len(perm):
+    if len(degrees) != len(images):
         raise ValueError("degree list does not match permutation length")
     parity = 0
-    im = perm.images
-    for a in range(len(im)):
-        for b in range(a + 1, len(im)):
-            if im[a] > im[b]:
-                parity += degrees[im[a] - 1] * degrees[im[b] - 1]
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            if images[a] > images[b]:
+                parity += degrees[images[a] - 1] * degrees[images[b] - 1]
     return -1 if parity % 2 else 1
 
 
-@dataclass(frozen=True)
-class ShuffleSet:
-    """All (p_1,...,p_r)-shuffles, in lexicographic order of image tuples."""
+def enumerate_shuffles(block_sizes, cap: int = DEFAULT_SHUFFLE_CAP) -> list[tuple[int, ...]]:
+    """(p_1,...,p_r)-shuffles as image tuples, in lexicographic order.
 
-    block_sizes: tuple[int, ...]
-    perms: tuple[Permutation, ...]
-
-    def __iter__(self):
-        return iter(self.perms)
-
-    def __len__(self):
-        return len(self.perms)
-
-
-def enumerate_shuffles(block_sizes, cap: int = DEFAULT_SHUFFLE_CAP) -> ShuffleSet:
-    """(p_1,...,p_r)-shuffles: ascending images inside each block of positions.
-
-    The total p_1+...+p_r is capped (there are multinomially many shuffles).
+    A shuffle's images ascend inside each block of positions.  Each block
+    takes its images from the values the earlier blocks left, in
+    `itertools.combinations` order, so the tuples come out sorted.  The
+    total p_1+...+p_r is capped (there are multinomially many shuffles).
     """
     sizes = tuple(int(p) for p in block_sizes)
     if any(p < 0 for p in sizes):
@@ -466,23 +407,12 @@ def enumerate_shuffles(block_sizes, cap: int = DEFAULT_SHUFFLE_CAP) -> ShuffleSe
     total = sum(sizes)
     if total > cap:
         raise CapExceeded(f"shuffle degree {total} exceeds cap {cap}")
-
-    def fill(remaining: tuple[int, ...], blocks: tuple[int, ...]):
-        if not blocks:
-            yield ()
-            return
-        p, rest = blocks[0], blocks[1:]
-        for chosen in itertools.combinations(remaining, p):
-            left = tuple(v for v in remaining if v not in chosen)
-            for tail in fill(left, rest):
-                yield chosen + tail
-
-    perms = sorted(fill(tuple(range(1, total + 1)), sizes))
-    return ShuffleSet(sizes, tuple(Permutation(images) for images in perms))
-
-
-def shuffles(p: int, q: int, cap: int = DEFAULT_SHUFFLE_CAP) -> ShuffleSet:
-    return enumerate_shuffles((p, q), cap=cap)
+    partial = [((), tuple(range(1, total + 1)))]
+    for p in sizes:
+        partial = [(head + chosen, tuple(v for v in left if v not in chosen))
+                   for head, left in partial
+                   for chosen in itertools.combinations(left, p)]
+    return [head for head, _ in partial]
 
 
 # ---------------------------------------------------------------------------

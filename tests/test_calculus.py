@@ -18,7 +18,7 @@ from nplectic.elements import Cotensor, Tensor, ascending_words, wedge, wedge_li
 from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
-from nplectic.scalars import Permutation, Poly, koszul_sign, parse_poly
+from nplectic.scalars import Poly, koszul_sign, parse_poly
 
 
 def su2():
@@ -92,7 +92,7 @@ def det_pairing(fs, xs):
     m = [[one_form_value(fs[j], xs[i]) for j in range(n)] for i in range(n)]
     total = Poly.zero(fs[0].pair.poly_nvars)
     for perm in itertools.permutations(range(n)):
-        sgn = Permutation(tuple(p + 1 for p in perm)).sign()
+        sgn = koszul_sign(tuple(p + 1 for p in perm), (1,) * n)
         prod = Poly.const(fs[0].pair.poly_nvars, sgn)
         for i in range(n):
             prod = prod * m[i][perm[i]]
@@ -370,13 +370,12 @@ def bruteforce_higher_bracket(k, xs):
     pair = xs[0].pair
     total = Tensor.zero(pair)
     degs = tuple(x.grade for x in xs)
-    for images in itertools.permutations(range(1, k + 1)):
-        s = Permutation(images)
+    for s in itertools.permutations(range(1, k + 1)):
         sign = koszul_sign(s, degs)
-        if degs[s(1) - 1] % 2:
+        if degs[s[0] - 1] % 2:
             sign = -sign
-        inner = schouten(xs[s(2) - 1], xs[s(1) - 1])
-        tail = [xs[s(t) - 1] for t in range(k, 2, -1)]
+        inner = schouten(xs[s[1] - 1], xs[s[0] - 1])
+        tail = [xs[i - 1] for i in reversed(s[2:])]
         total = total + sign * wedge_list(pair, Tensor, tail).wedge(inner)
     return Fraction(1, 2 * math.factorial(k - 2)) * total
 
@@ -423,9 +422,8 @@ def test_higher_bracket_graded_symmetry():
             if any(x.is_zero() for x in xs):
                 continue
             degs = tuple(x.grade for x in xs)
-            images = tuple(rng.sample(range(1, k + 1), k))
-            s = Permutation(images)
-            permuted = [xs[s(t) - 1] for t in range(1, k + 1)]
+            s = tuple(rng.sample(range(1, k + 1), k))
+            permuted = [xs[i - 1] for i in s]
             assert higher_bracket(k, permuted) == koszul_sign(s, degs) * higher_bracket(k, xs)
 
 

@@ -15,6 +15,7 @@ PLANE = str(MODELS / "symplectic_plane.json")
 SU2_CARTAN = str(MODELS / "su2_cartan.json")
 HEISENBERG = str(MODELS / "heisenberg_pair.json")
 ROTATION = str(MODELS / "rotation_momentum.json")
+SP2 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "sp2_momentum.json")
 
 SU2_PAIR_JSON = {
     "family": "constant", "dim": 3,
@@ -168,6 +169,18 @@ def test_jacobi_arity_above_cap_exits_three(run):
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["jacobi", PLANE], ["jacobi", SU2_CARTAN],
+    ["momentum-check", PLANE, SP2, "--arity-cap", "8"],
+], ids=["jacobi-plane", "jacobi-su2", "momentum-check-sp2"])
+def test_an_arity_above_the_cap_exits_three_before_any_work(run, argv):
+    start = time.monotonic()
+    code, payload, err = run(*argv, "--max-arity", "1000000")
+    assert time.monotonic() - start < 1
+    assert code == 3 and payload is None
+    assert "exceeds cap" in err
+
+
 def test_cohomology_on_forty_variables_exits_three_quickly(run, tmp_path):
     path = write(tmp_path, "poly40.json", {
         "n": 1, "omega": [[[1, 2], "1"]], "pair": {"family": "poly", "vars": 40}})
@@ -280,6 +293,28 @@ def test_cohomology_rejects_omega_without_constant_coefficients(run, tmp_path):
     assert "weight-homogeneous" in err
 
 
+POLY_OMEGA = {"pair": {"family": "poly", "vars": 3}, "n": 2,
+              "omega": [[[1, 2, 3], "1 + x^2"]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("poisson", {"elements": [{"f": [[[1], "1"]], "x": []}]}),
+    ("momentum-check", {"algebra": {"family": "constant", "dim": 1, "brackets": {}},
+                        "fields": [[]], "potentials": [[[[1], "1"]]]}),
+], ids=["poisson", "momentum-check"])
+def test_classes_need_omega_with_constant_coefficients(run, tmp_path, command, payload):
+    structure = write(tmp_path, "s.json", POLY_OMEGA)
+    code, out, err = run(command, structure, write(tmp_path, "arg.json", payload))
+    assert code == 2 and out is None
+    assert err.startswith("error: omega is not weight-homogeneous")
+
+
+def test_jacobi_runs_on_omega_with_polynomial_coefficients(run, tmp_path):
+    structure = write(tmp_path, "s.json", POLY_OMEGA)
+    code, payload, _ = run("jacobi", structure, "--max-arity", "3", "--count", "2")
+    assert code == 0 and payload["ok"]
+
+
 def test_cohomology_without_structure_needs_plain(run):
     code, payload, err = run("cohomology", HEISENBERG)
     assert code == 2 and "--plain" in err
@@ -360,6 +395,9 @@ def test_momentum_check_rejects_a_corrupted_potential(run, tmp_path):
     gate = next(c for c in payload["checks"] if c["name"] == "cocycle_gate")
     assert not gate["ok"] and gate["details"]["issues"]
     assert payload["classes"] == [None]
+    # the arity is checked against the cap before either gate runs
+    code, payload, err = run("momentum-check", PLANE, path, "--max-arity", "7")
+    assert code == 3 and payload is None and "exceeds cap" in err
 
 
 def test_identities_on_a_bare_pair(run):

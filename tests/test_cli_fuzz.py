@@ -1,9 +1,13 @@
 """Arbitrary JSON through the command line: every input ends in a report or
 an error message with exit code 0, 1, 2 or 3, never an escaping exception.
 
-Integers are drawn from -2..5, so a drawn pair has at most five generators
-or variables and every example stays small.  Caps on a huge ``dim`` or
-``vars`` are a separate matter and are not exercised here.
+Integers in payloads are drawn from -2..5, so a drawn pair has at most five
+generators or variables and every example stays small.  Caps on a huge
+``dim`` or ``vars`` are a separate matter and are not exercised here.
+``poisson`` and ``momentum-check`` also run against a structure whose omega
+has a polynomial coefficient, which must exit 2 before any gate.  Arities
+past ``--arity-cap`` are drawn up to 10**6 for ``jacobi`` and
+``momentum-check``; they must exit 3 before any bracket is evaluated.
 """
 
 import contextlib
@@ -15,7 +19,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nplectic.cli import main
 
-PLANE = str(Path(__file__).resolve().parents[1] / "models" / "symplectic_plane.json")
+MODELS = Path(__file__).resolve().parents[1] / "models"
+PLANE = str(MODELS / "symplectic_plane.json")
+SU2_CARTAN = str(MODELS / "su2_cartan.json")
+ROTATION = json.loads((MODELS / "rotation_momentum.json").read_text())
+POLY_OMEGA = {"pair": {"family": "poly", "vars": 3}, "n": 2,
+              "omega": [[[1, 2, 3], "1 + x^2"]]}
 
 ints = st.integers(-2, 5)
 texts = st.sampled_from(["", "1", "-1/2", "1/0", "x", "x1*y", "2*x^2", "1,2", "3,1",
@@ -51,12 +60,14 @@ COMMANDS = [["validate-pair", "--samples", "2"], ["nplectic-check"],
 
 
 def run_main(argv):
+    """Run the CLI; return (exit code, stderr) after the common checks."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert err.getvalue().startswith("error:")
+    if code in (2, 3):
+        assert err.getvalue().startswith("error:") and not out.getvalue()
+    return code, err.getvalue()
 
 
 def write_json(tmp_path_factory, name, data):
@@ -121,9 +132,63 @@ element_files = (st.fixed_dictionaries({"elements": st.lists(element_objects, mi
                  | json_values)
 
 
+def structure_path(tmp_path_factory, polynomial_omega: bool) -> str:
+    if polynomial_omega:
+        return write_json(tmp_path_factory, "poly_omega.json", POLY_OMEGA)
+    return PLANE
+
+
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(data=element_files)
-def test_poisson_elements_end_in_an_exit_code(tmp_path_factory, data):
+@given(data=element_files, polynomial_omega=st.booleans())
+def test_poisson_elements_end_in_an_exit_code(tmp_path_factory, data, polynomial_omega):
     path = write_json(tmp_path_factory, "elements.json", data)
-    run_main(["poisson", PLANE, path, "--jacobi"])
+    structure = structure_path(tmp_path_factory, polynomial_omega)
+    code, err = run_main(["poisson", structure, path, "--jacobi"])
+    if polynomial_omega:
+        assert code == 2 and err.startswith("error: omega is not weight-homogeneous")
+
+
+# Candidate files for `momentum-check`.  The rotation candidate and the
+# all-zero candidates pass the cocycle gate and reach the morphism gate.
+algebras = (st.fixed_dictionaries({"family": st.just("constant"), "dim": ints},
+                                  optional={"brackets": brackets})
+            | pairs | json_values)
+candidates = (st.just(ROTATION)
+              | st.integers(1, 3).map(lambda dim: {
+                  "algebra": {"family": "constant", "dim": dim, "brackets": {}},
+                  "fields": [[]] * dim, "potentials": [[]] * dim})
+              | st.fixed_dictionaries({"algebra": algebras,
+                                       "fields": st.lists(terms | json_values, max_size=3),
+                                       "potentials": st.lists(terms | json_values,
+                                                              max_size=3)})
+              | json_values)
+arities_past_cap = st.integers(7, 10 ** 6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=candidates, polynomial_omega=st.booleans(),
+       max_arity=st.integers(1, 3) | arities_past_cap)
+def test_momentum_candidates_end_in_an_exit_code(tmp_path_factory, data, polynomial_omega,
+                                                 max_arity):
+    path = write_json(tmp_path_factory, "candidate.json", data)
+    structure = structure_path(tmp_path_factory, polynomial_omega)
+    code, err = run_main(["momentum-check", structure, path,
+                          "--max-arity", str(max_arity)])
+    # a bad candidate file exits 2 before omega is looked at
+    assert code == 2 or not polynomial_omega
+    if data is ROTATION:
+        if polynomial_omega:
+            assert err.startswith("error: omega is not weight-homogeneous")
+        elif max_arity > 6:
+            assert code == 3 and "exceeds cap" in err
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(structure=st.sampled_from([PLANE, SU2_CARTAN]), cap=st.integers(1, 6),
+       excess=st.integers(1, 10 ** 6))
+def test_jacobi_arity_past_the_cap_exits_three(structure, cap, excess):
+    code, err = run_main(["jacobi", structure, "--arity-cap", str(cap),
+                          "--max-arity", str(cap + excess)])
+    assert code == 3 and "exceeds cap" in err

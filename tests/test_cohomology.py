@@ -330,3 +330,15 @@ def test_class_arithmetic_stays_canonical():
     assert total.rep.f == Cotensor(PLANE, {(): "x + y"})
     assert (Fraction(2) * cx).rep.f == Cotensor(PLANE, {(): "2*x"})
     assert (cx - cx).is_zero()
+
+
+def test_a_polynomial_omega_has_no_weight_grading():
+    # closed and nondegenerate, but contraction into 1 + x^2 raises the weight
+    s = NPlecticStructure(SPACE, 2, Cotensor(SPACE, {(1, 2, 3): "1 + x^2"}))
+    cocycle = ExtensionElement(s, Cotensor(SPACE, {(1,): 1}), Tensor.zero(SPACE))
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        class_of(cocycle, degree=1)
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        extension_cohomology_table(s, [1], [0])
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        extension_cohomology_rank(s, 1, 0)

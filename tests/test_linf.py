@@ -37,7 +37,7 @@ from nplectic.linf import (
 from nplectic.models import momentum_from_json, rotation_momentum
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_fraction, random_tensor
-from nplectic.scalars import bell
+from nplectic.scalars import CapExceeded, bell
 
 PLANE = PolyVectorFieldPair(2)
 
@@ -116,12 +116,19 @@ def test_table_rejects_unsorted_key():
         FiniteLInfinity([1, 1], {2: {(2, 1): {1: "1"}}})
 
 
-def test_table_json_roundtrip():
-    fin = FiniteLInfinity([1, 1, 2], {1: {(3,): {1: "1/2"}},
-                                      2: {(1, 2): {3: "-2"}}})
-    again = FiniteLInfinity.from_json(fin.to_json())
-    assert again.degrees == fin.degrees
-    assert again.brackets == fin.brackets
+def _su2_table_and_basis():
+    fin = FiniteLInfinity.from_pair(su2())
+    return fin, [fin.basis(i) for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("check", [
+    lambda fin, gens: check_linf(fin, [], 3),
+    lambda fin, gens: check_linf(fin, gens, 0),
+    lambda fin, gens: check_morphism(lambda k, xs: xs[0] if k == 1 else None,
+                                     fin, fin, []),
+], ids=["linf-no-generators", "linf-arity-zero", "morphism-no-tuples"])
+def test_a_checker_over_zero_instances_fails(check):
+    assert check(*_su2_table_and_basis()) == (False, {"instances": 0})
 
 
 # -- the shuffle sum against the S_n oracle ----------------------------------------
@@ -278,6 +285,30 @@ def test_zero_momentum_map_is_certified():
                                      [Tensor.zero(PLANE)], [Cotensor.zero(PLANE)])
     assert ok, details["issues"]
     assert details["classes"][0].is_zero()
+
+
+def test_momentum_map_at_arity_zero_fails_the_morphism_gate():
+    algebra, fields, potentials = rotation_candidate()
+    ok, details = check_momentum_map(plane_structure(), algebra, fields, potentials,
+                                     max_arity=0)
+    assert not ok
+    assert details["issues"] == [{"gate": "morphism", "instances": 0,
+                                  "reason": "no generator tuple to check"}]
+
+
+def test_momentum_arity_above_the_cap_raises_before_the_cocycle_gate():
+    algebra, fields, potentials = rotation_candidate()
+    bad = [potentials[0] + Cotensor(PLANE, {(): "x"})]
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        check_momentum_map(plane_structure(), algebra, fields, bad, max_arity=7, cap=6)
+
+
+def test_momentum_map_on_a_polynomial_omega_is_rejected_before_the_gates():
+    space = PolyVectorFieldPair(3)
+    s = NPlecticStructure(space, 2, Cotensor(space, {(1, 2, 3): "1 + x^2"}))
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        check_momentum_map(s, ConstantPair(1, ()), [Tensor.zero(space)],
+                           [Cotensor(space, {(1,): 1})])
 
 
 def test_wrong_degree_field_is_rejected_outright():
