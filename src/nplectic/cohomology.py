@@ -15,6 +15,10 @@ independent images in the target cotensor slice stand for a basis of that
 quotient.  No kernel quotient of the tensors is built, and each slice
 basis tensor is contracted into omega once.
 
+Between the calculus and the elimination every slice vector, image or
+d h, is a label vector {(word, exponent): Fraction}.  Each extension slice
+is eliminated once, and no element is rebuilt on the way to a rank.
+
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
 modulo the coboundary span, which is generated by exact cotensors d h
@@ -40,12 +44,11 @@ from .engine import (
     contract_reversed_wedge,
     d_omega,
     differential_slice,
-    element_coords,
     matrix_of,
-    monomials_exact,
     reduce_mod_kernel,
     shift_weight,
     slice_basis,
+    slice_coords,
     symplectic_slice,
 )
 from .linalg import Echelon, rank_fraction_free
@@ -105,34 +108,23 @@ def _rank_table(degrees, weights, differential, source) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def extension_slice(s: NPlecticStructure, k: int, r: int):
-    """The tensor half of the (degree k, weight r) extension slice.
+    """The (degree k, weight r) slice and its differential (f, x) ->
+    i_x omega - d f, eliminated in one Echelon: the images i_x omega go
+    in first, and those that enlarge it stand for the tensor half (see the
+    module docstring); the d h of the cotensor basis follow.
 
-    Returns (images, index): the images i_x omega of the symplectic slice
-    that are linearly independent in the target cotensor slice, standing
-    for the tensor half (see the module docstring), and the column index
-    of the target slice.
+    Returns (images, rank, dim): the label vectors of those images, the
+    rank of the differential and the slice dimension.
     """
     pair = s.pair
-    monos = monomials_exact(pair.poly_nvars, r)
-    index = {lab: i for i, lab in enumerate(slice_basis(pair, s.n + 1 - k, monos))}
-    chosen = Echelon()
-    images = [img for img in symplectic_slice(s, k, monos)[2]
-              if chosen.add(element_coords(img, index))]
-    return images, index
-
-
-def _dw_matrix(s: NPlecticStructure, k: int, r: int):
-    """Columns of the matrix of the extension differential on one slice.
-
-    One sparse column per slice basis element, with rows over the full
-    target cotensor slice one degree and one weight down.  The tensor half
-    comes first: d_omega(0, x) = (i_x omega, 0), so its columns are the
-    images from `extension_slice`, with no contraction of its own; the
-    function half gives -d h.  Returns (columns, slice dimension).
-    """
-    images, index = extension_slice(s, k, r)
-    images += [-dh for dh in differential_slice(s.pair, s.n - k, shift_weight(s.pair, r))[1]]
-    return [element_coords(img, index) for img in images], len(images)
+    index = {lab: i for i, lab in enumerate(slice_basis(pair, s.n + 1 - k, r))}
+    echelon = Echelon()
+    images = [img for img in symplectic_slice(s, k, r)[2]
+              if echelon.add(slice_coords(img, index))]
+    _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
+    for dh in exact:
+        echelon.add(slice_coords(dh, index))
+    return images, echelon.rank, len(images) + len(exact)
 
 
 def require_constant_omega(s: NPlecticStructure) -> None:
@@ -155,10 +147,7 @@ def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[d
     """One rank row per (degree, weight); each slice's differential is ranked once."""
     require_constant_omega(s)
 
-    def differential(k, r):
-        columns, dim = _dw_matrix(s, k, r)
-        return rank_fraction_free(columns), dim
-    return _rank_table(degrees, weights, differential,
+    return _rank_table(degrees, weights, lambda k, r: extension_slice(s, k, r)[1:],
                        lambda k, r: (k + 1, shift_weight(s.pair, r)))
 
 
@@ -183,10 +172,9 @@ def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -
     """
     def build():
         pair = s.pair
-        monos = monomials_exact(pair.poly_nvars, pd)
         _, exact = differential_slice(pair, word_len - 1, shift_weight(pair, pd))
-        contractions = symplectic_slice(s, k + 1, monos)[2]
-        return Quotient(pair, Cotensor, slice_basis(pair, word_len, monos), exact + contractions)
+        contractions = symplectic_slice(s, k + 1, pd)[2]
+        return Quotient(pair, Cotensor, slice_basis(pair, word_len, pd), exact + contractions)
     return s.derived(("coboundary", k, word_len, pd), build)
 
 

@@ -247,14 +247,6 @@ class Cotensor(_Element):
         return self.pair.dual_name(g)
 
 
-def wedge(first, *rest):
-    """Wedge product of one or more (co)tensors of the same kind."""
-    out = first
-    for nxt in rest:
-        out = out.wedge(nxt)
-    return out
-
-
 def wedge_list(pair, cls, elems):
     """Wedge a possibly-empty list; the empty product is the unit scalar."""
     out = cls.scalar(pair, 1)

@@ -24,7 +24,6 @@ so arithmetic and the brackets keep the invariant without checking again.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .calculus import ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, as_rational, bell
+from .scalars import CapExceeded, Poly, as_rational, bell, sparse_sum
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -111,26 +110,38 @@ MAX_SLICE_DIM = 10_000
 
 def monomials_exact(nvars: int, degree: int):
     """All exponent tuples of total degree `degree`, sorted."""
-    if degree < 0:
-        return []
-    return sorted(tuple(combo.count(v) for v in range(nvars))
-                  for combo in itertools.combinations_with_replacement(range(nvars), degree))
+    if degree < 0 or nvars == 0:
+        return [()] if degree == 0 else []
+    if nvars == 1:
+        return [(degree,)]
+    return [(a, *rest) for a in range(degree + 1)
+            for rest in monomials_exact(nvars - 1, degree - a)]
 
 
-def monomials_upto(nvars: int, max_degree: int):
-    """All exponent tuples of total degree <= max_degree, sorted."""
-    return sorted(e for d in range(max_degree + 1) for e in monomials_exact(nvars, d))
+def _monomial_count_upto(nvars: int, degree: int) -> int:
+    """How many exponent tuples have total degree <= degree."""
+    return math.comb(nvars + degree, degree) if degree >= 0 else 0
 
 
-def slice_basis(pair, word_len: int, monos) -> list[tuple]:
-    """Basis labels (word, exponent) of one finite (co)tensor slice; raises
-    CapExceeded past MAX_SLICE_DIM of them."""
-    size = math.comb(pair.ngens, word_len) * len(monos) if word_len >= 0 else 0
+def slice_basis(pair, word_len: int, degrees) -> list[tuple]:
+    """Basis labels (word, exponent) of a (co)tensor slice of one polynomial
+    degree or a range of them; counts them first and raises CapExceeded
+    past MAX_SLICE_DIM, before building any."""
+    if isinstance(degrees, int):
+        degrees = range(degrees, degrees + 1)
+    nvars = pair.poly_nvars
+    size = 0
+    if word_len >= 0 and degrees:
+        count = _monomial_count_upto(nvars, degrees[-1])
+        count -= _monomial_count_upto(nvars, degrees[0] - 1)
+        size = math.comb(pair.ngens, word_len) * count
     if size > MAX_SLICE_DIM:
         raise CapExceeded(f"slice of word length {word_len} has {size} basis elements, "
                           f"more than {MAX_SLICE_DIM}")
-    words = list(ascending_words(pair.ngens, word_len))
-    return [(w, e) for w in words for e in monos]
+    if not size:
+        return []
+    monos = sorted(e for d in degrees for e in monomials_exact(nvars, d))
+    return [(w, e) for w in ascending_words(pair.ngens, word_len) for e in monos]
 
 
 def basis_elements(pair, cls, labels):
@@ -139,16 +150,19 @@ def basis_elements(pair, cls, labels):
     return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
 
 
-def element_coords(elem, index: dict) -> dict[int, Fraction]:
-    """Sparse coordinates of an element in a slice; raises if it leaves the window."""
-    coords = {}
-    for w, poly in elem.terms.items():
-        for e, c in poly.coefficients():
-            key = (w, e)
-            if key not in index:
-                raise ValueError(f"element leaves the slice window at {key}")
-            coords[index[key]] = c
-    return coords
+def label_vector(elem) -> dict[tuple, Fraction]:
+    """The one flattening of an element: its coefficients keyed by slice
+    label (word, exponent), the form of every slice vector."""
+    return {(w, e): c for w, poly in elem.terms.items() for e, c in poly.coefficients()}
+
+
+def slice_coords(vec: dict, index: dict) -> dict[int, Fraction]:
+    """The integer columns of a label vector in a slice; raises if it
+    leaves the slice window."""
+    try:
+        return {index[lab]: c for lab, c in vec.items()}
+    except KeyError as exc:
+        raise ValueError(f"element leaves the slice window at {exc.args[0]}") from None
 
 
 def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
@@ -161,7 +175,7 @@ def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
 
 
 class Quotient:
-    """A finite slice modulo the span of some of its elements; `reduce`
+    """A finite slice modulo the span of some label vectors; `reduce`
     gives the canonical representative, the residue against the span's
     reduced echelon basis."""
 
@@ -172,29 +186,24 @@ class Quotient:
         self.pair, self.cls = pair, cls
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.echelon = Echelon()
-        for elem in spanning:
-            self.add(elem)
-
-    def add(self, elem) -> bool:
-        """Enlarge the span by elem; True if elem was not in it yet."""
-        return self.echelon.add(element_coords(elem, self.index))
+        for vec in spanning:
+            self.echelon.add(slice_coords(vec, self.index))
 
     def reduce(self, elem):
-        coords = self.echelon.reduce(element_coords(elem, self.index))
+        coords = self.echelon.reduce(slice_coords(label_vector(elem), self.index))
         return coords_element(self.pair, self.cls, self.labels, coords)
 
 
-def matrix_of(images):
-    """Matrix with one column per image; the target window is inferred.
+def matrix_of(vectors):
+    """Matrix with one column per label vector; the target window is inferred.
 
-    Returns (rows, tgt_labels): one sparse row {column: entry} per (word,
-    exponent) appearing in any image, in sorted label order.
+    Returns (rows, tgt_labels): one sparse row {column: entry} per label
+    appearing in any vector, in sorted label order.
     """
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, image in enumerate(images):
-        for w, poly in image.terms.items():
-            for e, c in poly.coefficients():
-                rows.setdefault((w, e), {})[col] = c
+    for col, vec in enumerate(vectors):
+        for lab, c in vec.items():
+            rows.setdefault(lab, {})[col] = c
     tgt_labels = sorted(rows)
     return [rows[lab] for lab in tgt_labels], tgt_labels
 
@@ -207,9 +216,10 @@ def shift_weight(pair, r: int) -> int:
 
 def differential_slice(pair, word_len: int, weight: int):
     """Labels of the cotensor slice of one word length and polynomial
-    degree, and the differential d h of each of its basis elements."""
-    labels = slice_basis(pair, word_len, monomials_exact(pair.poly_nvars, weight))
-    return labels, [ce_differential(h) for h in basis_elements(pair, Cotensor, labels)]
+    degree, and the label vector of d h for each of its basis elements."""
+    labels = slice_basis(pair, word_len, weight)
+    return labels, [label_vector(ce_differential(h))
+                    for h in basis_elements(pair, Cotensor, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +231,30 @@ def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
     return ce_differential(contract(x, s.omega)).is_zero()
 
 
-def symplectic_slice(s: NPlecticStructure, degree: int, monos):
-    """Symplectic tensors with wedge degree and monomial support fixed.
+def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
+    """Symplectic tensors of one wedge degree, in the polynomial degrees of
+    `slice_basis`.
 
     Returns (labels, null, images): the labels of the tensor slice, the
-    sparse coordinates of a basis of its symplectic tensors, and the image
-    i_x omega of each basis element.  Each slice basis tensor is contracted
-    into omega once; the symplectic basis is the null space of d on those
-    contractions, and its images are the same null-space combinations.
+    sparse coordinates of a basis of its symplectic tensors, and the label
+    vector of each one's image i_x omega.  Each slice basis tensor is
+    contracted into omega once; the symplectic basis is the null space of
+    d on the contractions, and its images are the same combinations of
+    their vectors.
     """
-    labels = slice_basis(s.pair, degree, list(monos))
+    labels = slice_basis(s.pair, degree, degrees)
     contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
-    rows, _ = matrix_of([ce_differential(c) for c in contractions])
+    rows, _ = matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))
-    return labels, null, [sum((a * contractions[i] for i, a in vec.items()),
-                              Cotensor.zero(s.pair)) for vec in null]
+    vectors = [label_vector(c) for c in contractions]
+    return labels, null, [sparse_sum((lab, a * c) for i, a in vec.items()
+                                     for lab, c in vectors[i].items()) for vec in null]
 
 
 def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of symplectic tensors of one wedge degree within a poly window."""
     def build():
-        labels, null, _ = symplectic_slice(
-            s, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
+        labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
         return [coords_element(s.pair, Tensor, labels, vec) for vec in null]
     return list(s.derived(("symplectic", degree, max_poly_degree), build))
 
@@ -250,8 +262,9 @@ def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
     within a poly window."""
-    labels = slice_basis(s.pair, degree, monomials_upto(s.pair.poly_nvars, max_poly_degree))
-    rows, _ = matrix_of([contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)])
+    labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
+    rows, _ = matrix_of([label_vector(contract(x, s.omega))
+                         for x in basis_elements(s.pair, Tensor, labels)])
     return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
 
 
@@ -266,8 +279,8 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     pd = max(x.max_poly_degree(), 0)
     for degree, part in x.homogeneous_parts().items():
         kernel = s.derived(("kernel", degree, pd), lambda: Quotient(
-            s.pair, Tensor, slice_basis(s.pair, degree, monomials_upto(s.pair.poly_nvars, pd)),
-            kernel_basis(s, degree, pd)))
+            s.pair, Tensor, slice_basis(s.pair, degree, range(pd + 1)),
+            [label_vector(k) for k in kernel_basis(s, degree, pd)]))
         out = out + kernel.reduce(part)
     return out
 
@@ -288,7 +301,7 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
         labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
         rows, tgt_labels = matrix_of(exact)
         try:
-            rhs = element_coords(part, {lab: i for i, lab in enumerate(tgt_labels)})
+            rhs = slice_coords(label_vector(part), {lab: i for i, lab in enumerate(tgt_labels)})
         except ValueError:
             return None  # the slice image cannot reach this component
         sol = solve(rows, rhs, len(labels))

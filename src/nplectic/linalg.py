@@ -8,10 +8,12 @@ unique, so ranks, null-space bases, `solve` answers and residues depend
 only on the span, never on the order the vectors came in.
 
 Every vector and matrix row has this one sparse form, from the slice
-matrices to the answers: `rref` builds the basis of a list of rows, and
-`rank_fraction_free`, `null_space` and `solve` read their answers straight
-off it.  (`rank_fraction_free` keeps its old name, under which the
-benchmark tracer finds it; nothing in it is fraction-free.)  `rank_dense`
+matrices to the answers.  Columns stay integers (the engine maps slice
+labels to them; integers hash faster than label tuples).  `rref` builds
+the basis of a list of rows, and `rank_fraction_free`, `null_space` and
+`solve` read their answers straight off it.  (`rank_fraction_free` keeps
+its old name, under which the benchmark tracer finds it; nothing in it is
+fraction-free.)  `rank_dense`
 is a plain dense Gauss-Jordan loop over lists of Fraction rows that shares
 no code with the kernel; it is the independent oracle the tests check the
 kernel against.
@@ -72,9 +74,6 @@ class Echelon:
     def add(self, vec: Vector) -> bool:
         """Insert vec's residue; returns True if it enlarged the span."""
         return _insert(self.rows, self.reduce(vec))
-
-    def contains(self, vec: Vector) -> bool:
-        return not self.reduce(vec)
 
     @property
     def rank(self) -> int:

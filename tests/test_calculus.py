@@ -14,7 +14,7 @@ from nplectic.calculus import (
     pairing,
     schouten,
 )
-from nplectic.elements import Cotensor, Tensor, ascending_words, wedge, wedge_list
+from nplectic.elements import Cotensor, Tensor, ascending_words, wedge_list
 from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
 from nplectic.sampling import random_cotensor, random_poly, random_tensor

@@ -201,6 +201,29 @@ def test_jacobi_on_forty_variables_exits_three_quickly(run, tmp_path):
     assert err.startswith("error: slice of word length")
 
 
+def test_a_potential_of_degree_2001_exits_three_in_under_a_second(run, tmp_path):
+    # the kernel slice of its field has 2 x C(2002, 2) labels: counted, never built
+    path = write(tmp_path, "big.json", {"elements": [
+        {"f": [[[], "x^2001"]], "x": [[[2], "-2001*x^2000"]]}]})
+    start = time.monotonic()
+    code, payload, err = run("poisson", PLANE, path)
+    assert time.monotonic() - start < 1
+    assert code == 3 and payload is None
+    assert err == "error: slice of word length 1 has 4006002 basis elements, more than 10000\n"
+
+
+@pytest.mark.parametrize("weight", [40, 60])
+def test_cohomology_at_a_high_weight_exits_three_in_under_a_second(run, tmp_path, weight):
+    path = write(tmp_path, "poly6.json", {
+        "n": 1, "omega": [[[1, 2], "1"], [[3, 4], "1"], [[5, 6], "1"]],
+        "pair": {"family": "poly", "vars": 6}})
+    start = time.monotonic()
+    code, payload, err = run("cohomology", path, f"--weights={weight}:{weight}")
+    assert time.monotonic() - start < 1
+    assert code == 3 and payload is None
+    assert err.startswith("error: slice of word length 3 has ")
+
+
 def test_nplectic_check_on_sixty_generators_is_quick(run, tmp_path):
     path = write(tmp_path, "const60.json", {
         "n": 2, "omega": [[[4, 5, 6], "1"]],

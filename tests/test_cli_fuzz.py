@@ -8,15 +8,21 @@ generators or variables and every example stays small.  Caps on a huge
 has a polynomial coefficient, which must exit 2 before any gate.  Arities
 past ``--arity-cap`` are drawn up to 10**6 for ``jacobi`` and
 ``momentum-check``; they must exit 3 before any bracket is evaluated.
+Polynomial degrees are drawn up to 10**6 as well: ``cohomology --weights``
+and the exponents of ``poisson`` and ``momentum-check`` payloads.  Past the
+slice cap they exit 3 before any slice is built; these tests lower the cap
+to 300 elements so that the slices under it stay cheap.
 """
 
 import contextlib
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nplectic import engine
 from nplectic.cli import main
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -192,3 +198,62 @@ def test_jacobi_arity_past_the_cap_exits_three(structure, cap, excess):
     code, err = run_main(["jacobi", structure, "--arity-cap", str(cap),
                           "--max-arity", str(cap + excess)])
     assert code == 3 and "exceeds cap" in err
+
+
+# Polynomial degrees up to 10**6: weights for `cohomology`, and exponents in
+# `poisson` and `momentum-check` payloads.  The size of a slice is counted
+# before it is built, so every degree past the slice cap exits 3 at once.
+# Slices just under the default cap of 10,000 elements still take seconds
+# to rank, so these tests lower the cap to keep that band cheap.
+DEGENERATE = str(MODELS / "degenerate_plane.json")
+exponents = st.integers(0, 10 ** 6)
+
+
+def small_cap():
+    return mock.patch.object(engine, "MAX_SLICE_DIM", 300)
+
+
+def monomial(c, a, b) -> str:
+    """c x^a y^b as a coefficient string."""
+    return "*".join([str(c), *(f"{v}^{e}" for v, e in (("x", a), ("y", b)) if e)])
+
+
+def hamiltonian(c, a, b) -> dict:
+    """The cocycle (f, X) with f = c x^a y^b and i_X (dx^dy) = d f on the plane."""
+    return {"f": [[[], monomial(c, a, b)]],
+            "x": [[[1], monomial(c * b, a, max(b - 1, 0))],
+                  [[2], monomial(-c * a, max(a - 1, 0), b)]]}
+
+
+hamiltonians = st.builds(hamiltonian, st.integers(-3, 3), exponents, exponents)
+big_terms = st.lists(st.tuples(st.lists(st.integers(1, 2), max_size=2),
+                               st.builds(monomial, st.integers(-3, 3), exponents, exponents)
+                               ).map(list), max_size=2)
+big_elements = hamiltonians | st.fixed_dictionaries({"f": big_terms, "x": big_terms})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(structure=st.sampled_from([PLANE, SU2_CARTAN, DEGENERATE]), weight=exponents)
+def test_cohomology_weights_up_to_a_million_end_in_an_exit_code(structure, weight):
+    with small_cap():
+        run_main(["cohomology", structure, f"--weights={weight}:{weight}"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(elements=st.lists(big_elements, min_size=1, max_size=2))
+def test_poisson_exponents_up_to_a_million_end_in_an_exit_code(tmp_path_factory, elements):
+    path = write_json(tmp_path_factory, "elements.json", {"elements": elements})
+    with small_cap():
+        run_main(["poisson", PLANE, path, "--jacobi"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(elements=st.lists(big_elements, min_size=1, max_size=2))
+def test_momentum_exponents_up_to_a_million_end_in_an_exit_code(tmp_path_factory, elements):
+    candidate = {"algebra": {"family": "constant", "dim": len(elements), "brackets": {}},
+                 "fields": [e["x"] for e in elements], "potentials": [e["f"] for e in elements]}
+    path = write_json(tmp_path_factory, "candidate.json", candidate)
+    with small_cap():
+        run_main(["momentum-check", PLANE, path, "--max-arity", "3"])

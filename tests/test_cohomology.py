@@ -74,12 +74,12 @@ def test_su2_ce_matrix_is_the_structure_constant_table():
 
 
 def test_contraction_matrix_on_the_plane_is_a_signed_permutation():
-    from nplectic.calculus import contract
-    from nplectic.engine import basis_elements, matrix_of, monomials_exact, slice_basis
+    from nplectic.engine import basis_elements, label_vector, matrix_of, slice_basis
 
     s = plane_structure()
-    labels = slice_basis(PLANE, 1, monomials_exact(2, 0))
-    matrix, tgt = matrix_of([contract(x, s.omega) for x in basis_elements(PLANE, Tensor, labels)])
+    labels = slice_basis(PLANE, 1, 0)
+    matrix, tgt = matrix_of([label_vector(contract(x, s.omega))
+                             for x in basis_elements(PLANE, Tensor, labels)])
     assert tgt == [((1,), (0, 0)), ((2,), (0, 0))]
     assert matrix == sparse_rows([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]])
 
@@ -151,13 +151,13 @@ def test_extension_table_builds_each_differential_once(monkeypatch):
     from nplectic import cohomology
 
     built = Counter()
-    original = cohomology._dw_matrix
+    original = cohomology.extension_slice
 
     def counting(s, k, r):
         built[k, r] += 1
         return original(s, k, r)
 
-    monkeypatch.setattr(cohomology, "_dw_matrix", counting)
+    monkeypatch.setattr(cohomology, "extension_slice", counting)
     s = plane_structure()
     slices = [(k, r) for r in range(3) for k in range(-1, 3)]
     rows = extension_cohomology_table(s, range(-1, 3), range(3))
@@ -177,9 +177,12 @@ def test_extension_vanishes_outside_the_degree_strip():
 
 def test_extension_slice_quotients_kernel_directions():
     s = degenerate_structure()
-    images, _ = extension_slice(s, 1, 0)
+    images, rank, dim = extension_slice(s, 1, 0)
     # @x, @y and @z are all symplectic, but @z contracts to zero
-    assert images == [Cotensor.basis(SPACE, (2,)), -Cotensor.basis(SPACE, (1,))]
+    one = (0, 0, 0)
+    assert images == [{((2,), one): 1}, {((1,), one): -1}]
+    # the function half x, y, z has d h = dx, dy, dz, and only dz adds rank
+    assert (rank, dim) == (3, 5)
 
 
 def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
@@ -192,11 +195,11 @@ def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
         contracted.append(x)
         return contract(x, f)
 
-    def recording_slice(s, degree, monos):
-        slices.append((degree, tuple(monos)))
-        labels = engine.slice_basis(s.pair, degree, list(monos))
+    def recording_slice(s, degree, degrees):
+        slices.append((degree, degrees))
+        labels = engine.slice_basis(s.pair, degree, degrees)
         built.extend(engine.basis_elements(s.pair, Tensor, labels))
-        return symplectic_slice(s, degree, monos)
+        return symplectic_slice(s, degree, degrees)
 
     monkeypatch.setattr(engine, "contract", counting_contract)
     monkeypatch.setattr(cohomology, "contract", counting_contract, raising=False)
@@ -206,30 +209,56 @@ def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
     assert built and contracted == built
 
 
-def dense_columns(images):
-    """Dense matrix with one column per image, over the labels any image reaches."""
-    cols = [{(w, e): c for w, poly in img.terms.items() for e, c in poly.coefficients()}
-            for img in images]
-    labels = sorted({lab for col in cols for lab in col})
-    return [[col.get(lab, Fraction(0)) for col in cols] for lab in labels]
+def flat(elem):
+    return {(w, e): c for w, poly in elem.terms.items() for e, c in poly.coefficients()}
+
+
+def dense_columns(vectors):
+    """Dense matrix with one column per label vector, over the labels any reaches."""
+    labels = sorted({lab for vec in vectors for lab in vec})
+    return [[vec.get(lab, Fraction(0)) for vec in vectors] for lab in labels]
+
+
+def unit_elements(s, cls, word_len, degree):
+    nvars = s.pair.poly_nvars
+    monos = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    words = itertools.combinations(range(1, s.pair.ngens + 1), word_len) if word_len >= 0 else []
+    return [cls(s.pair, {w: Poly(nvars, {e: 1})}) for w in words for e in monos]
 
 
 @pytest.mark.parametrize("make", [plane_structure, degenerate_structure, su2_cartan])
 def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
     # symplectic mod kernel has dimension rank(C) - rank(D), with C the
-    # contraction matrix of the tensor slice and D that of d after it
+    # contraction matrix of the tensor slice and D that of d after it; the
+    # rank of the slice is that of the matrix [images | d h], by the oracle
     s = make()
-    nvars = s.pair.poly_nvars
-    for r in range(3) if nvars else [0]:
-        monos = [e for e in itertools.product(range(r + 1), repeat=nvars) if sum(e) == r]
+    for r in range(3) if s.pair.poly_nvars else [0]:
         for k in range(-1, s.n + 3):
-            words = itertools.combinations(range(1, s.pair.ngens + 1), k) if k >= 0 else []
-            contractions = [contract(Tensor(s.pair, {w: Poly(nvars, {e: 1})}), s.omega)
-                            for w in words for e in monos]
-            c = dense_columns(contractions)
-            d = dense_columns([ce_differential(img) for img in contractions])
-            images, _ = extension_slice(s, k, r)
+            contractions = [contract(x, s.omega) for x in unit_elements(s, Tensor, k, r)]
+            c = dense_columns([flat(img) for img in contractions])
+            d = dense_columns([flat(ce_differential(img)) for img in contractions])
+            exact = [flat(ce_differential(h)) for h in
+                     unit_elements(s, Cotensor, s.n - k, r + 1 if s.pair.poly_nvars else r)]
+            images, rank, dim = extension_slice(s, k, r)
             assert len(images) == rank_dense(c) - rank_dense(d)
+            assert rank == rank_dense(dense_columns(images + exact))
+            assert dim == len(images) + len(exact)
+
+
+def test_extension_table_adds_no_elements(monkeypatch):
+    from nplectic import elements
+
+    added = []
+    original = elements._Element.__add__
+
+    def counting(self, other):
+        added.append(self)
+        return original(self, other)
+
+    s = degenerate_structure()
+    monkeypatch.setattr(elements._Element, "__add__", counting)
+    rows = extension_cohomology_table(s, range(-1, 3), range(3))
+    assert rows and not added
 
 
 # -- classes ----------------------------------------------------------------------

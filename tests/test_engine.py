@@ -22,8 +22,8 @@ from nplectic.engine import (
     hamiltonian_potential,
     is_symplectic,
     kernel_basis,
+    label_vector,
     monomials_exact,
-    monomials_upto,
     reduce_mod_kernel,
     slice_basis,
     structure_from_json,
@@ -117,16 +117,32 @@ def test_monomials_match_a_brute_force_enumeration(nvars):
     for degree in range(-2, 5):
         box = list(itertools.product(range(max(degree, 0) + 1), repeat=nvars))
         assert monomials_exact(nvars, degree) == sorted(e for e in box if sum(e) == degree)
-        assert monomials_upto(nvars, degree) == sorted(e for e in box if sum(e) <= degree)
+        window = range(-1, degree + 1)
+        labels = slice_basis(PolyVectorFieldPair(nvars), 1, window) if nvars else []
+        assert labels == [((g,), e) for g in range(1, nvars + 1)
+                          for e in sorted(e for e in box if sum(e) <= degree)]
 
 
-def test_slice_basis_refuses_a_slice_past_the_cap():
-    at_cap = monomials_exact(2, MAX_SLICE_DIM // 2 - 1)  # MAX_SLICE_DIM / 2 monomials
+def test_slice_basis_refuses_a_slice_past_the_cap(monkeypatch):
+    from nplectic import engine
+
+    at_cap = MAX_SLICE_DIM // 2 - 1  # MAX_SLICE_DIM / 2 monomials
     assert len(slice_basis(PLANE, 1, at_cap)) == MAX_SLICE_DIM
+    with pytest.raises(CapExceeded, match=f"has {MAX_SLICE_DIM + 2} basis elements"):
+        slice_basis(PLANE, 1, at_cap + 1)
     with pytest.raises(CapExceeded):
-        slice_basis(PLANE, 1, monomials_exact(2, MAX_SLICE_DIM // 2))
-    with pytest.raises(CapExceeded):
-        slice_basis(PolyVectorFieldPair(40), 2, monomials_exact(40, 2))  # 780 x 820
+        slice_basis(PolyVectorFieldPair(40), 2, 2)  # 780 x 820
+    monkeypatch.setattr(engine, "MAX_SLICE_DIM", 7)
+    with pytest.raises(CapExceeded, match="has 12 basis elements, more than 7"):
+        slice_basis(PLANE, 1, range(3))  # 2 x (1 + 2 + 3) labels over the window
+
+
+def test_slice_basis_counts_before_it_enumerates():
+    # 2 x C(10**6 + 2, 2) labels: counted, never built
+    with pytest.raises(CapExceeded, match="has 1000003000002 basis elements"):
+        slice_basis(PLANE, 1, range(10 ** 6 + 1))
+    assert slice_basis(PLANE, -1, 10 ** 6) == slice_basis(PLANE, 3, 10 ** 6) == []
+    assert slice_basis(su2(), 1, 10 ** 6) == []  # constants have no degree above zero
 
 
 def test_plane_symplectic_iff_divergence_free():
@@ -232,12 +248,12 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
 @given(alpha=ALPHAS, degree=st.integers(0, 3), window=st.integers(0, 2))
 def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     s = mixed_structure(alpha)
-    labels, null, images = symplectic_slice(s, degree, monomials_upto(3, window))
+    labels, null, images = symplectic_slice(s, degree, range(window + 1))
     assert len(images) == len(null)
     for vec, image in zip(null, images):
         x = coords_element(s.pair, Tensor, labels, vec)
         assert is_symplectic(x, s)
-        assert image == contract(x, s.omega)
+        assert image == label_vector(contract(x, s.omega))
 
 
 def test_extension_elements_scale_by_rationals_only():

@@ -4,8 +4,10 @@ Each case in ``golden/cases.json`` runs ``python -m nplectic.cli ARGV``
 from the repository root, under several hash seeds, and its stdout and
 exit code must equal the recorded ones.  The cases cover passing and
 failing validators with witnesses, the identity suites with their
-informational witness, the Jacobi checks, and the sp(2) momentum map with
-a corrupted bracket table that fails the morphism gate.  To re-record
+informational witness, the Jacobi checks, the sp(2) momentum map with
+a corrupted bracket table that fails the morphism gate, extension and
+plain cohomology tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6
+on Q[x1..x6]), and Poisson brackets of classes on the plane.  To re-record
 after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py

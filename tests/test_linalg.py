@@ -117,7 +117,7 @@ def test_echelon_reduction_is_canonical():
         for v in vecs:
             ech.add(sparse(v))
         for v in vecs:
-            assert ech.contains(sparse(v))
+            assert not ech.reduce(sparse(v))
         # reduction is idempotent and kills span members
         w = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
         red = ech.reduce(sparse(w))
