@@ -26,7 +26,11 @@ import math
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, sort_word, wedge_list
-from .scalars import Poly, enumerate_shuffles, koszul_sign, sparse_sum
+from .scalars import CapExceeded, Poly, enumerate_shuffles, koszul_sign, sparse_sum
+
+# The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
+# Schouten bracket wedged with the k - 2 other arguments.
+MAX_BRACKET_ARITY = 12
 
 
 def pairing(f: Cotensor, x: Tensor) -> Poly:
@@ -207,11 +211,14 @@ def higher_bracket(k: int, xs) -> Tensor:
     [x_1..x_k] = sum over (2, k-2)-shuffles s of
         sign(s; x) * (-1)^|x_{s(1)}| * x_{s(k)} ^ .. ^ x_{s(3)} ^ [x_{s(2)}, x_{s(1)}]
 
-    Degree -1 as a multilinear map; the unary bracket is zero.
+    Degree -1 as a multilinear map; the unary bracket is zero.  An arity
+    above MAX_BRACKET_ARITY raises CapExceeded.
     """
     xs = list(xs)
     if len(xs) != k:
         raise ValueError(f"expected {k} arguments, got {len(xs)}")
+    if k > MAX_BRACKET_ARITY:
+        raise CapExceeded(f"bracket arity {k} exceeds cap {MAX_BRACKET_ARITY}")
     pair = xs[0].pair
     if k == 1:
         return Tensor.zero(pair)

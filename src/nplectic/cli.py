@@ -5,7 +5,8 @@ indent, trailing newline) to stdout or to ``--output``.  Wall-clock
 timings go to stderr so that reports for a fixed seed are byte-identical
 across runs.  Exit codes: 0 when every gating check passes, 1 when a
 check fails, 2 on malformed or invalid input, 3 when a bracket arity
-exceeds the configured cap (``--arity-cap``).
+exceeds its cap (``--arity-cap``, or 12 for a tensor bracket) or a slice
+would exceed the slice cap.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def cmd_poisson(args):
     raw = _field(data, "elements")
     if not isinstance(raw, list) or not raw:
         raise InputError("'elements' must be a nonempty list")
+    if len(raw) > cap:
+        raise CapExceeded(f"bracket arity {len(raw)} exceeds cap {cap}")
     report = Report("poisson", {
         "family": s.pair.family, "n": s.n, "arity": len(raw), "arity_cap": cap,
         "jacobi": bool(args.jacobi),

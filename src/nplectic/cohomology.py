@@ -21,10 +21,13 @@ is eliminated once, and no element is rebuilt on the way to a rank.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
-modulo the coboundary span, which is generated by exact cotensors d h
-together with contractions i_y omega over symplectic y of one degree
-higher.  Canonical representatives form a linear section, so class
-arithmetic happens directly on them.
+modulo the coboundary span.  That span is the image of the differential
+from one degree higher, the contractions i_y omega over symplectic y and
+the exact cotensors d h, so a degree-k class reads it off the quotient of
+`extension_slice(s, k + 1, r)`, which the rank table reads its ranks from.
+Canonical representatives form a linear section, so class arithmetic
+happens directly on them.  A class has one degree, so only a homogeneous
+cocycle has one.
 
 The bracket of classes pairs the contraction of the reversed wedge with
 the higher bracket of the tensor parts.  Unlike the chain-level brackets
@@ -48,10 +51,9 @@ from .engine import (
     reduce_mod_kernel,
     shift_weight,
     slice_basis,
-    slice_coords,
     symplectic_slice,
 )
-from .linalg import Echelon, rank_fraction_free
+from .linalg import rank_fraction_free
 from .scalars import CapExceeded
 
 
@@ -108,23 +110,21 @@ def _rank_table(degrees, weights, differential, source) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def extension_slice(s: NPlecticStructure, k: int, r: int):
-    """The (degree k, weight r) slice and its differential (f, x) ->
-    i_x omega - d f, eliminated in one Echelon: the images i_x omega go
-    in first, and those that enlarge it stand for the tensor half (see the
-    module docstring); the d h of the cotensor basis follow.
+    """The target cotensor slice of the (degree k, weight r) slice modulo
+    the image of the differential (f, x) -> i_x omega - d f, and the slice
+    dimension.
 
-    Returns (images, rank, dim): the label vectors of those images, the
-    rank of the differential and the slice dimension.
+    The image is one Quotient, spanned first by the images i_x omega and
+    then by the d h of the cotensor basis.  The rank the images reach is
+    the tensor half of the slice (see the module docstring), and the
+    quotient's final rank is the rank of the differential.
     """
     pair = s.pair
-    index = {lab: i for i, lab in enumerate(slice_basis(pair, s.n + 1 - k, r))}
-    echelon = Echelon()
-    images = [img for img in symplectic_slice(s, k, r)[2]
-              if echelon.add(slice_coords(img, index))]
+    labels = slice_basis(pair, s.n + 1 - k, r)
+    images = symplectic_slice(s, k, r)[2]
     _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
-    for dh in exact:
-        echelon.add(slice_coords(dh, index))
-    return images, echelon.rank, len(images) + len(exact)
+    image = Quotient(pair, Cotensor, labels, images, exact)
+    return image, image.ranks[0] + len(exact)
 
 
 def require_constant_omega(s: NPlecticStructure) -> None:
@@ -147,7 +147,10 @@ def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[d
     """One rank row per (degree, weight); each slice's differential is ranked once."""
     require_constant_omega(s)
 
-    return _rank_table(degrees, weights, lambda k, r: extension_slice(s, k, r)[1:],
+    def differential(k, r):
+        image, dim = extension_slice(s, k, r)
+        return image.echelon.rank, dim
+    return _rank_table(degrees, weights, differential,
                        lambda k, r: (k + 1, shift_weight(s.pair, r)))
 
 
@@ -161,21 +164,6 @@ class NotACocycle(ValueError):
     def __init__(self, residual: ExtensionElement):
         super().__init__(f"not a cocycle; d_omega residual = {residual!r}")
         self.residual = residual
-
-
-def _coboundary_quotient(s: NPlecticStructure, k: int, word_len: int, pd: int) -> Quotient:
-    """One cotensor slice modulo the coboundary span, built once per structure.
-
-    Coboundaries reaching the function slot of degree-k elements are the
-    exact pieces d h and the contractions i_y omega with y symplectic of
-    wedge degree k + 1, the images `symplectic_slice` returns.
-    """
-    def build():
-        pair = s.pair
-        _, exact = differential_slice(pair, word_len - 1, shift_weight(pair, pd))
-        contractions = symplectic_slice(s, k + 1, pd)[2]
-        return Quotient(pair, Cotensor, slice_basis(pair, word_len, pd), exact + contractions)
-    return s.derived(("coboundary", k, word_len, pd), build)
 
 
 class CohomClass:
@@ -227,16 +215,22 @@ class CohomClass:
 
 
 def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
-    """Canonical class of a cocycle; raises NotACocycle otherwise.
+    """Canonical class of a homogeneous cocycle; raises NotACocycle otherwise.
 
-    An explicit degree must agree with the element's own degree, if it has
-    one.  Raises ValueError unless omega has constant coefficients.
+    The cotensor part of a degree-k class is reduced, weight by weight,
+    against the quotient of `extension_slice(s, k + 1, r)`, which the
+    structure's derived store keeps.  A nonzero element without a single
+    degree raises ValueError, and an explicit degree must agree with the
+    element's; the zero element takes its degree from the argument.  Also
+    raises ValueError unless omega has constant coefficients.
     """
     require_constant_omega(e.structure)
     residual = d_omega(e)
     if not residual.is_zero():
         raise NotACocycle(residual)
     own = e.degree()
+    if own is None and not e.is_zero():
+        raise ValueError("element has no single degree; a class needs a homogeneous element")
     if own is not None and degree is not None and degree != own:
         raise ValueError(f"element has degree {own}, not {degree}")
     k = degree if degree is not None else own
@@ -244,8 +238,9 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
         raise ValueError("class of a non-homogeneous element needs an explicit degree")
     s = e.structure
     f_new = Cotensor.zero(s.pair)
-    for (d, pd), part in e.f.bigraded_parts().items():
-        f_new = f_new + _coboundary_quotient(s, k, -d, pd).reduce(part)
+    for (_, r), part in e.f.bigraded_parts().items():
+        image = s.derived(("coboundary", k, r), lambda: extension_slice(s, k + 1, r)[0])
+        f_new = f_new + image.reduce(part)
     return CohomClass(s, k, ExtensionElement.canonical(s, f_new, e.x))
 
 

@@ -175,19 +175,23 @@ def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
 
 
 class Quotient:
-    """A finite slice modulo the span of some label vectors; `reduce`
-    gives the canonical representative, the residue against the span's
-    reduced echelon basis."""
+    """A finite slice modulo the span of some label vectors, given in one or
+    more groups; `ranks` holds the rank of the span after each group, and
+    `reduce` gives the canonical representative, the residue against the
+    span's reduced echelon basis."""
 
-    def __init__(self, pair, cls, labels, spanning):
+    def __init__(self, pair, cls, labels, *spans):
         # highest total degree first, so that pivots sit on the leading terms:
         # a normal form, whatever window the labels come from
         self.labels = sorted(labels, key=lambda lab: (-sum(lab[1]), lab))
         self.pair, self.cls = pair, cls
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.echelon = Echelon()
-        for vec in spanning:
-            self.echelon.add(slice_coords(vec, self.index))
+        self.ranks = []
+        for spanning in spans:
+            for vec in spanning:
+                self.echelon.add(slice_coords(vec, self.index))
+            self.ranks.append(self.echelon.rank)
 
     def reduce(self, elem):
         coords = self.echelon.reduce(slice_coords(label_vector(elem), self.index))

@@ -274,11 +274,11 @@ def _shuffle_composites(op: Operations, outer, vs, degs):
 
     The one weak-Jacobi shuffle sum: every split j = 1..n and every
     (j, n - j) shuffle, with its Koszul sign in the argument degrees.  The
-    arity is the caller's, so the enumeration is not capped.
+    caller bounds the arity.
     """
     n = len(vs)
     for j in range(1, n + 1):
-        for sh in enumerate_shuffles((j, n - j), cap=n):
+        for sh in enumerate_shuffles((j, n - j)):
             sign = koszul_sign(sh, degs)
             inner = op.bracket(j, [vs[i - 1] for i in sh[:j]])
             if op.is_zero(inner):

@@ -23,9 +23,6 @@ class CapExceeded(Exception):
     """Raised when a combinatorial enumeration would blow past its cap."""
 
 
-DEFAULT_SHUFFLE_CAP = 12
-
-
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings like '-3/2' to an exact rational.
 
@@ -393,21 +390,18 @@ def koszul_sign(images, degrees) -> int:
     return -1 if parity % 2 else 1
 
 
-def enumerate_shuffles(block_sizes, cap: int = DEFAULT_SHUFFLE_CAP) -> list[tuple[int, ...]]:
+def enumerate_shuffles(block_sizes) -> list[tuple[int, ...]]:
     """(p_1,...,p_r)-shuffles as image tuples, in lexicographic order.
 
     A shuffle's images ascend inside each block of positions.  Each block
     takes its images from the values the earlier blocks left, in
-    `itertools.combinations` order, so the tuples come out sorted.  The
-    total p_1+...+p_r is capped (there are multinomially many shuffles).
+    `itertools.combinations` order, so the tuples come out sorted.  There
+    are multinomially many; callers bound the total p_1+...+p_r.
     """
     sizes = tuple(int(p) for p in block_sizes)
     if any(p < 0 for p in sizes):
         raise ValueError(f"negative block size in {sizes}")
-    total = sum(sizes)
-    if total > cap:
-        raise CapExceeded(f"shuffle degree {total} exceeds cap {cap}")
-    partial = [((), tuple(range(1, total + 1)))]
+    partial = [((), tuple(range(1, sum(sizes) + 1)))]
     for p in sizes:
         partial = [(head + chosen, tuple(v for v in left if v not in chosen))
                    for head, left in partial
@@ -419,15 +413,10 @@ def enumerate_shuffles(block_sizes, cap: int = DEFAULT_SHUFFLE_CAP) -> list[tupl
 # Bell numbers
 # ---------------------------------------------------------------------------
 
-DEFAULT_BELL_CAP = 64
-
-
-def bell(k: int, cap: int = DEFAULT_BELL_CAP) -> int:
+def bell(k: int) -> int:
     """k-th Bell number, B_0 = 1, via B_{k+1} = sum_p C(k,p) B_p."""
     if k < 0:
         raise ValueError("Bell numbers start at k = 0")
-    if k > cap:
-        raise CapExceeded(f"Bell index {k} exceeds cap {cap}")
     bells = [1]
     for m in range(k):
         bells.append(sum(math.comb(m, p) * bells[p] for p in range(m + 1)))

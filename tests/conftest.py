@@ -91,7 +91,7 @@ def ordered_morphism_rhs(f, cod, vs, degs):
     for p in range(1, n + 1):
         for cuts in itertools.combinations(range(1, n), p - 1):
             bounds = list(zip((0,) + cuts, cuts + (n,)))
-            for sh in enumerate_shuffles([b - a for a, b in bounds], cap=n):
+            for sh in enumerate_shuffles([b - a for a, b in bounds]):
                 ys = [f(b - a, [vs[i - 1] for i in sh[a:b]]) for a, b in bounds]
                 if any(y is None for y in ys):
                     continue

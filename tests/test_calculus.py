@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplectic.calculus import (
+    MAX_BRACKET_ARITY,
     ce_differential,
     contract,
     higher_bracket,
@@ -18,7 +19,7 @@ from nplectic.elements import Cotensor, Tensor, ascending_words, wedge_list
 from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
-from nplectic.scalars import Poly, koszul_sign, parse_poly
+from nplectic.scalars import CapExceeded, Poly, koszul_sign, parse_poly
 
 
 def su2():
@@ -425,6 +426,15 @@ def test_higher_bracket_graded_symmetry():
             s = tuple(rng.sample(range(1, k + 1), k))
             permuted = [xs[i - 1] for i in s]
             assert higher_bracket(k, permuted) == koszul_sign(s, degs) * higher_bracket(k, xs)
+
+
+def test_higher_bracket_arity_above_the_bound_raises():
+    pair = FAMILIES[0]
+    xs = [Tensor.zero(pair)] * MAX_BRACKET_ARITY
+    assert MAX_BRACKET_ARITY == 12
+    assert higher_bracket(12, xs).is_zero()
+    with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
+        higher_bracket(13, xs + [Tensor.basis(pair, (1,))])
 
 
 def test_higher_bracket_degree_drop():

@@ -169,16 +169,35 @@ def test_jacobi_arity_above_cap_exits_three(run):
     assert "exceeds cap" in err
 
 
+# six rotation cocycles and the field d/dx, which is not one: past the cap
+# of 6, no element is loaded, so the exit is 3 and not a failed cocycle check
+SEVEN_ELEMENTS = {"elements": [
+    {"f": [[[], "-1/2*x^2 - 1/2*y^2"]], "x": [[[2], "x"], [[1], "-y"]]}] * 6 + [
+    {"f": [], "x": [[[1], "1"]]}]}
+
+
 @pytest.mark.parametrize("argv", [
-    ["jacobi", PLANE], ["jacobi", SU2_CARTAN],
-    ["momentum-check", PLANE, SP2, "--arity-cap", "8"],
-], ids=["jacobi-plane", "jacobi-su2", "momentum-check-sp2"])
-def test_an_arity_above_the_cap_exits_three_before_any_work(run, argv):
+    ["jacobi", PLANE, "--max-arity", "1000000"],
+    ["jacobi", SU2_CARTAN, "--max-arity", "1000000"],
+    ["momentum-check", PLANE, SP2, "--arity-cap", "8", "--max-arity", "1000000"],
+    ["poisson", PLANE, "seven.json"],
+], ids=["jacobi-plane", "jacobi-su2", "momentum-check-sp2", "poisson-plane"])
+def test_an_arity_above_the_cap_exits_three_before_any_work(run, tmp_path, argv):
+    elements = write(tmp_path, "seven.json", SEVEN_ELEMENTS)
+    argv = [elements if a == "seven.json" else a for a in argv]
     start = time.monotonic()
-    code, payload, err = run(*argv, "--max-arity", "1000000")
+    code, payload, err = run(*argv)
     assert time.monotonic() - start < 1
     assert code == 3 and payload is None
     assert "exceeds cap" in err
+
+
+def test_a_bracket_of_thirteen_tensors_exits_three(run, tmp_path):
+    path = write(tmp_path, "bracket13.json", {
+        "pair": {"family": "poly", "vars": 2}, "args": [[[[1], "x"]]] * 13})
+    code, payload, err = run("bracket", path)
+    assert code == 3 and payload is None
+    assert err == "error: bracket arity 13 exceeds cap 12\n"
 
 
 def test_cohomology_on_forty_variables_exits_three_quickly(run, tmp_path):
@@ -248,7 +267,7 @@ def test_validate_pair_on_a_hundred_generators_is_quick(run, tmp_path):
         assert code == 0 and payload["ok"]
 
 
-def test_cap_env_var_and_override(run):
+def test_jacobi_runs_under_an_explicit_arity_cap(run):
     code, _, _ = run("jacobi", PLANE, "--max-arity", "4", "--count", "1",
                      "--arity-cap", "6")
     assert code == 0
@@ -400,6 +419,19 @@ def test_poisson_rejects_a_degree_the_element_does_not_have(run, tmp_path, degre
     code, payload, err = run("poisson", PLANE, path)
     assert code == 2 and payload is None
     assert err.startswith(f"error: element 1: element has degree 1, not {degree}")
+
+
+@pytest.mark.parametrize("degree", [None, 0, 1])
+def test_poisson_rejects_an_element_without_a_single_degree(run, tmp_path, degree):
+    # 1 + dx is a cocycle, but its parts have degrees 1 and 0
+    element = {"f": [[[], "1"], [[1], "1"]], "x": []}
+    if degree is not None:
+        element["degree"] = degree
+    path = write(tmp_path, "els.json", {"elements": [element]})
+    code, payload, err = run("poisson", PLANE, path)
+    assert code == 2 and payload is None
+    assert err == ("error: element 1: element has no single degree; "
+                   "a class needs a homogeneous element\n")
 
 
 def test_momentum_check_certifies_the_rotation_candidate(run):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nplectic.calculus import ce_differential, contract
 from nplectic.cohomology import (
@@ -23,13 +24,16 @@ from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
+    d_omega,
     hamiltonian_potential,
     symplectic_basis,
+    symplectic_slice,
 )
+from nplectic.identities import random_symplectic
 from nplectic.linalg import rank_dense, rank_fraction_free
 from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_fraction
+from nplectic.sampling import random_cotensor, random_fraction
 from nplectic.scalars import Poly
 from test_linalg import dense, sparse_rows
 
@@ -177,12 +181,15 @@ def test_extension_vanishes_outside_the_degree_strip():
 
 def test_extension_slice_quotients_kernel_directions():
     s = degenerate_structure()
-    images, rank, dim = extension_slice(s, 1, 0)
-    # @x, @y and @z are all symplectic, but @z contracts to zero
+    image, dim = extension_slice(s, 1, 0)
     one = (0, 0, 0)
-    assert images == [{((2,), one): 1}, {((1,), one): -1}]
-    # the function half x, y, z has d h = dx, dy, dz, and only dz adds rank
-    assert (rank, dim) == (3, 5)
+    assert image.labels == [((1,), one), ((2,), one), ((3,), one)]
+    # @x, @y and @z are all symplectic, but @z contracts to zero: the images
+    # dy and -dx reach rank 2; the function half x, y, z has d h = dx, dy,
+    # dz, and only dz adds rank
+    assert image.ranks == [2, 3]
+    assert dim == 5
+    assert image.reduce(Cotensor(SPACE, {(3,): 1})).is_zero()
 
 
 def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
@@ -229,8 +236,9 @@ def unit_elements(s, cls, word_len, degree):
 @pytest.mark.parametrize("make", [plane_structure, degenerate_structure, su2_cartan])
 def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
     # symplectic mod kernel has dimension rank(C) - rank(D), with C the
-    # contraction matrix of the tensor slice and D that of d after it; the
-    # rank of the slice is that of the matrix [images | d h], by the oracle
+    # contraction matrix of the tensor slice and D that of d after it, and
+    # is the rank the images reach; the rank of the slice is that of the
+    # matrix [images | d h], by the oracle
     s = make()
     for r in range(3) if s.pair.poly_nvars else [0]:
         for k in range(-1, s.n + 3):
@@ -239,10 +247,12 @@ def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
             d = dense_columns([flat(ce_differential(img)) for img in contractions])
             exact = [flat(ce_differential(h)) for h in
                      unit_elements(s, Cotensor, s.n - k, r + 1 if s.pair.poly_nvars else r)]
-            images, rank, dim = extension_slice(s, k, r)
-            assert len(images) == rank_dense(c) - rank_dense(d)
-            assert rank == rank_dense(dense_columns(images + exact))
-            assert dim == len(images) + len(exact)
+            images = symplectic_slice(s, k, r)[2]
+            image, dim = extension_slice(s, k, r)
+            assert image.ranks[0] == rank_dense(c) - rank_dense(d)
+            assert image.ranks[1] == image.echelon.rank
+            assert image.echelon.rank == rank_dense(dense_columns(images + exact))
+            assert dim == image.ranks[0] + len(exact)
 
 
 def test_extension_table_adds_no_elements(monkeypatch):
@@ -268,6 +278,48 @@ def coordinate_classes(s):
     ex = ExtensionElement(s, Cotensor(PLANE, {(): "x"}), Tensor(PLANE, {(2,): -1}))
     ey = ExtensionElement(s, Cotensor(PLANE, {(): "y"}), Tensor(PLANE, {(1,): 1}))
     return class_of(ex), class_of(ey)
+
+
+def test_class_of_needs_a_homogeneous_cocycle():
+    # 1 + dx is a cocycle with parts of degree 1 and 0
+    s = plane_structure()
+    e = ExtensionElement(s, Cotensor(PLANE, {(): 1, (1,): 1}), Tensor.zero(PLANE))
+    assert d_omega(e).is_zero()
+    for degree in (None, 0, 1):
+        with pytest.raises(ValueError, match="^element has no single degree; "
+                                             "a class needs a homogeneous element$"):
+            class_of(e, degree=degree)
+    # the zero element takes the degree it is given
+    zero = class_of(ExtensionElement.zero(s), degree=3)
+    assert zero == CohomClass.zero(s, 3) and zero.degree == 3
+
+
+def hamiltonian_cocycle(rng, s, k):
+    """(f, x) of degree k with d f = i_x omega: a random symplectic x with
+    its potential (x = 0 if i_x omega has none), plus a random cotensor in
+    f if that one is closed, as every top-degree cotensor is."""
+    x = random_symplectic(rng, s, k)
+    f = hamiltonian_potential(x, s)
+    if f is None:
+        x, f = Tensor.zero(s.pair), Cotensor.zero(s.pair)
+    g = random_cotensor(rng, s.pair, s.n - k, max_degree=2)
+    return ExtensionElement(s, f + g if ce_differential(g).is_zero() else f, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(make=st.sampled_from([plane_structure, degenerate_structure, su2_cartan]),
+       seed=st.integers(0, 2**32 - 1))
+def test_class_of_ignores_coboundaries(make, seed):
+    # z has a cotensor part and a symplectic tensor part, so d_omega(z)
+    # runs through both halves of the coboundary span, d h and i_y omega;
+    # on su(2) at k = -1, omega = i_1 omega is a coboundary but not exact
+    s = make()
+    rng = random.Random(seed)
+    for k in range(-1, s.n):
+        e = hamiltonian_cocycle(rng, s, k)
+        z = ExtensionElement(s, random_cotensor(rng, s.pair, s.n - k - 1, max_degree=2),
+                             random_symplectic(rng, s, k + 1))
+        assert class_of(e + d_omega(z), degree=k) == class_of(e, degree=k)
 
 
 def test_class_of_rejects_non_cocycles():

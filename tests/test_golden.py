@@ -7,7 +7,7 @@ failing validators with witnesses, the identity suites with their
 informational witness, the Jacobi checks, the sp(2) momentum map with
 a corrupted bracket table that fails the morphism gate, extension and
 plain cohomology tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6
-on Q[x1..x6]), and Poisson brackets of classes on the plane.  To re-record
+on Q[x1..x6]), and Poisson brackets of classes on the plane and on su(2).  To re-record
 after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py

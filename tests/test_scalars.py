@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplectic.scalars import (
-    CapExceeded,
     Poly,
     as_rational,
     bell,
@@ -59,13 +58,6 @@ def test_shuffle_counts():
 def test_shuffle_order_is_lexicographic():
     images = enumerate_shuffles((2, 2))
     assert images == sorted(images)
-
-
-def test_shuffle_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_shuffles((7, 6))
-    # a custom cap is honored
-    assert len(enumerate_shuffles((7, 6), cap=13)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +167,6 @@ def test_bell_against_partition_count():
 def test_bell_identity():
     for k in range(3, 11):
         assert bell_identity_check(k)
-
-
-def test_bell_cap():
-    with pytest.raises(CapExceeded):
-        bell(10, cap=9)
 
 
 # ---------------------------------------------------------------------------
