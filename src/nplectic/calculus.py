@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, sort_word, wedge_list
-from .scalars import CapExceeded, Poly, enumerate_shuffles, koszul_sign, sparse_sum
+from .scalars import Poly, enumerate_shuffles, koszul_sign, require_arity, sparse_sum
 
 # The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
 # Schouten bracket wedged with the k - 2 other arguments.
@@ -205,8 +205,8 @@ def _hom_tuples(xs):
         yield degs, parts
 
 
-def higher_bracket(k: int, xs) -> Tensor:
-    """k-ary graded symmetric bracket on the exterior tensor algebra.
+def higher_bracket(xs) -> Tensor:
+    """k-ary graded symmetric bracket on the exterior tensor algebra, k = len(xs).
 
     [x_1..x_k] = sum over (2, k-2)-shuffles s of
         sign(s; x) * (-1)^|x_{s(1)}| * x_{s(k)} ^ .. ^ x_{s(3)} ^ [x_{s(2)}, x_{s(1)}]
@@ -215,10 +215,8 @@ def higher_bracket(k: int, xs) -> Tensor:
     above MAX_BRACKET_ARITY raises CapExceeded.
     """
     xs = list(xs)
-    if len(xs) != k:
-        raise ValueError(f"expected {k} arguments, got {len(xs)}")
-    if k > MAX_BRACKET_ARITY:
-        raise CapExceeded(f"bracket arity {k} exceeds cap {MAX_BRACKET_ARITY}")
+    k = len(xs)
+    require_arity(k, MAX_BRACKET_ARITY)
     pair = xs[0].pair
     if k == 1:
         return Tensor.zero(pair)
@@ -238,13 +236,8 @@ def higher_bracket(k: int, xs) -> Tensor:
     return total
 
 
-def natural_inclusion(k: int, xs) -> Tensor:
-    """Inclusion component (x_1..x_k) -> (-1)^(k-1) (k-1)! x_k ^ .. ^ x_1."""
+def natural_inclusion(xs) -> Tensor:
+    """Inclusion component (x_1..x_k) -> (-1)^(k-1) (k-1)! x_k ^ .. ^ x_1, k = len(xs)."""
     xs = list(xs)
-    if len(xs) != k or k < 1:
-        raise ValueError("arity mismatch")
-    pair = xs[0].pair
-    coeff = Fraction(math.factorial(k - 1))
-    if (k - 1) % 2:
-        coeff = -coeff
-    return coeff * wedge_list(pair, Tensor, list(reversed(xs)))
+    coeff = Fraction((-1) ** (len(xs) - 1) * math.factorial(len(xs) - 1))
+    return coeff * wedge_list(xs[0].pair, Tensor, xs[::-1])

@@ -41,7 +41,7 @@ from .models import momentum_from_json
 from .pairs import PairMorphismCandidate, pair_from_json, validate_morphism, validate_pair
 from .report import Report, canonical_json, witness_unless
 from .sampling import random_cotensor, random_tensor
-from .scalars import CapExceeded
+from .scalars import CapExceeded, require_arity
 
 
 class InputError(Exception):
@@ -145,7 +145,7 @@ def cmd_bracket(args):
             raise InputError("the schouten bracket takes exactly two arguments")
         result = schouten(xs[0], xs[1])
     else:
-        result = higher_bracket(len(xs), xs)
+        result = higher_bracket(xs)
     report = Report("bracket", {"family": pair.family, "arity": len(xs),
                                 "schouten": bool(args.schouten)})
     return report, _result_extra(result)
@@ -205,8 +205,7 @@ def cmd_nplectic_check(args):
 def cmd_jacobi(args):
     s = _load_structure(_read_json(args.input))
     cap = args.arity_cap
-    if args.max_arity > cap:
-        raise CapExceeded(f"extension bracket arity {args.max_arity} exceeds cap {cap}")
+    require_arity(args.max_arity, cap)
     rng = random.Random(args.seed)
     pair = s.pair
     report = Report("jacobi", {
@@ -226,7 +225,7 @@ def cmd_jacobi(args):
                                 random_symplectic(rng, s, g))
 
     families = (("tensor", TensorLinf(pair), tensor),
-                ("extension", ExtensionLinf(s, cap), extension_element))
+                ("extension", ExtensionLinf(s), extension_element))
     for k in range(2, args.max_arity + 1):
         for family, op, draw in families:
             report.tally(f"{family}_jacobi_arity_{k}",
@@ -285,8 +284,7 @@ def cmd_poisson(args):
     raw = _field(data, "elements")
     if not isinstance(raw, list) or not raw:
         raise InputError("'elements' must be a nonempty list")
-    if len(raw) > cap:
-        raise CapExceeded(f"bracket arity {len(raw)} exceeds cap {cap}")
+    require_arity(len(raw), cap)
     report = Report("poisson", {
         "family": s.pair.family, "n": s.n, "arity": len(raw), "arity_cap": cap,
         "jacobi": bool(args.jacobi),
@@ -313,11 +311,11 @@ def cmd_poisson(args):
         classes.append(cls)
     if len(classes) != len(raw):
         return report, {}
-    result = poisson_bracket(len(classes), classes, cap)
+    result = poisson_bracket(classes)
     extra = {"result": result.to_json(), "display": repr(result),
              "zero_class": result.is_zero()}
     if args.jacobi:
-        residual = jacobi_residual(ClassLinf(s, cap), classes)
+        residual = jacobi_residual(ClassLinf(s), classes)
         report.add("weak_jacobi", residual.is_zero(),
                    **({} if residual.is_zero() else {"residual": repr(residual)}))
     return report, extra

@@ -29,32 +29,29 @@ Canonical representatives form a linear section, so class arithmetic
 happens directly on them.  A class has one degree, so only a homogeneous
 cocycle has one.
 
-The bracket of classes pairs the contraction of the reversed wedge with
-the higher bracket of the tensor parts.  Unlike the chain-level brackets
-it carries no Bell-number weight: the fundamental pairing then makes every
-bracket value a cocycle on the nose.
+The bracket of classes is `engine.symplectic_bracket` of the tensor parts,
+the contraction of their reversed wedge paired with their higher bracket,
+and then its class.  Unlike the chain-level brackets it carries no
+Bell-number weight: the fundamental pairing then makes every bracket value
+a cocycle on the nose.
 """
 
 from __future__ import annotations
 
-from .calculus import higher_bracket
 from .elements import Cotensor
 from .engine import (
-    DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     NPlecticStructure,
     Quotient,
-    contract_reversed_wedge,
     d_omega,
     differential_slice,
     matrix_of,
-    reduce_mod_kernel,
     shift_weight,
     slice_basis,
+    symplectic_bracket,
     symplectic_slice,
 )
 from .linalg import rank_fraction_free
-from .scalars import CapExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +245,15 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
 # the Poisson algebra of classes
 # ---------------------------------------------------------------------------
 
-def poisson_bracket(k: int, classes, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> CohomClass:
-    """k-ary bracket of classes; unary is zero, higher arities are cocycles."""
+def poisson_bracket(classes) -> CohomClass:
+    """Bracket of classes, of arity len(classes): the class of
+    `symplectic_bracket` on their tensor parts; unary is zero."""
     classes = list(classes)
-    if len(classes) != k:
-        raise ValueError(f"expected {k} arguments, got {len(classes)}")
-    if k > cap:
-        raise CapExceeded(f"bracket arity {k} exceeds cap {cap}")
     s = classes[0].structure
     out_degree = sum(c.degree for c in classes) - 1
-    if k == 1:
+    if len(classes) == 1:
         return CohomClass.zero(s, out_degree)
-    xs = [c.rep.x for c in classes]
-    # symplectic by the fundamental pairing, so only reduced
-    e = ExtensionElement.canonical(s, contract_reversed_wedge(s, xs),
-                                   reduce_mod_kernel(s, higher_bracket(k, xs)))
+    e = symplectic_bracket(s, [c.rep.x for c in classes])
     if e.is_zero():
         return CohomClass.zero(s, out_degree)
     return class_of(e, degree=out_degree)

@@ -10,7 +10,8 @@ An n-plectic structure on a pair is a closed cotensor of tensor degree
   wedge degree k with cotensors of word length n-k, carrying the
   differential (f, x) -> (i_x omega - d f, 0) and Bell-number weighted
   k-brackets ((f_1,x_1)..(f_k,x_k)) -> (B_{k-1} i_{x_k^..^x_1} omega,
-  [x_1..x_k]).
+  [x_1..x_k]), k the number of arguments; `symplectic_bracket` forms the
+  unweighted pair, which the bracket of classes shares.
 
 Everything is sliced by (wedge degree, polynomial degree) and solved with
 exact linear algebra; the two shipped coefficient families keep every
@@ -413,23 +414,26 @@ def d_omega(e: ExtensionElement) -> ExtensionElement:
     return ExtensionElement.canonical(s, new_f, Tensor.zero(s.pair))
 
 
-def extension_bracket(k: int, es, cap: int = DEFAULT_EXTENSION_ARITY_CAP) -> ExtensionElement:
-    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]).
+def symplectic_bracket(s: NPlecticStructure, xs) -> ExtensionElement:
+    """(i_{x_k ^..^ x_1} omega, [x_1..x_k]) on symplectic tensors xs.
 
-    The fundamental pairing makes [x_1..x_k] symplectic, so it is only
-    reduced, not re-checked.
+    The higher bracket runs first, so an arity past its bound raises before
+    any contraction.  The fundamental pairing makes it symplectic, so it is
+    only reduced, not re-checked.
     """
+    xs = list(xs)
+    x = reduce_mod_kernel(s, higher_bracket(xs))
+    return ExtensionElement.canonical(s, contract_reversed_wedge(s, xs), x)
+
+
+def extension_bracket(es) -> ExtensionElement:
+    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]), k = len(es)."""
     es = list(es)
-    if len(es) != k:
-        raise ValueError(f"expected {k} arguments, got {len(es)}")
-    if k < 2:
+    if len(es) < 2:
         raise ValueError("the unary operation of the extension complex is d_omega")
-    if k > cap:
-        raise CapExceeded(f"extension bracket arity {k} exceeds cap {cap}")
     s = es[0].structure
-    xs = [e.x for e in es]
-    f_part = Fraction(bell(k - 1)) * contract_reversed_wedge(s, xs)
-    return ExtensionElement.canonical(s, f_part, reduce_mod_kernel(s, higher_bracket(k, xs)))
+    e = symplectic_bracket(s, [arg.x for arg in es])
+    return ExtensionElement.canonical(s, Fraction(bell(len(es) - 1)) * e.f, e.x)
 
 
 def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
@@ -437,12 +441,12 @@ def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
     return contract(wedge_list(s.pair, Tensor, list(reversed(xs))), s.omega)
 
 
-def fundamental_pairing_check(k: int, xs, s: NPlecticStructure):
+def fundamental_pairing_check(xs, s: NPlecticStructure):
     """Check i_{[x_1..x_k]} omega = d i_{x_k ^..^ x_1} omega on symplectic xs.
 
     Returns (ok, lhs, rhs) so callers can report the residual.
     """
     xs = list(xs)
-    lhs = contract(higher_bracket(k, xs), s.omega)
+    lhs = contract(higher_bracket(xs), s.omega)
     rhs = ce_differential(contract_reversed_wedge(s, xs))
     return lhs == rhs, lhs, rhs

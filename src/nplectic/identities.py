@@ -133,7 +133,7 @@ def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0,
               if symplectic_basis(s, g, max_poly_degree=2)]
 
     def pairing_witness(*xs):
-        ok, lhs, rhs = fundamental_pairing_check(len(xs), xs, s)
+        ok, lhs, rhs = fundamental_pairing_check(xs, s)
         return witness_unless(ok, args=list(xs), lhs=lhs, rhs=rhs)
 
     for k in arities:

@@ -1,8 +1,10 @@
 """Graded bracket systems and the generic identity checkers.
 
 Every algebra in the package exposes the same small surface: a zero
-element, linear operations, a degree, and one k-ary bracket per arity
-(arity one being the differential).  The checkers in this module only
+element, linear operations, a degree, and `bracket(vs)` of arity len(vs)
+(arity one being the differential); a morphism component is `f(vs)`, None
+meaning zero.  `ClassLinf` and `ExtensionLinf` take no cap: whoever sizes a
+loop of brackets checks it with `require_arity`.  The checkers here only
 speak that surface, so the weak Jacobi identity and the morphism
 equations are evaluated by code that knows nothing about the particular
 algebra.  `_shuffle_composites` is the package's only weak-Jacobi shuffle
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .calculus import higher_bracket, natural_inclusion
+from .calculus import higher_bracket
 from .cohomology import (
     CohomClass,
     NotACocycle,
@@ -41,11 +43,11 @@ from .engine import (
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .scalars import (
-    CapExceeded,
     Poly,
     as_rational,
     enumerate_shuffles,
     koszul_sign,
+    require_arity,
     sparse_sum,
 )
 
@@ -68,7 +70,7 @@ class Operations:
     def degree(self, v):
         raise NotImplementedError
 
-    def bracket(self, k, vs):
+    def bracket(self, vs):
         raise NotImplementedError
 
 
@@ -137,9 +139,8 @@ class FiniteLInfinity(Operations):
         degs = {self.degrees[i - 1] for i in v}
         return degs.pop() if len(degs) == 1 else None
 
-    def bracket(self, k, vs):
-        if len(vs) != k:
-            raise ValueError(f"expected {k} arguments, got {len(vs)}")
+    def bracket(self, vs):
+        k = len(vs)
         slot = self.brackets.get(k, {})
         if not slot:
             return {}
@@ -186,8 +187,8 @@ class PairLinf(Operations):
         scalar = parts.get(0, Tensor.zero(self.pair)).terms.get((), Poly.zero(self.pair.poly_nvars))
         return scalar, parts.get(1, Tensor.zero(self.pair))
 
-    def bracket(self, k, vs):
-        if k != 2:
+    def bracket(self, vs):
+        if len(vs) != 2:
             return self.zero()
         a, x = self._split(vs[0])
         b, y = self._split(vs[1])
@@ -207,19 +208,17 @@ class TensorLinf(Operations):
     def degree(self, v):
         return v.grade
 
-    def bracket(self, k, vs):
-        if k == 1:
+    def bracket(self, vs):
+        if len(vs) == 1:
             return self.zero()
-        return higher_bracket(k, vs)
+        return higher_bracket(vs)
 
 
 class ExtensionLinf(Operations):
     """The extension complex: differential at arity one, weighted brackets above."""
 
-    def __init__(self, structure: NPlecticStructure,
-                 cap: int = DEFAULT_EXTENSION_ARITY_CAP):
+    def __init__(self, structure: NPlecticStructure):
         self.structure = structure
-        self.cap = cap
 
     def zero(self):
         return ExtensionElement.zero(self.structure)
@@ -227,10 +226,10 @@ class ExtensionLinf(Operations):
     def degree(self, v):
         return v.degree()
 
-    def bracket(self, k, vs):
-        if k == 1:
+    def bracket(self, vs):
+        if len(vs) == 1:
             return d_omega(vs[0])
-        return extension_bracket(k, vs, cap=self.cap)
+        return extension_bracket(vs)
 
 
 class ClassLinf(Operations):
@@ -240,10 +239,8 @@ class ClassLinf(Operations):
     degree 0 or in its true degree; test residuals with `is_zero()`, not `==`.
     """
 
-    def __init__(self, structure: NPlecticStructure,
-                 cap: int = DEFAULT_EXTENSION_ARITY_CAP):
+    def __init__(self, structure: NPlecticStructure):
         self.structure = structure
-        self.cap = cap
 
     def zero(self):
         return CohomClass.zero(self.structure, 0)
@@ -251,8 +248,8 @@ class ClassLinf(Operations):
     def degree(self, v):
         return v.degree
 
-    def bracket(self, k, vs):
-        return poisson_bracket(k, vs, cap=self.cap)
+    def bracket(self, vs):
+        return poisson_bracket(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def _degrees(op: Operations, vs, what: str):
 
 
 def _shuffle_composites(op: Operations, outer, vs, degs):
-    """(sign, outer(n + 1 - j, [op.bracket(j, head)] + tail)) per nonzero inner bracket.
+    """(sign, outer([op.bracket(head)] + tail)) per nonzero inner bracket.
 
     The one weak-Jacobi shuffle sum: every split j = 1..n and every
     (j, n - j) shuffle, with its Koszul sign in the argument degrees.  The
@@ -280,16 +277,16 @@ def _shuffle_composites(op: Operations, outer, vs, degs):
     for j in range(1, n + 1):
         for sh in enumerate_shuffles((j, n - j)):
             sign = koszul_sign(sh, degs)
-            inner = op.bracket(j, [vs[i - 1] for i in sh[:j]])
+            inner = op.bracket([vs[i - 1] for i in sh[:j]])
             if op.is_zero(inner):
                 continue
-            yield sign, outer(n + 1 - j, [inner] + [vs[i - 1] for i in sh[j:]])
+            yield sign, outer([inner] + [vs[i - 1] for i in sh[j:]])
 
 
 def jacobi_residual(op: Operations, vs):
     """Weak Jacobi residual of op at the given arguments.
 
-    Sums op.bracket(i, [op.bracket(j, head), tail]) over all splits
+    Sums op.bracket([op.bracket(head)] + tail) over all splits
     i + j = n + 1 and (j, n - j) shuffles, with Koszul signs in the
     argument degrees.  Zero exactly when the brackets cohere at this
     arity on these arguments.
@@ -341,7 +338,7 @@ def _set_partitions(n: int):
 def morphism_residual(f, dom: Operations, cod: Operations, vs):
     """Defect of the morphism equations at one argument tuple.
 
-    `f(k, vs)` evaluates the arity-k component (None meaning zero).  The
+    `f(vs)` evaluates the component of arity len(vs) (None meaning zero).  The
     left side feeds each domain bracket through a component; the right
     side subtracts one codomain bracket of component blocks per set
     partition of the arguments, blocks ascending and ordered by least
@@ -368,13 +365,13 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
     for blocks in _set_partitions(len(vs)):
         ys = []
         for block in blocks:
-            y = f(len(block), [vs[i - 1] for i in block])
+            y = f([vs[i - 1] for i in block])
             if y is None:
                 break
             ys.append(y)
         else:
             order = tuple(itertools.chain.from_iterable(blocks))
-            total = accumulate(total, cod.bracket(len(blocks), ys),
+            total = accumulate(total, cod.bracket(ys),
                                -koszul_sign(order, degs))
     return cod.zero() if total is None else total
 
@@ -392,11 +389,6 @@ def check_morphism(f, dom: Operations, cod: Operations, argument_lists):
         if not cod.is_zero(residual):
             return False, {"args": list(vs), "residual": residual}
     return True, None
-
-
-def inclusion_component(k, xs):
-    """The natural inclusion as a morphism component family."""
-    return natural_inclusion(k, list(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +419,7 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     if not len(fields) == len(potentials) == algebra.dim:
         raise ValueError("need one field and one potential per generator")
     require_constant_omega(s)
-    if max_arity > cap:
-        raise CapExceeded(f"bracket arity {max_arity} exceeds cap {cap}")
+    require_arity(max_arity, cap)
     issues = []
     classes: list[CohomClass | None] = []
     for g, (pot, x) in enumerate(zip(potentials, fields), start=1):
@@ -447,10 +438,10 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
         return False, {"classes": classes, "issues": issues}
 
     dom = FiniteLInfinity.from_pair(algebra)
-    cod = ClassLinf(s, cap)
+    cod = ClassLinf(s)
 
-    def component(k, vs):
-        if k != 1:
+    def component(vs):
+        if len(vs) != 1:
             return None
         out = None
         for i, c in vs[0].items():

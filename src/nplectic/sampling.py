@@ -7,10 +7,11 @@ CLI records the seed in each report for exactly this reason).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from .elements import Cotensor, Tensor, ascending_words
+from .elements import Cotensor, Tensor
 from .scalars import Poly
 
 
@@ -50,14 +51,28 @@ def random_cotensor(rng: random.Random, pair, word_length: int, max_degree: int 
 
 
 def _random_element(rng, pair, cls, length, max_degree, terms):
-    words = list(ascending_words(pair.ngens, length))
-    if not words:
+    count = math.comb(pair.ngens, length) if length >= 0 else 0
+    if not count:
         return cls.zero(pair)
     data = []
     for _ in range(rng.randint(1, terms)):
-        word = rng.choice(words)
+        word = _unrank_word(rng.randrange(count), pair.ngens, length)
         data.append((word, random_poly(rng, pair.poly_nvars, max_degree)))
     return cls(pair, data)
+
+
+def _unrank_word(index: int, ngens: int, length: int) -> tuple:
+    """The word at `index` of `ascending_words(ngens, length)`, so that
+    randrange(count) draws what choice() on the list of words draws."""
+    word, letter = [], 1
+    for left in range(length, 0, -1):
+        # block: the words that go on with `letter`
+        while index >= (block := math.comb(ngens - letter, left - 1)):
+            index -= block
+            letter += 1
+        word.append(letter)
+        letter += 1
+    return tuple(word)
 
 
 def random_gvector(rng: random.Random, pair, max_degree: int = 3) -> Tensor:

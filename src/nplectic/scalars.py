@@ -23,6 +23,12 @@ class CapExceeded(Exception):
     """Raised when a combinatorial enumeration would blow past its cap."""
 
 
+def require_arity(k: int, cap: int) -> None:
+    """Raise CapExceeded when a bracket arity k exceeds its cap."""
+    if k > cap:
+        raise CapExceeded(f"bracket arity {k} exceeds cap {cap}")
+
+
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings like '-3/2' to an exact rational.
 

@@ -58,10 +58,10 @@ def symmetrized_jacobi_sum(op, vs):
         parity = sum(degs[perm[a]] * degs[perm[b]]
                      for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
         for j in range(1, n + 1):
-            inner = op.bracket(j, [vs[t] for t in perm[:j]])
+            inner = op.bracket([vs[t] for t in perm[:j]])
             if op.is_zero(inner):
                 continue
-            outer = op.bracket(n + 1 - j, [inner] + [vs[t] for t in perm[j:]])
+            outer = op.bracket([inner] + [vs[t] for t in perm[j:]])
             if op.is_zero(outer):
                 continue
             weight = Fraction(-1 if parity % 2 else 1,
@@ -80,7 +80,7 @@ def ordered_morphism_rhs(f, cod, vs, degs):
     """Oracle for the right side of `linf.morphism_residual`, as (weight, term) pairs.
 
     Every ordered composition of n into p blocks and every shuffle of the
-    arguments into those blocks gives cod.bracket(p, component blocks)
+    arguments into those blocks gives cod.bracket(component blocks)
     with weight -1/p! times the Koszul sign of the shuffle.  Each unordered
     block partition is visited once per ordering of its blocks, so the sum
     does not assume the codomain bracket or the components are graded
@@ -92,11 +92,11 @@ def ordered_morphism_rhs(f, cod, vs, degs):
         for cuts in itertools.combinations(range(1, n), p - 1):
             bounds = list(zip((0,) + cuts, cuts + (n,)))
             for sh in enumerate_shuffles([b - a for a, b in bounds]):
-                ys = [f(b - a, [vs[i - 1] for i in sh[a:b]]) for a, b in bounds]
+                ys = [f([vs[i - 1] for i in sh[a:b]]) for a, b in bounds]
                 if any(y is None for y in ys):
                     continue
                 weight = Fraction(-koszul_sign(sh, degs), math.factorial(p))
-                terms.append((weight, cod.bracket(p, ys)))
+                terms.append((weight, cod.bracket(ys)))
     return terms
 
 

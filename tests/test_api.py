@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists and is public,
-every name the benchmark tracer wraps can still be found, and only
-`scalars` reads the storage of a `Poly`."""
+every name the benchmark tracer wraps can still be found, only `scalars`
+reads the storage of a `Poly`, and the README quick start runs and prints
+what its comments say."""
 
 import importlib.util
 import re
@@ -10,6 +11,7 @@ import nplectic
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves_and_is_public():
@@ -35,3 +37,12 @@ def test_every_traced_name_resolves():
             for qualname in qualnames:
                 _, _, original = tracer._resolve(module_name, qualname)
                 assert callable(original), (metric, qualname)
+
+
+def test_the_readme_quick_start_prints_what_its_comments_say(capsys):
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", README.read_text(), re.S)[1]
+    expected = [line.split("#", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, str(README), "exec"), {})
+    assert len(expected) == 2
+    assert capsys.readouterr().out.splitlines() == expected

@@ -385,7 +385,7 @@ def test_unary_bracket_is_zero():
     rng = random.Random(61)
     for pair in FAMILIES:
         x = random_tensor(rng, pair, 2, 2)
-        assert higher_bracket(1, [x]).is_zero()
+        assert higher_bracket([x]).is_zero()
 
 
 def test_binary_bracket_on_vectors_is_the_lie_bracket():
@@ -393,11 +393,11 @@ def test_binary_bracket_on_vectors_is_the_lie_bracket():
     for pair in FAMILIES:
         for _ in range(25):
             x, y = random_tensor(rng, pair, 1, 2), random_tensor(rng, pair, 1, 2)
-            assert higher_bracket(2, [x, y]) == lie_bracket(x, y)
+            assert higher_bracket([x, y]) == lie_bracket(x, y)
             a = Tensor.scalar(pair, random_poly(rng, pair.poly_nvars, 2))
-            assert higher_bracket(2, [a, a]).is_zero()
+            assert higher_bracket([a, a]).is_zero()
             # mixed vector/scalar slot reduces to the action
-            got = higher_bracket(2, [x, a])
+            got = higher_bracket([x, a])
             scal = next(iter(a.terms.values())) if a.terms else Poly.zero(pair.poly_nvars)
             assert got == Tensor.scalar(pair, action(x, scal))
 
@@ -411,7 +411,7 @@ def test_higher_bracket_matches_symmetrized_oracle():
                       for _ in range(k)]
                 if any(x.is_zero() for x in xs):
                     continue
-                assert higher_bracket(k, xs) == bruteforce_higher_bracket(k, xs)
+                assert higher_bracket(xs) == bruteforce_higher_bracket(k, xs)
 
 
 def test_higher_bracket_graded_symmetry():
@@ -425,23 +425,23 @@ def test_higher_bracket_graded_symmetry():
             degs = tuple(x.grade for x in xs)
             s = tuple(rng.sample(range(1, k + 1), k))
             permuted = [xs[i - 1] for i in s]
-            assert higher_bracket(k, permuted) == koszul_sign(s, degs) * higher_bracket(k, xs)
+            assert higher_bracket(permuted) == koszul_sign(s, degs) * higher_bracket(xs)
 
 
 def test_higher_bracket_arity_above_the_bound_raises():
     pair = FAMILIES[0]
     xs = [Tensor.zero(pair)] * MAX_BRACKET_ARITY
     assert MAX_BRACKET_ARITY == 12
-    assert higher_bracket(12, xs).is_zero()
+    assert higher_bracket(xs).is_zero()
     with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
-        higher_bracket(13, xs + [Tensor.basis(pair, (1,))])
+        higher_bracket(xs + [Tensor.basis(pair, (1,))])
 
 
 def test_higher_bracket_degree_drop():
     rng = random.Random(79)
     for pair in FAMILIES:
         xs = [random_tensor(rng, pair, d, 1, terms=1) for d in (1, 2, 3)]
-        br = higher_bracket(3, xs)
+        br = higher_bracket(xs)
         assert br.is_zero() or br.grade == sum(x.grade for x in xs) - 1
 
 
@@ -463,6 +463,6 @@ def test_natural_inclusion_values():
     rng = random.Random(89)
     p = SPACE
     x1, x2, x3 = (random_tensor(rng, p, 1, 1) for _ in range(3))
-    assert natural_inclusion(1, [x1]) == x1
-    assert natural_inclusion(2, [x1, x2]) == -x2.wedge(x1)
-    assert natural_inclusion(3, [x1, x2, x3]) == 2 * x3.wedge(x2).wedge(x1)
+    assert natural_inclusion([x1]) == x1
+    assert natural_inclusion([x1, x2]) == -x2.wedge(x1)
+    assert natural_inclusion([x1, x2, x3]) == 2 * x3.wedge(x2).wedge(x1)

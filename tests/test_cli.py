@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface against the shipped models."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -179,9 +180,11 @@ SEVEN_ELEMENTS = {"elements": [
 @pytest.mark.parametrize("argv", [
     ["jacobi", PLANE, "--max-arity", "1000000"],
     ["jacobi", SU2_CARTAN, "--max-arity", "1000000"],
+    ["jacobi", SU2_CARTAN, "--max-arity", "7", "--arity-cap", "6"],
     ["momentum-check", PLANE, SP2, "--arity-cap", "8", "--max-arity", "1000000"],
     ["poisson", PLANE, "seven.json"],
-], ids=["jacobi-plane", "jacobi-su2", "momentum-check-sp2", "poisson-plane"])
+], ids=["jacobi-plane", "jacobi-su2", "jacobi-su2-seven", "momentum-check-sp2",
+        "poisson-plane"])
 def test_an_arity_above_the_cap_exits_three_before_any_work(run, tmp_path, argv):
     elements = write(tmp_path, "seven.json", SEVEN_ELEMENTS)
     argv = [elements if a == "seven.json" else a for a in argv]
@@ -189,7 +192,7 @@ def test_an_arity_above_the_cap_exits_three_before_any_work(run, tmp_path, argv)
     code, payload, err = run(*argv)
     assert time.monotonic() - start < 1
     assert code == 3 and payload is None
-    assert "exceeds cap" in err
+    assert re.fullmatch(r"error: bracket arity \d+ exceeds cap \d+\n", err)
 
 
 def test_a_bracket_of_thirteen_tensors_exits_three(run, tmp_path):

@@ -3,7 +3,9 @@ an error message with exit code 0, 1, 2 or 3, never an escaping exception.
 
 Integers in payloads are drawn from -2..5, so a drawn pair has at most five
 generators or variables and every example stays small.  Caps on a huge
-``dim`` or ``vars`` are a separate matter and are not exercised here.
+``dim`` or ``vars`` are a separate matter and are not exercised here; only
+``identities`` runs on constant pairs of up to 10**4 generators, since its
+random draws must not list every word of a wedge degree.
 ``poisson`` and ``momentum-check`` also run against a structure whose omega
 has a polynomial coefficient, which must exit 2 before any gate.  Arities
 past ``--arity-cap`` are drawn up to 10**6 for ``jacobi`` and
@@ -17,10 +19,11 @@ to 300 elements so that the slices under it stay cheap.
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nplectic import engine
 from nplectic.cli import main
@@ -198,6 +201,16 @@ def test_jacobi_arity_past_the_cap_exits_three(structure, cap, excess):
     code, err = run_main(["jacobi", structure, "--arity-cap", str(cap),
                           "--max-arity", str(cap + excess)])
     assert code == 3 and "exceeds cap" in err
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 10 ** 4))
+@example(dim=10 ** 4)
+def test_identities_on_a_large_constant_pair_end_quickly(tmp_path_factory, dim):
+    path = write_json(tmp_path_factory, "pair.json", {"family": "constant", "dim": dim})
+    start = time.monotonic()
+    code, _ = run_main(["identities", path, "--count", "20"])
+    assert code in (0, 1) and time.monotonic() - start < 2
 
 
 # Polynomial degrees up to 10**6: weights for `cohomology`, and exponents in

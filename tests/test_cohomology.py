@@ -356,7 +356,7 @@ def test_class_is_representative_independent():
 def test_poisson_bracket_of_coordinates_is_zero_class():
     s = plane_structure()
     cx, cy = coordinate_classes(s)
-    out = poisson_bracket(2, [cx, cy])
+    out = poisson_bracket([cx, cy])
     assert out.degree == 1
     assert out.is_zero()
 
@@ -364,7 +364,7 @@ def test_poisson_bracket_of_coordinates_is_zero_class():
 def test_unary_poisson_bracket_is_zero():
     s = plane_structure()
     cx, _ = coordinate_classes(s)
-    assert poisson_bracket(1, [cx]).is_zero()
+    assert poisson_bracket([cx]).is_zero()
 
 
 def su2_cartan_class(s, g):
@@ -375,7 +375,7 @@ def su2_cartan_class(s, g):
 def test_su2_cartan_bracket_mirrors_the_lie_algebra():
     s = su2_cartan()
     c1, c2 = su2_cartan_class(s, 1), su2_cartan_class(s, 2)
-    out = poisson_bracket(2, [c1, c2])
+    out = poisson_bracket([c1, c2])
     expected = class_of(ExtensionElement(
         s, Cotensor(s.pair, {(3,): -1}), Tensor.basis(s.pair, (3,))))
     assert out == expected

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nplectic import engine
 from nplectic.calculus import ce_differential, contract, higher_bracket, lie_derivative
+from nplectic.cohomology import class_of, poisson_bracket
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
     DegreeError,
@@ -34,7 +36,7 @@ from nplectic.identities import random_symplectic
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
-from nplectic.scalars import CapExceeded
+from nplectic.scalars import CapExceeded, bell
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -404,7 +406,7 @@ def test_plane_binary_bracket_of_coordinates():
     s = plane_structure()
     ex = hamiltonian_element(s, {(): "x"}, {(2,): -1})
     ey = hamiltonian_element(s, {(): "y"}, {(1,): 1})
-    out = extension_bracket(2, [ex, ey])
+    out = extension_bracket([ex, ey])
     assert out.x.is_zero()
     assert out.f == Cotensor(PLANE, {(): -1})
 
@@ -413,15 +415,38 @@ def test_extension_bracket_arity_guard():
     s = plane_structure()
     e = hamiltonian_element(s, {(): "x"}, {(2,): -1})
     with pytest.raises(ValueError):
-        extension_bracket(1, [e])
+        extension_bracket([e])
 
 
 def test_extension_bracket_output_is_cocycle():
     s = plane_structure()
     ex = hamiltonian_element(s, {(): "x"}, {(2,): -1})
     erot = hamiltonian_element(s, {(): "-1/2*x^2 - 1/2*y^2"}, {(2,): "x", (1,): "-y"})
-    out = extension_bracket(2, [ex, erot])
+    out = extension_bracket([ex, erot])
     assert d_omega(out).is_zero()
+
+
+@pytest.mark.parametrize("bracket", [extension_bracket, poisson_bracket],
+                         ids=["extension", "poisson"])
+def test_a_bracket_past_the_bound_raises_before_any_contraction(bracket, monkeypatch):
+    s = plane_structure()
+    e = hamiltonian_element(s, {(): "x"}, {(2,): -1})
+    args = [e if bracket is extension_bracket else class_of(e)] * 13
+    contractions = []
+    monkeypatch.setattr(engine, "contract", lambda *a: contractions.append(a))
+    with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
+        bracket(args)
+    assert contractions == []
+
+
+def test_extension_brackets_have_no_cap_below_the_tensor_bound():
+    # seven scalar tensors: the higher bracket vanishes and the value is
+    # B_6 i_{1^..^1} omega = 203 omega
+    s = su2_cartan()
+    one = tensor_element(s, Tensor.scalar(s.pair, 1))
+    assert bell(6) == 203
+    assert ExtensionLinf(s).bracket([one] * 7) == ExtensionElement(
+        s, 203 * s.omega, Tensor.zero(s.pair))
 
 
 def test_extension_jacobi_vanishes(random_extension):
@@ -448,7 +473,7 @@ def test_fundamental_pairing_spot_checks():
                         if rng.random() < 0.5:
                             x = x + random_fraction(rng) * b
                     xs.append(x)
-                ok, lhs, rhs = fundamental_pairing_check(k, xs, s)
+                ok, lhs, rhs = fundamental_pairing_check(xs, s)
                 assert ok, (lhs, rhs)
 
 
@@ -474,7 +499,7 @@ def test_symplectic_tensors_close_under_higher_brackets():
                         if rng.random() < 0.5:
                             x = x + random_fraction(rng) * b
                     xs.append(x)
-                assert is_symplectic(higher_bracket(k, xs), s)
+                assert is_symplectic(higher_bracket(xs), s)
 
 
 def test_kernel_arguments_keep_brackets_in_the_kernel():
@@ -482,6 +507,6 @@ def test_kernel_arguments_keep_brackets_in_the_kernel():
     killer = tensor(SPACE, ((3,), "x"))          # x @z, inside ker(omega)
     assert contract(killer, s.omega).is_zero()
     witness = tensor(SPACE, ((1,), "y"), ((2,), "x"))
-    out = higher_bracket(2, [killer, witness])
+    out = higher_bracket([killer, witness])
     assert not out.is_zero()
     assert contract(out, s.omega).is_zero()

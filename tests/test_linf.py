@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_extension_element
 from nplectic import linf
+from nplectic.calculus import natural_inclusion
 from nplectic.cohomology import CohomClass, class_of
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
@@ -30,7 +31,6 @@ from nplectic.linf import (
     check_linf,
     check_momentum_map,
     check_morphism,
-    inclusion_component,
     jacobi_residual,
     morphism_residual,
 )
@@ -99,9 +99,9 @@ def test_corrupted_table_is_caught_with_witness():
 def test_bracket_symmetrizes_with_koszul_signs():
     fin = FiniteLInfinity([1, 1, 2], {2: {(1, 2): {3: "1"}, (1, 3): {1: "1"}}})
     b1, b2, b3 = fin.basis(1), fin.basis(2), fin.basis(3)
-    assert fin.bracket(2, [b2, b1]) == fin.scale(-1, fin.bracket(2, [b1, b2]))
-    assert fin.bracket(2, [b3, b1]) == fin.bracket(2, [b1, b3])
-    assert fin.bracket(2, [b1, b1]) == {}
+    assert fin.bracket([b2, b1]) == fin.scale(-1, fin.bracket([b1, b2]))
+    assert fin.bracket([b3, b1]) == fin.bracket([b1, b3])
+    assert fin.bracket([b1, b1]) == {}
 
 
 def test_table_rejects_repeated_odd_key():
@@ -124,7 +124,7 @@ def _su2_table_and_basis():
 @pytest.mark.parametrize("check", [
     lambda fin, gens: check_linf(fin, [], 3),
     lambda fin, gens: check_linf(fin, gens, 0),
-    lambda fin, gens: check_morphism(lambda k, xs: xs[0] if k == 1 else None,
+    lambda fin, gens: check_morphism(lambda xs: xs[0] if len(xs) == 1 else None,
                                      fin, fin, []),
 ], ids=["linf-no-generators", "linf-arity-zero", "morphism-no-tuples"])
 def test_a_checker_over_zero_instances_fails(check):
@@ -174,9 +174,9 @@ def random_low_tensor(rng):
     return random_tensor(rng, PLANE, rng.choice((0, 1)), max_degree=2)
 
 
-def unscaled_inclusion(k, xs):
+def unscaled_inclusion(xs):
     """The inclusion's wedges, missing the (k-1)! weight and the alternation sign."""
-    if k == 1:
+    if len(xs) == 1:
         return xs[0]
     out = Tensor.scalar(PLANE, 1)
     for x in reversed(list(xs)):
@@ -189,7 +189,7 @@ def test_inclusion_is_a_morphism_up_to_arity_four():
     dom, cod = PairLinf(PLANE), TensorLinf(PLANE)
     tuples = [[random_low_tensor(rng) for _ in range(arity)]
               for arity in (1, 2, 3, 4) for _ in range(4)]
-    ok, witness = check_morphism(inclusion_component, dom, cod, tuples)
+    ok, witness = check_morphism(natural_inclusion, dom, cod, tuples)
     assert ok, witness
 
 
@@ -218,15 +218,15 @@ def test_morphism_residual_is_koszul_sign_consistent():
 def test_zero_component_family_is_a_morphism():
     dom, cod = PairLinf(PLANE), TensorLinf(PLANE)
     tuples = [[Tensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(2,): "y"})]]
-    ok, witness = check_morphism(lambda k, xs: None, dom, cod, tuples)
+    ok, witness = check_morphism(lambda xs: None, dom, cod, tuples)
     assert ok, witness
 
 
 def test_identity_is_a_strict_morphism_of_a_lie_algebra():
     fin = FiniteLInfinity.from_pair(su2())
 
-    def identity(k, xs):
-        return xs[0] if k == 1 else None
+    def identity(xs):
+        return xs[0] if len(xs) == 1 else None
 
     basis = [fin.basis(i) for i in (1, 2, 3)]
     tuples = [list(vs) for arity in (1, 2, 3)
@@ -243,7 +243,7 @@ def test_pair_bracket_matches_the_binary_higher_bracket():
     for _ in range(20):
         u = random_low_tensor(rng) + Tensor.scalar(PLANE, random_fraction(rng))
         v = random_low_tensor(rng)
-        assert dom.bracket(2, [u, v]) == higher_bracket(2, [u, v])
+        assert dom.bracket([u, v]) == higher_bracket([u, v])
 
 
 # -- momentum maps ----------------------------------------------------------------
@@ -383,8 +383,8 @@ def random_table_morphism(rng):
     comps = FiniteLInfinity(dom_degs, random_table(rng, dom_degs, arities, same_parity,
                                                    density=0.8))
 
-    def f(k, vs):
-        return comps.bracket(k, vs) if k in comps.brackets else None
+    def f(vs):
+        return comps.bracket(vs) if len(vs) in comps.brackets else None
 
     return f, dom, cod
 
@@ -406,7 +406,7 @@ def test_partition_sum_matches_ordered_oracle_on_tables(seed, morphism_oracle):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), arity=st.integers(1, 4),
-       component=st.sampled_from([inclusion_component, unscaled_inclusion]))
+       component=st.sampled_from([natural_inclusion, unscaled_inclusion]))
 def test_partition_sum_matches_ordered_oracle_on_the_inclusion(seed, arity, component,
                                                                morphism_oracle):
     rng = random.Random(seed)
@@ -448,8 +448,8 @@ def test_partition_sum_matches_ordered_oracle_on_momentum_maps(seed, arity, name
         for key in rng.sample(sorted(table), min(1, len(table))):
             table[key] = {t: c + random_fraction(rng) for t, c in table[key].items()}
 
-    def component(k, vs):
-        if k != 1:
+    def component(vs):
+        if len(vs) != 1:
             return None
         out = CohomClass.zero(s, 1)
         for i, c in vs[0].items():
@@ -467,8 +467,8 @@ def test_oracle_agrees_on_a_nonzero_momentum_residual(morphism_oracle):
     dom, cod = FiniteLInfinity.from_pair(algebra), ClassLinf(s)
     doubled = [2 * c for c in classes]
 
-    def component(k, vs):
-        return doubled[next(iter(vs[0])) - 1] if k == 1 else None
+    def component(vs):
+        return doubled[next(iter(vs[0])) - 1] if len(vs) == 1 else None
 
     vs = [dom.basis(1), dom.basis(2)]
     residual = morphism_residual(component, dom, cod, vs)
@@ -539,12 +539,12 @@ def test_every_adapter_bracket_is_graded_symmetric(name):
     for k in (2, 3, 4):
         for _ in range(3):
             vs = [nonzero(rng, op, draw) for _ in range(k)]
-            value = op.bracket(k, vs)
+            value = op.bracket(vs)
             values += not op.is_zero(value)
             for i in range(k - 1):
                 swapped = vs[:i] + [vs[i + 1], vs[i]] + vs[i + 2:]
                 sign = -1 if op.degree(vs[i]) % 2 and op.degree(vs[i + 1]) % 2 else 1
-                assert same_value(op, op.bracket(k, swapped), op.scale(sign, value))
+                assert same_value(op, op.bracket(swapped), op.scale(sign, value))
     assert values, f"every sampled {name} bracket vanished"
 
 
@@ -556,9 +556,9 @@ class CountingTable(FiniteLInfinity):
 
     calls = 0
 
-    def bracket(self, k, vs):
+    def bracket(self, vs):
         self.calls += 1
-        return super().bracket(k, vs)
+        return super().bracket(vs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -566,8 +566,8 @@ def test_unary_component_makes_one_codomain_bracket(n):
     fin = FiniteLInfinity.from_pair(su2())
     cod = CountingTable.from_pair(su2())
 
-    def identity(k, xs):
-        return xs[0] if k == 1 else None
+    def identity(xs):
+        return xs[0] if len(xs) == 1 else None
 
     vs = [fin.basis(1 + i % 3) for i in range(n)]
     morphism_residual(identity, fin, cod, vs)
@@ -580,8 +580,8 @@ def test_codomain_brackets_are_one_per_set_partition(n):
     f, dom, table = random_table_morphism(rng)
     cod = CountingTable(table.degrees, table.brackets)
 
-    def total(k, vs):
-        y = f(k, vs)
+    def total(vs):
+        y = f(vs)
         return {} if y is None else y
 
     vs = [random_homogeneous(rng, dom) for _ in range(n)]
