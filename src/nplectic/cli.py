@@ -5,8 +5,12 @@ indent, trailing newline) to stdout or to ``--output``.  Wall-clock
 timings go to stderr so that reports for a fixed seed are byte-identical
 across runs.  Exit codes: 0 when every gating check passes, 1 when a
 check fails, 2 on malformed or invalid input, 3 when a bracket arity
-exceeds its cap (``--arity-cap``, or 12 for a tensor bracket) or a slice
-would exceed the slice cap.
+exceeds its cap (``--arity-cap``, from 1 to 12, or 12 for a tensor
+bracket) or a slice would exceed the slice cap.
+
+Input files pass one boundary: ``_parse`` runs a JSON reader and reports
+its ``KeyError`` as a missing field and its ``TypeError`` or ``ValueError``
+with the reader's own message, each as exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .calculus import ce_differential, contract, higher_bracket, lie_derivative, schouten
+from .calculus import (
+    MAX_BRACKET_ARITY,
+    ce_differential,
+    contract,
+    higher_bracket,
+    lie_derivative,
+    schouten,
+)
 from .cohomology import (
     NotACocycle,
     ce_cohomology_table,
@@ -63,29 +74,40 @@ def _read_json(path: str):
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _load_pair(data):
-    if isinstance(data, dict) and "omega" in data:
-        data = data.get("pair", data)
+def _parse(what: str, build, *args):
+    """build(*args) for a JSON reader `build`; a KeyError becomes a missing
+    field, a TypeError or ValueError keeps its message, both after `what`."""
     try:
-        return pair_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad pair: {exc}") from exc
+        return build(*args)
+    except KeyError as exc:
+        raise InputError(f"{what}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
+def _is_structure(data) -> bool:
+    return isinstance(data, dict) and "omega" in data
+
+
+def _load_pair(data):
+    """A pair file, or the pair of a structure file."""
+    if _is_structure(data):
+        data = data.get("pair", data)
+    return _parse("bad pair", pair_from_json, data)
 
 
 def _load_structure(data):
     if not isinstance(data, dict):
         raise InputError(f"bad structure: expected a JSON object, got {type(data).__name__}")
-    try:
-        return structure_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad structure: {exc}") from exc
+    return _parse("bad structure", structure_from_json, data)
 
 
-def _load_element(cls, pair, data, what: str):
-    try:
-        return cls.from_json(pair, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad {what}: {exc}") from exc
+def _load_pair_or_structure(data):
+    """(pair, structure) of a structure file, (pair, None) of a pair file."""
+    if _is_structure(data):
+        s = _load_structure(data)
+        return s.pair, s
+    return _load_pair(data), None
 
 
 def _field(data, key: str):
@@ -123,11 +145,7 @@ def cmd_validate_pair(args):
 
 
 def cmd_validate_morphism(args):
-    data = _read_json(args.input)
-    try:
-        cand = PairMorphismCandidate.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad morphism: {exc}") from exc
+    cand = _parse("bad morphism", PairMorphismCandidate.from_json, _read_json(args.input))
     report = validate_morphism(cand, samples=args.samples, seed=args.seed,
                                max_degree=args.max_degree)
     return report, {}
@@ -139,7 +157,7 @@ def cmd_bracket(args):
     raw = _field(data, "args")
     if not isinstance(raw, list) or not raw:
         raise InputError("'args' must be a nonempty list of tensors")
-    xs = [_load_element(Tensor, pair, t, "tensor") for t in raw]
+    xs = [_parse("bad tensor", Tensor.from_json, pair, t) for t in raw]
     if args.schouten:
         if len(xs) != 2:
             raise InputError("the schouten bracket takes exactly two arguments")
@@ -154,43 +172,26 @@ def cmd_bracket(args):
 def cmd_differential(args):
     data = _read_json(args.input)
     pair = _load_pair(_field(data, "pair"))
-    f = _load_element(Cotensor, pair, _field(data, "element"), "cotensor")
+    f = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "element"))
     report = Report("differential", {"family": pair.family})
     return report, _result_extra(ce_differential(f))
 
 
-def _tensor_cotensor_input(args):
+def cmd_tensor_on_cotensor(args):
+    """`contract` and `lie-derivative`: args.operation(x, f) on one pair."""
     data = _read_json(args.input)
     pair = _load_pair(_field(data, "pair"))
-    x = _load_element(Tensor, pair, _field(data, "tensor"), "tensor")
-    f = _load_element(Cotensor, pair, _field(data, "cotensor"), "cotensor")
-    return pair, x, f
-
-
-def cmd_contract(args):
-    pair, x, f = _tensor_cotensor_input(args)
-    report = Report("contract", {"family": pair.family})
-    return report, _result_extra(contract(x, f))
-
-
-def cmd_lie_derivative(args):
-    pair, x, f = _tensor_cotensor_input(args)
-    try:
-        result = lie_derivative(x, f)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    report = Report("lie-derivative", {"family": pair.family})
-    return report, _result_extra(result)
+    x = _parse("bad tensor", Tensor.from_json, pair, _field(data, "tensor"))
+    f = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "cotensor"))
+    report = Report(args.command, {"family": pair.family})
+    return report, _result_extra(args.operation(x, f))
 
 
 def cmd_nplectic_check(args):
     data = _read_json(args.input)
     pair = _load_pair(_field(data, "pair"))
-    try:
-        n = int(_field(data, "n"))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad degree n: {exc}") from exc
-    omega = _load_element(Cotensor, pair, _field(data, "omega"), "cotensor")
+    n = _parse("bad degree n", int, _field(data, "n"))
+    omega = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "omega"))
     report = Report("nplectic-check", {"family": pair.family, "n": n})
     report.add("degree_at_least_one", n >= 1)
     degree_ok = omega.is_zero() or omega.grade == -(n + 1)
@@ -241,12 +242,10 @@ def _jacobi_witness(op, *vs):
 
 def cmd_cohomology(args):
     data = _read_json(args.input)
-    has_structure = isinstance(data, dict) and "omega" in data
-    if not (args.plain or has_structure):
+    if not (args.plain or _is_structure(data)):
         raise InputError(
             "extension cohomology needs a structure with omega; pass --plain for pair tables")
-    s = _load_structure(data) if has_structure else None
-    pair = s.pair if has_structure else _load_pair(data)
+    pair, s = _load_pair_or_structure(data)
     if args.weights is not None:
         weights = list(_parse_span(args.weights, "weights"))
     else:
@@ -263,7 +262,7 @@ def cmd_cohomology(args):
                else range(-1, s.n + 3))
     table = extension_cohomology_table(s, degrees, weights)
     report = Report("cohomology", {
-        "family": s.pair.family, "n": s.n, "mode": "extension",
+        "family": pair.family, "n": s.n, "mode": "extension",
         "degrees": list(degrees), "weights": weights,
     })
     return report, {"table": table}
@@ -293,10 +292,7 @@ def cmd_poisson(args):
     for i, item in enumerate(raw, start=1):
         if not isinstance(item, dict):
             raise InputError(f"element {i} must be an object with 'f' and 'x'")
-        try:
-            e = ExtensionElement.from_json(s, item)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad element {i}: {exc}") from exc
+        e = _parse(f"bad element {i}", ExtensionElement.from_json, s, item)
         degree = item.get("degree")
         if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
             raise InputError(f"element {i}: 'degree' must be an integer, got {degree!r}")
@@ -324,11 +320,8 @@ def cmd_poisson(args):
 def cmd_momentum_check(args):
     s = _load_structure(_read_json(args.input))
     cap = args.arity_cap
-    data = _read_json(args.candidate)
-    try:
-        algebra, fields, potentials = momentum_from_json(s, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad candidate: {exc}") from exc
+    algebra, fields, potentials = _parse("bad candidate", momentum_from_json, s,
+                                         _read_json(args.candidate))
     try:
         ok, details = check_momentum_map(s, algebra, fields, potentials,
                                          max_arity=args.max_arity, cap=cap)
@@ -349,16 +342,10 @@ def cmd_momentum_check(args):
 
 
 def cmd_identities(args):
-    data = _read_json(args.input)
-    has_structure = isinstance(data, dict) and "omega" in data
-    if has_structure:
-        s = _load_structure(data)
-        pair = s.pair
-    else:
-        pair = _load_pair(data)
+    pair, s = _load_pair_or_structure(_read_json(args.input))
     report = cartan_suite(pair, count=args.count, seed=args.seed)
     report.title = "identities"
-    if has_structure:
+    if s is not None:
         pairing = pairing_suite(s, count=args.pairing_count, seed=args.seed)
         report.checks.extend(pairing.checks)
         report.meta["n"] = s.n
@@ -375,8 +362,8 @@ def _add_output(p):
                    help="write the JSON report here instead of stdout")
 
 
-def _int_at_least(least: int):
-    """Argparse type for an integer option with a lower bound."""
+def _int_at_least(least: int, most: int | None = None):
+    """Argparse type for an integer option with a lower and an optional upper bound."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -384,6 +371,8 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return parse
 
@@ -396,7 +385,7 @@ def _add_sampling(p, samples: int):
 
 
 def _add_cap(p):
-    p.add_argument("--arity-cap", type=_int_at_least(1),
+    p.add_argument("--arity-cap", type=_int_at_least(1, MAX_BRACKET_ARITY),
                    default=DEFAULT_EXTENSION_ARITY_CAP, metavar="K",
                    help="largest bracket arity to evaluate (default: %(default)s)")
 
@@ -435,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="contract a tensor into a cotensor")
     p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
     _add_output(p)
-    p.set_defaults(handler=cmd_contract)
+    p.set_defaults(handler=cmd_tensor_on_cotensor, operation=contract)
 
     p = sub.add_parser("lie-derivative", help="flow derivative of a cotensor")
     p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
     _add_output(p)
-    p.set_defaults(handler=cmd_lie_derivative)
+    p.set_defaults(handler=cmd_tensor_on_cotensor, operation=lie_derivative)
 
     p = sub.add_parser("nplectic-check", help="degree and closedness of a structure")
     p.add_argument("input", help="structure JSON file with 'pair', 'n' and 'omega'")

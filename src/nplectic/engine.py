@@ -25,7 +25,9 @@ so arithmetic and the brackets keep the invariant without checking again.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .calculus import ce_differential, contract, higher_bracket
@@ -110,13 +112,16 @@ MAX_SLICE_DIM = 10_000
 
 
 def monomials_exact(nvars: int, degree: int):
-    """All exponent tuples of total degree `degree`, sorted."""
+    """All exponent tuples of total degree `degree`, sorted.
+
+    Stars and bars: nvars - 1 ascending cuts of 0..degree; the exponents
+    are the gaps between them, so lexicographic cuts give lexicographic
+    exponents.
+    """
     if degree < 0 or nvars == 0:
         return [()] if degree == 0 else []
-    if nvars == 1:
-        return [(degree,)]
-    return [(a, *rest) for a in range(degree + 1)
-            for rest in monomials_exact(nvars - 1, degree - a)]
+    return [tuple(map(operator.sub, (*cuts, degree), (0, *cuts)))
+            for cuts in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)]
 
 
 def _monomial_count_upto(nvars: int, degree: int) -> int:

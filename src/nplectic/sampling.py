@@ -7,6 +7,7 @@ CLI records the seed in each report for exactly this reason).
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -63,15 +64,18 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
 
 def _unrank_word(index: int, ngens: int, length: int) -> tuple:
     """The word at `index` of `ascending_words(ngens, length)`, so that
-    randrange(count) draws what choice() on the list of words draws."""
-    word, letter = [], 1
+    randrange(count) draws what choice() on the list of words draws.
+
+    The values b = ngens - a over the letters a form the word of
+    colexicographic rank count - 1 - index, which is the sum of
+    comb(b, left) over them; one greedy bisection finds each b.
+    """
+    rank = math.comb(ngens, length) - 1 - index
+    word, top = [], ngens
     for left in range(length, 0, -1):
-        # block: the words that go on with `letter`
-        while index >= (block := math.comb(ngens - letter, left - 1)):
-            index -= block
-            letter += 1
-        word.append(letter)
-        letter += 1
+        top = bisect.bisect_right(range(top), rank, key=lambda b: math.comb(b, left)) - 1
+        rank -= math.comb(top, left)
+        word.append(ngens - top)
     return tuple(word)
 
 

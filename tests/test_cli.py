@@ -550,13 +550,66 @@ def test_counts_that_would_test_nothing_are_rejected(argv, capsys):
     ["momentum-check", PLANE, ROTATION, "--arity-cap", "0"],
     ["jacobi", PLANE, "--arity-cap", "-1"],
     ["poisson", PLANE, ROTATION, "--arity-cap", "0"],
+    # higher_bracket stops at arity 12, so a larger cap would not bound the run
+    ["jacobi", PLANE, "--max-arity", "13", "--count", "1", "--arity-cap", "13"],
+    ["poisson", PLANE, ROTATION, "--arity-cap", "13"],
+    ["momentum-check", PLANE, ROTATION, "--arity-cap", "13"],
 ], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
-def test_arity_cap_below_one_is_rejected_at_parse_time(argv, capsys):
+def test_arity_cap_outside_one_to_twelve_is_rejected_at_parse_time(argv, capsys):
+    start = time.monotonic()
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert time.monotonic() - start < 1
     err = capsys.readouterr().err
+    bound = "at least 1" if int(argv[-1]) < 1 else "at most 12"
     assert exc.value.code == 2
-    assert "error: argument --arity-cap: must be at least 1" in err
+    assert f"error: argument --arity-cap: must be {bound}" in err and "Traceback" not in err
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+PLANE_JSON = json.loads(Path(PLANE).read_text())
+ROTATION_JSON = json.loads(Path(ROTATION).read_text())
+MORPHISM_JSON = {"domain": SU2_PAIR_JSON, "codomain": SU2_PAIR_JSON, "f": [],
+                 "g": [[[[1], "1"]], [[[2], "1"]], [[[3], "1"]]]}
+CALCULUS_JSON = {"pair": {"family": "poly", "vars": 2},
+                 "tensor": [[[1], "1"]], "cotensor": [[[1, 2], "1"]]}
+
+
+@pytest.mark.parametrize("argv, data, key, prefix", [
+    (["jacobi", HEISENBERG], {}, "pair", "bad structure: "),  # a pair file, not a structure
+    (["jacobi", "{}"], PLANE_JSON, "pair", "bad structure: "),
+    (["jacobi", "{}"], PLANE_JSON, "omega", "bad structure: "),
+    (["jacobi", "{}"], PLANE_JSON, "n", "bad structure: "),
+    (["validate-pair", "{}"], SU2_PAIR_JSON, "dim", "bad pair: "),
+    (["validate-pair", "{}"], {"family": "poly", "vars": 2}, "vars", "bad pair: "),
+    (["momentum-check", PLANE, "{}"], ROTATION_JSON, "algebra", "bad candidate: "),
+    (["momentum-check", PLANE, "{}"], ROTATION_JSON, "fields", "bad candidate: "),
+    (["momentum-check", PLANE, "{}"], ROTATION_JSON, "potentials", "bad candidate: "),
+    (["validate-morphism", "{}"], MORPHISM_JSON, "domain", "bad morphism: "),
+    (["validate-morphism", "{}"], MORPHISM_JSON, "codomain", "bad morphism: "),
+    (["contract", "{}"], CALCULUS_JSON, "tensor", ""),
+    (["lie-derivative", "{}"], CALCULUS_JSON, "cotensor", ""),
+], ids=["heisenberg-pair-file", "structure-pair", "structure-omega", "structure-n", "pair-dim",
+        "pair-vars", "candidate-algebra", "candidate-fields", "candidate-potentials",
+        "morphism-domain", "morphism-codomain", "contract-tensor", "lie-derivative-cotensor"])
+def test_a_missing_key_is_reported_as_a_missing_field(run, tmp_path, argv, data, key, prefix):
+    path = write(tmp_path, "input.json", _without(data, key))
+    code, payload, err = run(*(a.format(path) for a in argv))
+    assert code == 2 and payload is None
+    assert err == f"error: {prefix}missing field {key!r}\n"
+
+
+def test_plain_cohomology_on_a_thousand_variables_exits_three(run, tmp_path):
+    # monomials are listed without recursion, so the run reaches the slice cap
+    path = write(tmp_path, "poly1000.json", {"family": "poly", "vars": 1000})
+    start = time.monotonic()
+    code, payload, err = run("cohomology", "--plain", path)
+    assert time.monotonic() - start < 10
+    assert code == 3 and payload is None
+    assert err == "error: slice of word length 2 has 499500 basis elements, more than 10000\n"
 
 
 def test_seeded_reports_are_byte_identical():
