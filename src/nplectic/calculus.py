@@ -231,7 +231,7 @@ def higher_bracket(xs) -> Tensor:
             if inner.is_zero():
                 continue
             tail = [parts[i - 1] for i in reversed(s[2:])]
-            term = wedge_list(pair, Tensor, tail).wedge(inner)
+            term = wedge_list(pair, Tensor, tail + [inner])
             total = total + sign * term
     return total
 

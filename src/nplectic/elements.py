@@ -248,8 +248,16 @@ class Cotensor(_Element):
 
 
 def wedge_list(pair, cls, elems):
-    """Wedge a possibly-empty list; the empty product is the unit scalar."""
-    out = cls.scalar(pair, 1)
-    for e in elems:
+    """Wedge a possibly-empty list of cls elements over pair, left to right.
+
+    The empty product is the unit scalar.  Otherwise the fold starts from
+    the first factor, with no unit factor wedged in, and that factor is
+    checked against cls and pair as any later one is.
+    """
+    if not elems:
+        return cls.scalar(pair, 1)
+    out = elems[0]
+    cls.zero(pair)._check(out)
+    for e in elems[1:]:
         out = out.wedge(e)
     return out

@@ -30,11 +30,11 @@ import math
 import operator
 from fractions import Fraction
 
-from .calculus import ce_differential, contract, higher_bracket
+from .calculus import MAX_BRACKET_ARITY, ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, as_rational, bell, sparse_sum
+from .scalars import CapExceeded, Poly, as_rational, bell, require_arity, sparse_sum
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -422,11 +422,16 @@ def d_omega(e: ExtensionElement) -> ExtensionElement:
 def symplectic_bracket(s: NPlecticStructure, xs) -> ExtensionElement:
     """(i_{x_k ^..^ x_1} omega, [x_1..x_k]) on symplectic tensors xs.
 
-    The higher bracket runs first, so an arity past its bound raises before
-    any contraction.  The fundamental pairing makes it symplectic, so it is
-    only reduced, not re-checked.
+    The arity is checked first, so an arity past MAX_BRACKET_ARITY raises
+    CapExceeded even with a zero argument.  Both slots are multilinear, so
+    a zero argument then gives zero without any further work.  The
+    fundamental pairing makes the bracket symplectic, so it is only
+    reduced, not re-checked.
     """
     xs = list(xs)
+    require_arity(len(xs), MAX_BRACKET_ARITY)
+    if any(x.is_zero() for x in xs):
+        return ExtensionElement.zero(s)
     x = reduce_mod_kernel(s, higher_bracket(xs))
     return ExtensionElement.canonical(s, contract_reversed_wedge(s, xs), x)
 

@@ -54,6 +54,13 @@ class ConstantPair:
             if c:
                 rows.append((i, j, k, c))
         object.__setattr__(self, "brackets", tuple(sorted(rows)))
+        # [e_i, e_j] rows per ordered (i, j), both signs; not a field, so
+        # equality, hashing and repr do not see it
+        table = {}
+        for i, j, k, c in self.brackets:
+            table.setdefault((i, j), []).append((k, c))
+            table.setdefault((j, i), []).append((k, -c))
+        object.__setattr__(self, "_bracket_table", table)
 
     @classmethod
     def from_brackets(cls, dim: int, table: dict) -> "ConstantPair":
@@ -90,13 +97,12 @@ class ConstantPair:
         return _coerce_coeff(self, value)
 
     def bracket_basis(self, i: int, j: int) -> list[tuple[int, Fraction]]:
-        """[e_i, e_j] as (index, coefficient) rows."""
-        if i == j:
-            return []
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        return [(k, c * sign) for (a, b, k, c) in self.brackets if (a, b) == (i, j)]
+        """[e_i, e_j] as (index, coefficient) rows, ascending in the index.
+
+        The rows are read from a table built once with the pair and shared
+        by every call: callers must not mutate the list.
+        """
+        return self._bracket_table.get((i, j), [])
 
     def action_basis(self, i: int, a: Poly) -> Poly:
         return Poly.zero(0)

@@ -13,6 +13,7 @@ floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -402,17 +403,24 @@ def enumerate_shuffles(block_sizes) -> list[tuple[int, ...]]:
     A shuffle's images ascend inside each block of positions.  Each block
     takes its images from the values the earlier blocks left, in
     `itertools.combinations` order, so the tuples come out sorted.  There
-    are multinomially many; callers bound the total p_1+...+p_r.
+    are multinomially many; callers bound the total p_1+...+p_r.  The table
+    is built once per tuple of sizes, and each call gets a fresh list of it.
     """
     sizes = tuple(int(p) for p in block_sizes)
     if any(p < 0 for p in sizes):
         raise ValueError(f"negative block size in {sizes}")
+    return list(_shuffle_table(sizes))
+
+
+@functools.cache
+def _shuffle_table(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The shuffles of `enumerate_shuffles` for checked sizes, as a tuple."""
     partial = [((), tuple(range(1, sum(sizes) + 1)))]
     for p in sizes:
         partial = [(head + chosen, tuple(v for v in left if v not in chosen))
                    for head, left in partial
                    for chosen in itertools.combinations(left, p)]
-    return [head for head, _ in partial]
+    return tuple(head for head, _ in partial)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,31 @@ def test_wedge_graded_commutativity():
             assert u.wedge(v) == sign * v.wedge(u)
 
 
+def test_wedge_list_folds_from_its_first_factor():
+    rng = random.Random(19)
+    for pair in FAMILIES:
+        assert wedge_list(pair, Tensor, []) == Tensor.scalar(pair, 1)
+        assert wedge_list(pair, Cotensor, []) == Cotensor.scalar(pair, 1)
+        for _ in range(10):
+            x, y, z = (random_tensor(rng, pair, rng.randint(0, 2)) for _ in range(3))
+            assert wedge_list(pair, Tensor, [x]) == x
+            assert wedge_list(pair, Tensor, [x, y, z]) == x.wedge(y).wedge(z)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_wedge_list_checks_every_factor_against_its_kind_and_pair(position):
+    p = su2()
+    x = basis_t(p, 1)
+    bad = [(basis_c(p, 1), TypeError, "^cannot mix tensor with cotensor$"),
+           (basis_t(SPACE, 1), ValueError, "^elements live over different pairs$")]
+    for factor, error, message in bad:
+        for length in range(position + 1, 4):
+            factors = [x] * length
+            factors[position] = factor
+            with pytest.raises(error, match=message):
+                wedge_list(p, Tensor, factors)
+
+
 # ---------------------------------------------------------------------------
 # pairing, with the determinant oracle
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nplectic import engine
 from nplectic.calculus import ce_differential, contract, higher_bracket, lie_derivative
-from nplectic.cohomology import class_of, poisson_bracket
+from nplectic.cohomology import CohomClass, class_of, poisson_bracket
 from nplectic.elements import Cotensor, Tensor
 from nplectic.engine import (
     DegreeError,
@@ -17,6 +17,7 @@ from nplectic.engine import (
     MAX_SLICE_DIM,
     NotClosedError,
     NPlecticStructure,
+    contract_reversed_wedge,
     coords_element,
     d_omega,
     extension_bracket,
@@ -30,6 +31,7 @@ from nplectic.engine import (
     slice_basis,
     structure_from_json,
     symplectic_basis,
+    symplectic_bracket,
     symplectic_slice,
 )
 from nplectic.identities import random_symplectic
@@ -437,6 +439,53 @@ def test_a_bracket_past_the_bound_raises_before_any_contraction(bracket, monkeyp
     with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
         bracket(args)
     assert contractions == []
+
+
+def hamiltonian_and_flat_cocycles(s):
+    """Two cocycles (f, x) with x nonzero, and the cocycle (3, 0), whose
+    tensor slot is zero and whose cotensor slot is not."""
+    if s.pair == PLANE:
+        pairs = [({(): "x"}, {(2,): -1}),
+                 ({(): "-1/2*x^2 - 1/2*y^2"}, {(2,): "x", (1,): "-y"})]
+    else:
+        pairs = [({(1,): -1}, {(1,): 1}), ({(2,): -1}, {(2,): 1})]
+    return ([hamiltonian_element(s, f, x) for f, x in pairs],
+            hamiltonian_element(s, {(): 3}, {}))
+
+
+@pytest.mark.parametrize("s", structures(), ids=["plane", "su2"])
+def test_a_zero_tensor_argument_gives_the_zero_bracket(s):
+    live, flat = hamiltonian_and_flat_cocycles(s)
+    zero = ExtensionElement.zero(s)
+    for k in (2, 3):
+        for position in range(k):
+            es = live[:k - 1]
+            es = es[:position] + [flat] + es[position:]
+            xs = [e.x for e in es]
+            # the work the short cut skips would have given zero too
+            assert higher_bracket(xs).is_zero()
+            assert contract_reversed_wedge(s, xs).is_zero()
+            assert symplectic_bracket(s, xs) == zero
+            assert extension_bracket(es) == zero
+            classes = [class_of(e) for e in es]
+            degree = sum(c.degree for c in classes) - 1
+            assert poisson_bracket(classes) == CohomClass.zero(s, degree)
+    # the same brackets without the flat argument are not zero
+    assert not extension_bracket(live).is_zero()
+    assert not poisson_bracket([class_of(e) for e in live]).is_zero()
+
+
+def test_a_zero_argument_does_not_lift_the_arity_bound():
+    s = plane_structure()
+    live, flat = hamiltonian_and_flat_cocycles(s)
+    message = "^bracket arity 13 exceeds cap 12$"
+    with pytest.raises(CapExceeded, match=message):
+        extension_bracket([flat] + [live[0]] * 12)
+    with pytest.raises(CapExceeded, match=message):
+        symplectic_bracket(s, [Tensor.zero(PLANE)] * 13)
+    for few in ([], [flat]):
+        with pytest.raises(ValueError, match="is d_omega$"):
+            extension_bracket(few)
 
 
 def test_extension_brackets_have_no_cap_below_the_tensor_bound():

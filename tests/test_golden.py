@@ -4,7 +4,9 @@ Each case in ``golden/cases.json`` runs ``python -m nplectic.cli ARGV``
 from the repository root, under several hash seeds, and its stdout and
 exit code must equal the recorded ones.  The cases cover passing and
 failing validators with witnesses, the identity suites with their
-informational witness, the Jacobi checks, the sp(2) momentum map with
+informational witness, the Jacobi checks (among them a broken su(2)
+table with the top-degree form, where the tensor Jacobi identity fails at
+arity 3 and the command exits 1), the sp(2) momentum map with
 a corrupted bracket table that fails the morphism gate, extension and
 plain cohomology tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6
 on Q[x1..x6]), and Poisson brackets of classes on the plane and on su(2).  To re-record

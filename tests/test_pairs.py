@@ -1,8 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nplectic.elements import Tensor
 from nplectic.pairs import (
@@ -18,6 +20,8 @@ from nplectic.pairs import (
 )
 from nplectic.sampling import random_coeff, random_gvector
 from nplectic.scalars import Poly, parse_poly
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def su2():
@@ -99,6 +103,57 @@ def test_structure_constant_normalization():
     assert (1, 3, 2, Fraction(-1)) in p.brackets
     assert p.bracket_basis(3, 1) == [(2, Fraction(1))]
     assert p.bracket_basis(1, 3) == [(2, Fraction(-1))]
+
+
+def scanned_bracket(pair, i, j):
+    """Oracle for `bracket_basis`: scan the stored rows, sign-folded."""
+    if i == j:
+        return []
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    return [(k, c * sign) for (a, b, k, c) in pair.brackets if (a, b) == (i, j)]
+
+
+def assert_bracket_table_matches_the_scan(pair):
+    for i in range(1, pair.dim + 1):
+        for j in range(1, pair.dim + 1):
+            assert pair.bracket_basis(i, j) == scanned_bracket(pair, i, j)
+
+
+@pytest.mark.parametrize("path", ["models/heisenberg_pair.json",
+                                  "tests/golden/inputs/broken_su2_pair.json"])
+def test_bracket_table_agrees_with_a_row_scan(path):
+    assert_bracket_table_matches_the_scan(su2())
+    pair = pair_from_json(json.loads((ROOT / path).read_text()))
+    assert pair.brackets
+    assert_bracket_table_matches_the_scan(pair)
+
+
+@st.composite
+def constant_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    slots = [(i, j, k) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+             for k in range(1, dim + 1)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return ConstantPair(dim, tuple((i, j, k, draw(coeffs)) for i, j, k in chosen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=constant_pairs())
+def test_bracket_table_agrees_with_a_row_scan_on_drawn_tables(pair):
+    assert_bracket_table_matches_the_scan(pair)
+
+
+def test_the_bracket_table_is_not_part_of_the_pair_value():
+    rows = ((1, 2, 3, Fraction(1)), (1, 3, 2, Fraction(-1)), (2, 3, 1, Fraction(1)))
+    a, b = ConstantPair(3, rows), ConstantPair(3, rows[::-1])
+    assert a.bracket_basis(2, 1) == [(3, Fraction(-1))]
+    assert a == b and hash(a) == hash(b)
+    assert a != ConstantPair(3, rows[:2])
+    # var_names is annotated in the class body, so it is a field as well
+    assert repr(a) == f"ConstantPair(dim=3, brackets={rows!r}, var_names=())"
 
 
 def test_bad_constant_pairs_rejected():

@@ -55,6 +55,22 @@ def test_shuffle_counts():
         assert len(enumerate_shuffles((p, q))) == math.comb(p + q, p)
 
 
+def test_a_returned_shuffle_list_is_the_callers_own():
+    expected = brute_shuffles((2, 3))
+    first = enumerate_shuffles((2, 3))
+    first.reverse()
+    first[0] = (9,)
+    first.append(())
+    assert enumerate_shuffles((2, 3)) == expected
+    assert enumerate_shuffles([2, 3]) == expected
+
+
+def test_a_negative_block_size_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative block size"):
+            enumerate_shuffles((2, -1))
+
+
 def test_shuffle_order_is_lexicographic():
     images = enumerate_shuffles((2, 2))
     assert images == sorted(images)
