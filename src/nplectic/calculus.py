@@ -12,7 +12,10 @@ Conventions, once and for all:
   cotensors with ring coefficients (it is a first-order operator, not an
   A-module map: d(x^2) = 2x dx);
 * the odd bracket is the biderivation extending the pair bracket, the
-  action and zero on ring pairs, with [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u].
+  action and zero on ring pairs, with [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u];
+* the module is free of rank ngens, so Lambda^{>ngens} = 0, and contracting
+  a tensor into a cotensor of shorter word length gives 0: a value the
+  grading puts there is zero without being computed.
 
 Every identity these operators are supposed to satisfy is enforced by the
 test suite rather than assumed; the randomized Cartan-rule suite in
@@ -212,7 +215,10 @@ def higher_bracket(xs) -> Tensor:
         sign(s; x) * (-1)^|x_{s(1)}| * x_{s(k)} ^ .. ^ x_{s(3)} ^ [x_{s(2)}, x_{s(1)}]
 
     Degree -1 as a multilinear map; the unary bracket is zero.  An arity
-    above MAX_BRACKET_ARITY raises CapExceeded.
+    above MAX_BRACKET_ARITY raises CapExceeded, and arguments over
+    different pairs raise ValueError, before any term is formed.  A tuple
+    of homogeneous parts whose degrees sum past ngens + 1 lands in
+    Lambda^{>ngens} = 0 and is skipped.
     """
     xs = list(xs)
     k = len(xs)
@@ -220,9 +226,13 @@ def higher_bracket(xs) -> Tensor:
     pair = xs[0].pair
     if k == 1:
         return Tensor.zero(pair)
+    if any(x.pair != pair for x in xs):
+        raise ValueError("bracket across different pairs")
     shuffle_set = enumerate_shuffles((2, k - 2))
     total = Tensor.zero(pair)
     for degs, parts in _hom_tuples(xs):
+        if sum(degs) - 1 > pair.ngens:
+            continue
         for s in shuffle_set:
             sign = koszul_sign(s, degs)
             if degs[s[0] - 1] % 2:

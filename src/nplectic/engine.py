@@ -283,7 +283,9 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
 
     Works slice by slice, in the window of x's polynomial degree.  The
     quotient pivots on the highest degree, so the representative does not
-    depend on the window or on the representative x started from.
+    depend on the window or on the representative x started from.  A
+    window whose kernel has rank 0 leaves its part as it is; the part lies
+    in the window by construction.
     """
     out = Tensor.zero(s.pair)
     pd = max(x.max_poly_degree(), 0)
@@ -291,7 +293,7 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
         kernel = s.derived(("kernel", degree, pd), lambda: Quotient(
             s.pair, Tensor, slice_basis(s.pair, degree, range(pd + 1)),
             [label_vector(k) for k in kernel_basis(s, degree, pd)]))
-        out = out + kernel.reduce(part)
+        out = out + (kernel.reduce(part) if kernel.echelon.rank else part)
     return out
 
 
@@ -447,8 +449,19 @@ def extension_bracket(es) -> ExtensionElement:
 
 
 def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
-    """i_{x_k ^..^ x_1} omega, omega contracted with the reversed wedge of xs."""
-    return contract(wedge_list(s.pair, Tensor, list(reversed(xs))), s.omega)
+    """i_{x_k ^..^ x_1} omega, omega contracted with the reversed wedge of xs.
+
+    Each x is checked against the pair first, as the wedge would check it.
+    omega has word length n + 1, so when the least degrees of the xs sum
+    past n + 1, or an x is zero, the contraction is zero and no wedge is
+    formed.
+    """
+    xs = list(xs)
+    for x in xs:
+        Tensor.zero(s.pair)._check(x)
+    if sum(min(x.degrees(), default=s.n + 2) for x in xs) > s.n + 1:
+        return Cotensor.zero(s.pair)
+    return contract(wedge_list(s.pair, Tensor, xs[::-1]), s.omega)
 
 
 def fundamental_pairing_check(xs, s: NPlecticStructure):

@@ -6,13 +6,18 @@ element, linear operations, a degree, and `bracket(vs)` of arity len(vs)
 meaning zero.  `ClassLinf` and `ExtensionLinf` take no cap: whoever sizes a
 loop of brackets checks it with `require_arity`.  The checkers here only
 speak that surface, so the weak Jacobi identity and the morphism
-equations are evaluated by code that knows nothing about the particular
-algebra.  `_shuffle_composites` is the package's only weak-Jacobi shuffle
-sum: `jacobi_residual` and the left side of `morphism_residual` walk it,
-and tensors, the extension complex and cohomology classes reach both
-through the adapters below.  The right side of `morphism_residual` walks
-unordered set partitions of the arguments, which assumes every bracket
-here is graded symmetric.
+equations are evaluated by the same code for every algebra.  The one
+thing an algebra may add is `top_degree()`, the highest degree of a
+nonzero element when every bracket lowers the degree by one; with it,
+`jacobi_residual` returns zero without a shuffle sum when the residual's
+degree, the sum of the argument degrees minus two, lies above it.  An
+algebra that declares no grading (an explicit table, the pair bracket)
+returns None and is always summed in full.  `_shuffle_composites` is the
+package's only weak-Jacobi shuffle sum: `jacobi_residual` and the left
+side of `morphism_residual` walk it, and tensors, the extension complex
+and cohomology classes reach both through the adapters below.  The right
+side of `morphism_residual` walks unordered set partitions of the
+arguments, which assumes every bracket here is graded symmetric.
 
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
 basis with bracket values listed per sorted index tuple.  Construction
@@ -72,6 +77,11 @@ class Operations:
 
     def bracket(self, vs):
         raise NotImplementedError
+
+    def top_degree(self) -> int | None:
+        """The highest degree of a nonzero element, for an algebra whose
+        brackets all lower the degree by one; None when not known."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +218,24 @@ class TensorLinf(Operations):
     def degree(self, v):
         return v.grade
 
+    def top_degree(self):
+        return self.pair.ngens
+
     def bracket(self, vs):
         if len(vs) == 1:
             return self.zero()
         return higher_bracket(vs)
+
+
+def _extension_top_degree(s: NPlecticStructure) -> int:
+    """The top degree of the extension complex and of its classes.
+
+    The tensor slot lives in wedge degrees up to ngens and the cotensor
+    slot in degrees n - (word length) up to n, and n < ngens unless
+    omega = 0; every bracket, the differential included, lowers the
+    degree by one.
+    """
+    return max(s.pair.ngens, s.n)
 
 
 class ExtensionLinf(Operations):
@@ -225,6 +249,9 @@ class ExtensionLinf(Operations):
 
     def degree(self, v):
         return v.degree()
+
+    def top_degree(self):
+        return _extension_top_degree(self.structure)
 
     def bracket(self, vs):
         if len(vs) == 1:
@@ -247,6 +274,9 @@ class ClassLinf(Operations):
 
     def degree(self, v):
         return v.degree
+
+    def top_degree(self):
+        return _extension_top_degree(self.structure)
 
     def bracket(self, vs):
         return poisson_bracket(vs)
@@ -289,11 +319,16 @@ def jacobi_residual(op: Operations, vs):
     Sums op.bracket([op.bracket(head)] + tail) over all splits
     i + j = n + 1 and (j, n - j) shuffles, with Koszul signs in the
     argument degrees.  Zero exactly when the brackets cohere at this
-    arity on these arguments.
+    arity on these arguments.  Every term has degree sum(degs) - 2, so
+    past `op.top_degree()` the residual is zero and no bracket is formed;
+    the argument checks of `_degrees` run first.
     """
     vs = list(vs)
     degs = _degrees(op, vs, "Jacobi residual")
     if degs is None:
+        return op.zero()
+    top = op.top_degree()
+    if top is not None and sum(degs) - 2 > top:
         return op.zero()
     total = None
     for sign, outer in _shuffle_composites(op, op.bracket, vs, degs):

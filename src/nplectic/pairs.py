@@ -84,7 +84,7 @@ class ConstantPair:
         return self.dim
 
     poly_nvars = 0
-    var_names: tuple[str, ...] = ()
+    var_names = ()  # no variables; unannotated, so not a dataclass field
     derivations = ()  # no generator acts on Q
 
     def gen_name(self, g: int) -> str:

@@ -437,6 +437,41 @@ def test_higher_bracket_matches_symmetrized_oracle():
                 if any(x.is_zero() for x in xs):
                     continue
                 assert higher_bracket(xs) == bruteforce_higher_bracket(k, xs)
+    # at the degree bound: Sigma - 1 = ngens is summed, ngens + 1 is skipped
+    rng = random.Random(97)
+    for pair in FAMILIES:
+        at_top = []
+        for k in (2, 3, 4):
+            for over in (0, 1):
+                for _ in range(6):
+                    degs = degrees_summing_to(rng, pair.ngens, k, pair.ngens + 1 + over)
+                    xs = [random_tensor(rng, pair, d, 2, terms=1) for d in degs]
+                    if any(x.is_zero() for x in xs):
+                        continue
+                    got = higher_bracket(xs)
+                    assert got == bruteforce_higher_bracket(k, xs)
+                    if not over:
+                        at_top.append(got)
+        assert any(not b.is_zero() for b in at_top)
+
+
+def degrees_summing_to(rng, top, k, total):
+    """k degrees in 0..top, drawn until they sum to total."""
+    while True:
+        degs = [rng.randint(0, top) for _ in range(k)]
+        if sum(degs) == total:
+            return degs
+
+
+def test_higher_bracket_checks_its_arguments_before_the_degree_skip():
+    su, heis = su2(), ConstantPair.from_brackets(3, {(1, 2): {3: 1}})
+    top, low = (1, 2, 3), (1,)
+    # Sigma - 1 = 4 > 3 skips every tuple; Sigma - 1 = 1 skips none
+    for words in ((top, top), (low, low)):
+        with pytest.raises(ValueError, match="^bracket across different pairs$"):
+            higher_bracket([Tensor.basis(su, words[0]), Tensor.basis(heis, words[1])])
+    with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
+        higher_bracket([Tensor.basis(su, top)] * 13)
 
 
 def test_higher_bracket_graded_symmetry():
@@ -478,6 +513,44 @@ def test_weak_jacobi_for_higher_brackets():
                 xs = [random_tensor(rng, pair, rng.randint(0, 3), 1, terms=1)
                       for _ in range(arity)]
                 assert jacobi_residual(TensorLinf(pair), xs).is_zero()
+
+
+class SummedInFull(TensorLinf):
+    """Tensors with no declared top degree: every residual is summed in full."""
+
+    def top_degree(self):
+        return None
+
+
+def test_jacobi_residual_matches_the_full_sum_at_the_top_degree():
+    # a table that breaks the Jacobi identity, so that residuals at the top
+    # degree are not all zero
+    broken = ConstantPair.from_brackets(3, {(1, 2): {2: 1, 3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    words = [Tensor.basis(broken, w) for d in (1, 2, 3) for w in ascending_words(3, d)]
+    nonzero = [0, 0]
+    for xs in itertools.combinations_with_replacement(words, 3):
+        over = sum(x.grade for x in xs) - 2 - broken.ngens
+        if over in (0, 1):
+            got = jacobi_residual(TensorLinf(broken), xs)
+            assert got == jacobi_residual(SummedInFull(broken), xs)
+            nonzero[over] += not got.is_zero()
+    assert nonzero[0] and not nonzero[1]
+    rng = random.Random(101)
+    for k in (3, 4):
+        for over in (0, 1):
+            for _ in range(3):
+                degs = degrees_summing_to(rng, SPACE.ngens, k, SPACE.ngens + 2 + over)
+                xs = [random_tensor(rng, SPACE, d, 1, terms=1) for d in degs]
+                assert jacobi_residual(TensorLinf(SPACE), xs) == jacobi_residual(
+                    SummedInFull(SPACE), xs)
+
+
+def test_jacobi_residual_checks_homogeneity_before_the_degree_skip():
+    pair = su2()
+    top = Tensor.basis(pair, (1, 2, 3))
+    mixed = top + Tensor.basis(pair, (1,))
+    with pytest.raises(ValueError, match="^Jacobi residual needs homogeneous arguments$"):
+        jacobi_residual(TensorLinf(pair), [mixed, top, top, top])
 
 
 # ---------------------------------------------------------------------------

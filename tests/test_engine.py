@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nplectic import engine
 from nplectic.calculus import ce_differential, contract, higher_bracket, lie_derivative
 from nplectic.cohomology import CohomClass, class_of, poisson_bracket
-from nplectic.elements import Cotensor, Tensor
+from nplectic.elements import Cotensor, Tensor, wedge_list
 from nplectic.engine import (
     DegreeError,
     ExtensionElement,
@@ -37,7 +37,7 @@ from nplectic.engine import (
 from nplectic.identities import random_symplectic
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_cotensor, random_fraction
+from nplectic.sampling import random_cotensor, random_fraction, random_tensor
 from nplectic.scalars import CapExceeded, bell
 
 PLANE = PolyVectorFieldPair(2)
@@ -296,6 +296,20 @@ def test_reduce_mod_kernel_builds_each_kernel_quotient_once(kernel_builds):
     assert [(degree, pd) for _, degree, pd in kernel_builds] == [(1, 1), (2, 1)]
 
 
+def test_a_window_with_a_kernel_still_reduces_it_away():
+    s = degenerate_structure()
+    x = tensor(SPACE, ((1,), "x"), ((3,), "z"), ((3,), "y"))
+    assert reduce_mod_kernel(s, x) == tensor(SPACE, ((1,), "x"))
+    window = s.derived(("kernel", 1, 1), lambda: pytest.fail("window not built"))
+    assert window.echelon.rank == 4  # @z, x@z, y@z, z@z
+    assert reduce_mod_kernel(s, Tensor.basis(SPACE, (3,))).is_zero()
+    assert s.derived(("kernel", 1, 0), lambda: pytest.fail("window not built")).echelon.rank == 1
+    # the plane's windows have rank 0, and their parts come back as they are
+    plane = plane_structure()
+    y = tensor(PLANE, ((1,), "x"), ((1, 2), "y^2"))
+    assert reduce_mod_kernel(plane, y) == y
+
+
 def test_equal_structures_do_not_share_derived_state(kernel_builds):
     a, b = degenerate_structure(), degenerate_structure()
     x = tensor(SPACE, ((3,), "z"))
@@ -439,6 +453,32 @@ def test_a_bracket_past_the_bound_raises_before_any_contraction(bracket, monkeyp
     with pytest.raises(CapExceeded, match="^bracket arity 13 exceeds cap 12$"):
         bracket(args)
     assert contractions == []
+
+
+@pytest.mark.parametrize("s", structures(), ids=["plane", "su2"])
+def test_contract_reversed_wedge_matches_the_plain_contraction_at_the_bound(s):
+    rng = random.Random(41)
+    top, ngens = s.n + 1, s.pair.ngens
+    nonzero = [0, 0]
+    for over in (0, 1):
+        for k in (1, 2, 3):
+            if top + over > k * ngens:
+                continue
+            for _ in range(8):
+                while True:
+                    degs = [rng.randint(0, ngens) for _ in range(k)]
+                    if sum(degs) == top + over:
+                        break
+                xs = [random_tensor(rng, s.pair, d, 1) for d in degs]
+                if degs[0] < ngens:  # a higher part leaves the least degree as drawn
+                    xs[0] = xs[0] + random_tensor(rng, s.pair, degs[0] + 1, 1)
+                plain = contract(wedge_list(s.pair, Tensor, xs[::-1]), s.omega)
+                assert contract_reversed_wedge(s, xs) == plain
+                nonzero[over] += not plain.is_zero()
+    assert nonzero[0] and not nonzero[1]
+    other = PolyVectorFieldPair(ngens + 1)
+    with pytest.raises(ValueError, match="different pairs"):
+        contract_reversed_wedge(s, [Tensor.basis(other, tuple(range(1, ngens + 2)))])
 
 
 def hamiltonian_and_flat_cocycles(s):

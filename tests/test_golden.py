@@ -6,7 +6,9 @@ exit code must equal the recorded ones.  The cases cover passing and
 failing validators with witnesses, the identity suites with their
 informational witness, the Jacobi checks (among them a broken su(2)
 table with the top-degree form, where the tensor Jacobi identity fails at
-arity 3 and the command exits 1), the sp(2) momentum map with
+arity 3 and the command exits 1; the degenerate plane, whose contraction
+kernels have rank above 0; and su(2) up to arity 6, where most brackets
+lie above the top degree and vanish), the sp(2) momentum map with
 a corrupted bracket table that fails the morphism gate, extension and
 plain cohomology tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6
 on Q[x1..x6]), and Poisson brackets of classes on the plane and on su(2).  To re-record

@@ -20,6 +20,7 @@ from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
     hamiltonian_potential,
+    structure_from_json,
     symplectic_basis,
 )
 from nplectic.linf import (
@@ -590,3 +591,38 @@ def test_codomain_brackets_are_one_per_set_partition(n):
     cod.calls = 0
     morphism_residual(total, dom, cod, vs)
     assert cod.calls == bell(n)
+
+
+# -- top degrees ---------------------------------------------------------------
+
+
+def test_only_graded_adapters_declare_a_top_degree():
+    assert FiniteLInfinity([1, 1, 1]).top_degree() is None
+    assert PairLinf(su2()).top_degree() is None
+    assert TensorLinf(PLANE).top_degree() == 2
+    s = su2_cartan()
+    assert ExtensionLinf(s).top_degree() == ClassLinf(s).top_degree() == 3
+    # with omega = 0 the cotensor slot reaches degree n, above ngens
+    assert ExtensionLinf(NPlecticStructure(PLANE, 4, Cotensor.zero(PLANE))).top_degree() == 4
+
+
+class ExtensionSummedInFull(ExtensionLinf):
+    """The extension complex with no declared top degree."""
+
+    def top_degree(self):
+        return None
+
+
+def test_extension_jacobi_matches_the_full_sum_at_the_top_degree():
+    s = structure_from_json(json.loads((GOLDEN_INPUTS / "broken_su2_structure.json").read_text()))
+    es = [ExtensionElement(s, Cotensor.zero(s.pair), Tensor.basis(s.pair, w))
+          for w in ((2,), (3,), (1, 2, 3))]
+    nonzero = [0, 0]
+    for k in (3, 4):
+        for combo in itertools.combinations_with_replacement(es, k):
+            over = sum(e.degree() for e in combo) - 2 - s.pair.ngens
+            if over in (0, 1):
+                got = jacobi_residual(ExtensionLinf(s), combo)
+                assert got == jacobi_residual(ExtensionSummedInFull(s), combo)
+                nonzero[over] += not got.is_zero()
+    assert nonzero[0] and not nonzero[1]

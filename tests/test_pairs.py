@@ -152,8 +152,7 @@ def test_the_bracket_table_is_not_part_of_the_pair_value():
     assert a.bracket_basis(2, 1) == [(3, Fraction(-1))]
     assert a == b and hash(a) == hash(b)
     assert a != ConstantPair(3, rows[:2])
-    # var_names is annotated in the class body, so it is a field as well
-    assert repr(a) == f"ConstantPair(dim=3, brackets={rows!r}, var_names=())"
+    assert repr(a) == f"ConstantPair(dim=3, brackets={rows!r})"
 
 
 def test_bad_constant_pairs_rejected():
@@ -211,6 +210,16 @@ def test_pair_json_roundtrip_bit_exact():
         again = pair_from_json(json.loads(blob))
         assert again == pair
         assert json.dumps(pair_to_json(again), sort_keys=True) == blob
+
+
+def test_var_names_is_not_a_field_of_constant_pairs():
+    with pytest.raises(TypeError):
+        ConstantPair(3, (), ("x",))
+    model = pair_from_json(json.loads((ROOT / "models/heisenberg_pair.json").read_text()))
+    for pair in (su2(), model):
+        assert pair.var_names == ()
+        assert pair_from_json(pair_to_json(pair)) == pair
+        assert "var_names" not in repr(pair)
 
 
 def test_element_json_roundtrip():
