@@ -91,13 +91,16 @@ def ce_differential(f: Cotensor) -> Cotensor:
     letter g added at position j, with (-1)^j D_g(c), and w with its t-th
     letter k traded for a < b, with (-1)^(i+j+t) c^k_{ab} c, where i and
     j are the positions of a and b in the target.  Only the generators in
-    `pair.derivations` act, none of them on a ring without variables.
+    `pair.derivations` act, generator g as d/dx_g, so only those whose
+    variable c holds are tried, none of them on a ring without variables.
     """
     pair = f.pair
     products = []
     for w, c in f.terms.items():
         j = 0
-        for g in pair.derivations:
+        for g in (v + 1 for v in c.variables()):
+            if g not in pair.derivations:
+                continue
             while j < len(w) and w[j] < g:
                 j += 1
             if j < len(w) and w[j] == g:
@@ -195,10 +198,11 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _hom_tuples(xs):
-    """Cartesian product of homogeneous parts, with their degree tuples."""
+    """Cartesian product of homogeneous parts, with their degree tuples;
+    a homogeneous argument is its own part, keeping its identity."""
     split = []
     for x in xs:
-        parts = x.homogeneous_parts()
+        parts = x.homogeneous_parts() if x.grade is None else {x.grade: x}
         if not parts:
             return
         split.append(sorted(parts.items()))
@@ -208,7 +212,7 @@ def _hom_tuples(xs):
         yield degs, parts
 
 
-def higher_bracket(xs) -> Tensor:
+def higher_bracket(xs, pairs=None) -> Tensor:
     """k-ary graded symmetric bracket on the exterior tensor algebra, k = len(xs).
 
     [x_1..x_k] = sum over (2, k-2)-shuffles s of
@@ -218,7 +222,9 @@ def higher_bracket(xs) -> Tensor:
     above MAX_BRACKET_ARITY raises CapExceeded, and arguments over
     different pairs raise ValueError, before any term is formed.  A tuple
     of homogeneous parts whose degrees sum past ngens + 1 lands in
-    Lambda^{>ngens} = 0 and is skipped.
+    Lambda^{>ngens} = 0 and is skipped.  Each Schouten bracket of two parts
+    is formed once per `pairs`, a dict keyed by their ids that holds them,
+    so no id is reused while it lives; one Jacobi residual shares one.
     """
     xs = list(xs)
     k = len(xs)
@@ -229,6 +235,7 @@ def higher_bracket(xs) -> Tensor:
     if any(x.pair != pair for x in xs):
         raise ValueError("bracket across different pairs")
     shuffle_set = enumerate_shuffles((2, k - 2))
+    pairs = {} if pairs is None else pairs
     total = Tensor.zero(pair)
     for degs, parts in _hom_tuples(xs):
         if sum(degs) - 1 > pair.ngens:
@@ -237,7 +244,11 @@ def higher_bracket(xs) -> Tensor:
             sign = koszul_sign(s, degs)
             if degs[s[0] - 1] % 2:
                 sign = -sign
-            inner = schouten(parts[s[1] - 1], parts[s[0] - 1])
+            u, v = parts[s[1] - 1], parts[s[0] - 1]
+            key = (id(u), id(v))
+            if key not in pairs:
+                pairs[key] = (u, v, schouten(u, v))
+            inner = pairs[key][2]
             if inner.is_zero():
                 continue
             tail = [parts[i - 1] for i in reversed(s[2:])]

@@ -421,31 +421,38 @@ def d_omega(e: ExtensionElement) -> ExtensionElement:
     return ExtensionElement.canonical(s, new_f, Tensor.zero(s.pair))
 
 
-def symplectic_bracket(s: NPlecticStructure, xs) -> ExtensionElement:
+def symplectic_bracket(s: NPlecticStructure, xs, pairs=None) -> ExtensionElement:
     """(i_{x_k ^..^ x_1} omega, [x_1..x_k]) on symplectic tensors xs.
 
     The arity is checked first, so an arity past MAX_BRACKET_ARITY raises
     CapExceeded even with a zero argument.  Both slots are multilinear, so
     a zero argument then gives zero without any further work.  The
     fundamental pairing makes the bracket symplectic, so it is only
-    reduced, not re-checked.
+    reduced, not re-checked.  `pairs` goes to `higher_bracket`.
     """
     xs = list(xs)
     require_arity(len(xs), MAX_BRACKET_ARITY)
     if any(x.is_zero() for x in xs):
         return ExtensionElement.zero(s)
-    x = reduce_mod_kernel(s, higher_bracket(xs))
+    x = reduce_mod_kernel(s, higher_bracket(xs, pairs))
     return ExtensionElement.canonical(s, contract_reversed_wedge(s, xs), x)
 
 
-def extension_bracket(es) -> ExtensionElement:
-    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]), k = len(es)."""
+def weighted_bracket(s: NPlecticStructure, xs, pairs=None) -> ExtensionElement:
+    """(B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]) on symplectic tensors xs:
+    the extension bracket, which reads only the tensor slots."""
+    xs = list(xs)
+    e = symplectic_bracket(s, xs, pairs)
+    return ExtensionElement.canonical(s, Fraction(bell(len(xs) - 1)) * e.f, e.x)
+
+
+def extension_bracket(es, pairs=None) -> ExtensionElement:
+    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]), k = len(es);
+    `pairs` goes to `higher_bracket`."""
     es = list(es)
     if len(es) < 2:
         raise ValueError("the unary operation of the extension complex is d_omega")
-    s = es[0].structure
-    e = symplectic_bracket(s, [arg.x for arg in es])
-    return ExtensionElement.canonical(s, Fraction(bell(len(es) - 1)) * e.f, e.x)
+    return weighted_bracket(es[0].structure, [arg.x for arg in es], pairs)
 
 
 def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:

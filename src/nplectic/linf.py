@@ -15,7 +15,11 @@ algebra that declares no grading (an explicit table, the pair bracket)
 returns None and is always summed in full.  `_shuffle_composites` is the
 package's only weak-Jacobi shuffle sum: `jacobi_residual` and the left
 side of `morphism_residual` walk it, and tensors, the extension complex
-and cohomology classes reach both through the adapters below.  The right
+and cohomology classes reach both through the adapters below.  A Jacobi
+term is `op.composite(head, tail, pairs)`, which forms only what the
+outer bracket reads (the extension bracket reads only tensor slots); the
+`pairs` dict of one residual goes to every bracket it forms, so each
+Schouten bracket of two argument parts is formed once.  The right
 side of `morphism_residual` walks unordered set partitions of the
 arguments, which assumes every bracket here is graded symmetric.
 
@@ -45,6 +49,8 @@ from .engine import (
     NPlecticStructure,
     d_omega,
     extension_bracket,
+    reduce_mod_kernel,
+    weighted_bracket,
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .scalars import (
@@ -75,8 +81,15 @@ class Operations:
     def degree(self, v):
         raise NotImplementedError
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
+        """The bracket of arity len(vs); the brackets built on `higher_bracket`
+        share Schouten brackets in `pairs`, the rest ignore it."""
         raise NotImplementedError
+
+    def composite(self, head, tail, pairs):
+        """bracket([bracket(head)] + tail), None when the inner bracket is zero."""
+        inner = self.bracket(head, pairs)
+        return None if self.is_zero(inner) else self.bracket([inner] + tail, pairs)
 
     def top_degree(self) -> int | None:
         """The highest degree of a nonzero element, for an algebra whose
@@ -149,7 +162,7 @@ class FiniteLInfinity(Operations):
         degs = {self.degrees[i - 1] for i in v}
         return degs.pop() if len(degs) == 1 else None
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
         k = len(vs)
         slot = self.brackets.get(k, {})
         if not slot:
@@ -197,7 +210,7 @@ class PairLinf(Operations):
         scalar = parts.get(0, Tensor.zero(self.pair)).terms.get((), Poly.zero(self.pair.poly_nvars))
         return scalar, parts.get(1, Tensor.zero(self.pair))
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
         if len(vs) != 2:
             return self.zero()
         a, x = self._split(vs[0])
@@ -221,10 +234,10 @@ class TensorLinf(Operations):
     def top_degree(self):
         return self.pair.ngens
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
         if len(vs) == 1:
             return self.zero()
-        return higher_bracket(vs)
+        return higher_bracket(vs, pairs)
 
 
 def _extension_top_degree(s: NPlecticStructure) -> int:
@@ -253,10 +266,22 @@ class ExtensionLinf(Operations):
     def top_degree(self):
         return _extension_top_degree(self.structure)
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
         if len(vs) == 1:
             return d_omega(vs[0])
-        return extension_bracket(vs)
+        return extension_bracket(vs, pairs)
+
+    def composite(self, head, tail, pairs):
+        """Below the top split the outer bracket reads only tensor slots, so
+        only the inner one is formed, and nothing when one is zero (d_omega
+        has none); at the top split d_omega reads the whole inner bracket."""
+        if not tail:
+            return super().composite(head, tail, pairs)
+        if len(head) == 1 or any(e.x.is_zero() for e in head + tail):
+            return None
+        s = head[0].structure
+        x = reduce_mod_kernel(s, higher_bracket([e.x for e in head], pairs))
+        return weighted_bracket(s, [x] + [e.x for e in tail], pairs)
 
 
 class ClassLinf(Operations):
@@ -278,7 +303,7 @@ class ClassLinf(Operations):
     def top_degree(self):
         return _extension_top_degree(self.structure)
 
-    def bracket(self, vs):
+    def bracket(self, vs, pairs=None):
         return poisson_bracket(vs)
 
 
@@ -296,21 +321,21 @@ def _degrees(op: Operations, vs, what: str):
     return degs
 
 
-def _shuffle_composites(op: Operations, outer, vs, degs):
-    """(sign, outer([op.bracket(head)] + tail)) per nonzero inner bracket.
+def _shuffle_composites(compose, vs, degs):
+    """(sign, compose(head, tail)) per composite that is not None.
 
     The one weak-Jacobi shuffle sum: every split j = 1..n and every
-    (j, n - j) shuffle, with its Koszul sign in the argument degrees.  The
-    caller bounds the arity.
+    (j, n - j) shuffle into a head of j arguments and a tail, with its
+    Koszul sign in the argument degrees.  `compose` returns the outer
+    bracket of the inner bracket of the head and the tail, or None when
+    it knows the term is zero.  The caller bounds the arity.
     """
     n = len(vs)
     for j in range(1, n + 1):
         for sh in enumerate_shuffles((j, n - j)):
-            sign = koszul_sign(sh, degs)
-            inner = op.bracket([vs[i - 1] for i in sh[:j]])
-            if op.is_zero(inner):
-                continue
-            yield sign, outer([inner] + [vs[i - 1] for i in sh[j:]])
+            term = compose([vs[i - 1] for i in sh[:j]], [vs[i - 1] for i in sh[j:]])
+            if term is not None:
+                yield koszul_sign(sh, degs), term
 
 
 def jacobi_residual(op: Operations, vs):
@@ -318,7 +343,8 @@ def jacobi_residual(op: Operations, vs):
 
     Sums op.bracket([op.bracket(head)] + tail) over all splits
     i + j = n + 1 and (j, n - j) shuffles, with Koszul signs in the
-    argument degrees.  Zero exactly when the brackets cohere at this
+    argument degrees, each term as `op.composite` with one `pairs` dict
+    for the residual.  Zero exactly when the brackets cohere at this
     arity on these arguments.  Every term has degree sum(degs) - 2, so
     past `op.top_degree()` the residual is zero and no bracket is formed;
     the argument checks of `_degrees` run first.
@@ -331,7 +357,9 @@ def jacobi_residual(op: Operations, vs):
     if top is not None and sum(degs) - 2 > top:
         return op.zero()
     total = None
-    for sign, outer in _shuffle_composites(op, op.bracket, vs, degs):
+    pairs = {}
+    for sign, outer in _shuffle_composites(
+            lambda head, tail: op.composite(head, tail, pairs), vs, degs):
         if op.is_zero(outer):
             continue
         term = op.scale(sign, outer)
@@ -395,7 +423,11 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
         term = cod.scale(scalar, term)
         return term if total is None else cod.add(total, term)
 
-    for sign, term in _shuffle_composites(dom, f, vs, degs):
+    def compose(head, tail):
+        inner = dom.bracket(head)
+        return None if dom.is_zero(inner) else f([inner] + tail)
+
+    for sign, term in _shuffle_composites(compose, vs, degs):
         total = accumulate(total, term, sign)
     for blocks in _set_partitions(len(vs)):
         ys = []

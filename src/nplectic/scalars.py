@@ -163,6 +163,10 @@ class Poly:
             return -1
         return max(sum(e) for e in self.nums)
 
+    def variables(self) -> list[int]:
+        """The 0-based indices of the variables that occur in some term, ascending."""
+        return sorted({i for e in self.nums for i, k in enumerate(e) if k})
+
     def homogeneous_components(self) -> dict[int, "Poly"]:
         out: dict[int, dict] = {}
         for expo, c in self.nums.items():

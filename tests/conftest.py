@@ -110,8 +110,13 @@ def ordered_morphism_residual(f, dom, cod, vs):
     if any(dom.is_zero(v) for v in vs):
         return cod.zero()
     degs = [dom.degree(v) for v in vs]
+
+    def compose(head, tail):
+        inner = dom.bracket(head)
+        return None if dom.is_zero(inner) else f([inner] + tail)
+
     total = None
-    for weight, term in itertools.chain(_shuffle_composites(dom, f, vs, degs),
+    for weight, term in itertools.chain(_shuffle_composites(compose, vs, degs),
                                         ordered_morphism_rhs(f, cod, vs, degs)):
         if term is None or cod.is_zero(term):
             continue

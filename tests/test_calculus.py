@@ -265,6 +265,22 @@ def test_differential_is_not_module_linear():
     assert (x * ce_differential(f)).is_zero()
 
 
+def test_differential_acts_only_with_the_variables_a_coefficient_holds(monkeypatch):
+    # on Q[x1..x1000], d of x1*x2*x5 dx2 tries d/dx1 and d/dx5 alone: d/dx2
+    # is already in the word, and the other 997 variables do not occur
+    pair = PolyVectorFieldPair(1000)
+    x = [Poly.variable(1000, i) for i in range(5)]
+    coeff = x[0] * x[1] * x[4]
+    assert coeff.variables() == [0, 1, 4]
+    tried = []
+    original = PolyVectorFieldPair.action_basis
+    monkeypatch.setattr(PolyVectorFieldPair, "action_basis",
+                        lambda self, i, a: tried.append(i) or original(self, i, a))
+    df = ce_differential(Cotensor(pair, {(2,): coeff}))
+    assert tried == [1, 5]
+    assert df == Cotensor(pair, {(1, 2): x[1] * x[4], (2, 5): -x[0] * x[1]})
+
+
 # ---------------------------------------------------------------------------
 # Lie derivative
 # ---------------------------------------------------------------------------

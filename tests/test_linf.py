@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_extension_element
-from nplectic import linf
+from nplectic import calculus, linf
 from nplectic.calculus import natural_inclusion
 from nplectic.cohomology import CohomClass, class_of
 from nplectic.elements import Cotensor, Tensor
@@ -38,7 +38,7 @@ from nplectic.linf import (
 from nplectic.models import momentum_from_json, rotation_momentum
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_fraction, random_tensor
-from nplectic.scalars import CapExceeded, bell
+from nplectic.scalars import CapExceeded, bell, enumerate_shuffles, koszul_sign
 
 PLANE = PolyVectorFieldPair(2)
 
@@ -624,5 +624,172 @@ def test_extension_jacobi_matches_the_full_sum_at_the_top_degree():
             if over in (0, 1):
                 got = jacobi_residual(ExtensionLinf(s), combo)
                 assert got == jacobi_residual(ExtensionSummedInFull(s), combo)
+                assert got == plain_shuffle_sum(ExtensionLinf(s), combo)
                 nonzero[over] += not got.is_zero()
     assert nonzero[0] and not nonzero[1]
+
+
+# -- each value once, and only the slots the outer bracket reads ------------------
+
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def load_structure(path):
+    return structure_from_json(json.loads(path.read_text()))
+
+
+def degenerate_plane():
+    # omega = dx^dy on Q[x, y, z]: the contraction kernels have rank above 0
+    return load_structure(MODELS / "degenerate_plane.json")
+
+
+def broken_su2():
+    return load_structure(GOLDEN_INPUTS / "broken_su2_structure.json")
+
+
+def plain_shuffle_sum(op, vs):
+    """Oracle for `jacobi_residual` with none of its shortcuts: the signed
+    op.bracket([op.bracket(head)] + tail) of every unshuffle, summed in full."""
+    n = len(vs)
+    degs = [op.degree(v) for v in vs]
+    total = op.zero()
+    for j in range(1, n + 1):
+        for sh in enumerate_shuffles((j, n - j)):
+            inner = op.bracket([vs[i - 1] for i in sh[:j]])
+            outer = op.bracket([inner] + [vs[i - 1] for i in sh[j:]])
+            total = op.add(total, op.scale(koszul_sign(sh, degs), outer))
+    return total
+
+
+def draw_tensors(rng, pair, arity):
+    """Nonzero tensors whose degrees sum to at most ngens + 2, so that the
+    residual is summed, not skipped past the top degree."""
+    while True:
+        grades = [rng.choice((0, 1, 1, 1, 2)) for _ in range(arity)]
+        if sum(grades) <= pair.ngens + 2:
+            return [nonzero(rng, TensorLinf(pair), lambda rng: random_tensor(
+                rng, pair, g, max_degree=2)) for g in grades]
+
+
+def draw_extensions(rng, s, arity):
+    """Nonzero extension elements whose degrees sum to at most the top
+    degree + 2."""
+    op = ExtensionLinf(s)
+    grades = [g for g in range(s.n + 1) if symplectic_basis(s, g, max_poly_degree=2)]
+    while True:
+        degrees = [rng.choice(grades) for _ in range(arity)]
+        if sum(degrees) <= op.top_degree() + 2:
+            return [nonzero(rng, op, lambda rng: random_extension_element(rng, s, g))
+                    for g in degrees]
+
+
+SHORTCUT_CASES = {
+    "plane": plane_structure,
+    "degenerate-plane": degenerate_plane,
+    "su2": su2_cartan,
+    "broken-su2": broken_su2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_CASES))
+def test_jacobi_residual_equals_the_plain_shuffle_sum(name):
+    s = SHORTCUT_CASES[name]()
+    rng = random.Random(61)
+    nonzero_residuals = 0
+    for arity in (2, 3, 4, 5):
+        for _ in range(3):
+            for op, vs in ((TensorLinf(s.pair), draw_tensors(rng, s.pair, arity)),
+                           (ExtensionLinf(s), draw_extensions(rng, s, arity))):
+                residual = jacobi_residual(op, vs)
+                assert residual == plain_shuffle_sum(op, vs), (arity, type(op).__name__)
+                nonzero_residuals += not op.is_zero(residual)
+    # the broken table fails Jacobi; on the others every residual vanishes
+    assert bool(nonzero_residuals) == (name == "broken-su2")
+
+
+def test_each_extension_composite_equals_the_whole_one_in_both_slots():
+    s = degenerate_plane()
+    op = ExtensionLinf(s)
+    rng = random.Random(67)
+    formed = 0
+    for arity in (2, 3, 4):
+        for _ in range(3):
+            vs = draw_extensions(rng, s, arity)
+            for j in range(1, arity + 1):
+                for sh in enumerate_shuffles((j, arity - j)):
+                    head = [vs[i - 1] for i in sh[:j]]
+                    tail = [vs[i - 1] for i in sh[j:]]
+                    whole = op.bracket([op.bracket(head)] + tail)
+                    got = op.composite(head, tail, {})
+                    if got is None:
+                        assert whole.is_zero()
+                        continue
+                    assert got.f == whole.f and got.x == whole.x
+                    formed += j < arity and not got.is_zero()
+    assert formed
+
+
+def test_one_residual_forms_each_schouten_bracket_once(monkeypatch):
+    formed = []
+    original = calculus.schouten
+
+    def counting(u, v):
+        formed.append((u, v))
+        return original(u, v)
+
+    # the arguments are distinct values, so a repeated value pair is a
+    # Schouten bracket formed twice
+
+    monkeypatch.setattr(calculus, "schouten", counting)
+    rng = random.Random(71)
+    brackets = 0
+    for s in (su2_cartan(), broken_su2(), degenerate_plane()):
+        for op, vs in ((TensorLinf(s.pair), draw_tensors(rng, s.pair, 4)),
+                       (ExtensionLinf(s), draw_extensions(rng, s, 4))):
+            formed.clear()
+            jacobi_residual(op, vs)
+            assert len(formed) == len(set(formed))
+            brackets += len(formed)
+    assert brackets
+
+
+def test_residuals_in_a_row_do_not_share_brackets():
+    # (e1, e2, e3) and (e2, e3, e123) break Jacobi on the broken table
+    s = broken_su2()
+
+    def draw(op, seed):
+        rng = random.Random(seed)
+        words = ((1,), (2,), (3,)) if isinstance(op, TensorLinf) else ((2,), (3,), (1, 2, 3))
+        xs = [rng.randint(1, 9) * Tensor.basis(s.pair, w) for w in words]
+        if isinstance(op, TensorLinf):
+            return xs
+        return [ExtensionElement(s, Cotensor.zero(s.pair), x) for x in xs]
+
+    for op in (TensorLinf(s.pair), ExtensionLinf(s)):
+        first = jacobi_residual(op, draw(op, 73))
+        assert not op.is_zero(first)
+        # equal values in new objects, then other values, right after
+        assert jacobi_residual(op, draw(op, 73)) == first
+        for seed in (79, 83):
+            vs = draw(op, seed)
+            assert jacobi_residual(op, vs) == plain_shuffle_sum(op, vs) != first
+
+
+def test_arguments_over_different_pairs_raise_before_any_sum():
+    su2_s = su2_cartan()
+    a, b = Tensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(2,): "y"})
+    c = Tensor.basis(su2_s.pair, (1,))
+    for op, vs in ((TensorLinf(PLANE), [a, b, c]), (TensorLinf(PLANE), [c, a]),
+                   (TensorLinf(su2_s.pair), [a, c, b])):
+        with pytest.raises(ValueError, match="bracket across different pairs"):
+            jacobi_residual(op, vs)
+    plane_s = plane_structure()
+    e1 = ExtensionElement(plane_s, Cotensor(PLANE, {(): "y"}), Tensor(PLANE, {(2,): "x"}))
+    e0 = ExtensionElement(plane_s, Cotensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(): "x"}))
+    g1 = ExtensionElement(su2_s, Cotensor(su2_s.pair, {(3,): 1}), c)
+    g3 = ExtensionElement(su2_s, Cotensor.zero(su2_s.pair), Tensor.basis(su2_s.pair, (1, 2, 3)))
+    for op, vs in ((ExtensionLinf(plane_s), [e1, g1]), (ExtensionLinf(plane_s), [e1, e0, g1]),
+                   (ExtensionLinf(su2_s), [g1, e1, g3])):
+        with pytest.raises(ValueError, match="bracket across different pairs"):
+            jacobi_residual(op, vs)
