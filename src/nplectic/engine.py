@@ -250,9 +250,13 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     vector of each one's image i_x omega.  Each slice basis tensor is
     contracted into omega once; the symplectic basis is the null space of
     d on the contractions, and its images are the same combinations of
-    their vectors.
+    their vectors.  Above degree n + 1 every contraction into the
+    (n + 1)-form omega is zero, so every tensor is symplectic with image
+    zero and nothing is contracted.
     """
     labels = slice_basis(s.pair, degree, degrees)
+    if degree > s.n + 1:
+        return labels, null_space([], len(labels)), [{} for _ in labels]
     contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
     rows, _ = matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))

@@ -18,6 +18,7 @@ from .elements import Tensor
 from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_basis
 from .report import Report, witness_unless
 from .sampling import random_cotensor, random_fraction, random_tensor
+from .scalars import sparse_sum
 
 
 def _sign(exponent: int) -> int:
@@ -110,11 +111,12 @@ def cartan_suite(pair, count: int = 200, seed: int = 0,
 def random_symplectic(rng, s: NPlecticStructure, grade: int,
                       poly_degree: int = 2) -> Tensor:
     """A random symplectic tensor from one wedge-degree slice."""
-    x = Tensor.zero(s.pair)
+    terms = []
     for b in symplectic_basis(s, grade, max_poly_degree=poly_degree):
         if rng.random() < 0.6:
-            x = x + random_fraction(rng) * b
-    return x
+            q = random_fraction(rng)
+            terms.extend((w, c.scale(q)) for w, c in b.terms.items())
+    return Tensor.zero(s.pair)._make(sparse_sum(terms))
 
 
 def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0,

@@ -2,8 +2,10 @@
 
 Every algebra in the package exposes the same small surface: a zero
 element, linear operations, a degree, and `bracket(vs)` of arity len(vs)
-(arity one being the differential); a morphism component is `f(vs)`, None
-meaning zero.  `ClassLinf` and `ExtensionLinf` take no cap: whoever sizes a
+(arity one being the differential).  A weak morphism is its family of
+components by arity, a dict `{k: f_k}` with `f_k(vs)` for len(vs) = k; a
+missing arity is the zero component, and so is a component that returns
+None.  `ClassLinf` and `ExtensionLinf` take no cap: whoever sizes a
 loop of brackets checks it with `require_arity`.  The checkers here only
 speak that surface, so the weak Jacobi identity and the morphism
 equations are evaluated by the same code for every algebra.  The one
@@ -21,7 +23,11 @@ outer bracket reads (the extension bracket reads only tensor slots); the
 `pairs` dict of one residual goes to every bracket it forms, so each
 Schouten bracket of two argument parts is formed once.  The right
 side of `morphism_residual` walks unordered set partitions of the
-arguments, which assumes every bracket here is graded symmetric.
+arguments, which assumes every bracket here is graded symmetric.  Both
+sides of the morphism equations walk only the terms whose components
+are listed: a term through a zero component is zero by multilinearity,
+so a unary morphism forms one domain bracket and one partition per
+residual.
 
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
 basis with bracket values listed per sorted index tuple.  Construction
@@ -321,17 +327,18 @@ def _degrees(op: Operations, vs, what: str):
     return degs
 
 
-def _shuffle_composites(compose, vs, degs):
+def _shuffle_composites(compose, vs, degs, heads=None):
     """(sign, compose(head, tail)) per composite that is not None.
 
-    The one weak-Jacobi shuffle sum: every split j = 1..n and every
-    (j, n - j) shuffle into a head of j arguments and a tail, with its
-    Koszul sign in the argument degrees.  `compose` returns the outer
-    bracket of the inner bracket of the head and the tail, or None when
-    it knows the term is zero.  The caller bounds the arity.
+    The one weak-Jacobi shuffle sum: every split into a head of j
+    arguments and a tail, j in `heads` (all of 1..n by default), and
+    every (j, n - j) shuffle of it, with its Koszul sign in the argument
+    degrees.  `compose` returns the outer bracket of the inner bracket of
+    the head and the tail, or None when it knows the term is zero.  The
+    caller bounds the arity.
     """
     n = len(vs)
-    for j in range(1, n + 1):
+    for j in range(1, n + 1) if heads is None else heads:
         for sh in enumerate_shuffles((j, n - j)):
             term = compose([vs[i - 1] for i in sh[:j]], [vs[i - 1] for i in sh[j:]])
             if term is not None:
@@ -387,34 +394,59 @@ def check_linf(op: Operations, generators, max_arity: int):
     return True, None
 
 
-def _set_partitions(n: int):
-    """Set partitions of 1..n: ascending blocks, ordered by least element."""
-    if n == 0:
-        yield []
-        return
-    for blocks in _set_partitions(n - 1):
-        for i in range(len(blocks)):
-            yield blocks[:i] + [blocks[i] + [n]] + blocks[i + 1:]
-        yield blocks + [[n]]
+def _set_partitions(n: int, sizes):
+    """Set partitions of 1..n whose block sizes all lie in `sizes`:
+    ascending blocks, ordered by least element.
+
+    A block never grows past max(sizes), so only partitions that can
+    still end in allowed sizes are built; they come in the order of the
+    unrestricted enumeration, which adds n to each block of a partition
+    of 1..n-1 in turn, then as a block of its own.
+    """
+    cap = max(sizes, default=0)
+
+    def grow(m):
+        if m == 0:
+            yield []
+            return
+        for blocks in grow(m - 1):
+            for i, block in enumerate(blocks):
+                if len(block) < cap:
+                    yield blocks[:i] + [block + [m]] + blocks[i + 1:]
+            yield blocks + [[m]]
+
+    for blocks in grow(n):
+        if all(len(block) in sizes for block in blocks):
+            yield blocks
 
 
-def morphism_residual(f, dom: Operations, cod: Operations, vs):
+def _require_components(components):
+    if any(k < 1 for k in components):
+        raise ValueError("morphism component arity must be at least one")
+
+
+def morphism_residual(components, dom: Operations, cod: Operations, vs):
     """Defect of the morphism equations at one argument tuple.
 
-    `f(vs)` evaluates the component of arity len(vs) (None meaning zero).  The
-    left side feeds each domain bracket through a component; the right
-    side subtracts one codomain bracket of component blocks per set
-    partition of the arguments, blocks ascending and ordered by least
-    element, with the Koszul sign of the concatenated blocks in the
-    domain degrees.  Taking each unordered partition once is right only
-    when the codomain bracket is graded symmetric and every component
-    respects degree parity (its value has the parity of its arguments'
-    total degree); then all p! orderings of the blocks give the same term.
+    `components` maps an arity k to the component `f_k(vs)`, len(vs) = k;
+    a missing arity, or a None value, is zero.  The left side feeds each
+    domain bracket through a component; the right side subtracts one
+    codomain bracket of component blocks per set partition of the
+    arguments, blocks ascending and ordered by least element, with the
+    Koszul sign of the concatenated blocks in the domain degrees.  Only
+    the splits and partitions whose components are listed are walked,
+    and each block's component is evaluated once.  Taking each unordered
+    partition once is right only when the codomain bracket is graded
+    symmetric and every component respects degree parity (its value has
+    the parity of its arguments' total degree); then all p! orderings of
+    the blocks give the same term.
     """
+    _require_components(components)
     vs = list(vs)
     degs = _degrees(dom, vs, "morphism check")
     if degs is None:
         return cod.zero()
+    n = len(vs)
     total = None
 
     def accumulate(total, term, scalar):
@@ -425,17 +457,20 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
 
     def compose(head, tail):
         inner = dom.bracket(head)
-        return None if dom.is_zero(inner) else f([inner] + tail)
+        return None if dom.is_zero(inner) else components[len(tail) + 1]([inner] + tail)
 
-    for sign, term in _shuffle_composites(compose, vs, degs):
+    heads = [j for j in range(1, n + 1) if n - j + 1 in components]
+    for sign, term in _shuffle_composites(compose, vs, degs, heads):
         total = accumulate(total, term, sign)
-    for blocks in _set_partitions(len(vs)):
+    values = {}  # each block's component value, shared by the partitions
+    for blocks in _set_partitions(n, components):
         ys = []
-        for block in blocks:
-            y = f([vs[i - 1] for i in block])
-            if y is None:
+        for block in map(tuple, blocks):
+            if block not in values:
+                values[block] = components[len(block)]([vs[i - 1] for i in block])
+            if values[block] is None:
                 break
-            ys.append(y)
+            ys.append(values[block])
         else:
             order = tuple(itertools.chain.from_iterable(blocks))
             total = accumulate(total, cod.bracket(ys),
@@ -443,16 +478,17 @@ def morphism_residual(f, dom: Operations, cod: Operations, vs):
     return cod.zero() if total is None else total
 
 
-def check_morphism(f, dom: Operations, cod: Operations, argument_lists):
+def check_morphism(components, dom: Operations, cod: Operations, argument_lists):
     """Run `morphism_residual` over many tuples; (ok, witness | None).
 
     No tuples at all fail with the witness {"instances": 0}.
     """
+    _require_components(components)
     argument_lists = list(argument_lists)
     if not argument_lists:
         return False, {"instances": 0}
     for vs in argument_lists:
-        residual = morphism_residual(f, dom, cod, vs)
+        residual = morphism_residual(components, dom, cod, vs)
         if not cod.is_zero(residual):
             return False, {"args": list(vs), "residual": residual}
     return True, None
@@ -508,8 +544,6 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     cod = ClassLinf(s)
 
     def component(vs):
-        if len(vs) != 1:
-            return None
         out = None
         for i, c in vs[0].items():
             term = c * classes[i - 1]
@@ -522,7 +556,7 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     for arity in range(1, max_arity + 1):
         for combo in itertools.combinations_with_replacement(range(1, algebra.dim + 1), arity):
             vs = [dom.basis(i) for i in combo]
-            residual = morphism_residual(component, dom, cod, vs)
+            residual = morphism_residual({1: component}, dom, cod, vs)
             if not residual.is_zero():
                 issues.append({"gate": "morphism", "generators": list(combo),
                                "reason": f"residual {residual!r}"})

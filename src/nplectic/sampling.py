@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor
-from .scalars import Poly
+from .scalars import Poly, sparse_sum
 
 
 def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
@@ -24,15 +24,23 @@ def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
                 terms: int = 3) -> Poly:
-    """Random sparse polynomial of total degree <= max_degree."""
-    data = {}
+    """Random sparse polynomial of total degree <= max_degree.
+
+    The degree is drawn even with no variables, so every family reads the
+    same random stream.  The exponents are valid by construction, so the
+    summed coefficients go to `Poly` as numerators over their lcm.
+    """
+    draws = []
     for _ in range(rng.randint(1, terms)):
         expo = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             if nvars:
                 expo[rng.randrange(nvars)] += 1
-        data[tuple(expo)] = data.get(tuple(expo), Fraction(0)) + random_fraction(rng)
-    return Poly(nvars, data)
+        draws.append((tuple(expo), random_fraction(rng)))
+    data = sparse_sum(draws)
+    den = math.lcm(*(q.denominator for q in data.values()))
+    return Poly._from_nums(nvars, {e: q.numerator * (den // q.denominator)
+                                   for e, q in data.items()}, den)
 
 
 def random_coeff(rng: random.Random, pair, max_degree: int = 3) -> Poly:
@@ -59,7 +67,9 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
     for _ in range(rng.randint(1, terms)):
         word = _unrank_word(rng.randrange(count), pair.ngens, length)
         data.append((word, random_poly(rng, pair.poly_nvars, max_degree)))
-    return cls(pair, data)
+    # unranked words are ascending and in range, and the coefficients are
+    # Polys in the pair's variables: nothing for the constructor to check
+    return cls.zero(pair)._make(sparse_sum(data))
 
 
 def _unrank_word(index: int, ngens: int, length: int) -> tuple:

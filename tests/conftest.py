@@ -100,12 +100,19 @@ def ordered_morphism_rhs(f, cod, vs, degs):
     return terms
 
 
-def ordered_morphism_residual(f, dom, cod, vs):
+def ordered_morphism_residual(components, dom, cod, vs):
     """The morphism residual with its right side from `ordered_morphism_rhs`.
 
-    The left side is the package's weak-Jacobi shuffle sum, which the S_n
-    oracle above checks on its own.
+    The components {arity: f_k} are read through one callable, None at a
+    missing arity, and every split and every ordered partition is walked.
+    The left side is the package's weak-Jacobi shuffle sum over all head
+    sizes, which the S_n oracle above checks on its own.
     """
+
+    def f(xs):
+        component = components.get(len(xs))
+        return None if component is None else component(xs)
+
     vs = list(vs)
     if any(dom.is_zero(v) for v in vs):
         return cod.zero()

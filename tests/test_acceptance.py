@@ -193,7 +193,8 @@ def test_criterion_09_natural_inclusion_is_a_morphism(verdicts):
     tuples = [[random_tensor(rng, PLANE, rng.choice((0, 1)), max_degree=2)
                for _ in range(arity)]
               for arity in (1, 2, 3, 4) for _ in range(5)]
-    ok, witness = check_morphism(natural_inclusion, dom, cod, tuples)
+    ok, witness = check_morphism(dict.fromkeys(range(1, 5), natural_inclusion),
+                                 dom, cod, tuples)
     assert verdicts.record(9, "the weighted inclusion satisfies the morphism "
                       "equations up to arity 4", ok), witness
 

@@ -204,15 +204,18 @@ def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
 
     def recording_slice(s, degree, degrees):
         slices.append((degree, degrees))
-        labels = engine.slice_basis(s.pair, degree, degrees)
-        built.extend(engine.basis_elements(s.pair, Tensor, labels))
+        if degree <= s.n + 1:  # above it every contraction into omega is zero
+            labels = engine.slice_basis(s.pair, degree, degrees)
+            built.extend(engine.basis_elements(s.pair, Tensor, labels))
         return symplectic_slice(s, degree, degrees)
 
     monkeypatch.setattr(engine, "contract", counting_contract)
     monkeypatch.setattr(cohomology, "contract", counting_contract, raising=False)
     monkeypatch.setattr(cohomology, "symplectic_slice", recording_slice)
-    extension_cohomology_table(degenerate_structure(), range(-1, 3), range(3))
+    s = degenerate_structure()
+    extension_cohomology_table(s, range(-1, 3), range(3))
     assert len(set(slices)) == len(slices)
+    assert any(degree > s.n + 1 for degree, _ in slices)
     assert built and contracted == built
 
 

@@ -1,8 +1,10 @@
 """n-plectic structures, Hamiltonian potentials and the extension complex."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +37,11 @@ from nplectic.engine import (
     symplectic_slice,
 )
 from nplectic.identities import random_symplectic
+from nplectic.linalg import null_space
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction, random_tensor
-from nplectic.scalars import CapExceeded, bell
+from nplectic.scalars import CapExceeded, bell, sparse_sum
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -258,6 +261,42 @@ def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
         x = coords_element(s.pair, Tensor, labels, vec)
         assert is_symplectic(x, s)
         assert image == label_vector(contract(x, s.omega))
+
+
+def contracted_slice(s, degree, degrees):
+    """Oracle for `symplectic_slice`: every slice basis tensor contracted
+    into omega, at every degree."""
+    labels = slice_basis(s.pair, degree, degrees)
+    contractions = [contract(x, s.omega)
+                    for x in engine.basis_elements(s.pair, Tensor, labels)]
+    rows, _ = engine.matrix_of([label_vector(ce_differential(c)) for c in contractions])
+    null = null_space(rows, len(labels))
+    vectors = [label_vector(c) for c in contractions]
+    return labels, null, [sparse_sum((lab, a * c) for i, a in vec.items()
+                                     for lab, c in vectors[i].items()) for vec in null]
+
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+@pytest.mark.parametrize("s", [
+    NPlecticStructure(PolyVectorFieldPair(4), 1,
+                      Cotensor(PolyVectorFieldPair(4), {(1, 2): 1, (3, 4): 1})),
+    structure_from_json(json.loads((MODELS / "degenerate_plane.json").read_text())),
+    NPlecticStructure(PolyVectorFieldPair(4), 1, Cotensor.zero(PolyVectorFieldPair(4))),
+], ids=["poly4", "degenerate-plane", "omega-zero"])
+def test_slices_above_the_form_degree_match_the_contracted_path(s, monkeypatch):
+    contractions = []
+    monkeypatch.setattr(engine, "contract", lambda x, f: contractions.append(x) or contract(x, f))
+    skipped = 0
+    for degree in range(s.pair.ngens + 2):
+        for window in (range(1), range(2), range(1, 3)):
+            contractions.clear()
+            assert symplectic_slice(s, degree, window) == contracted_slice(s, degree, window)
+            if degree > s.n + 1:
+                assert not contractions
+                skipped += bool(slice_basis(s.pair, degree, window))
+    assert skipped
 
 
 def test_extension_elements_scale_by_rationals_only():

@@ -10,9 +10,11 @@ arity 3 and the command exits 1; the degenerate plane, whose contraction
 kernels have rank above 0; su(2) up to arity 6, where most brackets lie
 above the top degree and vanish; and the plane up to arity 5, where most
 Schouten brackets of argument pairs repeat within a residual), the sp(2)
-momentum map with a corrupted bracket table that fails the morphism gate,
-extension and plain cohomology tables (among them omega = dx1^dx2 +
-dx3^dx4 + dx5^dx6 on Q[x1..x6]), and Poisson brackets of classes on the
+momentum map up to arity 5 and up to arity 6 (``momentum-sp2-arity6``),
+each also with a corrupted bracket table that fails the morphism gate
+(``momentum-sp2-bad-table-arity6`` at arity 6), the rotation momentum map
+up to arity 6 (``momentum-rotation``), extension and plain cohomology
+tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6 on Q[x1..x6]), and Poisson brackets of classes on the
 plane, on su(2) and on the degenerate plane, where one class has a field
 with a kernel part (x @z) and the bracket is the zero class only because
 `reduce_mod_kernel` reduces it away.  To re-record after an intended

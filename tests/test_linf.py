@@ -125,8 +125,7 @@ def _su2_table_and_basis():
 @pytest.mark.parametrize("check", [
     lambda fin, gens: check_linf(fin, [], 3),
     lambda fin, gens: check_linf(fin, gens, 0),
-    lambda fin, gens: check_morphism(lambda xs: xs[0] if len(xs) == 1 else None,
-                                     fin, fin, []),
+    lambda fin, gens: check_morphism({1: lambda xs: xs[0]}, fin, fin, []),
 ], ids=["linf-no-generators", "linf-arity-zero", "morphism-no-tuples"])
 def test_a_checker_over_zero_instances_fails(check):
     assert check(*_su2_table_and_basis()) == (False, {"instances": 0})
@@ -175,6 +174,11 @@ def random_low_tensor(rng):
     return random_tensor(rng, PLANE, rng.choice((0, 1)), max_degree=2)
 
 
+def up_to_arity(n, component):
+    """The morphism with the same component at every arity 1..n."""
+    return dict.fromkeys(range(1, n + 1), component)
+
+
 def unscaled_inclusion(xs):
     """The inclusion's wedges, missing the (k-1)! weight and the alternation sign."""
     if len(xs) == 1:
@@ -190,7 +194,7 @@ def test_inclusion_is_a_morphism_up_to_arity_four():
     dom, cod = PairLinf(PLANE), TensorLinf(PLANE)
     tuples = [[random_low_tensor(rng) for _ in range(arity)]
               for arity in (1, 2, 3, 4) for _ in range(4)]
-    ok, witness = check_morphism(natural_inclusion, dom, cod, tuples)
+    ok, witness = check_morphism(up_to_arity(4, natural_inclusion), dom, cod, tuples)
     assert ok, witness
 
 
@@ -201,7 +205,7 @@ def test_unscaled_inclusion_fails_at_arity_three():
     # a triple with a nonvanishing ternary bracket, so the bad weight shows
     fields = [Tensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(2,): "y"}),
               Tensor(PLANE, {(2,): "x"})]
-    residual = morphism_residual(unscaled_inclusion, dom, cod, fields)
+    residual = morphism_residual(up_to_arity(3, unscaled_inclusion), dom, cod, fields)
     assert not residual.is_zero()
 
 
@@ -212,27 +216,24 @@ def test_morphism_residual_is_koszul_sign_consistent():
     fields = [Tensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(2,): "y"}),
               Tensor(PLANE, {(2,): "x"})]
     swapped = [fields[1], fields[0], fields[2]]
-    residual = morphism_residual(unscaled_inclusion, dom, cod, fields)
-    assert morphism_residual(unscaled_inclusion, dom, cod, swapped) == -1 * residual
+    components = up_to_arity(3, unscaled_inclusion)
+    residual = morphism_residual(components, dom, cod, fields)
+    assert morphism_residual(components, dom, cod, swapped) == -1 * residual
 
 
 def test_zero_component_family_is_a_morphism():
     dom, cod = PairLinf(PLANE), TensorLinf(PLANE)
     tuples = [[Tensor(PLANE, {(1,): "x"}), Tensor(PLANE, {(2,): "y"})]]
-    ok, witness = check_morphism(lambda xs: None, dom, cod, tuples)
+    ok, witness = check_morphism({}, dom, cod, tuples)
     assert ok, witness
 
 
 def test_identity_is_a_strict_morphism_of_a_lie_algebra():
     fin = FiniteLInfinity.from_pair(su2())
-
-    def identity(xs):
-        return xs[0] if len(xs) == 1 else None
-
     basis = [fin.basis(i) for i in (1, 2, 3)]
     tuples = [list(vs) for arity in (1, 2, 3)
               for vs in itertools.combinations_with_replacement(basis, arity)]
-    ok, witness = check_morphism(identity, fin, fin, tuples)
+    ok, witness = check_morphism({1: lambda xs: xs[0]}, fin, fin, tuples)
     assert ok, witness
 
 
@@ -366,8 +367,10 @@ def random_homogeneous(rng, fin):
     return {i: c for i, c in v.items() if c} or fin.basis(idx[0])
 
 
-def random_table_morphism(rng):
-    """Random tables on both sides, with components that preserve degree parity."""
+def random_table_morphism(rng, arities=None):
+    """Random tables on both sides, with components that preserve degree
+    parity: (components, dom, cod).  The component arities are the given
+    ones, or drawn from 1, 2, 3 with gaps."""
     dom_degs = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(2, 3))]
     cod_degs = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(2, 4))]
     every = list(range(1, len(cod_degs) + 1))
@@ -380,14 +383,11 @@ def random_table_morphism(rng):
         parity = sum(dom_degs[i - 1] for i in key) % 2
         return [t for t in every if cod_degs[t - 1] % 2 == parity]
 
-    arities = [k for k in (1, 2, 3) if rng.random() < 0.8]
+    if arities is None:
+        arities = [k for k in (1, 2, 3) if rng.random() < 0.8]
     comps = FiniteLInfinity(dom_degs, random_table(rng, dom_degs, arities, same_parity,
                                                    density=0.8))
-
-    def f(vs):
-        return comps.bracket(vs) if len(vs) in comps.brackets else None
-
-    return f, dom, cod
+    return {k: comps.bracket for k in comps.brackets}, dom, cod
 
 
 def same_value(op, a, b):
@@ -398,11 +398,12 @@ def same_value(op, a, b):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_partition_sum_matches_ordered_oracle_on_tables(seed, morphism_oracle):
     rng = random.Random(seed)
-    f, dom, cod = random_table_morphism(rng)
+    components, dom, cod = random_table_morphism(rng)
     for arity in (1, 2, 3, 4):
         for _ in range(3):
             vs = [random_homogeneous(rng, dom) for _ in range(arity)]
-            assert morphism_residual(f, dom, cod, vs) == morphism_oracle(f, dom, cod, vs)
+            assert (morphism_residual(components, dom, cod, vs)
+                    == morphism_oracle(components, dom, cod, vs))
 
 
 @settings(max_examples=25, deadline=None)
@@ -413,7 +414,9 @@ def test_partition_sum_matches_ordered_oracle_on_the_inclusion(seed, arity, comp
     rng = random.Random(seed)
     dom, cod = PairLinf(PLANE), TensorLinf(PLANE)
     xs = [random_low_tensor(rng) for _ in range(arity)]
-    assert morphism_residual(component, dom, cod, xs) == morphism_oracle(component, dom, cod, xs)
+    components = up_to_arity(arity, component)
+    assert (morphism_residual(components, dom, cod, xs)
+            == morphism_oracle(components, dom, cod, xs))
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -450,8 +453,6 @@ def test_partition_sum_matches_ordered_oracle_on_momentum_maps(seed, arity, name
             table[key] = {t: c + random_fraction(rng) for t, c in table[key].items()}
 
     def component(vs):
-        if len(vs) != 1:
-            return None
         out = CohomClass.zero(s, 1)
         for i, c in vs[0].items():
             out = out + c * classes[i - 1]
@@ -459,8 +460,8 @@ def test_partition_sum_matches_ordered_oracle_on_momentum_maps(seed, arity, name
 
     cod = ClassLinf(s)
     vs = [random_homogeneous(rng, dom) for _ in range(arity)]
-    assert same_value(cod, morphism_residual(component, dom, cod, vs),
-                      morphism_oracle(component, dom, cod, vs))
+    assert same_value(cod, morphism_residual({1: component}, dom, cod, vs),
+                      morphism_oracle({1: component}, dom, cod, vs))
 
 
 def test_oracle_agrees_on_a_nonzero_momentum_residual(morphism_oracle):
@@ -468,13 +469,65 @@ def test_oracle_agrees_on_a_nonzero_momentum_residual(morphism_oracle):
     dom, cod = FiniteLInfinity.from_pair(algebra), ClassLinf(s)
     doubled = [2 * c for c in classes]
 
-    def component(vs):
-        return doubled[next(iter(vs[0])) - 1] if len(vs) == 1 else None
-
+    components = {1: lambda vs: doubled[next(iter(vs[0])) - 1]}
     vs = [dom.basis(1), dom.basis(2)]
-    residual = morphism_residual(component, dom, cod, vs)
+    residual = morphism_residual(components, dom, cod, vs)
     assert not residual.is_zero()
-    assert residual == morphism_oracle(component, dom, cod, vs)
+    assert residual == morphism_oracle(components, dom, cod, vs)
+
+
+@pytest.mark.parametrize("arities", [[1], [2], [3], [1, 3], [2, 3], [1, 2, 3]], ids=str)
+def test_pruned_residual_matches_ordered_oracle_with_gaps(arities, morphism_oracle):
+    # the oracle walks every split and every ordered partition, listed or not
+    rng = random.Random(67 + sum(arities))
+    nonzero = 0
+    for _ in range(3):
+        components, dom, cod = random_table_morphism(rng, arities)
+        assert sorted(components) == arities
+        for arity in range(1, 6):
+            vs = [random_homogeneous(rng, dom) for _ in range(arity)]
+            residual = morphism_residual(components, dom, cod, vs)
+            assert residual == morphism_oracle(components, dom, cod, vs)
+            nonzero += bool(residual)
+    assert nonzero
+
+
+def test_a_listed_component_may_return_none(morphism_oracle):
+    rng = random.Random(71)
+    components, dom, cod = random_table_morphism(rng, [1, 2, 3])
+    unlisted = {1: components[1], 3: components[3]}
+    none_at_two = {1: components[1], 2: lambda vs: None, 3: components[3]}
+    nonzero = 0
+    for arity in range(1, 5):
+        for _ in range(3):
+            vs = [random_homogeneous(rng, dom) for _ in range(arity)]
+            residual = morphism_residual(none_at_two, dom, cod, vs)
+            assert residual == morphism_residual(unlisted, dom, cod, vs)
+            assert residual == morphism_oracle(unlisted, dom, cod, vs)
+            nonzero += bool(residual)
+    assert nonzero
+
+
+@pytest.mark.parametrize("arity", [0, -1])
+def test_a_component_arity_below_one_is_rejected(arity):
+    fin = FiniteLInfinity.from_pair(su2())
+    components = {1: lambda xs: xs[0], arity: lambda xs: xs[0]}
+    with pytest.raises(ValueError, match="at least one"):
+        morphism_residual(components, fin, fin, [fin.basis(1)])
+    with pytest.raises(ValueError, match="at least one"):
+        check_morphism(components, fin, fin, [[fin.basis(1)]])
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_restricted_partitions_are_the_unrestricted_ones_in_order(n):
+    every = list(linf._set_partitions(n, range(1, n + 1)))
+    assert len(every) == bell(n)
+    for blocks in every:
+        assert all(block == sorted(block) for block in blocks)
+        assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+    for sizes in (set(), {1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}):
+        assert list(linf._set_partitions(n, sizes)) == [
+            blocks for blocks in every if all(len(block) in sizes for block in blocks)]
 
 
 # -- graded symmetry of every adapter ------------------------------------------------
@@ -566,31 +619,88 @@ class CountingTable(FiniteLInfinity):
 def test_unary_component_makes_one_codomain_bracket(n):
     fin = FiniteLInfinity.from_pair(su2())
     cod = CountingTable.from_pair(su2())
-
-    def identity(xs):
-        return xs[0] if len(xs) == 1 else None
-
     vs = [fin.basis(1 + i % 3) for i in range(n)]
-    morphism_residual(identity, fin, cod, vs)
+    morphism_residual({1: lambda xs: xs[0]}, fin, cod, vs)
     assert cod.calls == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_codomain_brackets_are_one_per_set_partition(n):
     rng = random.Random(59 + n)
-    f, dom, table = random_table_morphism(rng)
+    components, dom, table = random_table_morphism(rng)
     cod = CountingTable(table.degrees, table.brackets)
-
-    def total(vs):
-        y = f(vs)
-        return {} if y is None else y
-
+    # every arity listed, the missing ones as components that are zero
+    total = {k: components.get(k, lambda vs: {}) for k in range(1, n + 1)}
     vs = [random_homogeneous(rng, dom) for _ in range(n)]
-    morphism_residual(f, dom, cod, vs)
+    morphism_residual(components, dom, cod, vs)
     assert cod.calls <= bell(n)
     cod.calls = 0
     morphism_residual(total, dom, cod, vs)
     assert cod.calls == bell(n)
+
+
+class CountingOperations(linf.Operations):
+    """An algebra's operations, counting its brackets."""
+
+    def __init__(self, op):
+        self.op = op
+        self.brackets = 0
+
+    def zero(self):
+        return self.op.zero()
+
+    def add(self, a, b):
+        return self.op.add(a, b)
+
+    def scale(self, c, v):
+        return self.op.scale(c, v)
+
+    def is_zero(self, v):
+        return self.op.is_zero(v)
+
+    def degree(self, v):
+        return self.op.degree(v)
+
+    def bracket(self, vs, pairs=None):
+        self.brackets += 1
+        return self.op.bracket(vs)
+
+
+@pytest.fixture
+def partitions_walked(monkeypatch):
+    """Every partition `morphism_residual` walks, in order."""
+    walked = []
+    enumerate_partitions = linf._set_partitions
+
+    def counting(n, sizes):
+        for blocks in enumerate_partitions(n, sizes):
+            walked.append(blocks)
+            yield blocks
+
+    monkeypatch.setattr(linf, "_set_partitions", counting)
+    return walked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_a_unary_morphism_forms_one_domain_bracket_and_walks_one_partition(
+        n, partitions_walked):
+    dom = CountingOperations(FiniteLInfinity.from_pair(su2()))
+    cod = CountingOperations(FiniteLInfinity.from_pair(su2()))
+    evaluated = []
+
+    def identity(xs):
+        evaluated.append(xs[0])
+        return xs[0]
+
+    vs = [dom.op.basis(1 + i % 3) for i in range(n)]
+    morphism_residual({1: identity}, dom, cod, vs)
+    # only the split whose outer component is unary: all n arguments in the head
+    assert dom.brackets == 1
+    assert partitions_walked == [[[i] for i in range(1, n + 1)]]
+    assert cod.brackets == 1
+    # each argument once on the right, the inner bracket on the left when nonzero
+    inner = dom.op.bracket(vs)
+    assert evaluated == ([inner] if inner else []) + vs
 
 
 # -- top degrees ---------------------------------------------------------------
