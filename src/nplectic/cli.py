@@ -11,6 +11,10 @@ bracket) or a slice would exceed the slice cap.
 Input files pass one boundary: ``_parse`` runs a JSON reader and reports
 its ``KeyError`` as a missing field and its ``TypeError`` or ``ValueError``
 with the reader's own message, each as exit 2.
+
+The commands live in one table, ``COMMANDS``.  Each run builds only the
+parser of the command it runs; the full parser, with every command, is
+built only for a first argument that names none (help, usage errors).
 """
 
 from __future__ import annotations
@@ -390,63 +394,56 @@ def _add_cap(p):
                    help="largest bracket arity to evaluate (default: %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nplectic",
-        description="Exact calculus, cohomology and certification for "
-                    "higher symplectic structures over Lie-Rinehart pairs.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("validate-pair", help="check the pair axioms on random data")
+def _args_validate_pair(p):
     p.add_argument("input", help="pair or structure JSON file")
     _add_sampling(p, 25)
-    _add_output(p)
     p.set_defaults(handler=cmd_validate_pair)
 
-    p = sub.add_parser("validate-morphism", help="check the morphism equations")
+
+def _args_validate_morphism(p):
     p.add_argument("input", help="morphism JSON file with domain/codomain/f/g")
     _add_sampling(p, 25)
-    _add_output(p)
     p.set_defaults(handler=cmd_validate_morphism)
 
-    p = sub.add_parser("bracket", help="higher bracket of tensors")
+
+def _args_bracket(p):
     p.add_argument("input", help="JSON file with 'pair' and a list 'args'")
     p.add_argument("--schouten", action="store_true",
                    help="binary odd bracket instead of the alternating one")
-    _add_output(p)
     p.set_defaults(handler=cmd_bracket)
 
-    p = sub.add_parser("differential", help="apply the complex differential")
+
+def _args_differential(p):
     p.add_argument("input", help="JSON file with 'pair' and 'element'")
-    _add_output(p)
     p.set_defaults(handler=cmd_differential)
 
-    p = sub.add_parser("contract", help="contract a tensor into a cotensor")
+
+def _args_contract(p):
     p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
-    _add_output(p)
     p.set_defaults(handler=cmd_tensor_on_cotensor, operation=contract)
 
-    p = sub.add_parser("lie-derivative", help="flow derivative of a cotensor")
+
+def _args_lie_derivative(p):
     p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
-    _add_output(p)
     p.set_defaults(handler=cmd_tensor_on_cotensor, operation=lie_derivative)
 
-    p = sub.add_parser("nplectic-check", help="degree and closedness of a structure")
+
+def _args_nplectic_check(p):
     p.add_argument("input", help="structure JSON file with 'pair', 'n' and 'omega'")
-    _add_output(p)
     p.set_defaults(handler=cmd_nplectic_check)
 
-    p = sub.add_parser("jacobi", help="weak Jacobi checks on seeded random draws")
+
+def _args_jacobi(p):
     p.add_argument("input", help="structure JSON file")
     p.add_argument("--max-arity", type=_int_at_least(2), default=4, metavar="K")
     p.add_argument("--count", type=_int_at_least(1), default=10, metavar="N",
                    help="random instances per arity and family")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     _add_cap(p)
-    _add_output(p)
     p.set_defaults(handler=cmd_jacobi)
 
-    p = sub.add_parser("cohomology", help="cohomology dimension tables")
+
+def _args_cohomology(p):
     p.add_argument("input", help="structure JSON file (or pair file with --plain)")
     p.add_argument("--degrees", metavar="MIN:MAX",
                    help="inclusive degree window (default -1:n+2)")
@@ -454,40 +451,78 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive polynomial weight window (default 0:2)")
     p.add_argument("--plain", action="store_true",
                    help="table of the plain complex of the pair instead")
-    _add_output(p)
     p.set_defaults(handler=cmd_cohomology)
 
-    p = sub.add_parser("poisson", help="bracket of classes from cocycle data")
+
+def _args_poisson(p):
     p.add_argument("input", help="structure JSON file")
     p.add_argument("elements", help="JSON file with a list 'elements' of {f, x}")
     p.add_argument("--jacobi", action="store_true",
                    help="also check the weak Jacobi identity on the classes")
     _add_cap(p)
-    _add_output(p)
     p.set_defaults(handler=cmd_poisson)
 
-    p = sub.add_parser("momentum-check", help="certify a momentum-map candidate")
+
+def _args_momentum_check(p):
     p.add_argument("input", help="structure JSON file")
     p.add_argument("candidate", help="JSON file with algebra/fields/potentials")
     p.add_argument("--max-arity", type=_int_at_least(1), default=3, metavar="K")
     _add_cap(p)
-    _add_output(p)
     p.set_defaults(handler=cmd_momentum_check)
 
-    p = sub.add_parser("identities", help="randomized flow-calculus identity suite")
+
+def _args_identities(p):
     p.add_argument("input", help="pair or structure JSON file")
     p.add_argument("--count", type=_int_at_least(1), default=200, metavar="N")
     p.add_argument("--pairing-count", type=_int_at_least(1), default=50, metavar="N",
                    help="instances per arity for the pairing checks")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    _add_output(p)
     p.set_defaults(handler=cmd_identities)
 
+
+# name -> (help line, adder of its arguments and its handler), in help order;
+# every command also takes --output, added after its own arguments
+COMMANDS = {
+    "validate-pair": ("check the pair axioms on random data", _args_validate_pair),
+    "validate-morphism": ("check the morphism equations", _args_validate_morphism),
+    "bracket": ("higher bracket of tensors", _args_bracket),
+    "differential": ("apply the complex differential", _args_differential),
+    "contract": ("contract a tensor into a cotensor", _args_contract),
+    "lie-derivative": ("flow derivative of a cotensor", _args_lie_derivative),
+    "nplectic-check": ("degree and closedness of a structure", _args_nplectic_check),
+    "jacobi": ("weak Jacobi checks on seeded random draws", _args_jacobi),
+    "cohomology": ("cohomology dimension tables", _args_cohomology),
+    "poisson": ("bracket of classes from cocycle data", _args_poisson),
+    "momentum-check": ("certify a momentum-map candidate", _args_momentum_check),
+    "identities": ("randomized flow-calculus identity suite", _args_identities),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command of COMMANDS, or with `command` alone."""
+    parser = argparse.ArgumentParser(
+        prog="nplectic",
+        description="Exact calculus, cohomology and certification for "
+                    "higher symplectic structures over Lie-Rinehart pairs.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            _add_output(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv (default: sys.argv[1:]) names and return its exit code.
+
+    When argv starts with a command name only that command's parser is
+    built; any other start (none, -h, an unknown word, an option) builds
+    them all, for the full help, usage and list of choices.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     started = time.perf_counter()
     try:
         report, extra = args.handler(args)

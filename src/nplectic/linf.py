@@ -55,7 +55,6 @@ from .engine import (
     NPlecticStructure,
     d_omega,
     extension_bracket,
-    reduce_mod_kernel,
     weighted_bracket,
 )
 from .pairs import ConstantPair, action, lie_bracket
@@ -79,7 +78,8 @@ class Operations:
         return a + b
 
     def scale(self, c, v):
-        return c * v
+        """c v; v itself for c = 1, as no operation mutates its arguments."""
+        return v if c == 1 else c * v
 
     def is_zero(self, v) -> bool:
         return v.is_zero()
@@ -280,14 +280,20 @@ class ExtensionLinf(Operations):
     def composite(self, head, tail, pairs):
         """Below the top split the outer bracket reads only tensor slots, so
         only the inner one is formed, and nothing when one is zero (d_omega
-        has none); at the top split d_omega reads the whole inner bracket."""
+        has none); at the top split d_omega reads the whole inner bracket.
+
+        The inner tensor is not reduced modulo the contraction kernel K: the
+        outer bracket gives the same element for it and for its residue,
+        since K is an ideal for both of its slots.  For k in K and symplectic
+        y.., i_{[k, y..]} omega = +-d i_{y.. ^ k} omega = 0, and a wedge
+        with a factor k contracts omega to zero, as i_k omega = 0.
+        """
         if not tail:
             return super().composite(head, tail, pairs)
         if len(head) == 1 or any(e.x.is_zero() for e in head + tail):
             return None
-        s = head[0].structure
-        x = reduce_mod_kernel(s, higher_bracket([e.x for e in head], pairs))
-        return weighted_bracket(s, [x] + [e.x for e in tail], pairs)
+        x = higher_bracket([e.x for e in head], pairs)
+        return weighted_bracket(head[0].structure, [x] + [e.x for e in tail], pairs)
 
 
 class ClassLinf(Operations):
@@ -546,7 +552,7 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     def component(vs):
         out = None
         for i, c in vs[0].items():
-            term = c * classes[i - 1]
+            term = cod.scale(c, classes[i - 1])
             out = term if out is None else out + term
         return out
 

@@ -216,8 +216,10 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     + a b [e_i, e_j], the unique extension of the basis bracket that is
     compatible with the action (Leibniz on both slots).  The bracket part
     is summed over the structure-constant rows, a row (i, j, k, c) giving
-    (a_i b_j - a_j b_i) c e_k, and the action part runs only on a pair
-    whose generators act.
+    (a_i b_j - a_j b_i) c e_k.  An acting generator i is the derivation
+    by variable i, so the action part forms a D_i(b) e_j only for the
+    variables i that the coefficient b holds and that x has a term at,
+    and b D_j(a) e_i likewise.
     """
     _require_vector(x)
     _require_vector(y)
@@ -229,10 +231,12 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
             if a is not None and b is not None:
                 terms.append(((k,), (a * b).scale(sign)))
     if pair.derivations:
-        for (i,), a in x.terms.items():
-            for (j,), b in y.terms.items():
-                terms.append(((j,), a * pair.action_basis(i, b)))
-                terms.append(((i,), -(b * pair.action_basis(j, a))))
+        for u, v, sign in ((x, y, 1), (y, x, -1)):
+            for (j,), b in v.terms.items():
+                for i in (var + 1 for var in b.variables()):
+                    a = u.terms.get((i,))
+                    if a is not None and i in pair.derivations:
+                        terms.append(((j,), (a * pair.action_basis(i, b)).scale(sign)))
     out = Tensor.zero(pair)
     out.terms = sparse_sum(terms)
     return out

@@ -1,5 +1,8 @@
 """End-to-end runs of the command line interface against the shipped models."""
 
+import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from nplectic.cli import main
+from nplectic import cli
+from nplectic.cli import COMMANDS, build_parser, main
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 PLANE = str(MODELS / "symplectic_plane.json")
@@ -622,3 +626,69 @@ def test_seeded_reports_are_byte_identical():
     assert b"identities:" in first.stderr
     other = subprocess.run(argv[:-1] + ["12"], capture_output=True, check=True)
     assert other.stdout != first.stdout
+
+
+# ---------------------------------------------------------------------------
+# the parser of the command that runs
+# ---------------------------------------------------------------------------
+
+PARSE_ARGVS = [
+    [], ["--help"], ["-h", "jacobi"], ["bogus"],
+    ["--output", "x", "jacobi", PLANE],
+    *([name, "--help"] for name in COMMANDS),
+    ["jacobi"],
+    ["jacobi", PLANE, "--arity-cap", "13"],
+    ["jacobi", PLANE, "--bogus"],
+]
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), exits from argparse included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parsing_reads_as_with_every_command_built(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = _outcome(argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert lazy == _outcome(argv)
+    assert lazy[0] in (0, 2)
+
+
+def test_a_known_command_builds_only_its_own_parser(monkeypatch, capsys):
+    added = []
+    original = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        added.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    assert main(["nplectic-check", PLANE]) == 0
+    assert added == ["nplectic-check"]
+    capsys.readouterr()
+
+
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_the_command_table_is_the_full_parser():
+    assert _commands(build_parser()) == list(COMMANDS) and len(COMMANDS) == 12
+    for name in COMMANDS:
+        assert _commands(build_parser(name)) == [name]
+
+
+def test_module_entry_point_reads_its_arguments_from_sys_argv():
+    result = subprocess.run([sys.executable, "-m", "nplectic.cli", "nplectic-check", PLANE],
+                            capture_output=True, check=True)
+    assert json.loads(result.stdout)["title"] == "nplectic-check"
+    assert result.stderr.startswith(b"nplectic-check: ")

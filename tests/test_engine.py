@@ -35,6 +35,7 @@ from nplectic.engine import (
     symplectic_basis,
     symplectic_bracket,
     symplectic_slice,
+    weighted_bracket,
 )
 from nplectic.identities import random_symplectic
 from nplectic.linalg import null_space
@@ -297,6 +298,50 @@ def test_slices_above_the_form_degree_match_the_contracted_path(s, monkeypatch):
                 assert not contractions
                 skipped += bool(slice_basis(s.pair, degree, window))
     assert skipped
+
+
+def heisenberg_area():
+    """omega = e^12 over the Heisenberg pair [e1, e2] = e3; e3 sits in the kernel."""
+    pair = ConstantPair.from_brackets(3, {(1, 2): {3: 1}})
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1}))
+
+
+@pytest.mark.parametrize("s", [
+    structure_from_json(json.loads((MODELS / "degenerate_plane.json").read_text())),
+    heisenberg_area(),
+], ids=["degenerate-plane", "heisenberg-e12"])
+def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
+    # ExtensionLinf.composite hands the outer bracket an unreduced inner
+    # tensor: a kernel argument k must give a bracket and a wedge that
+    # contract omega to zero, so x + k and x give the same weighted bracket
+    rng = random.Random(23)
+    grades = [g for g in range(s.pair.ngens + 1) if symplectic_basis(s, g, max_poly_degree=1)]
+    nonzero = {"bracket": 0, "wedge": 0, "shifted": 0}
+    for degree in range(1, s.n + 2):
+        kernel = kernel_basis(s, degree, max_poly_degree=1)
+        assert kernel
+        for _ in range(8):
+            k = Tensor.zero(s.pair)._make(sparse_sum(
+                (w, c.scale(random_fraction(rng))) for b in kernel if rng.random() < 0.6
+                for w, c in b.terms.items()))
+            if k.is_zero():
+                continue
+            for arity in (2, 3):
+                ys = [random_symplectic(rng, s, rng.choice(grades), 1) for _ in range(arity - 1)]
+                pos = rng.randrange(arity)
+                xs = ys[:pos] + [k] + ys[pos:]
+                bracket = higher_bracket(xs)
+                assert contract(bracket, s.omega).is_zero()
+                assert contract_reversed_wedge(s, xs).is_zero()
+                nonzero["bracket"] += not bracket.is_zero()
+                nonzero["wedge"] += not wedge_list(s.pair, Tensor, xs).is_zero()
+                x = higher_bracket([random_symplectic(rng, s, g, 1) for g in (1, 1)])
+                if x.grade == degree:
+                    assert weighted_bracket(s, [x + k] + ys) == weighted_bracket(s, [x] + ys)
+                    nonzero["shifted"] += not weighted_bracket(s, [x] + ys).is_zero()
+    assert nonzero["wedge"]
+    if s.pair.family == "poly":
+        assert nonzero["bracket"] and nonzero["shifted"]
 
 
 def test_extension_elements_scale_by_rationals_only():

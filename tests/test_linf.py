@@ -436,6 +436,25 @@ def momentum_classes(name):
     return s, algebra, tuple(classes)
 
 
+def test_momentum_check_takes_a_unit_component_as_the_class_itself(monkeypatch):
+    # the classes are never mutated, so 1 * class need not be rebuilt
+    s = plane_structure()
+    data = json.loads((GOLDEN_INPUTS / "sp2_momentum.json").read_text())
+    algebra, fields, potentials = momentum_from_json(s, data)
+    scalars = []
+    original = CohomClass.__mul__
+
+    def counted(self, scalar):
+        scalars.append(scalar)
+        return original(self, scalar)
+
+    monkeypatch.setattr(CohomClass, "__mul__", counted)
+    monkeypatch.setattr(CohomClass, "__rmul__", counted)
+    ok, details = check_momentum_map(s, algebra, fields, potentials, max_arity=4)
+    assert ok and not details["issues"]
+    assert 1 not in scalars
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), arity=st.integers(1, 4),
        name=st.sampled_from(["sp2", "rotation"]), corrupt=st.booleans())

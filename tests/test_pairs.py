@@ -177,6 +177,40 @@ def test_vector_field_bracket_example():
     assert lie_bracket(dx, dy).is_zero()
 
 
+def test_bracket_acts_only_with_the_variables_a_coefficient_holds(monkeypatch):
+    # on Q[x1..x1000], [x2 @x1 + @x3, x1*x3 @x2] differentiates x1*x3 by x1
+    # and x3, and x2 by x2: the coefficient 1 and the other 997 variables
+    # give no action_basis call
+    pair = PolyVectorFieldPair(1000)
+    v = [Poly.variable(1000, i) for i in range(3)]
+    x = v[1] * e(pair, 1) + e(pair, 3)
+    y = v[0] * v[2] * e(pair, 2)
+    tried = []
+    original = PolyVectorFieldPair.action_basis
+    monkeypatch.setattr(PolyVectorFieldPair, "action_basis",
+                        lambda self, i, a: tried.append(i) or original(self, i, a))
+    bracket = lie_bracket(x, y)
+    assert sorted(tried) == [1, 2, 3]
+    assert bracket == (v[1] * v[2] + v[0]) * e(pair, 2) - v[0] * v[2] * e(pair, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.one_of(constant_pairs(), st.integers(1, 4).map(PolyVectorFieldPair)),
+       seed=st.integers(0, 2**32 - 1))
+def test_bracket_is_the_formula_summed_over_every_term_pair(pair, seed):
+    # [a e_i, b e_j] = a D_i(b) e_j - b D_j(a) e_i + a b [e_i, e_j]
+    rng = random.Random(seed)
+    x, y = random_gvector(rng, pair, 2), random_gvector(rng, pair, 2)
+    expected = Tensor.zero(pair)
+    for (i,), a in x.terms.items():
+        for (j,), b in y.terms.items():
+            expected = (expected + a * pair.action_basis(i, b) * e(pair, j)
+                        - b * pair.action_basis(j, a) * e(pair, i))
+            for k, c in pair.bracket_basis(i, j):
+                expected = expected + (a * b * c) * e(pair, k)
+    assert lie_bracket(x, y) == expected
+
+
 def test_action_example():
     p = PolyVectorFieldPair(2)
     x = Poly.variable(2, 0)
