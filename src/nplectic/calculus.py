@@ -91,23 +91,19 @@ def ce_differential(f: Cotensor) -> Cotensor:
     letter g added at position j, with (-1)^j D_g(c), and w with its t-th
     letter k traded for a < b, with (-1)^(i+j+t) c^k_{ab} c, where i and
     j are the positions of a and b in the target.  Only the generators in
-    `pair.derivations` act, generator g as d/dx_g, so only those whose
-    variable c holds are tried, none of them on a ring without variables.
+    `pair.acting(c)` are tried: their D_g(c) is nonzero, the others' zero.
     """
     pair = f.pair
     products = []
     for w, c in f.terms.items():
         j = 0
-        for g in (v + 1 for v in c.variables()):
-            if g not in pair.derivations:
-                continue
+        for g in pair.acting(c):
             while j < len(w) and w[j] < g:
                 j += 1
             if j < len(w) and w[j] == g:
                 continue
             dc = pair.action_basis(g, c)
-            if dc:
-                products.append((w[:j] + (g,) + w[j:], -dc if j % 2 else dc))
+            products.append((w[:j] + (g,) + w[j:], -dc if j % 2 else dc))
         for a, b, k, coef in pair.brackets:
             if k not in w:
                 continue
@@ -156,13 +152,15 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
             + sum_r     (-1)^(p-r) a D_{i_r}(b) e_{I - i_r} ^ e_J
 
     where c^k_{ij} are the rows of `bracket_basis` and D_i is `action_basis`,
-    zero unless i is in `pair.derivations`.
+    formed only for the generators i in `pair.acting` of its coefficient.
     """
     if u.pair != v.pair:
         raise ValueError("bracket across different pairs")
     pair = u.pair
-    acting = pair.derivations
     products = []
+    # acting(b) is read only at the letters of u's words, acting(a) at those of v's
+    u_letters, v_letters = any(u.terms), any(v.terms)
+    v_terms = [(wv, b, pair.acting(b) if u_letters else ()) for wv, b in v.terms.items()]
 
     def emit(word, sign, coeff):
         s, norm = sort_word(word)
@@ -171,7 +169,8 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
 
     for wu, a in u.terms.items():
         p = len(wu)
-        for wv, b in v.terms.items():
+        acts_on_a = pair.acting(a) if v_letters else ()
+        for wv, b, acts_on_b in v_terms:
             ab = None
             for t, j in enumerate(wv):
                 sign = -1 if t % 2 else 1
@@ -181,13 +180,12 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
                         if ab is None:
                             ab = a * b
                         emit(wu[:r] + (k,) + wu[r + 1:] + rest, sign, ab * c)
-                da = pair.action_basis(j, a) if j in acting else None
-                if da:
-                    emit(wu + rest, -sign, da * b)
+                if j in acts_on_a:
+                    emit(wu + rest, -sign, pair.action_basis(j, a) * b)
             for r, i in enumerate(wu):
-                db = pair.action_basis(i, b) if i in acting else None
-                if db:
-                    emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1, a * db)
+                if i in acts_on_b:
+                    emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1,
+                         a * pair.action_basis(i, b))
     out = Tensor.zero(pair)
     out.terms = sparse_sum(products)
     return out

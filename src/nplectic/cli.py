@@ -56,7 +56,7 @@ from .models import momentum_from_json
 from .pairs import PairMorphismCandidate, pair_from_json, validate_morphism, validate_pair
 from .report import Report, canonical_json, witness_unless
 from .sampling import random_cotensor, random_tensor
-from .scalars import CapExceeded, require_arity
+from .scalars import CapExceeded, as_int, require_arity
 
 
 class InputError(Exception):
@@ -194,7 +194,7 @@ def cmd_tensor_on_cotensor(args):
 def cmd_nplectic_check(args):
     data = _read_json(args.input)
     pair = _load_pair(_field(data, "pair"))
-    n = _parse("bad degree n", int, _field(data, "n"))
+    n = _parse("bad structure", as_int, _field(data, "n"), "'n'")
     omega = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "omega"))
     report = Report("nplectic-check", {"family": pair.family, "n": n})
     report.add("degree_at_least_one", n >= 1)
@@ -298,8 +298,8 @@ def cmd_poisson(args):
             raise InputError(f"element {i} must be an object with 'f' and 'x'")
         e = _parse(f"bad element {i}", ExtensionElement.from_json, s, item)
         degree = item.get("degree")
-        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
-            raise InputError(f"element {i}: 'degree' must be an integer, got {degree!r}")
+        if degree is not None:
+            _parse(f"element {i}", as_int, degree, "'degree'")
         try:
             cls = class_of(e, degree=degree)
         except NotACocycle as exc:

@@ -6,8 +6,10 @@ generators, graded by word length (A itself sits in degree 0 as the empty
 word).  A Cotensor is the same thing built on the dual generators; its
 tensor degree is minus the word length.
 
-Words are kept strictly ascending.  `sort_word` is the single place where
-reordering signs are produced; every operation funnels through it.
+Words are kept strictly ascending.  `sort_word` gives the reordering sign
+of an input word and of a word built by concatenation (wedge, Schouten);
+`calculus.contract` (the Laplace sign) and `calculus.ce_differential`
+(insertion signs) read theirs from letter positions instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import Poly, format_poly, sparse_sum
+from .scalars import Poly, as_int, format_poly, sparse_sum
 
 if TYPE_CHECKING:  # descriptors live in pairs.py; no runtime cycle
     from .pairs import PairDescriptor
@@ -206,7 +208,7 @@ class _Element:
     def from_json(cls, pair, data):
         terms = []
         for word, coeff in data:
-            terms.append((tuple(int(g) for g in word), pair.coeff(coeff)))
+            terms.append((tuple(as_int(g, "a word letter") for g in word), pair.coeff(coeff)))
         return cls(pair, terms)
 
     # -- display -------------------------------------------------------------

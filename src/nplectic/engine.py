@@ -34,7 +34,7 @@ from .calculus import MAX_BRACKET_ARITY, ce_differential, contract, higher_brack
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, as_rational, bell, require_arity, sparse_sum
+from .scalars import CapExceeded, Poly, as_int, as_rational, bell, require_arity, sparse_sum
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -95,7 +95,7 @@ class NPlecticStructure:
 def structure_from_json(data: dict) -> NPlecticStructure:
     pair = pair_from_json(data["pair"])
     omega = Cotensor.from_json(pair, data["omega"])
-    return NPlecticStructure(pair, int(data["n"]), omega)
+    return NPlecticStructure(pair, as_int(data["n"], "'n'"), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ derivations.  Two families are implemented:
 
 Both are torsionless (free modules embed in their double dual), which the
 validator spot-checks through the nondegeneracy of the basis pairing.
+
+`acting(c)` is the one answer to "which generators act on the coefficient
+c?": exactly the g with a nonzero `action_basis(g, c)`, in ascending
+order, so a caller acts only with those and needs no zero test.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .calculus import pairing
 from .elements import Cotensor, Tensor
 from .report import Report, witness_unless
 from .sampling import random_coeff, random_gvector, random_tuples
-from .scalars import Poly, _default_names, as_rational, format_poly, parse_poly, sparse_sum
+from .scalars import Poly, _default_names, as_int, as_rational, format_poly, parse_poly, sparse_sum
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class ConstantPair:
 
     poly_nvars = 0
     var_names = ()  # no variables; unannotated, so not a dataclass field
-    derivations = ()  # no generator acts on Q
 
     def gen_name(self, g: int) -> str:
         return f"e{g}"
@@ -103,6 +106,9 @@ class ConstantPair:
         by every call: callers must not mutate the list.
         """
         return self._bracket_table.get((i, j), [])
+
+    def acting(self, c: Poly) -> tuple[int, ...]:
+        return ()  # no generator acts on Q
 
     def action_basis(self, i: int, a: Poly) -> Poly:
         return Poly.zero(0)
@@ -130,11 +136,6 @@ class PolyVectorFieldPair:
         return self.nvars
 
     @property
-    def derivations(self) -> range:
-        """The generators that act on the ring: all of them."""
-        return range(1, self.nvars + 1)
-
-    @property
     def var_names(self) -> tuple[str, ...]:
         return _default_names(self.nvars)
 
@@ -149,6 +150,9 @@ class PolyVectorFieldPair:
 
     def bracket_basis(self, i: int, j: int) -> list[tuple[int, Fraction]]:
         return []  # coordinate derivations commute
+
+    def acting(self, c: Poly) -> list[int]:
+        return [v + 1 for v in c.variables()]  # e_g is d/dx_g
 
     def action_basis(self, i: int, a: Poly) -> Poly:
         return a.diff(i - 1)
@@ -194,20 +198,15 @@ def pair_from_json(data: dict) -> PairDescriptor:
             i, j = (int(v) for v in key.split(","))
             table[(i, j)] = {int(k): as_rational(c)
                              for k, c in _json_object(entry, f"bracket {key}").items()}
-        return ConstantPair.from_brackets(int(data["dim"]), table)
+        return ConstantPair.from_brackets(as_int(data["dim"], "'dim'"), table)
     if family == "poly":
-        return PolyVectorFieldPair(int(data["vars"]))
+        return PolyVectorFieldPair(as_int(data["vars"], "'vars'"))
     raise ValueError(f"unknown pair family {family!r}")
 
 
 # ---------------------------------------------------------------------------
 # elements of the pair itself
 # ---------------------------------------------------------------------------
-
-def gvector(pair: PairDescriptor, coeffs) -> Tensor:
-    """Module element sum_i coeffs[i] * e_i as a degree-one tensor."""
-    return Tensor(pair, [((i,), c) for i, c in enumerate(coeffs, start=1)])
-
 
 def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     """Bracket of two module elements (degree-one tensors).
@@ -216,10 +215,9 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     + a b [e_i, e_j], the unique extension of the basis bracket that is
     compatible with the action (Leibniz on both slots).  The bracket part
     is summed over the structure-constant rows, a row (i, j, k, c) giving
-    (a_i b_j - a_j b_i) c e_k.  An acting generator i is the derivation
-    by variable i, so the action part forms a D_i(b) e_j only for the
-    variables i that the coefficient b holds and that x has a term at,
-    and b D_j(a) e_i likewise.
+    (a_i b_j - a_j b_i) c e_k.  The action part forms a D_i(b) e_j only
+    for the generators i in `pair.acting(b)` that x has a term at, and
+    b D_j(a) e_i likewise.
     """
     _require_vector(x)
     _require_vector(y)
@@ -230,13 +228,12 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
                            (x.terms.get((j,)), y.terms.get((i,)), -c)):
             if a is not None and b is not None:
                 terms.append(((k,), (a * b).scale(sign)))
-    if pair.derivations:
-        for u, v, sign in ((x, y, 1), (y, x, -1)):
-            for (j,), b in v.terms.items():
-                for i in (var + 1 for var in b.variables()):
-                    a = u.terms.get((i,))
-                    if a is not None and i in pair.derivations:
-                        terms.append(((j,), (a * pair.action_basis(i, b)).scale(sign)))
+    for u, v, sign in ((x, y, 1), (y, x, -1)):
+        for (j,), b in v.terms.items():
+            for i in pair.acting(b):
+                a = u.terms.get((i,))
+                if a is not None:
+                    terms.append(((j,), (a * pair.action_basis(i, b)).scale(sign)))
     out = Tensor.zero(pair)
     out.terms = sparse_sum(terms)
     return out
@@ -246,9 +243,10 @@ def action(x: Tensor, a) -> Poly:
     """The anchor: apply the derivation attached to x to the ring element a."""
     _require_vector(x)
     a = x.pair.coeff(a)
+    acting = x.pair.acting(a)
     out = Poly.zero(x.pair.poly_nvars)
     for (i,), coeff in x.terms.items():
-        if i in x.pair.derivations:
+        if i in acting:
             out = out + coeff * x.pair.action_basis(i, a)
     return out
 
@@ -408,8 +406,7 @@ def validate_morphism(cand: PairMorphismCandidate, samples: int = 25, seed: int 
         lhs, rhs = g(lie_bracket(x, y)), lie_bracket(g(x), g(y))
         return witness_unless(lhs == rhs, x=x, y=y, g_of_bracket=lhs, bracket_of_images=rhs)
 
-    basis = [gvector(dom, [1 if t == i else 0 for t in range(dom.ngens)])
-             for i in range(dom.ngens)]
+    basis = [Tensor.basis(dom, (g,)) for g in range(1, dom.ngens + 1)]
     basis_pairs = [(basis[i], basis[j]) for i in range(dom.ngens)
                    for j in range(i + 1, dom.ngens)]
     report.first_failure("g_lie_morphism", basis_pairs + list(draw(vec, vec)), bracket_images)

@@ -16,9 +16,10 @@ from .elements import Cotensor, Tensor
 from .scalars import Poly, sparse_sum
 
 
-def random_fraction(rng: random.Random, span: int = 3) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
+def random_fraction(rng: random.Random) -> Fraction:
+    """num / den with num drawn from -3..3, then den from 1..3."""
+    num = rng.randint(-3, 3)
+    den = rng.randint(1, 3)
     return Fraction(num, den)
 
 

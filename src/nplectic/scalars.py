@@ -33,11 +33,12 @@ def require_arity(k: int, cap: int) -> None:
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings like '-3/2' to an exact rational.
 
-    Malformed text, a zero denominator included, raises ValueError.
+    Malformed text, a zero denominator included, raises ValueError; a bool
+    is not a number here and raises TypeError, like any other type.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -45,6 +46,14 @@ def as_rational(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def as_int(value, what: str) -> int:
+    """A JSON integer: an int that is not a bool.  Anything else, a float,
+    a string or null included, raises TypeError naming `what`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def sparse_sum(pairs) -> dict:

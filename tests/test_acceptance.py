@@ -87,7 +87,7 @@ def test_criterion_02_differential_squares_to_zero(cartan_runs, verdicts):
 def test_criterion_03_bracket_contraction_pairing(structures, verdicts):
     ok = True
     for s in structures.values():
-        report = pairing_suite(s, count=50, seed=7, arities=(2, 3, 4))
+        report = pairing_suite(s, count=50, seed=7)
         ok = ok and report.ok
         ok = ok and all(c.details["instances"] >= 50 for c in report.checks)
     assert verdicts.record(3, "bracket/contraction pairing holds for arities 2-4 "

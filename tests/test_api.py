@@ -28,6 +28,13 @@ def test_only_scalars_reads_the_poly_storage():
             assert not storage.search(path.read_text()), path.name
 
 
+def test_only_scalars_and_pairs_read_the_variables_of_a_poly():
+    # which generators act on a coefficient is the pair's `acting`
+    for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
+        if path.name not in ("scalars.py", "pairs.py"):
+            assert ".variables(" not in path.read_text(), path.name
+
+
 def test_every_traced_name_resolves():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)

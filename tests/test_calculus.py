@@ -281,6 +281,18 @@ def test_differential_acts_only_with_the_variables_a_coefficient_holds(monkeypat
     assert df == Cotensor(pair, {(1, 2): x[1] * x[4], (2, 5): -x[0] * x[1]})
 
 
+def test_schouten_acts_only_with_the_generators_acting_on_a_coefficient(monkeypatch):
+    # [x @x, x @y] = x D_x(x) @y - x D_y(x) @x: x holds no y, so D_y is never formed
+    x = parse_poly("x", 2)
+    tried = []
+    original = PolyVectorFieldPair.action_basis
+    monkeypatch.setattr(PolyVectorFieldPair, "action_basis",
+                        lambda self, i, a: tried.append(i) or original(self, i, a))
+    bracket = schouten(x * basis_t(PLANE, 1), x * basis_t(PLANE, 2))
+    assert tried == [1]
+    assert bracket == x * basis_t(PLANE, 2)
+
+
 # ---------------------------------------------------------------------------
 # Lie derivative
 # ---------------------------------------------------------------------------

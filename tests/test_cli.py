@@ -516,6 +516,46 @@ def test_a_bracket_table_that_is_not_an_object_is_a_bad_pair(run, tmp_path, brac
     assert "expected a JSON object, got list" in err
 
 
+PLANE_STRUCTURE_JSON = {"pair": {"family": "poly", "vars": 2}, "n": 1,
+                        "omega": [[[1, 2], "1"]]}
+
+# field -> (command, the input file with the field set to a value, stderr prefix)
+INTEGER_FIELDS = {
+    "dim": ("validate-pair", lambda v: {"family": "constant", "dim": v},
+            "error: bad pair: 'dim'"),
+    "vars": ("validate-pair", lambda v: {"family": "poly", "vars": v},
+             "error: bad pair: 'vars'"),
+    "jacobi n": ("jacobi", lambda v: dict(PLANE_STRUCTURE_JSON, n=v),
+                 "error: bad structure: 'n'"),
+    "cohomology n": ("cohomology", lambda v: dict(PLANE_STRUCTURE_JSON, n=v),
+                     "error: bad structure: 'n'"),
+    "nplectic-check n": ("nplectic-check", lambda v: dict(PLANE_STRUCTURE_JSON, n=v),
+                         "error: bad structure: 'n'"),
+    "word letter": ("nplectic-check",
+                    lambda v: dict(PLANE_STRUCTURE_JSON, omega=[[[v, 2], "1"]]),
+                    "error: bad cotensor: a word letter"),
+}
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1", None], ids=json.dumps)
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_an_integer_field_takes_only_a_json_integer(run, tmp_path, field, value):
+    command, build, prefix = INTEGER_FIELDS[field]
+    code, payload, err = run(command, write(tmp_path, "in.json", build(value)))
+    assert code == 2 and payload is None
+    assert err == f"{prefix} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command, data, prefix", [
+    ("nplectic-check", dict(PLANE_STRUCTURE_JSON, omega=[[[1, 2], True]]), "bad cotensor"),
+    ("validate-pair", dict(SU2_PAIR_JSON, brackets={"1,2": {"3": True}}), "bad pair"),
+], ids=["cotensor", "bracket"])
+def test_a_true_coefficient_is_bad_input(run, tmp_path, command, data, prefix):
+    code, payload, err = run(command, write(tmp_path, "in.json", data))
+    assert code == 2 and payload is None
+    assert err == f"error: {prefix}: cannot interpret True as a rational\n"
+
+
 def test_malformed_json_reports_line_and_column(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"pair": ')

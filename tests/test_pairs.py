@@ -177,6 +177,26 @@ def test_vector_field_bracket_example():
     assert lie_bracket(dx, dy).is_zero()
 
 
+@pytest.mark.parametrize("pair, coeff, acting", [
+    (su2(), "5", ()),
+    (su2(), "0", ()),
+    (PolyVectorFieldPair(4), "5", []),
+    (PolyVectorFieldPair(4), "x1*x3^2 - 2*x3", [1, 3]),
+    (PolyVectorFieldPair(4), "0", []),
+], ids=["constant-on-5", "constant-on-0", "poly-on-5", "poly-on-x1-x3", "poly-on-0"])
+def test_acting_generators_of_a_coefficient(pair, coeff, acting):
+    assert pair.acting(pair.coeff(coeff)) == acting
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.one_of(constant_pairs(), st.integers(1, 4).map(PolyVectorFieldPair)),
+       seed=st.integers(0, 2**32 - 1))
+def test_acting_is_exactly_the_generators_with_a_nonzero_action(pair, seed):
+    c = random_coeff(random.Random(seed), pair)
+    assert list(pair.acting(c)) == [g for g in range(1, pair.ngens + 1)
+                                    if pair.action_basis(g, c)]
+
+
 def test_bracket_acts_only_with_the_variables_a_coefficient_holds(monkeypatch):
     # on Q[x1..x1000], [x2 @x1 + @x3, x1*x3 @x2] differentiates x1*x3 by x1
     # and x3, and x2 by x2: the coefficient 1 and the other 997 variables

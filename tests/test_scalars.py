@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nplectic.scalars import (
     Poly,
+    as_int,
     as_rational,
     bell,
     bell_identity_check,
@@ -264,6 +265,19 @@ def test_poly_parse_examples():
         parse_poly("1/0*x", 2)
     with pytest.raises(ValueError):
         as_rational(" 3/0")
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None, Fraction(1)], ids=repr)
+def test_as_int_takes_only_an_int_that_is_not_a_bool(value):
+    with pytest.raises(TypeError, match="'n' must be an integer"):
+        as_int(value, "'n'")
+
+
+def test_as_int_returns_an_int_and_as_rational_rejects_a_bool():
+    assert as_int(-7, "'n'") == -7 and as_rational(-7) == -7
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="as a rational"):
+            as_rational(flag)
 
 
 def test_sparse_sum_drops_zero_sums_after_summing():
