@@ -4,9 +4,11 @@ Every command writes a single JSON document (sorted keys, two-space
 indent, trailing newline) to stdout or to ``--output``.  Wall-clock
 timings go to stderr so that reports for a fixed seed are byte-identical
 across runs.  Exit codes: 0 when every gating check passes, 1 when a
-check fails, 2 on malformed or invalid input, 3 when a bracket arity
-exceeds its cap (``--arity-cap``, from 1 to 12, or 12 for a tensor
-bracket) or a slice would exceed the slice cap.
+check fails, 2 on malformed or invalid input (a polynomial exponent
+above 2^31 - 1 included), 3 when a bracket arity exceeds its cap
+(``--arity-cap``, from 1 to 12, or 12 for a tensor bracket), a slice
+would exceed the slice cap or a polynomial product would have an exponent
+above 2^31 - 1.
 
 Input files pass one boundary: ``_parse`` runs a JSON reader and reports
 its ``KeyError`` as a missing field and its ``TypeError`` or ``ValueError``

@@ -27,14 +27,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .calculus import MAX_BRACKET_ARITY, ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
 from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
-from .scalars import CapExceeded, Poly, as_int, as_rational, bell, require_arity, sparse_sum
+from .scalars import (
+    CapExceeded,
+    Poly,
+    as_int,
+    as_rational,
+    bell,
+    monomial_degree,
+    require_arity,
+    sparse_sum,
+    variable_key,
+)
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
 
@@ -111,28 +120,33 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 MAX_SLICE_DIM = 10_000
 
 
-def monomials_exact(nvars: int, degree: int):
-    """All exponent tuples of total degree `degree`, sorted.
+def monomials_exact(nvars: int, degree: int) -> list[int]:
+    """The keys of all monomials of total degree `degree`, ascending.
 
-    Stars and bars: nvars - 1 ascending cuts of 0..degree; the exponents
-    are the gaps between them, so lexicographic cuts give lexicographic
-    exponents.
+    A monomial of degree d is a multiset of d variables, and its key is the
+    sum of their keys.  `combinations_with_replacement` lists the multisets
+    in lexicographic order of their variable indices, which is descending
+    key order, so the list is reversed.
     """
-    if degree < 0 or nvars == 0:
-        return [()] if degree == 0 else []
-    return [tuple(map(operator.sub, (*cuts, degree), (0, *cuts)))
-            for cuts in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)]
+    if degree < 0:
+        return []
+    # degree 0 has the one key 0 and reads no unit
+    units = [variable_key(nvars, i) for i in range(nvars)] if degree else []
+    keys = [sum(map(units.__getitem__, chosen))
+            for chosen in itertools.combinations_with_replacement(range(nvars), degree)]
+    keys.reverse()
+    return keys
 
 
 def _monomial_count_upto(nvars: int, degree: int) -> int:
-    """How many exponent tuples have total degree <= degree."""
+    """How many monomials have total degree <= degree."""
     return math.comb(nvars + degree, degree) if degree >= 0 else 0
 
 
 def slice_basis(pair, word_len: int, degrees) -> list[tuple]:
-    """Basis labels (word, exponent) of a (co)tensor slice of one polynomial
-    degree or a range of them; counts them first and raises CapExceeded
-    past MAX_SLICE_DIM, before building any."""
+    """Basis labels (word, monomial key) of a (co)tensor slice of one
+    polynomial degree or a range of them, in ascending order; counts them
+    first and raises CapExceeded past MAX_SLICE_DIM, before building any."""
     if isinstance(degrees, int):
         degrees = range(degrees, degrees + 1)
     nvars = pair.poly_nvars
@@ -158,7 +172,7 @@ def basis_elements(pair, cls, labels):
 
 def label_vector(elem) -> dict[tuple, Fraction]:
     """The one flattening of an element: its coefficients keyed by slice
-    label (word, exponent), the form of every slice vector."""
+    label (word, monomial key), the form of every slice vector."""
     return {(w, e): c for w, poly in elem.terms.items() for e, c in poly.coefficients()}
 
 
@@ -177,7 +191,8 @@ def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
     for i in sorted(coords):
         w, e = labels[i]
         terms.setdefault(w, {})[e] = coords[i]
-    return cls(pair)._make({w: Poly(pair.poly_nvars, t) for w, t in terms.items()})
+    return cls(pair)._make({w: Poly._from_rationals(pair.poly_nvars, t)
+                            for w, t in terms.items()})
 
 
 class Quotient:
@@ -189,7 +204,8 @@ class Quotient:
     def __init__(self, pair, cls, labels, *spans):
         # highest total degree first, so that pivots sit on the leading terms:
         # a normal form, whatever window the labels come from
-        self.labels = sorted(labels, key=lambda lab: (-sum(lab[1]), lab))
+        nvars = pair.poly_nvars
+        self.labels = sorted(labels, key=lambda lab: (-monomial_degree(lab[1], nvars), lab))
         self.pair, self.cls = pair, cls
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.echelon = Echelon()

@@ -190,13 +190,24 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _generator_index(text: str, what: str) -> int:
+    """A generator index in a bracket-table key: ASCII digits, nothing else
+    (no space, sign or digit underscore)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what}: a generator index is digits only, got {text!r}")
+    return int(text)
+
+
 def pair_from_json(data: dict) -> PairDescriptor:
     family = _json_object(data, "pair").get("family")
     if family == "constant":
         table = {}
         for key, entry in _json_object(data.get("brackets", {}), "brackets").items():
-            i, j = (int(v) for v in key.split(","))
-            table[(i, j)] = {int(k): as_rational(c)
+            row = key.split(",")
+            if len(row) != 2:
+                raise ValueError(f"bracket key {key!r}: expected 'i,j'")
+            i, j = (_generator_index(v, f"bracket key {key!r}") for v in row)
+            table[(i, j)] = {_generator_index(k, f"bracket {key} target"): as_rational(c)
                              for k, c in _json_object(entry, f"bracket {key}").items()}
         return ConstantPair.from_brackets(as_int(data["dim"], "'dim'"), table)
     if family == "poly":

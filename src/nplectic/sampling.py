@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor
-from .scalars import Poly, sparse_sum
+from .scalars import Poly, sparse_sum, variable_key
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -28,20 +28,18 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
     """Random sparse polynomial of total degree <= max_degree.
 
     The degree is drawn even with no variables, so every family reads the
-    same random stream.  The exponents are valid by construction, so the
-    summed coefficients go to `Poly` as numerators over their lcm.
+    same random stream.  Each drawn variable adds its key, so the monomial
+    keys are valid by construction and the summed coefficients go to
+    `Poly` without checks.
     """
     draws = []
     for _ in range(rng.randint(1, terms)):
-        expo = [0] * nvars
+        key = 0
         for _ in range(rng.randint(0, max_degree)):
             if nvars:
-                expo[rng.randrange(nvars)] += 1
-        draws.append((tuple(expo), random_fraction(rng)))
-    data = sparse_sum(draws)
-    den = math.lcm(*(q.denominator for q in data.values()))
-    return Poly._from_nums(nvars, {e: q.numerator * (den // q.denominator)
-                                   for e, q in data.items()}, den)
+                key += variable_key(nvars, rng.randrange(nvars))
+        draws.append((key, random_fraction(rng)))
+    return Poly._from_rationals(nvars, sparse_sum(draws))
 
 
 def random_coeff(rng: random.Random, pair, max_degree: int = 3) -> Poly:

@@ -4,11 +4,24 @@ Everything downstream runs over the rationals: coefficients are
 `fractions.Fraction` or sparse multivariate polynomials over Q.  A `Poly`
 stores integer numerators over one common denominator, so its ring
 arithmetic runs on Python ints; only this module reads that storage, and
-everything else sees (exponent, Fraction) pairs.  Shuffles, Koszul signs
-and Bell numbers live here too, since every bracket formula downstream is
-a signed sum over shuffles.  A permutation s of 1..k is never an object:
-it is the plain image tuple (s(1), ..., s(k)) that callers index.  No
-floats anywhere.
+everything else sees (monomial key, Fraction) pairs.
+
+A monomial x_0^e_0 ... x_{m-1}^e_{m-1} is one int, its key: a 32-bit field
+per variable, variable 0 in the most significant field, so the key is
+sum(e_i << 32 (m - 1 - i)).  Keys multiply by adding and differentiate by
+subtracting one unit, and their int order is the lexicographic order of
+the exponent tuples.  Every exponent stays at most MAX_EXPONENT = 2^31 - 1,
+so the top bit of each field is a guard: a sum of two keys never carries
+into the next field, and a product whose exponent would pass the bound
+sets a guard bit and raises CapExceeded instead of being stored.  The
+checked constructor rejects a larger exponent with ValueError.  Parsing
+and printing convert between keys and exponent tuples at the boundary
+(`monomial_key`, `monomial_exponents`).
+
+Shuffles, Koszul signs and Bell numbers live here too, since every bracket
+formula downstream is a signed sum over shuffles.  A permutation s of 1..k
+is never an object: it is the plain image tuple (s(1), ..., s(k)) that
+callers index.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -16,8 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from fractions import Fraction
-from operator import add
+from operator import or_
 
 
 class CapExceeded(Exception):
@@ -70,6 +84,49 @@ def sparse_sum(pairs) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# monomial keys
+# ---------------------------------------------------------------------------
+
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# the top bit of every field stays clear in a stored key (see the docstring)
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+
+
+@functools.cache
+def _fields(nvars: int) -> struct.Struct:
+    """The byte layout of a key: one big-endian unsigned 32-bit field per variable."""
+    return struct.Struct(f">{nvars}I")
+
+
+@functools.cache
+def _guard_bits(nvars: int) -> int:
+    """The top bit of every field: set in a key only past MAX_EXPONENT."""
+    return int.from_bytes(b"\x80\0\0\0" * nvars, "big")
+
+
+def monomial_key(expo) -> int:
+    """The key of an exponent tuple whose entries lie in 0..MAX_EXPONENT."""
+    return int.from_bytes(_fields(len(expo)).pack(*expo), "big")
+
+
+def monomial_exponents(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a key in `nvars` variables."""
+    fields = _fields(nvars)
+    return fields.unpack(key.to_bytes(fields.size, "big"))
+
+
+def monomial_degree(key: int, nvars: int) -> int:
+    """The total degree of a key in `nvars` variables."""
+    return sum(monomial_exponents(key, nvars))
+
+
+def variable_key(nvars: int, index: int) -> int:
+    """The key of the 0-based variable `index`: one unit in its field."""
+    return 1 << (_FIELD_BITS * (nvars - 1 - index))
+
+
+# ---------------------------------------------------------------------------
 # sparse polynomials over Q
 # ---------------------------------------------------------------------------
 
@@ -83,33 +140,50 @@ class Poly:
     """Sparse polynomial in `nvars` variables with rational coefficients.
 
     Stored as integer numerators over one common denominator:
-    `nums` maps exponent tuples to nonzero ints and `den > 0` with
+    `nums` maps monomial keys to nonzero ints and `den > 0` with
     gcd(den, *nums) == 1, so the zero polynomial has `den == 1` and equal
     polynomials have equal storage.  Ring arithmetic then runs on ints,
-    with one gcd per result instead of one per coefficient.  Outside this
-    module coefficients are read as (exponent, Fraction) pairs through
-    `coefficients`.  A polynomial in zero variables is just a rational
-    number wearing a hat; the constant Lie-Rinehart family uses that.
+    with one gcd per result instead of one per coefficient.
+
+    A key packs the exponent tuple into one int, a 32-bit field per
+    variable with variable 0 in the most significant field, so keys sort
+    as their tuples do and a term product is one int add.  Each exponent
+    is at most MAX_EXPONENT = 2^31 - 1, so no sum of two keys carries into
+    the next field; a product that would pass the bound raises
+    CapExceeded.  Outside this module coefficients are read as (key,
+    Fraction) pairs through `coefficients`, and keys through the
+    `monomial_*` helpers.  A polynomial in zero variables is just a
+    rational number wearing a hat (its one key is 0); the constant
+    Lie-Rinehart family uses that.
     """
 
     __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms=None):
-        """The checked entry: validates exponents and coerces coefficients."""
-        acc: dict[tuple[int, ...], Fraction] = {}
+        """The checked entry: takes (exponent tuple, coefficient) terms,
+        validates the exponents and coerces the coefficients."""
+        acc: dict[int, Fraction] = {}
         if terms:
             for expo, coeff in terms.items() if isinstance(terms, dict) else terms:
                 expo = tuple(map(int, expo))
                 if len(expo) != nvars or (expo and min(expo) < 0):
                     raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
-                prev = acc.get(expo)
+                if expo and max(expo) > MAX_EXPONENT:
+                    raise ValueError(f"exponent {max(expo)} exceeds {MAX_EXPONENT}")
+                key = monomial_key(expo)
+                prev = acc.get(key)
                 coeff = as_rational(coeff)
-                acc[expo] = coeff if prev is None else prev + coeff
-        # over the lcm of reduced denominators the numerators have no
-        # common factor with den, so there is nothing to divide out
-        den = math.lcm(*(q.denominator for q in acc.values()))
-        self.nvars, self.den = nvars, den
-        self.nums = {e: q.numerator * (den // q.denominator) for e, q in acc.items() if q}
+                acc[key] = coeff if prev is None else prev + coeff
+        self.nvars = nvars
+        self.nums, self.den = _over_lcm(acc)
+
+    @classmethod
+    def _from_rationals(cls, nvars: int, terms: dict) -> "Poly":
+        """Trusted constructor from valid keys to rationals; zeros are dropped."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.nums, out.den = _over_lcm(terms)
+        return out
 
     @classmethod
     def _from_nums(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
@@ -133,20 +207,19 @@ class Poly:
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
         value = as_rational(value)
-        nums = {(0,) * nvars: value.numerator} if value else {}
+        nums = {0: value.numerator} if value else {}
         return cls._from_nums(nvars, nums, value.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         # index is 0-based
         assert 0 <= index < nvars
-        expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._from_nums(nvars, {expo: 1})
+        return cls._from_nums(nvars, {variable_key(nvars, index): 1})
 
     # -- structure ----------------------------------------------------------
 
     def coefficients(self):
-        """The (exponent tuple, Fraction coefficient) pairs of the nonzero terms."""
+        """The (monomial key, Fraction coefficient) pairs of the nonzero terms."""
         den = self.den
         return ((e, Fraction(c, den)) for e, c in self.nums.items())
 
@@ -157,7 +230,7 @@ class Poly:
         return bool(self.nums)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.nums)
+        return not any(self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.nums:
@@ -170,16 +243,26 @@ class Poly:
         """Total degree; zero polynomial reports -1 so windows stay honest."""
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        return max(monomial_degree(e, self.nvars) for e in self.nums)
 
     def variables(self) -> list[int]:
-        """The 0-based indices of the variables that occur in some term, ascending."""
-        return sorted({i for e in self.nums for i, k in enumerate(e) if k})
+        """The 0-based indices of the variables that occur in some term, ascending.
+
+        The OR of the keys has a nonzero field exactly at those variables;
+        the walk visits only the nonzero fields, from variable 0 down.
+        """
+        mask = functools.reduce(or_, self.nums, 0)
+        out, last = [], self.nvars - 1
+        while mask:
+            field = (mask.bit_length() - 1) // _FIELD_BITS
+            out.append(last - field)
+            mask &= (1 << (field * _FIELD_BITS)) - 1
+        return out
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
         out: dict[int, dict] = {}
-        for expo, c in self.nums.items():
-            out.setdefault(sum(expo), {})[expo] = c
+        for key, c in self.nums.items():
+            out.setdefault(monomial_degree(key, self.nvars), {})[key] = c
         return {d: Poly._from_nums(self.nvars, t, self.den) for d, t in sorted(out.items())}
 
     # -- arithmetic ----------------------------------------------------------
@@ -245,14 +328,16 @@ class Poly:
         if len(b) == 1:
             # a single term: no two products share a monomial
             ((e2, c2),) = b.items()
-            nums = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+            nums = {e1 + e2: c1 * c2 for e1, c1 in a.items()}
         else:
             nums = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     nums[e] = nums.get(e, 0) + c1 * c2
             nums = {e: c for e, c in nums.items() if c}
+        if functools.reduce(or_, nums, 0) & _guard_bits(self.nvars):
+            raise CapExceeded(f"a polynomial exponent exceeds cap {MAX_EXPONENT}")
         return Poly._from_nums(self.nvars, nums, self.den * other.den)
 
     __rmul__ = __mul__
@@ -278,11 +363,13 @@ class Poly:
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to the 0-based variable `index`."""
         assert 0 <= index < self.nvars
+        shift = _FIELD_BITS * (self.nvars - 1 - index)
+        unit = 1 << shift
         nums = {}
-        for expo, c in self.nums.items():
-            k = expo[index]
+        for key, c in self.nums.items():
+            k = (key >> shift) & _FIELD_MASK
             if k:
-                nums[expo[:index] + (k - 1,) + expo[index + 1:]] = c * k
+                nums[key - unit] = c * k
         return Poly._from_nums(self.nvars, nums, self.den)
 
     def substitute(self, images: tuple["Poly", ...]) -> "Poly":
@@ -293,9 +380,9 @@ class Poly:
             raise ValueError("substitute needs a target arity; use const()")
         nv = images[0].nvars
         out = Poly.zero(nv)
-        for expo, c in self.coefficients():
+        for key, c in self.coefficients():
             term = Poly.const(nv, c)
-            for img, e in zip(images, expo):
+            for img, e in zip(images, monomial_exponents(key, self.nvars)):
                 if e:
                     term = term * img ** e
             out = out + term
@@ -309,12 +396,21 @@ class Poly:
     __repr__ = __str__
 
 
+def _over_lcm(terms: dict) -> tuple[dict, int]:
+    """Rational values as int numerators over the lcm of their reduced
+    denominators, zeros dropped.  No prime divides that lcm and every
+    numerator, so there is nothing to divide out."""
+    den = math.lcm(*(q.denominator for q in terms.values()))
+    return {e: q.numerator * (den // q.denominator) for e, q in terms.items() if q}, den
+
+
 def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:
     """Canonical string form, graded-lexicographic from the top."""
     if p.is_zero():
         return "0"
     names = names or _default_names(p.nvars)
-    keyed = sorted(p.coefficients(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    terms = ((monomial_exponents(e, p.nvars), c) for e, c in p.coefficients())
+    keyed = sorted(terms, key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
     chunks = []
     for expo, coeff in keyed:
         factors = []

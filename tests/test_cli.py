@@ -516,6 +516,46 @@ def test_a_bracket_table_that_is_not_an_object_is_a_bad_pair(run, tmp_path, brac
     assert "expected a JSON object, got list" in err
 
 
+@pytest.mark.parametrize("row, target, bad", [
+    (" 1_0, +11", "12", " 1_0"), ("1, 2", "3", " 2"), ("+1,2", "3", "+1"),
+    ("1_0,11", "12", "1_0"), ("1,2", " 3", " 3"), ("1,2", "+3", "+3"), ("1,2", "1_2", "1_2"),
+], ids=repr)
+@pytest.mark.parametrize("command", ["validate-pair", "jacobi"])
+def test_a_bracket_table_key_is_digits_only(run, tmp_path, command, row, target, bad):
+    pair = {"family": "constant", "dim": 12, "brackets": {row: {target: "1"}}}
+    data = pair if command == "validate-pair" else {"pair": pair, "n": 1, "omega": []}
+    code, payload, err = run(command, write(tmp_path, "pair.json", data))
+    assert code == 2 and payload is None
+    assert err.startswith(("error: bad pair:", "error: bad structure:"))
+    assert err.endswith(f"a generator index is digits only, got {bad!r}\n")
+
+
+def test_a_bracket_table_key_names_two_generators(run, tmp_path):
+    for row in ("1", "1,2,3", ""):
+        pair = {"family": "constant", "dim": 3, "brackets": {row: {"3": "1"}}}
+        code, _, err = run("validate-pair", write(tmp_path, "pair.json", pair))
+        assert code == 2 and err == f"error: bad pair: bracket key {row!r}: expected 'i,j'\n"
+    pair = {"family": "constant", "dim": 12, "brackets": {"10,11": {"12": "1"}}}
+    assert run("validate-pair", write(tmp_path, "pair.json", pair), "--samples", "2")[0] == 0
+
+
+def test_an_exponent_past_the_bound_exits_2_and_a_product_past_it_exits_3(run, tmp_path):
+    top = 2 ** 31 - 1
+    plane = {"family": "poly", "vars": 2}
+    at_bound = write(tmp_path, "at.json", {"pair": plane, "element": [[[1], f"x*y^{top}"]]})
+    code, payload, _ = run("differential", at_bound)
+    assert code == 0 and payload["display"] == f"-{top}*x*y^{top - 1}*dx^dy"
+    past = write(tmp_path, "past.json", {"pair": plane, "element": [[[1], f"x^{top + 1}"]]})
+    code, payload, err = run("differential", past)
+    assert (code, payload) == (2, None)
+    assert err == f"error: bad cotensor: exponent {top + 1} exceeds {top}\n"
+    product = write(tmp_path, "product.json",
+                    {"pair": plane, "args": [[[[1], f"x^{top}"]], [[[1], "x^2"]]]})
+    code, payload, err = run("bracket", "--schouten", product)
+    assert (code, payload) == (3, None)
+    assert err == f"error: a polynomial exponent exceeds cap {top}\n"
+
+
 PLANE_STRUCTURE_JSON = {"pair": {"family": "poly", "vars": 2}, "n": 1,
                         "omega": [[[1, 2], "1"]]}
 

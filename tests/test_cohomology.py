@@ -34,7 +34,7 @@ from nplectic.linalg import rank_dense, rank_fraction_free
 from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
-from nplectic.scalars import Poly
+from nplectic.scalars import Poly, monomial_key
 from test_linalg import dense, sparse_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -69,7 +69,7 @@ def test_su2_ce_ranks():
 
 def test_su2_ce_matrix_is_the_structure_constant_table():
     matrix, labels = ce_matrix(su2(), 1)
-    assert labels == [((1,), ()), ((2,), ()), ((3,), ())]
+    assert labels == [((1,), 0), ((2,), 0), ((3,), 0)]  # the one key in no variables
     assert matrix == sparse_rows([
         [Fraction(0), Fraction(0), Fraction(-1)],
         [Fraction(0), Fraction(1), Fraction(0)],
@@ -84,7 +84,7 @@ def test_contraction_matrix_on_the_plane_is_a_signed_permutation():
     labels = slice_basis(PLANE, 1, 0)
     matrix, tgt = matrix_of([label_vector(contract(x, s.omega))
                              for x in basis_elements(PLANE, Tensor, labels)])
-    assert tgt == [((1,), (0, 0)), ((2,), (0, 0))]
+    assert tgt == [((1,), monomial_key((0, 0))), ((2,), monomial_key((0, 0)))]
     assert matrix == sparse_rows([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]])
 
 
@@ -182,7 +182,7 @@ def test_extension_vanishes_outside_the_degree_strip():
 def test_extension_slice_quotients_kernel_directions():
     s = degenerate_structure()
     image, dim = extension_slice(s, 1, 0)
-    one = (0, 0, 0)
+    one = monomial_key((0, 0, 0))
     assert image.labels == [((1,), one), ((2,), one), ((3,), one)]
     # @x, @y and @z are all symplectic, but @z contracts to zero: the images
     # dy and -dx reach rank 2; the function half x, y, z has d h = dx, dy,

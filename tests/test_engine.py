@@ -42,7 +42,7 @@ from nplectic.linalg import null_space
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction, random_tensor
-from nplectic.scalars import CapExceeded, bell, sparse_sum
+from nplectic.scalars import CapExceeded, bell, monomial_exponents, monomial_key, sparse_sum
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -124,11 +124,45 @@ def test_structure_json_roundtrip():
 def test_monomials_match_a_brute_force_enumeration(nvars):
     for degree in range(-2, 5):
         box = list(itertools.product(range(max(degree, 0) + 1), repeat=nvars))
-        assert monomials_exact(nvars, degree) == sorted(e for e in box if sum(e) == degree)
+        assert ([monomial_exponents(e, nvars) for e in monomials_exact(nvars, degree)]
+                == sorted(e for e in box if sum(e) == degree))
         window = range(-1, degree + 1)
         labels = slice_basis(PolyVectorFieldPair(nvars), 1, window) if nvars else []
-        assert labels == [((g,), e) for g in range(1, nvars + 1)
+        assert labels == [((g,), monomial_key(e)) for g in range(1, nvars + 1)
                           for e in sorted(e for e in box if sum(e) <= degree)]
+
+
+def stars_and_bars(nvars, degree):
+    """Oracle: the exponent tuples of one total degree, by the gaps between
+    nvars - 1 ascending cuts of 0..degree, in lexicographic order."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, degree)))
+            for cuts in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)]
+
+
+@pytest.mark.parametrize("nvars", range(7))
+def test_monomial_and_slice_lists_are_the_exponent_tuple_lists(nvars):
+    """The key lists unpack to the exponent-tuple lists, in the same order,
+    for every degree 0..7 and every window inside it."""
+    tuples = {d: stars_and_bars(nvars, d) for d in range(8)}
+    for degree in range(8):
+        keys = monomials_exact(nvars, degree)
+        assert [monomial_exponents(e, nvars) for e in keys] == tuples[degree]
+        assert keys == sorted(keys) == [monomial_key(e) for e in tuples[degree]]
+    if not nvars:
+        return  # a polynomial pair has at least one variable
+    pair = PolyVectorFieldPair(nvars)
+    for lo, hi in ((0, 0), (0, 3), (2, 5), (7, 7)):
+        monos = sorted(e for d in range(lo, hi + 1) for e in tuples[d])
+        for word_len in range(min(nvars, 2) + 1):
+            try:
+                labels = slice_basis(pair, word_len, range(lo, hi + 1))
+            except CapExceeded:
+                continue
+            assert [(w, monomial_exponents(e, nvars)) for w, e in labels] == [
+                (w, e) for w in itertools.combinations(range(1, nvars + 1), word_len)
+                for e in monos]
 
 
 def test_slice_basis_refuses_a_slice_past_the_cap(monkeypatch):

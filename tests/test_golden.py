@@ -17,8 +17,12 @@ up to arity 6 (``momentum-rotation``), extension and plain cohomology
 tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6 on Q[x1..x6]), and Poisson brackets of classes on the
 plane, on su(2) and on the degenerate plane, where one class has a field
 with a kernel part (x @z) and the bracket is the zero class only because
-`reduce_mod_kernel` reduces it away.  To re-record after an intended
-report change:
+`reduce_mod_kernel` reduces it away.  Three cases pin the printed term
+order of polynomials in more than two variables and of high exponents:
+``bracket-poly4`` and ``differential-poly4`` act on Q[x1..x4] with
+multi-term coefficients of mixed degree, and
+``poisson-plane-high-degree`` brackets two plane classes whose exponents
+reach 21.  To re-record after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

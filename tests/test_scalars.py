@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplectic.scalars import (
+    MAX_EXPONENT,
+    CapExceeded,
     Poly,
     as_int,
     as_rational,
@@ -15,8 +17,12 @@ from nplectic.scalars import (
     enumerate_shuffles,
     format_poly,
     koszul_sign,
+    monomial_degree,
+    monomial_exponents,
+    monomial_key,
     parse_poly,
     sparse_sum,
+    variable_key,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -227,7 +233,7 @@ def test_poly_constructor_checks_exponents_and_coefficients():
         Poly(2, {(1, 0): "1/0"})
     p = Poly(2, [((1, 0), 3), ((0, 1), Fraction(1, 2)), ((0, 0), "-2/3"), ((1, 0), "1/3")])
     assert p == parse_poly("10/3*x + 1/2*y - 2/3", 2)
-    assert (p.den, p.nums) == (6, {(1, 0): 20, (0, 1): 3, (0, 0): -4})
+    assert (p.den, p.nums) == (6, {1 << 32: 20, 1: 3, 0: -4})
     assert Poly(2, {(1, 0): 1, (0, 1): 0}) == Poly.variable(2, 0)
 
 
@@ -310,27 +316,42 @@ coefficients = st.one_of(
     st.integers(-3, 3).map(Fraction))
 
 
-def poly_dicts(nvars, max_terms=4, max_exponent=2):
-    expos = st.tuples(*[st.integers(0, max_exponent)] * nvars)
+# Small exponents, and exponents at the field bound, where a product passes it.
+small_exponents = st.integers(0, 2)
+any_exponents = small_exponents | st.integers(MAX_EXPONENT - 2, MAX_EXPONENT)
+
+
+def poly_dicts(nvars, max_terms=4, exponents=small_exponents):
+    expos = st.tuples(*[exponents] * nvars)
     return st.dictionaries(expos, coefficients, max_size=max_terms).map(
         lambda d: {e: c for e, c in d.items() if c})
 
 
 @st.composite
 def poly_cases(draw):
-    nvars = draw(st.integers(0, 4))
-    a, b = draw(poly_dicts(nvars)), draw(poly_dicts(nvars))
+    nvars = draw(st.integers(0, 8))
+    a, b = draw(poly_dicts(nvars, exponents=any_exponents)), draw(poly_dicts(nvars))
+    if draw(st.booleans()):
+        a, b = b, a
     target = draw(st.integers(0, 3))
-    images = [draw(poly_dicts(target, max_terms=2, max_exponent=1)) for _ in range(nvars)]
+    images = [draw(poly_dicts(target, max_terms=2, exponents=st.integers(0, 1)))
+              for _ in range(nvars)]
     return nvars, a, b, draw(coefficients), draw(st.integers(0, 3)), target, images
 
 
 def canonical(p: Poly, nvars: int) -> Poly:
-    """The storage invariant: nonzero int numerators over one den > 0, gcd 1."""
+    """The storage invariant: nonzero int numerators over one den > 0, gcd 1,
+    and keys that are exponent tuples within the bound."""
     assert p.nvars == nvars and p.den > 0 and all(p.nums.values())
     assert math.gcd(p.den, *p.nums.values()) == 1
-    assert all(len(e) == nvars and all(k >= 0 for k in e) for e in p.nums)
+    for key in p.nums:
+        expo = monomial_exponents(key, nvars)
+        assert monomial_key(expo) == key and max(expo, default=0) <= MAX_EXPONENT
     return p
+
+
+def tuple_terms(p: Poly) -> dict:
+    return {monomial_exponents(e, p.nvars): c for e, c in p.coefficients()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,23 +361,32 @@ def test_poly_matches_the_dict_oracle(poly_oracle, case):
     O = poly_oracle
 
     def check(p, expected, nv=nvars):
-        assert dict(canonical(p, nv).coefficients()) == expected
+        assert tuple_terms(canonical(p, nv)) == expected
+
+    def check_product(product, expected):
+        """Exact, or refused when the exact product has an exponent past
+        the bound: never a carried key."""
+        if any(max(e, default=0) > MAX_EXPONENT for e in expected):
+            with pytest.raises(CapExceeded, match="exponent exceeds cap"):
+                product()
+        else:
+            check(product(), expected)
 
     A, B = Poly(nvars, a), Poly(nvars, b)
     check(A, a)
     check(A + B, O.add(a, b))
     check(A - B, O.add(a, O.scale(-1, b)))
     check(-A, O.scale(-1, a))
-    check(A * B, O.mul(a, b))
+    check_product(lambda: A * B, O.mul(a, b))
     # the cross terms of (A + B)(A - B) cancel inside the product
-    check((A + B) * (A - B), O.mul(O.add(a, b), O.add(a, O.scale(-1, b))))
+    check_product(lambda: (A + B) * (A - B), O.mul(O.add(a, b), O.add(a, O.scale(-1, b))))
     check(A * q, O.scale(q, a))
     check(q * A, O.scale(q, a))
     check(A.scale(q), O.scale(q, a))
-    check(A ** k, O.power(a, k, nvars))
+    check_product(lambda: A ** k, O.power(a, k, nvars))
     for i in range(nvars):
         check(A.diff(i), O.diff(a, i))
-    if nvars:
+    if nvars and all(max(e) <= 2 for e in a):  # substitute takes powers by repeated products
         check(A.substitute(tuple(Poly(target, img) for img in images)),
               O.substitute(a, images, target), target)
     comps = A.homogeneous_components()
@@ -369,6 +399,40 @@ def test_poly_matches_the_dict_oracle(poly_oracle, case):
     same = Poly(nvars, list(reversed(list(a.items()))))
     for other in (same, (A + B) - B, A * Poly.const(nvars, 1)):
         assert other == A and hash(other) == hash(A)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.tuples(*[any_exponents | st.integers(0, 40)] * n), max_size=8)))
+def test_keys_sort_as_their_exponent_tuples(expos):
+    keys = [monomial_key(e) for e in expos]
+    assert sorted(keys) == [monomial_key(e) for e in sorted(expos)]
+    nvars = len(expos[0]) if expos else 0
+    for e, key in zip(expos, keys):
+        assert monomial_exponents(key, nvars) == e and monomial_degree(key, nvars) == sum(e)
+        assert key == sum(k * variable_key(nvars, i) for i, k in enumerate(e))
+
+
+def test_a_product_past_the_exponent_bound_is_refused_not_carried():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    top = Poly(2, {(0, MAX_EXPONENT): 1})
+    # exponents at the bound in one field leave the neighbouring field alone
+    assert tuple_terms(x * top) == {(1, MAX_EXPONENT): 1}
+    assert tuple_terms(Poly(2, {(0, MAX_EXPONENT - 1): 1}) * y) == {(0, MAX_EXPONENT): 1}
+    assert top.diff(1) == MAX_EXPONENT * Poly(2, {(0, MAX_EXPONENT - 1): 1})
+    assert top.variables() == [1] and (x * top).variables() == [0, 1]
+    for product in (lambda: top * y, lambda: y * top, lambda: (x + top) * (x + y),
+                    lambda: top * top, lambda: (x * top) ** 2):
+        with pytest.raises(CapExceeded, match=f"exponent exceeds cap {MAX_EXPONENT}"):
+            product()
+
+
+def test_the_checked_constructor_refuses_an_exponent_past_the_bound():
+    with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}"):
+        Poly(2, {(MAX_EXPONENT + 1, 0): 1})
+    with pytest.raises(ValueError, match=f"exceeds {MAX_EXPONENT}"):
+        parse_poly(f"x^{MAX_EXPONENT}*x", 2)
+    assert tuple_terms(parse_poly(f"x^{MAX_EXPONENT}*y", 2)) == {(MAX_EXPONENT, 1): 1}
 
 
 @given(coefficients, coefficients)
