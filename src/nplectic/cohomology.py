@@ -48,6 +48,7 @@ from .engine import (
     matrix_of,
     shift_weight,
     slice_basis,
+    slice_size,
     symplectic_bracket,
     symplectic_slice,
 )
@@ -64,39 +65,38 @@ def ce_matrix(pair, word_len: int, weight: int = 0):
     return matrix_of(exact)[0], labels
 
 
-def ce_cohomology_rank(pair, word_len: int, weight: int = 0) -> dict:
-    """Exact ranks of the cotensor complex at one (word length, weight) slice."""
-    return ce_cohomology_table(pair, [word_len], [weight])[0]
-
-
 def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:
     """One rank row per (word length, weight); each slice's d is ranked once."""
     def differential(wl, w):
         rows, labels = ce_matrix(pair, wl, w)
         return rank_fraction_free(rows), len(labels)
-    return _rank_table(degrees, weights, differential,
-                       lambda wl, w: (wl - 1, shift_weight(pair, w)))
+    return _rank_table(pair, degrees, weights, differential,
+                       lambda wl, w: (wl - 1, shift_weight(pair, w)),
+                       lambda wl, w: [(wl, w)])
 
 
-def _rank_table(degrees, weights, differential, source) -> list[dict]:
+def _rank_table(pair, degrees, weights, differential, source, slices) -> list[dict]:
     """Rank rows of a complex sliced by (degree, weight).
 
     differential(deg, w) gives (rank of d on that slice, slice dimension)
-    and runs once per slice, through a dict local to the call; source(deg, w)
-    names the slice whose d lands in (deg, w).
+    and runs once per slice; source(deg, w) names the slice whose d lands
+    in (deg, w), and slices(deg, w) lists the (word length, weight) of each
+    (co)tensor slice that differential(deg, w) builds, in build order.
+    Every one of them is sized by `slice_size` before any is built, so a
+    table past MAX_SLICE_DIM raises CapExceeded at once, at the slice that
+    building would have refused first.
     """
-    ranks: dict = {}
-
-    def rank_and_dim(key):
-        if key not in ranks:
-            ranks[key] = differential(*key)
-        return ranks[key]
-
+    keys = list(dict.fromkeys(key for w in weights for deg in degrees
+                              for key in ((deg, w), source(deg, w))))
+    for key in keys:
+        for word_len, weight in slices(*key):
+            slice_size(pair, word_len, weight)
+    ranks = {key: differential(*key) for key in keys}
     rows = []
     for w in weights:
         for deg in degrees:
-            rank, dim = rank_and_dim((deg, w))
-            im, _ = rank_and_dim(source(deg, w))
+            rank, dim = ranks[deg, w]
+            im, _ = ranks[source(deg, w)]
             rows.append({"degree": deg, "weight": w, "dim": dim,
                          "kernel": dim - rank, "image": im, "rank": dim - rank - im})
     return rows
@@ -147,8 +147,11 @@ def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[d
     def differential(k, r):
         image, dim = extension_slice(s, k, r)
         return image.echelon.rank, dim
-    return _rank_table(degrees, weights, differential,
-                       lambda k, r: (k + 1, shift_weight(s.pair, r)))
+    return _rank_table(s.pair, degrees, weights, differential,
+                       lambda k, r: (k + 1, shift_weight(s.pair, r)),
+                       # the slices of extension_slice, in the order it builds them
+                       lambda k, r: [(s.n + 1 - k, r), (k, r),
+                                     (s.n - k, shift_weight(s.pair, r))])
 
 
 # ---------------------------------------------------------------------------

@@ -143,24 +143,33 @@ def _monomial_count_upto(nvars: int, degree: int) -> int:
     return math.comb(nvars + degree, degree) if degree >= 0 else 0
 
 
-def slice_basis(pair, word_len: int, degrees) -> list[tuple]:
-    """Basis labels (word, monomial key) of a (co)tensor slice of one
-    polynomial degree or a range of them, in ascending order; counts them
-    first and raises CapExceeded past MAX_SLICE_DIM, before building any."""
-    if isinstance(degrees, int):
-        degrees = range(degrees, degrees + 1)
-    nvars = pair.poly_nvars
+def _degree_range(degrees):
+    return range(degrees, degrees + 1) if isinstance(degrees, int) else degrees
+
+
+def slice_size(pair, word_len: int, degrees) -> int:
+    """The number of basis elements of a (co)tensor slice of one polynomial
+    degree or a range of them; raises CapExceeded past MAX_SLICE_DIM."""
+    degrees = _degree_range(degrees)
     size = 0
     if word_len >= 0 and degrees:
-        count = _monomial_count_upto(nvars, degrees[-1])
-        count -= _monomial_count_upto(nvars, degrees[0] - 1)
+        count = _monomial_count_upto(pair.poly_nvars, degrees[-1])
+        count -= _monomial_count_upto(pair.poly_nvars, degrees[0] - 1)
         size = math.comb(pair.ngens, word_len) * count
     if size > MAX_SLICE_DIM:
         raise CapExceeded(f"slice of word length {word_len} has {size} basis elements, "
                           f"more than {MAX_SLICE_DIM}")
-    if not size:
+    return size
+
+
+def slice_basis(pair, word_len: int, degrees) -> list[tuple]:
+    """Basis labels (word, monomial key) of a (co)tensor slice of one
+    polynomial degree or a range of them, in ascending order; sizes the
+    slice with `slice_size` first, before building any label."""
+    if not slice_size(pair, word_len, degrees):
         return []
-    monos = sorted(e for d in degrees for e in monomials_exact(nvars, d))
+    monos = sorted(e for d in _degree_range(degrees)
+                   for e in monomials_exact(pair.poly_nvars, d))
     return [(w, e) for w in ascending_words(pair.ngens, word_len) for e in monos]
 
 

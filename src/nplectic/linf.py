@@ -29,6 +29,14 @@ are listed: a term through a zero component is zero by multilinearity,
 so a unary morphism forms one domain bracket and one partition per
 residual.
 
+Each loop is written once.  `_signed_sum` is the one running sum of
+signed terms: the Jacobi residual, both sides of the morphism equations
+and the unary momentum component add up through it.  `_sorted_tuples` is
+the one walk over sorted basis tuples, for `check_linf` and the momentum
+morphism gate.  `check_linf` and `check_morphism` stop at the first
+failing tuple through `report.first_failure`, which also gives their
+zero-case verdict: no tuple at all fails with {"instances": 0}.
+
 `FiniteLInfinity` is the explicit-table implementation: a finite graded
 basis with bracket values listed per sorted index tuple.  Construction
 does not validate the table; `check_linf` is the validator, so corrupted
@@ -58,6 +66,7 @@ from .engine import (
     weighted_bracket,
 )
 from .pairs import ConstantPair, action, lie_bracket
+from .report import first_failure
 from .scalars import (
     Poly,
     as_rational,
@@ -351,6 +360,25 @@ def _shuffle_composites(compose, vs, degs, heads=None):
                 yield koszul_sign(sh, degs), term
 
 
+def _signed_sum(op: Operations, terms):
+    """The sum of c v over the (c, v) pairs, skipping a v that is None or
+    zero; op.zero() when nothing is left."""
+    total = None
+    for c, v in terms:
+        if v is None or op.is_zero(v):
+            continue
+        v = op.scale(c, v)
+        total = v if total is None else op.add(total, v)
+    return op.zero() if total is None else total
+
+
+def _sorted_tuples(size: int, max_arity: int):
+    """Every sorted tuple of indices 0..size-1, arity 1 up to max_arity,
+    in order of arity; none for no indices or no arity."""
+    for arity in range(1, max_arity + 1):
+        yield from itertools.combinations_with_replacement(range(size), arity)
+
+
 def jacobi_residual(op: Operations, vs):
     """Weak Jacobi residual of op at the given arguments.
 
@@ -369,15 +397,9 @@ def jacobi_residual(op: Operations, vs):
     top = op.top_degree()
     if top is not None and sum(degs) - 2 > top:
         return op.zero()
-    total = None
     pairs = {}
-    for sign, outer in _shuffle_composites(
-            lambda head, tail: op.composite(head, tail, pairs), vs, degs):
-        if op.is_zero(outer):
-            continue
-        term = op.scale(sign, outer)
-        total = term if total is None else op.add(total, term)
-    return op.zero() if total is None else total
+    return _signed_sum(op, _shuffle_composites(
+        lambda head, tail: op.composite(head, tail, pairs), vs, degs))
 
 
 def check_linf(op: Operations, generators, max_arity: int):
@@ -389,15 +411,15 @@ def check_linf(op: Operations, generators, max_arity: int):
     and the witness is {"instances": 0}.
     """
     generators = list(generators)
-    if not generators or max_arity < 1:
-        return False, {"instances": 0}
-    for arity in range(1, max_arity + 1):
-        for combo in itertools.combinations_with_replacement(range(len(generators)), arity):
-            vs = [generators[i] for i in combo]
-            residual = jacobi_residual(op, vs)
-            if not op.is_zero(residual):
-                return False, {"arity": arity, "args": combo, "residual": residual}
-    return True, None
+
+    def witness(*combo):
+        residual = jacobi_residual(op, [generators[i] for i in combo])
+        if not op.is_zero(residual):
+            return {"arity": len(combo), "args": combo, "residual": residual}
+        return None
+
+    ok, details = first_failure(_sorted_tuples(len(generators), max_arity), witness)
+    return ok, details or None
 
 
 def _set_partitions(n: int, sizes):
@@ -453,51 +475,46 @@ def morphism_residual(components, dom: Operations, cod: Operations, vs):
     if degs is None:
         return cod.zero()
     n = len(vs)
-    total = None
-
-    def accumulate(total, term, scalar):
-        if term is None or cod.is_zero(term):
-            return total
-        term = cod.scale(scalar, term)
-        return term if total is None else cod.add(total, term)
 
     def compose(head, tail):
         inner = dom.bracket(head)
         return None if dom.is_zero(inner) else components[len(tail) + 1]([inner] + tail)
 
+    def partition_terms():
+        values = {}  # each block's component value, shared by the partitions
+        for blocks in _set_partitions(n, components):
+            ys = []
+            for block in map(tuple, blocks):
+                if block not in values:
+                    values[block] = components[len(block)]([vs[i - 1] for i in block])
+                if values[block] is None:
+                    break
+                ys.append(values[block])
+            else:
+                order = tuple(itertools.chain.from_iterable(blocks))
+                yield -koszul_sign(order, degs), cod.bracket(ys)
+
     heads = [j for j in range(1, n + 1) if n - j + 1 in components]
-    for sign, term in _shuffle_composites(compose, vs, degs, heads):
-        total = accumulate(total, term, sign)
-    values = {}  # each block's component value, shared by the partitions
-    for blocks in _set_partitions(n, components):
-        ys = []
-        for block in map(tuple, blocks):
-            if block not in values:
-                values[block] = components[len(block)]([vs[i - 1] for i in block])
-            if values[block] is None:
-                break
-            ys.append(values[block])
-        else:
-            order = tuple(itertools.chain.from_iterable(blocks))
-            total = accumulate(total, cod.bracket(ys),
-                               -koszul_sign(order, degs))
-    return cod.zero() if total is None else total
+    return _signed_sum(cod, itertools.chain(
+        _shuffle_composites(compose, vs, degs, heads), partition_terms()))
 
 
 def check_morphism(components, dom: Operations, cod: Operations, argument_lists):
     """Run `morphism_residual` over many tuples; (ok, witness | None).
 
-    No tuples at all fail with the witness {"instances": 0}.
+    The argument lists are drawn lazily, none after the first failing
+    one.  No tuples at all fail with the witness {"instances": 0}.
     """
     _require_components(components)
-    argument_lists = list(argument_lists)
-    if not argument_lists:
-        return False, {"instances": 0}
-    for vs in argument_lists:
+
+    def witness(*vs):
         residual = morphism_residual(components, dom, cod, vs)
         if not cod.is_zero(residual):
-            return False, {"args": list(vs), "residual": residual}
-    return True, None
+            return {"args": list(vs), "residual": residual}
+        return None
+
+    ok, details = first_failure(argument_lists, witness)
+    return ok, details or None
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +567,16 @@ def check_momentum_map(s: NPlecticStructure, algebra: ConstantPair,
     cod = ClassLinf(s)
 
     def component(vs):
-        out = None
-        for i, c in vs[0].items():
-            term = cod.scale(c, classes[i - 1])
-            out = term if out is None else out + term
-        return out
+        return _signed_sum(cod, ((c, classes[i - 1]) for i, c in vs[0].items()))
 
     if max_arity < 1:
         issues.append({"gate": "morphism", "instances": 0,
                        "reason": "no generator tuple to check"})
-    for arity in range(1, max_arity + 1):
-        for combo in itertools.combinations_with_replacement(range(1, algebra.dim + 1), arity):
-            vs = [dom.basis(i) for i in combo]
-            residual = morphism_residual({1: component}, dom, cod, vs)
-            if not residual.is_zero():
-                issues.append({"gate": "morphism", "generators": list(combo),
-                               "reason": f"residual {residual!r}"})
+    for combo in _sorted_tuples(algebra.dim, max_arity):
+        generators = [i + 1 for i in combo]
+        residual = morphism_residual({1: component}, dom, cod,
+                                     [dom.basis(i) for i in generators])
+        if not residual.is_zero():
+            issues.append({"gate": "morphism", "generators": generators,
+                           "reason": f"residual {residual!r}"})
     return not issues, {"classes": classes, "issues": issues}

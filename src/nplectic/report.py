@@ -3,13 +3,14 @@
 Reports hold only JSON-ready values (strings, ints, bools, lists, dicts)
 so that serialization is canonical and byte-stable for fixed inputs.
 
-Every seeded check runs through one of two loops.  `Report.first_failure`
+Every seeded check runs through one of two loops.  `first_failure`
 stops at the first case with a witness and keeps that witness as the
 check's details; it draws its cases lazily, so nothing is drawn after a
-failure.  `Report.tally` runs every case and records the number of
-instances, the failure count and the first witness.  Both fail a check
-that ran zero cases, so no check passes vacuously.  `witness_unless`
-builds the witness of one case.
+failure.  `Report.first_failure` records its verdict as a check, and the
+L-infinity checkers of `linf` return it.  `Report.tally` runs every case
+and records the number of instances, the failure count and the first
+witness.  Both fail a check that ran zero cases, so no check passes
+vacuously.  `witness_unless` builds the witness of one case.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ class CheckResult:
         return out
 
 
+def first_failure(cases, witness_of) -> tuple[bool, dict]:
+    """Check that witness_of(*case) is None on every case, stopping at the
+    first case where it is not; (ok, details), the details being that
+    case's witness, {"instances": 0} when no case ran and {} on a pass."""
+    instances = 0
+    for case in cases:
+        instances += 1
+        witness = witness_of(*case)
+        if witness is not None:
+            return False, witness
+    return (True, {}) if instances else (False, {"instances": 0})
+
+
 @dataclass
 class Report:
     title: str
@@ -47,17 +61,9 @@ class Report:
         return result
 
     def first_failure(self, name: str, cases, witness_of) -> CheckResult:
-        """Check that witness_of(*case) is None on every case, stopping at
-        the first case where it is not; its witness becomes the details."""
-        instances = 0
-        for case in cases:
-            instances += 1
-            witness = witness_of(*case)
-            if witness is not None:
-                return self.add(name, False, **witness)
-        if not instances:
-            return self.add(name, False, instances=0)
-        return self.add(name, True)
+        """Record the verdict of `first_failure` as the check `name`."""
+        ok, details = first_failure(cases, witness_of)
+        return self.add(name, ok, **details)
 
     def tally(self, name: str, cases, witness_of, gating: bool = True,
               count_key: str = "failures") -> CheckResult:

@@ -17,7 +17,7 @@ import pytest
 
 from nplectic.calculus import natural_inclusion
 from nplectic.cohomology import (
-    ce_cohomology_rank,
+    ce_cohomology_table,
     ce_matrix,
     class_of,
     extension_cohomology_rank,
@@ -153,7 +153,7 @@ def test_criterion_07_rotation_algebra_ranks_with_dense_oracle(verdicts):
     images = [rank_dense(d0), rank_dense(d1), rank_dense(d2), 0]
     oracle = [dims[k] - images[k] - (images[k - 1] if k else 0)
               for k in range(4)]
-    production = [ce_cohomology_rank(pair, k)["rank"] for k in range(4)]
+    production = [ce_cohomology_table(pair, [k])[0]["rank"] for k in range(4)]
     matrix, _ = ce_matrix(pair, 1)
     ok = (oracle == [1, 0, 0, 1] and production == oracle and matrix == sparse_rows(d1))
     assert verdicts.record(7, "rotation-algebra complex has ranks 1,0,0,1 by both the "

@@ -11,7 +11,6 @@ from nplectic.calculus import ce_differential, contract
 from nplectic.cohomology import (
     CohomClass,
     NotACocycle,
-    ce_cohomology_rank,
     ce_cohomology_table,
     ce_matrix,
     class_of,
@@ -34,7 +33,7 @@ from nplectic.linalg import rank_dense, rank_fraction_free
 from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
-from nplectic.scalars import Poly, monomial_key
+from nplectic.scalars import CapExceeded, Poly, monomial_key
 from test_linalg import dense, sparse_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -63,7 +62,7 @@ def degenerate_structure():
 
 
 def test_su2_ce_ranks():
-    ranks = [ce_cohomology_rank(su2(), wl)["rank"] for wl in range(4)]
+    ranks = [ce_cohomology_table(su2(), [wl])[0]["rank"] for wl in range(4)]
     assert ranks == [1, 0, 0, 1]
 
 
@@ -97,12 +96,12 @@ def test_rank_paths_agree_on_ce_matrices():
 
 
 def test_plane_ce_is_exact_away_from_the_constants():
-    assert ce_cohomology_rank(PLANE, 0, 0)["rank"] == 1
+    assert ce_cohomology_table(PLANE, [0], [0])[0]["rank"] == 1
     for wl in range(3):
         for w in range(3):
             if (wl, w) == (0, 0):
                 continue
-            assert ce_cohomology_rank(PLANE, wl, w)["rank"] == 0
+            assert ce_cohomology_table(PLANE, [wl], [w])[0]["rank"] == 0
 
 
 def test_ce_table_shape():
@@ -128,7 +127,7 @@ def test_ce_table_builds_each_slice_matrix_once(monkeypatch):
     rows = ce_cohomology_table(PLANE, range(3), range(3))
     assert set(built.values()) == {1}
     assert set(built) == set(slices) | {(wl - 1, w + 1) for wl, w in slices}
-    assert rows == [ce_cohomology_rank(PLANE, wl, w) for wl, w in slices]
+    assert rows == [ce_cohomology_table(PLANE, [wl], [w])[0] for wl, w in slices]
 
 
 # -- extension tables -----------------------------------------------------------
@@ -168,6 +167,36 @@ def test_extension_table_builds_each_differential_once(monkeypatch):
     assert set(built.values()) == {1}
     assert set(built) == set(slices) | {(k + 1, r + 1) for k, r in slices}
     assert rows == [extension_cohomology_rank(s, k, r) for k, r in slices]
+
+
+@pytest.mark.parametrize("table, cap, refused", [
+    # (1, 10), the last slice of the table, has 22 elements; the others at most 20
+    (lambda: ce_cohomology_table(PLANE, range(3), [0, 9]), 21, "word length 1 has 22"),
+    # the weight-4 slices need the word-length 1 cotensor slice of weight 5
+    (lambda: extension_cohomology_table(plane_structure(), [0], [0, 4]), 11,
+     "word length 1 has 12"),
+], ids=["plain", "extension"])
+def test_a_table_past_the_slice_cap_raises_before_building_a_slice(monkeypatch, table,
+                                                                     cap, refused):
+    from nplectic import cohomology, engine
+
+    built = []
+
+    def recording(name, original):
+        def build(*args):
+            built.append(name)
+            return original(*args)
+        return build
+
+    for name in ("differential_slice", "symplectic_slice"):
+        monkeypatch.setattr(cohomology, name, recording(name, getattr(cohomology, name)))
+    monkeypatch.setattr(engine, "MAX_SLICE_DIM", cap)
+    with pytest.raises(CapExceeded, match=refused):
+        table()
+    assert built == []
+    monkeypatch.setattr(engine, "MAX_SLICE_DIM", cap + 1)
+    table()
+    assert built
 
 
 def test_extension_vanishes_outside_the_degree_strip():

@@ -237,6 +237,21 @@ def test_identity_is_a_strict_morphism_of_a_lie_algebra():
     assert ok, witness
 
 
+def test_check_morphism_draws_no_tuple_after_the_first_failure():
+    fin = FiniteLInfinity.from_pair(su2())
+    drawn = []
+
+    def tuples():
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            drawn.append((i, j))
+            yield [fin.basis(i), fin.basis(j)]
+
+    # twice the identity fails first at (e1, e2), where [e1, e2] = e3
+    ok, witness = check_morphism({1: lambda xs: fin.scale(2, xs[0])}, fin, fin, tuples())
+    assert not ok and witness["args"] == [fin.basis(1), fin.basis(2)]
+    assert drawn == [(1, 1), (1, 2)]
+
+
 def test_pair_bracket_matches_the_binary_higher_bracket():
     from nplectic.calculus import higher_bracket
 
