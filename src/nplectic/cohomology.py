@@ -16,8 +16,9 @@ quotient.  No kernel quotient of the tensors is built, and each slice
 basis tensor is contracted into omega once.
 
 Between the calculus and the elimination every slice vector, image or
-d h, is a label vector {(word, monomial key): Fraction}.  Each extension
-slice is eliminated once, and no element is rebuilt on the way to a rank.
+d h, is a label vector: int numerators keyed by (word, monomial key) over
+one denominator.  Each extension slice is eliminated once, on integers,
+and no element is rebuilt on the way to a rank.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced

@@ -25,13 +25,12 @@ so arithmetic and the brackets keep the invariant without checking again.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .calculus import MAX_BRACKET_ARITY, ce_differential, contract, higher_bracket
 from .elements import Cotensor, Tensor, ascending_words, wedge_list
-from .linalg import Echelon, null_space, solve
+from .linalg import Echelon, combine, null_space, numerators, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
 from .scalars import (
     CapExceeded,
@@ -40,9 +39,8 @@ from .scalars import (
     as_rational,
     bell,
     monomial_degree,
+    monomials_exact,
     require_arity,
-    sparse_sum,
-    variable_key,
 )
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
@@ -120,24 +118,6 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 MAX_SLICE_DIM = 10_000
 
 
-def monomials_exact(nvars: int, degree: int) -> list[int]:
-    """The keys of all monomials of total degree `degree`, ascending.
-
-    A monomial of degree d is a multiset of d variables, and its key is the
-    sum of their keys.  `combinations_with_replacement` lists the multisets
-    in lexicographic order of their variable indices, which is descending
-    key order, so the list is reversed.
-    """
-    if degree < 0:
-        return []
-    # degree 0 has the one key 0 and reads no unit
-    units = [variable_key(nvars, i) for i in range(nvars)] if degree else []
-    keys = [sum(map(units.__getitem__, chosen))
-            for chosen in itertools.combinations_with_replacement(range(nvars), degree)]
-    keys.reverse()
-    return keys
-
-
 def _monomial_count_upto(nvars: int, degree: int) -> int:
     """How many monomials have total degree <= degree."""
     return math.comb(nvars + degree, degree) if degree >= 0 else 0
@@ -179,28 +159,48 @@ def basis_elements(pair, cls, labels):
     return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
 
 
-def label_vector(elem) -> dict[tuple, Fraction]:
-    """The one flattening of an element: its coefficients keyed by slice
-    label (word, monomial key), the form of every slice vector."""
-    return {(w, e): c for w, poly in elem.terms.items() for e, c in poly.coefficients()}
+def label_vector(elem) -> tuple[dict[tuple, int], int]:
+    """The one flattening of an element, the form of every slice vector:
+    (nums, den), its coefficients as int numerators keyed by slice label
+    (word, monomial key) over one denominator, the lcm of the
+    coefficients' own.  Each coefficient is in lowest terms, so the vector
+    is too."""
+    out, den = {}, 1
+    for w, poly in elem.terms.items():
+        nums, d = poly.numerators()
+        if d == den:
+            for e, c in nums.items():
+                out[w, e] = c
+            continue
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            f = lcm // den
+            for lab in out:
+                out[lab] *= f
+            den = lcm
+        f = den // d
+        for e, c in nums.items():
+            out[w, e] = c * f
+    return out, den
 
 
-def slice_coords(vec: dict, index: dict) -> dict[int, Fraction]:
-    """The integer columns of a label vector in a slice; raises if it
-    leaves the slice window."""
+def slice_coords(vec: dict, index: dict) -> dict[int, int]:
+    """The integer columns of a label vector's numerators in a slice;
+    raises if it leaves the slice window."""
     try:
         return {index[lab]: c for lab, c in vec.items()}
     except KeyError as exc:
         raise ValueError(f"element leaves the slice window at {exc.args[0]}") from None
 
 
-def coords_element(pair, cls, labels, coords: dict[int, Fraction]):
-    """The element with the given nonzero sparse coordinates in a slice."""
+def coords_element(pair, cls, labels, coords: dict[int, int], den: int):
+    """The element with the given nonzero sparse coordinates in a slice,
+    int numerators over one denominator."""
     terms = {}
     for i in sorted(coords):
         w, e = labels[i]
         terms.setdefault(w, {})[e] = coords[i]
-    return cls(pair)._make({w: Poly._from_rationals(pair.poly_nvars, t)
+    return cls(pair)._make({w: Poly._from_nums(pair.poly_nvars, t, den)
                             for w, t in terms.items()})
 
 
@@ -208,7 +208,8 @@ class Quotient:
     """A finite slice modulo the span of some label vectors, given in one or
     more groups; `ranks` holds the rank of the span after each group, and
     `reduce` gives the canonical representative, the residue against the
-    span's reduced echelon basis."""
+    span's echelon basis.  A span does not see denominators, so only the
+    numerators of the spanning vectors go in."""
 
     def __init__(self, pair, cls, labels, *spans):
         # highest total degree first, so that pivots sit on the leading terms:
@@ -220,27 +221,38 @@ class Quotient:
         self.echelon = Echelon()
         self.ranks = []
         for spanning in spans:
-            for vec in spanning:
-                self.echelon.add(slice_coords(vec, self.index))
+            for nums, _ in spanning:
+                self.echelon.add(slice_coords(nums, self.index))
             self.ranks.append(self.echelon.rank)
 
     def reduce(self, elem):
-        coords = self.echelon.reduce(slice_coords(label_vector(elem), self.index))
-        return coords_element(self.pair, self.cls, self.labels, coords)
+        nums, den = label_vector(elem)
+        coords, den = self.echelon.reduce(slice_coords(nums, self.index), den)
+        return coords_element(self.pair, self.cls, self.labels, coords, den)
 
 
 def matrix_of(vectors):
-    """Matrix with one column per label vector; the target window is inferred.
+    """Integer matrix with one column per label vector; the target window
+    is inferred.
 
-    Returns (rows, tgt_labels): one sparse row {column: entry} per label
-    appearing in any vector, in sorted label order.
+    Returns (rows, tgt_labels): one sparse row {column: int} per label
+    appearing in any vector, in sorted label order.  The entries are those
+    of the vectors times the lcm of their denominators, a positive multiple
+    of the matrix with the same rank and null space (`matrix_scale`).
     """
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, vec in enumerate(vectors):
-        for lab, c in vec.items():
-            rows.setdefault(lab, {})[col] = c
+    scale = matrix_scale(vectors)
+    rows: dict[tuple, dict[int, int]] = {}
+    for col, (nums, den) in enumerate(vectors):
+        f = scale // den
+        for lab, c in nums.items():
+            rows.setdefault(lab, {})[col] = c * f
     tgt_labels = sorted(rows)
     return [rows[lab] for lab in tgt_labels], tgt_labels
+
+
+def matrix_scale(vectors) -> int:
+    """The factor by which `matrix_of` scales the matrix of these vectors."""
+    return math.lcm(*[den for _, den in vectors])
 
 
 def shift_weight(pair, r: int) -> int:
@@ -281,20 +293,19 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     """
     labels = slice_basis(s.pair, degree, degrees)
     if degree > s.n + 1:
-        return labels, null_space([], len(labels)), [{} for _ in labels]
+        return labels, null_space([], len(labels)), [({}, 1) for _ in labels]
     contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
     rows, _ = matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))
     vectors = [label_vector(c) for c in contractions]
-    return labels, null, [sparse_sum((lab, a * c) for i, a in vec.items()
-                                     for lab, c in vectors[i].items()) for vec in null]
+    return labels, null, [combine(vec, vectors) for vec in null]
 
 
 def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of symplectic tensors of one wedge degree within a poly window."""
     def build():
         labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
-        return [coords_element(s.pair, Tensor, labels, vec) for vec in null]
+        return [coords_element(s.pair, Tensor, labels, *numerators(vec)) for vec in null]
     return list(s.derived(("symplectic", degree, max_poly_degree), build))
 
 
@@ -304,7 +315,8 @@ def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
     rows, _ = matrix_of([label_vector(contract(x, s.omega))
                          for x in basis_elements(s.pair, Tensor, labels)])
-    return [coords_element(s.pair, Tensor, labels, vec) for vec in null_space(rows, len(labels))]
+    return [coords_element(s.pair, Tensor, labels, *numerators(vec))
+            for vec in null_space(rows, len(labels))]
 
 
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
@@ -341,14 +353,17 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     for (deg, pd), part in image.bigraded_parts().items():
         labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
         rows, tgt_labels = matrix_of(exact)
+        nums, den = label_vector(part)
         try:
-            rhs = slice_coords(label_vector(part), {lab: i for i, lab in enumerate(tgt_labels)})
+            rhs = slice_coords(nums, {lab: i for i, lab in enumerate(tgt_labels)})
         except ValueError:
             return None  # the slice image cannot reach this component
-        sol = solve(rows, rhs, len(labels))
+        # rows are matrix_scale(exact) times the matrix, so the right side is too
+        scale = matrix_scale(exact)
+        sol = solve(rows, {i: Fraction(c * scale, den) for i, c in rhs.items()}, len(labels))
         if sol is None:
             return None
-        out = out + coords_element(s.pair, Cotensor, labels, sol)
+        out = out + coords_element(s.pair, Cotensor, labels, *numerators(sol))
     return out
 
 

@@ -1,96 +1,175 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, on integer rows.
 
-One elimination kernel does all the work: `Echelon`, the reduced row
-echelon basis of a span, held sparsely.  Each row is a dict
-{column: Fraction} whose pivot is its lowest column, with coefficient 1
-and zero in every other row.  The reduced echelon form of a span is
-unique, so ranks, null-space bases, `solve` answers and residues depend
-only on the span, never on the order the vectors came in.
+One elimination kernel does all the work: `Echelon`, a row echelon basis
+of a span, held sparsely.  A row is primitive (its ints share no factor)
+with a positive entry at its pivot, its lowest column, and is kept as
+(pivot entry, {column: int} for the rest).  Vectors come in as int
+numerators over one denominator (`numerators`); a span does not see the
+denominator, so `Echelon.add` makes no Fraction.  A step is fraction-free,
+w <- a w - b row for the pivot entry a, after dividing a and b by their
+gcd (Bareiss, Math. Comp. 22, 1968).
 
-Every vector and matrix row has this one sparse form, from the slice
-matrices to the answers.  Columns stay integers (the engine maps slice
-labels to them; integers hash faster than label tuples).  `rref` builds
-the basis of a list of rows, and `rank_fraction_free`, `null_space` and
-`solve` read their answers straight off it.  (`rank_fraction_free` keeps
-its old name, under which the benchmark tracer finds it; nothing in it is
-fraction-free.)  `rank_dense`
-is a plain dense Gauss-Jordan loop over lists of Fraction rows that shares
-no code with the kernel; it is the independent oracle the tests check the
-kernel against.
+`Echelon.add` stores what is left of a vector as a new row and never
+rewrites a stored row.  `Echelon.reduce` clears pivots in ascending column
+order (a row reaches only columns above its pivot).  Its residue is the
+one vector that differs from the input by a span element and is zero on
+every pivot, so it depends only on the span.  `rref` back-substitutes
+once, at the end, so that `null_space` and `solve` read their answers off
+rows zero on every other pivot, FLINT's `fmpz_mat_rref` form.  Columns
+stay integers (the engine maps slice labels to them).  `rank_dense` is a
+plain dense Gauss-Jordan loop over Fraction rows that shares no code with
+the kernel: the oracle the tests check it against.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
-Vector = dict[int, Fraction]  # sparse: column -> nonzero entry
+from .scalars import over_lcm
 
-
-def _axpy(v: Vector, f: Fraction, row: Vector) -> None:
-    """v += f * row in place, dropping entries that cancel."""
-    for c, a in row.items():
-        x = v.get(c, 0) + f * a
-        if x:
-            v[c] = x
-        else:
-            del v[c]
+Vector = dict[int, int]  # sparse: column -> nonzero int numerator
 
 
-def _residue(rows: dict[int, Vector], v: Vector) -> Vector:
-    """v minus its span part, in place; rows maps pivot -> row without its pivot."""
-    # rows are zero on every other pivot, so only v's own pivots need clearing
-    for p in [c for c in v if c in rows]:
-        _axpy(v, -v.pop(p), rows[p])
-    return v
+def numerators(vec: dict) -> tuple[dict, int]:
+    """A vector of rationals (ints or Fractions) as a new dict of int
+    numerators and one denominator > 0, in lowest terms, zeros dropped."""
+    values = vec.values()
+    if set(map(type, values)) <= {int}:  # the engine's vectors: a plain copy
+        return (dict(vec) if 0 not in values else {c: a for c, a in vec.items() if a}), 1
+    return over_lcm(vec)
 
 
-def _insert(rows: dict[int, Vector], v: Vector) -> bool:
-    """Add a residue (zero on every pivot) as a new row; False if it is zero."""
-    if not v:
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den with their common factor divided out; zero is ({}, 1)."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {c: a // g for c, a in nums.items()}, den // g
+
+
+def combine(coeffs: dict, vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """sum_i coeffs[i] * vectors[i] for rational coeffs and vectors given as
+    (numerators, denominator), in lowest terms; keys of the vectors are opaque."""
+    nums, den = numerators(coeffs)
+    scale = lcm(*[vectors[i][1] for i in nums])
+    out: dict = {}
+    for i, c in nums.items():
+        vec, d = vectors[i]
+        c *= scale // d
+        for key, a in vec.items():
+            out[key] = out.get(key, 0) + c * a
+    return _lowest({key: a for key, a in out.items() if a}, den * scale)
+
+
+def _clear(rows: dict[int, tuple], w: Vector) -> int:
+    """Clear w on every pivot of rows, lowest first, in place.
+
+    Returns s > 0 with w / s = (the w given) - (a span element): the steps
+    scale w by the pivot entries they divide by.
+    """
+    s = 1
+    todo = [-c for c in w if c in rows]  # sorted, pop() gives the lowest column
+    todo.sort()
+    while todo:
+        p = -todo.pop()
+        b = w.pop(p, 0)
+        if not b:
+            continue  # cancelled by an earlier step
+        a, rest = rows[p]
+        if a != 1:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                s *= a
+                for c in w:
+                    w[c] *= a
+        for c, x in rest.items():
+            y = w.get(c)
+            if y is None:
+                w[c] = -b * x
+                if c in rows:
+                    insort(todo, -c)
+            else:
+                y -= b * x
+                if y:
+                    w[c] = y
+                else:
+                    del w[c]
+    return s
+
+
+def _primitive(a: int, rest: Vector) -> tuple:
+    """The row (a, rest) divided by its content, with a positive pivot entry."""
+    g = gcd(a, *rest.values())
+    if a < 0:
+        g = -g
+    if g == 1:
+        return a, rest
+    return a // g, {c: x // g for c, x in rest.items()}
+
+
+def _insert(rows: dict[int, tuple], vec: dict) -> bool:
+    """Eliminate vec and store what is left as a new row; False if nothing is left."""
+    w = numerators(vec)[0]
+    _clear(rows, w)
+    if not w:
         return False
-    p = min(v)
-    inv = 1 / v.pop(p)
-    new = {c: a * inv for c, a in v.items()}
-    for row in rows.values():
-        if p in row:
-            _axpy(row, -row.pop(p), new)
-    rows[p] = new
+    p = min(w)
+    rows[p] = _primitive(w.pop(p), w)
     return True
 
 
 class Echelon:
-    """Growing reduced echelon basis of a subspace.
+    """Growing row echelon basis of a subspace.
 
     `reduce` gives the residue of a vector modulo the span, a canonical
     representative of its coset; `add` enlarges the span.
     """
 
     def __init__(self):
-        self.rows: dict[int, Vector] = {}  # pivot column -> row without its pivot
+        self.rows: dict[int, tuple] = {}  # pivot column -> (pivot entry, rest of the row)
 
-    def reduce(self, vec: Vector) -> Vector:
-        return _residue(self.rows, {c: a for c, a in vec.items() if a})
+    def reduce(self, vec: dict, den: int = 1) -> tuple[Vector, int]:
+        """The residue of vec / den as (int numerators, denominator) in lowest terms."""
+        w, d = numerators(vec)
+        return _lowest(w, d * den * _clear(self.rows, w))
 
-    def add(self, vec: Vector) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert vec's residue; returns True if it enlarged the span."""
-        return _insert(self.rows, self.reduce(vec))
+        return _insert(self.rows, vec)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def rref(rows: list[Vector]) -> Echelon:
-    """The reduced echelon basis of the span of sparse rows."""
+def _echelon(rows: list[dict]) -> Echelon:
+    """The row echelon basis of the span of sparse rows."""
     ech = Echelon()
     for row in rows:
-        _insert(ech.rows, _residue(ech.rows, {c: a for c, a in row.items() if a}))
+        _insert(ech.rows, row)
     return ech
 
 
-def rank_fraction_free(rows: list[Vector]) -> int:
+def rref(rows: list[dict]) -> Echelon:
+    """The reduced row echelon basis of the span of sparse rows: each row
+    zero on every other pivot.  The rows of the echelon basis are cleared
+    from the highest pivot down, each against the rows already reduced."""
+    ech = _echelon(rows)
+    reduced: dict[int, tuple] = {}
+    for p in sorted(ech.rows, reverse=True):
+        a, rest = ech.rows[p]
+        rest = dict(rest)
+        reduced[p] = _primitive(a * _clear(reduced, rest), rest)
+    ech.rows = reduced
+    return ech
+
+
+def rank_fraction_free(rows: list[dict]) -> int:
     """Rank of the span of sparse rows."""
-    return rref(rows).rank
+    return _echelon(rows).rank
 
 
 def rank_dense(mat: list[list[Fraction]]) -> int:
@@ -113,23 +192,25 @@ def rank_dense(mat: list[list[Fraction]]) -> int:
     return r
 
 
-def solve(rows: list[Vector], rhs: Vector, cols: int) -> Vector | None:
+def solve(rows: list[dict], rhs: dict, cols: int) -> dict | None:
     """One exact solution x of rows * x = rhs (free variables 0), or None.
 
-    rows have their entries in columns 0..cols-1; rhs is keyed by row index.
+    rows have their rational entries in columns 0..cols-1; rhs is keyed by
+    row index.
     """
     ech = rref([{**row, cols: rhs.get(i, 0)} for i, row in enumerate(rows)])
     if cols in ech.rows:
         return None  # a pivot in the augmented column: inconsistent
-    return {p: row[cols] for p, row in ech.rows.items() if cols in row}
+    return {p: rest[cols] if a == 1 else Fraction(rest[cols], a)
+            for p, (a, rest) in ech.rows.items() if cols in rest}
 
 
-def null_space(rows: list[Vector], cols: int) -> list[Vector]:
+def null_space(rows: list[dict], cols: int) -> list[dict]:
     """Basis of the kernel: for each free column fc in ascending order, the
     vector with 1 at fc, 0 at every other free column."""
     ech = rref(rows)
-    basis = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in ech.rows}
-    for p, row in ech.rows.items():
-        for fc, a in row.items():  # rows are zero on every other pivot
-            basis[fc][p] = -a
+    basis = {fc: {fc: 1} for fc in range(cols) if fc not in ech.rows}
+    for p, (a, rest) in ech.rows.items():
+        for fc, x in rest.items():  # rows are zero on every other pivot
+            basis[fc][p] = -x if a == 1 else Fraction(-x, a)
     return list(basis.values())

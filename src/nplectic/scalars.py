@@ -3,8 +3,9 @@
 Everything downstream runs over the rationals: coefficients are
 `fractions.Fraction` or sparse multivariate polynomials over Q.  A `Poly`
 stores integer numerators over one common denominator, so its ring
-arithmetic runs on Python ints; only this module reads that storage, and
-everything else sees (monomial key, Fraction) pairs.
+arithmetic runs on Python ints; only this module reads that storage.
+Everything else sees (monomial key, Fraction) pairs, or the numerators and
+their denominator through `Poly.numerators`, read-only.
 
 A monomial x_0^e_0 ... x_{m-1}^e_{m-1} is one int, its key: a 32-bit field
 per variable, variable 0 in the most significant field, so the key is
@@ -110,6 +111,27 @@ def monomial_key(expo) -> int:
     return int.from_bytes(_fields(len(expo)).pack(*expo), "big")
 
 
+def monomials_exact(nvars: int, degree: int) -> list[int]:
+    """The keys of all monomials of total degree `degree`, ascending.
+
+    Stars and bars: nvars - 1 ascending cuts of 0..degree; the exponents
+    are the gaps between them, so lexicographic cuts give lexicographic
+    exponents, which is ascending key order.  Each key is shifted together
+    from its gaps, in time linear in nvars whatever the degree; building
+    no exponent tuple per key keeps a slice build's resident memory down.
+    """
+    if degree < 0 or nvars == 0:
+        return [0] if degree == 0 else []
+    keys = []
+    for cuts in itertools.combinations_with_replacement(range(degree + 1), nvars - 1):
+        key = prev = 0
+        for cut in cuts:
+            key = key << _FIELD_BITS | cut - prev
+            prev = cut
+        keys.append(key << _FIELD_BITS | degree - prev)
+    return keys
+
+
 def monomial_exponents(key: int, nvars: int) -> tuple[int, ...]:
     """The exponent tuple of a key in `nvars` variables."""
     fields = _fields(nvars)
@@ -151,10 +173,10 @@ class Poly:
     is at most MAX_EXPONENT = 2^31 - 1, so no sum of two keys carries into
     the next field; a product that would pass the bound raises
     CapExceeded.  Outside this module coefficients are read as (key,
-    Fraction) pairs through `coefficients`, and keys through the
-    `monomial_*` helpers.  A polynomial in zero variables is just a
-    rational number wearing a hat (its one key is 0); the constant
-    Lie-Rinehart family uses that.
+    Fraction) pairs through `coefficients` or as (nums, den) through
+    `numerators`, and keys through the `monomial_*` helpers.  A
+    polynomial in zero variables is just a rational number wearing a hat
+    (its one key is 0); the constant Lie-Rinehart family uses that.
     """
 
     __slots__ = ("nvars", "nums", "den")
@@ -175,14 +197,14 @@ class Poly:
                 coeff = as_rational(coeff)
                 acc[key] = coeff if prev is None else prev + coeff
         self.nvars = nvars
-        self.nums, self.den = _over_lcm(acc)
+        self.nums, self.den = over_lcm(acc)
 
     @classmethod
     def _from_rationals(cls, nvars: int, terms: dict) -> "Poly":
         """Trusted constructor from valid keys to rationals; zeros are dropped."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.nums, out.den = _over_lcm(terms)
+        out.nums, out.den = over_lcm(terms)
         return out
 
     @classmethod
@@ -217,6 +239,11 @@ class Poly:
         return cls._from_nums(nvars, {variable_key(nvars, index): 1})
 
     # -- structure ----------------------------------------------------------
+
+    def numerators(self) -> tuple[dict, int]:
+        """(nums, den): the int numerators by monomial key, which the caller
+        must not change, over the one denominator."""
+        return self.nums, self.den
 
     def coefficients(self):
         """The (monomial key, Fraction coefficient) pairs of the nonzero terms."""
@@ -396,7 +423,7 @@ class Poly:
     __repr__ = __str__
 
 
-def _over_lcm(terms: dict) -> tuple[dict, int]:
+def over_lcm(terms: dict) -> tuple[dict, int]:
     """Rational values as int numerators over the lcm of their reduced
     denominators, zeros dropped.  No prime divides that lcm and every
     numerator, so there is nothing to divide out."""

@@ -279,7 +279,8 @@ def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
             d = dense_columns([flat(ce_differential(img)) for img in contractions])
             exact = [flat(ce_differential(h)) for h in
                      unit_elements(s, Cotensor, s.n - k, r + 1 if s.pair.poly_nvars else r)]
-            images = symplectic_slice(s, k, r)[2]
+            images = [{lab: Fraction(c, den) for lab, c in nums.items()}
+                      for nums, den in symplectic_slice(s, k, r)[2]]
             image, dim = extension_slice(s, k, r)
             assert image.ranks[0] == rank_dense(c) - rank_dense(d)
             assert image.ranks[1] == image.echelon.rank

@@ -38,7 +38,7 @@ from nplectic.engine import (
     weighted_bracket,
 )
 from nplectic.identities import random_symplectic
-from nplectic.linalg import null_space
+from nplectic.linalg import combine, null_space, numerators
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction, random_tensor
@@ -139,6 +139,13 @@ def stars_and_bars(nvars, degree):
         return [()] if degree == 0 else []
     return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, degree)))
             for cuts in itertools.combinations_with_replacement(range(degree + 1), nvars - 1)]
+
+
+def test_monomials_of_a_high_degree_are_the_exponent_tuple_keys():
+    """Keys are packed from their exponents, so a high degree costs no
+    more per key than a low one."""
+    assert monomials_exact(2, 4990) == [monomial_key((i, 4990 - i)) for i in range(4991)]
+    assert monomials_exact(3, 60) == [monomial_key(e) for e in stars_and_bars(3, 60)]
 
 
 @pytest.mark.parametrize("nvars", range(7))
@@ -293,7 +300,7 @@ def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     labels, null, images = symplectic_slice(s, degree, range(window + 1))
     assert len(images) == len(null)
     for vec, image in zip(null, images):
-        x = coords_element(s.pair, Tensor, labels, vec)
+        x = coords_element(s.pair, Tensor, labels, *numerators(vec))
         assert is_symplectic(x, s)
         assert image == label_vector(contract(x, s.omega))
 
@@ -307,8 +314,7 @@ def contracted_slice(s, degree, degrees):
     rows, _ = engine.matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))
     vectors = [label_vector(c) for c in contractions]
-    return labels, null, [sparse_sum((lab, a * c) for i, a in vec.items()
-                                     for lab, c in vectors[i].items()) for vec in null]
+    return labels, null, [combine(vec, vectors) for vec in null]
 
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

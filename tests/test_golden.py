@@ -22,7 +22,11 @@ order of polynomials in more than two variables and of high exponents:
 ``bracket-poly4`` and ``differential-poly4`` act on Q[x1..x4] with
 multi-term coefficients of mixed degree, and
 ``poisson-plane-high-degree`` brackets two plane classes whose exponents
-reach 21.  To re-record after an intended report change:
+reach 21.  Two cases pin exact arithmetic under the elimination:
+``poisson-plane-fractional`` brackets two classes for omega = 11/13
+dx^dy whose printed bracket class has non-unit denominators, and
+``cohomology-plane-weight300`` ranks plane slices of up to 905 elements
+at weight 300.  To re-record after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

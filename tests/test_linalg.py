@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -60,7 +61,7 @@ def test_rref_small():
     ech = rref(sparse_rows(m))
     pivots = sorted(ech.rows)
     assert pivots == [0]
-    assert ech.rows[0] == {1: Fraction(2)}  # the row [1, 2] without its pivot
+    assert ech.rows[0] == (1, {1: 2})  # the row [1, 2]: its pivot entry, then the rest
     assert ech.rank == 1  # the second row reduced to zero
 
 
@@ -117,11 +118,11 @@ def test_echelon_reduction_is_canonical():
         for v in vecs:
             ech.add(sparse(v))
         for v in vecs:
-            assert not ech.reduce(sparse(v))
+            assert ech.reduce(sparse(v)) == ({}, 1)
         # reduction is idempotent and kills span members
         w = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
         red = ech.reduce(sparse(w))
-        assert ech.reduce(red) == red
+        assert ech.reduce(*red) == red
         combo = [a + b for a, b in zip(w, vecs[0])] if vecs else w
         assert ech.reduce(sparse(combo)) == red if vecs else True
 
@@ -187,7 +188,7 @@ def test_the_dense_oracle_does_not_use_the_kernel(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the sparse kernel was called")
 
-    for name in ("_residue", "_insert", "_axpy"):
+    for name in ("_clear", "_insert", "_primitive"):
         monkeypatch.setattr(linalg, name, broken)
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(3)]]
     assert rank_dense(m) == 2
@@ -200,3 +201,114 @@ def test_the_kernel_never_densifies():
     # a dense row of 10**9 + 2 cells would not fit in memory
     assert rank_fraction_free([{10**9: F(1)}, {0: F(2), 10**9: F(1)}]) == 2
     assert solve([{0: F(1), 10**9: F(1)}], {0: F(3)}, 10**9 + 1) == {0: F(3)}
+
+
+# ---------------------------------------------------------------------------
+# integer rows against a dense Fraction reference
+# ---------------------------------------------------------------------------
+
+def wide_matrix(rng, rows, cols, rank=None):
+    """Sparse rows with entries p/q, q up to 10**6 and |p| up to 10**12;
+    optionally of bounded rank, by combining a few such rows."""
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6))
+
+    def row():
+        out = [Fraction(0)] * cols
+        for j in rng.sample(range(cols), min(cols, rng.randint(0, 3))):
+            out[j] = entry()
+        return out
+    if rank is None:
+        return [row() for _ in range(rows)]
+    basis = [row() for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        picks = rng.sample(basis, rng.randint(0, min(2, rank)))
+        coeffs = [entry() for _ in picks]
+        out.append([sum((c * b[j] for c, b in zip(coeffs, picks)), Fraction(0))
+                    for j in range(cols)])
+    return out
+
+
+def dense_rref(mat, cols):
+    """Reduced row echelon form over Fraction, pivots 1: {pivot: dense row}.
+    Shares no code with the kernel."""
+    m = [list(row) for row in mat]
+    out = {}
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    for row in m[:r]:
+        out[next(c for c, v in enumerate(row) if v)] = row
+    return out
+
+
+def dense_residue(basis, vec, cols):
+    """vec minus its span part against a reduced basis, as a dense row."""
+    v = [vec.get(c, Fraction(0)) for c in range(cols)]
+    for p, row in basis.items():
+        f = v[p]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def as_fractions(nums, den):
+    return {c: Fraction(a, den) for c, a in nums.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_kernel_matches_the_dense_fraction_reference(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(25):
+        rows, cols = rng.randint(0, 9), rng.randint(1, 9)
+        m = wide_matrix(rng, rows, cols, rng.choice((None, rng.randint(0, min(rows, cols)))))
+        basis = dense_rref(m, cols)
+        assert rank_fraction_free(sparse_rows(m)) == rank_dense(m) == len(basis)
+        ech = Echelon()
+        for row in sparse_rows(m):
+            ech.add(row)
+        assert ech.rank == len(basis) and sorted(ech.rows) == sorted(basis)
+        for probe in sparse_rows(wide_matrix(rng, 4, cols)):
+            nums, den = ech.reduce(probe)
+            assert den > 0 and math.gcd(den, *nums.values()) == 1
+            assert as_fractions(nums, den) == sparse(dense_residue(basis, probe, cols))
+        # the null-space basis and the solve answer of the reduced form
+        free = [c for c in range(cols) if c not in basis]
+        expected = []
+        for fc in free:
+            vec = {fc: Fraction(1)}
+            for p, row in basis.items():
+                if row[fc]:
+                    vec[p] = -row[fc]
+            expected.append(vec)
+        assert null_space(sparse_rows(m), cols) == expected
+        x0 = {c: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for c in range(cols)}
+        rhs = sparse(apply(m, x0))
+        aug = dense_rref([row + [rhs.get(i, Fraction(0))] for i, row in enumerate(m)], cols + 1)
+        assert solve(sparse_rows(m), rhs, cols) == {p: row[cols] for p, row in aug.items() if row[cols]}
+
+
+def test_echelon_add_never_rewrites_a_stored_row():
+    rng = random.Random(53)
+    for _ in range(40):
+        cols = rng.randint(1, 10)
+        ech = Echelon()
+        for row in sparse_rows(wide_matrix(rng, rng.randint(1, 12), cols)):
+            before = {p: (a, rest, dict(rest)) for p, (a, rest) in ech.rows.items()}
+            ech.add(row)
+            for p, (a, rest, copy) in before.items():
+                assert ech.rows[p][0] == a and ech.rows[p][1] is rest and rest == copy
+        for a, rest in ech.rows.values():
+            assert a > 0 and math.gcd(a, *rest.values()) == 1
+            assert all(type(x) is int and x for x in rest.values())
