@@ -8,9 +8,10 @@ Conventions, once and for all:
   determinant pairing evaluated on ascending words);
 * contraction is the signed Laplace expansion, first wedge letter first,
   so that <i_x f, y> = <f, x ^ y>;
-* the differential is the Q-linear operator fixed by its values on basis
-  cotensors with ring coefficients (it is a first-order operator, not an
-  A-module map: d(x^2) = 2x dx);
+* the differential is the Q-linear operator fixed by its values on the
+  unit cotensors x^key e^w, the slice labels, which `label_differential`
+  gives as integers (it is a first-order operator, not an A-module map:
+  d(x^2) = 2x dx);
 * the odd bracket is the biderivation extending the pair bracket, the
   action and zero on ring pairs, with [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u];
 * the module is free of rank ngens, so Lambda^{>ngens} = 0, and contracting
@@ -28,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .elements import Cotensor, Tensor, sort_word, wedge_list
+from .elements import Cotensor, Tensor, label_element, label_vector, sort_word, wedge_list
 from .scalars import Poly, enumerate_shuffles, koszul_sign, require_arity, sparse_sum
 
 # The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
@@ -76,47 +77,65 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
     return out
 
 
-def ce_differential(f: Cotensor) -> Cotensor:
-    """The degree -1 differential of the pair.
+def label_differential(pair, word, key) -> list[tuple[tuple, int]]:
+    """d of the unit cotensor x^key e^word, as (label, int) terms over
+    `pair.bracket_den`: the one formula for d.
 
-    On a word-length-l piece the value on a basis tuple is the alternating
-    sum of derivations of the deleted-letter coefficients plus the
-    alternating bracket-insertion sum:
+    On a word-length-l cotensor the value on a basis tuple is the
+    alternating sum of derivations of the deleted-letter coefficients plus
+    the alternating bracket-insertion sum:
 
         df(x_0..x_l) = sum_j (-1)^j D_{x_j} f(.. ^x_j ..)
                      + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. ^x_i .. ^x_j ..)
 
-    It is summed over the terms c e^w of f, so the work follows the support
-    of f, not the number of target words.  A term reaches w with one
-    letter g added at position j, with (-1)^j D_g(c), and w with its t-th
-    letter k traded for a < b, with (-1)^(i+j+t) c^k_{ab} c, where i and
-    j are the positions of a and b in the target.  Only the generators in
-    `pair.acting(c)` are tried: their D_g(c) is nonzero, the others' zero.
+    So x^key e^word reaches the word with one letter g added at position
+    j, with (-1)^j D_g(x^key), for each g in `pair.monomial_action(key)`
+    not in the word; and the word with its t-th letter k traded for
+    a < b, with (-1)^(i+j+t) c^k_{ab} x^key, where i and j are the
+    positions of a and b in the target.  The work follows the generators
+    acting on the monomial and the bracket rows, not the number of target
+    words.  Two terms may share a target.
     """
-    pair = f.pair
-    products = []
-    for w, c in f.terms.items():
-        j = 0
-        for g in pair.acting(c):
-            while j < len(w) and w[j] < g:
-                j += 1
-            if j < len(w) and w[j] == g:
-                continue
-            dc = pair.action_basis(g, c)
-            products.append((w[:j] + (g,) + w[j:], -dc if j % 2 else dc))
-        for a, b, k, coef in pair.brackets:
-            if k not in w:
-                continue
-            t = w.index(k)
-            rest = w[:t] + w[t + 1:]
-            if a in rest or b in rest:
-                continue
-            target = tuple(sorted(rest + (a, b)))
-            odd = (target.index(a) + target.index(b) + t) % 2
-            products.append((target, c * (-coef if odd else coef)))
-    out = Cotensor.zero(pair)
-    out.terms = sparse_sum(products)
-    return out
+    den, length = pair.bracket_den, len(word)
+    terms = []
+    j = 0
+    for g, k, lowered in pair.monomial_action(key):
+        while j < length and word[j] < g:
+            j += 1
+        if j < length and word[j] == g:
+            continue
+        k *= den
+        terms.append(((word[:j] + (g,) + word[j:], lowered), -k if j % 2 else k))
+    for a, b, k, c in pair.bracket_nums:
+        if k not in word:
+            continue
+        t = word.index(k)
+        rest = word[:t] + word[t + 1:]
+        if a in rest or b in rest:
+            continue
+        target = tuple(sorted(rest + (a, b)))
+        odd = (target.index(a) + target.index(b) + t) % 2
+        terms.append(((target, key), -c if odd else c))
+    return terms
+
+
+def differential_numerators(pair, nums: dict) -> dict:
+    """d on a label vector: the numerators of d of the cotensor with
+    numerators nums, over their denominator times `pair.bracket_den`,
+    summed label by label through `label_differential`; zeros dropped."""
+    out: dict = {}
+    for (w, key), a in nums.items():
+        for lab, c in label_differential(pair, w, key):
+            out[lab] = out.get(lab, 0) + a * c
+    return {lab: c for lab, c in out.items() if c}
+
+
+def ce_differential(f: Cotensor) -> Cotensor:
+    """The degree -1 differential of the pair: `label_differential` applied
+    to the terms of f, so the work follows the support of f."""
+    nums, den = label_vector(f)
+    return label_element(f.pair, Cotensor, differential_numerators(f.pair, nums),
+                         den * f.pair.bracket_den)
 
 
 def lie_derivative(x: Tensor, f: Cotensor) -> Cotensor:

@@ -12,13 +12,15 @@ The tensor half of a slice enters only through its images i_x omega.  The
 differential sees a tensor only through its image, and contraction is
 injective on symplectic tensors modulo its kernel, so the linearly
 independent images in the target cotensor slice stand for a basis of that
-quotient.  No kernel quotient of the tensors is built, and each slice
-basis tensor is contracted into omega once.
+quotient.  No kernel quotient of the tensors is built.
 
-Between the calculus and the elimination every slice vector, image or
-d h, is a label vector: int numerators keyed by (word, monomial key) over
-one denominator.  Each extension slice is eliminated once, on integers,
-and no element is rebuilt on the way to a rank.
+Every slice vector, image or d h, is a label vector: int numerators keyed
+by (word, monomial key) over one denominator, built from the slice labels
+alone.  d h is `calculus.label_differential` of the label h, and the image
+of a tensor label x^a e_w is its word's contraction table i_{e_w} omega,
+built once per structure, with its keys shifted by a.  No Tensor or
+Cotensor is made per label, each extension slice is eliminated once, on
+integers, and no element is built on the way to a rank.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced

@@ -6,15 +6,20 @@ generators, graded by word length (A itself sits in degree 0 as the empty
 word).  A Cotensor is the same thing built on the dual generators; its
 tensor degree is minus the word length.
 
+The one flattening of an element is its label vector: int numerators
+keyed by (word, monomial key) over one denominator, the form of every
+slice vector.  `label_vector` and `label_element` convert between the two.
+
 Words are kept strictly ascending.  `sort_word` gives the reordering sign
 of an input word and of a word built by concatenation (wedge, Schouten);
-`calculus.contract` (the Laplace sign) and `calculus.ce_differential`
+`calculus.contract` (the Laplace sign) and `calculus.label_differential`
 (insertion signs) read theirs from letter positions instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -262,4 +267,39 @@ def wedge_list(pair, cls, elems):
     cls.zero(pair)._check(out)
     for e in elems[1:]:
         out = out.wedge(e)
+    return out
+
+
+def label_vector(elem) -> tuple[dict[tuple, int], int]:
+    """(nums, den): the coefficients of an element as int numerators keyed
+    by label (word, monomial key) over one denominator, the lcm of the
+    coefficients' own.  Each coefficient is in lowest terms, so the vector
+    is too."""
+    out, den = {}, 1
+    for w, poly in elem.terms.items():
+        nums, d = poly.numerators()
+        if d == den:
+            for e, c in nums.items():
+                out[w, e] = c
+            continue
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            f = lcm // den
+            for lab in out:
+                out[lab] *= f
+            den = lcm
+        f = den // d
+        for e, c in nums.items():
+            out[w, e] = c * f
+    return out, den
+
+
+def label_element(pair, cls, nums: dict, den: int):
+    """The cls element with label vector (nums, den), nums nonzero ints;
+    each coefficient is put in lowest terms."""
+    terms: dict[Word, dict] = {}
+    for (w, e), c in nums.items():
+        terms.setdefault(w, {})[e] = c
+    out = cls(pair)
+    out.terms = {w: Poly._from_nums(pair.poly_nvars, t, den) for w, t in terms.items()}
     return out

@@ -15,7 +15,12 @@ An n-plectic structure on a pair is a closed cotensor of tensor degree
 
 Everything is sliced by (wedge degree, polynomial degree) and solved with
 exact linear algebra; the two shipped coefficient families keep every
-slice finite.
+slice finite.  A slice is built from its labels (word, monomial key), not
+from elements: d of a label comes from `calculus.label_differential`, and
+its contraction into omega is the word's contraction table, built once per
+structure in its derived store, with every key shifted by the label's
+monomial.  Slice vectors are label vectors, int numerators over one
+denominator, and so are the null vectors and solutions read off them.
 
 The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
@@ -28,19 +33,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .calculus import MAX_BRACKET_ARITY, ce_differential, contract, higher_bracket
-from .elements import Cotensor, Tensor, ascending_words, wedge_list
-from .linalg import Echelon, combine, null_space, numerators, solve
+from .calculus import (
+    MAX_BRACKET_ARITY,
+    ce_differential,
+    contract,
+    differential_numerators,
+    higher_bracket,
+)
+from .elements import Cotensor, Tensor, ascending_words, label_element, label_vector, wedge_list
+from .linalg import Echelon, combine, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
 from .scalars import (
     CapExceeded,
-    Poly,
     as_int,
     as_rational,
     bell,
     monomial_degree,
     monomials_exact,
     require_arity,
+    require_exponents,
 )
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
@@ -110,11 +121,13 @@ def structure_from_json(data: dict) -> NPlecticStructure:
 # ---------------------------------------------------------------------------
 
 # The most basis elements slice_basis builds, 30x the largest slice of the
-# shipped models and benchmark inputs (336).  On a 2-vCPU Xeon, d on a
-# 9,900-element slice over 10 variables is built and ranked in 1.8 s, and
-# on a 5,940-element slice over 12 variables in 0.4 s.  d works per term of
-# its input, at most one target word per generator and bracket row, so the
-# cap bounds the time of d as well as the number of elements.
+# shipped models and benchmark inputs (336).  On a 2-vCPU Xeon with Python
+# 3.11, d on a 9,900-element slice over 10 variables (word length 2,
+# weight 3) is built from labels and ranked in 0.10 s, and on a
+# 5,940-element slice over 12 variables (word length 4, weight 1) in
+# 0.03 s.  d works per label, at most one target word per generator and
+# bracket row, so the cap bounds the time of d as well as the number of
+# labels.
 MAX_SLICE_DIM = 10_000
 
 
@@ -153,37 +166,6 @@ def slice_basis(pair, word_len: int, degrees) -> list[tuple]:
     return [(w, e) for w in ascending_words(pair.ngens, word_len) for e in monos]
 
 
-def basis_elements(pair, cls, labels):
-    """Unit-monomial elements of a slice; labels from slice_basis need no checks."""
-    zero = cls(pair)
-    return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
-
-
-def label_vector(elem) -> tuple[dict[tuple, int], int]:
-    """The one flattening of an element, the form of every slice vector:
-    (nums, den), its coefficients as int numerators keyed by slice label
-    (word, monomial key) over one denominator, the lcm of the
-    coefficients' own.  Each coefficient is in lowest terms, so the vector
-    is too."""
-    out, den = {}, 1
-    for w, poly in elem.terms.items():
-        nums, d = poly.numerators()
-        if d == den:
-            for e, c in nums.items():
-                out[w, e] = c
-            continue
-        lcm = math.lcm(den, d)
-        if lcm != den:
-            f = lcm // den
-            for lab in out:
-                out[lab] *= f
-            den = lcm
-        f = den // d
-        for e, c in nums.items():
-            out[w, e] = c * f
-    return out, den
-
-
 def slice_coords(vec: dict, index: dict) -> dict[int, int]:
     """The integer columns of a label vector's numerators in a slice;
     raises if it leaves the slice window."""
@@ -196,12 +178,7 @@ def slice_coords(vec: dict, index: dict) -> dict[int, int]:
 def coords_element(pair, cls, labels, coords: dict[int, int], den: int):
     """The element with the given nonzero sparse coordinates in a slice,
     int numerators over one denominator."""
-    terms = {}
-    for i in sorted(coords):
-        w, e = labels[i]
-        terms.setdefault(w, {})[e] = coords[i]
-    return cls(pair)._make({w: Poly._from_nums(pair.poly_nvars, t, den)
-                            for w, t in terms.items()})
+    return label_element(pair, cls, {labels[i]: coords[i] for i in sorted(coords)}, den)
 
 
 class Quotient:
@@ -263,10 +240,29 @@ def shift_weight(pair, r: int) -> int:
 
 def differential_slice(pair, word_len: int, weight: int):
     """Labels of the cotensor slice of one word length and polynomial
-    degree, and the label vector of d h for each of its basis elements."""
+    degree, and the label vector of d h for each of its basis elements,
+    read off `calculus.label_differential`."""
     labels = slice_basis(pair, word_len, weight)
-    return labels, [label_vector(ce_differential(h))
-                    for h in basis_elements(pair, Cotensor, labels)]
+    den = pair.bracket_den
+    return labels, [(differential_numerators(pair, {lab: 1}), den) for lab in labels]
+
+
+def label_contraction(s: NPlecticStructure, word, key) -> tuple[dict, int]:
+    """The label vector of i_x omega for the slice label x = x^key e_word;
+    callers must not change it.
+
+    i_{x^a e_w} omega = x^a i_{e_w} omega, so it is the word's contraction
+    table, the label vector of i_{e_w} omega built once per structure and
+    word in its derived store, with every monomial key shifted by a.  A
+    shift past MAX_EXPONENT raises CapExceeded, as a Poly product does.
+    """
+    nums, den = s.derived(("contraction", word),
+                          lambda: label_vector(contract(Tensor.basis(s.pair, word), s.omega)))
+    if not key:
+        return nums, den
+    shifted = {(w, e + key): c for (w, e), c in nums.items()}
+    require_exponents((e for _, e in shifted), s.pair.poly_nvars)
+    return shifted, den
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +279,24 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     `slice_basis`.
 
     Returns (labels, null, images): the labels of the tensor slice, the
-    sparse coordinates of a basis of its symplectic tensors, and the label
-    vector of each one's image i_x omega.  Each slice basis tensor is
-    contracted into omega once; the symplectic basis is the null space of
-    d on the contractions, and its images are the same combinations of
-    their vectors.  Above degree n + 1 every contraction into the
-    (n + 1)-form omega is zero, so every tensor is symplectic with image
-    zero and nothing is contracted.
+    sparse coordinates of a basis of its symplectic tensors as (int
+    numerators, denominator), and the label vector of each one's image
+    i_x omega.  Each label's contraction is its word's contraction table
+    shifted by its monomial (`label_contraction`), and d of it is the
+    table's terms pushed through `calculus.label_differential`; the
+    symplectic basis is the null space of d on the contractions, and its
+    images are the same combinations of their vectors.  Above degree n + 1
+    every contraction into the (n + 1)-form omega is zero, so every tensor
+    is symplectic with image zero and nothing is contracted.
     """
     labels = slice_basis(s.pair, degree, degrees)
     if degree > s.n + 1:
         return labels, null_space([], len(labels)), [({}, 1) for _ in labels]
-    contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
-    rows, _ = matrix_of([label_vector(ce_differential(c)) for c in contractions])
+    vectors = [label_contraction(s, w, e) for w, e in labels]
+    den = s.pair.bracket_den
+    rows, _ = matrix_of([(differential_numerators(s.pair, nums), d * den)
+                         for nums, d in vectors])
     null = null_space(rows, len(labels))
-    vectors = [label_vector(c) for c in contractions]
     return labels, null, [combine(vec, vectors) for vec in null]
 
 
@@ -305,7 +304,7 @@ def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3
     """Basis of symplectic tensors of one wedge degree within a poly window."""
     def build():
         labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
-        return [coords_element(s.pair, Tensor, labels, *numerators(vec)) for vec in null]
+        return [coords_element(s.pair, Tensor, labels, *vec) for vec in null]
     return list(s.derived(("symplectic", degree, max_poly_degree), build))
 
 
@@ -313,9 +312,8 @@ def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
     within a poly window."""
     labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
-    rows, _ = matrix_of([label_vector(contract(x, s.omega))
-                         for x in basis_elements(s.pair, Tensor, labels)])
-    return [coords_element(s.pair, Tensor, labels, *numerators(vec))
+    rows, _ = matrix_of([label_contraction(s, w, e) for w, e in labels])
+    return [coords_element(s.pair, Tensor, labels, *vec)
             for vec in null_space(rows, len(labels))]
 
 
@@ -358,12 +356,14 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
             rhs = slice_coords(nums, {lab: i for i, lab in enumerate(tgt_labels)})
         except ValueError:
             return None  # the slice image cannot reach this component
-        # rows are matrix_scale(exact) times the matrix, so the right side is too
+        # rows are matrix_scale(exact) times the matrix and the right side is
+        # nums / den: solve rows y = scale nums, then x = y / den
         scale = matrix_scale(exact)
-        sol = solve(rows, {i: Fraction(c * scale, den) for i, c in rhs.items()}, len(labels))
+        sol = solve(rows, {i: c * scale for i, c in rhs.items()}, len(labels))
         if sol is None:
             return None
-        out = out + coords_element(s.pair, Cotensor, labels, *numerators(sol))
+        coords, sol_den = sol
+        out = out + coords_element(s.pair, Cotensor, labels, coords, sol_den * den)
     return out
 
 

@@ -15,10 +15,11 @@ order (a row reaches only columns above its pivot).  Its residue is the
 one vector that differs from the input by a span element and is zero on
 every pivot, so it depends only on the span.  `rref` back-substitutes
 once, at the end, so that `null_space` and `solve` read their answers off
-rows zero on every other pivot, FLINT's `fmpz_mat_rref` form.  Columns
-stay integers (the engine maps slice labels to them).  `rank_dense` is a
-plain dense Gauss-Jordan loop over Fraction rows that shares no code with
-the kernel: the oracle the tests check it against.
+rows zero on every other pivot, FLINT's `fmpz_mat_rref` form, and return
+them as int numerators over one denominator too.  Columns stay integers
+(the engine maps slice labels to them).  `rank_dense` is a plain dense
+Gauss-Jordan loop over Fraction rows that shares no code with the kernel:
+the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
     return {c: a // g for c, a in nums.items()}, den // g
 
 
-def combine(coeffs: dict, vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
-    """sum_i coeffs[i] * vectors[i] for rational coeffs and vectors given as
-    (numerators, denominator), in lowest terms; keys of the vectors are opaque."""
-    nums, den = numerators(coeffs)
+def combine(coeffs: tuple[dict, int], vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """sum_i c_i * vectors[i] for coefficients and vectors given as (int
+    numerators, denominator), in lowest terms; keys of the vectors are opaque."""
+    nums, den = coeffs
     scale = lcm(*[vectors[i][1] for i in nums])
     out: dict = {}
     for i, c in nums.items():
@@ -192,25 +193,32 @@ def rank_dense(mat: list[list[Fraction]]) -> int:
     return r
 
 
-def solve(rows: list[dict], rhs: dict, cols: int) -> dict | None:
+def _over_lcm(entries) -> tuple[Vector, int]:
+    """The vector with x / a at column c for each (c, a, x), as (int
+    numerators, denominator) in lowest terms."""
+    den = lcm(*[a for _, a, _ in entries])
+    return _lowest({c: x * (den // a) for c, a, x in entries}, den)
+
+
+def solve(rows: list[dict], rhs: dict, cols: int) -> tuple[Vector, int] | None:
     """One exact solution x of rows * x = rhs (free variables 0), or None.
 
     rows have their rational entries in columns 0..cols-1; rhs is keyed by
-    row index.
+    row index.  x comes as (int numerators, denominator) in lowest terms.
     """
     ech = rref([{**row, cols: rhs.get(i, 0)} for i, row in enumerate(rows)])
     if cols in ech.rows:
         return None  # a pivot in the augmented column: inconsistent
-    return {p: rest[cols] if a == 1 else Fraction(rest[cols], a)
-            for p, (a, rest) in ech.rows.items() if cols in rest}
+    return _over_lcm([(p, a, rest[cols]) for p, (a, rest) in ech.rows.items() if cols in rest])
 
 
-def null_space(rows: list[dict], cols: int) -> list[dict]:
-    """Basis of the kernel: for each free column fc in ascending order, the
-    vector with 1 at fc, 0 at every other free column."""
+def null_space(rows: list[dict], cols: int) -> list[tuple[Vector, int]]:
+    """Basis of the kernel, as (int numerators, denominator) in lowest
+    terms: for each free column fc in ascending order, the vector with 1 at
+    fc, 0 at every other free column."""
     ech = rref(rows)
-    basis = {fc: {fc: 1} for fc in range(cols) if fc not in ech.rows}
+    entries = {fc: [(fc, 1, 1)] for fc in range(cols) if fc not in ech.rows}
     for p, (a, rest) in ech.rows.items():
         for fc, x in rest.items():  # rows are zero on every other pivot
-            basis[fc][p] = -x if a == 1 else Fraction(-x, a)
-    return list(basis.values())
+            entries[fc].append((p, a, -x))
+    return [_over_lcm(column) for column in entries.values()]

@@ -15,10 +15,16 @@ validator spot-checks through the nondegeneracy of the basis pairing.
 `acting(c)` is the one answer to "which generators act on the coefficient
 c?": exactly the g with a nonzero `action_basis(g, c)`, in ascending
 order, so a caller acts only with those and needs no zero test.
+
+On a slice label (word, monomial key) both are read as integers, the form
+`calculus.label_differential` takes them in: `monomial_action(key)` gives
+D_g of the monomial per acting generator g, and `bracket_nums` the
+structure constants as int numerators over `bracket_den`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +33,16 @@ from .calculus import pairing
 from .elements import Cotensor, Tensor
 from .report import Report, witness_unless
 from .sampling import random_coeff, random_gvector, random_tuples
-from .scalars import Poly, _default_names, as_int, as_rational, format_poly, parse_poly, sparse_sum
+from .scalars import (
+    Poly,
+    _default_names,
+    as_int,
+    as_rational,
+    format_poly,
+    monomial_derivatives,
+    parse_poly,
+    sparse_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,11 @@ class ConstantPair:
             table.setdefault((i, j), []).append((k, c))
             table.setdefault((j, i), []).append((k, -c))
         object.__setattr__(self, "_bracket_table", table)
+        # the rows as int numerators over the lcm of their denominators
+        den = math.lcm(*(c.denominator for *_, c in self.brackets))
+        object.__setattr__(self, "bracket_den", den)
+        object.__setattr__(self, "bracket_nums", tuple(
+            (i, j, k, c.numerator * (den // c.denominator)) for i, j, k, c in self.brackets))
 
     @classmethod
     def from_brackets(cls, dim: int, table: dict) -> "ConstantPair":
@@ -113,13 +133,17 @@ class ConstantPair:
     def action_basis(self, i: int, a: Poly) -> Poly:
         return Poly.zero(0)
 
+    def monomial_action(self, key: int) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class PolyVectorFieldPair:
     """Polynomial coefficients: A = Q[x_1..x_m], g free on the d/dx_i."""
 
     nvars: int
-    brackets = ()
+    brackets = bracket_nums = ()
+    bracket_den = 1
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -156,6 +180,11 @@ class PolyVectorFieldPair:
 
     def action_basis(self, i: int, a: Poly) -> Poly:
         return a.diff(i - 1)
+
+    def monomial_action(self, key: int) -> list[tuple[int, int, int]]:
+        """(g, k, lowered) for each generator g acting on the monomial x^key,
+        ascending: D_g(x^key) = k x^lowered."""
+        return monomial_derivatives(key, self.nvars, 1)  # e_g is d/dx_g
 
 
 PairDescriptor = ConstantPair | PolyVectorFieldPair

@@ -148,6 +148,27 @@ def variable_key(nvars: int, index: int) -> int:
     return 1 << (_FIELD_BITS * (nvars - 1 - index))
 
 
+def monomial_derivatives(key: int, nvars: int, first: int = 0) -> list[tuple[int, int, int]]:
+    """(v, k, lowered) for each variable v that occurs in the key, ascending,
+    variables numbered from `first`: d/dx_v of the monomial is k times the
+    monomial `lowered`.  Only the nonzero fields are visited, from the
+    first variable on."""
+    out, mask, last = [], key, nvars - 1 + first
+    while mask:
+        shift = (mask.bit_length() - 1) & -_FIELD_BITS  # the start of the top set field
+        unit = 1 << shift
+        out.append((last - shift // _FIELD_BITS, mask >> shift, key - unit))
+        mask &= unit - 1  # higher fields are already cleared
+    return out
+
+
+def require_exponents(keys, nvars: int) -> None:
+    """Raise CapExceeded if a key sets a guard bit: a sum of two keys whose
+    exponent passed MAX_EXPONENT."""
+    if functools.reduce(or_, keys, 0) & _guard_bits(nvars):
+        raise CapExceeded(f"a polynomial exponent exceeds cap {MAX_EXPONENT}")
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomials over Q
 # ---------------------------------------------------------------------------
@@ -363,8 +384,7 @@ class Poly:
                     e = e1 + e2
                     nums[e] = nums.get(e, 0) + c1 * c2
             nums = {e: c for e, c in nums.items() if c}
-        if functools.reduce(or_, nums, 0) & _guard_bits(self.nvars):
-            raise CapExceeded(f"a polynomial exponent exceeds cap {MAX_EXPONENT}")
+        require_exponents(nums, self.nvars)
         return Poly._from_nums(self.nvars, nums, self.den * other.den)
 
     __rmul__ = __mul__

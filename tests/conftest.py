@@ -1,8 +1,9 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
 oracle for the weak Jacobi residual, the ordered-block oracle for the
 morphism residual, the target-word oracle for d, a plain
-{exponent: Fraction} polynomial arithmetic as the oracle for `Poly`, and a
-sampler of extension elements."""
+{exponent: Fraction} polynomial arithmetic as the oracle for `Poly`, a
+sampler of extension elements, and the unit elements of a slice, which
+the element-path oracles of the label-built slices start from."""
 
 import itertools
 import math
@@ -138,7 +139,8 @@ def morphism_oracle():
 
 
 def ce_differential_by_targets(f):
-    """Oracle for `calculus.ce_differential`: d f evaluated word by word.
+    """Oracle for `calculus.ce_differential` and the label formula under it,
+    `calculus.label_differential`: d f evaluated word by word.
 
     For each word length l in f it walks every ascending target word of
     length l + 1, whatever the support of f, and evaluates
@@ -179,6 +181,12 @@ def ce_differential_by_targets(f):
 @pytest.fixture(scope="session")
 def differential_oracle():
     return ce_differential_by_targets
+
+
+def basis_elements(pair, cls, labels):
+    """The unit-monomial element x^key e_word of each slice label (word, key)."""
+    zero = cls(pair)
+    return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
 
 
 class DictPoly:

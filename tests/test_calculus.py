@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nplectic import calculus
 from nplectic.calculus import (
     MAX_BRACKET_ARITY,
     ce_differential,
@@ -16,10 +18,12 @@ from nplectic.calculus import (
     schouten,
 )
 from nplectic.elements import Cotensor, Tensor, ascending_words, wedge_list
+from nplectic.engine import differential_slice
 from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
 from nplectic.scalars import CapExceeded, Poly, koszul_sign, parse_poly
+from conftest import basis_elements
 
 
 def su2():
@@ -258,6 +262,53 @@ def test_differential_matches_the_target_word_oracle(differential_oracle, name, 
     assert ce_differential(f) == differential_oracle(f)
 
 
+def label_d_disagreements(pair, differential_oracle):
+    """The slice labels (word, key) whose d disagrees with the target-word
+    oracle on the unit cotensor x^key e^word: d from the label vectors of
+    `differential_slice` and from `ce_differential`, over every word length
+    and weights 0..2."""
+    bad = []
+    for word_len in range(pair.ngens + 1):
+        for weight in range(3) if pair.poly_nvars else [0]:
+            labels, exact = differential_slice(pair, word_len, weight)
+            for lab, unit, (nums, den) in zip(labels, basis_elements(pair, Cotensor, labels),
+                                              exact):
+                expected = differential_oracle(unit)
+                rationals = {(w, e): q for w, c in expected.terms.items()
+                             for e, q in c.coefficients()}
+                if ({k: Fraction(c, den) for k, c in nums.items()} != rationals
+                        or ce_differential(unit) != expected):
+                    bad.append(lab)
+    return bad
+
+
+def drop_the_insertion_sign(label_d, pair, word, key):
+    """label_d with its derivation terms stripped of their sign (-1)^j."""
+    return [((w, e), abs(c) if e != key else c) for (w, e), c in label_d(pair, word, key)]
+
+
+def flip_the_bracket_sign(label_d, pair, word, key):
+    """label_d with the sign of its bracket-insertion terms flipped."""
+    return [((w, e), -c if e == key else c) for (w, e), c in label_d(pair, word, key)]
+
+
+LABEL_D_PAIRS = {"space": (SPACE, drop_the_insertion_sign),
+                 "su2": (su2(), flip_the_bracket_sign),
+                 "four": (ORACLE_PAIRS["four"], flip_the_bracket_sign)}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_D_PAIRS))
+def test_label_differential_matches_the_target_word_oracle_on_every_label(
+        differential_oracle, monkeypatch, name):
+    # "four" has the structure constant 1/2, so its label d runs over
+    # bracket_den = 2; a label d with one sign flipped must be caught
+    pair, mutant = LABEL_D_PAIRS[name]
+    assert label_d_disagreements(pair, differential_oracle) == []
+    monkeypatch.setattr(calculus, "label_differential",
+                        functools.partial(mutant, calculus.label_differential))
+    assert label_d_disagreements(pair, differential_oracle)
+
+
 def test_differential_is_not_module_linear():
     x = parse_poly("x", 2)
     f = basis_c(PLANE, 2)  # dy
@@ -266,18 +317,24 @@ def test_differential_is_not_module_linear():
 
 
 def test_differential_acts_only_with_the_variables_a_coefficient_holds(monkeypatch):
-    # on Q[x1..x1000], d of x1*x2*x5 dx2 tries d/dx1 and d/dx5 alone: d/dx2
-    # is already in the word, and the other 997 variables do not occur
+    # on Q[x1..x1000], d of x1*x2*x5 dx2 acts with d/dx1, d/dx2 and d/dx5
+    # alone: the monomial holds no other variable, and d/dx2 is already in
+    # the word, so it adds no term
     pair = PolyVectorFieldPair(1000)
     x = [Poly.variable(1000, i) for i in range(5)]
     coeff = x[0] * x[1] * x[4]
     assert coeff.variables() == [0, 1, 4]
     tried = []
-    original = PolyVectorFieldPair.action_basis
-    monkeypatch.setattr(PolyVectorFieldPair, "action_basis",
-                        lambda self, i, a: tried.append(i) or original(self, i, a))
+    original = PolyVectorFieldPair.monomial_action
+
+    def recording(self, key):
+        action = original(self, key)
+        tried.extend(g for g, _, _ in action)
+        return action
+
+    monkeypatch.setattr(PolyVectorFieldPair, "monomial_action", recording)
     df = ce_differential(Cotensor(pair, {(2,): coeff}))
-    assert tried == [1, 5]
+    assert tried == [1, 2, 5]
     assert df == Cotensor(pair, {(1, 2): x[1] * x[4], (2, 5): -x[0] * x[1]})
 
 

@@ -19,7 +19,7 @@ from nplectic.cohomology import (
     extension_slice,
     poisson_bracket,
 )
-from nplectic.elements import Cotensor, Tensor
+from nplectic.elements import Cotensor, Tensor, ascending_words
 from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
@@ -34,6 +34,7 @@ from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
 from nplectic.scalars import CapExceeded, Poly, monomial_key
+from conftest import basis_elements
 from test_linalg import dense, sparse_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -77,7 +78,7 @@ def test_su2_ce_matrix_is_the_structure_constant_table():
 
 
 def test_contraction_matrix_on_the_plane_is_a_signed_permutation():
-    from nplectic.engine import basis_elements, label_vector, matrix_of, slice_basis
+    from nplectic.engine import label_vector, matrix_of, slice_basis
 
     s = plane_structure()
     labels = slice_basis(PLANE, 1, 0)
@@ -221,31 +222,46 @@ def test_extension_slice_quotients_kernel_directions():
     assert image.reduce(Cotensor(SPACE, {(3,): 1})).is_zero()
 
 
-def test_extension_table_contracts_each_slice_tensor_once(monkeypatch):
-    from nplectic import cohomology, engine
+def test_extension_table_builds_each_contraction_table_once(monkeypatch):
+    from nplectic import elements, engine
 
-    contracted, built, slices = [], [], []
-    contract, symplectic_slice = engine.contract, cohomology.symplectic_slice
+    builds, contracted, made = [], [], []
+    derived, contract = NPlecticStructure.derived, engine.contract
+    init = elements._Element.__init__
+
+    def counting_derived(self, key, build):
+        def counted():
+            builds.append(key)
+            return build()
+        return derived(self, key, counted)
 
     def counting_contract(x, f):
         contracted.append(x)
         return contract(x, f)
 
-    def recording_slice(s, degree, degrees):
-        slices.append((degree, degrees))
-        if degree <= s.n + 1:  # above it every contraction into omega is zero
-            labels = engine.slice_basis(s.pair, degree, degrees)
-            built.extend(engine.basis_elements(s.pair, Tensor, labels))
-        return symplectic_slice(s, degree, degrees)
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
 
+    monkeypatch.setattr(NPlecticStructure, "derived", counting_derived)
     monkeypatch.setattr(engine, "contract", counting_contract)
-    monkeypatch.setattr(cohomology, "contract", counting_contract, raising=False)
-    monkeypatch.setattr(cohomology, "symplectic_slice", recording_slice)
-    s = degenerate_structure()
-    extension_cohomology_table(s, range(-1, 3), range(3))
-    assert len(set(slices)) == len(slices)
-    assert any(degree > s.n + 1 for degree, _ in slices)
-    assert built and contracted == built
+    monkeypatch.setattr(elements._Element, "__init__", counting_init)
+    made_per_window = []
+    for weights in (range(1), range(3)):
+        for log in (builds, contracted, made):
+            log.clear()
+        s = degenerate_structure()
+        extension_cohomology_table(s, range(-1, 3), weights)
+        tables = [key[1] for key in builds if key[0] == "contraction"]
+        # one table per word up to the form degree, each built once, and
+        # contract runs only to build them, on the unit tensors of the words
+        assert len(set(tables)) == len(tables)
+        assert set(tables) == {w for k in range(s.n + 2) for w in ascending_words(3, k)}
+        assert contracted == [Tensor.basis(SPACE, w) for w in tables]
+        made_per_window.append(len(made))
+    # three times the weights, many more labels, not one element more: the
+    # slices are built from labels
+    assert made_per_window[0] == made_per_window[1] > 0
 
 
 def flat(elem):

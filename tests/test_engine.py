@@ -27,6 +27,7 @@ from nplectic.engine import (
     hamiltonian_potential,
     is_symplectic,
     kernel_basis,
+    label_contraction,
     label_vector,
     monomials_exact,
     reduce_mod_kernel,
@@ -38,11 +39,20 @@ from nplectic.engine import (
     weighted_bracket,
 )
 from nplectic.identities import random_symplectic
-from nplectic.linalg import combine, null_space, numerators
+from nplectic.linalg import combine, null_space
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction, random_tensor
-from nplectic.scalars import CapExceeded, bell, monomial_exponents, monomial_key, sparse_sum
+from nplectic.scalars import (
+    MAX_EXPONENT,
+    CapExceeded,
+    Poly,
+    bell,
+    monomial_exponents,
+    monomial_key,
+    sparse_sum,
+)
+from conftest import basis_elements
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -300,7 +310,7 @@ def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     labels, null, images = symplectic_slice(s, degree, range(window + 1))
     assert len(images) == len(null)
     for vec, image in zip(null, images):
-        x = coords_element(s.pair, Tensor, labels, *numerators(vec))
+        x = coords_element(s.pair, Tensor, labels, *vec)
         assert is_symplectic(x, s)
         assert image == label_vector(contract(x, s.omega))
 
@@ -309,8 +319,7 @@ def contracted_slice(s, degree, degrees):
     """Oracle for `symplectic_slice`: every slice basis tensor contracted
     into omega, at every degree."""
     labels = slice_basis(s.pair, degree, degrees)
-    contractions = [contract(x, s.omega)
-                    for x in engine.basis_elements(s.pair, Tensor, labels)]
+    contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
     rows, _ = engine.matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))
     vectors = [label_vector(c) for c in contractions]
@@ -338,6 +347,43 @@ def test_slices_above_the_form_degree_match_the_contracted_path(s, monkeypatch):
                 assert not contractions
                 skipped += bool(slice_basis(s.pair, degree, window))
     assert skipped
+
+
+@pytest.mark.parametrize("make", [
+    plane_structure, su2_cartan, degenerate_structure,
+    lambda: NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): "1/3 + x^2*y"})),
+    lambda: mixed_structure(["x*y", "y*z^2", "x^2*y"]),
+], ids=["plane", "su2", "degenerate-plane", "plane-poly-omega", "space-mixed-omega"])
+def test_label_contraction_is_contract_on_unit_tensors(make):
+    s = make()
+    window = range(3) if s.pair.poly_nvars else 0
+    nonzero = 0
+    for degree in range(s.pair.ngens + 1):
+        labels = slice_basis(s.pair, degree, window)
+        for (w, e), x in zip(labels, basis_elements(s.pair, Tensor, labels)):
+            expected = label_vector(contract(x, s.omega))
+            assert label_contraction(s, w, e) == expected
+            assert label_contraction(s, w, 0) == label_vector(
+                contract(Tensor.basis(s.pair, w), s.omega))
+            nonzero += bool(expected[0])
+    assert nonzero
+
+
+def test_label_contraction_past_the_exponent_cap_raises():
+    s = NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): "1/3 + x^2*y"}))
+    # i_{x^a @x} omega = x^a (1/3 + x^2 y) dy: x^(a + 2) passes the cap first
+    edge = monomial_key((MAX_EXPONENT - 2, 0))
+    assert label_contraction(s, (1,), edge) == label_vector(
+        contract(Tensor(PLANE, {(1,): Poly(2, {(MAX_EXPONENT - 2, 0): 1})}), s.omega))
+    over = monomial_key((MAX_EXPONENT - 1, 0))
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        label_contraction(s, (1,), over)
+    with pytest.raises(CapExceeded, match="exceeds cap"):  # as the element path does
+        contract(Tensor(PLANE, {(1,): Poly(2, {(MAX_EXPONENT - 1, 0): 1})}), s.omega)
+    # a constant omega only moves the key it is given
+    flat = plane_structure()
+    top = monomial_key((MAX_EXPONENT, MAX_EXPONENT))
+    assert label_contraction(flat, (1,), top) == ({((2,), top): 1}, 1)
 
 
 def heisenberg_area():

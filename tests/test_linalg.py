@@ -56,6 +56,19 @@ def apply(mat, vec):
     return [sum((row[j] * a for j, a in vec.items()), Fraction(0)) for row in mat]
 
 
+def as_fractions(nums, den):
+    return {c: Fraction(a, den) for c, a in nums.items()}
+
+
+def rational(vec):
+    """An answer of null_space or solve, nonzero int numerators over one
+    denominator in lowest terms, as a sparse vector of Fractions."""
+    nums, den = vec
+    assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
+    assert all(type(a) is int and a for a in nums.values())
+    return as_fractions(nums, den)
+
+
 def test_rref_small():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     ech = rref(sparse_rows(m))
@@ -92,9 +105,9 @@ def test_solve_and_nullspace():
         rhs = [sum(row[j] * x0[j] for j in range(cols)) for row in m]
         x = solve(sparse_rows(m), sparse(rhs), cols)
         assert x is not None
-        assert apply(m, x) == rhs
+        assert apply(m, rational(x)) == rhs
         for vec in null_space(sparse_rows(m), cols):
-            assert all(v == 0 for v in apply(m, vec))
+            assert all(v == 0 for v in apply(m, rational(vec)))
         assert len(null_space(sparse_rows(m), cols)) == cols - rank_dense(m)
 
 
@@ -106,7 +119,7 @@ def test_solve_detects_inconsistency():
 def test_nullspace_of_empty_matrix():
     basis = null_space([], cols=3)
     assert len(basis) == 3
-    assert basis == [{0: 1}, {1: 1}, {2: 1}]
+    assert basis == [({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 1)]
 
 
 def test_echelon_reduction_is_canonical():
@@ -152,7 +165,7 @@ def test_sparse_null_spaces_are_annihilated_and_complete():
     for _ in range(100):
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         m = sparse_matrix(rng, rows, cols, rng.choice((None, rng.randint(0, min(rows, cols)))))
-        basis = null_space(sparse_rows(m), cols)
+        basis = [rational(vec) for vec in null_space(sparse_rows(m), cols)]
         assert len(basis) == cols - rank_dense(m)
         for vec in basis:
             assert all(v == 0 for v in apply(m, vec))
@@ -200,7 +213,7 @@ def test_the_kernel_never_densifies():
     F = Fraction
     # a dense row of 10**9 + 2 cells would not fit in memory
     assert rank_fraction_free([{10**9: F(1)}, {0: F(2), 10**9: F(1)}]) == 2
-    assert solve([{0: F(1), 10**9: F(1)}], {0: F(3)}, 10**9 + 1) == {0: F(3)}
+    assert solve([{0: F(1), 10**9: F(1)}], {0: F(3)}, 10**9 + 1) == ({0: 3}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +276,6 @@ def dense_residue(basis, vec, cols):
     return v
 
 
-def as_fractions(nums, den):
-    return {c: Fraction(a, den) for c, a in nums.items()}
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_kernel_matches_the_dense_fraction_reference(seed):
     rng = random.Random(1000 + seed)
@@ -292,11 +301,12 @@ def test_integer_kernel_matches_the_dense_fraction_reference(seed):
                 if row[fc]:
                     vec[p] = -row[fc]
             expected.append(vec)
-        assert null_space(sparse_rows(m), cols) == expected
+        assert [rational(vec) for vec in null_space(sparse_rows(m), cols)] == expected
         x0 = {c: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for c in range(cols)}
         rhs = sparse(apply(m, x0))
         aug = dense_rref([row + [rhs.get(i, Fraction(0))] for i, row in enumerate(m)], cols + 1)
-        assert solve(sparse_rows(m), rhs, cols) == {p: row[cols] for p, row in aug.items() if row[cols]}
+        x = rational(solve(sparse_rows(m), rhs, cols))
+        assert x == {p: row[cols] for p, row in aug.items() if row[cols]}
 
 
 def test_echelon_add_never_rewrites_a_stored_row():

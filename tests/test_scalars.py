@@ -18,6 +18,7 @@ from nplectic.scalars import (
     format_poly,
     koszul_sign,
     monomial_degree,
+    monomial_derivatives,
     monomial_exponents,
     monomial_key,
     parse_poly,
@@ -411,6 +412,11 @@ def test_keys_sort_as_their_exponent_tuples(expos):
     for e, key in zip(expos, keys):
         assert monomial_exponents(key, nvars) == e and monomial_degree(key, nvars) == sum(e)
         assert key == sum(k * variable_key(nvars, i) for i, k in enumerate(e))
+        # d/dx_i x^e = e_i x^(e - unit_i), one entry per variable the key holds
+        lowered = [(i, k, monomial_key(e[:i] + (k - 1,) + e[i + 1:]))
+                   for i, k in enumerate(e) if k]
+        assert monomial_derivatives(key, nvars) == lowered
+        assert monomial_derivatives(key, nvars, 1) == [(i + 1, k, low) for i, k, low in lowered]
 
 
 def test_a_product_past_the_exponent_bound_is_refused_not_carried():
