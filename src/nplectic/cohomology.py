@@ -65,7 +65,7 @@ from .linalg import rank_fraction_free
 def ce_matrix(pair, word_len: int, weight: int = 0):
     """Sparse rows of the matrix of d on one cotensor slice, plus the slice labels."""
     labels, exact = differential_slice(pair, word_len, weight)
-    return matrix_of(exact)[0], labels
+    return matrix_of(exact), labels
 
 
 def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:

@@ -21,6 +21,10 @@ its contraction into omega is the word's contraction table, built once per
 structure in its derived store, with every key shifted by the label's
 monomial.  Slice vectors are label vectors, int numerators over one
 denominator, and so are the null vectors and solutions read off them.
+`linalg` sees only sparse int rows: `matrix_of` lays label vectors out as
+the columns of one integer matrix, a solve passing its right side as the
+last column, and a `Quotient` maps the numerators of each vector to the
+columns of its slice.
 
 The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
@@ -208,28 +212,22 @@ class Quotient:
         return coords_element(self.pair, self.cls, self.labels, coords, den)
 
 
-def matrix_of(vectors):
-    """Integer matrix with one column per label vector; the target window
-    is inferred.
+def matrix_of(vectors) -> list[dict[int, int]]:
+    """Integer matrix with one column per label vector: one sparse row
+    {column: int} per label appearing in any vector, in sorted label order.
 
-    Returns (rows, tgt_labels): one sparse row {column: int} per label
-    appearing in any vector, in sorted label order.  The entries are those
-    of the vectors times the lcm of their denominators, a positive multiple
-    of the matrix with the same rank and null space (`matrix_scale`).
+    The entries are those of the vectors times the lcm of their
+    denominators, a positive multiple of the matrix with the same rank and
+    null space.  Given [A | b], the columns of A and then b, the multiple
+    has the same solutions too: `linalg.solve` reads b off the last column.
     """
-    scale = matrix_scale(vectors)
+    scale = math.lcm(*[den for _, den in vectors])
     rows: dict[tuple, dict[int, int]] = {}
     for col, (nums, den) in enumerate(vectors):
         f = scale // den
         for lab, c in nums.items():
             rows.setdefault(lab, {})[col] = c * f
-    tgt_labels = sorted(rows)
-    return [rows[lab] for lab in tgt_labels], tgt_labels
-
-
-def matrix_scale(vectors) -> int:
-    """The factor by which `matrix_of` scales the matrix of these vectors."""
-    return math.lcm(*[den for _, den in vectors])
+    return [rows[lab] for lab in sorted(rows)]
 
 
 def shift_weight(pair, r: int) -> int:
@@ -294,8 +292,7 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
         return labels, null_space([], len(labels)), [({}, 1) for _ in labels]
     vectors = [label_contraction(s, w, e) for w, e in labels]
     den = s.pair.bracket_den
-    rows, _ = matrix_of([(differential_numerators(s.pair, nums), d * den)
-                         for nums, d in vectors])
+    rows = matrix_of([(differential_numerators(s.pair, nums), d * den) for nums, d in vectors])
     null = null_space(rows, len(labels))
     return labels, null, [combine(vec, vectors) for vec in null]
 
@@ -312,7 +309,7 @@ def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
     within a poly window."""
     labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
-    rows, _ = matrix_of([label_contraction(s, w, e) for w, e in labels])
+    rows = matrix_of([label_contraction(s, w, e) for w, e in labels])
     return [coords_element(s.pair, Tensor, labels, *vec)
             for vec in null_space(rows, len(labels))]
 
@@ -340,9 +337,11 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     """One exact solution f of d f = i_x omega, or None if there is none.
 
     The input must be symplectic (i_x omega closed), otherwise ValueError.
-    Solving happens per (word length, polynomial degree) slice; free
-    variables are pinned to zero, so the answer is canonical.  A component
-    that d cannot reach (word length zero, empty source) has no solution.
+    Solving happens per (word length, polynomial degree) slice, on the
+    matrix of [d | the slice part of i_x omega]; free variables are pinned
+    to zero, so the answer is canonical.  A component that d cannot reach
+    (a label no d h has, or word length zero, an empty source) gives a
+    pivot in the last column, and so no solution.
     """
     image = contract(x, s.omega)
     if not ce_differential(image).is_zero():
@@ -350,20 +349,10 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     out = Cotensor.zero(s.pair)
     for (deg, pd), part in image.bigraded_parts().items():
         labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
-        rows, tgt_labels = matrix_of(exact)
-        nums, den = label_vector(part)
-        try:
-            rhs = slice_coords(nums, {lab: i for i, lab in enumerate(tgt_labels)})
-        except ValueError:
-            return None  # the slice image cannot reach this component
-        # rows are matrix_scale(exact) times the matrix and the right side is
-        # nums / den: solve rows y = scale nums, then x = y / den
-        scale = matrix_scale(exact)
-        sol = solve(rows, {i: c * scale for i, c in rhs.items()}, len(labels))
+        sol = solve(matrix_of(exact + [label_vector(part)]), len(labels))
         if sol is None:
             return None
-        coords, sol_den = sol
-        out = out + coords_element(s.pair, Cotensor, labels, coords, sol_den * den)
+        out = out + coords_element(s.pair, Cotensor, labels, *sol)
     return out
 
 

@@ -3,11 +3,12 @@
 One elimination kernel does all the work: `Echelon`, a row echelon basis
 of a span, held sparsely.  A row is primitive (its ints share no factor)
 with a positive entry at its pivot, its lowest column, and is kept as
-(pivot entry, {column: int} for the rest).  Vectors come in as int
-numerators over one denominator (`numerators`); a span does not see the
-denominator, so `Echelon.add` makes no Fraction.  A step is fraction-free,
-w <- a w - b row for the pivot entry a, after dividing a and b by their
-gcd (Bareiss, Math. Comp. 22, 1968).
+(pivot entry, {column: int} for the rest).  Vectors come in as sparse int
+rows, as the engine hands them over: a rational vector is its numerators
+over one denominator, and a span does not see the denominator, so no
+Fraction is made.  A step is fraction-free, w <- a w - b row for the
+pivot entry a, after dividing a and b by their gcd (Bareiss, Math. Comp.
+22, 1968).
 
 `Echelon.add` stores what is left of a vector as a new row and never
 rewrites a stored row.  `Echelon.reduce` clears pivots in ascending column
@@ -16,7 +17,8 @@ one vector that differs from the input by a span element and is zero on
 every pivot, so it depends only on the span.  `rref` back-substitutes
 once, at the end, so that `null_space` and `solve` read their answers off
 rows zero on every other pivot, FLINT's `fmpz_mat_rref` form, and return
-them as int numerators over one denominator too.  Columns stay integers
+them as int numerators over one denominator too.  `solve` takes the rows
+of [A | b], its right side b in the last column.  Columns stay integers
 (the engine maps slice labels to them).  `rank_dense` is a plain dense
 Gauss-Jordan loop over Fraction rows that shares no code with the kernel:
 the oracle the tests check it against.
@@ -28,18 +30,7 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import over_lcm
-
 Vector = dict[int, int]  # sparse: column -> nonzero int numerator
-
-
-def numerators(vec: dict) -> tuple[dict, int]:
-    """A vector of rationals (ints or Fractions) as a new dict of int
-    numerators and one denominator > 0, in lowest terms, zeros dropped."""
-    values = vec.values()
-    if set(map(type, values)) <= {int}:  # the engine's vectors: a plain copy
-        return (dict(vec) if 0 not in values else {c: a for c, a in vec.items() if a}), 1
-    return over_lcm(vec)
 
 
 def _lowest(nums: dict, den: int) -> tuple[dict, int]:
@@ -113,7 +104,7 @@ def _primitive(a: int, rest: Vector) -> tuple:
 
 def _insert(rows: dict[int, tuple], vec: dict) -> bool:
     """Eliminate vec and store what is left as a new row; False if nothing is left."""
-    w = numerators(vec)[0]
+    w = {c: a for c, a in vec.items() if a}
     _clear(rows, w)
     if not w:
         return False
@@ -133,12 +124,13 @@ class Echelon:
         self.rows: dict[int, tuple] = {}  # pivot column -> (pivot entry, rest of the row)
 
     def reduce(self, vec: dict, den: int = 1) -> tuple[Vector, int]:
-        """The residue of vec / den as (int numerators, denominator) in lowest terms."""
-        w, d = numerators(vec)
-        return _lowest(w, d * den * _clear(self.rows, w))
+        """The residue of vec / den, for an int vector vec, as (int
+        numerators, denominator) in lowest terms."""
+        w = {c: a for c, a in vec.items() if a}
+        return _lowest(w, den * _clear(self.rows, w))
 
     def add(self, vec: dict) -> bool:
-        """Insert vec's residue; returns True if it enlarged the span."""
+        """Insert the residue of an int vector; returns True if it enlarged the span."""
         return _insert(self.rows, vec)
 
     @property
@@ -147,7 +139,7 @@ class Echelon:
 
 
 def _echelon(rows: list[dict]) -> Echelon:
-    """The row echelon basis of the span of sparse rows."""
+    """The row echelon basis of the span of sparse int rows."""
     ech = Echelon()
     for row in rows:
         _insert(ech.rows, row)
@@ -155,7 +147,7 @@ def _echelon(rows: list[dict]) -> Echelon:
 
 
 def rref(rows: list[dict]) -> Echelon:
-    """The reduced row echelon basis of the span of sparse rows: each row
+    """The reduced row echelon basis of the span of sparse int rows: each row
     zero on every other pivot.  The rows of the echelon basis are cleared
     from the highest pivot down, each against the rows already reduced."""
     ech = _echelon(rows)
@@ -169,7 +161,7 @@ def rref(rows: list[dict]) -> Echelon:
 
 
 def rank_fraction_free(rows: list[dict]) -> int:
-    """Rank of the span of sparse rows."""
+    """Rank of the span of sparse int rows."""
     return _echelon(rows).rank
 
 
@@ -200,15 +192,15 @@ def _over_lcm(entries) -> tuple[Vector, int]:
     return _lowest({c: x * (den // a) for c, a, x in entries}, den)
 
 
-def solve(rows: list[dict], rhs: dict, cols: int) -> tuple[Vector, int] | None:
-    """One exact solution x of rows * x = rhs (free variables 0), or None.
+def solve(rows: list[dict], cols: int) -> tuple[Vector, int] | None:
+    """One exact solution x of A x = b (free variables 0), or None.
 
-    rows have their rational entries in columns 0..cols-1; rhs is keyed by
-    row index.  x comes as (int numerators, denominator) in lowest terms.
+    rows are the rows of [A | b]: A in columns 0..cols-1, b in column
+    cols.  x comes as (int numerators, denominator) in lowest terms.
     """
-    ech = rref([{**row, cols: rhs.get(i, 0)} for i, row in enumerate(rows)])
+    ech = rref(rows)
     if cols in ech.rows:
-        return None  # a pivot in the augmented column: inconsistent
+        return None  # a pivot in the last column: inconsistent
     return _over_lcm([(p, a, rest[cols]) for p, (a, rest) in ech.rows.items() if cols in rest])
 
 

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor
-from .scalars import Poly, sparse_sum, variable_key
+from .scalars import Poly, over_lcm, sparse_sum, variable_key
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -39,7 +39,7 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
             if nvars:
                 key += variable_key(nvars, rng.randrange(nvars))
         draws.append((key, random_fraction(rng)))
-    return Poly._from_rationals(nvars, sparse_sum(draws))
+    return Poly._from_nums(nvars, *over_lcm(sparse_sum(draws)))
 
 
 def random_coeff(rng: random.Random, pair, max_degree: int = 3) -> Poly:

@@ -221,14 +221,6 @@ class Poly:
         self.nums, self.den = over_lcm(acc)
 
     @classmethod
-    def _from_rationals(cls, nvars: int, terms: dict) -> "Poly":
-        """Trusted constructor from valid keys to rationals; zeros are dropped."""
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.nums, out.den = over_lcm(terms)
-        return out
-
-    @classmethod
     def _from_nums(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
         """Trusted constructor: valid exponents, nonzero int numerators and
         den > 0; only divides out the common factor."""

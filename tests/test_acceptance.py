@@ -40,7 +40,7 @@ from nplectic.models import rotation_momentum, su2_cartan, su2_pair, symplectic_
 from nplectic.pairs import PolyVectorFieldPair
 from nplectic.sampling import random_fraction, random_tensor
 from nplectic.scalars import bell_identity_check
-from test_linalg import sparse_rows
+from test_linalg import int_rows
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 PLANE = PolyVectorFieldPair(2)
@@ -155,7 +155,7 @@ def test_criterion_07_rotation_algebra_ranks_with_dense_oracle(verdicts):
               for k in range(4)]
     production = [ce_cohomology_table(pair, [k])[0]["rank"] for k in range(4)]
     matrix, _ = ce_matrix(pair, 1)
-    ok = (oracle == [1, 0, 0, 1] and production == oracle and matrix == sparse_rows(d1))
+    ok = (oracle == [1, 0, 0, 1] and production == oracle and matrix == int_rows(d1))
     assert verdicts.record(7, "rotation-algebra complex has ranks 1,0,0,1 by both the "
                       "dense oracle and the fraction-free path", ok)
 

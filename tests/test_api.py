@@ -1,7 +1,8 @@
 """The package's public surface: every exported name exists and is public,
 every name the benchmark tracer wraps can still be found, only `scalars`
-reads the storage of a `Poly`, and the README quick start runs and prints
-what its comments say."""
+reads the storage of a `Poly`, only `engine` and `cohomology` hand
+matrices to `linalg`, and the README quick start runs and prints what its
+comments say."""
 
 import importlib.util
 import re
@@ -26,6 +27,15 @@ def test_only_scalars_reads_the_poly_storage():
     for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
         if path.name != "scalars.py":
             assert not storage.search(path.read_text()), path.name
+
+
+def test_only_engine_and_cohomology_import_linalg():
+    # linalg takes only sparse int rows, which the engine lays out from label vectors
+    importer = re.compile(r"^\s*(from (\.|nplectic\.)linalg import|import nplectic\.linalg"
+                          r"|from (\.|nplectic) import .*\blinalg\b)", re.M)
+    for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
+        if path.name not in ("engine.py", "cohomology.py"):
+            assert not importer.search(path.read_text()), path.name
 
 
 def test_only_scalars_and_pairs_read_the_variables_of_a_poly():

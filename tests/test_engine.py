@@ -320,7 +320,7 @@ def contracted_slice(s, degree, degrees):
     into omega, at every degree."""
     labels = slice_basis(s.pair, degree, degrees)
     contractions = [contract(x, s.omega) for x in basis_elements(s.pair, Tensor, labels)]
-    rows, _ = engine.matrix_of([label_vector(ce_differential(c)) for c in contractions])
+    rows = engine.matrix_of([label_vector(ce_differential(c)) for c in contractions])
     null = null_space(rows, len(labels))
     vectors = [label_vector(c) for c in contractions]
     return labels, null, [combine(vec, vectors) for vec in null]
@@ -518,12 +518,21 @@ def test_potential_requires_symplectic_input():
         hamiltonian_potential(tensor(PLANE, ((1,), "x")), plane_structure())
 
 
-def test_su2_cartan_scalar_is_not_hamiltonian():
+@pytest.mark.parametrize("structure, word", [
     # i_1 omega is the volume word, which is closed but not exact here
-    s = su2_cartan()
-    one = Tensor.scalar(s.pair, 1)
-    assert is_symplectic(one, s)
-    assert hamiltonian_potential(one, s) is None
+    (su2_cartan, ()),
+    # a top-degree field: i_x omega has word length 0, and no cotensor of
+    # word length -1 has it as its d (the empty source of the slice solve)
+    (plane_structure, (1, 2)),
+    (su2_cartan, (1, 2, 3)),
+], ids=["su2-cartan-scalar", "plane-top-field", "su2-top-field"])
+def test_su2_cartan_scalar_is_not_hamiltonian(structure, word):
+    s = structure()
+    x = Tensor.basis(s.pair, word)
+    assert is_symplectic(x, s)
+    if word:
+        assert contract(x, s.omega).degrees() == [0]
+    assert hamiltonian_potential(x, s) is None
 
 
 def test_su2_cartan_basis_field_is_hamiltonian():

@@ -43,8 +43,20 @@ def sparse(vec):
     return {j: a for j, a in enumerate(vec) if a}
 
 
-def sparse_rows(mat):
-    return [sparse(row) for row in mat]
+def int_rows(mat):
+    """The kernel's input form: each Fraction row, of A or of [A | b], as a
+    sparse int row, the row times the lcm of its denominators.  Scaling a
+    row by a nonzero factor changes no rank, null space or solution."""
+    out = []
+    for row in mat:
+        scale = math.lcm(*(a.denominator for a in row))
+        out.append({j: int(a * scale) for j, a in enumerate(row) if a})
+    return out
+
+
+def augmented(mat, rhs):
+    """The rows of [mat | rhs], for a dense rhs."""
+    return [row + [b] for row, b in zip(mat, rhs)]
 
 
 def dense(rows, cols):
@@ -71,7 +83,7 @@ def rational(vec):
 
 def test_rref_small():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    ech = rref(sparse_rows(m))
+    ech = rref(int_rows(m))
     pivots = sorted(ech.rows)
     assert pivots == [0]
     assert ech.rows[0] == (1, {1: 2})  # the row [1, 2]: its pivot entry, then the rest
@@ -83,7 +95,7 @@ def test_rank_paths_agree():
     for _ in range(120):
         rows, cols = rng.randint(0, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
-        assert rank_dense(m) == rank_fraction_free(sparse_rows(m))
+        assert rank_dense(m) == rank_fraction_free(int_rows(m))
 
 
 def test_rank_with_forced_rank():
@@ -92,8 +104,8 @@ def test_rank_with_forced_rank():
         rows, cols = rng.randint(2, 5), rng.randint(2, 5)
         r = rng.randint(0, min(rows, cols))
         m = rand_matrix(rng, rows, cols, rank=r)
-        assert rank_fraction_free(sparse_rows(m)) <= r
-        assert rank_dense(m) == rank_fraction_free(sparse_rows(m))
+        assert rank_fraction_free(int_rows(m)) <= r
+        assert rank_dense(m) == rank_fraction_free(int_rows(m))
 
 
 def test_solve_and_nullspace():
@@ -103,17 +115,17 @@ def test_solve_and_nullspace():
         m = rand_matrix(rng, rows, cols)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(row[j] * x0[j] for j in range(cols)) for row in m]
-        x = solve(sparse_rows(m), sparse(rhs), cols)
+        x = solve(int_rows(augmented(m, rhs)), cols)
         assert x is not None
         assert apply(m, rational(x)) == rhs
-        for vec in null_space(sparse_rows(m), cols):
+        for vec in null_space(int_rows(m), cols):
             assert all(v == 0 for v in apply(m, rational(vec)))
-        assert len(null_space(sparse_rows(m), cols)) == cols - rank_dense(m)
+        assert len(null_space(int_rows(m), cols)) == cols - rank_dense(m)
 
 
 def test_solve_detects_inconsistency():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert solve(sparse_rows(m), sparse([Fraction(0), Fraction(1)]), 2) is None
+    assert solve(int_rows(augmented(m, [Fraction(0), Fraction(1)])), 2) is None
 
 
 def test_nullspace_of_empty_matrix():
@@ -127,13 +139,13 @@ def test_echelon_reduction_is_canonical():
     for _ in range(40):
         dim = rng.randint(1, 6)
         ech = Echelon()
-        vecs = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
+        vecs = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
         for v in vecs:
             ech.add(sparse(v))
         for v in vecs:
             assert ech.reduce(sparse(v)) == ({}, 1)
         # reduction is idempotent and kills span members
-        w = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        w = [rng.randint(-3, 3) for _ in range(dim)]
         red = ech.reduce(sparse(w))
         assert ech.reduce(*red) == red
         combo = [a + b for a, b in zip(w, vecs[0])] if vecs else w
@@ -150,14 +162,16 @@ def test_sparse_ranks_match_the_dense_oracle():
         rows, cols = rng.randint(0, 12), rng.randint(1, 12)
         rank = rng.choice((None, rng.randint(0, min(rows, cols))))
         m = sparse_matrix(rng, rows, cols, rank)
-        assert rank_fraction_free(sparse_rows(m)) == rank_dense(m)
+        assert rank_fraction_free(int_rows(m)) == rank_dense(m)
         if rank is not None:
             assert rank_dense(m) <= rank
     assert rank_fraction_free([]) == rank_dense([]) == 0
     zero = [[Fraction(0)] * 4] * 3
-    assert rank_fraction_free(sparse_rows(zero)) == rank_dense(zero) == 0
+    assert rank_fraction_free(int_rows(zero)) == rank_dense(zero) == 0
     # explicit zero entries are dropped on the way in
-    assert rank_fraction_free([{0: Fraction(0), 3: Fraction(0)}] * 3) == 0
+    assert rank_fraction_free([{0: 0, 3: 0}] * 3) == 0
+    ech = Echelon()
+    assert not ech.add({0: 0, 3: 0}) and ech.reduce({1: 0, 2: 0}) == ({}, 1)
 
 
 def test_sparse_null_spaces_are_annihilated_and_complete():
@@ -165,7 +179,7 @@ def test_sparse_null_spaces_are_annihilated_and_complete():
     for _ in range(100):
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         m = sparse_matrix(rng, rows, cols, rng.choice((None, rng.randint(0, min(rows, cols)))))
-        basis = [rational(vec) for vec in null_space(sparse_rows(m), cols)]
+        basis = [rational(vec) for vec in null_space(int_rows(m), cols)]
         assert len(basis) == cols - rank_dense(m)
         for vec in basis:
             assert all(v == 0 for v in apply(m, vec))
@@ -173,7 +187,7 @@ def test_sparse_null_spaces_are_annihilated_and_complete():
         assert rank_dense(dense(basis, cols)) == len(basis) if basis else True
         # the basis the reports depend on: one vector per free column, in
         # ascending order, with 1 there and 0 at every other free column
-        free = [c for c in range(cols) if c not in rref(sparse_rows(m)).rows]
+        free = [c for c in range(cols) if c not in rref(int_rows(m)).rows]
         assert len(free) == len(basis)
         for fc, vec in zip(free, basis):
             assert [vec.get(c, 0) for c in free] == [int(c == fc) for c in free]
@@ -183,8 +197,8 @@ def test_echelon_residues_depend_only_on_the_span():
     rng = random.Random(47)
     for _ in range(60):
         dim = rng.randint(1, 10)
-        vecs = [sparse(row) for row in sparse_matrix(rng, rng.randint(0, 8), dim)]
-        probes = [sparse(row) for row in sparse_matrix(rng, 5, dim)]
+        vecs = int_rows(sparse_matrix(rng, rng.randint(0, 8), dim))
+        probes = int_rows(sparse_matrix(rng, 5, dim))
         residues = []
         for _ in range(3):
             order = vecs[:]
@@ -206,14 +220,13 @@ def test_the_dense_oracle_does_not_use_the_kernel(monkeypatch):
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(3)]]
     assert rank_dense(m) == 2
     with pytest.raises(AssertionError, match="sparse kernel"):
-        rank_fraction_free(sparse_rows(m))
+        rank_fraction_free(int_rows(m))
 
 
 def test_the_kernel_never_densifies():
-    F = Fraction
     # a dense row of 10**9 + 2 cells would not fit in memory
-    assert rank_fraction_free([{10**9: F(1)}, {0: F(2), 10**9: F(1)}]) == 2
-    assert solve([{0: F(1), 10**9: F(1)}], {0: F(3)}, 10**9 + 1) == ({0: 3}, 1)
+    assert rank_fraction_free([{10**9: 1}, {0: 2, 10**9: 1}]) == 2
+    assert solve([{0: 1, 10**9: 1, 10**9 + 1: 3}], 10**9 + 1) == ({0: 3}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +296,12 @@ def test_integer_kernel_matches_the_dense_fraction_reference(seed):
         rows, cols = rng.randint(0, 9), rng.randint(1, 9)
         m = wide_matrix(rng, rows, cols, rng.choice((None, rng.randint(0, min(rows, cols)))))
         basis = dense_rref(m, cols)
-        assert rank_fraction_free(sparse_rows(m)) == rank_dense(m) == len(basis)
+        assert rank_fraction_free(int_rows(m)) == rank_dense(m) == len(basis)
         ech = Echelon()
-        for row in sparse_rows(m):
+        for row in int_rows(m):
             ech.add(row)
         assert ech.rank == len(basis) and sorted(ech.rows) == sorted(basis)
-        for probe in sparse_rows(wide_matrix(rng, 4, cols)):
+        for probe in int_rows(wide_matrix(rng, 4, cols)):
             nums, den = ech.reduce(probe)
             assert den > 0 and math.gcd(den, *nums.values()) == 1
             assert as_fractions(nums, den) == sparse(dense_residue(basis, probe, cols))
@@ -301,11 +314,11 @@ def test_integer_kernel_matches_the_dense_fraction_reference(seed):
                 if row[fc]:
                     vec[p] = -row[fc]
             expected.append(vec)
-        assert [rational(vec) for vec in null_space(sparse_rows(m), cols)] == expected
+        assert [rational(vec) for vec in null_space(int_rows(m), cols)] == expected
         x0 = {c: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for c in range(cols)}
-        rhs = sparse(apply(m, x0))
-        aug = dense_rref([row + [rhs.get(i, Fraction(0))] for i, row in enumerate(m)], cols + 1)
-        x = rational(solve(sparse_rows(m), rhs, cols))
+        rhs = apply(m, x0)
+        aug = dense_rref(augmented(m, rhs), cols + 1)
+        x = rational(solve(int_rows(augmented(m, rhs)), cols))
         assert x == {p: row[cols] for p, row in aug.items() if row[cols]}
 
 
@@ -314,7 +327,7 @@ def test_echelon_add_never_rewrites_a_stored_row():
     for _ in range(40):
         cols = rng.randint(1, 10)
         ech = Echelon()
-        for row in sparse_rows(wide_matrix(rng, rng.randint(1, 12), cols)):
+        for row in int_rows(wide_matrix(rng, rng.randint(1, 12), cols)):
             before = {p: (a, rest, dict(rest)) for p, (a, rest) in ech.rows.items()}
             ech.add(row)
             for p, (a, rest, copy) in before.items():
