@@ -5,10 +5,10 @@ indent, trailing newline) to stdout or to ``--output``.  Wall-clock
 timings go to stderr so that reports for a fixed seed are byte-identical
 across runs.  Exit codes: 0 when every gating check passes, 1 when a
 check fails, 2 on malformed or invalid input (a polynomial exponent
-above 2^31 - 1 included), 3 when a bracket arity exceeds its cap
-(``--arity-cap``, from 1 to 12, or 12 for a tensor bracket), a slice
-would exceed the slice cap or a polynomial product would have an exponent
-above 2^31 - 1.
+above 2^31 - 1 included), 3 when a size cap would be exceeded: a bracket
+arity (``--arity-cap``, from 1 to 12, or 12 for a tensor bracket), a
+slice, the rows of a cohomology table, or an exponent of a polynomial
+product (2^31 - 1).
 
 Input files pass one boundary: ``_parse`` runs a JSON reader and reports
 its ``KeyError`` as a missing field and its ``TypeError`` or ``ValueError``
@@ -253,15 +253,15 @@ def cmd_cohomology(args):
             "extension cohomology needs a structure with omega; pass --plain for pair tables")
     pair, s = _load_pair_or_structure(data)
     if args.weights is not None:
-        weights = list(_parse_span(args.weights, "weights"))
+        weights = _parse_span(args.weights, "weights")
     else:
-        weights = [0] if pair.poly_nvars == 0 else [0, 1, 2]
+        weights = range(1) if pair.poly_nvars == 0 else range(3)
     if args.plain:
         degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
                    else range(pair.ngens + 1))
         table = ce_cohomology_table(pair, degrees, weights)
         report = Report("cohomology", {"family": pair.family, "mode": "pair",
-                                       "weights": weights})
+                                       "weights": list(weights)})
         return report, {"table": table}
     _require_constant_omega(s)
     degrees = (_parse_span(args.degrees, "degrees") if args.degrees is not None
@@ -269,7 +269,7 @@ def cmd_cohomology(args):
     table = extension_cohomology_table(s, degrees, weights)
     report = Report("cohomology", {
         "family": pair.family, "n": s.n, "mode": "extension",
-        "degrees": list(degrees), "weights": weights,
+        "degrees": list(degrees), "weights": list(weights),
     })
     return report, {"table": table}
 

@@ -14,12 +14,8 @@ injective on symplectic tensors modulo its kernel, so the linearly
 independent images in the target cotensor slice stand for a basis of that
 quotient.  No kernel quotient of the tensors is built.
 
-Every slice vector, image or d h, is a label vector: int numerators keyed
-by (word, monomial key) over one denominator, built from the slice labels
-alone.  d h is `calculus.label_differential` of the label h, and the image
-of a tensor label x^a e_w is its word's contraction table i_{e_w} omega,
-built once per structure, with its keys shifted by a.  No Tensor or
-Cotensor is made per label, each extension slice is eliminated once, on
+Every slice vector, image or d h, is a label vector built from the slice
+labels alone, as in `engine`: each extension slice is eliminated once, on
 integers, and no element is built on the way to a rank.
 
 Classes are held by canonical representatives: the tensor slot is already
@@ -56,6 +52,12 @@ from .engine import (
     symplectic_slice,
 )
 from .linalg import rank_fraction_free
+from .scalars import CapExceeded
+
+# The most rows a rank table has, above the 30,003 of the plain table on
+# 10,000 variables, which its slice cap refuses.  The su(2) table takes 30 us
+# and 125 bytes a row (2-vCPU Xeon, Python 3.11), about 3 s at the cap.
+MAX_TABLE_ROWS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,15 @@ def _rank_table(pair, degrees, weights, differential, source, slices) -> list[di
     and runs once per slice; source(deg, w) names the slice whose d lands
     in (deg, w), and slices(deg, w) lists the (word length, weight) of each
     (co)tensor slice that differential(deg, w) builds, in build order.
-    Every one of them is sized by `slice_size` before any is built, so a
-    table past MAX_SLICE_DIM raises CapExceeded at once, at the slice that
-    building would have refused first.
+    The rows, and then every slice (by `slice_size`), are counted before
+    any is built: past MAX_TABLE_ROWS or MAX_SLICE_DIM, CapExceeded is
+    raised at once, at the slice that building would have refused first.
     """
+    # len(span), also for a range longer than sys.maxsize
+    ndeg, nweights = ((s[-1] - s[0]) // s.step + 1 if isinstance(s, range) and s else len(s)
+                      for s in (degrees, weights))
+    if ndeg * nweights > MAX_TABLE_ROWS:
+        raise CapExceeded(f"table has {ndeg * nweights} rows, more than {MAX_TABLE_ROWS}")
     keys = list(dict.fromkeys(key for w in weights for deg in degrees
                               for key in ((deg, w), source(deg, w))))
     for key in keys:

@@ -20,7 +20,9 @@ from elements: d of a label comes from `calculus.label_differential`, and
 its contraction into omega is the word's contraction table, built once per
 structure in its derived store, with every key shifted by the label's
 monomial.  Slice vectors are label vectors, int numerators over one
-denominator, and so are the null vectors and solutions read off them.
+denominator, and so are the null vectors and solutions read off them:
+every quotient, the contraction kernel's included, is spanned from labels,
+and no Tensor or Cotensor is built on the way.
 `linalg` sees only sparse int rows: `matrix_of` lays label vectors out as
 the columns of one integer matrix, a solve passing its right side as the
 last column, and a `Quotient` maps the numerators of each vector to the
@@ -179,10 +181,9 @@ def slice_coords(vec: dict, index: dict) -> dict[int, int]:
         raise ValueError(f"element leaves the slice window at {exc.args[0]}") from None
 
 
-def coords_element(pair, cls, labels, coords: dict[int, int], den: int):
-    """The element with the given nonzero sparse coordinates in a slice,
-    int numerators over one denominator."""
-    return label_element(pair, cls, {labels[i]: coords[i] for i in sorted(coords)}, den)
+def coords_vector(labels, coords: dict[int, int], den: int) -> tuple[dict, int]:
+    """The label vector with the given nonzero sparse coordinates in a slice."""
+    return {labels[i]: coords[i] for i in sorted(coords)}, den
 
 
 class Quotient:
@@ -209,7 +210,7 @@ class Quotient:
     def reduce(self, elem):
         nums, den = label_vector(elem)
         coords, den = self.echelon.reduce(slice_coords(nums, self.index), den)
-        return coords_element(self.pair, self.cls, self.labels, coords, den)
+        return label_element(self.pair, self.cls, *coords_vector(self.labels, coords, den))
 
 
 def matrix_of(vectors) -> list[dict[int, int]]:
@@ -279,13 +280,11 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     Returns (labels, null, images): the labels of the tensor slice, the
     sparse coordinates of a basis of its symplectic tensors as (int
     numerators, denominator), and the label vector of each one's image
-    i_x omega.  Each label's contraction is its word's contraction table
-    shifted by its monomial (`label_contraction`), and d of it is the
-    table's terms pushed through `calculus.label_differential`; the
-    symplectic basis is the null space of d on the contractions, and its
-    images are the same combinations of their vectors.  Above degree n + 1
-    every contraction into the (n + 1)-form omega is zero, so every tensor
-    is symplectic with image zero and nothing is contracted.
+    i_x omega.  The symplectic basis is the null space of d on the labels'
+    contractions (`label_contraction`), and its images are the same
+    combinations of their vectors.  Above degree n + 1 every contraction
+    into the (n + 1)-form omega is zero, so every tensor is symplectic
+    with image zero and nothing is contracted.
     """
     labels = slice_basis(s.pair, degree, degrees)
     if degree > s.n + 1:
@@ -301,17 +300,23 @@ def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3
     """Basis of symplectic tensors of one wedge degree within a poly window."""
     def build():
         labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
-        return [coords_element(s.pair, Tensor, labels, *vec) for vec in null]
+        return [label_element(s.pair, Tensor, *coords_vector(labels, *vec)) for vec in null]
     return list(s.derived(("symplectic", degree, max_poly_degree), build))
+
+
+def _kernel_window(s: NPlecticStructure, degree: int, max_poly_degree: int):
+    """Labels of the tensor slice of one wedge degree in a poly window, and
+    the label vectors of a basis of the null space of their contractions."""
+    labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
+    rows = matrix_of([label_contraction(s, w, e) for w, e in labels])
+    return labels, [coords_vector(labels, *vec) for vec in null_space(rows, len(labels))]
 
 
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
     within a poly window."""
-    labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
-    rows = matrix_of([label_contraction(s, w, e) for w, e in labels])
-    return [coords_element(s.pair, Tensor, labels, *vec)
-            for vec in null_space(rows, len(labels))]
+    return [label_element(s.pair, Tensor, *vec)
+            for vec in _kernel_window(s, degree, max_poly_degree)[1]]
 
 
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
@@ -326,9 +331,8 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     out = Tensor.zero(s.pair)
     pd = max(x.max_poly_degree(), 0)
     for degree, part in x.homogeneous_parts().items():
-        kernel = s.derived(("kernel", degree, pd), lambda: Quotient(
-            s.pair, Tensor, slice_basis(s.pair, degree, range(pd + 1)),
-            [label_vector(k) for k in kernel_basis(s, degree, pd)]))
+        kernel = s.derived(("kernel", degree, pd),
+                           lambda: Quotient(s.pair, Tensor, *_kernel_window(s, degree, pd)))
         out = out + (kernel.reduce(part) if kernel.echelon.rank else part)
     return out
 
@@ -352,7 +356,7 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
         sol = solve(matrix_of(exact + [label_vector(part)]), len(labels))
         if sol is None:
             return None
-        out = out + coords_element(s.pair, Cotensor, labels, *sol)
+        out = out + label_element(s.pair, Cotensor, *coords_vector(labels, *sol))
     return out
 
 

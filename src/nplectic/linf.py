@@ -250,8 +250,6 @@ class TensorLinf(Operations):
         return self.pair.ngens
 
     def bracket(self, vs, pairs=None):
-        if len(vs) == 1:
-            return self.zero()
         return higher_bracket(vs, pairs)
 
 

@@ -50,13 +50,6 @@ def rotation_momentum():
     return algebra, fields, potentials
 
 
-BUILTIN_STRUCTURES = {
-    "symplectic-plane": symplectic_plane,
-    "su2-cartan": su2_cartan,
-    "degenerate-plane": degenerate_plane,
-}
-
-
 def momentum_from_json(structure: NPlecticStructure, data: dict):
     algebra = pair_from_json(data["algebra"])
     if not isinstance(algebra, ConstantPair):

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name exists and is public,
 every name the benchmark tracer wraps can still be found, only `scalars`
 reads the storage of a `Poly`, only `engine` and `cohomology` hand
-matrices to `linalg`, and the README quick start runs and prints what its
+matrices to `linalg`, the engine flattens elements to label vectors only
+where they come in, and the README quick start runs and prints what its
 comments say."""
 
 import importlib.util
@@ -36,6 +37,21 @@ def test_only_engine_and_cohomology_import_linalg():
     for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
         if path.name not in ("engine.py", "cohomology.py"):
             assert not importer.search(path.read_text()), path.name
+
+
+def test_the_engine_flattens_elements_only_at_its_boundaries():
+    # every span that enters a quotient is built from labels; an element is
+    # flattened only where one comes in: a residue to reduce, omega's
+    # contraction tables, and the right side of a potential
+    text = (ROOT / "src" / "nplectic" / "engine.py").read_text()
+    scope = re.compile(r"^(?:class (\w+)|def (\w+)|    def (\w+))", re.M)
+    owners = []
+    for call in re.finditer(r"\blabel_vector\(", text):
+        owner = ""
+        for cls, func, method in scope.findall(text, 0, call.start()):
+            owner = cls or func or f"{owner.split('.')[0]}.{method}"
+        owners.append(owner)
+    assert owners == ["Quotient.reduce", "label_contraction", "hamiltonian_potential"]
 
 
 def test_only_scalars_and_pairs_read_the_variables_of_a_poly():

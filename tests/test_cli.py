@@ -696,6 +696,22 @@ def test_plain_cohomology_on_a_thousand_variables_exits_three(run, tmp_path):
     assert err == "error: slice of word length 2 has 499500 basis elements, more than 10000\n"
 
 
+@pytest.mark.parametrize(("argv", "rows"), [
+    ((SU2_CARTAN, "--weights=0:200000"), 6 * 200_001),
+    (("--plain", HEISENBERG, "--weights=0:200000"), 4 * 200_001),
+    ((SU2_CARTAN, "--weights=0:1000000000000"), 6 * (10**12 + 1)),
+    ((SU2_CARTAN, "--weights=0:100000000000000000000"), 6 * (10**20 + 1)),
+    ((SU2_CARTAN, "--degrees=0:200000"), 200_001),
+])
+def test_a_table_past_the_row_cap_exits_three_in_under_a_second(run, argv, rows):
+    # the rows are counted from the spans, before any weight is listed
+    start = time.monotonic()
+    code, payload, err = run("cohomology", *argv)
+    assert time.monotonic() - start < 1
+    assert code == 3 and payload is None
+    assert err == f"error: table has {rows} rows, more than 100000\n"
+
+
 def test_seeded_reports_are_byte_identical():
     argv = [sys.executable, "-m", "nplectic.cli", "identities", PLANE,
             "--count", "8", "--pairing-count", "4", "--seed", "11"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nplectic import engine
 from nplectic.calculus import ce_differential, contract, higher_bracket, lie_derivative
 from nplectic.cohomology import CohomClass, class_of, poisson_bracket
-from nplectic.elements import Cotensor, Tensor, wedge_list
+from nplectic.elements import Cotensor, Tensor, label_element, wedge_list
 from nplectic.engine import (
     DegreeError,
     ExtensionElement,
@@ -20,7 +20,7 @@ from nplectic.engine import (
     NotClosedError,
     NPlecticStructure,
     contract_reversed_wedge,
-    coords_element,
+    coords_vector,
     d_omega,
     extension_bracket,
     fundamental_pairing_check,
@@ -310,7 +310,7 @@ def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     labels, null, images = symplectic_slice(s, degree, range(window + 1))
     assert len(images) == len(null)
     for vec, image in zip(null, images):
-        x = coords_element(s.pair, Tensor, labels, *vec)
+        x = label_element(s.pair, Tensor, *coords_vector(labels, *vec))
         assert is_symplectic(x, s)
         assert image == label_vector(contract(x, s.omega))
 
@@ -443,17 +443,19 @@ def test_extension_elements_scale_by_rationals_only():
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """(structure, degree, window) of every kernel_basis call."""
-    from nplectic import engine
-
+    """(structure, degree, window) of every kernel window built in a
+    structure's derived store."""
     built = []
-    original = engine.kernel_basis
+    derived = NPlecticStructure.derived
 
-    def counting(s, degree, max_poly_degree=3):
-        built.append((s, degree, max_poly_degree))
-        return original(s, degree, max_poly_degree)
+    def counting(self, key, build):
+        def counted():
+            if key[0] == "kernel":
+                built.append((self, *key[1:]))
+            return build()
+        return derived(self, key, counted)
 
-    monkeypatch.setattr(engine, "kernel_basis", counting)
+    monkeypatch.setattr(NPlecticStructure, "derived", counting)
     return built
 
 
@@ -464,6 +466,43 @@ def test_reduce_mod_kernel_builds_each_kernel_quotient_once(kernel_builds):
         assert reduce_mod_kernel(s, x) == tensor(SPACE, ((1,), "x"))
     reduce_mod_kernel(s, tensor(SPACE, ((1, 2), "z")))
     assert [(degree, pd) for _, degree, pd in kernel_builds] == [(1, 1), (2, 1)]
+
+
+def test_a_kernel_window_is_built_from_labels(monkeypatch):
+    # the window's span is the label vectors of the null space: no Tensor is
+    # made, and its slice is listed once
+    from nplectic import elements
+
+    s = degenerate_structure()
+    for word, key in slice_basis(SPACE, 1, 0):
+        label_contraction(s, word, key)  # omega's tables contract unit tensors
+    made, listed, windows = [], [], []
+    derived, listing = NPlecticStructure.derived, engine.slice_basis
+    init = elements._Element.__init__
+
+    def counting_derived(self, key, build):
+        def counted():
+            before = len(made), len(listed)
+            value = build()
+            windows.append((key, len(made) - before[0], len(listed) - before[1]))
+            return value
+        return derived(self, key, counted)
+
+    def counting_listing(*args):
+        listed.append(args)
+        return listing(*args)
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NPlecticStructure, "derived", counting_derived)
+    monkeypatch.setattr(engine, "slice_basis", counting_listing)
+    monkeypatch.setattr(elements._Element, "__init__", counting_init)
+    x = tensor(SPACE, ((1,), "x"), ((3,), "z"), ((3,), "y"))
+    assert reduce_mod_kernel(s, x) == tensor(SPACE, ((1,), "x"))
+    assert windows == [(("kernel", 1, 1), 0, 1)]
+    assert s.derived(("kernel", 1, 1), lambda: pytest.fail("window not built")).echelon.rank == 4
 
 
 def test_a_window_with_a_kernel_still_reduces_it_away():

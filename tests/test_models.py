@@ -8,7 +8,6 @@ import pytest
 from nplectic.engine import structure_from_json
 from nplectic.linf import check_momentum_map
 from nplectic.models import (
-    BUILTIN_STRUCTURES,
     degenerate_plane,
     heisenberg_pair,
     momentum_from_json,
@@ -45,11 +44,6 @@ def test_structure_files_reproduce_the_builders(name, builder):
 
 def test_heisenberg_file_reproduces_the_builder():
     assert pair_from_json(load("heisenberg_pair.json")) == heisenberg_pair()
-
-
-def test_builtin_registry_covers_the_structure_files():
-    assert sorted(BUILTIN_STRUCTURES) == [
-        "degenerate-plane", "su2-cartan", "symplectic-plane"]
 
 
 def test_rotation_momentum_is_certified():
