@@ -14,6 +14,10 @@ Conventions, once and for all:
   d(x^2) = 2x dx);
 * the odd bracket is the biderivation extending the pair bracket, the
   action and zero on ring pairs, with [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u];
+  it and the higher brackets act on labels too: their arguments are
+  flattened to int numerators by (word, monomial key), every coefficient
+  product is an int convolution of monomial keys, and one Tensor is built
+  from the sum over `pair.bracket_den` times the arguments' denominators;
 * the module is free of rank ngens, so Lambda^{>ngens} = 0, and contracting
   a tensor into a cotensor of shorter word length gives 0: a value the
   grading puts there is zero without being computed.
@@ -30,7 +34,14 @@ import math
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, label_element, label_vector, sort_word, wedge_list
-from .scalars import Poly, enumerate_shuffles, koszul_sign, require_arity, sparse_sum
+from .scalars import (
+    Poly,
+    enumerate_shuffles,
+    koszul_sign,
+    require_arity,
+    require_exponents,
+    sparse_sum,
+)
 
 # The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
 # Schouten bracket wedged with the k - 2 other arguments.
@@ -152,8 +163,105 @@ def lie_derivative(x: Tensor, f: Cotensor) -> Cotensor:
 
 
 # ---------------------------------------------------------------------------
-# the odd graded bracket
+# the odd graded bracket, on labels
 # ---------------------------------------------------------------------------
+#
+# The brackets act on label vectors grouped by word: {word: {monomial key:
+# int numerator}} over one denominator, so a coefficient product is an int
+# convolution of two such key dicts and no Poly is built until the end.
+
+def _add_product(acc: dict, a: dict, b: dict, c: int) -> None:
+    """acc += c a b for numerators {key: int}: an int convolution, keys adding."""
+    get, b = acc.get, b.items()
+    for e1, c1 in a.items():
+        c1 *= c
+        for e2, c2 in b:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _emit(out: dict, word, c: int, a: dict, b: dict) -> None:
+    """Add c a b to out at the ascending form of word, with its reordering
+    sign; nothing when a letter repeats."""
+    sign, norm = sort_word(word)
+    if sign:
+        _add_product(out.setdefault(norm, {}), a, b, c if sign == 1 else -c)
+
+
+def _nonzero(pair, out: dict) -> dict:
+    """out without zero numerators and empty words; raises CapExceeded if
+    a product's exponent passed MAX_EXPONENT."""
+    out = {w: kept for w, nums in out.items() if (kept := {e: c for e, c in nums.items() if c})}
+    require_exponents(itertools.chain.from_iterable(out.values()), pair.poly_nvars)
+    return out
+
+
+def _flatten(x) -> tuple[dict, dict, int]:
+    """(parts, derivatives, den): the label vector of x grouped by degree
+    and word, {degree: {word: {key: int}}} over den, and D_g of each word's
+    numerators, {word: {g: {key: int}}}, for every generator g acting on them."""
+    nums, den = label_vector(x)
+    parts: dict = {}
+    derivatives: dict = {}
+    for (w, e), c in nums.items():
+        parts.setdefault(len(w), {}).setdefault(w, {})[e] = c
+        by_gen = derivatives.setdefault(w, {})
+        for g, k, lowered in x.pair.monomial_action(e):
+            by_gen.setdefault(g, {})[lowered] = k * c
+    return parts, derivatives, den
+
+
+def _schouten_words(pair, u: dict, du: dict, v: dict, dv: dict) -> dict:
+    """The Marle closed form of `schouten` on word-grouped numerators u, v
+    with their derivatives du, dv: the numerators of [u, v] over
+    `pair.bracket_den` times the operands' denominators.
+
+    Per word pair, each target word and its sign is formed once, and the
+    monomial work is one convolution.  The bracket terms come from the rows
+    of `pair.bracket_nums`, both signs, the action terms from the
+    derivatives of the other operand's numerators.
+    """
+    den = pair.bracket_den
+    out: dict = {}
+    for wu, a in u.items():
+        p, acts_on_a = len(wu), du[wu]
+        for wv, b in v.items():
+            acts_on_b = dv[wv]
+            for t, j in enumerate(wv):
+                if j in acts_on_a:
+                    _emit(out, wu + wv[:t] + wv[t + 1:], den if t % 2 else -den, acts_on_a[j], b)
+            for r, i in enumerate(wu):
+                if i in acts_on_b:
+                    _emit(out, wu[:r] + wu[r + 1:] + wv, -den if (p - 1 - r) % 2 else den,
+                          a, acts_on_b[i])
+            for row_i, row_j, k, n in pair.bracket_nums:
+                for i, j, c in ((row_i, row_j, n), (row_j, row_i, -n)):
+                    if i in wu and j in wv:
+                        r, t = wu.index(i), wv.index(j)
+                        _emit(out, wu[:r] + (k,) + wu[r + 1:] + wv[:t] + wv[t + 1:],
+                              -c if t % 2 else c, a, b)
+    return _nonzero(pair, out)
+
+
+def _wedge_into(out: dict, x: dict, y: dict, c: int) -> dict:
+    """out += c x ^ y on word-grouped numerators, over the product of the
+    denominators of x and y; returns out."""
+    for w1, a in x.items():
+        for w2, b in y.items():
+            _emit(out, w1 + w2, c, a, b)
+    return out
+
+
+# the word-grouped numerators of the unit scalar
+_UNIT = {(): {0: 1}}
+
+
+def _tensor(pair, words: dict, den: int) -> Tensor:
+    """The Tensor with word-grouped numerators `words` over den, through
+    `_nonzero` and `label_element`."""
+    return label_element(pair, Tensor, {(w, e): c for w, nums in _nonzero(pair, words).items()
+                                        for e, c in nums.items()}, den)
+
 
 def schouten(u: Tensor, v: Tensor) -> Tensor:
     """Odd bracket on the exterior tensor algebra, degree |u| + |v| - 1.
@@ -170,63 +278,38 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
             - sum_t     (-1)^(t-1) D_{j_t}(a) b e_I ^ e_{J - j_t}
             + sum_r     (-1)^(p-r) a D_{i_r}(b) e_{I - i_r} ^ e_J
 
-    where c^k_{ij} are the rows of `bracket_basis` and D_i is `action_basis`,
-    formed only for the generators i in `pair.acting` of its coefficient.
+    where c^k_{ij} are the structure constants and D_i the action.  It is
+    evaluated on labels: u and v are flattened to int numerators by (word,
+    monomial key), `_schouten_words` applies the formula over
+    `pair.bracket_den`, and the one Tensor is built from the sum.
     """
     if u.pair != v.pair:
         raise ValueError("bracket across different pairs")
     pair = u.pair
-    products = []
-    # acting(b) is read only at the letters of u's words, acting(a) at those of v's
-    u_letters, v_letters = any(u.terms), any(v.terms)
-    v_terms = [(wv, b, pair.acting(b) if u_letters else ()) for wv, b in v.terms.items()]
-
-    def emit(word, sign, coeff):
-        s, norm = sort_word(word)
-        if s:
-            products.append((norm, coeff if s == sign else -coeff))
-
-    for wu, a in u.terms.items():
-        p = len(wu)
-        acts_on_a = pair.acting(a) if v_letters else ()
-        for wv, b, acts_on_b in v_terms:
-            ab = None
-            for t, j in enumerate(wv):
-                sign = -1 if t % 2 else 1
-                rest = wv[:t] + wv[t + 1:]
-                for r, i in enumerate(wu):
-                    for k, c in pair.bracket_basis(i, j):
-                        if ab is None:
-                            ab = a * b
-                        emit(wu[:r] + (k,) + wu[r + 1:] + rest, sign, ab * c)
-                if j in acts_on_a:
-                    emit(wu + rest, -sign, pair.action_basis(j, a) * b)
-            for r, i in enumerate(wu):
-                if i in acts_on_b:
-                    emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1,
-                         a * pair.action_basis(i, b))
-    out = Tensor.zero(pair)
-    out.terms = sparse_sum(products)
-    return out
+    (a, da, den_u), (b, db, den_v) = _flatten(u), _flatten(v)
+    a, b = ({w: nums for part in parts.values() for w, nums in part.items()} for parts in (a, b))
+    return _tensor(pair, _schouten_words(pair, a, da, b, db), den_u * den_v * pair.bracket_den)
 
 
 # ---------------------------------------------------------------------------
 # higher brackets and the inclusion
 # ---------------------------------------------------------------------------
 
-def _hom_tuples(xs):
-    """Cartesian product of homogeneous parts, with their degree tuples;
-    a homogeneous argument is its own part, keeping its identity."""
-    split = []
-    for x in xs:
-        parts = x.homogeneous_parts() if x.grade is None else {x.grade: x}
-        if not parts:
-            return
-        split.append(sorted(parts.items()))
-    for combo in itertools.product(*split):
-        degs = tuple(d for d, _ in combo)
-        parts = tuple(p for _, p in combo)
-        yield degs, parts
+def _flattened(pairs: dict, x) -> tuple:
+    """x's entry in `pairs`, made on first use: (x, *_flatten(x)).  Holding
+    x keeps its id in use."""
+    entry = pairs.get(id(x))
+    if entry is None:
+        entry = pairs[id(x)] = (x, *_flatten(x))
+    return entry
+
+
+def require_bracket_arguments(xs) -> None:
+    """Raise CapExceeded for an arity above MAX_BRACKET_ARITY, then
+    ValueError for arguments over different pairs."""
+    require_arity(len(xs), MAX_BRACKET_ARITY)
+    if any(x.pair != xs[0].pair for x in xs):
+        raise ValueError("bracket across different pairs")
 
 
 def higher_bracket(xs, pairs=None) -> Tensor:
@@ -239,39 +322,49 @@ def higher_bracket(xs, pairs=None) -> Tensor:
     above MAX_BRACKET_ARITY raises CapExceeded, and arguments over
     different pairs raise ValueError, before any term is formed.  A tuple
     of homogeneous parts whose degrees sum past ngens + 1 lands in
-    Lambda^{>ngens} = 0 and is skipped.  Each Schouten bracket of two parts
-    is formed once per `pairs`, a dict keyed by their ids that holds them,
-    so no id is reused while it lives; one Jacobi residual shares one.
+    Lambda^{>ngens} = 0 and is skipped.
+
+    The sum runs on labels.  Every term is a product of one homogeneous
+    part of each argument, so all of them sit over one denominator,
+    `pair.bracket_den` times the arguments' own, and are summed as ints
+    into one Tensor at the end.  `pairs` is a dict keyed by ids: under an
+    argument's id it holds the argument with its `_flatten` form, and under
+    two ids and degrees the Schouten bracket of those parts, word-grouped.
+    Holding the arguments keeps their ids in use.  One Jacobi residual
+    shares one dict, so each argument is flattened once and each Schouten
+    bracket formed once.
     """
     xs = list(xs)
     k = len(xs)
-    require_arity(k, MAX_BRACKET_ARITY)
+    require_bracket_arguments(xs)
     pair = xs[0].pair
     if k == 1:
         return Tensor.zero(pair)
-    if any(x.pair != pair for x in xs):
-        raise ValueError("bracket across different pairs")
     shuffle_set = enumerate_shuffles((2, k - 2))
     pairs = {} if pairs is None else pairs
-    total = Tensor.zero(pair)
-    for degs, parts in _hom_tuples(xs):
+    _, parts, derivatives, dens = zip(*(_flattened(pairs, x) for x in xs))
+    total: dict = {}
+    for degs in itertools.product(*map(sorted, parts)):
         if sum(degs) - 1 > pair.ngens:
             continue
         for s in shuffle_set:
             sign = koszul_sign(s, degs)
             if degs[s[0] - 1] % 2:
                 sign = -sign
-            u, v = parts[s[1] - 1], parts[s[0] - 1]
-            key = (id(u), id(v))
-            if key not in pairs:
-                pairs[key] = (u, v, schouten(u, v))
-            inner = pairs[key][2]
-            if inner.is_zero():
-                continue
-            tail = [parts[i - 1] for i in reversed(s[2:])]
-            term = wedge_list(pair, Tensor, tail + [inner])
-            total = total + sign * term
-    return total
+            u, v = s[1] - 1, s[0] - 1
+            key = (id(xs[u]), degs[u], id(xs[v]), degs[v])
+            term = pairs.get(key)
+            if term is None:
+                term = pairs[key] = _schouten_words(pair, parts[u][degs[u]], derivatives[u],
+                                                    parts[v][degs[v]], derivatives[v])
+            # x_{s(k)} ^ .. ^ x_{s(3)} ^ term, the outermost factor wedged into the sum
+            factors = [parts[i - 1][degs[i - 1]] for i in s[2:]] or [_UNIT]
+            for part in factors[:-1]:
+                if not term:
+                    break
+                term = _nonzero(pair, _wedge_into({}, part, term, 1))
+            _wedge_into(total, factors[-1], term, sign)
+    return _tensor(pair, total, pair.bracket_den * math.prod(dens))
 
 
 def natural_inclusion(xs) -> Tensor:

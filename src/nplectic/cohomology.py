@@ -90,6 +90,8 @@ def _rank_table(pair, degrees, weights, differential, source, slices) -> list[di
     The rows, and then every slice (by `slice_size`), are counted before
     any is built: past MAX_TABLE_ROWS or MAX_SLICE_DIM, CapExceeded is
     raised at once, at the slice that building would have refused first.
+    A key whose slices are all empty has rank 0 and dimension 0, and its
+    differential is not called.
     """
     # len(span), also for a range longer than sys.maxsize
     ndeg, nweights = ((s[-1] - s[0]) // s.step + 1 if isinstance(s, range) and s else len(s)
@@ -98,10 +100,9 @@ def _rank_table(pair, degrees, weights, differential, source, slices) -> list[di
         raise CapExceeded(f"table has {ndeg * nweights} rows, more than {MAX_TABLE_ROWS}")
     keys = list(dict.fromkeys(key for w in weights for deg in degrees
                               for key in ((deg, w), source(deg, w))))
-    for key in keys:
-        for word_len, weight in slices(*key):
-            slice_size(pair, word_len, weight)
-    ranks = {key: differential(*key) for key in keys}
+    # a list, not a short-circuit: every slice is sized before any is built
+    sized = {key: any([slice_size(pair, *sl) for sl in slices(*key)]) for key in keys}
+    ranks = {key: differential(*key) if sized[key] else (0, 0) for key in keys}
     rows = []
     for w in weights:
         for deg in degrees:

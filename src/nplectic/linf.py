@@ -19,9 +19,11 @@ package's only weak-Jacobi shuffle sum: `jacobi_residual` and the left
 side of `morphism_residual` walk it, and tensors, the extension complex
 and cohomology classes reach both through the adapters below.  A Jacobi
 term is `op.composite(head, tail, pairs)`, which forms only what the
-outer bracket reads (the extension bracket reads only tensor slots); the
-`pairs` dict of one residual goes to every bracket it forms, so each
-Schouten bracket of two argument parts is formed once.  The right
+outer bracket reads (the extension bracket reads only tensor slots, and
+the tensor algebra, whose unary bracket is zero, forms nothing for a
+one-argument head or an empty tail); the `pairs` dict of one residual
+goes to every bracket it forms, so each Schouten bracket of two argument
+parts is formed once.  The right
 side of `morphism_residual` walks unordered set partitions of the
 arguments, which assumes every bracket here is graded symmetric.  Both
 sides of the morphism equations walk only the terms whose components
@@ -48,7 +50,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .calculus import higher_bracket
+from .calculus import higher_bracket, require_bracket_arguments
 from .cohomology import (
     CohomClass,
     NotACocycle,
@@ -98,7 +100,8 @@ class Operations:
 
     def bracket(self, vs, pairs=None):
         """The bracket of arity len(vs); the brackets built on `higher_bracket`
-        share Schouten brackets in `pairs`, the rest ignore it."""
+        share flattened arguments and Schouten brackets in `pairs`, the
+        rest ignore it."""
         raise NotImplementedError
 
     def composite(self, head, tail, pairs):
@@ -251,6 +254,17 @@ class TensorLinf(Operations):
 
     def bracket(self, vs, pairs=None):
         return higher_bracket(vs, pairs)
+
+    def composite(self, head, tail, pairs):
+        """None for the splits that are zero by definition, as the unary
+        bracket is zero: a one-argument head, whose inner bracket is zero,
+        and an empty tail, whose outer bracket is unary.  Their arguments
+        are still checked as the full bracket checks them, so an arity
+        past the cap or a mixed pair raises before any term is formed."""
+        if len(head) == 1 or not tail:
+            require_bracket_arguments(head + tail)
+            return None
+        return super().composite(head, tail, pairs)
 
 
 def _extension_top_degree(s: NPlecticStructure) -> int:

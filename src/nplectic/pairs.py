@@ -17,7 +17,8 @@ c?": exactly the g with a nonzero `action_basis(g, c)`, in ascending
 order, so a caller acts only with those and needs no zero test.
 
 On a slice label (word, monomial key) both are read as integers, the form
-`calculus.label_differential` takes them in: `monomial_action(key)` gives
+`calculus.label_differential` and the label brackets of `calculus` take
+them in: `monomial_action(key)` gives
 D_g of the monomial per acting generator g, and `bracket_nums` the
 structure constants as int numerators over `bracket_den`.
 """

@@ -532,17 +532,13 @@ def koszul_sign(images, degrees) -> int:
     The permutation s of 1..k is given as its image tuple (s(1), ..., s(k)).
     Convention: v_1 x ... x v_k = sign * v_{s(1)} x ... x v_{s(k)}, and each
     transposition of adjacent factors of degrees p, q contributes (-1)^(p*q).
-    Computed as a product over inversions of s.
+    Computed as a product over inversions of s, once per image tuple and
+    tuple of degree parities.
     """
-    degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != len(images):
+    parities = tuple([int(d) % 2 for d in degrees])
+    if len(parities) != len(images):
         raise ValueError("degree list does not match permutation length")
-    parity = 0
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a] > images[b]:
-                parity += degrees[images[a] - 1] * degrees[images[b] - 1]
-    return -1 if parity % 2 else 1
+    return _koszul_table(tuple(images), parities)
 
 
 def enumerate_shuffles(block_sizes) -> list[tuple[int, ...]]:
@@ -569,6 +565,17 @@ def _shuffle_table(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                    for head, left in partial
                    for chosen in itertools.combinations(left, p)]
     return tuple(head for head, _ in partial)
+
+
+@functools.cache
+def _koszul_table(images: tuple[int, ...], parities: tuple[int, ...]) -> int:
+    """The sign of `koszul_sign` for checked images and degree parities."""
+    odd = 0
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            if images[a] > images[b]:
+                odd ^= parities[images[a] - 1] & parities[images[b] - 1]
+    return -1 if odd else 1
 
 
 # ---------------------------------------------------------------------------

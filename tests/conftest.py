@@ -1,9 +1,10 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
 oracle for the weak Jacobi residual, the ordered-block oracle for the
-morphism residual, the target-word oracle for d, a plain
-{exponent: Fraction} polynomial arithmetic as the oracle for `Poly`, a
-sampler of extension elements, and the unit elements of a slice, which
-the element-path oracles of the label-built slices start from."""
+morphism residual, the target-word oracle for d, the term-by-term `Poly`
+oracle for the label brackets, a plain {exponent: Fraction} polynomial
+arithmetic as the oracle for `Poly`, a sampler of extension elements, and
+the unit elements of a slice, which the element-path oracles of the
+label-built slices start from."""
 
 import itertools
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from nplectic.elements import Cotensor, ascending_words, sort_word
+from nplectic.elements import Cotensor, Tensor, ascending_words, sort_word, wedge_list
 from nplectic.engine import ExtensionElement
 from nplectic.identities import random_symplectic
 from nplectic.linf import _shuffle_composites
@@ -181,6 +182,67 @@ def ce_differential_by_targets(f):
 @pytest.fixture(scope="session")
 def differential_oracle():
     return ce_differential_by_targets
+
+
+def schouten_by_terms(u, v):
+    """Oracle for `calculus.schouten`: the Marle closed form term by term,
+    one `Poly` product per coefficient pair, through the pair's
+    `bracket_basis`, `acting` and `action_basis`, not through labels."""
+    pair = u.pair
+    products = []
+    u_letters, v_letters = any(u.terms), any(v.terms)
+    v_terms = [(wv, b, pair.acting(b) if u_letters else ()) for wv, b in v.terms.items()]
+
+    def emit(word, sign, coeff):
+        s, norm = sort_word(word)
+        if s:
+            products.append((norm, coeff if s == sign else -coeff))
+
+    for wu, a in u.terms.items():
+        p = len(wu)
+        acts_on_a = pair.acting(a) if v_letters else ()
+        for wv, b, acts_on_b in v_terms:
+            for t, j in enumerate(wv):
+                sign = -1 if t % 2 else 1
+                rest = wv[:t] + wv[t + 1:]
+                for r, i in enumerate(wu):
+                    for k, c in pair.bracket_basis(i, j):
+                        emit(wu[:r] + (k,) + wu[r + 1:] + rest, sign, a * b * c)
+                if j in acts_on_a:
+                    emit(wu + rest, -sign, pair.action_basis(j, a) * b)
+            for r, i in enumerate(wu):
+                if i in acts_on_b:
+                    emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1,
+                         a * pair.action_basis(i, b))
+    out = Tensor.zero(pair)
+    out.terms = sparse_sum(products)
+    return out
+
+
+def higher_bracket_by_terms(xs):
+    """Oracle for `calculus.higher_bracket`: the (2, k-2)-shuffle sum on
+    Tensors, over every tuple of homogeneous parts, with each Schouten
+    bracket from `schouten_by_terms` and each tail wedge from `Tensor.wedge`."""
+    xs = list(xs)
+    k = len(xs)
+    pair = xs[0].pair
+    total = Tensor.zero(pair)
+    if k == 1:
+        return total
+    split = [sorted(x.homogeneous_parts().items()) for x in xs]
+    for combo in itertools.product(*split):
+        degs = tuple(d for d, _ in combo)
+        parts = [part for _, part in combo]
+        if sum(degs) - 1 > pair.ngens:
+            continue
+        for s in enumerate_shuffles((2, k - 2)):
+            sign = koszul_sign(s, degs)
+            if degs[s[0] - 1] % 2:
+                sign = -sign
+            inner = schouten_by_terms(parts[s[1] - 1], parts[s[0] - 1])
+            tail = [parts[i - 1] for i in reversed(s[2:])]
+            total = total + sign * wedge_list(pair, Tensor, tail + [inner])
+    return total
 
 
 def basis_elements(pair, cls, labels):

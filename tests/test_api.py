@@ -2,14 +2,16 @@
 every name the benchmark tracer wraps can still be found, only `scalars`
 reads the storage of a `Poly`, only `engine` and `cohomology` hand
 matrices to `linalg`, the engine flattens elements to label vectors only
-where they come in, and the README quick start runs and prints what its
-comments say."""
+where they come in, the higher brackets multiply no `Poly`, and the README
+quick start runs and prints what its comments say."""
 
 import importlib.util
 import re
 from pathlib import Path
 
 import nplectic
+from nplectic import ConstantPair, PolyVectorFieldPair, Tensor, higher_bracket
+from nplectic.scalars import Poly
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -59,6 +61,28 @@ def test_only_scalars_and_pairs_read_the_variables_of_a_poly():
     for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
         if path.name not in ("scalars.py", "pairs.py"):
             assert ".variables(" not in path.read_text(), path.name
+
+
+def test_higher_brackets_multiply_no_poly(monkeypatch):
+    # coefficients are multiplied as int numerators by monomial key
+    plane = PolyVectorFieldPair(2)
+    su2 = ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    cases = [
+        [Tensor(plane, {(1,): "x^2 - 1/2*y", (2,): "x*y"}), Tensor(plane, {(2,): "1/3*y^2"})],
+        [Tensor(plane, {(1,): "x*y", (): "y"}), Tensor(plane, {(1, 2): "x"}),
+         Tensor(plane, {(2,): "x^2 + y"})],
+        [Tensor(su2, {(1,): "1/2", (2, 3): 3}), Tensor(su2, {(2,): 1, (3,): -2})],
+        [Tensor(su2, {(1,): 1, (2, 3): 1}), Tensor(su2, {(2,): "2/3"}), Tensor(su2, {(1, 2): 5})],
+    ]
+    expected = [higher_bracket(xs) for xs in cases]
+    assert all(not b.is_zero() for b in expected)
+
+    def refused(self, other):
+        raise AssertionError("a Poly product inside higher_bracket")
+
+    monkeypatch.setattr(Poly, "__mul__", refused)
+    monkeypatch.setattr(Poly, "__rmul__", refused)
+    assert [higher_bracket(xs) for xs in cases] == expected
 
 
 def test_every_traced_name_resolves():

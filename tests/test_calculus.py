@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,16 +22,17 @@ from nplectic.calculus import (
 from nplectic.elements import Cotensor, Tensor, ascending_words, wedge_list
 from nplectic.engine import differential_slice
 from nplectic.linf import TensorLinf, jacobi_residual
-from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket
+from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket, pair_from_json
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
-from nplectic.scalars import CapExceeded, Poly, koszul_sign, parse_poly
-from conftest import basis_elements
+from nplectic.scalars import MAX_EXPONENT, CapExceeded, Poly, koszul_sign, parse_poly
+from conftest import basis_elements, higher_bracket_by_terms, schouten_by_terms
 
 
 def su2():
     return ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
 
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
 FAMILIES = (su2(), SPACE)
@@ -339,14 +342,24 @@ def test_differential_acts_only_with_the_variables_a_coefficient_holds(monkeypat
 
 
 def test_schouten_acts_only_with_the_generators_acting_on_a_coefficient(monkeypatch):
-    # [x @x, x @y] = x D_x(x) @y - x D_y(x) @x: x holds no y, so D_y is never formed
+    # [x @x, x @y] = x D_x(x) @y - x D_y(x) @x: x holds no y, so D_y is never
+    # formed; the derivatives are read off the monomial keys, one D_x per operand
     x = parse_poly("x", 2)
     tried = []
-    original = PolyVectorFieldPair.action_basis
-    monkeypatch.setattr(PolyVectorFieldPair, "action_basis",
-                        lambda self, i, a: tried.append(i) or original(self, i, a))
+    original = PolyVectorFieldPair.monomial_action
+
+    def recording(self, key):
+        out = original(self, key)
+        tried.extend(g for g, _, _ in out)
+        return out
+
+    def unused(self, i, a):
+        raise AssertionError("the bracket acts on labels, not through action_basis")
+
+    monkeypatch.setattr(PolyVectorFieldPair, "monomial_action", recording)
+    monkeypatch.setattr(PolyVectorFieldPair, "action_basis", unused)
     bracket = schouten(x * basis_t(PLANE, 1), x * basis_t(PLANE, 2))
-    assert tried == [1]
+    assert tried == [1, 1]
     assert bracket == x * basis_t(PLANE, 2)
 
 
@@ -489,6 +502,51 @@ def bruteforce_higher_bracket(k, xs):
         tail = [xs[i - 1] for i in reversed(s[2:])]
         total = total + sign * wedge_list(pair, Tensor, tail).wedge(inner)
     return Fraction(1, 2 * math.factorial(k - 2)) * total
+
+
+def test_label_brackets_match_the_poly_level_oracle():
+    # seeded homogeneous, inhomogeneous and zero arguments on both families,
+    # a table that breaks Jacobi and a structure constant of 1/2
+    broken = pair_from_json(json.loads((GOLDEN_INPUTS / "broken_su2_pair.json").read_text()))
+    half = ConstantPair.from_brackets(2, {(1, 2): {1: Fraction(1, 2), 2: 3}})
+    rng = random.Random(103)
+    for pair in (PLANE, SPACE, su2(), broken, half):
+        top = min(pair.ngens, 3)
+
+        def draw(kind):
+            if kind == "zero":
+                return Tensor.zero(pair)
+            low = random_tensor(rng, pair, rng.randint(0, top), 2)
+            if kind == "homogeneous":
+                return low
+            return low + random_tensor(rng, pair, rng.randint(0, top), 2)
+
+        kinds = ("homogeneous", "inhomogeneous", "zero")
+        nonzero = 0
+        for _ in range(6):
+            for ku, kv in itertools.product(kinds, kinds):
+                u, v = draw(ku), draw(kv)
+                got = schouten(u, v)
+                assert got == schouten_by_terms(u, v)
+                nonzero += not got.is_zero()
+            for k in (2, 3, 4):
+                xs = [draw(rng.choice(kinds[:2])) for _ in range(k)]
+                if rng.random() < 0.2:
+                    xs[rng.randrange(k)] = Tensor.zero(pair)
+                got = higher_bracket(xs)
+                assert got == higher_bracket_by_terms(xs)
+                nonzero += not got.is_zero()
+        assert nonzero, pair
+    # a product whose exponent passes MAX_EXPONENT raises, in a Schouten
+    # bracket (D_x(x^M) x^2) and in a tail wedge (x @y ^ M x^M)
+    big = Poly(2, {(MAX_EXPONENT, 0): 1})
+    x = parse_poly("x", 2)
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        schouten(big * basis_t(PLANE, 2), x * x * basis_t(PLANE, 1))
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        higher_bracket([big * basis_t(PLANE, 2), x * x * basis_t(PLANE, 1)])
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        higher_bracket([Tensor.scalar(PLANE, big), x * basis_t(PLANE, 1), x * basis_t(PLANE, 2)])
 
 
 def test_unary_bracket_is_zero():

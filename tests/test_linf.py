@@ -876,16 +876,19 @@ def test_each_extension_composite_equals_the_whole_one_in_both_slots():
 
 def test_one_residual_forms_each_schouten_bracket_once(monkeypatch):
     formed = []
-    original = calculus.schouten
+    original = calculus._schouten_words
 
-    def counting(u, v):
-        formed.append((u, v))
-        return original(u, v)
+    def frozen(words):
+        return tuple(sorted((w, tuple(sorted(nums.items()))) for w, nums in words.items()))
 
-    # the arguments are distinct values, so a repeated value pair is a
-    # Schouten bracket formed twice
+    def counting(pair, u, du, v, dv):
+        formed.append((frozen(u), frozen(v)))
+        return original(pair, u, du, v, dv)
 
-    monkeypatch.setattr(calculus, "schouten", counting)
+    # the arguments are distinct values, so a repeated pair of operand
+    # numerators is a Schouten bracket formed twice on labels
+
+    monkeypatch.setattr(calculus, "_schouten_words", counting)
     rng = random.Random(71)
     brackets = 0
     for s in (su2_cartan(), broken_su2(), degenerate_plane()):
