@@ -50,7 +50,7 @@ from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     structure_from_json,
-    symplectic_basis,
+    symplectic_vectors,
 )
 from .identities import cartan_suite, pairing_suite, random_symplectic
 from .linf import ClassLinf, ExtensionLinf, TensorLinf, check_momentum_map, jacobi_residual
@@ -220,7 +220,7 @@ def cmd_jacobi(args):
         "max_arity": args.max_arity, "arity_cap": cap,
     })
     grades = [g for g in range(0, s.n + 1)
-              if symplectic_basis(s, g, max_poly_degree=2)] or [0]
+              if symplectic_vectors(s, g, max_poly_degree=2)] or [0]
     max_grade = min(pair.ngens, 3)
 
     def tensor():

@@ -32,6 +32,10 @@ The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
 element is built from an arbitrary tensor; residues form a linear section,
 so arithmetic and the brackets keep the invariant without checking again.
+The check works on labels too: the tensor is flattened once, i_x omega is
+the sum of its labels' contraction tables, d of that comes from
+`calculus.differential_numerators`, and the residue is taken part by part
+on the same vector.
 """
 
 from __future__ import annotations
@@ -207,10 +211,13 @@ class Quotient:
                 self.echelon.add(slice_coords(nums, self.index))
             self.ranks.append(self.echelon.rank)
 
-    def reduce(self, elem):
-        nums, den = label_vector(elem)
+    def residue(self, nums: dict, den: int) -> tuple[dict, int]:
+        """The canonical representative of the label vector (nums, den)."""
         coords, den = self.echelon.reduce(slice_coords(nums, self.index), den)
-        return label_element(self.pair, self.cls, *coords_vector(self.labels, coords, den))
+        return coords_vector(self.labels, coords, den)
+
+    def reduce(self, elem):
+        return label_element(self.pair, self.cls, *self.residue(*label_vector(elem)))
 
 
 def matrix_of(vectors) -> list[dict[int, int]]:
@@ -268,9 +275,34 @@ def label_contraction(s: NPlecticStructure, word, key) -> tuple[dict, int]:
 # symplectic and Hamiltonian tensors
 # ---------------------------------------------------------------------------
 
+def _flatten(x: Tensor, s: NPlecticStructure) -> tuple[dict, int]:
+    """The label vector of a tensor over the structure's pair."""
+    if x.pair != s.pair:
+        raise ValueError("tensor lives over a different pair")
+    return label_vector(x)
+
+
+def _sum(vectors) -> tuple[dict, int]:
+    """The sum of label vectors, over the lcm of their denominators."""
+    return combine((dict.fromkeys(range(len(vectors)), 1), 1), vectors)
+
+
+def _closed_image(s: NPlecticStructure, nums: dict, den: int) -> tuple[dict, int] | None:
+    """The label vector of i_x omega for the tensor x with label vector
+    (nums, den), or None when d i_x omega != 0: the one symplectic test.
+
+    i_x omega is the sum of the contraction tables of x's labels
+    (`label_contraction`), each times its coefficient, and d acts on it
+    through `differential_numerators`; no element is built.
+    """
+    image = combine((dict(enumerate(nums.values())), den),
+                    [label_contraction(s, w, e) for w, e in nums])
+    return None if differential_numerators(s.pair, image[0]) else image
+
+
 def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
-    """d i_x omega = 0."""
-    return ce_differential(contract(x, s.omega)).is_zero()
+    """d i_x omega = 0, tested on the label vector of x (`_closed_image`)."""
+    return _closed_image(s, *_flatten(x, s)) is not None
 
 
 def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
@@ -296,12 +328,29 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     return labels, null, [combine(vec, vectors) for vec in null]
 
 
-def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
-    """Basis of symplectic tensors of one wedge degree within a poly window."""
+def symplectic_vectors(s: NPlecticStructure, degree: int,
+                       max_poly_degree: int = 3) -> list[tuple[dict, int]]:
+    """Label vectors of a basis of symplectic tensors of one wedge degree
+    within a poly window, kept in the structure's derived store; callers
+    must not change them."""
     def build():
         labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
-        return [label_element(s.pair, Tensor, *coords_vector(labels, *vec)) for vec in null]
-    return list(s.derived(("symplectic", degree, max_poly_degree), build))
+        return [coords_vector(labels, *vec) for vec in null]
+    return s.derived(("symplectic", degree, max_poly_degree), build)
+
+
+def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
+    """Basis of symplectic tensors of one wedge degree within a poly window."""
+    return [label_element(s.pair, Tensor, *vec)
+            for vec in symplectic_vectors(s, degree, max_poly_degree)]
+
+
+def symplectic_combination(s: NPlecticStructure, degree: int, max_poly_degree: int,
+                           coeffs: tuple[dict, int]) -> Tensor:
+    """The combination of the `symplectic_vectors` of a window with the
+    coefficients (int numerators by index, denominator), as one Tensor."""
+    vectors = symplectic_vectors(s, degree, max_poly_degree)
+    return label_element(s.pair, Tensor, *combine(coeffs, vectors))
 
 
 def _kernel_window(s: NPlecticStructure, degree: int, max_poly_degree: int):
@@ -322,42 +371,63 @@ def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     """Canonical representative of x modulo the contraction kernel.
 
-    Works slice by slice, in the window of x's polynomial degree.  The
-    quotient pivots on the highest degree, so the representative does not
-    depend on the window or on the representative x started from.  A
-    window whose kernel has rank 0 leaves its part as it is; the part lies
-    in the window by construction.
+    Works on the label vector of x, split by word length, each part in the
+    window of x's polynomial degree: its residue against the window's
+    kernel quotient (`Quotient.residue`), with one Tensor built from the
+    parts at the end.  The quotient pivots on the highest degree, so the
+    representative does not depend on the window or on the representative
+    x started from.  A window whose kernel has rank 0 leaves its part as
+    it is, and when every window has rank 0 the result is x itself.
     """
-    out = Tensor.zero(s.pair)
+    return _reduced(s, x, *_flatten(x, s))
+
+
+def _reduced(s: NPlecticStructure, x: Tensor, nums: dict, den: int) -> Tensor:
+    """`reduce_mod_kernel` of x, given its label vector."""
+    parts: dict[int, dict] = {}
+    for lab, c in nums.items():
+        parts.setdefault(len(lab[0]), {})[lab] = c
     pd = max(x.max_poly_degree(), 0)
-    for degree, part in x.homogeneous_parts().items():
+    residues, moved = [], False
+    for degree in sorted(parts):
         kernel = s.derived(("kernel", degree, pd),
                            lambda: Quotient(s.pair, Tensor, *_kernel_window(s, degree, pd)))
-        out = out + (kernel.reduce(part) if kernel.echelon.rank else part)
-    return out
+        if kernel.echelon.rank:
+            residues.append(kernel.residue(parts[degree], den))
+            moved = True
+        else:
+            residues.append((parts[degree], den))
+    return label_element(s.pair, Tensor, *_sum(residues)) if moved else x
 
 
 def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     """One exact solution f of d f = i_x omega, or None if there is none.
 
-    The input must be symplectic (i_x omega closed), otherwise ValueError.
-    Solving happens per (word length, polynomial degree) slice, on the
-    matrix of [d | the slice part of i_x omega]; free variables are pinned
-    to zero, so the answer is canonical.  A component that d cannot reach
-    (a label no d h has, or word length zero, an empty source) gives a
-    pivot in the last column, and so no solution.
+    The input must be symplectic (i_x omega closed), otherwise ValueError;
+    the test and the label vector of i_x omega are those of
+    `is_symplectic`.  Solving happens per (word length, polynomial degree)
+    slice of that vector, on the matrix of [d | the slice part of i_x
+    omega]; free variables are pinned to zero, so the answer is canonical.
+    A component that d cannot reach (a label no d h has, or word length
+    zero, an empty source) gives a pivot in the last column, and so no
+    solution.
     """
-    image = contract(x, s.omega)
-    if not ce_differential(image).is_zero():
+    image = _closed_image(s, *_flatten(x, s))
+    if image is None:
         raise ValueError("potential only makes sense for symplectic tensors")
-    out = Cotensor.zero(s.pair)
-    for (deg, pd), part in image.bigraded_parts().items():
+    nums, den = image
+    nvars = s.pair.poly_nvars
+    parts: dict[tuple[int, int], dict] = {}
+    for (w, e), c in nums.items():
+        parts.setdefault((-len(w), monomial_degree(e, nvars)), {})[w, e] = c
+    solutions = []
+    for (deg, pd), part in sorted(parts.items()):
         labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
-        sol = solve(matrix_of(exact + [label_vector(part)]), len(labels))
+        sol = solve(matrix_of(exact + [(part, den)]), len(labels))
         if sol is None:
             return None
-        out = out + label_element(s.pair, Cotensor, *coords_vector(labels, *sol))
-    return out
+        solutions.append(coords_vector(labels, *sol))
+    return label_element(s.pair, Cotensor, *_sum(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +438,10 @@ class ExtensionElement:
     """Pair (f, x): a cotensor alongside a symplectic tensor.
 
     x is the canonical residue of the tensor modulo the contraction kernel.
-    The constructor is the one checked entry: it rejects a tensor that is
-    not symplectic and reduces the rest.  Residues are a normal form, so
+    The constructor is the one checked entry: it flattens the tensor to its
+    label vector once, rejects it when it is not symplectic (the test of
+    `is_symplectic`) and reduces the rest on that vector (the residue of
+    `reduce_mod_kernel`).  Residues are a normal form, so
     sums, negatives and rational multiples of residues are residues again;
     arithmetic and `canonical` build elements without re-checking.
 
@@ -382,13 +454,12 @@ class ExtensionElement:
     def __init__(self, structure: NPlecticStructure, f: Cotensor, x: Tensor):
         if f.pair != structure.pair:
             raise ValueError("cotensor lives over a different pair")
-        if x.pair != structure.pair:
-            raise ValueError("tensor lives over a different pair")
-        if not is_symplectic(x, structure):
+        nums, den = _flatten(x, structure)
+        if _closed_image(structure, nums, den) is None:
             raise ValueError(f"not a symplectic tensor: {x!r}")
         self.structure = structure
         self.f = f
-        self.x = reduce_mod_kernel(structure, x)
+        self.x = _reduced(structure, x, nums, den)
 
     @classmethod
     def canonical(cls, structure: NPlecticStructure, f: Cotensor, x: Tensor):

@@ -15,10 +15,14 @@ from functools import partial
 
 from .calculus import ce_differential, contract, lie_derivative, schouten
 from .elements import Tensor
-from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_basis
+from .engine import (
+    NPlecticStructure,
+    fundamental_pairing_check,
+    symplectic_combination,
+    symplectic_vectors,
+)
 from .report import Report, witness_unless
-from .sampling import random_cotensor, random_fraction, random_tensor
-from .scalars import sparse_sum
+from .sampling import DRAW_DEN, random_cotensor, random_numerator, random_tensor
 
 
 def _sign(exponent: int) -> int:
@@ -110,13 +114,14 @@ def cartan_suite(pair, count: int = 200, seed: int = 0) -> Report:
 
 def random_symplectic(rng, s: NPlecticStructure, grade: int,
                       poly_degree: int = 2) -> Tensor:
-    """A random symplectic tensor from one wedge-degree slice."""
-    terms = []
-    for b in symplectic_basis(s, grade, max_poly_degree=poly_degree):
-        if rng.random() < 0.6:
-            q = random_fraction(rng)
-            terms.extend((w, c.scale(q)) for w, c in b.terms.items())
-    return Tensor.zero(s.pair)._make(sparse_sum(terms))
+    """A random symplectic tensor from one wedge-degree slice: each basis
+    vector is kept with probability 0.6, times a `random_fraction`, drawn
+    as a numerator over DRAW_DEN, and the kept label vectors are summed as
+    ints."""
+    size = len(symplectic_vectors(s, grade, poly_degree))
+    # the condition is drawn before the numerator, basis vector by basis vector
+    coeffs = {i: random_numerator(rng) for i in range(size) if rng.random() < 0.6}
+    return symplectic_combination(s, grade, poly_degree, (coeffs, DRAW_DEN))
 
 
 def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0) -> Report:
@@ -131,7 +136,7 @@ def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0) -> Repor
         "family": s.pair.family, "n": s.n, "seed": seed, "count": count,
     })
     grades = [g for g in range(0, s.pair.ngens + 1)
-              if symplectic_basis(s, g, max_poly_degree=2)]
+              if symplectic_vectors(s, g, max_poly_degree=2)]
 
     def pairing_witness(*xs):
         ok, lhs, rhs = fundamental_pairing_check(xs, s)

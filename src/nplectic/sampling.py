@@ -3,6 +3,11 @@
 All sampling goes through `random.Random` instances handed in by the
 caller, so identical seeds reproduce identical objects everywhere (the
 CLI records the seed in each report for exactly this reason).
+
+Every drawn coefficient is an int numerator over `DRAW_DEN`, so a draw
+adds its terms into one {(word, monomial key): int} dict (the empty word
+for a polynomial) and builds the result once at the end: no Fraction and
+no `Poly` sum per term.
 """
 
 from __future__ import annotations
@@ -12,34 +17,47 @@ import math
 import random
 from fractions import Fraction
 
-from .elements import Cotensor, Tensor
-from .scalars import Poly, over_lcm, sparse_sum, variable_key
+from .elements import Cotensor, Tensor, label_element
+from .scalars import Poly, variable_key
+
+# random_fraction draws its denominator from 1..3, so every draw is an int over 6
+DRAW_DEN = 6
+
+
+def random_numerator(rng: random.Random) -> int:
+    """random_fraction(rng) * DRAW_DEN, from the same two draws."""
+    num = rng.randint(-3, 3)
+    return num * (DRAW_DEN // rng.randint(1, 3))
 
 
 def random_fraction(rng: random.Random) -> Fraction:
     """num / den with num drawn from -3..3, then den from 1..3."""
-    num = rng.randint(-3, 3)
-    den = rng.randint(1, 3)
-    return Fraction(num, den)
+    return Fraction(random_numerator(rng), DRAW_DEN)
 
 
-def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
-                terms: int = 3) -> Poly:
-    """Random sparse polynomial of total degree <= max_degree.
+def _add_poly_draws(acc: dict, word, rng, nvars: int, max_degree: int, terms: int) -> None:
+    """Add the terms of one random polynomial into acc, by label (word,
+    monomial key), as numerators over DRAW_DEN.
 
     The degree is drawn even with no variables, so every family reads the
     same random stream.  Each drawn variable adds its key, so the monomial
-    keys are valid by construction and the summed coefficients go to
-    `Poly` without checks.
+    keys are valid by construction.
     """
-    draws = []
     for _ in range(rng.randint(1, terms)):
         key = 0
         for _ in range(rng.randint(0, max_degree)):
             if nvars:
                 key += variable_key(nvars, rng.randrange(nvars))
-        draws.append((key, random_fraction(rng)))
-    return Poly._from_nums(nvars, *over_lcm(sparse_sum(draws)))
+        lab = (word, key)
+        acc[lab] = acc.get(lab, 0) + random_numerator(rng)
+
+
+def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
+                terms: int = 3) -> Poly:
+    """Random sparse polynomial of total degree <= max_degree."""
+    acc: dict = {}
+    _add_poly_draws(acc, (), rng, nvars, max_degree, terms)
+    return Poly._from_nums(nvars, {key: c for (_, key), c in acc.items() if c}, DRAW_DEN)
 
 
 def random_coeff(rng: random.Random, pair, max_degree: int = 3) -> Poly:
@@ -62,13 +80,13 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
     count = math.comb(pair.ngens, length) if length >= 0 else 0
     if not count:
         return cls.zero(pair)
-    data = []
+    acc: dict = {}
     for _ in range(rng.randint(1, terms)):
         word = _unrank_word(rng.randrange(count), pair.ngens, length)
-        data.append((word, random_poly(rng, pair.poly_nvars, max_degree)))
-    # unranked words are ascending and in range, and the coefficients are
-    # Polys in the pair's variables: nothing for the constructor to check
-    return cls.zero(pair)._make(sparse_sum(data))
+        _add_poly_draws(acc, word, rng, pair.poly_nvars, max_degree, 3)
+    # unranked words are ascending and in range, and the keys are monomials
+    # in the pair's variables: nothing for a constructor to check
+    return label_element(pair, cls, {lab: c for lab, c in acc.items() if c}, DRAW_DEN)
 
 
 def _unrank_word(index: int, ngens: int, length: int) -> tuple:

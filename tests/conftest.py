@@ -2,9 +2,10 @@
 oracle for the weak Jacobi residual, the ordered-block oracle for the
 morphism residual, the target-word oracle for d, the term-by-term `Poly`
 oracle for the label brackets, a plain {exponent: Fraction} polynomial
-arithmetic as the oracle for `Poly`, a sampler of extension elements, and
-the unit elements of a slice, which the element-path oracles of the
-label-built slices start from."""
+arithmetic as the oracle for `Poly`, a sampler of extension elements, the
+unit elements of a slice, which the element-path oracles of the
+label-built slices start from, and the Tensor-level kernel reduction as
+the oracle for the label one."""
 
 import itertools
 import math
@@ -12,8 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from nplectic.elements import Cotensor, Tensor, ascending_words, sort_word, wedge_list
-from nplectic.engine import ExtensionElement
+from nplectic.elements import (
+    Cotensor,
+    Tensor,
+    ascending_words,
+    label_vector,
+    sort_word,
+    wedge_list,
+)
+from nplectic.engine import ExtensionElement, Quotient, kernel_basis, slice_basis
 from nplectic.identities import random_symplectic
 from nplectic.linf import _shuffle_composites
 from nplectic.sampling import random_cotensor
@@ -249,6 +257,19 @@ def basis_elements(pair, cls, labels):
     """The unit-monomial element x^key e_word of each slice label (word, key)."""
     zero = cls(pair)
     return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
+
+
+def reduce_mod_kernel_by_parts(s, x):
+    """Oracle for `reduce_mod_kernel`: x split into Tensors by wedge degree,
+    each reduced against a fresh quotient by the `kernel_basis` Tensors of
+    its window, and the parts added back as Tensors."""
+    out = Tensor.zero(s.pair)
+    pd = max(x.max_poly_degree(), 0)
+    for degree, part in x.homogeneous_parts().items():
+        kernel = [label_vector(k) for k in kernel_basis(s, degree, pd)]
+        labels = slice_basis(s.pair, degree, range(pd + 1))
+        out = out + (Quotient(s.pair, Tensor, labels, kernel).reduce(part) if kernel else part)
+    return out
 
 
 class DictPoly:

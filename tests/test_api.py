@@ -2,15 +2,20 @@
 every name the benchmark tracer wraps can still be found, only `scalars`
 reads the storage of a `Poly`, only `engine` and `cohomology` hand
 matrices to `linalg`, the engine flattens elements to label vectors only
-where they come in, the higher brackets multiply no `Poly`, and the README
-quick start runs and prints what its comments say."""
+where they come in, the higher brackets multiply no `Poly`, seeded draws
+add no `Poly` and the checked extension entry multiplies none, and the
+README quick start runs and prints what its comments say."""
 
 import importlib.util
+import random
 import re
 from pathlib import Path
 
 import nplectic
-from nplectic import ConstantPair, PolyVectorFieldPair, Tensor, higher_bracket
+from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket
+from nplectic.engine import ExtensionElement, NPlecticStructure
+from nplectic.identities import random_symplectic
+from nplectic.sampling import random_cotensor, random_tensor
 from nplectic.scalars import Poly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +49,7 @@ def test_only_engine_and_cohomology_import_linalg():
 def test_the_engine_flattens_elements_only_at_its_boundaries():
     # every span that enters a quotient is built from labels; an element is
     # flattened only where one comes in: a residue to reduce, omega's
-    # contraction tables, and the right side of a potential
+    # contraction tables, and a tensor to test, reduce or find a potential of
     text = (ROOT / "src" / "nplectic" / "engine.py").read_text()
     scope = re.compile(r"^(?:class (\w+)|def (\w+)|    def (\w+))", re.M)
     owners = []
@@ -53,7 +58,7 @@ def test_the_engine_flattens_elements_only_at_its_boundaries():
         for cls, func, method in scope.findall(text, 0, call.start()):
             owner = cls or func or f"{owner.split('.')[0]}.{method}"
         owners.append(owner)
-    assert owners == ["Quotient.reduce", "label_contraction", "hamiltonian_potential"]
+    assert owners == ["Quotient.reduce", "label_contraction", "_flatten"]
 
 
 def test_only_scalars_and_pairs_read_the_variables_of_a_poly():
@@ -83,6 +88,46 @@ def test_higher_brackets_multiply_no_poly(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", refused)
     monkeypatch.setattr(Poly, "__rmul__", refused)
     assert [higher_bracket(xs) for xs in cases] == expected
+
+
+def test_draws_add_no_poly_and_the_checked_entry_multiplies_none(monkeypatch):
+    # a draw sums its terms as ints by label, and the checked entry tests and
+    # reduces a tensor on its label vector
+    plane = PolyVectorFieldPair(2)
+    su2 = ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    structures = [NPlecticStructure(plane, 1, Cotensor(plane, {(1, 2): "2/3"})),
+                  NPlecticStructure(PolyVectorFieldPair(3), 1,
+                                    Cotensor(PolyVectorFieldPair(3), {(1, 2): 1})),
+                  NPlecticStructure(su2, 2, Cotensor(su2, {(1, 2, 3): 1}))]
+
+    def draws(seed):
+        rng = random.Random(seed)
+        for s in structures:
+            for grade in range(s.pair.ngens + 1):
+                yield random_tensor(rng, s.pair, grade)
+                yield random_cotensor(rng, s.pair, grade)
+                yield random_symplectic(rng, s, grade)
+
+    def entries():
+        rng = random.Random(5)
+        return [ExtensionElement(s, random_cotensor(rng, s.pair, s.n - grade, 2),
+                                 random_symplectic(rng, s, grade) + random_symplectic(rng, s, grade))
+                for s in structures for grade in range(s.n + 1) for _ in range(3)]
+
+    expected_draws = [list(draws(seed)) for seed in range(10)]
+    expected_entries = entries()  # also fills each structure's tables and quotients
+    assert sum(not e.x.is_zero() for e in expected_entries) > 10
+
+    def refused(self, other):
+        raise AssertionError("a Poly operation inside a draw or the checked entry")
+
+    monkeypatch.setattr(Poly, "__add__", refused)
+    monkeypatch.setattr(Poly, "__radd__", refused)
+    assert [list(draws(seed)) for seed in range(10)] == expected_draws
+    monkeypatch.undo()
+    monkeypatch.setattr(Poly, "__mul__", refused)
+    monkeypatch.setattr(Poly, "__rmul__", refused)
+    assert entries() == expected_entries
 
 
 def test_every_traced_name_resolves():

@@ -52,7 +52,7 @@ from nplectic.scalars import (
     monomial_key,
     sparse_sum,
 )
-from conftest import basis_elements
+from conftest import basis_elements, reduce_mod_kernel_by_parts
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -88,6 +88,18 @@ def tensor_element(s, x):
 
 def structures():
     return [plane_structure(), su2_cartan()]
+
+
+def heisenberg_area():
+    """omega = e^12 over the Heisenberg pair [e1, e2] = e3; e3 sits in the kernel."""
+    pair = ConstantPair.from_brackets(3, {(1, 2): {3: 1}})
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1}))
+
+
+def poly4_structure():
+    """omega = dx1^dx2 + 1/2 dx3^dx4 on Q[x1..x4]."""
+    pair = PolyVectorFieldPair(4)
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1, (3, 4): "1/2"}))
 
 
 # -- validation ---------------------------------------------------------------
@@ -225,6 +237,71 @@ def test_su2_cartan_symplectic_slices():
     assert len(symplectic_basis(s, 1)) == 3
     assert symplectic_basis(s, 2) == []
     assert len(symplectic_basis(s, 3)) == 1
+
+
+LABEL_CASES = [plane_structure, degenerate_structure, su2_cartan, poly4_structure]
+LABEL_IDS = ["plane", "degenerate-plane", "su2-cartan", "poly-4"]
+
+
+@pytest.mark.parametrize("make", LABEL_CASES, ids=LABEL_IDS)
+def test_the_label_symplectic_test_is_d_of_the_contraction(make):
+    s = make()
+    rng = random.Random(17)
+    top = min(3, s.pair.ngens)
+    verdicts = []
+    for _ in range(60):
+        x = random_symplectic(rng, s, rng.randint(0, top))
+        if rng.random() < 0.5:
+            x = x + random_tensor(rng, s.pair, rng.randint(0, top), max_degree=2)
+        verdict = is_symplectic(x, s)
+        assert verdict == ce_differential(contract(x, s.omega)).is_zero()
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def kernel_cases(s, rng):
+    """Zero, then seeded tensors of one wedge degree and of mixed degrees."""
+    top = s.pair.ngens
+    yield Tensor.zero(s.pair)
+    for _ in range(20):
+        yield random_tensor(rng, s.pair, rng.randint(0, top), max_degree=2)
+        yield sum((random_tensor(rng, s.pair, d, max_degree=2)
+                   for d in rng.sample(range(top + 1), 2)), Tensor.zero(s.pair))
+
+
+@pytest.mark.parametrize("make", LABEL_CASES + [heisenberg_area],
+                         ids=LABEL_IDS + ["heisenberg-e12"])
+def test_reduce_mod_kernel_matches_the_tensor_level_loop(make):
+    s = make()
+    kernel_free = make in (plane_structure, su2_cartan)
+    moved = 0
+    for x in kernel_cases(s, random.Random(23)):
+        got = reduce_mod_kernel(s, x)
+        assert got == reduce_mod_kernel_by_parts(s, x)
+        moved += got != x
+        if kernel_free:  # no window has rank above 0
+            assert got is x
+    # a 2-form on Q[x1..x4] has every tensor of wedge degree 3 or 4 in its kernel
+    assert bool(moved) != kernel_free
+
+
+@pytest.mark.parametrize("make", [degenerate_structure, heisenberg_area],
+                         ids=["degenerate-plane", "heisenberg-e12"])
+def test_a_residue_absorbs_every_kernel_element(make):
+    s = make()
+    rng = random.Random(29)
+    absorbed = 0
+    for degree in range(s.pair.ngens + 1):
+        for window in range(3):
+            kernel = kernel_basis(s, degree, window)
+            xs = [Tensor.zero(s.pair)] + [random_tensor(rng, s.pair, degree, max_degree=2)
+                                          for _ in range(3)]
+            for x in xs:
+                residue = reduce_mod_kernel(s, x)
+                for k in kernel:
+                    assert reduce_mod_kernel(s, x + k) == residue
+                    absorbed += 1
+    assert absorbed
 
 
 def test_kernel_trivial_on_the_plane():
@@ -384,12 +461,6 @@ def test_label_contraction_past_the_exponent_cap_raises():
     flat = plane_structure()
     top = monomial_key((MAX_EXPONENT, MAX_EXPONENT))
     assert label_contraction(flat, (1,), top) == ({((2,), top): 1}, 1)
-
-
-def heisenberg_area():
-    """omega = e^12 over the Heisenberg pair [e1, e2] = e3; e3 sits in the kernel."""
-    pair = ConstantPair.from_brackets(3, {(1, 2): {3: 1}})
-    return NPlecticStructure(pair, 1, Cotensor(pair, {(1, 2): 1}))
 
 
 @pytest.mark.parametrize("s", [

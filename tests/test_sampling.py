@@ -15,7 +15,6 @@ from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import (
     _unrank_word,
     random_cotensor,
-    random_fraction,
     random_poly,
     random_tensor,
 )
@@ -42,16 +41,35 @@ def test_unranking_walks_the_ascending_words_in_order(ngens):
         assert [_unrank_word(i, ngens, length) for i in range(len(words))] == words
 
 
-@pytest.mark.parametrize("pair", [ConstantPair(n, ()) for n in range(1, 9)]
-                         + [PolyVectorFieldPair(2)], ids=lambda p: f"{p.family}-{p.ngens}")
+SU2 = ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+DRAWN_PAIRS = ([(ConstantPair(n, ()), 2) for n in range(1, 9)]
+               + [(PolyVectorFieldPair(2), 2), (SU2, 2), (PolyVectorFieldPair(4), 2)]
+               + [(pair, 3) for pair in (ConstantPair(3, ()), SU2, PolyVectorFieldPair(2),
+                                         PolyVectorFieldPair(4))])
+
+
+def drawn_pair_id(case):
+    pair, terms = case
+    name = "su2" if pair is SU2 else f"{pair.family}-{pair.ngens}"
+    return name if terms == 2 else f"{name}-terms{terms}"
+
+
+@pytest.mark.parametrize("pair, terms", DRAWN_PAIRS, ids=map(drawn_pair_id, DRAWN_PAIRS))
 @pytest.mark.parametrize("cls, draw", [(Tensor, random_tensor), (Cotensor, random_cotensor)],
                          ids=["tensor", "cotensor"])
-def test_a_draw_matches_choice_on_the_list_of_words(pair, cls, draw):
+def test_a_draw_matches_choice_on_the_list_of_words(pair, terms, cls, draw):
     for length in range(-1, pair.ngens + 2):
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert draw(rng, pair, length) == listed_draw(ref, pair, cls, length)
-            assert rng.random() == ref.random()
+            assert draw(rng, pair, length, terms=terms) == listed_draw(
+                ref, pair, cls, length, terms=terms)
+            assert rng.getstate() == ref.getstate()
+
+
+def drawn_fraction(rng):
+    """Oracle for `random_fraction`: the numerator, then the denominator."""
+    num = rng.randint(-3, 3)
+    return Fraction(num, rng.randint(1, 3))
 
 
 def checked_poly(rng, nvars, max_degree=3, terms=3):
@@ -63,7 +81,7 @@ def checked_poly(rng, nvars, max_degree=3, terms=3):
         for _ in range(rng.randint(0, max_degree)):
             if nvars:
                 expo[rng.randrange(nvars)] += 1
-        data[tuple(expo)] = data.get(tuple(expo), Fraction(0)) + random_fraction(rng)
+        data[tuple(expo)] = data.get(tuple(expo), Fraction(0)) + drawn_fraction(rng)
     return Poly(nvars, data)
 
 
@@ -87,7 +105,7 @@ def checked_symplectic(rng, s, grade, poly_degree=2):
     x = Tensor.zero(s.pair)
     for b in symplectic_basis(s, grade, max_poly_degree=poly_degree):
         if rng.random() < 0.6:
-            x = x + random_fraction(rng) * b
+            x = x + drawn_fraction(rng) * b
     return x
 
 
@@ -99,7 +117,9 @@ def checked_symplectic(rng, s, grade, poly_degree=2):
                       2, Cotensor(ConstantPair.from_brackets(
                           3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}}),
                           {(1, 2, 3): 1})),
-], ids=["plane", "degenerate-plane", "su2"])
+    NPlecticStructure(PolyVectorFieldPair(4), 1,
+                      Cotensor(PolyVectorFieldPair(4), {(1, 2): 1, (3, 4): "1/2"})),
+], ids=["plane", "degenerate-plane", "su2", "poly-4"])
 def test_a_symplectic_draw_equals_the_sum_of_tensor_adds(s):
     for grade in range(s.pair.ngens + 1):
         for seed in range(30):
