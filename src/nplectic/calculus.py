@@ -14,10 +14,10 @@ Conventions, once and for all:
   d(x^2) = 2x dx);
 * the odd bracket is the biderivation extending the pair bracket, the
   action and zero on ring pairs, with [u,v] = -(-1)^((|u|-1)(|v|-1)) [v,u];
-  it and the higher brackets act on labels too: their arguments are
-  flattened to int numerators by (word, monomial key), every coefficient
-  product is an int convolution of monomial keys, and one Tensor is built
-  from the sum over `pair.bracket_den` times the arguments' denominators;
+  it and the higher brackets act on labels too: they read their
+  arguments' label vectors grouped by word, every coefficient product is
+  an int convolution of monomial keys, and one Tensor is built from the
+  sum over `pair.bracket_den` times the arguments' denominators;
 * the module is free of rank ngens, so Lambda^{>ngens} = 0, and contracting
   a tensor into a cotensor of shorter word length gives 0: a value the
   grading puts there is zero without being computed.
@@ -33,15 +33,19 @@ import itertools
 import math
 from fractions import Fraction
 
-from .elements import Cotensor, Tensor, label_element, label_vector, sort_word, wedge_list
-from .scalars import (
-    Poly,
-    enumerate_shuffles,
-    koszul_sign,
-    require_arity,
-    require_exponents,
-    sparse_sum,
+from .elements import (
+    Cotensor,
+    Tensor,
+    _emit,
+    _nonzero,
+    _wedge_into,
+    label_element,
+    label_vector,
+    label_words,
+    wedge_list,
+    words_element,
 )
+from .scalars import Poly, enumerate_shuffles, koszul_sign, require_arity, sum_vectors
 
 # The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
 # Schouten bracket wedged with the k - 2 other arguments.
@@ -52,9 +56,10 @@ def pairing(f: Cotensor, x: Tensor) -> Poly:
     """Natural pairing <f, x>; zero across mismatched degrees."""
     if f.pair != x.pair:
         raise ValueError("pairing across different pairs")
+    on_x = dict(x.items())
     out = Poly.zero(f.pair.poly_nvars)
-    for w, b in f.terms.items():
-        a = x.terms.get(w)
+    for w, b in f.items():
+        a = on_x.get(w)
         if a is not None:
             out = out + a * b
     return out
@@ -69,8 +74,9 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
     if x.pair != f.pair:
         raise ValueError("contraction across different pairs")
     products = []
-    for wx, a in x.terms.items():
-        for wf, b in f.terms.items():
+    on_f = f.items()
+    for wx, a in x.items():
+        for wf, b in on_f:
             letters = list(wf)
             sign = 1
             for g in wx:
@@ -82,10 +88,10 @@ def contract(x: Tensor, f: Cotensor) -> Cotensor:
                     sign = -sign
                 del letters[at]
             if sign:
-                products.append((tuple(letters), a * b * sign))
-    out = Cotensor.zero(f.pair)
-    out.terms = sparse_sum(products)
-    return out
+                nums, den = (a * b * sign).numerators()
+                word = tuple(letters)
+                products.append(({(word, e): c for e, c in nums.items()}, den))
+    return label_element(f.pair, Cotensor, *sum_vectors(products))
 
 
 def label_differential(pair, word, key) -> list[tuple[tuple, int]]:
@@ -166,49 +172,20 @@ def lie_derivative(x: Tensor, f: Cotensor) -> Cotensor:
 # the odd graded bracket, on labels
 # ---------------------------------------------------------------------------
 #
-# The brackets act on label vectors grouped by word: {word: {monomial key:
-# int numerator}} over one denominator, so a coefficient product is an int
-# convolution of two such key dicts and no Poly is built until the end.
+# The brackets act on label vectors grouped by word (`label_words`), through
+# the products of `elements`: a coefficient product is an int convolution
+# of monomial keys, and one Tensor is built from the sum at the end.
 
-def _add_product(acc: dict, a: dict, b: dict, c: int) -> None:
-    """acc += c a b for numerators {key: int}: an int convolution, keys adding."""
-    get, b = acc.get, b.items()
-    for e1, c1 in a.items():
-        c1 *= c
-        for e2, c2 in b:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-
-
-def _emit(out: dict, word, c: int, a: dict, b: dict) -> None:
-    """Add c a b to out at the ascending form of word, with its reordering
-    sign; nothing when a letter repeats."""
-    sign, norm = sort_word(word)
-    if sign:
-        _add_product(out.setdefault(norm, {}), a, b, c if sign == 1 else -c)
-
-
-def _nonzero(pair, out: dict) -> dict:
-    """out without zero numerators and empty words; raises CapExceeded if
-    a product's exponent passed MAX_EXPONENT."""
-    out = {w: kept for w, nums in out.items() if (kept := {e: c for e, c in nums.items() if c})}
-    require_exponents(itertools.chain.from_iterable(out.values()), pair.poly_nvars)
+def _derivatives(pair, words: dict) -> dict:
+    """D_g of each word's numerators, {word: {g: {key: int}}}, for every
+    generator g acting on them."""
+    out: dict = {}
+    for w, nums in words.items():
+        by_gen = out[w] = {}
+        for e, c in nums.items():
+            for g, k, lowered in pair.monomial_action(e):
+                by_gen.setdefault(g, {})[lowered] = k * c
     return out
-
-
-def _flatten(x) -> tuple[dict, dict, int]:
-    """(parts, derivatives, den): the label vector of x grouped by degree
-    and word, {degree: {word: {key: int}}} over den, and D_g of each word's
-    numerators, {word: {g: {key: int}}}, for every generator g acting on them."""
-    nums, den = label_vector(x)
-    parts: dict = {}
-    derivatives: dict = {}
-    for (w, e), c in nums.items():
-        parts.setdefault(len(w), {}).setdefault(w, {})[e] = c
-        by_gen = derivatives.setdefault(w, {})
-        for g, k, lowered in x.pair.monomial_action(e):
-            by_gen.setdefault(g, {})[lowered] = k * c
-    return parts, derivatives, den
 
 
 def _schouten_words(pair, u: dict, du: dict, v: dict, dv: dict) -> dict:
@@ -243,24 +220,8 @@ def _schouten_words(pair, u: dict, du: dict, v: dict, dv: dict) -> dict:
     return _nonzero(pair, out)
 
 
-def _wedge_into(out: dict, x: dict, y: dict, c: int) -> dict:
-    """out += c x ^ y on word-grouped numerators, over the product of the
-    denominators of x and y; returns out."""
-    for w1, a in x.items():
-        for w2, b in y.items():
-            _emit(out, w1 + w2, c, a, b)
-    return out
-
-
 # the word-grouped numerators of the unit scalar
 _UNIT = {(): {0: 1}}
-
-
-def _tensor(pair, words: dict, den: int) -> Tensor:
-    """The Tensor with word-grouped numerators `words` over den, through
-    `_nonzero` and `label_element`."""
-    return label_element(pair, Tensor, {(w, e): c for w, nums in _nonzero(pair, words).items()
-                                        for e, c in nums.items()}, den)
 
 
 def schouten(u: Tensor, v: Tensor) -> Tensor:
@@ -279,28 +240,35 @@ def schouten(u: Tensor, v: Tensor) -> Tensor:
             + sum_r     (-1)^(p-r) a D_{i_r}(b) e_{I - i_r} ^ e_J
 
     where c^k_{ij} are the structure constants and D_i the action.  It is
-    evaluated on labels: u and v are flattened to int numerators by (word,
-    monomial key), `_schouten_words` applies the formula over
-    `pair.bracket_den`, and the one Tensor is built from the sum.
+    evaluated on labels: `_schouten_words` applies the formula to the
+    word-grouped numerators of u and v over `pair.bracket_den`, and the one
+    Tensor is built from the sum.
     """
     if u.pair != v.pair:
         raise ValueError("bracket across different pairs")
     pair = u.pair
-    (a, da, den_u), (b, db, den_v) = _flatten(u), _flatten(v)
-    a, b = ({w: nums for part in parts.values() for w, nums in part.items()} for parts in (a, b))
-    return _tensor(pair, _schouten_words(pair, a, da, b, db), den_u * den_v * pair.bracket_den)
+    (a, den_u), (b, den_v) = label_words(u), label_words(v)
+    return words_element(pair, Tensor,
+                         _schouten_words(pair, a, _derivatives(pair, a), b, _derivatives(pair, b)),
+                         den_u * den_v * pair.bracket_den)
 
 
 # ---------------------------------------------------------------------------
 # higher brackets and the inclusion
 # ---------------------------------------------------------------------------
 
-def _flattened(pairs: dict, x) -> tuple:
-    """x's entry in `pairs`, made on first use: (x, *_flatten(x)).  Holding
-    x keeps its id in use."""
+def _grouped(pairs: dict, x) -> tuple:
+    """x's entry in `pairs`, made on first use: (x, parts, derivatives,
+    den), its word-grouped numerators split by degree, {degree: {word:
+    {key: int}}} over den, and their `_derivatives`.  Holding x keeps its
+    id in use."""
     entry = pairs.get(id(x))
     if entry is None:
-        entry = pairs[id(x)] = (x, *_flatten(x))
+        words, den = label_words(x)
+        parts: dict = {}
+        for w, nums in words.items():
+            parts.setdefault(len(w), {})[w] = nums
+        entry = pairs[id(x)] = (x, parts, _derivatives(x.pair, words), den)
     return entry
 
 
@@ -328,10 +296,10 @@ def higher_bracket(xs, pairs=None) -> Tensor:
     part of each argument, so all of them sit over one denominator,
     `pair.bracket_den` times the arguments' own, and are summed as ints
     into one Tensor at the end.  `pairs` is a dict keyed by ids: under an
-    argument's id it holds the argument with its `_flatten` form, and under
+    argument's id it holds the argument with its `_grouped` form, and under
     two ids and degrees the Schouten bracket of those parts, word-grouped.
     Holding the arguments keeps their ids in use.  One Jacobi residual
-    shares one dict, so each argument is flattened once and each Schouten
+    shares one dict, so each argument is grouped once and each Schouten
     bracket formed once.
     """
     xs = list(xs)
@@ -342,7 +310,7 @@ def higher_bracket(xs, pairs=None) -> Tensor:
         return Tensor.zero(pair)
     shuffle_set = enumerate_shuffles((2, k - 2))
     pairs = {} if pairs is None else pairs
-    _, parts, derivatives, dens = zip(*(_flattened(pairs, x) for x in xs))
+    _, parts, derivatives, dens = zip(*(_grouped(pairs, x) for x in xs))
     total: dict = {}
     for degs in itertools.product(*map(sorted, parts)):
         if sum(degs) - 1 > pair.ngens:
@@ -364,7 +332,7 @@ def higher_bracket(xs, pairs=None) -> Tensor:
                     break
                 term = _nonzero(pair, _wedge_into({}, part, term, 1))
             _wedge_into(total, factors[-1], term, sign)
-    return _tensor(pair, total, pair.bracket_den * math.prod(dens))
+    return words_element(pair, Tensor, total, pair.bracket_den * math.prod(dens))
 
 
 def natural_inclusion(xs) -> Tensor:

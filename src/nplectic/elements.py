@@ -6,9 +6,18 @@ generators, graded by word length (A itself sits in degree 0 as the empty
 word).  A Cotensor is the same thing built on the dual generators; its
 tensor degree is minus the word length.
 
-The one flattening of an element is its label vector: int numerators
-keyed by (word, monomial key) over one denominator, the form of every
-slice vector.  `label_vector` and `label_element` convert between the two.
+An element stores one thing, its label vector: nonzero int numerators
+keyed by label (word, monomial key) over one denominator, in lowest terms,
+the form of every slice vector.  The form is canonical, so `==` and `hash`
+compare it directly.  Every operation here acts on it: a sum is an int
+combination, and a wedge or a ring multiple is an int convolution of
+monomial keys per word pair (`_wedge_into`, which the higher brackets in
+`calculus` share).  `label_vector` reads the vector and `label_element`
+is the trusted constructor from one.  A `Poly` is met only at the
+Poly-level boundary: the checked constructor, `from_json`, `basis` and
+`scalar` take ring elements, and `items()`, `to_json` and `repr` give
+one `Poly` per word, which `calculus.contract` and `pairs.lie_bracket`
+multiply.
 
 Words are kept strictly ascending.  `sort_word` gives the reordering sign
 of an input word and of a word built by concatenation (wedge, Schouten);
@@ -19,11 +28,19 @@ of an input word and of a word built by concatenation (wedge, Schouten);
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import Poly, as_int, format_poly, sparse_sum
+from .scalars import (
+    Poly,
+    as_int,
+    combine,
+    format_poly,
+    lowest_terms,
+    monomial_degree,
+    require_exponents,
+    sum_vectors,
+)
 
 if TYPE_CHECKING:  # descriptors live in pairs.py; no runtime cycle
     from .pairs import PairDescriptor
@@ -64,17 +81,19 @@ class _Element:
     kind = "element"
     degree_sign = 1  # +1 for tensors, -1 for cotensors
 
-    __slots__ = ("pair", "terms")
+    __slots__ = ("pair", "_vector")
 
     def __init__(self, pair, terms=None):
+        """The checked entry: (word, ring element) terms, as a dict or as
+        pairs.  Each word is sorted with its sign, its letters checked
+        against the pair, and each coefficient coerced by `pair.coeff`."""
         self.pair = pair
-        self.terms: dict[Word, Poly] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            self.terms = sparse_sum(self._normalized(items))
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self._vector = sum_vectors(list(self._normalized(items)))
 
     def _normalized(self, items):
-        """(ascending word, signed ring coefficient) per input term."""
+        """The label vector of each input term: its ascending word, with the
+        reordering sign, and the coefficient's numerators."""
         for word, coeff in items:
             sign, norm = sort_word(word)
             if sign == 0:
@@ -82,14 +101,14 @@ class _Element:
             for g in norm:
                 if not 1 <= g <= self.pair.ngens:
                     raise ValueError(f"generator index {g} out of range for {self.pair}")
-            coeff = self.pair.coeff(coeff)
-            yield norm, coeff if sign == 1 else -coeff
+            nums, den = self.pair.coeff(coeff).numerators()
+            yield {(norm, e): sign * c for e, c in nums.items()}, den
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, pair):
-        return cls(pair)
+        return _stored(pair, cls, ({}, 1))
 
     @classmethod
     def basis(cls, pair, word):
@@ -103,80 +122,68 @@ class _Element:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._vector[0]
 
     def items(self):
-        """Terms in canonical order (by length, then lexicographic word)."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """(word, Poly) terms in canonical order (by length, then
+        lexicographic word): one Poly per word, for printing and for the
+        Poly-level operations."""
+        words, den = label_words(self)
+        nvars = self.pair.poly_nvars
+        return [(w, Poly._from_nums(nvars, words[w], den))
+                for w in sorted(words, key=lambda w: (len(w), w))]
 
     @property
     def grade(self) -> int | None:
         """Common tensor degree, or None if mixed or zero."""
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) != 1:
-            return None
-        return self.degree_sign * lengths.pop()
+        degrees = self.degrees()
+        return degrees[0] if len(degrees) == 1 else None
 
     def degrees(self) -> list[int]:
-        return sorted({self.degree_sign * len(w) for w in self.terms})
+        return sorted({self.degree_sign * len(w) for w, _ in self._vector[0]})
 
     def homogeneous_parts(self) -> dict[int, "_Element"]:
-        parts: dict[int, dict] = {}
-        for w, c in self.terms.items():
-            parts.setdefault(self.degree_sign * len(w), {})[w] = c
-        return {d: self._make(t) for d, t in sorted(parts.items())}
+        return self._parts(lambda w, e: self.degree_sign * len(w))
 
     def bigraded_parts(self) -> dict[tuple[int, int], "_Element"]:
         """Split by (tensor degree, polynomial degree of the coefficient)."""
-        parts: dict[tuple[int, int], dict] = {}
-        for w, c in self.terms.items():
-            d = self.degree_sign * len(w)
-            for pd, comp in c.homogeneous_components().items():
-                parts.setdefault((d, pd), {})[w] = comp
-        return {key: self._make(t) for key, t in sorted(parts.items())}
+        nvars = self.pair.poly_nvars
+        return self._parts(lambda w, e: (self.degree_sign * len(w), monomial_degree(e, nvars)))
+
+    def _parts(self, grading) -> dict:
+        """The element split by grading(word, key), in ascending order."""
+        nums, den = self._vector
+        parts: dict = {}
+        for lab, c in nums.items():
+            parts.setdefault(grading(*lab), {})[lab] = c
+        return {g: label_element(self.pair, type(self), part, den)
+                for g, part in sorted(parts.items())}
 
     def max_poly_degree(self) -> int:
-        return max((c.max_degree() for c in self.terms.values()), default=-1)
-
-    def _make(self, terms):
-        out = type(self)(self.pair)
-        out.terms = dict(terms)
-        return out
+        nvars = self.pair.poly_nvars
+        return max((monomial_degree(e, nvars) for _, e in self._vector[0]), default=-1)
 
     # -- linear structure ------------------------------------------------------
 
-    def _check(self, other):
-        if type(self) is not type(other):
-            raise TypeError(f"cannot mix {self.kind} with {getattr(other, 'kind', type(other))}")
-        if self.pair != other.pair:
-            raise ValueError("elements live over different pairs")
-
     def __add__(self, other):
-        self._check(other)
-        return self._make(sparse_sum(itertools.chain(self.terms.items(), other.terms.items())))
+        require_element(self.pair, type(self), other)
+        return _stored(self.pair, type(self), sum_vectors([self._vector, other._vector]))
 
     def __neg__(self):
-        return self._make({w: -c for w, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Module scaling by a ring element (Poly, Fraction, int or string);
-        a rational scales each coefficient without building a constant Poly."""
+        """Module scaling by a ring element (Poly, Fraction, int or string):
+        a rational scales the numerators, and any other ring element is
+        wedged in as a scalar, an int convolution per word."""
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._make({})
-            return self._make({w: c.scale(other) for w, c in self.terms.items()})
-        coeff = self.pair.coeff(other)
-        if coeff.is_zero():
-            return self._make({})
-        terms = {}
-        for w, c in self.terms.items():
-            acc = c * coeff
-            if not acc.is_zero():
-                terms[w] = acc
-        return self._make(terms)
+            scaled = combine(({0: other.numerator}, other.denominator), [self._vector])
+            return _stored(self.pair, type(self), scaled)
+        nums, den = self.pair.coeff(other).numerators()
+        return self._times({(): nums}, den)
 
     __rmul__ = __mul__
 
@@ -184,24 +191,23 @@ class _Element:
         return (
             type(self) is type(other)
             and self.pair == other.pair
-            and self.terms == other.terms
+            and self._vector == other._vector
         )
 
     def __hash__(self):
-        return hash((self.kind, self.pair, frozenset((w, hash(c)) for w, c in self.terms.items())))
+        nums, den = self._vector
+        return hash((self.kind, self.pair, frozenset(nums.items()), den))
 
     # -- wedge -----------------------------------------------------------------
 
     def wedge(self, other):
-        self._check(other)
-        products = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                sign, norm = sort_word(w1 + w2)
-                if sign:
-                    c = c1 * c2
-                    products.append((norm, c if sign == 1 else -c))
-        return self._make(sparse_sum(products))
+        require_element(self.pair, type(self), other)
+        return self._times(*label_words(other))
+
+    def _times(self, words: dict, den: int):
+        """self ^ y for y given by its word-grouped numerators over den."""
+        mine, own = label_words(self)
+        return words_element(self.pair, type(self), _wedge_into({}, mine, words, 1), own * den)
 
     # -- serialization -----------------------------------------------------------
 
@@ -222,7 +228,7 @@ class _Element:
         raise NotImplementedError
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         bits = []
         for w, c in self.items():
@@ -254,6 +260,15 @@ class Cotensor(_Element):
         return self.pair.dual_name(g)
 
 
+def require_element(pair, cls, x) -> None:
+    """Raise TypeError unless x is a cls element, then ValueError unless it
+    lives over pair."""
+    if type(x) is not cls:
+        raise TypeError(f"cannot mix {cls.kind} with {getattr(x, 'kind', type(x))}")
+    if x.pair != pair:
+        raise ValueError("elements live over different pairs")
+
+
 def wedge_list(pair, cls, elems):
     """Wedge a possibly-empty list of cls elements over pair, left to right.
 
@@ -264,42 +279,96 @@ def wedge_list(pair, cls, elems):
     if not elems:
         return cls.scalar(pair, 1)
     out = elems[0]
-    cls.zero(pair)._check(out)
+    require_element(pair, cls, out)
     for e in elems[1:]:
         out = out.wedge(e)
     return out
 
 
+# ---------------------------------------------------------------------------
+# label vectors
+# ---------------------------------------------------------------------------
+
 def label_vector(elem) -> tuple[dict[tuple, int], int]:
-    """(nums, den): the coefficients of an element as int numerators keyed
-    by label (word, monomial key) over one denominator, the lcm of the
-    coefficients' own.  Each coefficient is in lowest terms, so the vector
-    is too."""
-    out, den = {}, 1
-    for w, poly in elem.terms.items():
-        nums, d = poly.numerators()
-        if d == den:
-            for e, c in nums.items():
-                out[w, e] = c
-            continue
-        lcm = math.lcm(den, d)
-        if lcm != den:
-            f = lcm // den
-            for lab in out:
-                out[lab] *= f
-            den = lcm
-        f = den // d
-        for e, c in nums.items():
-            out[w, e] = c * f
-    return out, den
+    """(nums, den), the storage of an element: int numerators keyed by label
+    (word, monomial key) over one denominator, in lowest terms.  Callers
+    must not change it."""
+    return elem._vector
+
+
+def label_words(elem) -> tuple[dict, int]:
+    """(words, den): the label vector of an element grouped by word,
+    {word: {monomial key: int}}, the form the product formulas take."""
+    nums, den = elem._vector
+    words: dict = {}
+    for (w, e), c in nums.items():
+        words.setdefault(w, {})[e] = c
+    return words, den
+
+
+def _stored(pair, cls, vector: tuple[dict, int]):
+    """The cls element storing a label vector already in lowest terms."""
+    out = object.__new__(cls)
+    out.pair, out._vector = pair, vector
+    return out
 
 
 def label_element(pair, cls, nums: dict, den: int):
-    """The cls element with label vector (nums, den), nums nonzero ints;
-    each coefficient is put in lowest terms."""
-    terms: dict[Word, dict] = {}
-    for (w, e), c in nums.items():
-        terms.setdefault(w, {})[e] = c
-    out = cls(pair)
-    out.terms = {w: Poly._from_nums(pair.poly_nvars, t, den) for w, t in terms.items()}
+    """The trusted constructor: the cls element with label vector (nums,
+    den), nonzero int numerators at ascending words of the pair's
+    generators and monomial keys of its variables, den > 0.  It only
+    divides out the common factor, and keeps nums: callers must not
+    change it afterwards."""
+    return _stored(pair, cls, lowest_terms(nums, den))
+
+
+def words_element(pair, cls, words: dict, den: int):
+    """The cls element with word-grouped numerators {word: {key: int}} over
+    den, zeros dropped; raises CapExceeded as `_nonzero` does."""
+    nums = {(w, e): c for w, by_key in words.items() for e, c in by_key.items() if c}
+    require_exponents((e for _, e in nums), pair.poly_nvars)
+    return label_element(pair, cls, nums, den)
+
+
+# ---------------------------------------------------------------------------
+# products on word-grouped numerators
+# ---------------------------------------------------------------------------
+#
+# Products act on label vectors grouped by word: {word: {monomial key: int
+# numerator}} over one denominator, so a coefficient product is an int
+# convolution of two such key dicts.  The wedge here and the Schouten and
+# higher brackets in `calculus` all go through `_emit`.
+
+def _add_product(acc: dict, a: dict, b: dict, c: int) -> None:
+    """acc += c a b for numerators {key: int}: an int convolution, keys adding."""
+    get, b = acc.get, b.items()
+    for e1, c1 in a.items():
+        c1 *= c
+        for e2, c2 in b:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _emit(out: dict, word, c: int, a: dict, b: dict) -> None:
+    """Add c a b to out at the ascending form of word, with its reordering
+    sign; nothing when a letter repeats."""
+    sign, norm = sort_word(word)
+    if sign:
+        _add_product(out.setdefault(norm, {}), a, b, c if sign == 1 else -c)
+
+
+def _wedge_into(out: dict, x: dict, y: dict, c: int) -> dict:
+    """out += c x ^ y on word-grouped numerators, over the product of the
+    denominators of x and y; returns out."""
+    for w1, a in x.items():
+        for w2, b in y.items():
+            _emit(out, w1 + w2, c, a, b)
+    return out
+
+
+def _nonzero(pair, out: dict) -> dict:
+    """out without zero numerators and empty words; raises CapExceeded if
+    a product's exponent passed MAX_EXPONENT."""
+    out = {w: kept for w, nums in out.items() if (kept := {e: c for e, c in nums.items() if c})}
+    require_exponents(itertools.chain.from_iterable(out.values()), pair.poly_nvars)
     return out

@@ -32,10 +32,10 @@ The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
 element is built from an arbitrary tensor; residues form a linear section,
 so arithmetic and the brackets keep the invariant without checking again.
-The check works on labels too: the tensor is flattened once, i_x omega is
-the sum of its labels' contraction tables, d of that comes from
-`calculus.differential_numerators`, and the residue is taken part by part
-on the same vector.
+The check works on labels too: it reads the tensor's stored label
+vector, i_x omega is the sum of its labels' contraction tables, d of that
+comes from `calculus.differential_numerators`, and the residue is taken
+part by part on the same vector.
 """
 
 from __future__ import annotations
@@ -50,18 +50,28 @@ from .calculus import (
     differential_numerators,
     higher_bracket,
 )
-from .elements import Cotensor, Tensor, ascending_words, label_element, label_vector, wedge_list
-from .linalg import Echelon, combine, null_space, solve
+from .elements import (
+    Cotensor,
+    Tensor,
+    ascending_words,
+    label_element,
+    label_vector,
+    require_element,
+    wedge_list,
+)
+from .linalg import Echelon, null_space, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
 from .scalars import (
     CapExceeded,
     as_int,
     as_rational,
     bell,
+    combine,
     monomial_degree,
     monomials_exact,
     require_arity,
     require_exponents,
+    sum_vectors,
 )
 
 DEFAULT_EXTENSION_ARITY_CAP = 6
@@ -275,18 +285,6 @@ def label_contraction(s: NPlecticStructure, word, key) -> tuple[dict, int]:
 # symplectic and Hamiltonian tensors
 # ---------------------------------------------------------------------------
 
-def _flatten(x: Tensor, s: NPlecticStructure) -> tuple[dict, int]:
-    """The label vector of a tensor over the structure's pair."""
-    if x.pair != s.pair:
-        raise ValueError("tensor lives over a different pair")
-    return label_vector(x)
-
-
-def _sum(vectors) -> tuple[dict, int]:
-    """The sum of label vectors, over the lcm of their denominators."""
-    return combine((dict.fromkeys(range(len(vectors)), 1), 1), vectors)
-
-
 def _closed_image(s: NPlecticStructure, nums: dict, den: int) -> tuple[dict, int] | None:
     """The label vector of i_x omega for the tensor x with label vector
     (nums, den), or None when d i_x omega != 0: the one symplectic test.
@@ -302,7 +300,8 @@ def _closed_image(s: NPlecticStructure, nums: dict, den: int) -> tuple[dict, int
 
 def is_symplectic(x: Tensor, s: NPlecticStructure) -> bool:
     """d i_x omega = 0, tested on the label vector of x (`_closed_image`)."""
-    return _closed_image(s, *_flatten(x, s)) is not None
+    require_element(s.pair, Tensor, x)
+    return _closed_image(s, *label_vector(x)) is not None
 
 
 def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
@@ -345,14 +344,6 @@ def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3
             for vec in symplectic_vectors(s, degree, max_poly_degree)]
 
 
-def symplectic_combination(s: NPlecticStructure, degree: int, max_poly_degree: int,
-                           coeffs: tuple[dict, int]) -> Tensor:
-    """The combination of the `symplectic_vectors` of a window with the
-    coefficients (int numerators by index, denominator), as one Tensor."""
-    vectors = symplectic_vectors(s, degree, max_poly_degree)
-    return label_element(s.pair, Tensor, *combine(coeffs, vectors))
-
-
 def _kernel_window(s: NPlecticStructure, degree: int, max_poly_degree: int):
     """Labels of the tensor slice of one wedge degree in a poly window, and
     the label vectors of a basis of the null space of their contractions."""
@@ -379,25 +370,18 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     x started from.  A window whose kernel has rank 0 leaves its part as
     it is, and when every window has rank 0 the result is x itself.
     """
-    return _reduced(s, x, *_flatten(x, s))
-
-
-def _reduced(s: NPlecticStructure, x: Tensor, nums: dict, den: int) -> Tensor:
-    """`reduce_mod_kernel` of x, given its label vector."""
-    parts: dict[int, dict] = {}
-    for lab, c in nums.items():
-        parts.setdefault(len(lab[0]), {})[lab] = c
+    require_element(s.pair, Tensor, x)
     pd = max(x.max_poly_degree(), 0)
     residues, moved = [], False
-    for degree in sorted(parts):
+    for degree, part in x.homogeneous_parts().items():
         kernel = s.derived(("kernel", degree, pd),
                            lambda: Quotient(s.pair, Tensor, *_kernel_window(s, degree, pd)))
         if kernel.echelon.rank:
-            residues.append(kernel.residue(parts[degree], den))
+            residues.append(kernel.residue(*label_vector(part)))
             moved = True
         else:
-            residues.append((parts[degree], den))
-    return label_element(s.pair, Tensor, *_sum(residues)) if moved else x
+            residues.append(label_vector(part))
+    return label_element(s.pair, Tensor, *sum_vectors(residues)) if moved else x
 
 
 def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
@@ -412,22 +396,18 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
     zero, an empty source) gives a pivot in the last column, and so no
     solution.
     """
-    image = _closed_image(s, *_flatten(x, s))
+    require_element(s.pair, Tensor, x)
+    image = _closed_image(s, *label_vector(x))
     if image is None:
         raise ValueError("potential only makes sense for symplectic tensors")
-    nums, den = image
-    nvars = s.pair.poly_nvars
-    parts: dict[tuple[int, int], dict] = {}
-    for (w, e), c in nums.items():
-        parts.setdefault((-len(w), monomial_degree(e, nvars)), {})[w, e] = c
     solutions = []
-    for (deg, pd), part in sorted(parts.items()):
+    for (deg, pd), part in label_element(s.pair, Cotensor, *image).bigraded_parts().items():
         labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
-        sol = solve(matrix_of(exact + [(part, den)]), len(labels))
+        sol = solve(matrix_of(exact + [label_vector(part)]), len(labels))
         if sol is None:
             return None
         solutions.append(coords_vector(labels, *sol))
-    return label_element(s.pair, Cotensor, *_sum(solutions))
+    return label_element(s.pair, Cotensor, *sum_vectors(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +418,12 @@ class ExtensionElement:
     """Pair (f, x): a cotensor alongside a symplectic tensor.
 
     x is the canonical residue of the tensor modulo the contraction kernel.
-    The constructor is the one checked entry: it flattens the tensor to its
-    label vector once, rejects it when it is not symplectic (the test of
-    `is_symplectic`) and reduces the rest on that vector (the residue of
-    `reduce_mod_kernel`).  Residues are a normal form, so
-    sums, negatives and rational multiples of residues are residues again;
-    arithmetic and `canonical` build elements without re-checking.
+    The constructor is the one checked entry: it rejects a tensor that is
+    not symplectic (`is_symplectic`) and keeps its residue
+    (`reduce_mod_kernel`), both read off the tensor's stored label vector.
+    Residues are a normal form, so sums, negatives and rational multiples
+    of residues are residues again; arithmetic and `canonical` build
+    elements without re-checking.
 
     Homogeneous of degree k when the tensor has wedge degree k and the
     cotensor has word length n - k (the n-shift of its tensor degree).
@@ -454,12 +434,11 @@ class ExtensionElement:
     def __init__(self, structure: NPlecticStructure, f: Cotensor, x: Tensor):
         if f.pair != structure.pair:
             raise ValueError("cotensor lives over a different pair")
-        nums, den = _flatten(x, structure)
-        if _closed_image(structure, nums, den) is None:
+        if not is_symplectic(x, structure):
             raise ValueError(f"not a symplectic tensor: {x!r}")
         self.structure = structure
         self.f = f
-        self.x = _reduced(structure, x, nums, den)
+        self.x = reduce_mod_kernel(structure, x)
 
     @classmethod
     def canonical(cls, structure: NPlecticStructure, f: Cotensor, x: Tensor):
@@ -573,7 +552,7 @@ def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
     """
     xs = list(xs)
     for x in xs:
-        Tensor.zero(s.pair)._check(x)
+        require_element(s.pair, Tensor, x)
     if sum(min(x.degrees(), default=s.n + 2) for x in xs) > s.n + 1:
         return Cotensor.zero(s.pair)
     return contract(wedge_list(s.pair, Tensor, xs[::-1]), s.omega)

@@ -14,15 +14,11 @@ import random
 from functools import partial
 
 from .calculus import ce_differential, contract, lie_derivative, schouten
-from .elements import Tensor
-from .engine import (
-    NPlecticStructure,
-    fundamental_pairing_check,
-    symplectic_combination,
-    symplectic_vectors,
-)
+from .elements import Tensor, label_element
+from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_vectors
 from .report import Report, witness_unless
 from .sampling import DRAW_DEN, random_cotensor, random_numerator, random_tensor
+from .scalars import combine
 
 
 def _sign(exponent: int) -> int:
@@ -118,10 +114,10 @@ def random_symplectic(rng, s: NPlecticStructure, grade: int,
     vector is kept with probability 0.6, times a `random_fraction`, drawn
     as a numerator over DRAW_DEN, and the kept label vectors are summed as
     ints."""
-    size = len(symplectic_vectors(s, grade, poly_degree))
+    vectors = symplectic_vectors(s, grade, poly_degree)
     # the condition is drawn before the numerator, basis vector by basis vector
-    coeffs = {i: random_numerator(rng) for i in range(size) if rng.random() < 0.6}
-    return symplectic_combination(s, grade, poly_degree, (coeffs, DRAW_DEN))
+    coeffs = {i: random_numerator(rng) for i in range(len(vectors)) if rng.random() < 0.6}
+    return label_element(s.pair, Tensor, *combine((coeffs, DRAW_DEN), vectors))
 
 
 def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0) -> Report:

@@ -30,29 +30,9 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
+from .scalars import lowest_terms
+
 Vector = dict[int, int]  # sparse: column -> nonzero int numerator
-
-
-def _lowest(nums: dict, den: int) -> tuple[dict, int]:
-    """nums / den with their common factor divided out; zero is ({}, 1)."""
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return nums, den
-    return {c: a // g for c, a in nums.items()}, den // g
-
-
-def combine(coeffs: tuple[dict, int], vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
-    """sum_i c_i * vectors[i] for coefficients and vectors given as (int
-    numerators, denominator), in lowest terms; keys of the vectors are opaque."""
-    nums, den = coeffs
-    scale = lcm(*[vectors[i][1] for i in nums])
-    out: dict = {}
-    for i, c in nums.items():
-        vec, d = vectors[i]
-        c *= scale // d
-        for key, a in vec.items():
-            out[key] = out.get(key, 0) + c * a
-    return _lowest({key: a for key, a in out.items() if a}, den * scale)
 
 
 def _clear(rows: dict[int, tuple], w: Vector) -> int:
@@ -127,7 +107,7 @@ class Echelon:
         """The residue of vec / den, for an int vector vec, as (int
         numerators, denominator) in lowest terms."""
         w = {c: a for c, a in vec.items() if a}
-        return _lowest(w, den * _clear(self.rows, w))
+        return lowest_terms(w, den * _clear(self.rows, w))
 
     def add(self, vec: dict) -> bool:
         """Insert the residue of an int vector; returns True if it enlarged the span."""
@@ -189,7 +169,7 @@ def _over_lcm(entries) -> tuple[Vector, int]:
     """The vector with x / a at column c for each (c, a, x), as (int
     numerators, denominator) in lowest terms."""
     den = lcm(*[a for _, a, _ in entries])
-    return _lowest({c: x * (den // a) for c, a, x in entries}, den)
+    return lowest_terms({c: x * (den // a) for c, a, x in entries}, den)
 
 
 def solve(rows: list[dict], cols: int) -> tuple[Vector, int] | None:

@@ -100,7 +100,7 @@ class Operations:
 
     def bracket(self, vs, pairs=None):
         """The bracket of arity len(vs); the brackets built on `higher_bracket`
-        share flattened arguments and Schouten brackets in `pairs`, the
+        share grouped arguments and Schouten brackets in `pairs`, the
         rest ignore it."""
         raise NotImplementedError
 
@@ -224,9 +224,8 @@ class PairLinf(Operations):
         return v.grade
 
     def _split(self, v):
-        parts = v.homogeneous_parts()
-        scalar = parts.get(0, Tensor.zero(self.pair)).terms.get((), Poly.zero(self.pair.poly_nvars))
-        return scalar, parts.get(1, Tensor.zero(self.pair))
+        scalar = dict(v.items()).get((), Poly.zero(self.pair.poly_nvars))
+        return scalar, v.homogeneous_parts().get(1, Tensor.zero(self.pair))
 
     def bracket(self, vs, pairs=None):
         if len(vs) != 2:

@@ -42,7 +42,6 @@ from .scalars import (
     format_poly,
     monomial_derivatives,
     parse_poly,
-    sparse_sum,
 )
 
 
@@ -263,21 +262,20 @@ def lie_bracket(x: Tensor, y: Tensor) -> Tensor:
     _require_vector(x)
     _require_vector(y)
     pair = x.pair
+    on_x, on_y = dict(x.items()), dict(y.items())
     terms = []
     for i, j, k, c in pair.brackets:
-        for a, b, sign in ((x.terms.get((i,)), y.terms.get((j,)), c),
-                           (x.terms.get((j,)), y.terms.get((i,)), -c)):
+        for a, b, sign in ((on_x.get((i,)), on_y.get((j,)), c),
+                           (on_x.get((j,)), on_y.get((i,)), -c)):
             if a is not None and b is not None:
                 terms.append(((k,), (a * b).scale(sign)))
-    for u, v, sign in ((x, y, 1), (y, x, -1)):
-        for (j,), b in v.terms.items():
+    for u, v, sign in ((on_x, on_y, 1), (on_y, on_x, -1)):
+        for (j,), b in v.items():
             for i in pair.acting(b):
-                a = u.terms.get((i,))
+                a = u.get((i,))
                 if a is not None:
                     terms.append(((j,), (a * pair.action_basis(i, b)).scale(sign)))
-    out = Tensor.zero(pair)
-    out.terms = sparse_sum(terms)
-    return out
+    return Tensor(pair, terms)
 
 
 def action(x: Tensor, a) -> Poly:
@@ -286,14 +284,14 @@ def action(x: Tensor, a) -> Poly:
     a = x.pair.coeff(a)
     acting = x.pair.acting(a)
     out = Poly.zero(x.pair.poly_nvars)
-    for (i,), coeff in x.terms.items():
+    for (i,), coeff in x.items():
         if i in acting:
             out = out + coeff * x.pair.action_basis(i, a)
     return out
 
 
 def _require_vector(x: Tensor):
-    if any(len(w) != 1 for w in x.terms):
+    if any(d != 1 for d in x.degrees()):
         raise ValueError("expected a degree-one tensor (module element)")
 
 
@@ -387,7 +385,7 @@ class PairMorphismCandidate:
         for img in self.g_images:
             if img.pair != self.codomain:
                 raise ValueError("module images live over the wrong pair")
-            if any(len(w) != 1 for w in img.terms):
+            if any(d != 1 for d in img.degrees()):
                 raise ValueError("module images must be degree-one tensors")
 
     def apply_f(self, a: Poly) -> Poly:
@@ -398,7 +396,7 @@ class PairMorphismCandidate:
     def apply_g(self, x: Tensor) -> Tensor:
         _require_vector(x)
         out = Tensor.zero(self.codomain)
-        for (i,), a in x.terms.items():
+        for (i,), a in x.items():
             out = out + self.apply_f(a) * self.g_images[i - 1]
         return out
 

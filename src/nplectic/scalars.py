@@ -5,7 +5,10 @@ Everything downstream runs over the rationals: coefficients are
 stores integer numerators over one common denominator, so its ring
 arithmetic runs on Python ints; only this module reads that storage.
 Everything else sees (monomial key, Fraction) pairs, or the numerators and
-their denominator through `Poly.numerators`, read-only.
+their denominator through `Poly.numerators`, read-only.  The same form,
+with opaque keys, is the label vector of a (co)tensor and of a slice
+vector: `lowest_terms`, `combine` and `sum_vectors` are its arithmetic,
+shared by all three.
 
 A monomial x_0^e_0 ... x_{m-1}^e_{m-1} is one int, its key: a 32-bit field
 per variable, variable 0 in the most significant field, so the key is
@@ -82,6 +85,38 @@ def sparse_sum(pairs) -> dict:
         prev = out.get(key)
         out[key] = value if prev is None else prev + value
     return {key: value for key, value in out.items() if value}
+
+
+def lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
+    """Int numerators over den > 0 with their common factor divided out;
+    zero is ({}, 1).  Keys are opaque."""
+    if den == 1:
+        return nums, den
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {e: c // g for e, c in nums.items()}, den // g
+
+
+def combine(coeffs: tuple[dict, int], vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """sum_i c_i * vectors[i] for coefficients and vectors given as (int
+    numerators, denominator), in lowest terms; keys of the vectors are opaque."""
+    nums, den = coeffs
+    scale = math.lcm(*[vectors[i][1] for i in nums])
+    out: dict = {}
+    get = out.get
+    for i, c in nums.items():
+        vec, d = vectors[i]
+        c *= scale // d
+        for key, a in vec.items():
+            out[key] = get(key, 0) + c * a
+    return lowest_terms({key: a for key, a in out.items() if a}, den * scale)
+
+
+def sum_vectors(vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """The sum of vectors given as (int numerators, denominator), through
+    `combine`, in lowest terms."""
+    return combine((dict.fromkeys(range(len(vectors)), 1), 1), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +240,25 @@ class Poly:
     def __init__(self, nvars: int, terms=None):
         """The checked entry: takes (exponent tuple, coefficient) terms,
         validates the exponents and coerces the coefficients."""
-        acc: dict[int, Fraction] = {}
-        if terms:
-            for expo, coeff in terms.items() if isinstance(terms, dict) else terms:
-                expo = tuple(map(int, expo))
-                if len(expo) != nvars or (expo and min(expo) < 0):
-                    raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
-                if expo and max(expo) > MAX_EXPONENT:
-                    raise ValueError(f"exponent {max(expo)} exceeds {MAX_EXPONENT}")
-                key = monomial_key(expo)
-                prev = acc.get(key)
-                coeff = as_rational(coeff)
-                acc[key] = coeff if prev is None else prev + coeff
+        vectors = []
+        for expo, coeff in terms.items() if isinstance(terms, dict) else terms or ():
+            expo = tuple(map(int, expo))
+            if len(expo) != nvars or (expo and min(expo) < 0):
+                raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
+            if expo and max(expo) > MAX_EXPONENT:
+                raise ValueError(f"exponent {max(expo)} exceeds {MAX_EXPONENT}")
+            coeff = as_rational(coeff)
+            vectors.append(({monomial_key(expo): coeff.numerator}, coeff.denominator))
         self.nvars = nvars
-        self.nums, self.den = over_lcm(acc)
+        self.nums, self.den = sum_vectors(vectors)
 
     @classmethod
     def _from_nums(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
         """Trusted constructor: valid exponents, nonzero int numerators and
         den > 0; only divides out the common factor."""
-        if den != 1:
-            g = math.gcd(den, *nums.values()) if nums else den
-            if g != 1:
-                nums = {e: c // g for e, c in nums.items()}
-                den //= g
         out = cls.__new__(cls)
-        out.nvars, out.nums, out.den = nvars, nums, den
+        out.nvars = nvars
+        out.nums, out.den = lowest_terms(nums, den)
         return out
 
     # -- constructors -------------------------------------------------------
@@ -279,12 +307,6 @@ class Poly:
             raise ValueError(f"{self} is not constant")
         return Fraction(next(iter(self.nums.values())), self.den)
 
-    def max_degree(self) -> int:
-        """Total degree; zero polynomial reports -1 so windows stay honest."""
-        if not self.nums:
-            return -1
-        return max(monomial_degree(e, self.nvars) for e in self.nums)
-
     def variables(self) -> list[int]:
         """The 0-based indices of the variables that occur in some term, ascending.
 
@@ -298,12 +320,6 @@ class Poly:
             out.append(last - field)
             mask &= (1 << (field * _FIELD_BITS)) - 1
         return out
-
-    def homogeneous_components(self) -> dict[int, "Poly"]:
-        out: dict[int, dict] = {}
-        for key, c in self.nums.items():
-            out.setdefault(monomial_degree(key, self.nvars), {})[key] = c
-        return {d: Poly._from_nums(self.nvars, t, self.den) for d, t in sorted(out.items())}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -321,17 +337,8 @@ class Poly:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        d1, d2 = self.den, other.den
-        g = math.gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g
-        nums = {e: c * s1 for e, c in self.nums.items()} if s1 != 1 else dict(self.nums)
-        for e, c in other.nums.items():
-            c = nums.get(e, 0) + c * s2
-            if c:
-                nums[e] = c
-            else:
-                del nums[e]
-        return Poly._from_nums(self.nvars, nums, d1 * s1)
+        return Poly._from_nums(self.nvars,
+                               *sum_vectors([(self.nums, self.den), (other.nums, other.den)]))
 
     __radd__ = __add__
 
@@ -433,14 +440,6 @@ class Poly:
         return format_poly(self)
 
     __repr__ = __str__
-
-
-def over_lcm(terms: dict) -> tuple[dict, int]:
-    """Rational values as int numerators over the lcm of their reduced
-    denominators, zeros dropped.  No prime divides that lcm and every
-    numerator, so there is nothing to divide out."""
-    den = math.lcm(*(q.denominator for q in terms.values()))
-    return {e: q.numerator * (den // q.denominator) for e, q in terms.items() if q}, den
 
 
 def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:

@@ -1,12 +1,13 @@
 """Shared fixtures: a verdict log that survives output capture, the S_n
 oracle for the weak Jacobi residual, the ordered-block oracle for the
 morphism residual, the target-word oracle for d, the term-by-term `Poly`
-oracle for the label brackets, a plain {exponent: Fraction} polynomial
-arithmetic as the oracle for `Poly`, a sampler of extension elements, the
-unit elements of a slice, which the element-path oracles of the
-label-built slices start from, and the Tensor-level kernel reduction as
-the oracle for the label one."""
+oracles for the label wedge and the label brackets, a plain {exponent:
+Fraction} polynomial arithmetic as the oracle for `Poly`, a sampler of
+extension elements, the unit elements of a slice, which the element-path
+oracles of the label-built slices start from, and the Tensor-level kernel
+reduction as the oracle for the label one."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -19,13 +20,12 @@ from nplectic.elements import (
     ascending_words,
     label_vector,
     sort_word,
-    wedge_list,
 )
 from nplectic.engine import ExtensionElement, Quotient, kernel_basis, slice_basis
 from nplectic.identities import random_symplectic
 from nplectic.linf import _shuffle_composites
 from nplectic.sampling import random_cotensor
-from nplectic.scalars import Poly, enumerate_shuffles, koszul_sign, sparse_sum
+from nplectic.scalars import Poly, enumerate_shuffles, koszul_sign, monomial_exponents
 
 
 class VerdictLog:
@@ -162,7 +162,7 @@ def ce_differential_by_targets(f):
     pair = f.pair
     values = []
     by_length: dict[int, dict] = {}
-    for w, c in f.terms.items():
+    for w, c in f.items():
         by_length.setdefault(len(w), {})[w] = c
     for length, terms in by_length.items():
         for target in ascending_words(pair.ngens, length + 1):
@@ -182,9 +182,7 @@ def ce_differential_by_targets(f):
                         if sign and inner is not None:
                             val = val + (outer * sign) * c * inner
             values.append((target, val))
-    out = Cotensor.zero(pair)
-    out.terms = sparse_sum(values)
-    return out
+    return Cotensor(pair, values)
 
 
 @pytest.fixture(scope="session")
@@ -198,15 +196,16 @@ def schouten_by_terms(u, v):
     `bracket_basis`, `acting` and `action_basis`, not through labels."""
     pair = u.pair
     products = []
-    u_letters, v_letters = any(u.terms), any(v.terms)
-    v_terms = [(wv, b, pair.acting(b) if u_letters else ()) for wv, b in v.terms.items()]
+    u_terms, v_terms = u.items(), v.items()
+    u_letters, v_letters = any(w for w, _ in u_terms), any(w for w, _ in v_terms)
+    v_terms = [(wv, b, pair.acting(b) if u_letters else ()) for wv, b in v_terms]
 
     def emit(word, sign, coeff):
         s, norm = sort_word(word)
         if s:
             products.append((norm, coeff if s == sign else -coeff))
 
-    for wu, a in u.terms.items():
+    for wu, a in u_terms:
         p = len(wu)
         acts_on_a = pair.acting(a) if v_letters else ()
         for wv, b, acts_on_b in v_terms:
@@ -222,15 +221,28 @@ def schouten_by_terms(u, v):
                 if i in acts_on_b:
                     emit(wu[:r] + wu[r + 1:] + wv, -1 if (p - 1 - r) % 2 else 1,
                          a * pair.action_basis(i, b))
-    out = Tensor.zero(pair)
-    out.terms = sparse_sum(products)
-    return out
+    return Tensor(pair, products)
+
+
+def wedge_by_polys(x, y):
+    """Oracle for `_Element.wedge`, which convolves int numerators by label:
+    one `Poly` product per pair of words, read through `items()`, with the
+    reordering sign of `sort_word`, summed by the checked constructor."""
+    products = []
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            sign, norm = sort_word(w1 + w2)
+            if sign:
+                c = c1 * c2
+                products.append((norm, c if sign == 1 else -c))
+    return type(x)(x.pair, products)
 
 
 def higher_bracket_by_terms(xs):
     """Oracle for `calculus.higher_bracket`: the (2, k-2)-shuffle sum on
     Tensors, over every tuple of homogeneous parts, with each Schouten
-    bracket from `schouten_by_terms` and each tail wedge from `Tensor.wedge`."""
+    bracket from `schouten_by_terms` and each tail wedge from
+    `wedge_by_polys`, so no label product is shared with the bracket."""
     xs = list(xs)
     k = len(xs)
     pair = xs[0].pair
@@ -249,14 +261,14 @@ def higher_bracket_by_terms(xs):
                 sign = -sign
             inner = schouten_by_terms(parts[s[1] - 1], parts[s[0] - 1])
             tail = [parts[i - 1] for i in reversed(s[2:])]
-            total = total + sign * wedge_list(pair, Tensor, tail + [inner])
+            total = total + sign * functools.reduce(wedge_by_polys, tail + [inner])
     return total
 
 
 def basis_elements(pair, cls, labels):
     """The unit-monomial element x^key e_word of each slice label (word, key)."""
-    zero = cls(pair)
-    return [zero._make({w: Poly._from_nums(pair.poly_nvars, {e: 1})}) for w, e in labels]
+    nvars = pair.poly_nvars
+    return [cls(pair, {w: Poly(nvars, {monomial_exponents(e, nvars): 1})}) for w, e in labels]
 
 
 def reduce_mod_kernel_by_parts(s, x):

@@ -1,10 +1,10 @@
 """The package's public surface: every exported name exists and is public,
 every name the benchmark tracer wraps can still be found, only `scalars`
-reads the storage of a `Poly`, only `engine` and `cohomology` hand
-matrices to `linalg`, the engine flattens elements to label vectors only
-where they come in, the higher brackets multiply no `Poly`, seeded draws
-add no `Poly` and the checked extension entry multiplies none, and the
-README quick start runs and prints what its comments say."""
+reads the storage of a `Poly` and only `elements` that of a tensor or
+cotensor, only `engine` and `cohomology` hand matrices to `linalg`,
+slices, the checked extension entry and kernel reduction build no `Poly`,
+the higher brackets multiply none, seeded draws add none, and the README
+quick start runs and prints what its comments say."""
 
 import importlib.util
 import random
@@ -13,7 +13,14 @@ from pathlib import Path
 
 import nplectic
 from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket
-from nplectic.engine import ExtensionElement, NPlecticStructure
+from nplectic.cohomology import extension_slice
+from nplectic.engine import (
+    ExtensionElement,
+    NPlecticStructure,
+    kernel_basis,
+    reduce_mod_kernel,
+    symplectic_slice,
+)
 from nplectic.identities import random_symplectic
 from nplectic.sampling import random_cotensor, random_tensor
 from nplectic.scalars import Poly
@@ -46,19 +53,53 @@ def test_only_engine_and_cohomology_import_linalg():
             assert not importer.search(path.read_text()), path.name
 
 
-def test_the_engine_flattens_elements_only_at_its_boundaries():
-    # every span that enters a quotient is built from labels; an element is
-    # flattened only where one comes in: a residue to reduce, omega's
-    # contraction tables, and a tensor to test, reduce or find a potential of
-    text = (ROOT / "src" / "nplectic" / "engine.py").read_text()
-    scope = re.compile(r"^(?:class (\w+)|def (\w+)|    def (\w+))", re.M)
-    owners = []
-    for call in re.finditer(r"\blabel_vector\(", text):
-        owner = ""
-        for cls, func, method in scope.findall(text, 0, call.start()):
-            owner = cls or func or f"{owner.split('.')[0]}.{method}"
-        owners.append(owner)
-    assert owners == ["Quotient.reduce", "label_contraction", "_flatten"]
+def test_only_elements_reads_the_storage_of_an_element():
+    # the label vector is read through `label_vector`; a Poly per word
+    # through `items()`
+    storage = re.compile(r"\.(_vector|terms)\b")
+    for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
+        if path.name != "elements.py":
+            assert not storage.search(path.read_text()), path.name
+
+
+def test_slices_the_checked_entry_and_kernel_reduction_build_no_poly(monkeypatch):
+    # the engine reads a tensor's stored label vector and builds its results
+    # from label vectors; only the contraction tables of omega, built once
+    # per structure and word, go through `contract`, so the first pass
+    # fills them
+    plane = PolyVectorFieldPair(2)
+    su2 = ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    structures = [NPlecticStructure(plane, 1, Cotensor(plane, {(1, 2): "2/3"})),
+                  NPlecticStructure(PolyVectorFieldPair(3), 1,
+                                    Cotensor(PolyVectorFieldPair(3), {(1, 2): 1})),
+                  NPlecticStructure(su2, 2, Cotensor(su2, {(1, 2, 3): 1}))]
+
+    def results():
+        rng = random.Random(9)
+        out = []
+        for s in structures:
+            for k in range(s.pair.ngens + 1):
+                out.append(symplectic_slice(s, k, range(3)))
+                image, dim = extension_slice(s, k, 1)
+                out.append((image.labels, image.ranks, image.echelon.rows, dim))
+                out.append(kernel_basis(s, k, 2))
+                out.append([reduce_mod_kernel(s, random_tensor(rng, s.pair, k, 2))
+                            for _ in range(3)])
+            for k in range(s.n + 1):
+                out.extend(ExtensionElement(s, random_cotensor(rng, s.pair, s.n - k, 2),
+                                            random_symplectic(rng, s, k)
+                                            + random_symplectic(rng, s, k)) for _ in range(3))
+        return out
+
+    expected = results()
+    assert sum(not e.x.is_zero() for e in expected if isinstance(e, ExtensionElement)) > 10
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Poly built by a slice, the checked entry or reduce_mod_kernel")
+
+    monkeypatch.setattr(Poly, "_from_nums", refused)
+    monkeypatch.setattr(Poly, "__init__", refused)
+    assert results() == expected
 
 
 def test_only_scalars_and_pairs_read_the_variables_of_a_poly():

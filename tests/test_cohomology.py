@@ -272,7 +272,7 @@ def test_extension_table_builds_each_contraction_table_once(monkeypatch):
 
 
 def flat(elem):
-    return {(w, e): c for w, poly in elem.terms.items() for e, c in poly.coefficients()}
+    return {(w, e): c for w, poly in elem.items() for e, c in poly.coefficients()}
 
 
 def dense_columns(vectors):

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nplectic.elements import Cotensor
+from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.scalars import (
     MAX_EXPONENT,
     CapExceeded,
@@ -295,17 +297,6 @@ def test_sparse_sum_drops_zero_sums_after_summing():
     assert not Poly.zero(2) and x
 
 
-def test_poly_homogeneous_components():
-    p = parse_poly("x^2 + x*y + x + 3", 2)
-    comps = p.homogeneous_components()
-    assert sorted(comps) == [0, 1, 2]
-    assert comps[2] == parse_poly("x^2 + x*y", 2)
-    total = Poly.zero(2)
-    for q in comps.values():
-        total = total + q
-    assert total == p
-
-
 # Coefficients with large, coprime denominators (products of the primes the
 # benchmark rescales by) and numerators far outside -6..6, plus small ones
 # so that sums and products also cancel.
@@ -390,9 +381,12 @@ def test_poly_matches_the_dict_oracle(poly_oracle, case):
     if nvars and all(max(e) <= 2 for e in a):  # substitute takes powers by repeated products
         check(A.substitute(tuple(Poly(target, img) for img in images)),
               O.substitute(a, images, target), target)
-    comps = A.homogeneous_components()
-    assert sorted(comps) == sorted(O.components(a))
-    for d, comp in comps.items():
+    # a coefficient split by its degree, as the bigraded parts of a scalar
+    pair = PolyVectorFieldPair(nvars) if nvars else ConstantPair(1)
+    parts = Cotensor.scalar(pair, A).bigraded_parts()
+    assert sorted(parts) == [(0, d) for d in sorted(O.components(a))]
+    for (_, d), part in parts.items():
+        ((_, comp),) = part.items()
         check(comp, O.components(a)[d])
     names = tuple(f"v{i}" for i in range(nvars))
     assert format_poly(A, names) == O.format(a, names)
