@@ -12,11 +12,16 @@ The tensor half of a slice enters only through its images i_x omega.  The
 differential sees a tensor only through its image, and contraction is
 injective on symplectic tensors modulo its kernel, so the linearly
 independent images in the target cotensor slice stand for a basis of that
-quotient.  No kernel quotient of the tensors is built.
+quotient.  No kernel quotient of the tensors is built, and no symplectic
+tensor either: the images are the part of the span of the tensor labels'
+contractions c that d kills, read off one elimination of the rows
+[d c | c] with the d block cleared first (`engine.Quotient`'s
+`closed_in`).
 
-Every slice vector, image or d h, is a label vector built from the slice
-labels alone, as in `engine`: each extension slice is eliminated once, on
-integers, and no element is built on the way to a rank.
+Every slice vector, contraction, d of one or d h, is a label vector built
+from the slice labels alone, as in `engine`: each extension slice is one
+elimination, on integers, with no null space or back-substitution, and no
+element is built on the way to a rank.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
@@ -44,12 +49,12 @@ from .engine import (
     Quotient,
     d_omega,
     differential_slice,
+    label_contraction,
     matrix_of,
     shift_weight,
     slice_basis,
     slice_size,
     symplectic_bracket,
-    symplectic_slice,
 )
 from .linalg import rank_fraction_free
 from .scalars import CapExceeded
@@ -122,16 +127,21 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
     the image of the differential (f, x) -> i_x omega - d f, and the slice
     dimension.
 
-    The image is one Quotient, spanned first by the images i_x omega and
-    then by the d h of the cotensor basis.  The rank the images reach is
-    the tensor half of the slice (see the module docstring), and the
-    quotient's final rank is the rank of the differential.
+    The image is one Quotient, from one elimination.  Its first group is
+    the images i_x omega of the symplectic tensors: the part of the span
+    of the tensor labels' contractions (`label_contraction`) that d kills,
+    Quotient's `closed_in`.  The d h of the cotensor basis follow.  The
+    rank the images reach is the tensor half of the slice (see the module
+    docstring), and the quotient's final rank is the rank of the
+    differential.
     """
     pair = s.pair
     labels = slice_basis(pair, s.n + 1 - k, r)
-    images = symplectic_slice(s, k, r)[2]
+    tensors = slice_basis(pair, k, r)
+    # no labels above degree n + 1, where every contraction is zero
+    contractions = [label_contraction(s, w, e) for w, e in tensors] if labels else []
     _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
-    image = Quotient(pair, Cotensor, labels, images, exact)
+    image = Quotient(pair, Cotensor, labels, exact, closed_in=contractions)
     return image, image.ranks[0] + len(exact)
 
 

@@ -26,7 +26,8 @@ and no Tensor or Cotensor is built on the way.
 `linalg` sees only sparse int rows: `matrix_of` lays label vectors out as
 the columns of one integer matrix, a solve passing its right side as the
 last column, and a `Quotient` maps the numerators of each vector to the
-columns of its slice.
+columns of its slice; where it spans only the part of some vectors that
+d kills, d of them goes to negative columns.
 
 The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
@@ -59,7 +60,7 @@ from .elements import (
     require_element,
     wedge_list,
 )
-from .linalg import Echelon, null_space, solve
+from .linalg import Echelon, null_space, restricted_span, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
 from .scalars import (
     CapExceeded,
@@ -200,22 +201,50 @@ def coords_vector(labels, coords: dict[int, int], den: int) -> tuple[dict, int]:
     return {labels[i]: coords[i] for i in sorted(coords)}, den
 
 
+def _closed_rows(pair, index: dict, vectors) -> list[dict[int, int]]:
+    """The int rows [d c | c] of label vectors c in the slice of index: both
+    blocks over the bracket denominator times c's own, the labels of d c at
+    negative columns, in the order they are first met."""
+    den = pair.bracket_den
+    dcols: dict = {}
+    rows = []
+    for nums, _ in vectors:
+        row = {i: c * den for i, c in slice_coords(nums, index).items()}
+        for lab, c in differential_numerators(pair, nums).items():
+            row[-1 - dcols.setdefault(lab, len(dcols))] = c
+        rows.append(row)
+    return rows
+
+
 class Quotient:
     """A finite slice modulo the span of some label vectors, given in one or
     more groups; `ranks` holds the rank of the span after each group, and
     `reduce` gives the canonical representative, the residue against the
     span's echelon basis.  A span does not see denominators, so only the
-    numerators of the spanning vectors go in."""
+    numerators of the spanning vectors go in.
 
-    def __init__(self, pair, cls, labels, *spans):
+    Given `closed_in`, label vectors c_j of the slice, the span starts with
+    the part of theirs that d kills, {sum y_j c_j : sum y_j d c_j = 0}, as
+    a group of its own.  It comes out of one elimination of the rows
+    [d c_j | c_j] (`_closed_rows`), whose d block is cleared first
+    (`linalg.restricted_span`): the rows left with a pivot in the c block
+    are an echelon basis of it in the quotient's own column order, and the
+    echelon grows from them.  A residue depends only on the span and that
+    order, so it is the one a span of the closed combinations would give.
+    """
+
+    def __init__(self, pair, cls, labels, *spans, closed_in=None):
         # highest total degree first, so that pivots sit on the leading terms:
         # a normal form, whatever window the labels come from
         nvars = pair.poly_nvars
         self.labels = sorted(labels, key=lambda lab: (-monomial_degree(lab[1], nvars), lab))
         self.pair, self.cls = pair, cls
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.echelon = Echelon()
-        self.ranks = []
+        if closed_in is None:
+            self.echelon, self.ranks = Echelon(), []
+        else:
+            self.echelon = restricted_span(_closed_rows(pair, self.index, closed_in))
+            self.ranks = [self.echelon.rank]
         for spanning in spans:
             for nums, _ in spanning:
                 self.echelon.add(slice_coords(nums, self.index))
@@ -308,23 +337,20 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     """Symplectic tensors of one wedge degree, in the polynomial degrees of
     `slice_basis`.
 
-    Returns (labels, null, images): the labels of the tensor slice, the
-    sparse coordinates of a basis of its symplectic tensors as (int
-    numerators, denominator), and the label vector of each one's image
-    i_x omega.  The symplectic basis is the null space of d on the labels'
-    contractions (`label_contraction`), and its images are the same
-    combinations of their vectors.  Above degree n + 1 every contraction
-    into the (n + 1)-form omega is zero, so every tensor is symplectic
-    with image zero and nothing is contracted.
+    Returns (labels, null): the labels of the tensor slice and the sparse
+    coordinates of a basis of its symplectic tensors as (int numerators,
+    denominator).  The symplectic basis is the null space of d on the
+    labels' contractions (`label_contraction`).  Above degree n + 1 every
+    contraction into the (n + 1)-form omega is zero, so every tensor is
+    symplectic and nothing is contracted.
     """
     labels = slice_basis(s.pair, degree, degrees)
     if degree > s.n + 1:
-        return labels, null_space([], len(labels)), [({}, 1) for _ in labels]
+        return labels, null_space([], len(labels))
     vectors = [label_contraction(s, w, e) for w, e in labels]
     den = s.pair.bracket_den
     rows = matrix_of([(differential_numerators(s.pair, nums), d * den) for nums, d in vectors])
-    null = null_space(rows, len(labels))
-    return labels, null, [combine(vec, vectors) for vec in null]
+    return labels, null_space(rows, len(labels))
 
 
 def symplectic_vectors(s: NPlecticStructure, degree: int,
@@ -333,7 +359,7 @@ def symplectic_vectors(s: NPlecticStructure, degree: int,
     within a poly window, kept in the structure's derived store; callers
     must not change them."""
     def build():
-        labels, null, _ = symplectic_slice(s, degree, range(max_poly_degree + 1))
+        labels, null = symplectic_slice(s, degree, range(max_poly_degree + 1))
         return [coords_vector(labels, *vec) for vec in null]
     return s.derived(("symplectic", degree, max_poly_degree), build)
 

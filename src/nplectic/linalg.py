@@ -18,10 +18,13 @@ every pivot, so it depends only on the span.  `rref` back-substitutes
 once, at the end, so that `null_space` and `solve` read their answers off
 rows zero on every other pivot, FLINT's `fmpz_mat_rref` form, and return
 them as int numerators over one denominator too.  `solve` takes the rows
-of [A | b], its right side b in the last column.  Columns stay integers
-(the engine maps slice labels to them).  `rank_dense` is a plain dense
-Gauss-Jordan loop over Fraction rows that shares no code with the kernel:
-the oracle the tests check it against.
+of [A | b], its right side b in the last column.  `restricted_span` keeps
+the rows of one echelon basis that pivot on a column >= 0: the part of a
+span that is zero on every negative column, read off the same elimination
+(Zassenhaus).  Columns stay integers (the engine maps slice labels to
+them, negative ones included).  `rank_dense` is a plain dense Gauss-Jordan
+loop over Fraction rows that shares no code with the kernel: the oracle
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -137,6 +140,20 @@ def rref(rows: list[dict]) -> Echelon:
         rest = dict(rest)
         reduced[p] = _primitive(a * _clear(reduced, rest), rest)
     ech.rows = reduced
+    return ech
+
+
+def restricted_span(rows: list[dict]) -> Echelon:
+    """The echelon basis of the vectors in the span of sparse int rows that
+    are zero on every negative column.
+
+    A pivot is a row's lowest column, so the negative columns are cleared
+    first, and the rows whose pivot is not negative span exactly that part
+    (Zassenhaus): for rows [a_i | b_i], the a_i on the negative columns, it
+    is {sum y_i b_i : sum y_i a_i = 0}, of rank rank [A | B] - rank A.
+    """
+    ech = _echelon(rows)
+    ech.rows = {p: row for p, row in ech.rows.items() if p >= 0}
     return ech
 
 

@@ -5,7 +5,9 @@ oracles for the label wedge and the label brackets, a plain {exponent:
 Fraction} polynomial arithmetic as the oracle for `Poly`, a sampler of
 extension elements, the unit elements of a slice, which the element-path
 oracles of the label-built slices start from, and the Tensor-level kernel
-reduction as the oracle for the label one."""
+reduction as the oracle for the label one, and the two-step extension
+slice, null space then images, as the oracle for the one-elimination
+build."""
 
 import functools
 import itertools
@@ -21,11 +23,20 @@ from nplectic.elements import (
     label_vector,
     sort_word,
 )
-from nplectic.engine import ExtensionElement, Quotient, kernel_basis, slice_basis
+from nplectic.engine import (
+    ExtensionElement,
+    Quotient,
+    differential_slice,
+    kernel_basis,
+    label_contraction,
+    shift_weight,
+    slice_basis,
+    symplectic_slice,
+)
 from nplectic.identities import random_symplectic
 from nplectic.linf import _shuffle_composites
 from nplectic.sampling import random_cotensor
-from nplectic.scalars import Poly, enumerate_shuffles, koszul_sign, monomial_exponents
+from nplectic.scalars import Poly, combine, enumerate_shuffles, koszul_sign, monomial_exponents
 
 
 class VerdictLog:
@@ -282,6 +293,22 @@ def reduce_mod_kernel_by_parts(s, x):
         labels = slice_basis(s.pair, degree, range(pd + 1))
         out = out + (Quotient(s.pair, Tensor, labels, kernel).reduce(part) if kernel else part)
     return out
+
+
+def extension_slice_by_null_space(s, k, r):
+    """Oracle for `cohomology.extension_slice`: the null space of d on the
+    contractions of the tensor labels (`symplectic_slice`), one image
+    i_x omega per null vector, and a Quotient spanned by the images and
+    then by the d h of the cotensor slice, each group eliminated on its own."""
+    pair = s.pair
+    labels = slice_basis(pair, s.n + 1 - k, r)
+    tensors, null = symplectic_slice(s, k, r)
+    # above degree n + 1 every image is zero
+    vectors = [label_contraction(s, w, e) for w, e in tensors] if k <= s.n + 1 else []
+    images = [combine(vec, vectors) for vec in null] if vectors else []
+    _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
+    image = Quotient(pair, Cotensor, labels, images, exact)
+    return image, image.ranks[0] + len(exact)
 
 
 class DictPoly:

@@ -1,6 +1,7 @@
 """Rank tables, canonical classes and the Poisson algebra on them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from nplectic.cohomology import (
     extension_slice,
     poisson_bracket,
 )
-from nplectic.elements import Cotensor, Tensor, ascending_words
+from nplectic.elements import Cotensor, Tensor, ascending_words, label_element
 from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
+    coords_vector,
     d_omega,
     hamiltonian_potential,
     slice_size,
@@ -35,7 +37,7 @@ from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
 from nplectic.scalars import CapExceeded, Poly, monomial_key
-from conftest import basis_elements
+from conftest import basis_elements, extension_slice_by_null_space
 from test_linalg import dense, int_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -196,7 +198,9 @@ def test_a_table_past_the_slice_cap_raises_before_building_a_slice(monkeypatch, 
             return original(*args)
         return build
 
-    for name in ("differential_slice", "symplectic_slice"):
+    # every slice cohomology builds: its labels, the contractions of the
+    # tensor labels and the d h of the cotensor slice
+    for name in ("slice_basis", "label_contraction", "differential_slice"):
         monkeypatch.setattr(cohomology, name, recording(name, getattr(cohomology, name)))
     monkeypatch.setattr(engine, "MAX_SLICE_DIM", cap)
     with pytest.raises(CapExceeded, match=refused):
@@ -293,7 +297,8 @@ def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
     # symplectic mod kernel has dimension rank(C) - rank(D), with C the
     # contraction matrix of the tensor slice and D that of d after it, and
     # is the rank the images reach; the rank of the slice is that of the
-    # matrix [images | d h], by the oracle
+    # matrix [images | d h], by the oracle, the images built by `contract`
+    # on the symplectic basis
     s = make()
     for r in range(3) if s.pair.poly_nvars else [0]:
         for k in range(-1, s.n + 3):
@@ -302,13 +307,122 @@ def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
             d = dense_columns([flat(ce_differential(img)) for img in contractions])
             exact = [flat(ce_differential(h)) for h in
                      unit_elements(s, Cotensor, s.n - k, r + 1 if s.pair.poly_nvars else r)]
-            images = [{lab: Fraction(c, den) for lab, c in nums.items()}
-                      for nums, den in symplectic_slice(s, k, r)[2]]
+            labels, null = symplectic_slice(s, k, r)
+            images = [flat(contract(x, s.omega)) for x in
+                      (label_element(s.pair, Tensor, *coords_vector(labels, *vec)) for vec in null)]
             image, dim = extension_slice(s, k, r)
             assert image.ranks[0] == rank_dense(c) - rank_dense(d)
             assert image.ranks[1] == image.echelon.rank
             assert image.echelon.rank == rank_dense(dense_columns(images + exact))
             assert dim == image.ranks[0] + len(exact)
+
+
+def darboux_structure(m):
+    """omega = dx1^dx2 + ... + dx_{2m-1}^dx_{2m} on Q[x1..x2m], n = 1."""
+    pair = PolyVectorFieldPair(2 * m)
+    return NPlecticStructure(pair, 1, Cotensor(pair, {(2 * i - 1, 2 * i): 1
+                                                      for i in range(1, m + 1)}))
+
+
+def volume_structure():
+    """omega = dx^dy^dz on Q[x, y, z], n = 2."""
+    return NPlecticStructure(SPACE, 2, Cotensor(SPACE, {(1, 2, 3): 1}))
+
+
+@pytest.mark.parametrize("make", [
+    plane_structure, degenerate_structure, su2_cartan,
+    lambda: darboux_structure(2), volume_structure,
+], ids=["plane", "degenerate-plane", "su2-cartan", "poly4", "poly3-volume"])
+def test_extension_slice_matches_the_null_space_build(make):
+    # one elimination of [d c | c] spans what the images of the null space
+    # of d on the contractions span: equal labels, ranks and dimensions,
+    # and equal residues of seeded cotensors of the target slice
+    s = make()
+    rng = random.Random(32)
+    moved = kept = 0
+    for r in range(3):
+        for k in range(-1, s.n + 3):
+            image, dim = extension_slice(s, k, r)
+            oracle, oracle_dim = extension_slice_by_null_space(s, k, r)
+            assert (image.labels, image.ranks, dim) == (oracle.labels, oracle.ranks, oracle_dim)
+            for _ in range(3 if image.labels else 0):
+                labels = rng.sample(image.labels, min(len(image.labels), rng.randint(1, 6)))
+                f = label_element(s.pair, Cotensor,
+                                  {lab: rng.randint(1, 9) * rng.choice((-1, 1)) for lab in labels},
+                                  rng.randint(1, 5))
+                residue = image.reduce(f)
+                assert residue == oracle.reduce(f)
+                moved += residue != f
+                kept += not residue.is_zero()
+    assert moved and kept
+
+
+def test_an_extension_slice_is_one_elimination(monkeypatch):
+    # no null space, no back-substitution, no combination per null vector:
+    # one Echelon per slice, and nothing stored beyond the contraction tables
+    from nplectic import engine, linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a second elimination in an extension slice")
+
+    echelons, stored = [], set()
+    init, derived = linalg.Echelon.__init__, NPlecticStructure.derived
+
+    def counting(self):
+        echelons.append(self)
+        init(self)
+
+    def recording(self, key, build):
+        stored.add(key[0])
+        return derived(self, key, build)
+
+    for module, name in ((engine, "null_space"), (linalg, "null_space"), (linalg, "rref"),
+                         (engine, "combine"), (engine, "symplectic_slice")):
+        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(linalg.Echelon, "__init__", counting)
+    monkeypatch.setattr(NPlecticStructure, "derived", recording)
+    for s in (plane_structure(), su2_cartan(), volume_structure()):
+        for r in range(2):
+            for k in range(-1, s.n + 3):
+                echelons.clear()
+                image, _ = extension_slice(s, k, r)
+                assert echelons == [image.echelon]
+    assert stored == {"contraction"}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_darboux_ranks_are_the_hamiltonian_functions(m):
+    """Closed-form ranks for omega = sum_i dx_{2i-1}^dx_{2i} on Q[x1..x2m],
+    n = 1, m >= 2, at weights 0-4.  At weight r a degree-k cotensor has
+    coefficients of degree r + 1 and a tensor of degree r.
+
+    * Degree 1: a cocycle is (h, X) with i_X omega = d h, h a function.
+      omega is nondegenerate, so each h has exactly one such X, its
+      Hamiltonian field, and the cocycles are the homogeneous polynomials
+      of degree r + 1.  The coboundaries (i_Y omega, 0) come from bivectors
+      Y with d i_Y omega = 0: i_Y omega is then a constant, of degree
+      r + 1 >= 1, so zero.  Rank C(2m + r, r + 1).
+    * Degree 0: a cocycle is (f, g) with g omega = d f, g a function, so
+      d g ^ omega = 0; wedging with omega is injective on 1-forms in
+      dimension 2m >= 4 (Lefschetz), so g is a constant, zero above weight
+      0.  Every 1-form is some i_X omega, so the coboundaries i_X omega - d h
+      leave only g: rank 1 at weight 0 and 0 above.
+    * Degree -1: a cocycle is a closed 2-form, exact by the polynomial
+      Poincare lemma, so a coboundary: rank 0.
+    * Degree 2: a bivector Y is a cocycle when i_Y omega = 0, so it lies in
+      the contraction kernel and its class is zero; rank 0.
+    * Degree 3: every trivector contracts to zero into the 2-form omega;
+      rank 0.
+    """
+    s = darboux_structure(m)
+    if m == 3:
+        assert [math.comb(6 + r, r + 1) for r in range(5)] == [6, 21, 56, 126, 252]
+    rows = extension_cohomology_table(s, range(-1, 4), range(5))
+    assert len(rows) == 25
+    for row in rows:
+        k, r = row["degree"], row["weight"]
+        expected = {1: math.comb(2 * m + r, r + 1), 0: int(r == 0)}.get(k, 0)
+        assert row["rank"] == expected, row
 
 
 def test_extension_table_adds_no_elements(monkeypatch):

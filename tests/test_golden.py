@@ -14,7 +14,9 @@ momentum map up to arity 5 and up to arity 6 (``momentum-sp2-arity6``),
 each also with a corrupted bracket table that fails the morphism gate
 (``momentum-sp2-bad-table-arity6`` at arity 6), the rotation momentum map
 up to arity 6 (``momentum-rotation``), extension and plain cohomology
-tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6 on Q[x1..x6]), and Poisson brackets of classes on the
+tables (among them omega = dx1^dx2 + dx3^dx4 + dx5^dx6 on Q[x1..x6], and
+omega = dx^dy^dz on Q[x, y, z], n = 2, with classes in degrees 0, 1 and 2
+at weights 0-6), and Poisson brackets of classes on the
 plane, on su(2) and on the degenerate plane, where one class has a field
 with a kernel part (x @z) and the bracket is the zero class only because
 `reduce_mod_kernel` reduces it away.  Three cases pin the printed term

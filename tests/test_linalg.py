@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from nplectic import linalg
-from nplectic.linalg import Echelon, null_space, rank_dense, rank_fraction_free, rref, solve
+from nplectic.linalg import (
+    Echelon,
+    null_space,
+    rank_dense,
+    rank_fraction_free,
+    restricted_span,
+    rref,
+    solve,
+)
 
 
 def rand_matrix(rng, rows, cols, rank=None):
@@ -209,6 +217,33 @@ def test_echelon_residues_depend_only_on_the_span():
             assert ech.rank == rank_dense(dense(vecs, dim))
             residues.append([ech.reduce(p) for p in probes])
         assert residues[0] == residues[1] == residues[2]
+
+
+@pytest.mark.parametrize("make", [rand_matrix, sparse_matrix], ids=["dense", "sparse"])
+def test_restricted_span_is_the_part_of_the_span_zero_on_a(make):
+    # rows [a_i | b_i], a_i on the negative columns: the part of their span
+    # zero on them, {sum y_i b_i : sum y_i a_i = 0}, has rank
+    # rank [A | B] - rank A; its rows lie in the span, and a residue is zero
+    # on its pivots and differs from the probe by an element of the part
+    rng = random.Random(59)
+    reached = 0
+    for _ in range(80):
+        rows, ca, cb = rng.randint(0, 7), rng.randint(0, 4), rng.randint(1, 5)
+        m = make(rng, rows, ca + cb, rank=rng.randint(0, min(rows, ca + cb)))
+        ech = restricted_span([{j - ca: x for j, x in row.items()} for row in int_rows(m)])
+        assert ech.rank == rank_dense(m) - rank_dense([row[:ca] for row in m])
+        reached += ech.rank
+        assert all(0 <= p < min(rest, default=cb) for p, (_, rest) in ech.rows.items())
+        part = [[Fraction(0)] * ca + row
+                for row in dense([{p: a, **rest} for p, (a, rest) in ech.rows.items()], cb)]
+        assert rank_dense(m + part) == rank_dense(m)
+        for probe in int_rows(sparse_matrix(rng, 3, cb)):
+            residue, den = ech.reduce(probe)
+            assert not residue.keys() & ech.rows.keys()
+            moved = [Fraction(0)] * ca + [probe.get(c, 0) - Fraction(residue.get(c, 0), den)
+                                          for c in range(cb)]
+            assert rank_dense(part + [moved]) == ech.rank
+    assert reached
 
 
 def test_the_dense_oracle_does_not_use_the_kernel(monkeypatch):
