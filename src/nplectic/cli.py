@@ -219,7 +219,8 @@ def cmd_jacobi(args):
         "family": pair.family, "n": s.n, "seed": args.seed, "count": args.count,
         "max_arity": args.max_arity, "arity_cap": cap,
     })
-    grades = [g for g in range(0, s.n + 1)
+    # slices above ngens are empty, whatever n is
+    grades = [g for g in range(0, min(s.n, pair.ngens) + 1)
               if symplectic_vectors(s, g, max_poly_degree=2)] or [0]
     max_grade = min(pair.ngens, 3)
 

@@ -15,8 +15,8 @@ independent images in the target cotensor slice stand for a basis of that
 quotient.  No kernel quotient of the tensors is built, and no symplectic
 tensor either: the images are the part of the span of the tensor labels'
 contractions c that d kills, read off one elimination of the rows
-[d c | c] with the d block cleared first (`engine.Quotient`'s
-`closed_in`).
+[d c | c] with the d block cleared first (`engine.Quotient`'s relations
+(d c, c), as the contraction kernel's are (c_x, x)).
 
 Every slice vector, contraction, d of one or d h, is a label vector built
 from the slice labels alone, as in `engine`: each extension slice is one
@@ -42,7 +42,8 @@ a cocycle on the nose.
 
 from __future__ import annotations
 
-from .elements import Cotensor
+from .calculus import differential_numerators
+from .elements import Cotensor, label_element, label_vector
 from .engine import (
     ExtensionElement,
     NPlecticStructure,
@@ -57,7 +58,7 @@ from .engine import (
     symplectic_bracket,
 )
 from .linalg import rank_fraction_free
-from .scalars import CapExceeded
+from .scalars import CapExceeded, sum_vectors
 
 # The most rows a rank table has, above the 30,003 of the plain table on
 # 10,000 variables, which its slice cap refuses.  The su(2) table takes 30 us
@@ -127,21 +128,22 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
     the image of the differential (f, x) -> i_x omega - d f, and the slice
     dimension.
 
-    The image is one Quotient, from one elimination.  Its first group is
-    the images i_x omega of the symplectic tensors: the part of the span
-    of the tensor labels' contractions (`label_contraction`) that d kills,
-    Quotient's `closed_in`.  The d h of the cotensor basis follow.  The
-    rank the images reach is the tensor half of the slice (see the module
-    docstring), and the quotient's final rank is the rank of the
-    differential.
+    The image is one Quotient, from one elimination.  It starts with the
+    images i_x omega of the symplectic tensors: the part of the span of
+    the tensor labels' contractions c (`label_contraction`) that d kills,
+    from the relations (d c, c), read one at a time.  The d h of the
+    cotensor basis join it.  The rank the images reach is the tensor half
+    of the slice (see the module docstring), and the quotient's final rank
+    is the rank of the differential.
     """
     pair = s.pair
     labels = slice_basis(pair, s.n + 1 - k, r)
     tensors = slice_basis(pair, k, r)
-    # no labels above degree n + 1, where every contraction is zero
-    contractions = [label_contraction(s, w, e) for w, e in tensors] if labels else []
     _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
-    image = Quotient(pair, Cotensor, labels, exact, closed_in=contractions)
+    # no labels above degree n + 1, where every contraction is zero
+    contractions = (label_contraction(s, w, e)[0] for w, e in tensors) if labels else ()
+    image = Quotient(pair, labels, exact,
+                     ((differential_numerators(pair, c), c) for c in contractions))
     return image, image.ranks[0] + len(exact)
 
 
@@ -258,10 +260,11 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     if k is None:
         raise ValueError("class of a non-homogeneous element needs an explicit degree")
     s = e.structure
-    f_new = Cotensor.zero(s.pair)
+    residues = []
     for (_, r), part in e.f.bigraded_parts().items():
         image = s.derived(("coboundary", k, r), lambda: extension_slice(s, k + 1, r)[0])
-        f_new = f_new + image.reduce(part)
+        residues.append(image.residue(*label_vector(part)))
+    f_new = label_element(s.pair, Cotensor, *sum_vectors(residues))
     return CohomClass(s, k, ExtensionElement.canonical(s, f_new, e.x))
 
 

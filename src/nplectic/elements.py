@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from .scalars import (
     Poly,
+    add_product,
     as_int,
     combine,
     format_poly,
@@ -336,25 +337,16 @@ def words_element(pair, cls, words: dict, den: int):
 #
 # Products act on label vectors grouped by word: {word: {monomial key: int
 # numerator}} over one denominator, so a coefficient product is an int
-# convolution of two such key dicts.  The wedge here and the Schouten and
-# higher brackets in `calculus` all go through `_emit`.
-
-def _add_product(acc: dict, a: dict, b: dict, c: int) -> None:
-    """acc += c a b for numerators {key: int}: an int convolution, keys adding."""
-    get, b = acc.get, b.items()
-    for e1, c1 in a.items():
-        c1 *= c
-        for e2, c2 in b:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-
+# convolution of two such key dicts, `scalars.add_product`, which `Poly`
+# multiplies with too.  The wedge here and the Schouten and higher brackets
+# in `calculus` all go through `_emit`.
 
 def _emit(out: dict, word, c: int, a: dict, b: dict) -> None:
     """Add c a b to out at the ascending form of word, with its reordering
     sign; nothing when a letter repeats."""
     sign, norm = sort_word(word)
     if sign:
-        _add_product(out.setdefault(norm, {}), a, b, c if sign == 1 else -c)
+        add_product(out.setdefault(norm, {}), a, b, c if sign == 1 else -c)
 
 
 def _wedge_into(out: dict, x: dict, y: dict, c: int) -> dict:

@@ -20,14 +20,14 @@ from elements: d of a label comes from `calculus.label_differential`, and
 its contraction into omega is the word's contraction table, built once per
 structure in its derived store, with every key shifted by the label's
 monomial.  Slice vectors are label vectors, int numerators over one
-denominator, and so are the null vectors and solutions read off them:
-every quotient, the contraction kernel's included, is spanned from labels,
-and no Tensor or Cotensor is built on the way.
+denominator, and so are the null vectors and solutions read off them.
+Every quotient is one restricted elimination of label relations
+(`Quotient`): the contraction kernel's of (c_x, x), a coboundary span's
+of (d c, c), c a label's contraction; no Tensor or Cotensor is built.
 `linalg` sees only sparse int rows: `matrix_of` lays label vectors out as
 the columns of one integer matrix, a solve passing its right side as the
-last column, and a `Quotient` maps the numerators of each vector to the
-columns of its slice; where it spans only the part of some vectors that
-d kills, d of them goes to negative columns.
+last column, and a `Quotient` maps each vector to the columns of its
+slice, a relation's left side to negative columns.
 
 The tensor slot of an extension element is always the canonical residue
 of a symplectic tensor modulo the kernel.  It is checked once, when the
@@ -60,7 +60,7 @@ from .elements import (
     require_element,
     wedge_list,
 )
-from .linalg import Echelon, null_space, restricted_span, solve
+from .linalg import null_space, restricted_span, solve
 from .pairs import PairDescriptor, pair_from_json, pair_to_json
 from .scalars import (
     CapExceeded,
@@ -201,62 +201,53 @@ def coords_vector(labels, coords: dict[int, int], den: int) -> tuple[dict, int]:
     return {labels[i]: coords[i] for i in sorted(coords)}, den
 
 
-def _closed_rows(pair, index: dict, vectors) -> list[dict[int, int]]:
-    """The int rows [d c | c] of label vectors c in the slice of index: both
-    blocks over the bracket denominator times c's own, the labels of d c at
-    negative columns, in the order they are first met."""
-    den = pair.bracket_den
-    dcols: dict = {}
-    rows = []
-    for nums, _ in vectors:
-        row = {i: c * den for i, c in slice_coords(nums, index).items()}
-        for lab, c in differential_numerators(pair, nums).items():
-            row[-1 - dcols.setdefault(lab, len(dcols))] = c
-        rows.append(row)
-    return rows
+def _relation_rows(index: dict, relations):
+    """The int rows [a | b] of relations (a, b), one at a time: b on the
+    columns of index, the labels of a at negative columns, in the order
+    they are first met."""
+    acols: dict = {}
+    for a, b in relations:
+        row = slice_coords(b, index)
+        for lab, c in a.items():
+            row[-1 - acols.setdefault(lab, len(acols))] = c
+        yield row
 
 
 class Quotient:
-    """A finite slice modulo the span of some label vectors, given in one or
-    more groups; `ranks` holds the rank of the span after each group, and
-    `reduce` gives the canonical representative, the residue against the
-    span's echelon basis.  A span does not see denominators, so only the
-    numerators of the spanning vectors go in.
+    """A finite slice modulo the span of some label vectors; `residue`
+    gives the canonical representative, the residue against the span's
+    echelon basis.  A span does not see denominators, so only numerators
+    go in.
 
-    Given `closed_in`, label vectors c_j of the slice, the span starts with
-    the part of theirs that d kills, {sum y_j c_j : sum y_j d c_j = 0}, as
-    a group of its own.  It comes out of one elimination of the rows
-    [d c_j | c_j] (`_closed_rows`), whose d block is cleared first
-    (`linalg.restricted_span`): the rows left with a pivot in the c block
-    are an echelon basis of it in the quotient's own column order, and the
-    echelon grows from them.  A residue depends only on the span and that
-    order, so it is the one a span of the closed combinations would give.
+    `relations` are pairs (a, b) of int numerators, b in the slice: the
+    span starts with {sum y_j b_j : sum y_j a_j = 0}.  A factor shared by
+    every a leaves it as it is, so with b the numerators of some c, a may
+    be d of them over the bracket denominator.  It comes out of one
+    elimination of the rows [a | b] (`_relation_rows`), read one at a
+    time, whose a block is cleared first (`linalg.restricted_span`): the
+    rows left with a pivot in the b block are an echelon basis of it in
+    the quotient's own column order.  The
+    `span` vectors join the same echelon.  `ranks` holds the rank after
+    the relations and after the span.  A residue depends only on the span
+    and the column order, so it is the one any basis of the span would give.
     """
 
-    def __init__(self, pair, cls, labels, *spans, closed_in=None):
+    def __init__(self, pair, labels, span=(), relations=()):
         # highest total degree first, so that pivots sit on the leading terms:
         # a normal form, whatever window the labels come from
         nvars = pair.poly_nvars
         self.labels = sorted(labels, key=lambda lab: (-monomial_degree(lab[1], nvars), lab))
-        self.pair, self.cls = pair, cls
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if closed_in is None:
-            self.echelon, self.ranks = Echelon(), []
-        else:
-            self.echelon = restricted_span(_closed_rows(pair, self.index, closed_in))
-            self.ranks = [self.echelon.rank]
-        for spanning in spans:
-            for nums, _ in spanning:
-                self.echelon.add(slice_coords(nums, self.index))
-            self.ranks.append(self.echelon.rank)
+        self.echelon = restricted_span(_relation_rows(self.index, relations))
+        self.ranks = [self.echelon.rank]
+        for nums, _ in span:
+            self.echelon.add(slice_coords(nums, self.index))
+        self.ranks.append(self.echelon.rank)
 
     def residue(self, nums: dict, den: int) -> tuple[dict, int]:
         """The canonical representative of the label vector (nums, den)."""
         coords, den = self.echelon.reduce(slice_coords(nums, self.index), den)
         return coords_vector(self.labels, coords, den)
-
-    def reduce(self, elem):
-        return label_element(self.pair, self.cls, *self.residue(*label_vector(elem)))
 
 
 def matrix_of(vectors) -> list[dict[int, int]]:
@@ -370,19 +361,24 @@ def symplectic_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3
             for vec in symplectic_vectors(s, degree, max_poly_degree)]
 
 
-def _kernel_window(s: NPlecticStructure, degree: int, max_poly_degree: int):
-    """Labels of the tensor slice of one wedge degree in a poly window, and
-    the label vectors of a basis of the null space of their contractions."""
-    labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
-    rows = matrix_of([label_contraction(s, w, e) for w, e in labels])
-    return labels, [coords_vector(labels, *vec) for vec in null_space(rows, len(labels))]
+def _kernel_quotient(s: NPlecticStructure, degree: int, max_poly_degree: int) -> Quotient:
+    """The tensor slice of one wedge degree in a poly window modulo the
+    contraction kernel, kept in the structure's derived store: the
+    Quotient of the relations (c_x, x), c_x the contraction of the label x
+    (`label_contraction`), so the span is {sum y_x x : sum y_x c_x = 0}."""
+    def build():
+        labels = slice_basis(s.pair, degree, range(max_poly_degree + 1))
+        tables = ((label_contraction(s, w, e), (w, e)) for w, e in labels)
+        return Quotient(s.pair, labels, relations=((c, {lab: den}) for (c, den), lab in tables))
+    return s.derived(("kernel", degree, max_poly_degree), build)
 
 
 def kernel_basis(s: NPlecticStructure, degree: int, max_poly_degree: int = 3):
     """Basis of the contraction kernel {x : i_x omega = 0} of one wedge degree
-    within a poly window."""
-    return [label_element(s.pair, Tensor, *vec)
-            for vec in _kernel_window(s, degree, max_poly_degree)[1]]
+    within a poly window: the echelon rows of its quotient, by pivot."""
+    kernel = _kernel_quotient(s, degree, max_poly_degree)
+    return [label_element(s.pair, Tensor, *coords_vector(kernel.labels, {p: a, **rest}, 1))
+            for p, (a, rest) in sorted(kernel.echelon.rows.items())]
 
 
 def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
@@ -400,8 +396,7 @@ def reduce_mod_kernel(s: NPlecticStructure, x: Tensor) -> Tensor:
     pd = max(x.max_poly_degree(), 0)
     residues, moved = [], False
     for degree, part in x.homogeneous_parts().items():
-        kernel = s.derived(("kernel", degree, pd),
-                           lambda: Quotient(s.pair, Tensor, *_kernel_window(s, degree, pd)))
+        kernel = _kernel_quotient(s, degree, pd)
         if kernel.echelon.rank:
             residues.append(kernel.residue(*label_vector(part)))
             moved = True

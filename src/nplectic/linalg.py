@@ -30,6 +30,7 @@ the tests check it against.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -121,8 +122,8 @@ class Echelon:
         return len(self.rows)
 
 
-def _echelon(rows: list[dict]) -> Echelon:
-    """The row echelon basis of the span of sparse int rows."""
+def _echelon(rows: Iterable[dict]) -> Echelon:
+    """The row echelon basis of the span of sparse int rows, read one at a time."""
     ech = Echelon()
     for row in rows:
         _insert(ech.rows, row)
@@ -143,7 +144,7 @@ def rref(rows: list[dict]) -> Echelon:
     return ech
 
 
-def restricted_span(rows: list[dict]) -> Echelon:
+def restricted_span(rows: Iterable[dict]) -> Echelon:
     """The echelon basis of the vectors in the span of sparse int rows that
     are zero on every negative column.
 

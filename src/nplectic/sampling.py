@@ -40,14 +40,13 @@ def _add_poly_draws(acc: dict, word, rng, nvars: int, max_degree: int, terms: in
     monomial key), as numerators over DRAW_DEN.
 
     The degree is drawn even with no variables, so every family reads the
-    same random stream.  Each drawn variable adds its key, so the monomial
-    keys are valid by construction.
+    same random stream; with none, nothing loops over it.  Each drawn
+    variable adds its key, so the monomial keys are valid by construction.
     """
     for _ in range(rng.randint(1, terms)):
-        key = 0
-        for _ in range(rng.randint(0, max_degree)):
-            if nvars:
-                key += variable_key(nvars, rng.randrange(nvars))
+        key, degree = 0, rng.randint(0, max_degree)
+        for _ in range(degree if nvars else 0):
+            key += variable_key(nvars, rng.randrange(nvars))
         lab = (word, key)
         acc[lab] = acc.get(lab, 0) + random_numerator(rng)
 

@@ -119,6 +119,17 @@ def sum_vectors(vectors: list[tuple[dict, int]]) -> tuple[dict, int]:
     return combine((dict.fromkeys(range(len(vectors)), 1), 1), vectors)
 
 
+def add_product(acc: dict, a: dict, b: dict, c: int) -> None:
+    """acc += c a b for numerators {monomial key: int}: an int convolution,
+    keys adding; zero numerators stay in acc."""
+    get, b = acc.get, b.items()
+    for e1, c1 in a.items():
+        c1 *= c
+        for e2, c2 in b:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
 # ---------------------------------------------------------------------------
 # monomial keys
 # ---------------------------------------------------------------------------
@@ -378,10 +389,7 @@ class Poly:
             nums = {e1 + e2: c1 * c2 for e1, c1 in a.items()}
         else:
             nums = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    nums[e] = nums.get(e, 0) + c1 * c2
+            add_product(nums, a, b, 1)
             nums = {e: c for e, c in nums.items() if c}
         require_exponents(nums, self.nvars)
         return Poly._from_nums(self.nvars, nums, self.den * other.den)
@@ -489,7 +497,7 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> P
         else:
             current += ch
     pieces.append(current)
-    result = Poly.zero(nvars)
+    terms = []
     for piece in pieces:
         piece = piece.strip()
         sign = Fraction(1)
@@ -517,8 +525,8 @@ def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> P
             if name not in index:
                 raise ValueError(f"unknown variable {name!r} in {text!r}")
             expo[index[name]] += k
-        result = result + Poly(nvars, {tuple(expo): coeff})
-    return result
+        terms.append((expo, coeff))
+    return Poly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ morphism residual, the target-word oracle for d, the term-by-term `Poly`
 oracles for the label wedge and the label brackets, a plain {exponent:
 Fraction} polynomial arithmetic as the oracle for `Poly`, a sampler of
 extension elements, the unit elements of a slice, which the element-path
-oracles of the label-built slices start from, and the Tensor-level kernel
-reduction as the oracle for the label one, and the two-step extension
-slice, null space then images, as the oracle for the one-elimination
-build."""
+oracles of the label-built slices start from, the null space of a
+window's contractions and the Tensor-level reduction against it as the
+oracles for the one-elimination kernel quotient, and the two-step
+extension slice, null space then images, as the oracle for the
+one-elimination build."""
 
 import functools
 import itertools
@@ -20,20 +21,23 @@ from nplectic.elements import (
     Cotensor,
     Tensor,
     ascending_words,
+    label_element,
     label_vector,
     sort_word,
 )
 from nplectic.engine import (
     ExtensionElement,
     Quotient,
+    coords_vector,
     differential_slice,
-    kernel_basis,
     label_contraction,
+    matrix_of,
     shift_weight,
     slice_basis,
     symplectic_slice,
 )
 from nplectic.identities import random_symplectic
+from nplectic.linalg import null_space
 from nplectic.linf import _shuffle_composites
 from nplectic.sampling import random_cotensor
 from nplectic.scalars import Poly, combine, enumerate_shuffles, koszul_sign, monomial_exponents
@@ -282,24 +286,35 @@ def basis_elements(pair, cls, labels):
     return [cls(pair, {w: Poly(nvars, {monomial_exponents(e, nvars): 1})}) for w, e in labels]
 
 
+def kernel_by_null_space(s, degree, pd):
+    """Oracle for the contraction kernel: the labels of a tensor window and
+    the label vectors of the null space of their contractions' matrix."""
+    labels = slice_basis(s.pair, degree, range(pd + 1))
+    rows = matrix_of([label_contraction(s, w, e) for w, e in labels])
+    return labels, [coords_vector(labels, *vec) for vec in null_space(rows, len(labels))]
+
+
 def reduce_mod_kernel_by_parts(s, x):
     """Oracle for `reduce_mod_kernel`: x split into Tensors by wedge degree,
-    each reduced against a fresh quotient by the `kernel_basis` Tensors of
-    its window, and the parts added back as Tensors."""
+    each reduced against a fresh quotient spanned by its window's kernel
+    (`kernel_by_null_space`), and the parts added back as Tensors."""
     out = Tensor.zero(s.pair)
     pd = max(x.max_poly_degree(), 0)
     for degree, part in x.homogeneous_parts().items():
-        kernel = [label_vector(k) for k in kernel_basis(s, degree, pd)]
-        labels = slice_basis(s.pair, degree, range(pd + 1))
-        out = out + (Quotient(s.pair, Tensor, labels, kernel).reduce(part) if kernel else part)
+        labels, kernel = kernel_by_null_space(s, degree, pd)
+        if kernel:
+            residue = Quotient(s.pair, labels, kernel).residue(*label_vector(part))
+            part = label_element(s.pair, Tensor, *residue)
+        out = out + part
     return out
 
 
 def extension_slice_by_null_space(s, k, r):
     """Oracle for `cohomology.extension_slice`: the null space of d on the
     contractions of the tensor labels (`symplectic_slice`), one image
-    i_x omega per null vector, and a Quotient spanned by the images and
-    then by the d h of the cotensor slice, each group eliminated on its own."""
+    i_x omega per null vector, and a Quotient of the cotensor slice whose
+    relations put every image in the span, on its own, before the d h of
+    the cotensor slice join it."""
     pair = s.pair
     labels = slice_basis(pair, s.n + 1 - k, r)
     tensors, null = symplectic_slice(s, k, r)
@@ -307,7 +322,7 @@ def extension_slice_by_null_space(s, k, r):
     vectors = [label_contraction(s, w, e) for w, e in tensors] if k <= s.n + 1 else []
     images = [combine(vec, vectors) for vec in null] if vectors else []
     _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
-    image = Quotient(pair, Cotensor, labels, images, exact)
+    image = Quotient(pair, labels, exact, [({}, nums) for nums, _ in images])
     return image, image.ranks[0] + len(exact)
 
 

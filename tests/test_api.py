@@ -1,11 +1,13 @@
 """The package's public surface: every exported name exists and is public,
 every name the benchmark tracer wraps can still be found, only `scalars`
 reads the storage of a `Poly` and only `elements` that of a tensor or
-cotensor, only `engine` and `cohomology` hand matrices to `linalg`,
-slices, the checked extension entry and kernel reduction build no `Poly`,
-the higher brackets multiply none, seeded draws add none, and the README
-quick start runs and prints what its comments say."""
+cotensor, only `engine` and `cohomology` hand matrices to `linalg`, only
+`symplectic_slice` takes a null space in `engine`, slices, the checked
+extension entry and kernel reduction build no `Poly`, the higher brackets
+multiply none, seeded draws add none, and the README quick start runs and
+prints what its comments say."""
 
+import ast
 import importlib.util
 import random
 import re
@@ -51,6 +53,15 @@ def test_only_engine_and_cohomology_import_linalg():
     for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
         if path.name not in ("engine.py", "cohomology.py"):
             assert not importer.search(path.read_text()), path.name
+
+
+def test_only_symplectic_slice_takes_a_null_space_in_engine():
+    # every quotient, the contraction kernel's included, is a restricted span
+    tree = ast.parse((ROOT / "src" / "nplectic" / "engine.py").read_text())
+    callers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "null_space"}
+    assert callers == {"symplectic_slice"}
 
 
 def test_only_elements_reads_the_storage_of_an_element():

@@ -13,7 +13,9 @@ past ``--arity-cap`` are drawn up to 10**6 for ``jacobi`` and
 Polynomial degrees are drawn up to 10**6 as well: ``cohomology --weights``
 and the exponents of ``poisson`` and ``momentum-check`` payloads.  Past the
 slice cap they exit 3 before any slice is built; these tests lower the cap
-to 300 elements so that the slices under it stay cheap.
+to 300 elements so that the slices under it stay cheap.  ``jacobi`` on a
+zero omega with n = 10**11, and ``validate-pair --max-degree`` up to 10**6
+on a constant pair, must end within two seconds.
 """
 
 import contextlib
@@ -210,6 +212,25 @@ def test_identities_on_a_large_constant_pair_end_quickly(tmp_path_factory, dim):
     path = write_json(tmp_path_factory, "pair.json", {"family": "constant", "dim": dim})
     start = time.monotonic()
     code, _ = run_main(["identities", path, "--count", "20"])
+    assert code in (0, 1) and time.monotonic() - start < 2
+
+
+def test_jacobi_with_a_zero_omega_and_a_huge_n_ends_quickly(tmp_path_factory):
+    # a zero omega allows any n; slices above the generator count are empty
+    path = write_json(tmp_path_factory, "huge_n.json",
+                      {"pair": {"family": "constant", "dim": 3}, "n": 10 ** 11, "omega": []})
+    start = time.monotonic()
+    code, _ = run_main(["jacobi", path])
+    assert code == 0 and time.monotonic() - start < 2
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(degree=st.integers(0, 10 ** 6))
+@example(degree=10 ** 6)
+def test_constant_family_draws_at_a_huge_degree_end_quickly(degree):
+    # with no variables a drawn degree adds no variable, so nothing loops over it
+    start = time.monotonic()
+    code, _ = run_main(["validate-pair", SU2_CARTAN, "--max-degree", str(degree)])
     assert code in (0, 1) and time.monotonic() - start < 2
 
 

@@ -51,7 +51,7 @@ from nplectic.scalars import (
     monomial_exponents,
     monomial_key,
 )
-from conftest import basis_elements, reduce_mod_kernel_by_parts
+from conftest import basis_elements, kernel_by_null_space, reduce_mod_kernel_by_parts
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -383,8 +383,8 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
 @given(alpha=ALPHAS, degree=st.integers(0, 3), window=st.integers(0, 2))
 def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
     # the images i_x omega of the symplectic basis, by `contract`, span what
-    # a Quotient's `closed_in` spans from the contractions of the labels:
-    # the part of their span that d kills
+    # a Quotient's relations (d c, c) span from the contractions c of the
+    # labels: the part of their span that d kills
     s = mixed_structure(alpha)
     labels, null = symplectic_slice(s, degree, range(window + 1))
     images = []
@@ -394,8 +394,12 @@ def test_symplectic_slice_images_are_the_contractions(alpha, degree, window):
         images.append(label_vector(contract(x, s.omega)))
     contractions = [label_contraction(s, w, e) for w, e in labels] if degree <= s.n + 1 else []
     targets = {lab for nums, _ in contractions + images for lab in nums}
-    closed = engine.Quotient(s.pair, Cotensor, targets, closed_in=contractions)
-    assert closed.ranks == engine.Quotient(s.pair, Cotensor, targets, images).ranks
+    relations = []
+    for nums, _ in contractions:  # the rows [d C | C] for C = nums over 1
+        dnums, dden = label_vector(ce_differential(label_element(s.pair, Cotensor, nums, 1)))
+        relations.append((dnums, {lab: c * dden for lab, c in nums.items()}))
+    closed = engine.Quotient(s.pair, targets, relations=relations)
+    assert closed.ranks[0] == engine.Quotient(s.pair, targets, images).ranks[1]
     assert all(closed.residue(*image) == ({}, 1) for image in images)
 
 
@@ -544,8 +548,8 @@ def test_reduce_mod_kernel_builds_each_kernel_quotient_once(kernel_builds):
 
 
 def test_a_kernel_window_is_built_from_labels(monkeypatch):
-    # the window's span is the label vectors of the null space: no Tensor is
-    # made, and its slice is listed once
+    # the window's span is read off the relations of its labels: no Tensor
+    # is made, and its slice is listed once
     from nplectic import elements
 
     s = degenerate_structure()
@@ -578,6 +582,59 @@ def test_a_kernel_window_is_built_from_labels(monkeypatch):
     assert reduce_mod_kernel(s, x) == tensor(SPACE, ((1,), "x"))
     assert windows == [(("kernel", 1, 1), 0, 1)]
     assert s.derived(("kernel", 1, 1), lambda: pytest.fail("window not built")).echelon.rank == 4
+
+
+def test_a_kernel_quotient_is_one_elimination(monkeypatch):
+    # the relations (c_x, x) go straight into one restricted span: no
+    # matrix, no null space, no back-substitution, one Echelon per window
+    from nplectic import linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a matrix or null space while a kernel window is built")
+
+    echelons = []
+    init = linalg.Echelon.__init__
+
+    def counting(self):
+        echelons.append(self)
+        init(self)
+
+    for module, name in ((engine, "matrix_of"), (engine, "null_space"),
+                         (linalg, "null_space"), (linalg, "rref")):
+        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(linalg.Echelon, "__init__", counting)
+    rng = random.Random(33)
+    ranks = 0
+    for s in (degenerate_structure(), heisenberg_area(), poly4_structure()):
+        for degree in range(s.pair.ngens + 1):
+            for window in range(3):
+                echelons.clear()
+                basis = kernel_basis(s, degree, window)
+                kernel = s.derived(("kernel", degree, window), lambda: pytest.fail("not built"))
+                assert echelons == [kernel.echelon] and len(basis) == kernel.echelon.rank
+                x = random_tensor(rng, s.pair, degree, max_degree=window)
+                reduce_mod_kernel(s, x)
+                ranks += len(basis)
+    assert ranks
+
+
+@pytest.mark.parametrize("make", [degenerate_structure, heisenberg_area, poly4_structure],
+                         ids=["degenerate-plane", "heisenberg-e12", "poly4"])
+def test_kernel_basis_spans_the_null_space_of_the_contractions(make):
+    # the echelon rows of the kernel quotient and the null space of the
+    # window's contraction matrix span the same space
+    s = make()
+    found = 0
+    for degree in range(s.pair.ngens + 1):
+        for window in range(3):
+            labels, oracle = kernel_by_null_space(s, degree, window)
+            basis = [label_vector(b) for b in kernel_basis(s, degree, window)]
+            assert len(basis) == len(oracle)
+            assert engine.Quotient(s.pair, labels, basis).ranks[1] == len(basis)
+            spanned = engine.Quotient(s.pair, labels, oracle)
+            assert all(spanned.residue(*vec) == ({}, 1) for vec in basis)
+            found += len(basis)
+    assert found
 
 
 def test_a_window_with_a_kernel_still_reduces_it_away():

@@ -276,6 +276,29 @@ def test_poly_parse_examples():
         as_rational(" 3/0")
 
 
+def test_poly_parse_sums_repeated_and_cancelling_monomials():
+    # one Poly from every term equals the term-by-term sum, also when a
+    # monomial repeats, cancels, or cancels and comes back
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert parse_poly("x + x - 2*x", 2) == Poly.zero(2)
+    assert parse_poly("x - x + y + x", 2) == x + y
+    assert parse_poly("1/2*x*y + y*x - 3/2*x*y + 4 - 4", 2) == Poly.zero(2)
+    rng = random.Random(37)
+    names = ("x", "y", "z")
+    for _ in range(100):
+        nvars = rng.randint(1, 3)
+        pool = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(3)]
+        terms = [(rng.choice(pool), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 8))]
+        text = " ".join(("-" if c < 0 else "+") + " " + "*".join(
+            [str(abs(c))] + [f"{n}^{e}" for n, e in zip(names, expo) if e]) for expo, c in terms)
+        expected = Poly.zero(nvars)
+        for expo, c in terms:
+            expected = expected + Poly(nvars, {expo: c})
+        assert parse_poly(text, nvars) == expected
+        assert parse_poly(format_poly(expected), nvars) == expected
+
+
 @pytest.mark.parametrize("value", [True, False, 1.0, "1", None, Fraction(1)], ids=repr)
 def test_as_int_takes_only_an_int_that_is_not_a_bool(value):
     with pytest.raises(TypeError, match="'n' must be an integer"):
