@@ -7,8 +7,9 @@ across runs.  Exit codes: 0 when every gating check passes, 1 when a
 check fails, 2 on malformed or invalid input (a polynomial exponent
 above 2^31 - 1 included), 3 when a size cap would be exceeded: a bracket
 arity (``--arity-cap``, from 1 to 12, or 12 for a tensor bracket), a
-slice, the rows of a cohomology table, or an exponent of a polynomial
-product (2^31 - 1).
+slice, the rows of a cohomology table, an exponent of a polynomial
+product (2^31 - 1), or a ``--max-degree`` above 10,000 on a pair with
+variables, refused before any draw.
 
 Input files pass one boundary: ``_parse`` runs a JSON reader and reports
 its ``KeyError`` as a missing field and its ``TypeError`` or ``ValueError``
@@ -50,9 +51,8 @@ from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     structure_from_json,
-    symplectic_vectors,
 )
-from .identities import cartan_suite, pairing_suite, random_symplectic
+from .identities import cartan_suite, pairing_suite, random_symplectic, symplectic_grades
 from .linf import ClassLinf, ExtensionLinf, TensorLinf, check_momentum_map, jacobi_residual
 from .models import momentum_from_json
 from .pairs import PairMorphismCandidate, pair_from_json, validate_morphism, validate_pair
@@ -220,8 +220,7 @@ def cmd_jacobi(args):
         "max_arity": args.max_arity, "arity_cap": cap,
     })
     # slices above ngens are empty, whatever n is
-    grades = [g for g in range(0, min(s.n, pair.ngens) + 1)
-              if symplectic_vectors(s, g, max_poly_degree=2)] or [0]
+    grades = symplectic_grades(s, min(s.n, pair.ngens)) or [0]
     max_grade = min(pair.ngens, 3)
 
     def tensor():

@@ -2,11 +2,11 @@
 
 The extension complex is graded by element degree k and, on the polynomial
 family, further by a weight r: tensor coefficients of degree r, cotensor
-coefficients of degree r + 1.  The differential drops both by one, so each
-(k, r) slice is finite and its ranks are exact integers.  The image at
-(k, r) is always taken from the full (k+1, r+1) slice, even when that slice
-falls outside a reporting window, so the tables never show truncation
-artifacts.
+coefficients of degree r + 1.  The differential drops both by one
+(`engine.exact_source`), so each (k, r) slice is finite and its ranks are
+exact integers; `extension_slices` lists its slices.  The image at (k, r)
+is always taken from the full (k+1, r+1) slice, even outside a reporting
+window, so the tables never show truncation artifacts.
 
 The tensor half of a slice enters only through its images i_x omega.  The
 differential sees a tensor only through its image, and contraction is
@@ -50,9 +50,9 @@ from .engine import (
     Quotient,
     d_omega,
     differential_slice,
+    exact_source,
     label_contraction,
     matrix_of,
-    shift_weight,
     slice_basis,
     slice_size,
     symplectic_bracket,
@@ -82,8 +82,7 @@ def ce_cohomology_table(pair, degrees, weights=(0,)) -> list[dict]:
         rows, labels = ce_matrix(pair, wl, w)
         return rank_fraction_free(rows), len(labels)
     return _rank_table(pair, degrees, weights, differential,
-                       lambda wl, w: (wl - 1, shift_weight(pair, w)),
-                       lambda wl, w: [(wl, w)])
+                       lambda wl, w: exact_source(pair, wl, w), lambda wl, w: [(wl, w)])
 
 
 def _rank_table(pair, degrees, weights, differential, source, slices) -> list[dict]:
@@ -123,6 +122,12 @@ def _rank_table(pair, degrees, weights, differential, source, slices) -> list[di
 # extension slices
 # ---------------------------------------------------------------------------
 
+def extension_slices(s: NPlecticStructure, k: int, r: int) -> list[tuple[int, int]]:
+    """The target cotensor, tensor and exact cotensor slices of (k, r), in build order."""
+    target = (s.n + 1 - k, r)
+    return [target, (k, r), exact_source(s.pair, *target)]
+
+
 def extension_slice(s: NPlecticStructure, k: int, r: int):
     """The target cotensor slice of the (degree k, weight r) slice modulo
     the image of the differential (f, x) -> i_x omega - d f, and the slice
@@ -137,9 +142,9 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
     is the rank of the differential.
     """
     pair = s.pair
-    labels = slice_basis(pair, s.n + 1 - k, r)
-    tensors = slice_basis(pair, k, r)
-    _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
+    target, tensor, source = extension_slices(s, k, r)
+    labels, tensors = slice_basis(pair, *target), slice_basis(pair, *tensor)
+    _, exact = differential_slice(pair, *source)
     # no labels above degree n + 1, where every contraction is zero
     contractions = (label_contraction(s, w, e)[0] for w, e in tensors) if labels else ()
     image = Quotient(pair, labels, exact,
@@ -171,10 +176,9 @@ def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[d
         image, dim = extension_slice(s, k, r)
         return image.echelon.rank, dim
     return _rank_table(s.pair, degrees, weights, differential,
-                       lambda k, r: (k + 1, shift_weight(s.pair, r)),
-                       # the slices of extension_slice, in the order it builds them
-                       lambda k, r: [(s.n + 1 - k, r), (k, r),
-                                     (s.n - k, shift_weight(s.pair, r))])
+                       # the extension slice whose target is the exact cotensors of (k, r)
+                       lambda k, r: (k + 1, extension_slices(s, k, r)[2][1]),
+                       lambda k, r: extension_slices(s, k, r))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ An n-plectic structure on a pair is a closed cotensor of tensor degree
 
 Everything is sliced by (wedge degree, polynomial degree) and solved with
 exact linear algebra; the two shipped coefficient families keep every
-slice finite.  A slice is built from its labels (word, monomial key), not
-from elements: d of a label comes from `calculus.label_differential`, and
+slice finite.  d's shift of a slice is written once, in `exact_source`.
+A slice is built from its labels (word, monomial key), not from
+elements: d of a label comes from `calculus.label_differential`, and
 its contraction into omega is the word's contraction table, built once per
 structure in its derived store, with every key shifted by the label's
 monomial.  Slice vectors are label vectors, int numerators over one
@@ -268,10 +269,10 @@ def matrix_of(vectors) -> list[dict[int, int]]:
     return [rows[lab] for lab in sorted(rows)]
 
 
-def shift_weight(pair, r: int) -> int:
-    """The weight of a cotensor h whose d h has weight r: d drops the
-    polynomial degree by one on the polynomial family only."""
-    return r + 1 if pair.poly_nvars else r
+def exact_source(pair, word_len: int, weight: int) -> tuple[int, int]:
+    """The (word length, weight) of the cotensor slice whose d lands in slice
+    (word_len, weight); d drops the weight on the polynomial family only."""
+    return word_len - 1, weight + 1 if pair.poly_nvars else weight
 
 
 def differential_slice(pair, word_len: int, weight: int):
@@ -423,7 +424,7 @@ def hamiltonian_potential(x: Tensor, s: NPlecticStructure) -> Cotensor | None:
         raise ValueError("potential only makes sense for symplectic tensors")
     solutions = []
     for (deg, pd), part in label_element(s.pair, Cotensor, *image).bigraded_parts().items():
-        labels, exact = differential_slice(s.pair, -deg - 1, shift_weight(s.pair, pd))
+        labels, exact = differential_slice(s.pair, *exact_source(s.pair, -deg, pd))
         sol = solve(matrix_of(exact + [label_vector(part)]), len(labels))
         if sol is None:
             return None

@@ -5,7 +5,9 @@ These suites are the arbiter for the sign conventions spread across
 homogeneous arguments and every failure is counted, with the first
 witness kept.  The alternate form of the bracket-flow rule swaps one
 flow factor; it fails in general and is recorded as informational only,
-as a sentinel that the suite can tell right from wrong.
+as a sentinel that the suite can tell right from wrong.  Symplectic
+tensors are drawn in one window, polynomial degree at most
+`SYMPLECTIC_WINDOW`; `symplectic_grades` lists the wedge degrees it fills.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .engine import NPlecticStructure, fundamental_pairing_check, symplectic_vec
 from .report import Report, witness_unless
 from .sampling import DRAW_DEN, random_cotensor, random_numerator, random_tensor
 from .scalars import combine
+
+SYMPLECTIC_WINDOW = 2
 
 
 def _sign(exponent: int) -> int:
@@ -108,8 +112,13 @@ def cartan_suite(pair, count: int = 200, seed: int = 0) -> Report:
     return report
 
 
+def symplectic_grades(s: NPlecticStructure, top: int) -> list[int]:
+    """The wedge degrees 0..top with a symplectic tensor in the draw window."""
+    return [g for g in range(top + 1) if symplectic_vectors(s, g, SYMPLECTIC_WINDOW)]
+
+
 def random_symplectic(rng, s: NPlecticStructure, grade: int,
-                      poly_degree: int = 2) -> Tensor:
+                      poly_degree: int = SYMPLECTIC_WINDOW) -> Tensor:
     """A random symplectic tensor from one wedge-degree slice: each basis
     vector is kept with probability 0.6, times a `random_fraction`, drawn
     as a numerator over DRAW_DEN, and the kept label vectors are summed as
@@ -131,8 +140,7 @@ def pairing_suite(s: NPlecticStructure, count: int = 50, seed: int = 0) -> Repor
     report = Report("pairing-suite", {
         "family": s.pair.family, "n": s.n, "seed": seed, "count": count,
     })
-    grades = [g for g in range(0, s.pair.ngens + 1)
-              if symplectic_vectors(s, g, max_poly_degree=2)]
+    grades = symplectic_grades(s, s.pair.ngens)
 
     def pairing_witness(*xs):
         ok, lhs, rhs = fundamental_pairing_check(xs, s)

@@ -73,13 +73,6 @@ class ConstantPair:
             if c:
                 rows.append((i, j, k, c))
         object.__setattr__(self, "brackets", tuple(sorted(rows)))
-        # [e_i, e_j] rows per ordered (i, j), both signs; not a field, so
-        # equality, hashing and repr do not see it
-        table = {}
-        for i, j, k, c in self.brackets:
-            table.setdefault((i, j), []).append((k, c))
-            table.setdefault((j, i), []).append((k, -c))
-        object.__setattr__(self, "_bracket_table", table)
         # the rows as int numerators over the lcm of their denominators
         den = math.lcm(*(c.denominator for *_, c in self.brackets))
         object.__setattr__(self, "bracket_den", den)
@@ -120,12 +113,8 @@ class ConstantPair:
         return _coerce_coeff(self, value)
 
     def bracket_basis(self, i: int, j: int) -> list[tuple[int, Fraction]]:
-        """[e_i, e_j] as (index, coefficient) rows, ascending in the index.
-
-        The rows are read from a table built once with the pair and shared
-        by every call: callers must not mutate the list.
-        """
-        return self._bracket_table.get((i, j), [])
+        """[e_i, e_j] as (index, coefficient) rows, ascending: a scan of `brackets`."""
+        return [(k, c if i < j else -c) for a, b, k, c in self.brackets if {a, b} == {i, j}]
 
     def acting(self, c: Poly) -> tuple[int, ...]:
         return ()  # no generator acts on Q

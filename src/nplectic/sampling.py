@@ -18,10 +18,16 @@ import random
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, label_element
-from .scalars import Poly, variable_key
+from .scalars import CapExceeded, Poly, variable_key
 
 # random_fraction draws its denominator from 1..3, so every draw is an int over 6
 DRAW_DEN = 6
+
+# The largest max_degree random_tuples draws at over a pair with variables:
+# a term of drawn degree D draws D variables, one rng call each.
+# `validate-pair models/symplectic_plane.json` took 0.26 s at --max-degree
+# 1,000 and 2.6 s at 10,000 (2-vCPU Xeon, Python 3.11).
+MAX_DRAW_DEGREE = 10_000
 
 
 def random_numerator(rng: random.Random) -> int:
@@ -111,6 +117,8 @@ def random_gvector(rng: random.Random, pair, max_degree: int = 3) -> Tensor:
 
 def random_tuples(rng: random.Random, pair, samplers, count: int, max_degree: int = 3):
     """`count` tuples holding one sampler(rng, pair, max_degree) per slot,
-    drawn lazily, one tuple at a time and slot by slot."""
-    for _ in range(count):
-        yield tuple(sample(rng, pair, max_degree) for sample in samplers)
+    drawn lazily, one tuple at a time and slot by slot.  Over a pair with
+    variables a max_degree past MAX_DRAW_DEGREE raises CapExceeded at once."""
+    if pair.poly_nvars and max_degree > MAX_DRAW_DEGREE:
+        raise CapExceeded(f"drawn polynomial degree {max_degree} exceeds cap {MAX_DRAW_DEGREE}")
+    return (tuple(sample(rng, pair, max_degree) for sample in samplers) for _ in range(count))

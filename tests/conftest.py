@@ -32,7 +32,6 @@ from nplectic.engine import (
     differential_slice,
     label_contraction,
     matrix_of,
-    shift_weight,
     slice_basis,
     symplectic_slice,
 )
@@ -321,7 +320,9 @@ def extension_slice_by_null_space(s, k, r):
     # above degree n + 1 every image is zero
     vectors = [label_contraction(s, w, e) for w, e in tensors] if k <= s.n + 1 else []
     images = [combine(vec, vectors) for vec in null] if vectors else []
-    _, exact = differential_slice(pair, s.n - k, shift_weight(pair, r))
+    # the exact cotensors h of degree k: d raises the word length by one and
+    # lowers the polynomial degree by one where there are variables
+    _, exact = differential_slice(pair, s.n - k, r + 1 if pair.poly_nvars else r)
     image = Quotient(pair, labels, exact, [({}, nums) for nums, _ in images])
     return image, image.ranks[0] + len(exact)
 

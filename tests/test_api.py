@@ -64,6 +64,15 @@ def test_only_symplectic_slice_takes_a_null_space_in_engine():
     assert callers == {"symplectic_slice"}
 
 
+def test_each_slice_fact_has_one_owner():
+    # d's weight shift is engine.exact_source, and the window symplectic
+    # tensors are drawn in is read through identities, not by the cli
+    shift = re.compile(r"\+ 1 if \w+\.poly_nvars")
+    for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
+        assert len(shift.findall(path.read_text())) == (path.name == "engine.py"), path.name
+    assert "symplectic_vectors" not in (ROOT / "src" / "nplectic" / "cli.py").read_text()
+
+
 def test_only_elements_reads_the_storage_of_an_element():
     # the label vector is read through `label_vector`; a Poly per word
     # through `items()`

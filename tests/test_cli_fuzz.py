@@ -15,7 +15,8 @@ and the exponents of ``poisson`` and ``momentum-check`` payloads.  Past the
 slice cap they exit 3 before any slice is built; these tests lower the cap
 to 300 elements so that the slices under it stay cheap.  ``jacobi`` on a
 zero omega with n = 10**11, and ``validate-pair --max-degree`` up to 10**6
-on a constant pair, must end within two seconds.
+on a constant pair, must end within two seconds; over a pair with variables
+a ``--max-degree`` past 10,000 must exit 3 within two seconds, before any draw.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nplectic import engine
 from nplectic.cli import main
+from nplectic.sampling import MAX_DRAW_DEGREE
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 PLANE = str(MODELS / "symplectic_plane.json")
@@ -232,6 +234,20 @@ def test_constant_family_draws_at_a_huge_degree_end_quickly(degree):
     start = time.monotonic()
     code, _ = run_main(["validate-pair", SU2_CARTAN, "--max-degree", str(degree)])
     assert code in (0, 1) and time.monotonic() - start < 2
+
+
+RESCALING = str(MODELS.parent / "tests" / "golden" / "inputs" / "rescaling_morphism.json")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(command=st.sampled_from([("validate-pair", PLANE), ("validate-morphism", RESCALING)]),
+       degree=st.integers(MAX_DRAW_DEGREE + 1, 10 ** 6))
+@example(command=("validate-pair", PLANE), degree=10 ** 6)
+def test_draws_over_variables_past_the_degree_cap_exit_three(command, degree):
+    # a drawn term of degree D draws D variables, one random call each
+    start = time.monotonic()
+    code, err = run_main([*command, "--max-degree", str(degree)])
+    assert code == 3 and "exceeds cap" in err and time.monotonic() - start < 2
 
 
 # Polynomial degrees up to 10**6: weights for `cohomology`, and exponents in

@@ -99,12 +99,20 @@ def test_rank_paths_agree_on_ce_matrices():
 
 
 def test_plane_ce_is_exact_away_from_the_constants():
-    assert ce_cohomology_table(PLANE, [0], [0])[0]["rank"] == 1
-    for wl in range(3):
-        for w in range(3):
-            if (wl, w) == (0, 0):
-                continue
-            assert ce_cohomology_table(PLANE, [wl], [w])[0]["rank"] == 0
+    """The polynomial Poincare lemma on Q[x1..xm], m = 1..8, at weights 0-2.
+
+    d is the de Rham differential there.  The Euler field E = sum x_i @x_i
+    acts on a cotensor of polynomial degree p and word length l by Cartan's
+    formula L_E = d i_E + i_E d = p + l, so a closed cotensor a with
+    p + l > 0 is d(i_E a) / (p + l), exact.  Only the constants, at word
+    length 0 and weight 0, are closed and not exact: rank 1 there, 0 at
+    every other (word length, weight).
+    """
+    for m in range(1, 9):
+        rows = ce_cohomology_table(PolyVectorFieldPair(m), range(m + 1), range(3))
+        assert len(rows) == 3 * (m + 1)
+        for row in rows:
+            assert row["rank"] == int((row["degree"], row["weight"]) == (0, 0)), (m, row)
 
 
 def test_ce_table_shape():
@@ -357,6 +365,37 @@ def test_extension_slice_matches_the_null_space_build(make):
     assert moved and kept
 
 
+@pytest.mark.parametrize("make", [
+    plane_structure, su2_cartan, lambda: darboux_structure(2), volume_structure,
+], ids=["plane", "su2-cartan", "poly4", "poly3-volume"])
+def test_an_extension_slice_builds_the_slices_its_table_sizes(monkeypatch, make):
+    # the (word length, weight) of every slice extension_slice builds, in
+    # build order, against those the rank table's cap check sizes for its key
+    from nplectic import cohomology
+
+    s = make()
+    calls = {"built": [], "sized": []}
+
+    def recording(kind, original):
+        def record(pair, word_len, weight):
+            calls[kind].append((word_len, weight))
+            return original(pair, word_len, weight)
+        return record
+
+    for kind, name in (("built", "slice_basis"), ("built", "differential_slice"),
+                       ("sized", "slice_size")):
+        monkeypatch.setattr(cohomology, name, recording(kind, getattr(cohomology, name)))
+    for r in range(3):
+        for k in range(-1, s.n + 3):
+            calls["built"].clear()
+            extension_slice(s, k, r)
+            built = list(calls["built"])
+            calls["sized"].clear()
+            extension_cohomology_table(s, [k], [r])
+            # the key's own slices come first, then those of its source
+            assert len(built) == 3 and built == calls["sized"][:3], (k, r)
+
+
 def test_an_extension_slice_is_one_elimination(monkeypatch):
     # no null space, no back-substitution, no combination per null vector:
     # one Echelon per slice, and nothing stored beyond the contraction tables
@@ -390,10 +429,10 @@ def test_an_extension_slice_is_one_elimination(monkeypatch):
     assert stored == {"contraction"}
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_darboux_ranks_are_the_hamiltonian_functions(m):
     """Closed-form ranks for omega = sum_i dx_{2i-1}^dx_{2i} on Q[x1..x2m],
-    n = 1, m >= 2, at weights 0-4.  At weight r a degree-k cotensor has
+    n = 1, at weights 0-4.  At weight r a degree-k cotensor has
     coefficients of degree r + 1 and a tensor of degree r.
 
     * Degree 1: a cocycle is (h, X) with i_X omega = d h, h a function.
@@ -406,7 +445,10 @@ def test_darboux_ranks_are_the_hamiltonian_functions(m):
       d g ^ omega = 0; wedging with omega is injective on 1-forms in
       dimension 2m >= 4 (Lefschetz), so g is a constant, zero above weight
       0.  Every 1-form is some i_X omega, so the coboundaries i_X omega - d h
-      leave only g: rank 1 at weight 0 and 0 above.
+      leave only g: rank 1 at weight 0 and 0 above.  On the plane, m = 1,
+      Lefschetz fails: d g ^ omega is a 3-form, zero, and every g omega is
+      exact by the polynomial Poincare lemma, so every g of degree r has
+      its f: rank r + 1.
     * Degree -1: a cocycle is a closed 2-form, exact by the polynomial
       Poincare lemma, so a coboundary: rank 0.
     * Degree 2: a bivector Y is a cocycle when i_Y omega = 0, so it lies in
@@ -421,8 +463,47 @@ def test_darboux_ranks_are_the_hamiltonian_functions(m):
     assert len(rows) == 25
     for row in rows:
         k, r = row["degree"], row["weight"]
-        expected = {1: math.comb(2 * m + r, r + 1), 0: int(r == 0)}.get(k, 0)
-        assert row["rank"] == expected, row
+        expected = {1: math.comb(2 * m + r, r + 1), 0: r + 1 if m == 1 else int(r == 0)}
+        assert row["rank"] == expected.get(k, 0), row
+
+
+def test_volume_ranks_are_the_hamiltonian_forms():
+    """Closed-form ranks for omega = dx^dy^dz on Q[x, y, z], n = 2, at
+    weights 0-6: classes in three degrees at once.  P_d, the polynomials of
+    degree d, has dimension C(d + 2, 2).  Contraction into omega is
+    injective on functions, vector fields, bivectors and trivectors (onto
+    3-, 2-, 1- and 0-forms), so no tensor lies in the kernel, and every
+    closed form of positive word length or weight is exact (the polynomial
+    Poincare lemma).  At weight r a degree-k cotensor has coefficients of
+    degree r + 1 and a tensor of degree r.
+
+    * Degree 2: a cocycle (h, Y) has i_Y omega = d h, one bivector Y for
+      each function h of degree r + 1.  The coboundaries come from
+      trivectors T with d i_T omega = 0: i_T omega is then a constant of
+      degree r + 1 >= 1, so zero.  Rank C(r + 3, 2).
+    * Degree 1: a cocycle (f, X) has i_X omega = d f, so i_X omega is a
+      closed 2-form of degree r, and each such 2-form is d f for some f and
+      i_X omega for one X.  f is fixed up to a closed 1-form, and the
+      coboundaries i_Y omega - d h over symplectic bivectors Y are exactly
+      the closed 1-forms of degree r + 1.  So the classes are the closed
+      2-forms of degree r, the image of d on the 1-forms of degree r + 1,
+      whose kernel is d P_{r+2}: rank 3 C(r + 3, 2) - C(r + 4, 2).
+    * Degree 0: a cocycle (f, g) has g omega = d f; every 3-form is exact,
+      so every g of degree r has its f, up to a closed 2-form, and the
+      coboundaries i_X omega - d h over symplectic X are exactly the closed
+      2-forms of degree r + 1.  Rank C(r + 2, 2).
+    * Degree -1: every 3-form of degree r + 1 is a coboundary g omega.
+    * Degree 3: a cocycle has i_T omega = 0, so T = 0.  Degree 4: there is
+      no 4-vector on three generators.  Rank 0 in all three.
+    """
+    s = volume_structure()
+    rows = extension_cohomology_table(s, range(-1, 5), range(7))
+    assert len(rows) == 42
+    for row in rows:
+        k, r = row["degree"], row["weight"]
+        expected = {0: math.comb(r + 2, 2), 1: 3 * math.comb(r + 3, 2) - math.comb(r + 4, 2),
+                    2: math.comb(r + 3, 2)}
+        assert row["rank"] == expected.get(k, 0), row
 
 
 def test_extension_table_adds_no_elements(monkeypatch):
