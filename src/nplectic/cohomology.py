@@ -248,7 +248,7 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     against the quotient of `extension_slice(s, k + 1, r)`, which the
     structure's derived store keeps.  A nonzero element without a single
     degree raises ValueError, and an explicit degree must agree with the
-    element's; the zero element takes its degree from the argument.  Also
+    element's; the zero element, of every degree, takes the argument's.  Also
     raises ValueError unless omega has constant coefficients.
     """
     require_constant_omega(e.structure)
@@ -262,7 +262,7 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
         raise ValueError(f"element has degree {own}, not {degree}")
     k = degree if degree is not None else own
     if k is None:
-        raise ValueError("class of a non-homogeneous element needs an explicit degree")
+        raise ValueError("the zero element has every degree; give one")
     s = e.structure
     residues = []
     for (_, r), part in e.f.bigraded_parts().items():

@@ -340,8 +340,8 @@ def symplectic_slice(s: NPlecticStructure, degree: int, degrees):
     if degree > s.n + 1:
         return labels, null_space([], len(labels))
     vectors = [label_contraction(s, w, e) for w, e in labels]
-    den = s.pair.bracket_den
-    rows = matrix_of([(differential_numerators(s.pair, nums), d * den) for nums, d in vectors])
+    # each column is over d * pair.bracket_den; the common factor leaves the null space
+    rows = matrix_of([(differential_numerators(s.pair, nums), d) for nums, d in vectors])
     return labels, null_space(rows, len(labels))
 
 

@@ -117,13 +117,12 @@ def symplectic_grades(s: NPlecticStructure, top: int) -> list[int]:
     return [g for g in range(top + 1) if symplectic_vectors(s, g, SYMPLECTIC_WINDOW)]
 
 
-def random_symplectic(rng, s: NPlecticStructure, grade: int,
-                      poly_degree: int = SYMPLECTIC_WINDOW) -> Tensor:
-    """A random symplectic tensor from one wedge-degree slice: each basis
-    vector is kept with probability 0.6, times a `random_fraction`, drawn
-    as a numerator over DRAW_DEN, and the kept label vectors are summed as
-    ints."""
-    vectors = symplectic_vectors(s, grade, poly_degree)
+def random_symplectic(rng, s: NPlecticStructure, grade: int) -> Tensor:
+    """A random symplectic tensor from one wedge-degree slice of the draw
+    window: each basis vector is kept with probability 0.6, times a
+    `random_fraction`, drawn as a numerator over DRAW_DEN, and the kept
+    label vectors are summed as ints."""
+    vectors = symplectic_vectors(s, grade, SYMPLECTIC_WINDOW)
     # the condition is drawn before the numerator, basis vector by basis vector
     coeffs = {i: random_numerator(rng) for i in range(len(vectors)) if rng.random() < 0.6}
     return label_element(s.pair, Tensor, *combine((coeffs, DRAW_DEN), vectors))

@@ -16,15 +16,15 @@ order (a row reaches only columns above its pivot).  Its residue is the
 one vector that differs from the input by a span element and is zero on
 every pivot, so it depends only on the span.  `rref` back-substitutes
 once, at the end, so that `null_space` and `solve` read their answers off
-rows zero on every other pivot, FLINT's `fmpz_mat_rref` form, and return
-them as int numerators over one denominator too.  `solve` takes the rows
-of [A | b], its right side b in the last column.  `restricted_span` keeps
-the rows of one echelon basis that pivot on a column >= 0: the part of a
-span that is zero on every negative column, read off the same elimination
-(Zassenhaus).  Columns stay integers (the engine maps slice labels to
-them, negative ones included).  `rank_dense` is a plain dense Gauss-Jordan
-loop over Fraction rows that shares no code with the kernel: the oracle
-the tests check it against.
+rows zero on every other pivot, FLINT's `fmpz_mat_rref` form, and sum
+them as int numerators over one denominator (`scalars.sum_vectors`).
+`solve` takes the rows of [A | b], its right side b in the last column.
+`restricted_span` keeps the rows of one echelon basis that pivot on a
+column >= 0: the part of a span that is zero on every negative column,
+read off the same elimination (Zassenhaus).  Columns stay integers (the
+engine maps slice labels to them, negative ones included).  `rank_dense`
+is a plain dense Gauss-Jordan loop over Fraction rows that shares no code
+with the kernel: the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import lowest_terms
+from .scalars import lowest_terms, sum_vectors
 
 Vector = dict[int, int]  # sparse: column -> nonzero int numerator
 
@@ -183,13 +183,6 @@ def rank_dense(mat: list[list[Fraction]]) -> int:
     return r
 
 
-def _over_lcm(entries) -> tuple[Vector, int]:
-    """The vector with x / a at column c for each (c, a, x), as (int
-    numerators, denominator) in lowest terms."""
-    den = lcm(*[a for _, a, _ in entries])
-    return lowest_terms({c: x * (den // a) for c, a, x in entries}, den)
-
-
 def solve(rows: list[dict], cols: int) -> tuple[Vector, int] | None:
     """One exact solution x of A x = b (free variables 0), or None.
 
@@ -199,7 +192,7 @@ def solve(rows: list[dict], cols: int) -> tuple[Vector, int] | None:
     ech = rref(rows)
     if cols in ech.rows:
         return None  # a pivot in the last column: inconsistent
-    return _over_lcm([(p, a, rest[cols]) for p, (a, rest) in ech.rows.items() if cols in rest])
+    return sum_vectors([({p: rest[cols]}, a) for p, (a, rest) in ech.rows.items() if cols in rest])
 
 
 def null_space(rows: list[dict], cols: int) -> list[tuple[Vector, int]]:
@@ -207,8 +200,8 @@ def null_space(rows: list[dict], cols: int) -> list[tuple[Vector, int]]:
     terms: for each free column fc in ascending order, the vector with 1 at
     fc, 0 at every other free column."""
     ech = rref(rows)
-    entries = {fc: [(fc, 1, 1)] for fc in range(cols) if fc not in ech.rows}
+    entries = {fc: [({fc: 1}, 1)] for fc in range(cols) if fc not in ech.rows}
     for p, (a, rest) in ech.rows.items():
         for fc, x in rest.items():  # rows are zero on every other pivot
-            entries[fc].append((p, a, -x))
-    return [_over_lcm(column) for column in entries.values()]
+            entries[fc].append(({p: -x}, a))
+    return [sum_vectors(column) for column in entries.values()]

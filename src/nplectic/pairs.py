@@ -42,6 +42,7 @@ from .scalars import (
     format_poly,
     monomial_derivatives,
     parse_poly,
+    sparse_sum,
 )
 
 
@@ -82,16 +83,13 @@ class ConstantPair:
     @classmethod
     def from_brackets(cls, dim: int, table: dict) -> "ConstantPair":
         """Build from {(i, j): {k: c}}; rows with i > j are sign-folded."""
-        rows = {}
+        terms = []
         for (i, j), entry in table.items():
             flip = 1
             if i > j:
                 i, j, flip = j, i, -1
-            for k, c in entry.items():
-                c = as_rational(c) * flip
-                key = (i, j, k)
-                rows[key] = rows.get(key, Fraction(0)) + c
-        return cls(dim, tuple((i, j, k, c) for (i, j, k), c in rows.items() if c))
+            terms.extend(((i, j, k), as_rational(c) * flip) for k, c in entry.items())
+        return cls(dim, tuple((*key, c) for key, c in sparse_sum(terms).items()))
 
     # descriptor protocol used by elements and everything downstream
     family = "constant"

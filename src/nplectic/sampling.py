@@ -5,9 +5,9 @@ caller, so identical seeds reproduce identical objects everywhere (the
 CLI records the seed in each report for exactly this reason).
 
 Every drawn coefficient is an int numerator over `DRAW_DEN`, so a draw
-adds its terms into one {(word, monomial key): int} dict (the empty word
-for a polynomial) and builds the result once at the end: no Fraction and
-no `Poly` sum per term.
+collects its ((word, monomial key), int) terms (the empty word for a
+polynomial), sums them once with `sparse_sum` and builds the result at the
+end: no Fraction and no `Poly` sum per term.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .elements import Cotensor, Tensor, label_element
-from .scalars import CapExceeded, Poly, variable_key
+from .scalars import CapExceeded, Poly, sparse_sum, variable_key
 
 # random_fraction draws its denominator from 1..3, so every draw is an int over 6
 DRAW_DEN = 6
@@ -41,9 +41,9 @@ def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(random_numerator(rng), DRAW_DEN)
 
 
-def _add_poly_draws(acc: dict, word, rng, nvars: int, max_degree: int, terms: int) -> None:
-    """Add the terms of one random polynomial into acc, by label (word,
-    monomial key), as numerators over DRAW_DEN.
+def _add_poly_draws(acc: list, word, rng, nvars: int, max_degree: int, terms: int) -> None:
+    """Append the terms of one random polynomial to acc, as ((word,
+    monomial key), numerator over DRAW_DEN) pairs for `sparse_sum`.
 
     The degree is drawn even with no variables, so every family reads the
     same random stream; with none, nothing loops over it.  Each drawn
@@ -53,16 +53,15 @@ def _add_poly_draws(acc: dict, word, rng, nvars: int, max_degree: int, terms: in
         key, degree = 0, rng.randint(0, max_degree)
         for _ in range(degree if nvars else 0):
             key += variable_key(nvars, rng.randrange(nvars))
-        lab = (word, key)
-        acc[lab] = acc.get(lab, 0) + random_numerator(rng)
+        acc.append(((word, key), random_numerator(rng)))
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3,
                 terms: int = 3) -> Poly:
     """Random sparse polynomial of total degree <= max_degree."""
-    acc: dict = {}
+    acc: list = []
     _add_poly_draws(acc, (), rng, nvars, max_degree, terms)
-    return Poly._from_nums(nvars, {key: c for (_, key), c in acc.items() if c}, DRAW_DEN)
+    return Poly._from_nums(nvars, {key: c for (_, key), c in sparse_sum(acc).items()}, DRAW_DEN)
 
 
 def random_coeff(rng: random.Random, pair, max_degree: int = 3) -> Poly:
@@ -85,13 +84,13 @@ def _random_element(rng, pair, cls, length, max_degree, terms):
     count = math.comb(pair.ngens, length) if length >= 0 else 0
     if not count:
         return cls.zero(pair)
-    acc: dict = {}
+    acc: list = []
     for _ in range(rng.randint(1, terms)):
         word = _unrank_word(rng.randrange(count), pair.ngens, length)
         _add_poly_draws(acc, word, rng, pair.poly_nvars, max_degree, 3)
     # unranked words are ascending and in range, and the keys are monomials
     # in the pair's variables: nothing for a constructor to check
-    return label_element(pair, cls, {lab: c for lab, c in acc.items() if c}, DRAW_DEN)
+    return label_element(pair, cls, sparse_sum(acc), DRAW_DEN)
 
 
 def _unrank_word(index: int, ngens: int, length: int) -> tuple:

@@ -8,7 +8,11 @@ Everything else sees (monomial key, Fraction) pairs, or the numerators and
 their denominator through `Poly.numerators`, read-only.  The same form,
 with opaque keys, is the label vector of a (co)tensor and of a slice
 vector: `lowest_terms`, `combine` and `sum_vectors` are its arithmetic,
-shared by all three.
+shared by all three.  Each formula has its one implementation here:
+`sum_vectors` adds vectors over a common denominator, `sparse_sum` sums
+(key, value) terms per key and `monomial_derivatives` walks the set fields
+of a monomial key.  Elsewhere only `calculus.differential_numerators`,
+the inner loop of every slice build, sums inline, which measured faster.
 
 A monomial x_0^e_0 ... x_{m-1}^e_{m-1} is one int, its key: a 32-bit field
 per variable, variable 0 in the most significant field, so the key is
@@ -135,7 +139,6 @@ def add_product(acc: dict, a: dict, b: dict, c: int) -> None:
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 32
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
 # the top bit of every field stays clear in a stored key (see the docstring)
 MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
 
@@ -319,18 +322,10 @@ class Poly:
         return Fraction(next(iter(self.nums.values())), self.den)
 
     def variables(self) -> list[int]:
-        """The 0-based indices of the variables that occur in some term, ascending.
-
-        The OR of the keys has a nonzero field exactly at those variables;
-        the walk visits only the nonzero fields, from variable 0 down.
-        """
+        """The 0-based indices of the variables that occur in some term,
+        ascending: the nonzero fields of the OR of the keys."""
         mask = functools.reduce(or_, self.nums, 0)
-        out, last = [], self.nvars - 1
-        while mask:
-            field = (mask.bit_length() - 1) // _FIELD_BITS
-            out.append(last - field)
-            mask &= (1 << (field * _FIELD_BITS)) - 1
-        return out
+        return [v for v, _, _ in monomial_derivatives(mask, self.nvars)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -417,13 +412,8 @@ class Poly:
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to the 0-based variable `index`."""
         assert 0 <= index < self.nvars
-        shift = _FIELD_BITS * (self.nvars - 1 - index)
-        unit = 1 << shift
-        nums = {}
-        for key, c in self.nums.items():
-            k = (key >> shift) & _FIELD_MASK
-            if k:
-                nums[key - unit] = c * k
+        nums = {lowered: c * k for key, c in self.nums.items()
+                for v, k, lowered in monomial_derivatives(key, self.nvars) if v == index}
         return Poly._from_nums(self.nvars, nums, self.den)
 
     def substitute(self, images: tuple["Poly", ...]) -> "Poly":

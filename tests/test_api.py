@@ -1,5 +1,6 @@
 """The package's public surface: every exported name exists and is public,
-every name the benchmark tracer wraps can still be found, only `scalars`
+every name the benchmark tracer wraps can still be found and a traced
+workload command prints what the plain one does, only `scalars`
 reads the storage of a `Poly` and only `elements` that of a tensor or
 cotensor, only `engine` and `cohomology` hand matrices to `linalg`, only
 `symplectic_slice` takes a null space in `engine`, slices, the checked
@@ -13,8 +14,11 @@ import random
 import re
 from pathlib import Path
 
+import pytest
+
 import nplectic
 from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket
+from nplectic.cli import main
 from nplectic.cohomology import extension_slice
 from nplectic.engine import (
     ExtensionElement,
@@ -191,15 +195,52 @@ def test_draws_add_no_poly_and_the_checked_entry_multiplies_none(monkeypatch):
     assert entries() == expected_entries
 
 
-def test_every_traced_name_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
     for table in (tracer.COUNTED, tracer.TIMED):
         for metric, (module_name, qualnames) in table.items():
             for qualname in qualnames:
                 _, _, original = tracer._resolve(module_name, qualname)
                 assert callable(original), (metric, qualname)
+
+
+# the benchmark's four workload commands, on small inputs
+WORKLOAD_COMMANDS = {
+    "jacobi-plane": ["jacobi", "models/symplectic_plane.json", "--max-arity", "3",
+                     "--count", "2", "--arity-cap", "6"],
+    "jacobi-su2": ["jacobi", "models/su2_cartan.json", "--max-arity", "3", "--arity-cap", "6"],
+    "cohomology-4var": ["cohomology", "perfbench/inputs/poly4.json", "--weights=0:3"],
+    "momentum-sp2": ["momentum-check", "models/symplectic_plane.json",
+                     "perfbench/inputs/sp2_momentum.json", "--max-arity", "2",
+                     "--arity-cap", "6"],
+}
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_COMMANDS.values(), ids=WORKLOAD_COMMANDS)
+def test_a_traced_workload_command_prints_what_the_plain_one_does(argv, capsys):
+    # the tracer binds the arguments of some wrapped calls and sizes the
+    # rows handed to rref and rank_fraction_free: a signature it does not
+    # expect kills a traced benchmark run, and nothing else shows it
+    tracer = load_tracer()
+    argv = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    traced = tracer.Tracer()
+    try:
+        code = main(argv)
+    finally:
+        traced.restore()
+    assert code == 0
+    assert capsys.readouterr().out == plain
+    expected = {f"{m}.calls" for m in (*tracer.COUNTED, *tracer.TIMED)}
+    assert expected | {f"{m}.s" for m in tracer.TIMED} <= set(traced.metrics())
 
 
 def test_the_readme_quick_start_prints_what_its_comments_say(capsys):

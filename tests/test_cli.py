@@ -405,6 +405,13 @@ def test_poisson_rejects_a_non_symplectic_field(run, tmp_path):
     assert code == 2 and "element 1" in err
 
 
+def test_poisson_asks_for_the_degree_of_the_zero_element(run, tmp_path):
+    path = write(tmp_path, "els.json", {"elements": [{"f": [], "x": []}]})
+    code, payload, err = run("poisson", PLANE, path)
+    assert code == 2 and payload is None
+    assert err == "error: element 1: the zero element has every degree; give one\n"
+
+
 ROTATION_COCYCLE = {"f": [[[], "-1/2*x^2 - 1/2*y^2"]], "x": [[[2], "x"], [[1], "-y"]]}
 
 

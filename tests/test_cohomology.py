@@ -219,6 +219,26 @@ def test_a_table_past_the_slice_cap_raises_before_building_a_slice(monkeypatch, 
     assert built
 
 
+def test_a_table_at_the_row_cap_builds_and_one_past_it_raises_first(monkeypatch):
+    from nplectic import cohomology
+
+    built = []
+
+    def counting(s, k, r):
+        built.append((k, r))
+        return extension_slice(s, k, r)
+
+    monkeypatch.setattr(cohomology, "MAX_TABLE_ROWS", 6)
+    monkeypatch.setattr(cohomology, "extension_slice", counting)
+    s = su2_cartan()
+    assert len(extension_cohomology_table(s, range(6), [0])) == 6
+    assert built
+    built.clear()
+    with pytest.raises(CapExceeded, match="^table has 7 rows, more than 6$"):
+        extension_cohomology_table(s, range(7), [0])
+    assert built == []
+
+
 def test_extension_vanishes_outside_the_degree_strip():
     for s in (plane_structure(), su2_cartan()):
         for r in range(-1, 3):
@@ -540,9 +560,11 @@ def test_class_of_needs_a_homogeneous_cocycle():
         with pytest.raises(ValueError, match="^element has no single degree; "
                                              "a class needs a homogeneous element$"):
             class_of(e, degree=degree)
-    # the zero element takes the degree it is given
+    # the zero element takes the degree it is given, and needs one
     zero = class_of(ExtensionElement.zero(s), degree=3)
     assert zero == CohomClass.zero(s, 3) and zero.degree == 3
+    with pytest.raises(ValueError, match="^the zero element has every degree; give one$"):
+        class_of(ExtensionElement.zero(s))
 
 
 def hamiltonian_cocycle(rng, s, k):

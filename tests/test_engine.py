@@ -52,6 +52,7 @@ from nplectic.scalars import (
     monomial_key,
 )
 from conftest import basis_elements, kernel_by_null_space, reduce_mod_kernel_by_parts
+from test_sampling import checked_symplectic
 
 PLANE = PolyVectorFieldPair(2)
 SPACE = PolyVectorFieldPair(3)
@@ -365,8 +366,8 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     a_window = data.draw(st.integers(0, 1))
     b_window = data.draw(st.integers(a_window + 1, 2))
-    xa = random_symplectic(rng, s, data.draw(st.integers(1, 2)), a_window)
-    xb = random_symplectic(rng, s, data.draw(st.integers(1, 2)), b_window)
+    xa = checked_symplectic(rng, s, data.draw(st.integers(1, 2)), a_window)
+    xb = checked_symplectic(rng, s, data.draw(st.integers(1, 2)), b_window)
     fa, fb = (random_cotensor(rng, s.pair, s.n - 1, max_degree=2) for _ in "ab")
     c = random_fraction(rng)
     ea, eb = ExtensionElement(s, fa, xa), ExtensionElement(s, fb, xb)
@@ -492,7 +493,7 @@ def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
             if k.is_zero():
                 continue
             for arity in (2, 3):
-                ys = [random_symplectic(rng, s, rng.choice(grades), 1) for _ in range(arity - 1)]
+                ys = [checked_symplectic(rng, s, rng.choice(grades), 1) for _ in range(arity - 1)]
                 pos = rng.randrange(arity)
                 xs = ys[:pos] + [k] + ys[pos:]
                 bracket = higher_bracket(xs)
@@ -500,7 +501,7 @@ def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
                 assert contract_reversed_wedge(s, xs).is_zero()
                 nonzero["bracket"] += not bracket.is_zero()
                 nonzero["wedge"] += not wedge_list(s.pair, Tensor, xs).is_zero()
-                x = higher_bracket([random_symplectic(rng, s, g, 1) for g in (1, 1)])
+                x = higher_bracket([checked_symplectic(rng, s, g, 1) for g in (1, 1)])
                 if x.grade == degree:
                     assert weighted_bracket(s, [x + k] + ys) == weighted_bracket(s, [x] + ys)
                     nonzero["shifted"] += not weighted_bracket(s, [x] + ys).is_zero()

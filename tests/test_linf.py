@@ -311,6 +311,10 @@ def test_momentum_map_at_arity_zero_fails_the_morphism_gate():
     assert not ok
     assert details["issues"] == [{"gate": "morphism", "instances": 0,
                                   "reason": "no generator tuple to check"}]
+    # one generator is a tuple to check: at arity 1 both gates pass
+    ok, details = check_momentum_map(plane_structure(), algebra, fields, potentials,
+                                     max_arity=1)
+    assert ok and details["issues"] == []
 
 
 def test_momentum_arity_above_the_cap_raises_before_the_cocycle_gate():
