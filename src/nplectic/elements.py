@@ -15,9 +15,10 @@ monomial keys per word pair (`_wedge_into`, which the higher brackets in
 `calculus` share).  `label_vector` reads the vector and `label_element`
 is the trusted constructor from one.  A `Poly` is met only at the
 Poly-level boundary: the checked constructor, `from_json`, `basis` and
-`scalar` take ring elements, and `items()`, `to_json` and `repr` give
-one `Poly` per word, which `calculus.contract` and `pairs.lie_bracket`
-multiply.
+`scalar` take ring elements, and `items()` gives one `Poly` per word.
+Its readers are `to_json` and `repr`, `calculus.contract`,
+`pairs.lie_bracket`, `pairs.action`, `PairMorphismCandidate.apply_g`,
+and `linf.PairLinf`, which reads a scalar part.
 
 Words are kept strictly ascending.  `sort_word` gives the reordering sign
 of an input word and of a word built by concatenation (wedge, Schouten);
@@ -213,8 +214,7 @@ class _Element:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):
-        names = self.pair.var_names
-        return [[list(w), format_poly(c, names)] for w, c in self.items()]
+        return [[list(w), format_poly(c)] for w, c in self.items()]
 
     @classmethod
     def from_json(cls, pair, data):
@@ -234,7 +234,7 @@ class _Element:
         bits = []
         for w, c in self.items():
             word = "^".join(self._letter(g) for g in w) if w else "1"
-            coeff = format_poly(c, self.pair.var_names)
+            coeff = format_poly(c)
             if " " in coeff or "+" in coeff[1:] or "-" in coeff[1:]:
                 coeff = f"({coeff})"
             bits.append(word if coeff == "1" else f"{coeff}*{word}")

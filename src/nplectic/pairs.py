@@ -99,7 +99,6 @@ class ConstantPair:
         return self.dim
 
     poly_nvars = 0
-    var_names = ()  # no variables; unannotated, so not a dataclass field
 
     def gen_name(self, g: int) -> str:
         return f"e{g}"
@@ -146,15 +145,11 @@ class PolyVectorFieldPair:
     def poly_nvars(self) -> int:
         return self.nvars
 
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return _default_names(self.nvars)
-
     def gen_name(self, g: int) -> str:
-        return "@" + self.var_names[g - 1]
+        return "@" + _default_names(self.nvars)[g - 1]
 
     def dual_name(self, g: int) -> str:
-        return "d" + self.var_names[g - 1]
+        return "d" + _default_names(self.nvars)[g - 1]
 
     def coeff(self, value) -> Poly:
         return _coerce_coeff(self, value)
@@ -183,7 +178,7 @@ def _coerce_coeff(pair, value) -> Poly:
             raise ValueError(f"coefficient in {value.nvars} variables over {pair}")
         return value
     if isinstance(value, str):
-        return parse_poly(value, pair.poly_nvars, pair.var_names or None)
+        return parse_poly(value, pair.poly_nvars)
     return Poly.const(pair.poly_nvars, value)
 
 
@@ -391,7 +386,7 @@ class PairMorphismCandidate:
         return {
             "domain": pair_to_json(self.domain),
             "codomain": pair_to_json(self.codomain),
-            "f": [format_poly(p, self.codomain.var_names or None) for p in self.f_images],
+            "f": [format_poly(p) for p in self.f_images],
             "g": [img.to_json() for img in self.g_images],
         }
 

@@ -440,17 +440,16 @@ class Poly:
     __repr__ = __str__
 
 
-def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:
+def format_poly(p: Poly) -> str:
     """Canonical string form, graded-lexicographic from the top."""
     if p.is_zero():
         return "0"
-    names = names or _default_names(p.nvars)
     terms = ((monomial_exponents(e, p.nvars), c) for e, c in p.coefficients())
     keyed = sorted(terms, key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
     chunks = []
     for expo, coeff in keyed:
         factors = []
-        for name, e in zip(names, expo):
+        for name, e in zip(_default_names(p.nvars), expo):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -470,10 +469,9 @@ def format_poly(p: Poly, names: tuple[str, ...] | None = None) -> str:
     return text
 
 
-def parse_poly(text: str, nvars: int, names: tuple[str, ...] | None = None) -> Poly:
+def parse_poly(text: str, nvars: int) -> Poly:
     """Parse the format emitted by `format_poly` (and reasonable variants)."""
-    names = names or _default_names(nvars)
-    index = {n: i for i, n in enumerate(names)}
+    index = {n: i for i, n in enumerate(_default_names(nvars))}
     text = text.strip()
     if not text or text == "0":
         return Poly.zero(nvars)

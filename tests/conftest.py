@@ -252,6 +252,20 @@ def wedge_by_polys(x, y):
     return type(x)(x.pair, products)
 
 
+def pairing_by_polys(f, x):
+    """Oracle for `calculus.pairing`, which convolves int numerators by
+    label: one `Poly` product per word both have, read through `items()`."""
+    if f.pair != x.pair:
+        raise ValueError("pairing across different pairs")
+    on_x = dict(x.items())
+    out = Poly.zero(f.pair.poly_nvars)
+    for w, b in f.items():
+        a = on_x.get(w)
+        if a is not None:
+            out = out + a * b
+    return out
+
+
 def higher_bracket_by_terms(xs):
     """Oracle for `calculus.higher_bracket`: the (2, k-2)-shuffle sum on
     Tensors, over every tuple of homogeneous parts, with each Schouten

@@ -1,15 +1,17 @@
 """The package's public surface: every exported name exists and is public,
 every name the benchmark tracer wraps can still be found and a traced
-workload command prints what the plain one does, only `scalars`
-reads the storage of a `Poly` and only `elements` that of a tensor or
-cotensor, only `engine` and `cohomology` hand matrices to `linalg`, only
-`symplectic_slice` takes a null space in `engine`, slices, the checked
-extension entry and kernel reduction build no `Poly`, the higher brackets
-multiply none, seeded draws add none, and the README quick start runs and
-prints what its comments say."""
+workload or element command prints what the plain one does, only
+`scalars` reads the storage of a `Poly` and only `elements` that of a
+tensor or cotensor, only `engine` and `cohomology` hand matrices to
+`linalg`, only `symplectic_slice` takes a null space in `engine`, slices,
+the checked extension entry and kernel reduction build no `Poly`, the
+higher brackets multiply none, the pairing adds and multiplies none,
+seeded draws add none, and the README quick start runs and prints what
+its comments say."""
 
 import ast
 import importlib.util
+import json
 import random
 import re
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import nplectic
-from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket
+from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket, pairing
 from nplectic.cli import main
 from nplectic.cohomology import extension_slice
 from nplectic.engine import (
@@ -155,6 +157,24 @@ def test_higher_brackets_multiply_no_poly(monkeypatch):
     assert [higher_bracket(xs) for xs in cases] == expected
 
 
+def test_pairing_adds_and_multiplies_no_poly(monkeypatch):
+    # the pairing convolves the two label vectors word by word
+    rng = random.Random(3)
+    plane = PolyVectorFieldPair(2)
+    su2 = ConstantPair.from_brackets(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    cases = [(random_cotensor(rng, pair, k, 2, 3), random_tensor(rng, pair, k, 2, 3))
+             for pair in (plane, su2) for k in range(pair.ngens + 1) for _ in range(3)]
+    expected = [pairing(f, x) for f, x in cases]
+    assert sum(not p.is_zero() for p in expected) > 10
+
+    def refused(self, other):
+        raise AssertionError("a Poly sum or product inside pairing")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, name, refused)
+    assert [pairing(f, x) for f, x in cases] == expected
+
+
 def test_draws_add_no_poly_and_the_checked_entry_multiplies_none(monkeypatch):
     # a draw sums its terms as ints by label, and the checked entry tests and
     # reduces a tensor on its label vector
@@ -241,6 +261,30 @@ def test_a_traced_workload_command_prints_what_the_plain_one_does(argv, capsys):
     assert capsys.readouterr().out == plain
     expected = {f"{m}.calls" for m in (*tracer.COUNTED, *tracer.TIMED)}
     assert expected | {f"{m}.s" for m in tracer.TIMED} <= set(traced.metrics())
+
+
+def test_a_traced_element_command_prints_what_the_plain_one_does(tmp_path, capsys):
+    # the element commands read their operation from `nplectic.cli` when the
+    # parser is built, so the tracer's wrapper is the one that runs
+    tracer = load_tracer()
+    contract_input = tmp_path / "contract.json"
+    contract_input.write_text(json.dumps({
+        "pair": {"family": "poly", "vars": 2},
+        "tensor": [[[1], "x"], [[2], "1/2*y^2"]], "cotensor": [[[1, 2], "x*y - 3"]]}))
+    cases = {"calculus.contract.calls": ["contract", str(contract_input)],
+             "calculus.ce_differential.calls":
+                 ["differential", str(ROOT / "tests/golden/inputs/poly4_differential.json")]}
+    for metric, argv in cases.items():
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        traced = tracer.Tracer()
+        try:
+            code = main(argv)
+        finally:
+            traced.restore()
+        assert code == 0
+        assert capsys.readouterr().out == plain
+        assert traced.metrics()[metric] > 0, metric
 
 
 def test_the_readme_quick_start_prints_what_its_comments_say(capsys):

@@ -25,7 +25,7 @@ from nplectic.linf import TensorLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair, action, lie_bracket, pair_from_json
 from nplectic.sampling import random_cotensor, random_poly, random_tensor
 from nplectic.scalars import MAX_EXPONENT, CapExceeded, Poly, koszul_sign, parse_poly
-from conftest import basis_elements, higher_bracket_by_terms, schouten_by_terms
+from conftest import basis_elements, higher_bracket_by_terms, pairing_by_polys, schouten_by_terms
 
 
 def su2():
@@ -160,6 +160,37 @@ def test_pairing_mismatched_degrees_is_zero():
     p = su2()
     assert pairing(basis_c(p, 1), basis_t(p, 1, 2)).is_zero()
     assert pairing(Cotensor.scalar(p, 1), basis_t(p, 1)).is_zero()
+
+
+def test_pairing_matches_the_poly_oracle():
+    # sums of 0-2 homogeneous parts: equal and mismatched word lengths, zeros
+    rng = random.Random(37)
+    seen = {"zero": 0, "equal": 0, "mismatched": 0}
+    for pair in FAMILIES:
+        for _ in range(80):
+            f = sum((random_cotensor(rng, pair, rng.randint(0, 3), 2, 3)
+                     for _ in range(rng.randint(0, 2))), Cotensor.zero(pair))
+            x = sum((random_tensor(rng, pair, rng.randint(0, 3), 2, 3)
+                     for _ in range(rng.randint(0, 2))), Tensor.zero(pair))
+            got = pairing(f, x)
+            assert got == pairing_by_polys(f, x)
+            if f.is_zero() or x.is_zero():
+                seen["zero"] += 1
+            elif {-d for d in f.degrees()} & set(x.degrees()):
+                seen["equal"] += not got.is_zero()
+            else:
+                seen["mismatched"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_calculus_refuses_operands_over_different_pairs():
+    x, f, y = basis_t(PLANE, 1), basis_c(SPACE, 1), basis_t(SPACE, 1)
+    with pytest.raises(ValueError, match="pairing across different pairs"):
+        pairing(f, x)
+    with pytest.raises(ValueError, match="contraction across different pairs"):
+        contract(x, f)
+    with pytest.raises(ValueError, match="bracket across different pairs"):
+        schouten(x, y)
 
 
 # ---------------------------------------------------------------------------

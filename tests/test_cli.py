@@ -329,6 +329,14 @@ def test_cohomology_rejects_an_empty_span(run, argv):
     assert "empty" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--degrees", "--weights"])
+def test_cohomology_rejects_a_span_that_is_not_integers(run, option):
+    code, payload, err = run("cohomology", PLANE, option, "a:2")
+    what = option.lstrip("-")
+    assert code == 2 and payload is None
+    assert err == f"error: bad {what} span 'a:2'; expected MIN:MAX\n"
+
+
 def test_cohomology_rejects_omega_without_constant_coefficients(run, tmp_path):
     # closed and valid, but the weight grading cannot slice it
     path = write(tmp_path, "s.json", {
@@ -610,6 +618,48 @@ def test_malformed_json_reports_line_and_column(run, tmp_path):
     assert code == 2 and "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00bad", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-100000-deep"])
+def test_a_file_that_is_not_utf8_or_too_deep_is_bad_input(run, tmp_path, content, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, payload, err = run("nplectic-check", str(path))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+
+
+def test_a_missing_input_file_is_bad_input(run, tmp_path):
+    code, payload, err = run("nplectic-check", str(tmp_path / "absent.json"))
+    assert code == 2 and payload is None
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_a_report_into_a_missing_directory_is_bad_input(run, tmp_path):
+    target = tmp_path / "absent" / "report.json"
+    code, payload, err = run("validate-pair", HEISENBERG, "--samples", "1",
+                             "--output", str(target))
+    assert code == 2 and payload is None and not target.exists()
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["differential"], {"pair": SU2_PAIR_JSON}, "missing field 'element'"),
+    (["differential"], {"pair": SU2_PAIR_JSON, "element": [[[4], "1"]]},
+     "bad cotensor: generator index 4 out of range"),
+    (["contract"], {"pair": SU2_PAIR_JSON, "tensor": [[[1], True]], "cotensor": []},
+     "bad tensor: cannot interpret True as a rational"),
+    (["lie-derivative"], {"pair": SU2_PAIR_JSON, "tensor": [], "cotensor": [[[0], "1"]]},
+     "bad cotensor: generator index 0 out of range"),
+], ids=["differential-missing", "differential-bad", "contract-bad", "lie-derivative-bad"])
+def test_an_element_command_names_the_field_it_could_not_read(run, tmp_path, argv, data,
+                                                              message):
+    code, payload, err = run(*argv, write(tmp_path, "in.json", data))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {message}")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -635,6 +685,14 @@ def test_counts_that_would_test_nothing_are_rejected(argv, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "must be at least" in err and "Traceback" not in err
+
+
+def test_an_integer_option_that_is_not_an_integer_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", PLANE, "--count", "two"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --count: expected an integer, got 'two'" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -133,6 +133,13 @@ def test_structure_rejects_non_closed_with_residual():
     assert exc.value.residual == Cotensor(SPACE, {(1, 2, 3): 1})
 
 
+def test_structure_and_extension_element_refuse_a_cotensor_over_another_pair():
+    with pytest.raises(ValueError, match="omega lives over a different pair"):
+        NPlecticStructure(PLANE, 1, Cotensor(SPACE, {(1, 2): 1}))
+    with pytest.raises(ValueError, match="cotensor lives over a different pair"):
+        ExtensionElement(plane_structure(), Cotensor(SPACE, {(1,): 1}), Tensor.zero(PLANE))
+
+
 def test_structure_json_roundtrip():
     for s in structures():
         again = structure_from_json(s.to_json())

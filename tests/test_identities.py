@@ -1,11 +1,15 @@
 """The randomized rule suites and their reports."""
 
+import json
+from pathlib import Path
+
 from nplectic.elements import Cotensor
-from nplectic.engine import NPlecticStructure
-from nplectic.identities import cartan_suite, pairing_suite
+from nplectic.engine import NPlecticStructure, structure_from_json
+from nplectic.identities import cartan_suite, pairing_suite, symplectic_grades
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.report import canonical_json
 
+ROOT = Path(__file__).resolve().parents[1]
 SPACE = PolyVectorFieldPair(3)
 
 
@@ -61,3 +65,16 @@ def test_pairing_suite_passes_on_both_models():
             "bracket_pairing_arity_3",
             "bracket_pairing_arity_4",
         ]
+
+
+def test_grade_zero_always_holds_a_symplectic_tensor():
+    # the constant 1: d i_1 omega = d omega = 0, and with omega = 0 every
+    # tensor is symplectic, so `jacobi` always has a grade to draw from
+    plane = PolyVectorFieldPair(2)
+    structures = [structure_from_json(json.loads((ROOT / "models" / name).read_text()))
+                  for name in ("symplectic_plane.json", "su2_cartan.json",
+                               "degenerate_plane.json")]
+    structures += [NPlecticStructure(plane, 1, Cotensor(plane, {(1, 2): "1/3 + x^2*y"})),
+                   NPlecticStructure(plane, 1, Cotensor.zero(plane))]
+    for s in structures:
+        assert symplectic_grades(s, 0) == [0]

@@ -117,6 +117,13 @@ def test_table_rejects_unsorted_key():
         FiniteLInfinity([1, 1], {2: {(2, 1): {1: "1"}}})
 
 
+def test_table_rejects_arity_zero_and_an_index_out_of_range():
+    with pytest.raises(ValueError, match="bracket arity must be at least one"):
+        FiniteLInfinity([1], {0: {(): {1: "1"}}})
+    with pytest.raises(ValueError, match="basis index 3 out of range"):
+        FiniteLInfinity([1, 1], {2: {(1, 3): {1: "1"}}})
+
+
 def _su2_table_and_basis():
     fin = FiniteLInfinity.from_pair(su2())
     return fin, [fin.basis(i) for i in (1, 2, 3)]

@@ -238,6 +238,16 @@ def test_action_example():
     assert action(e(p, 2), x * x).is_zero()
 
 
+def test_pair_operations_refuse_wrong_coefficients_and_non_vectors():
+    p = PolyVectorFieldPair(2)
+    with pytest.raises(ValueError, match="coefficient in 3 variables over"):
+        p.coeff(Poly.variable(3, 0))
+    bivector = Tensor.basis(p, (1, 2))
+    for op in (lambda: lie_bracket(bivector, e(p, 1)), lambda: action(bivector, "x")):
+        with pytest.raises(ValueError, match="expected a degree-one tensor"):
+            op()
+
+
 def test_validate_poly_pairs():
     for m in (1, 2, 3):
         report = validate_pair(PolyVectorFieldPair(m), samples=25, seed=11)
@@ -270,8 +280,8 @@ def test_var_names_is_not_a_field_of_constant_pairs():
     with pytest.raises(TypeError):
         ConstantPair(3, (), ("x",))
     model = pair_from_json(json.loads((ROOT / "models/heisenberg_pair.json").read_text()))
-    for pair in (su2(), model):
-        assert pair.var_names == ()
+    for pair in (su2(), model, PolyVectorFieldPair(2)):
+        assert not hasattr(pair, "var_names")
         assert pair_from_json(pair_to_json(pair)) == pair
         assert "var_names" not in repr(pair)
 
@@ -323,6 +333,23 @@ def test_cross_family_morphism():
     cod = PolyVectorFieldPair(1)
     cand = PairMorphismCandidate(dom, cod, (), (e(cod, 1),))
     assert validate_morphism(cand, samples=20, seed=9).ok
+
+
+def test_morphism_candidate_checks_its_images():
+    line, plane = PolyVectorFieldPair(1), PolyVectorFieldPair(2)
+    x = parse_poly("x", 2)
+    good = ((x,), (e(plane, 1),))
+    cases = [
+        (((), good[1]), "need one ring image per domain variable"),
+        ((good[0], ()), "need one module image per domain generator"),
+        (((parse_poly("x", 1),), good[1]), "ring images live in the wrong ring"),
+        ((good[0], (e(line, 1),)), "module images live over the wrong pair"),
+        ((good[0], (Tensor.basis(plane, (1, 2)),)), "module images must be degree-one tensors"),
+    ]
+    assert PairMorphismCandidate(line, plane, *good).apply_f(parse_poly("x", 1)) == x
+    for (f_images, g_images), message in cases:
+        with pytest.raises(ValueError, match=message):
+            PairMorphismCandidate(line, plane, f_images, g_images)
 
 
 def test_morphism_json_roundtrip():

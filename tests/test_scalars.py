@@ -195,6 +195,13 @@ def test_bell_identity():
         assert bell_identity_check(k)
 
 
+def test_bell_numbers_refuse_an_index_below_their_range():
+    with pytest.raises(ValueError, match="Bell numbers start at k = 0"):
+        bell(-1)
+    with pytest.raises(ValueError, match="identity needs k >= 3"):
+        bell_identity_check(2)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -274,6 +281,31 @@ def test_poly_parse_examples():
         parse_poly("1/0*x", 2)
     with pytest.raises(ValueError):
         as_rational(" 3/0")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x -", "dangling sign in polynomial 'x -'"),
+    ("+", "dangling sign in polynomial '+'"),
+    ("2**x", "empty factor in '2**x'"),
+    ("x*", "empty factor in 'x*'"),
+])
+def test_poly_parse_refuses_a_dangling_sign_and_an_empty_factor(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_poly(text, 2)
+    assert str(exc.value) == message
+
+
+def test_poly_refuses_mixed_variable_counts_a_non_constant_value_and_no_images():
+    x = Poly.variable(2, 0)
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        x + Poly.zero(3)
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        x * Poly.variable(3, 0)
+    with pytest.raises(ValueError, match="x is not constant"):
+        x.constant_value()
+    assert (x - x + 5).constant_value() == 5
+    with pytest.raises(ValueError, match="substitute needs a target arity"):
+        Poly.const(0, 3).substitute(())
 
 
 def test_poly_parse_sums_repeated_and_cancelling_monomials():
@@ -411,8 +443,8 @@ def test_poly_matches_the_dict_oracle(poly_oracle, case):
     for (_, d), part in parts.items():
         ((_, comp),) = part.items()
         check(comp, O.components(a)[d])
-    names = tuple(f"v{i}" for i in range(nvars))
-    assert format_poly(A, names) == O.format(a, names)
+    names = "xyz"[:nvars] if nvars <= 3 else [f"x{i}" for i in range(1, nvars + 1)]
+    assert format_poly(A) == O.format(a, names)
     assert (A == B) == (a == b) and (A == q) == (a == ({(0,) * nvars: q} if q else {}))
     same = Poly(nvars, list(reversed(list(a.items()))))
     for other in (same, (A + B) - B, A * Poly.const(nvars, 1)):
