@@ -21,7 +21,15 @@ contractions c that d kills, read off one elimination of the rows
 Every slice vector, contraction, d of one or d h, is a label vector built
 from the slice labels alone, as in `engine`: each extension slice is one
 elimination, on integers, with no null space or back-substitution, and no
-element is built on the way to a rank.
+element is built on the way to a rank.  The full quotient, the images and
+then every exact cotensor d h in one echelon (`extension_slice`), ranks
+the table on the constant family and gives the coboundaries of `class_of`
+and so of `poisson_bracket` and `momentum-check`.  On the polynomial
+family the table eliminates only the [d c | c] rows: d is the polynomial
+de Rham differential, so by the Poincare lemma every closed image is
+exact, and the rank of the differential is a count of slice sizes down
+the d-chain (`extension_differential`); no d h is built.  The plain table
+keeps its elimination of every d h, an independent check of that lemma.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
@@ -54,6 +62,7 @@ from .engine import (
     label_contraction,
     matrix_of,
     slice_basis,
+    slice_count,
     slice_size,
     symplectic_bracket,
 )
@@ -128,28 +137,89 @@ def extension_slices(s: NPlecticStructure, k: int, r: int) -> list[tuple[int, in
     return [target, (k, r), exact_source(s.pair, *target)]
 
 
+def _symplectic_relations(s: NPlecticStructure, target, tensor):
+    """The labels of a target cotensor slice, and the relations (d c, c)
+    of the contractions c (`label_contraction`) of a tensor slice's labels
+    into it: their Quotient's relation rank is the rank the images
+    i_x omega of the symplectic tensors reach (see the module docstring)."""
+    pair = s.pair
+    labels, tensors = slice_basis(pair, *target), slice_basis(pair, *tensor)
+    # no labels above degree n + 1, where every contraction is zero
+    contractions = (label_contraction(s, w, e)[0] for w, e in tensors) if labels else ()
+    return labels, ((differential_numerators(pair, c), c) for c in contractions)
+
+
 def extension_slice(s: NPlecticStructure, k: int, r: int):
     """The target cotensor slice of the (degree k, weight r) slice modulo
     the image of the differential (f, x) -> i_x omega - d f, and the slice
     dimension.
 
     The image is one Quotient, from one elimination.  It starts with the
-    images i_x omega of the symplectic tensors: the part of the span of
-    the tensor labels' contractions c (`label_contraction`) that d kills,
-    from the relations (d c, c), read one at a time.  The d h of the
-    cotensor basis join it.  The rank the images reach is the tensor half
-    of the slice (see the module docstring), and the quotient's final rank
-    is the rank of the differential.
+    images i_x omega of the symplectic tensors, from the relations
+    (d c, c) of `_symplectic_relations`, read one at a time.  The d h of
+    the cotensor basis join it.  The rank the images reach is the tensor
+    half of the slice (see the module docstring), and the quotient's final
+    rank is the rank of the differential.
+    """
+    target, tensor, source = extension_slices(s, k, r)
+    labels, relations = _symplectic_relations(s, target, tensor)
+    _, exact = differential_slice(s.pair, *source)
+    image = Quotient(s.pair, labels, exact, relations)
+    return image, image.ranks[0] + len(exact)
+
+
+def _exact_rank(pair, word_len: int, weight: int) -> int:
+    """The rank of d into the cotensor slice (word_len, weight) of the
+    polynomial family, counted down the d-chain with no slice built.
+
+    By the Poincare lemma the kernel of d on a slice (j, w) is the image of
+    d into it, except on the functions (j = 0), where it is the constants:
+    one dimension at (0, 0), none elsewhere.  So, with l = word_len and r =
+    weight, R(l, r) = dim (l-1, r+1) - R(l-1, r+1) and R(0, w) = 0, which
+    unrolls to the alternating sum over the chain (l-1, r+1), (l-2, r+2),
+    ..., (0, r+l) of the slice sizes, with the constant taken off where
+    the chain meets (0, 0).  The sizes are `slice_count`s, uncapped: a
+    slice down the chain may be larger than every slice the table builds.
+    """
+    rank = 0
+    # words longer than the generators are empty
+    for j in range(min(word_len, pair.ngens + 1)):
+        w = weight + word_len - j
+        term = slice_count(pair, j, w) - (j == 0 and w == 0)
+        rank += -term if (word_len - 1 - j) % 2 else term
+    return rank
+
+
+def extension_differential(s: NPlecticStructure, k: int, r: int) -> tuple[int, int]:
+    """The rank of the differential (f, x) -> i_x omega - d f on the
+    (degree k, weight r) slice, and the slice dimension.
+
+    The dimension is s_k, the rank the images i_x omega reach (the
+    relation rank of `_symplectic_relations`), plus the size of the exact
+    cotensor slice.  On the constant family the rank is that of
+    `extension_slice`'s full quotient.  On the polynomial family d is the
+    polynomial de Rham differential and omega is constant, so the image
+    is known without eliminating a d h: the degree-k slice is the mapping
+    cone of x -> i_x omega into the cotensors, and with l = n + 1 - k
+    the target (l, r)
+
+    * for l >= 1 receives images i_x omega that are closed, hence exact
+      (Poincare lemma), so they add nothing to the rank of d, which is
+      `_exact_rank(l, r)`;
+    * for l = 0 has no exact cotensors (word length -1), so the rank is
+      s_k; for l < 0 both are zero.
+
+    Only the [d c | c] relation rows are eliminated; no d h is built.
     """
     pair = s.pair
+    if not pair.poly_nvars:
+        image, dim = extension_slice(s, k, r)
+        return image.echelon.rank, dim
     target, tensor, source = extension_slices(s, k, r)
-    labels, tensors = slice_basis(pair, *target), slice_basis(pair, *tensor)
-    _, exact = differential_slice(pair, *source)
-    # no labels above degree n + 1, where every contraction is zero
-    contractions = (label_contraction(s, w, e)[0] for w, e in tensors) if labels else ()
-    image = Quotient(pair, labels, exact,
-                     ((differential_numerators(pair, c), c) for c in contractions))
-    return image, image.ranks[0] + len(exact)
+    labels, relations = _symplectic_relations(s, target, tensor)
+    images = Quotient(pair, labels, (), relations).ranks[0]
+    l = target[0]
+    return images if l <= 0 else _exact_rank(pair, l, r), images + slice_size(pair, *source)
 
 
 def require_constant_omega(s: NPlecticStructure) -> None:
@@ -171,11 +241,8 @@ def extension_cohomology_rank(s: NPlecticStructure, k: int, r: int) -> dict:
 def extension_cohomology_table(s: NPlecticStructure, degrees, weights) -> list[dict]:
     """One rank row per (degree, weight); each slice's differential is ranked once."""
     require_constant_omega(s)
-
-    def differential(k, r):
-        image, dim = extension_slice(s, k, r)
-        return image.echelon.rank, dim
-    return _rank_table(s.pair, degrees, weights, differential,
+    return _rank_table(s.pair, degrees, weights,
+                       lambda k, r: extension_differential(s, k, r),
                        # the extension slice whose target is the exact cotensors of (k, r)
                        lambda k, r: (k + 1, extension_slices(s, k, r)[2][1]),
                        lambda k, r: extension_slices(s, k, r))

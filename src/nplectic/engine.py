@@ -162,15 +162,21 @@ def _degree_range(degrees):
     return range(degrees, degrees + 1) if isinstance(degrees, int) else degrees
 
 
-def slice_size(pair, word_len: int, degrees) -> int:
+def slice_count(pair, word_len: int, degrees) -> int:
     """The number of basis elements of a (co)tensor slice of one polynomial
-    degree or a range of them; raises CapExceeded past MAX_SLICE_DIM."""
+    degree or a range of them, with no cap: a count, not a build."""
     degrees = _degree_range(degrees)
-    size = 0
-    if word_len >= 0 and degrees:
-        count = _monomial_count_upto(pair.poly_nvars, degrees[-1])
-        count -= _monomial_count_upto(pair.poly_nvars, degrees[0] - 1)
-        size = math.comb(pair.ngens, word_len) * count
+    if word_len < 0 or not degrees:
+        return 0
+    count = _monomial_count_upto(pair.poly_nvars, degrees[-1])
+    count -= _monomial_count_upto(pair.poly_nvars, degrees[0] - 1)
+    return math.comb(pair.ngens, word_len) * count
+
+
+def slice_size(pair, word_len: int, degrees) -> int:
+    """`slice_count` of a slice about to be built; raises CapExceeded past
+    MAX_SLICE_DIM."""
+    size = slice_count(pair, word_len, degrees)
     if size > MAX_SLICE_DIM:
         raise CapExceeded(f"slice of word length {word_len} has {size} basis elements, "
                           f"more than {MAX_SLICE_DIM}")

@@ -8,7 +8,9 @@ oracles of the label-built slices start from, the null space of a
 window's contractions and the Tensor-level reduction against it as the
 oracles for the one-elimination kernel quotient, and the two-step
 extension slice, null space then images, as the oracle for the
-one-elimination build."""
+one-elimination build, and the extension rank table with every rank from
+that one elimination, as the oracle for the table's closed-form ranks on
+the polynomial family."""
 
 import functools
 import itertools
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from nplectic.cohomology import extension_slice
 from nplectic.elements import (
     Cotensor,
     Tensor,
@@ -339,6 +342,25 @@ def extension_slice_by_null_space(s, k, r):
     _, exact = differential_slice(pair, s.n - k, r + 1 if pair.poly_nvars else r)
     image = Quotient(pair, labels, exact, [({}, nums) for nums, _ in images])
     return image, image.ranks[0] + len(exact)
+
+
+def extension_table_by_full_elimination(s, degrees, weights):
+    """Oracle for `cohomology.extension_cohomology_table`: every rank the
+    full quotient of `extension_slice`, its images and every d h of the
+    exact cotensors in one echelon, ranked again for each row that needs
+    it, on any family and with no slice sized first."""
+    def differential(k, r):
+        image, dim = extension_slice(s, k, r)
+        return image.echelon.rank, dim
+    rows = []
+    for w in weights:
+        for k in degrees:
+            rank, dim = differential(k, w)
+            # d lowers the polynomial degree by one where there are variables
+            im, _ = differential(k + 1, w + 1 if s.pair.poly_nvars else w)
+            rows.append({"degree": k, "weight": w, "dim": dim,
+                         "kernel": dim - rank, "image": im, "rank": dim - rank - im})
+    return rows
 
 
 class DictPoly:

@@ -37,7 +37,11 @@ from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
 from nplectic.sampling import random_cotensor, random_fraction
 from nplectic.scalars import CapExceeded, Poly, monomial_key
-from conftest import basis_elements, extension_slice_by_null_space
+from conftest import (
+    basis_elements,
+    extension_slice_by_null_space,
+    extension_table_by_full_elimination,
+)
 from test_linalg import dense, int_rows
 
 PLANE = PolyVectorFieldPair(2)
@@ -167,13 +171,13 @@ def test_extension_table_builds_each_differential_once(monkeypatch):
     from nplectic import cohomology
 
     built = Counter()
-    original = cohomology.extension_slice
+    original = cohomology.extension_differential
 
     def counting(s, k, r):
         built[k, r] += 1
         return original(s, k, r)
 
-    monkeypatch.setattr(cohomology, "extension_slice", counting)
+    monkeypatch.setattr(cohomology, "extension_differential", counting)
     s = plane_structure()
     slices = [(k, r) for r in range(3) for k in range(-1, 3)]
     rows = extension_cohomology_table(s, range(-1, 3), range(3))
@@ -447,6 +451,104 @@ def test_an_extension_slice_is_one_elimination(monkeypatch):
                 image, _ = extension_slice(s, k, r)
                 assert echelons == [image.echelon]
     assert stored == {"contraction"}
+
+
+def fractional_plane():
+    return NPlecticStructure(PLANE, 1, Cotensor(PLANE, {(1, 2): Fraction(11, 13)}))
+
+
+def poly4_three_form():
+    """omega = dx1^dx2^dx3 on Q[x1..x4], n = 2; @x4 sits in the kernel."""
+    pair = PolyVectorFieldPair(4)
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+
+
+def seeded_constant_structure():
+    """A constant omega of four fractional terms on Q[x1..x5], n = 2."""
+    rng = random.Random(38)
+    pair = PolyVectorFieldPair(5)
+    words = rng.sample(list(itertools.combinations(range(1, 6), 3)), 4)
+    return NPlecticStructure(pair, 2, Cotensor(pair, {
+        w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 9)) for w in words}))
+
+
+POLYNOMIAL_STRUCTURES = {
+    "plane": plane_structure, "degenerate-plane": degenerate_structure,
+    "fractional-plane": fractional_plane, "darboux-2": lambda: darboux_structure(2),
+    "darboux-3": lambda: darboux_structure(3), "poly3-volume": volume_structure,
+    "poly4-three-form": poly4_three_form, "seeded-constant": seeded_constant_structure,
+}
+
+
+@pytest.mark.parametrize("make", POLYNOMIAL_STRUCTURES.values(), ids=POLYNOMIAL_STRUCTURES)
+def test_a_polynomial_table_equals_the_full_elimination(make):
+    # the cone rank (the images' relation rank, and the slice sizes down
+    # the d-chain) against every image and d h in one echelon, at negative
+    # weights too, where the chain meets the constants, and at the
+    # degrees whose target is the functions
+    s = make()
+    degrees, weights = range(-2, s.n + 4), range(-2, 4)
+    assert (extension_cohomology_table(s, degrees, weights)
+            == extension_table_by_full_elimination(s, degrees, weights))
+
+
+def test_a_polynomial_table_builds_no_exact_cotensor(monkeypatch):
+    # on the polynomial family no d h is built and no row joins an echelon
+    # by Echelon.add; su(2)/Cartan, and a class on the plane, still rank
+    # and reduce through the full quotient of extension_slice
+    from nplectic import cohomology, linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an exact cotensor in a polynomial table")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cohomology, "differential_slice", refused)
+        patched.setattr(linalg.Echelon, "add", refused)
+        for make in POLYNOMIAL_STRUCTURES.values():
+            s = make()
+            extension_cohomology_table(s, range(-2, s.n + 4), range(-2, 4))
+    built = []
+    extension_slice = cohomology.extension_slice
+
+    def counting(s, k, r):
+        built.append((k, r))
+        return extension_slice(s, k, r)
+
+    monkeypatch.setattr(cohomology, "extension_slice", counting)
+    extension_cohomology_table(su2_cartan(), range(4), (0,))
+    # (4, 0) has no slice, so it is ranked without a build
+    assert sorted(built) == [(k, 0) for k in range(4)]
+    built.clear()
+    # the coboundaries of the degree-1 classes x and y, built once
+    coordinate_classes(plane_structure())
+    assert built == [(2, 1)]
+
+
+def test_a_table_whose_d_chain_passes_the_slice_cap_still_builds(monkeypatch):
+    # degree -1 at weight 0 on Q[x1..x4] with dx1^dx2^dx3 sizes slices of
+    # at most 60 elements, (2, 2), the exact cotensors of its source row,
+    # while the d-chain of its own rank, (3, 1), (2, 2), (1, 3), (0, 4),
+    # passes (1, 3), of 80, which the cap refuses to build
+    from nplectic import engine
+
+    s = poly4_three_form()
+    assert [slice_size(s.pair, *sl) for sl in ((3, 1), (2, 2), (1, 3), (0, 4))] == [16, 60, 80, 35]
+    monkeypatch.setattr(engine, "MAX_SLICE_DIM", 60)
+    with pytest.raises(CapExceeded, match="word length 1 has 80"):
+        slice_size(s.pair, 1, 3)
+    rows = extension_cohomology_table(s, [-1], [0])
+    assert rows == extension_table_by_full_elimination(s, [-1], [0])
+    assert rows[0]["dim"] == 16 and rows[0]["kernel"] == 15
+
+
+def test_a_residue_of_a_cotensor_of_another_weight_leaves_the_slice_window():
+    # the degree-0 class of the plane reduces cotensors of word length 1
+    # with constant coefficients: an x dx is one weight up
+    s = plane_structure()
+    image = extension_slice(s, 1, 0)[0]
+    assert image.residue(*label_vector(Cotensor(PLANE, {(1,): 1}))) == ({}, 1)
+    with pytest.raises(ValueError, match="^element leaves the slice window at "):
+        image.residue(*label_vector(Cotensor(PLANE, {(1,): "x"})))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
