@@ -25,11 +25,15 @@ element is built on the way to a rank.  The full quotient, the images and
 then every exact cotensor d h in one echelon (`extension_slice`), ranks
 the table on the constant family and gives the coboundaries of `class_of`
 and so of `poisson_bracket` and `momentum-check`.  On the polynomial
-family the table eliminates only the [d c | c] rows: d is the polynomial
-de Rham differential, so by the Poincare lemma every closed image is
-exact, and the rank of the differential is a count of slice sizes down
-the d-chain (`extension_differential`); no d h is built.  The plain table
-keeps its elimination of every d h, an independent check of that lemma.
+family d is the polynomial de Rham differential, so by the Poincare
+lemma every closed image is exact, and the rank of the differential is a
+count of slice sizes down the d-chain (`extension_differential`); no d h
+is built.  There the [d c | c] rows are eliminated only where omega's
+constant word map, from the k-words to the (n+1-k)-words, is not onto:
+contraction is that map times the identity on the monomials, so where it
+is onto the images are every closed cotensor of the target, again a count
+(`_symplectic_images`).  The plain table keeps its elimination of every
+d h, an independent check of that lemma.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
@@ -50,12 +54,15 @@ a cocycle on the nose.
 
 from __future__ import annotations
 
+import math
+
 from .calculus import differential_numerators
 from .elements import Cotensor, label_element, label_vector
 from .engine import (
     ExtensionElement,
     NPlecticStructure,
     Quotient,
+    _kernel_quotient,
     d_omega,
     differential_slice,
     exact_source,
@@ -190,12 +197,42 @@ def _exact_rank(pair, word_len: int, weight: int) -> int:
     return rank
 
 
+def _symplectic_images(s: NPlecticStructure, k: int, r: int) -> int:
+    """s_k, the rank the images i_x omega of the symplectic tensors of the
+    (degree k, weight r) slice reach in its target cotensor slice (l, r),
+    l = n + 1 - k, on the polynomial family with constant omega.
+
+    The images are the closed cotensors, in Z^l_r, that the contraction c
+    of the tensor slice (k, r) reaches.  i_{x^a e_w} omega = x^a i_{e_w}
+    omega, so c is C_k (x) id on the monomials, C_k the constant map from
+    the words of length k to those of length l.  Where C_k is onto, so is
+    c, and the images are all of Z^l_r: by the Poincare lemma the exact
+    cotensors, `_exact_rank(l, r)`, plus the constants at (0, 0); no row is
+    built.  The rank of C_k is C(ngens, k) less the rank of the contraction
+    kernel on the constant k-tensors (`engine._kernel_quotient`, kept in
+    the structure's derived store).  Where it falls short of C(ngens, l),
+    as for Darboux omega at k = 0, whose image in the 2-forms is
+    span(omega), s_k is the relation rank of `_symplectic_relations`.
+    """
+    pair = s.pair
+    target, tensor, _ = extension_slices(s, k, r)
+    # an empty slice has no images; otherwise 0 <= k, l <= ngens, r >= 0, and
+    # the constant k-tensors are no more than the tensor slice, already sized
+    if not (slice_count(pair, *target) and slice_count(pair, *tensor)):
+        return 0
+    rank = math.comb(pair.ngens, k) - _kernel_quotient(s, k, 0).ranks[0]
+    if rank == math.comb(pair.ngens, target[0]):
+        return _exact_rank(pair, *target) + (target == (0, 0))
+    labels, relations = _symplectic_relations(s, target, tensor)
+    return Quotient(pair, labels, (), relations).ranks[0]
+
+
 def extension_differential(s: NPlecticStructure, k: int, r: int) -> tuple[int, int]:
     """The rank of the differential (f, x) -> i_x omega - d f on the
     (degree k, weight r) slice, and the slice dimension.
 
-    The dimension is s_k, the rank the images i_x omega reach (the
-    relation rank of `_symplectic_relations`), plus the size of the exact
+    The dimension is s_k, the rank the images i_x omega reach
+    (`_symplectic_images`), plus the size of the exact
     cotensor slice.  On the constant family the rank is that of
     `extension_slice`'s full quotient.  On the polynomial family d is the
     polynomial de Rham differential and omega is constant, so the image
@@ -209,15 +246,15 @@ def extension_differential(s: NPlecticStructure, k: int, r: int) -> tuple[int, i
     * for l = 0 has no exact cotensors (word length -1), so the rank is
       s_k; for l < 0 both are zero.
 
-    Only the [d c | c] relation rows are eliminated; no d h is built.
+    No d h is built, and [d c | c] rows are eliminated only for s_k where
+    omega's word map C_k is not onto.
     """
     pair = s.pair
     if not pair.poly_nvars:
         image, dim = extension_slice(s, k, r)
         return image.echelon.rank, dim
-    target, tensor, source = extension_slices(s, k, r)
-    labels, relations = _symplectic_relations(s, target, tensor)
-    images = Quotient(pair, labels, (), relations).ranks[0]
+    target, _, source = extension_slices(s, k, r)
+    images = _symplectic_images(s, k, r)
     l = target[0]
     return images if l <= 0 else _exact_rank(pair, l, r), images + slice_size(pair, *source)
 

@@ -211,8 +211,11 @@ def test_a_table_past_the_slice_cap_raises_before_building_a_slice(monkeypatch, 
         return build
 
     # every slice cohomology builds: its labels, the contractions of the
-    # tensor labels and the d h of the cotensor slice
-    for name in ("slice_basis", "label_contraction", "differential_slice"):
+    # tensor labels, the d h of the cotensor slice and the contraction
+    # kernel of the constant tensors, which tells whether omega's word map
+    # is onto (on the plane it is, so only that kernel is built)
+    for name in ("slice_basis", "label_contraction", "differential_slice",
+                 "_kernel_quotient"):
         monkeypatch.setattr(cohomology, name, recording(name, getattr(cohomology, name)))
     monkeypatch.setattr(engine, "MAX_SLICE_DIM", cap)
     with pytest.raises(CapExceeded, match=refused):
@@ -522,6 +525,65 @@ def test_a_polynomial_table_builds_no_exact_cotensor(monkeypatch):
     # the coboundaries of the degree-1 classes x and y, built once
     coordinate_classes(plane_structure())
     assert built == [(2, 1)]
+
+
+def test_the_images_a_polynomial_table_counts_are_the_null_space_images(monkeypatch):
+    # s_k of every key, counted where omega's word map is onto and
+    # eliminated where it is not, against the images of the null space of
+    # d on the contractions, which shares no elimination with either; the
+    # keys cover both branches, the target (0, 0) of the constants and
+    # keys with an empty slice
+    from nplectic import cohomology
+
+    eliminated = set()
+    relations = cohomology._symplectic_relations
+
+    def recording(s, target, tensor):
+        eliminated.add((s, tensor))
+        return relations(s, target, tensor)
+
+    monkeypatch.setattr(cohomology, "_symplectic_relations", recording)
+    counted = set()
+    for make in POLYNOMIAL_STRUCTURES.values():
+        s = make()
+        for r in range(-2, 4):
+            for k in range(-2, s.n + 4):
+                images = cohomology._symplectic_images(s, k, r)
+                assert images == extension_slice_by_null_space(s, k, r)[0].ranks[0], (s, k, r)
+                if (s, (k, r)) not in eliminated and images:
+                    counted.add((s, (k, r)))
+    assert eliminated and counted
+    assert any(key == (s.n + 1, 0) for s, key in counted)
+
+
+@pytest.mark.parametrize("make, ranks, eliminated", [
+    # every word map of the plane is onto, so no key eliminates a row
+    (plane_structure, [1, 2, 1], set()),
+    # Darboux-2's degree-0 map reaches span(omega) in six 2-forms
+    (lambda: darboux_structure(2), [1, 4, 1], {0}),
+], ids=["plane", "darboux-2"])
+def test_a_polynomial_table_eliminates_only_where_the_word_map_is_not_onto(
+        monkeypatch, make, ranks, eliminated):
+    from nplectic import cohomology
+    from nplectic.engine import _kernel_quotient
+
+    rows = {}
+    relations = cohomology._symplectic_relations
+
+    def counting(s, target, tensor):
+        labels, built = relations(s, target, tensor)
+        built = list(built)
+        rows[tensor[0]] = rows.get(tensor[0], 0) + len(built)
+        return labels, built
+
+    monkeypatch.setattr(cohomology, "_symplectic_relations", counting)
+    s = make()
+    ngens = s.pair.ngens
+    assert [math.comb(ngens, k) - _kernel_quotient(s, k, 0).ranks[0]
+            for k in range(s.n + 2)] == ranks
+    assert {k for k in range(s.n + 2) if ranks[k] < math.comb(ngens, s.n + 1 - k)} == eliminated
+    extension_cohomology_table(s, range(-1, s.n + 3), range(4))
+    assert set(rows) == eliminated and all(rows.values())
 
 
 def test_a_table_whose_d_chain_passes_the_slice_cap_still_builds(monkeypatch):

@@ -28,7 +28,9 @@ reach 21.  Two cases pin exact arithmetic under the elimination:
 ``poisson-plane-fractional`` brackets two classes for omega = 11/13
 dx^dy whose printed bracket class has non-unit denominators, and
 ``cohomology-plane-weight300`` ranks plane slices of up to 905 elements
-at weight 300.  To re-record after an intended report change:
+at weight 300.  ``cohomology-plane-weight4990`` ranks the plane at
+weight 4990, whose largest slice, 9,984 elements, is just under the
+slice cap.  To re-record after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
