@@ -52,7 +52,14 @@ from .engine import (
     ExtensionElement,
     structure_from_json,
 )
-from .identities import cartan_suite, pairing_suite, random_symplectic, symplectic_grades
+from .identities import (
+    DRAW_DEGREE,
+    DRAW_WEDGE,
+    cartan_suite,
+    pairing_suite,
+    random_symplectic,
+    symplectic_grades,
+)
 from .linf import ClassLinf, ExtensionLinf, TensorLinf, check_momentum_map, jacobi_residual
 from .models import momentum_from_json
 from .pairs import PairMorphismCandidate, pair_from_json, validate_morphism, validate_pair
@@ -214,14 +221,14 @@ def cmd_jacobi(args):
     })
     # slices above ngens are empty, whatever n is
     grades = symplectic_grades(s, min(s.n, pair.ngens))
-    max_grade = min(pair.ngens, 3)
+    max_grade = min(pair.ngens, DRAW_WEDGE)
 
     def tensor():
-        return random_tensor(rng, pair, rng.randrange(max_grade + 1), max_degree=2)
+        return random_tensor(rng, pair, rng.randrange(max_grade + 1), max_degree=DRAW_DEGREE)
 
     def extension_element():
         g = rng.choice(grades)
-        return ExtensionElement(s, random_cotensor(rng, pair, s.n - g, max_degree=2),
+        return ExtensionElement(s, random_cotensor(rng, pair, s.n - g, max_degree=DRAW_DEGREE),
                                 random_symplectic(rng, s, g))
 
     families = (("tensor", TensorLinf(pair), tensor),

@@ -26,14 +26,16 @@ then every exact cotensor d h in one echelon (`extension_slice`), ranks
 the table on the constant family and gives the coboundaries of `class_of`
 and so of `poisson_bracket` and `momentum-check`.  On the polynomial
 family d is the polynomial de Rham differential, so by the Poincare
-lemma every closed image is exact, and the rank of the differential is a
-count of slice sizes down the d-chain (`extension_differential`); no d h
-is built.  There the [d c | c] rows are eliminated only where omega's
-constant word map, from the k-words to the (n+1-k)-words, is not onto:
-contraction is that map times the identity on the monomials, so where it
-is onto the images are every closed cotensor of the target, again a count
-(`_symplectic_images`).  The plain table keeps its elimination of every
-d h, an independent check of that lemma.
+lemma every closed cotensor of word length >= 1 is exact: the table reads
+dim Z of a slice, its closed cotensors, as a count of slice sizes up the
+d-chain (`_closed_count`), and no d h is built.  That count is the rank
+of the differential where the target has word length >= 1
+(`extension_differential`), and the images wherever omega's constant
+word map, from the k-words to the (n+1-k)-words, is onto: contraction is
+that map times the identity on the monomials, so there the images are
+every closed cotensor of the target (`_symplectic_images`).  Elsewhere the
+[d c | c] rows are eliminated.  The plain table keeps its elimination of
+every d h, an independent check of that lemma.
 
 Classes are held by canonical representatives: the tensor slot is already
 reduced modulo the contraction kernel, and the cotensor slot is reduced
@@ -156,10 +158,9 @@ def _symplectic_relations(s: NPlecticStructure, target, tensor):
     return labels, ((differential_numerators(pair, c), c) for c in contractions)
 
 
-def extension_slice(s: NPlecticStructure, k: int, r: int):
+def extension_slice(s: NPlecticStructure, k: int, r: int) -> Quotient:
     """The target cotensor slice of the (degree k, weight r) slice modulo
-    the image of the differential (f, x) -> i_x omega - d f, and the slice
-    dimension.
+    the image of the differential (f, x) -> i_x omega - d f.
 
     The image is one Quotient, from one elimination.  It starts with the
     images i_x omega of the symplectic tensors, from the relations
@@ -171,30 +172,23 @@ def extension_slice(s: NPlecticStructure, k: int, r: int):
     target, tensor, source = extension_slices(s, k, r)
     labels, relations = _symplectic_relations(s, target, tensor)
     _, exact = differential_slice(s.pair, *source)
-    image = Quotient(s.pair, labels, exact, relations)
-    return image, image.ranks[0] + len(exact)
+    return Quotient(s.pair, labels, exact, relations)
 
 
-def _exact_rank(pair, word_len: int, weight: int) -> int:
-    """The rank of d into the cotensor slice (word_len, weight) of the
-    polynomial family, counted down the d-chain with no slice built.
+def _closed_count(pair, word_len: int, weight: int) -> int:
+    """dim Z, the closed cotensors of the polynomial slice (word_len,
+    weight), word_len >= 0, counted up the d-chain with no slice built.
 
-    By the Poincare lemma the kernel of d on a slice (j, w) is the image of
-    d into it, except on the functions (j = 0), where it is the constants:
-    one dimension at (0, 0), none elsewhere.  So, with l = word_len and r =
-    weight, R(l, r) = dim (l-1, r+1) - R(l-1, r+1) and R(0, w) = 0, which
-    unrolls to the alternating sum over the chain (l-1, r+1), (l-2, r+2),
-    ..., (0, r+l) of the slice sizes, with the constant taken off where
-    the chain meets (0, 0).  The sizes are `slice_count`s, uncapped: a
-    slice down the chain may be larger than every slice the table builds.
+    d maps (l, r) to (l+1, r-1), and by the Poincare lemma its image there
+    is all of Z, since l+1 >= 1.  So Z(l, r) = dim (l, r) - Z(l+1, r-1),
+    which unrolls to the alternating sum of the slice sizes along the
+    chain (l, r), (l+1, r-1), ..., up to its last nonempty slice: word
+    length at most ngens, weight at least 0.  The sizes are `slice_count`s,
+    uncapped: a slice up the chain may be larger than every slice the
+    table builds.
     """
-    rank = 0
-    # words longer than the generators are empty
-    for j in range(min(word_len, pair.ngens + 1)):
-        w = weight + word_len - j
-        term = slice_count(pair, j, w) - (j == 0 and w == 0)
-        rank += -term if (word_len - 1 - j) % 2 else term
-    return rank
+    top = min(weight, pair.ngens - word_len)
+    return sum((-1) ** j * slice_count(pair, word_len + j, weight - j) for j in range(top + 1))
 
 
 def _symplectic_images(s: NPlecticStructure, k: int, r: int) -> int:
@@ -206,13 +200,13 @@ def _symplectic_images(s: NPlecticStructure, k: int, r: int) -> int:
     of the tensor slice (k, r) reaches.  i_{x^a e_w} omega = x^a i_{e_w}
     omega, so c is C_k (x) id on the monomials, C_k the constant map from
     the words of length k to those of length l.  Where C_k is onto, so is
-    c, and the images are all of Z^l_r: by the Poincare lemma the exact
-    cotensors, `_exact_rank(l, r)`, plus the constants at (0, 0); no row is
-    built.  The rank of C_k is C(ngens, k) less the rank of the contraction
-    kernel on the constant k-tensors (`engine._kernel_quotient`, kept in
-    the structure's derived store).  Where it falls short of C(ngens, l),
-    as for Darboux omega at k = 0, whose image in the 2-forms is
-    span(omega), s_k is the relation rank of `_symplectic_relations`.
+    c, and the images are all of Z^l_r, counted up the chain
+    (`_closed_count`); no row is built.  The rank of C_k is C(ngens, k)
+    less the rank of the contraction kernel on the constant k-tensors
+    (`engine._kernel_quotient`, kept in the structure's derived store).
+    Where it falls short of C(ngens, l), as for Darboux omega at k = 0,
+    whose image in the 2-forms is span(omega), s_k is the relation rank of
+    `_symplectic_relations`.
     """
     pair = s.pair
     target, tensor, _ = extension_slices(s, k, r)
@@ -222,7 +216,7 @@ def _symplectic_images(s: NPlecticStructure, k: int, r: int) -> int:
         return 0
     rank = math.comb(pair.ngens, k) - _kernel_quotient(s, k, 0).ranks[0]
     if rank == math.comb(pair.ngens, target[0]):
-        return _exact_rank(pair, *target) + (target == (0, 0))
+        return _closed_count(pair, *target)
     labels, relations = _symplectic_relations(s, target, tensor)
     return Quotient(pair, labels, (), relations).ranks[0]
 
@@ -231,18 +225,18 @@ def extension_differential(s: NPlecticStructure, k: int, r: int) -> tuple[int, i
     """The rank of the differential (f, x) -> i_x omega - d f on the
     (degree k, weight r) slice, and the slice dimension.
 
-    The dimension is s_k, the rank the images i_x omega reach
-    (`_symplectic_images`), plus the size of the exact
-    cotensor slice.  On the constant family the rank is that of
-    `extension_slice`'s full quotient.  On the polynomial family d is the
-    polynomial de Rham differential and omega is constant, so the image
-    is known without eliminating a d h: the degree-k slice is the mapping
-    cone of x -> i_x omega into the cotensors, and with l = n + 1 - k
-    the target (l, r)
+    The dimension is s_k, the rank the images i_x omega reach, plus the
+    size of the exact cotensor slice.  On the constant family s_k and the
+    rank are those of `extension_slice`'s full quotient.  On the
+    polynomial family d is the polynomial de Rham differential and omega
+    is constant, so the image is known without eliminating a d h: the
+    degree-k slice is the mapping cone of x -> i_x omega into the
+    cotensors, s_k is `_symplectic_images`, and with l = n + 1 - k the
+    target (l, r)
 
     * for l >= 1 receives images i_x omega that are closed, hence exact
-      (Poincare lemma), so they add nothing to the rank of d, which is
-      `_exact_rank(l, r)`;
+      (Poincare lemma), so the image of the differential is every closed
+      cotensor, dim Z^l_r read up the chain (`_closed_count`);
     * for l = 0 has no exact cotensors (word length -1), so the rank is
       s_k; for l < 0 both are zero.
 
@@ -250,13 +244,13 @@ def extension_differential(s: NPlecticStructure, k: int, r: int) -> tuple[int, i
     omega's word map C_k is not onto.
     """
     pair = s.pair
-    if not pair.poly_nvars:
-        image, dim = extension_slice(s, k, r)
-        return image.echelon.rank, dim
     target, _, source = extension_slices(s, k, r)
-    images = _symplectic_images(s, k, r)
-    l = target[0]
-    return images if l <= 0 else _exact_rank(pair, l, r), images + slice_size(pair, *source)
+    if pair.poly_nvars:
+        images = _symplectic_images(s, k, r)
+        rank = images if target[0] <= 0 else _closed_count(pair, *target)
+    else:
+        images, rank = extension_slice(s, k, r).ranks
+    return rank, images + slice_size(pair, *source)
 
 
 def require_constant_omega(s: NPlecticStructure) -> None:
@@ -370,7 +364,7 @@ def class_of(e: ExtensionElement, degree: int | None = None) -> CohomClass:
     s = e.structure
     residues = []
     for (_, r), part in e.f.bigraded_parts().items():
-        image = s.derived(("coboundary", k, r), lambda: extension_slice(s, k + 1, r)[0])
+        image = s.derived(("coboundary", k, r), lambda: extension_slice(s, k + 1, r))
         residues.append(image.residue(*label_vector(part)))
     f_new = label_element(s.pair, Cotensor, *sum_vectors(residues))
     return CohomClass(s, k, ExtensionElement.canonical(s, f_new, e.x))

@@ -5,9 +5,10 @@ These suites are the arbiter for the sign conventions spread across
 homogeneous arguments and every failure is counted, with the first
 witness kept.  The alternate form of the bracket-flow rule swaps one
 flow factor; it fails in general and is recorded as informational only,
-as a sentinel that the suite can tell right from wrong.  Symplectic
-tensors are drawn in one window, polynomial degree at most
-`SYMPLECTIC_WINDOW`; `symplectic_grades` lists the wedge degrees it fills.
+as a sentinel that the suite can tell right from wrong.  Random draws
+here and in the `jacobi` command have coefficients of degree at most
+`DRAW_DEGREE` and tensors of wedge degree at most `DRAW_WEDGE`;
+`symplectic_grades` lists the wedge degrees symplectic draws fill.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .report import Report, witness_unless
 from .sampling import DRAW_DEN, random_cotensor, random_numerator, random_tensor
 from .scalars import combine
 
-SYMPLECTIC_WINDOW = 2
+DRAW_WEDGE, DRAW_DEGREE = 3, 2
 
 
 def _sign(exponent: int) -> int:
@@ -73,10 +74,9 @@ CARTAN_RULES = (
 )
 
 
-def _draw_tensor(rng, pair, max_wedge, poly_degree):
+def _draw_tensor(rng, pair, max_wedge):
     for _ in range(20):
-        x = random_tensor(rng, pair, rng.randint(0, max_wedge),
-                          max_degree=poly_degree)
+        x = random_tensor(rng, pair, rng.randint(0, max_wedge), max_degree=DRAW_DEGREE)
         if not x.is_zero():
             return x
     return Tensor.scalar(pair, 1)
@@ -94,17 +94,16 @@ def _dd_witness(x, y, f):
 
 def cartan_suite(pair, count: int = 200, seed: int = 0) -> Report:
     """Run the flow/contraction rules and d*d = 0 on seeded random draws:
-    tensors of wedge degree at most 3 with coefficients of degree at most 2."""
+    tensors of wedge degree at most DRAW_WEDGE with coefficients of degree
+    at most DRAW_DEGREE."""
     rng = random.Random(seed)
-    max_wedge, poly_degree = min(3, pair.ngens), 2
+    max_wedge = min(DRAW_WEDGE, pair.ngens)
     report = Report("cartan-suite", {
         "family": pair.family, "seed": seed, "count": count,
-        "max_wedge_degree": max_wedge, "max_poly_degree": poly_degree,
+        "max_wedge_degree": max_wedge, "max_poly_degree": DRAW_DEGREE,
     })
-    cases = [(_draw_tensor(rng, pair, max_wedge, poly_degree),
-              _draw_tensor(rng, pair, max_wedge, poly_degree),
-              random_cotensor(rng, pair, rng.randint(0, min(3, pair.ngens)),
-                              max_degree=poly_degree))
+    cases = [(_draw_tensor(rng, pair, max_wedge), _draw_tensor(rng, pair, max_wedge),
+              random_cotensor(rng, pair, rng.randint(0, max_wedge), max_degree=DRAW_DEGREE))
              for _ in range(count)]
     for name, rule, gating in CARTAN_RULES:
         report.tally(name, cases, partial(_rule_witness, rule), gating=gating)
@@ -114,15 +113,15 @@ def cartan_suite(pair, count: int = 200, seed: int = 0) -> Report:
 
 def symplectic_grades(s: NPlecticStructure, top: int) -> list[int]:
     """The wedge degrees 0..top with a symplectic tensor in the draw window."""
-    return [g for g in range(top + 1) if symplectic_vectors(s, g, SYMPLECTIC_WINDOW)]
+    return [g for g in range(top + 1) if symplectic_vectors(s, g, DRAW_DEGREE)]
 
 
 def random_symplectic(rng, s: NPlecticStructure, grade: int) -> Tensor:
     """A random symplectic tensor from one wedge-degree slice of the draw
     window: each basis vector is kept with probability 0.6, times a
-    `random_fraction`, drawn as a numerator over DRAW_DEN, and the kept
-    label vectors are summed as ints."""
-    vectors = symplectic_vectors(s, grade, SYMPLECTIC_WINDOW)
+    `random_numerator` over DRAW_DEN, and the kept label vectors are
+    summed as ints."""
+    vectors = symplectic_vectors(s, grade, DRAW_DEGREE)
     # the condition is drawn before the numerator, basis vector by basis vector
     coeffs = {i: random_numerator(rng) for i in range(len(vectors)) if rng.random() < 0.6}
     return label_element(s.pair, Tensor, *combine((coeffs, DRAW_DEN), vectors))

@@ -15,12 +15,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from fractions import Fraction
 
 from .elements import Cotensor, Tensor, label_element
 from .scalars import CapExceeded, Poly, sparse_sum, variable_key
 
-# random_fraction draws its denominator from 1..3, so every draw is an int over 6
+# random_numerator draws a denominator from 1..3, so every draw is an int over 6
 DRAW_DEN = 6
 
 # The largest max_degree random_tuples draws at over a pair with variables:
@@ -31,14 +30,10 @@ MAX_DRAW_DEGREE = 10_000
 
 
 def random_numerator(rng: random.Random) -> int:
-    """random_fraction(rng) * DRAW_DEN, from the same two draws."""
+    """The numerator over DRAW_DEN of num / den, with num drawn from -3..3,
+    then den from 1..3."""
     num = rng.randint(-3, 3)
     return num * (DRAW_DEN // rng.randint(1, 3))
-
-
-def random_fraction(rng: random.Random) -> Fraction:
-    """num / den with num drawn from -3..3, then den from 1..3."""
-    return Fraction(random_numerator(rng), DRAW_DEN)
 
 
 def _add_poly_draws(acc: list, word, rng, nvars: int, max_degree: int, terms: int) -> None:

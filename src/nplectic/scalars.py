@@ -506,6 +506,10 @@ def parse_poly(text: str, nvars: int) -> Poly:
                 continue
             if "^" in factor:
                 name, _, power = factor.partition("^")
+                # ASCII digits only: int() would also take x^1_0, x^+3, x^٣
+                power = power.strip()
+                if not (power.isascii() and power.isdigit()):
+                    raise ValueError(f"exponent {power!r} in {text!r}: digits only")
                 k = int(power)
             else:
                 name, k = factor, 1

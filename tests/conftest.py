@@ -36,6 +36,7 @@ from nplectic.engine import (
     label_contraction,
     matrix_of,
     slice_basis,
+    slice_count,
     symplectic_slice,
 )
 from nplectic.identities import random_symplectic
@@ -350,8 +351,10 @@ def extension_table_by_full_elimination(s, degrees, weights):
     exact cotensors in one echelon, ranked again for each row that needs
     it, on any family and with no slice sized first."""
     def differential(k, r):
-        image, dim = extension_slice(s, k, r)
-        return image.echelon.rank, dim
+        image = extension_slice(s, k, r)
+        # the dimension: the images, and every cotensor h of degree k
+        exact = slice_count(s.pair, s.n - k, r + 1 if s.pair.poly_nvars else r)
+        return image.echelon.rank, image.ranks[0] + exact
     rows = []
     for w in weights:
         for k in degrees:

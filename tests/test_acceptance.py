@@ -38,7 +38,7 @@ from nplectic.linf import (
 )
 from nplectic.models import rotation_momentum, su2_cartan, su2_pair, symplectic_plane
 from nplectic.pairs import PolyVectorFieldPair
-from nplectic.sampling import random_fraction, random_tensor
+from nplectic.sampling import DRAW_DEN, random_numerator, random_tensor
 from nplectic.scalars import bell_identity_check
 from test_linalg import int_rows
 
@@ -165,7 +165,7 @@ def random_degree_one_class(rng, s, basis):
         x = Tensor.zero(s.pair)
         for b in basis:
             if rng.random() < 0.6:
-                x = x + random_fraction(rng) * b
+                x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
         f = hamiltonian_potential(x, s)
         if f is not None:
             return class_of(ExtensionElement(s, f, x), degree=1)

@@ -21,7 +21,7 @@ import pytest
 import nplectic
 from nplectic import ConstantPair, Cotensor, PolyVectorFieldPair, Tensor, higher_bracket, pairing
 from nplectic.cli import main
-from nplectic.cohomology import extension_slice
+from nplectic.cohomology import extension_differential, extension_slice
 from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
@@ -71,12 +71,16 @@ def test_only_symplectic_slice_takes_a_null_space_in_engine():
 
 
 def test_each_slice_fact_has_one_owner():
-    # d's weight shift is engine.exact_source, and the window symplectic
-    # tensors are drawn in is read through identities, not by the cli
+    # d's weight shift is engine.exact_source, and the window every random
+    # tensor is drawn in, symplectic or not, is read through identities,
+    # not by the cli: no literal wedge cap or coefficient degree there
     shift = re.compile(r"\+ 1 if \w+\.poly_nvars")
     for path in sorted((ROOT / "src" / "nplectic").glob("*.py")):
         assert len(shift.findall(path.read_text())) == (path.name == "engine.py"), path.name
-    assert "symplectic_vectors" not in (ROOT / "src" / "nplectic" / "cli.py").read_text()
+    cli = (ROOT / "src" / "nplectic" / "cli.py").read_text()
+    assert "symplectic_vectors" not in cli
+    assert not re.search(r"max_degree=\d|min\([^()]*\b\d+\)", cli)
+    assert "max_degree=DRAW_DEGREE" in cli and "DRAW_WEDGE)" in cli
 
 
 def test_only_elements_reads_the_storage_of_an_element():
@@ -106,7 +110,7 @@ def test_slices_the_checked_entry_and_kernel_reduction_build_no_poly(monkeypatch
         for s in structures:
             for k in range(s.pair.ngens + 1):
                 out.append(symplectic_slice(s, k, range(3)))
-                image, dim = extension_slice(s, k, 1)
+                image, dim = extension_slice(s, k, 1), extension_differential(s, k, 1)[1]
                 out.append((image.labels, image.ranks, image.echelon.rows, dim))
                 out.append(kernel_basis(s, k, 2))
                 out.append([reduce_mod_kernel(s, random_tensor(rng, s.pair, k, 2))

@@ -97,6 +97,14 @@ def test_arbitrary_json_ends_in_an_exit_code(tmp_path_factory, data, command):
     run_main([command[0], path, *command[1:]])
 
 
+def test_an_exponent_that_is_not_ascii_digits_exits_two(tmp_path_factory):
+    data = {"pair": {"family": "poly", "vars": 2}, "tensor": [[[1], "x^1_0"]],
+            "cotensor": [[[1], "y"]]}
+    code, err = run_main(["contract", write_json(tmp_path_factory, "exponent.json", data)])
+    assert code == 2
+    assert err == "error: bad tensor: exponent '1_0' in 'x^1_0': digits only\n"
+
+
 # Pair-shaped payloads for the calculus commands.  The first shape holds a
 # valid pair and in-range words, so that examples also reach the operators.
 valid_pairs = (st.fixed_dictionaries({"family": st.just("poly"), "vars": st.integers(1, 3)})

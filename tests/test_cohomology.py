@@ -17,6 +17,7 @@ from nplectic.cohomology import (
     class_of,
     extension_cohomology_rank,
     extension_cohomology_table,
+    extension_differential,
     extension_slice,
     poisson_bracket,
 )
@@ -35,7 +36,7 @@ from nplectic.identities import random_symplectic
 from nplectic.linalg import rank_dense, rank_fraction_free
 from nplectic.linf import ClassLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_cotensor, random_fraction
+from nplectic.sampling import DRAW_DEN, random_cotensor, random_numerator
 from nplectic.scalars import CapExceeded, Poly, monomial_key
 from conftest import (
     basis_elements,
@@ -257,7 +258,7 @@ def test_extension_vanishes_outside_the_degree_strip():
 
 def test_extension_slice_quotients_kernel_directions():
     s = degenerate_structure()
-    image, dim = extension_slice(s, 1, 0)
+    image, dim = extension_slice(s, 1, 0), extension_differential(s, 1, 0)[1]
     one = monomial_key((0, 0, 0))
     assert image.labels == [((1,), one), ((2,), one), ((3,), one)]
     # @x, @y and @z are all symplectic, but @z contracts to zero: the images
@@ -345,7 +346,8 @@ def test_extension_slice_keeps_one_image_per_class_mod_kernel(make):
             labels, null = symplectic_slice(s, k, r)
             images = [flat(contract(x, s.omega)) for x in
                       (label_element(s.pair, Tensor, *coords_vector(labels, *vec)) for vec in null)]
-            image, dim = extension_slice(s, k, r)
+            image = extension_slice(s, k, r)
+            dim = extension_differential(s, k, r)[1]
             assert image.ranks[0] == rank_dense(c) - rank_dense(d)
             assert image.ranks[1] == image.echelon.rank
             assert image.echelon.rank == rank_dense(dense_columns(images + exact))
@@ -377,7 +379,7 @@ def test_extension_slice_matches_the_null_space_build(make):
     moved = kept = 0
     for r in range(3):
         for k in range(-1, s.n + 3):
-            image, dim = extension_slice(s, k, r)
+            image, dim = extension_slice(s, k, r), extension_differential(s, k, r)[1]
             oracle, oracle_dim = extension_slice_by_null_space(s, k, r)
             assert (image.labels, image.ranks, dim) == (oracle.labels, oracle.ranks, oracle_dim)
             for _ in range(3 if image.labels else 0):
@@ -451,7 +453,7 @@ def test_an_extension_slice_is_one_elimination(monkeypatch):
         for r in range(2):
             for k in range(-1, s.n + 3):
                 echelons.clear()
-                image, _ = extension_slice(s, k, r)
+                image = extension_slice(s, k, r)
                 assert echelons == [image.echelon]
     assert stored == {"contraction"}
 
@@ -556,6 +558,20 @@ def test_the_images_a_polynomial_table_counts_are_the_null_space_images(monkeypa
     assert any(key == (s.n + 1, 0) for s, key in counted)
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_the_closed_count_is_the_kernel_the_plain_table_eliminates(m):
+    # dim Z of every slice of Q[x1..xm], counted up the d-chain, against
+    # the kernel of d that the plain table ranks by eliminating every d h:
+    # at the constants (0, 0), at the empty weight -1 and past the top word
+    from nplectic.cohomology import _closed_count
+
+    pair = PolyVectorFieldPair(m)
+    for l in range(m + 2):
+        for r in range(-1, 4):
+            [row] = ce_cohomology_table(pair, [l], [r])
+            assert _closed_count(pair, l, r) == row["kernel"], (l, r)
+
+
 @pytest.mark.parametrize("make, ranks, eliminated", [
     # every word map of the plane is onto, so no key eliminates a row
     (plane_structure, [1, 2, 1], set()),
@@ -607,7 +623,7 @@ def test_a_residue_of_a_cotensor_of_another_weight_leaves_the_slice_window():
     # the degree-0 class of the plane reduces cotensors of word length 1
     # with constant coefficients: an x dx is one weight up
     s = plane_structure()
-    image = extension_slice(s, 1, 0)[0]
+    image = extension_slice(s, 1, 0)
     assert image.residue(*label_vector(Cotensor(PLANE, {(1,): 1}))) == ({}, 1)
     with pytest.raises(ValueError, match="^element leaves the slice window at "):
         image.residue(*label_vector(Cotensor(PLANE, {(1,): "x"})))
@@ -823,7 +839,7 @@ def random_hamiltonian_class(rng, s, basis):
     x = Tensor.zero(s.pair)
     for b in basis:
         if rng.random() < 0.6:
-            x = x + random_fraction(rng) * b
+            x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
     f = hamiltonian_potential(x, s)
     assert f is not None
     return class_of(ExtensionElement(s, f, x), degree=1)

@@ -42,7 +42,7 @@ from nplectic.identities import random_symplectic
 from nplectic.linalg import null_space
 from nplectic.linf import ExtensionLinf, jacobi_residual
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_cotensor, random_fraction, random_tensor
+from nplectic.sampling import DRAW_DEN, random_cotensor, random_numerator, random_tensor
 from nplectic.scalars import (
     MAX_EXPONENT,
     CapExceeded,
@@ -359,10 +359,10 @@ def test_representatives_absorb_kernel_elements_from_larger_windows(alpha, data)
     k_window = data.draw(st.integers(x_window + 1, 3))
     x = Tensor.zero(SPACE)
     for b in symplectic_basis(s, degree, x_window):
-        x = x + random_fraction(rng) * b
+        x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
     k = Tensor.zero(SPACE)
     for b in kernel_basis(s, degree, k_window):
-        k = k + random_fraction(rng) * b
+        k = k + Fraction(random_numerator(rng), DRAW_DEN) * b
     assert reduce_mod_kernel(s, x) == reduce_mod_kernel(s, x + k)
 
 
@@ -376,7 +376,7 @@ def test_sums_of_residues_from_different_windows_are_residues(alpha, data):
     xa = checked_symplectic(rng, s, data.draw(st.integers(1, 2)), a_window)
     xb = checked_symplectic(rng, s, data.draw(st.integers(1, 2)), b_window)
     fa, fb = (random_cotensor(rng, s.pair, s.n - 1, max_degree=2) for _ in "ab")
-    c = random_fraction(rng)
+    c = Fraction(random_numerator(rng), DRAW_DEN)
     ea, eb = ExtensionElement(s, fa, xa), ExtensionElement(s, fb, xb)
     a, b = ea.x, eb.x
     assert reduce_mod_kernel(s, a + c * b) == a + c * b
@@ -495,8 +495,9 @@ def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
         kernel = kernel_basis(s, degree, max_poly_degree=1)
         assert kernel
         for _ in range(8):
-            k = Tensor(s.pair, [(w, c.scale(random_fraction(rng)))
-                                for b in kernel if rng.random() < 0.6 for w, c in b.items()])
+            k = Tensor(s.pair, [(w, c.scale(Fraction(random_numerator(rng), DRAW_DEN)))
+                                for b in kernel if rng.random() < 0.6
+                                for w, c in b.items()])
             if k.is_zero():
                 continue
             for arity in (2, 3):
@@ -727,7 +728,7 @@ def test_potential_certifies_randomized(seeded=20):
     for _ in range(seeded):
         x = Tensor.zero(PLANE)
         for b in rng.sample(basis, 3):
-            x = x + random_fraction(rng) * b
+            x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
         f = hamiltonian_potential(x, s)
         assert f is not None
         assert ce_differential(f) == contract(x, s.omega)
@@ -770,7 +771,7 @@ def test_d_omega_squares_to_zero():
         for _ in range(10):
             x = Tensor.zero(s.pair)
             for b in basis:
-                x = x + random_fraction(rng) * b
+                x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
             f = random_cotensor(rng, s.pair, s.n - 1, max_degree=2)
             e = ExtensionElement(s, f, x)
             assert d_omega(d_omega(e)).is_zero()
@@ -918,7 +919,7 @@ def test_fundamental_pairing_spot_checks():
                     x = Tensor.zero(s.pair)
                     for b in basis:
                         if rng.random() < 0.5:
-                            x = x + random_fraction(rng) * b
+                            x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
                     xs.append(x)
                 ok, lhs, rhs = fundamental_pairing_check(xs, s)
                 assert ok, (lhs, rhs)
@@ -944,7 +945,7 @@ def test_symplectic_tensors_close_under_higher_brackets():
                     x = Tensor.zero(s.pair)
                     for b in basis:
                         if rng.random() < 0.5:
-                            x = x + random_fraction(rng) * b
+                            x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
                     xs.append(x)
                 assert is_symplectic(higher_bracket(xs), s)
 

@@ -30,7 +30,10 @@ dx^dy whose printed bracket class has non-unit denominators, and
 ``cohomology-plane-weight300`` ranks plane slices of up to 905 elements
 at weight 300.  ``cohomology-plane-weight4990`` ranks the plane at
 weight 4990, whose largest slice, 9,984 elements, is just under the
-slice cap.  To re-record after an intended report change:
+slice cap.  ``contract-plane``, ``lie-derivative-plane`` and the two
+``nplectic-check`` cases, one passing and one whose omega is not closed,
+give every command of the CLI at least one case.  To re-record after an
+intended report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,6 +45,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from nplectic.cli import COMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parents[1]
@@ -62,6 +67,10 @@ def test_golden_report_is_byte_identical(case, hash_seed):
     done = run_case(case["argv"], hash_seed)
     assert done.returncode == case["exit"], done.stderr.decode()
     assert done.stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_every_command_starts_a_case():
+    assert {case["argv"][0] for case in CASES} == set(COMMANDS)
 
 
 def record():

@@ -37,7 +37,7 @@ from nplectic.linf import (
 )
 from nplectic.models import momentum_from_json, rotation_momentum
 from nplectic.pairs import ConstantPair, PolyVectorFieldPair
-from nplectic.sampling import random_fraction, random_tensor
+from nplectic.sampling import DRAW_DEN, random_numerator, random_tensor
 from nplectic.scalars import CapExceeded, bell, enumerate_shuffles, koszul_sign
 
 PLANE = PolyVectorFieldPair(2)
@@ -265,7 +265,8 @@ def test_pair_bracket_matches_the_binary_higher_bracket():
     rng = random.Random(37)
     dom = PairLinf(PLANE)
     for _ in range(20):
-        u = random_low_tensor(rng) + Tensor.scalar(PLANE, random_fraction(rng))
+        u = random_low_tensor(rng)
+        u = u + Tensor.scalar(PLANE, Fraction(random_numerator(rng), DRAW_DEN))
         v = random_low_tensor(rng)
         assert dom.bracket([u, v]) == higher_bracket([u, v])
 
@@ -379,8 +380,8 @@ def random_table(rng, degrees, arities, targets, density=0.5):
                 continue
             allowed = targets(key)
             if allowed and rng.random() < density:
-                slot[key] = {t: random_fraction(rng) for t in rng.sample(
-                    allowed, rng.randint(1, len(allowed)))}
+                slot[key] = {t: Fraction(random_numerator(rng), DRAW_DEN)
+                             for t in rng.sample(allowed, rng.randint(1, len(allowed)))}
         table[k] = slot
     return table
 
@@ -389,7 +390,8 @@ def random_homogeneous(rng, fin):
     """A nonzero combination of the basis vectors of one degree."""
     d = rng.choice(fin.degrees)
     idx = [i for i, g in enumerate(fin.degrees, start=1) if g == d]
-    v = {i: random_fraction(rng) for i in rng.sample(idx, rng.randint(1, len(idx)))}
+    v = {i: Fraction(random_numerator(rng), DRAW_DEN)
+         for i in rng.sample(idx, rng.randint(1, len(idx)))}
     return {i: c for i, c in v.items() if c} or fin.basis(idx[0])
 
 
@@ -492,10 +494,11 @@ def test_partition_sum_matches_ordered_oracle_on_momentum_maps(seed, arity, name
     s, algebra, classes = momentum_classes(name)
     dom = FiniteLInfinity.from_pair(algebra)
     if corrupt:
-        classes = [random_fraction(rng) * c for c in classes]
+        classes = [Fraction(random_numerator(rng), DRAW_DEN) * c for c in classes]
         table = dom.brackets.get(2, {})
         for key in rng.sample(sorted(table), min(1, len(table))):
-            table[key] = {t: c + random_fraction(rng) for t, c in table[key].items()}
+            table[key] = {t: c + Fraction(random_numerator(rng), DRAW_DEN)
+                          for t, c in table[key].items()}
 
     def component(vs):
         out = CohomClass.zero(s, 1)
@@ -590,7 +593,7 @@ def hamiltonian_class(rng, s, degree):
         x = Tensor.zero(s.pair)
         for b in symplectic_basis(s, degree, max_poly_degree=2):
             if rng.random() < 0.6:
-                x = x + random_fraction(rng) * b
+                x = x + Fraction(random_numerator(rng), DRAW_DEN) * b
         f = hamiltonian_potential(x, s)
         if f is not None and not x.is_zero():
             return class_of(ExtensionElement(s, f, x), degree=degree)

@@ -67,7 +67,8 @@ def test_a_draw_matches_choice_on_the_list_of_words(pair, terms, cls, draw):
 
 
 def drawn_fraction(rng):
-    """Oracle for `random_fraction`: the numerator, then the denominator."""
+    """Oracle for a drawn coefficient, `random_numerator` over DRAW_DEN:
+    the numerator, then the denominator."""
     num = rng.randint(-3, 3)
     return Fraction(num, rng.randint(1, 3))
 

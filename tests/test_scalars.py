@@ -295,6 +295,14 @@ def test_poly_parse_refuses_a_dangling_sign_and_an_empty_factor(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, power", [("x^1_0", "1_0"), ("x^+3", "+3"), ("y*x^٣", "٣")])
+def test_poly_parse_reads_an_exponent_as_ascii_digits_only(text, power):
+    # int() takes each of these, as x^10, x^3 and x^3
+    with pytest.raises(ValueError) as exc:
+        parse_poly(text, 2)
+    assert str(exc.value) == f"exponent {power!r} in {text!r}: digits only"
+
+
 def test_poly_refuses_mixed_variable_counts_a_non_constant_value_and_no_images():
     x = Poly.variable(2, 0)
     with pytest.raises(ValueError, match="mixed variable counts"):
