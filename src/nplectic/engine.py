@@ -43,7 +43,6 @@ part by part on the same vector.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .calculus import (
     MAX_BRACKET_ARITY,
@@ -553,37 +552,39 @@ def symplectic_bracket(s: NPlecticStructure, xs, pairs=None) -> ExtensionElement
     return ExtensionElement.canonical(s, contract_reversed_wedge(s, xs), x)
 
 
-def weighted_bracket(s: NPlecticStructure, xs, pairs=None) -> ExtensionElement:
-    """(B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]) on symplectic tensors xs:
-    the extension bracket, which reads only the tensor slots."""
-    xs = list(xs)
-    e = symplectic_bracket(s, xs, pairs)
-    return ExtensionElement.canonical(s, Fraction(bell(len(xs) - 1)) * e.f, e.x)
-
-
 def extension_bracket(es, pairs=None) -> ExtensionElement:
-    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]), k = len(es);
+    """k-ary bracket (B_{k-1} i_{x_k ^..^ x_1} omega, [x_1..x_k]), k = len(es):
+    the symplectic bracket of the tensor slots, its cotensor weighted;
     `pairs` goes to `higher_bracket`."""
     es = list(es)
     if len(es) < 2:
         raise ValueError("the unary operation of the extension complex is d_omega")
-    return weighted_bracket(es[0].structure, [arg.x for arg in es], pairs)
+    s = es[0].structure
+    e = symplectic_bracket(s, [arg.x for arg in es], pairs)
+    return ExtensionElement.canonical(s, bell(len(es) - 1) * e.f, e.x)
 
 
-def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
-    """i_{x_k ^..^ x_1} omega, omega contracted with the reversed wedge of xs.
+def reversed_wedge(s: NPlecticStructure, xs) -> Tensor:
+    """x_k ^..^ x_1, or zero where it contracts omega to zero anyway.
 
     Each x is checked against the pair first, as the wedge would check it.
     omega has word length n + 1, so when the least degrees of the xs sum
-    past n + 1, or an x is zero, the contraction is zero and no wedge is
-    formed.
+    past n + 1, or an x is zero, i_{x_k ^..^ x_1} omega is zero and no
+    wedge is formed.
     """
     xs = list(xs)
     for x in xs:
         require_element(s.pair, Tensor, x)
     if sum(min(x.degrees(), default=s.n + 2) for x in xs) > s.n + 1:
-        return Cotensor.zero(s.pair)
-    return contract(wedge_list(s.pair, Tensor, xs[::-1]), s.omega)
+        return Tensor.zero(s.pair)
+    return wedge_list(s.pair, Tensor, xs[::-1])
+
+
+def contract_reversed_wedge(s: NPlecticStructure, xs) -> Cotensor:
+    """i_{x_k ^..^ x_1} omega, omega contracted with the `reversed_wedge` of
+    xs; zero, with no contraction, when that wedge is zero."""
+    w = reversed_wedge(s, xs)
+    return Cotensor.zero(s.pair) if w.is_zero() else contract(w, s.omega)
 
 
 def fundamental_pairing_check(xs, s: NPlecticStructure):

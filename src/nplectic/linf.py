@@ -23,7 +23,14 @@ outer bracket reads (the extension bracket reads only tensor slots, and
 the tensor algebra, whose unary bracket is zero, forms nothing for a
 one-argument head or an empty tail); the `pairs` dict of one residual
 goes to every bracket it forms, so each Schouten bracket of two argument
-parts is formed once.  The right
+parts is formed once.  A term may be open, and a residual closes once:
+it is `op.close` of the signed sum of its terms, the sum itself for
+every algebra but the extension complex.  An extension term keeps its
+Bell-weighted wedge uncontracted and its tensor bracket unreduced, and
+the close contracts the summed wedge into omega and reduces the summed
+tensor modulo the contraction kernel, once each.  That is exact, as
+contraction is linear in its tensor, the canonical residue modulo the
+kernel is linear, and each term carries its own Bell weight.  The right
 side of `morphism_residual` walks unordered set partitions of the
 arguments, which assumes every bracket here is graded symmetric.  Both
 sides of the morphism equations walk only the terms whose components
@@ -50,7 +57,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .calculus import higher_bracket, require_bracket_arguments
+from .calculus import ce_differential, contract, higher_bracket, require_bracket_arguments
 from .cohomology import (
     CohomClass,
     NotACocycle,
@@ -58,20 +65,22 @@ from .cohomology import (
     poisson_bracket,
     require_constant_omega,
 )
-from .elements import Tensor
+from .elements import Cotensor, Tensor
 from .engine import (
     DEFAULT_EXTENSION_ARITY_CAP,
     ExtensionElement,
     NPlecticStructure,
     d_omega,
     extension_bracket,
-    weighted_bracket,
+    reduce_mod_kernel,
+    reversed_wedge,
 )
 from .pairs import ConstantPair, action, lie_bracket
 from .report import first_failure
 from .scalars import (
     Poly,
     as_rational,
+    bell,
     enumerate_shuffles,
     koszul_sign,
     require_arity,
@@ -108,6 +117,11 @@ class Operations:
         """bracket([bracket(head)] + tail), None when the inner bracket is zero."""
         inner = self.bracket(head, pairs)
         return None if self.is_zero(inner) else self.bracket([inner] + tail, pairs)
+
+    def close(self, v):
+        """The value of a sum of composites; v itself unless the algebra's
+        composites are open terms."""
+        return v
 
     def top_degree(self) -> int | None:
         """The highest degree of a nonzero element, for an algebra whose
@@ -277,8 +291,31 @@ def _extension_top_degree(s: NPlecticStructure) -> int:
     return max(s.pair.ngens, s.n)
 
 
+class _OpenTerm:
+    """An extension Jacobi term before its close (`ExtensionLinf.close`):
+    w, a Bell-weighted reversed wedge not yet contracted into omega; f, a
+    cotensor; x, a tensor not yet reduced modulo the contraction kernel.
+    Sums and rational multiples act slot by slot."""
+
+    __slots__ = ("w", "f", "x")
+
+    def __init__(self, w: Tensor, f: Cotensor, x: Tensor):
+        self.w, self.f, self.x = w, f, x
+
+    def is_zero(self) -> bool:
+        return self.w.is_zero() and self.f.is_zero() and self.x.is_zero()
+
+    def __add__(self, other):
+        return _OpenTerm(self.w + other.w, self.f + other.f, self.x + other.x)
+
+    def __rmul__(self, c):
+        return _OpenTerm(c * self.w, c * self.f, c * self.x)
+
+
 class ExtensionLinf(Operations):
-    """The extension complex: differential at arity one, weighted brackets above."""
+    """The extension complex: differential at arity one, weighted brackets
+    above.  `add`, `scale` and `is_zero` take Jacobi terms (`_OpenTerm`),
+    slot by slot, as well as elements."""
 
     def __init__(self, structure: NPlecticStructure):
         self.structure = structure
@@ -298,22 +335,45 @@ class ExtensionLinf(Operations):
         return extension_bracket(vs, pairs)
 
     def composite(self, head, tail, pairs):
-        """Below the top split the outer bracket reads only tensor slots, so
-        only the inner one is formed, and nothing when one is zero (d_omega
-        has none); at the top split d_omega reads the whole inner bracket.
+        """The open term of bracket([bracket(head)] + tail), None when it is zero.
 
-        The inner tensor is not reduced modulo the contraction kernel K: the
-        outer bracket gives the same element for it and for its residue,
-        since K is an ideal for both of its slots.  For k in K and symplectic
-        y.., i_{[k, y..]} omega = +-d i_{y.. ^ k} omega = 0, and a wedge
-        with a factor k contracts omega to zero, as i_k omega = 0.
+        Below the top split the outer bracket reads only tensor slots: the
+        term is (B_{k-1} x_k ^..^ x_1, 0, [x_1..x_k]), x_1 the inner tensor
+        bracket, x_2.. the tail's tensors and k = len(tail) + 1; None for a
+        one-argument head, as d_omega has no tensor slot, or a zero x_i.
+        At the top split d_omega of the whole inner bracket e is the term
+        (e.x, -d e.f, 0).
+
+        A residual closed once is the sum of its terms closed one by one:
+        contraction into omega is linear in its tensor, the canonical
+        residue modulo the kernel K is linear, and each term carries its
+        own Bell weight.  Nor does x_1 need reducing, as K is an ideal for
+        both slots of the outer bracket: for k in K and symplectic y..,
+        i_{[k, y..]} omega = +-d i_{y.. ^ k} omega = 0, and a wedge with a
+        factor k contracts omega to zero, as i_k omega = 0.
         """
+        s = self.structure
         if not tail:
-            return super().composite(head, tail, pairs)
+            e = self.bracket(head, pairs)
+            if e.is_zero():
+                return None
+            return _OpenTerm(e.x, -ce_differential(e.f), Tensor.zero(s.pair))
         if len(head) == 1 or any(e.x.is_zero() for e in head + tail):
             return None
-        x = higher_bracket([e.x for e in head], pairs)
-        return weighted_bracket(head[0].structure, [x] + [e.x for e in tail], pairs)
+        xs = [higher_bracket([e.x for e in head], pairs)] + [e.x for e in tail]
+        if xs[0].is_zero():
+            return None
+        x = higher_bracket(xs, pairs)  # checks the arguments before the wedge does
+        return _OpenTerm(bell(len(xs) - 1) * reversed_wedge(s, xs), Cotensor.zero(s.pair), x)
+
+    def close(self, v):
+        """The element of a sum of open terms, with one contraction into
+        omega and one kernel reduction; zero, with neither, for zero."""
+        if v.is_zero():
+            return self.zero()
+        s = self.structure
+        return ExtensionElement.canonical(s, contract(v.w, s.omega) + v.f,
+                                          reduce_mod_kernel(s, v.x))
 
 
 class ClassLinf(Operations):
@@ -396,10 +456,11 @@ def jacobi_residual(op: Operations, vs):
     Sums op.bracket([op.bracket(head)] + tail) over all splits
     i + j = n + 1 and (j, n - j) shuffles, with Koszul signs in the
     argument degrees, each term as `op.composite` with one `pairs` dict
-    for the residual.  Zero exactly when the brackets cohere at this
-    arity on these arguments.  Every term has degree sum(degs) - 2, so
-    past `op.top_degree()` the residual is zero and no bracket is formed;
-    the argument checks of `_degrees` run first.
+    for the residual, and closes the sum once with `op.close`.  Zero
+    exactly when the brackets cohere at this arity on these arguments.
+    Every term has degree sum(degs) - 2, so past `op.top_degree()` the
+    residual is zero and no bracket is formed; the argument checks of
+    `_degrees` run first.
     """
     vs = list(vs)
     degs = _degrees(op, vs, "Jacobi residual")
@@ -409,8 +470,8 @@ def jacobi_residual(op: Operations, vs):
     if top is not None and sum(degs) - 2 > top:
         return op.zero()
     pairs = {}
-    return _signed_sum(op, _shuffle_composites(
-        lambda head, tail: op.composite(head, tail, pairs), vs, degs))
+    return op.close(_signed_sum(op, _shuffle_composites(
+        lambda head, tail: op.composite(head, tail, pairs), vs, degs)))
 
 
 def check_linf(op: Operations, generators, max_arity: int):

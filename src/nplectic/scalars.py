@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import struct
 from fractions import Fraction
 from operator import or_
@@ -469,6 +470,11 @@ def format_poly(p: Poly) -> str:
     return text
 
 
+# ASCII digits, as a fraction or a decimal: Fraction alone would also
+# take 1_0, 1e2 and non-ASCII digits
+_COEFFICIENT = re.compile(r"[0-9]+(?:[./][0-9]+)?")
+
+
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse the format emitted by `format_poly` (and reasonable variants)."""
     index = {n: i for i, n in enumerate(_default_names(nvars))}
@@ -502,6 +508,9 @@ def parse_poly(text: str, nvars: int) -> Poly:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
+                if not _COEFFICIENT.fullmatch(factor):
+                    raise ValueError(f"coefficient {factor!r} in {text!r}: "
+                                     "digits, digits/digits or digits.digits only")
                 coeff *= as_rational(factor)
                 continue
             if "^" in factor:

@@ -585,6 +585,15 @@ def test_an_exponent_past_the_bound_exits_2_and_a_product_past_it_exits_3(run, t
     assert err == f"error: a polynomial exponent exceeds cap {top}\n"
 
 
+@pytest.mark.parametrize("coeff", ["1_0", "1e2", "\u0663"])
+def test_a_coefficient_that_is_not_ascii_digits_exits_2(run, tmp_path, coeff):
+    data = {"pair": {"family": "poly", "vars": 2}, "element": [[[1], f"{coeff}*x"]]}
+    code, payload, err = run("differential", write(tmp_path, "bad.json", data))
+    assert (code, payload) == (2, None)
+    assert err == (f"error: bad cotensor: coefficient {coeff!r} in '{coeff}*x': "
+                   "digits, digits/digits or digits.digits only\n")
+
+
 PLANE_STRUCTURE_JSON = {"pair": {"family": "poly", "vars": 2}, "n": 1,
                         "omega": [[[1, 2], "1"]]}
 

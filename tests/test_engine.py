@@ -36,7 +36,6 @@ from nplectic.engine import (
     symplectic_basis,
     symplectic_bracket,
     symplectic_slice,
-    weighted_bracket,
 )
 from nplectic.identities import random_symplectic
 from nplectic.linalg import null_space
@@ -487,7 +486,7 @@ def test_label_contraction_past_the_exponent_cap_raises():
 def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
     # ExtensionLinf.composite hands the outer bracket an unreduced inner
     # tensor: a kernel argument k must give a bracket and a wedge that
-    # contract omega to zero, so x + k and x give the same weighted bracket
+    # contract omega to zero, so x + k and x give the same extension bracket
     rng = random.Random(23)
     grades = [g for g in range(s.pair.ngens + 1) if symplectic_basis(s, g, max_poly_degree=1)]
     nonzero = {"bracket": 0, "wedge": 0, "shifted": 0}
@@ -511,8 +510,12 @@ def test_contraction_kernel_is_an_ideal_for_brackets_and_wedges(s):
                 nonzero["wedge"] += not wedge_list(s.pair, Tensor, xs).is_zero()
                 x = higher_bracket([checked_symplectic(rng, s, g, 1) for g in (1, 1)])
                 if x.grade == degree:
-                    assert weighted_bracket(s, [x + k] + ys) == weighted_bracket(s, [x] + ys)
-                    nonzero["shifted"] += not weighted_bracket(s, [x] + ys).is_zero()
+                    # unreduced tensor slots, as a composite's inner bracket has
+                    es = [ExtensionElement.canonical(s, Cotensor.zero(s.pair), y)
+                          for y in [x + k, x] + ys]
+                    whole = extension_bracket(es[1:])
+                    assert extension_bracket(es[:1] + es[2:]) == whole
+                    nonzero["shifted"] += not whole.is_zero()
     assert nonzero["wedge"]
     if s.pair.family == "poly":
         assert nonzero["bracket"] and nonzero["shifted"]

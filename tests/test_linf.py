@@ -20,6 +20,8 @@ from nplectic.engine import (
     ExtensionElement,
     NPlecticStructure,
     hamiltonian_potential,
+    kernel_basis,
+    reduce_mod_kernel,
     structure_from_json,
     symplectic_basis,
 )
@@ -866,6 +868,39 @@ def test_jacobi_residual_equals_the_plain_shuffle_sum(name):
     assert bool(nonzero_residuals) == (name == "broken-su2")
 
 
+def broken_degenerate():
+    # su(2) with [e1, e2] = e3 + e4 and [e3, e4] = e4 under omega = e^123:
+    # the table fails Jacobi and e4 spans the degree-one contraction kernel
+    pair = ConstantPair.from_brackets(4, {(1, 2): {3: 1, 4: 1}, (2, 3): {1: 1},
+                                          (3, 1): {2: 1}, (3, 4): {4: 1}})
+    return NPlecticStructure(pair, 2, Cotensor(pair, {(1, 2, 3): 1}))
+
+
+def test_an_extension_residual_reduces_its_summed_tensor_slot():
+    # the terms' tensor slots sum to the tensor Jacobi residual of the
+    # arguments' tensor slots; here that sum has a kernel part, which only
+    # the reduction of the closed residual takes away
+    s = broken_degenerate()
+    op = ExtensionLinf(s)
+    e4 = Tensor.basis(s.pair, (4,))
+    assert kernel_basis(s, 1, max_poly_degree=0) == [e4]
+    fixed = [ExtensionElement(s, Cotensor.zero(s.pair), Tensor.basis(s.pair, (g,)))
+             for g in (1, 2, 3)]
+    assert jacobi_residual(TensorLinf(s.pair), [e.x for e in fixed]) == -e4
+    rng = random.Random(89)
+    cases = [fixed] + [[nonzero(rng, op, lambda rng: random_extension_element(rng, s, g))
+                        for g in degrees]
+                       for degrees in [(1, 1, 1)] * 3 + [(1, 1, 2), (1, 1, 1, 1), (1, 1, 1, 2)]]
+    kernel_parts = 0
+    for vs in cases:
+        summed = jacobi_residual(TensorLinf(s.pair), [e.x for e in vs])
+        residual = jacobi_residual(op, vs)
+        assert residual == plain_shuffle_sum(op, vs)
+        assert residual.x == reduce_mod_kernel(s, summed)
+        kernel_parts += residual.x != summed
+    assert kernel_parts > 1
+
+
 def test_each_extension_composite_equals_the_whole_one_in_both_slots():
     s = degenerate_plane()
     op = ExtensionLinf(s)
@@ -883,6 +918,7 @@ def test_each_extension_composite_equals_the_whole_one_in_both_slots():
                     if got is None:
                         assert whole.is_zero()
                         continue
+                    got = op.close(got)
                     assert got.f == whole.f and got.x == whole.x
                     formed += j < arity and not got.is_zero()
     assert formed

@@ -275,6 +275,7 @@ def test_poly_parse_examples():
     assert p == 2 * x * x * y - Fraction(1, 3) * y + 4
     assert parse_poly("-x", 1) == -Poly.variable(1, 0)
     assert parse_poly("0", 3) == Poly.zero(3)
+    assert parse_poly("12*x - 0.25*x + 007/010", 2) == Fraction(47, 4) * x + Fraction(7, 10)
     with pytest.raises(ValueError):
         parse_poly("q + 1", 2)
     with pytest.raises(ValueError):
@@ -301,6 +302,19 @@ def test_poly_parse_reads_an_exponent_as_ascii_digits_only(text, power):
     with pytest.raises(ValueError) as exc:
         parse_poly(text, 2)
     assert str(exc.value) == f"exponent {power!r} in {text!r}: digits only"
+
+
+@pytest.mark.parametrize("text, coeff", [
+    ("1_0*x", "1_0"), ("\u0663*x", "\u0663"), ("1e2*x", "1e2"), ("y + 2E1", "2E1"),
+    ("1.*x", "1."), ("1/2_0*y", "1/2_0"), ("3/\u0664", "3/\u0664"), ("1.5.2", "1.5.2"),
+    ("1/2/3*x", "1/2/3"), ("2x", "2x"),
+])
+def test_poly_parse_reads_a_coefficient_as_ascii_digits_only(text, coeff):
+    # Fraction takes all but the last three, as 10, 3, 100, 20, 1, 1/20 and 3/4
+    with pytest.raises(ValueError) as exc:
+        parse_poly(text, 2)
+    assert str(exc.value) == (f"coefficient {coeff!r} in {text!r}: "
+                              "digits, digits/digits or digits.digits only")
 
 
 def test_poly_refuses_mixed_variable_counts_a_non_constant_value_and_no_images():
